@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-race-core vet staticcheck bench bench-guided bench-anytime bench-cache bench-spar bench-e2e bench-col bench-mqo bench-mcts bench-serve profile fuzz-fingerprint
+.PHONY: build test test-race test-race-core vet staticcheck bench bench-guided bench-anytime bench-cache bench-spar bench-e2e bench-col bench-mqo bench-mcts bench-serve bench-check profile fuzz-fingerprint
 
 build:
 	$(GO) build ./...
@@ -61,15 +61,16 @@ bench-spar:
 	$(GO) run ./cmd/volcano-bench -experiment fig4spar -json ""
 
 # End-to-end optimize-and-execute A/B over ~10⁶-row generated tables:
-# the row-at-a-time engine vs batched vs columnar vs batched behind a
-# parallel exchange at degrees 2/4/8. Every engine's result multiset is
+# the NoFusion row kernels row-at-a-time and batched vs the default build
+# (columnar kernels wherever the plan allows) vs the default build behind
+# a parallel exchange at degrees 2/4/8. Every engine's result multiset is
 # gated against the row baseline; volcano-bench exits non-zero on a
 # mismatch. Override ROWS for other scales (e.g. ROWS=10000000).
 ROWS ?= 1000000
 bench-e2e:
 	$(GO) run ./cmd/volcano-bench -experiment e2e -rows $(ROWS) -json ""
 
-# Columnar e2e smoke: the same row vs batch vs columnar A/B at 10⁵
+# Executor e2e smoke: the same row kernels vs default build A/B at 10⁵
 # rows — quick enough for CI, still large enough that the vectorized
 # kernels dominate the wall time. Exits non-zero on any
 # result-fingerprint mismatch across the engines and exchange degrees.
@@ -104,6 +105,15 @@ SERVE_DURATION ?= 3s
 bench-serve:
 	$(GO) run ./cmd/volcano-bench -experiment serve \
 		-serve-rows $(SERVE_ROWS) -serve-duration $(SERVE_DURATION) -json ""
+
+# The repository benchmark (BENCHMARK.json, bench/) is a module of its
+# own that `go test ./...` at the root does not reach: run its tests, and
+# smoke two workloads for two seconds each. The benchmark checks every
+# result against its oracle and exits non-zero on a wrong one.
+bench-check:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh --workload exec-analytic --seed 1993 --seconds 2 --trace 0
+	bash bench/run.sh --workload point-hot --seed 1993 --seconds 2 --trace 0
 
 # CPU and heap profiles of the Figure-4 hot path (serial fig4 by
 # default; override EXPERIMENT=fig4spar etc. to profile another).

@@ -33,11 +33,11 @@
 // of whatever experiment runs.
 //
 // The e2e experiment optimizes AND executes workloads over generated
-// tables of -rows rows each, A/B-ing the row-at-a-time engine against
-// the batched engine (-batch-size), the columnar engine (vectorized
-// kernels over per-column batches), and the batched engine behind a
-// parallel exchange at degrees 2, 4, and 8 (-exec-workers caps the
-// producer goroutines). It exits non-zero if any engine's result
+// tables of -rows rows each, A/B-ing the row kernels row-at-a-time and
+// batched (-batch-size) against the default build (vectorized kernels
+// over per-column batches wherever the plan allows), and the default
+// build behind a parallel exchange at degrees 2, 4, and 8 (-exec-workers
+// caps the producer goroutines). It exits non-zero if any engine's result
 // multiset diverges from the row-engine baseline. -seed pins the
 // generated dataset (default 1993), so a recorded run is reproducible
 // bit-for-bit; the seed used is recorded in the JSON report's e2e

@@ -62,7 +62,6 @@ func main() {
 	episodes := flag.Int("episodes", 0, "stochastic policy episode count (0 = default)")
 	batchSize := flag.Int("batch-size", 0, "executor rows per batch (0 = default, 1 = row-at-a-time)")
 	execWorkers := flag.Int("exec-workers", 0, "exchange producer goroutines (0 = one per partition)")
-	columnar := flag.Bool("columnar", false, "execute with vectorized columnar kernels where the plan allows")
 	flag.Parse()
 
 	pol, err := core.ParseSearchPolicy(*searchPolicy)
@@ -75,7 +74,7 @@ func main() {
 	r := &repl{limit: *limit, tables: *tables, guided: *guided, trace: *trace, budget: budget,
 		cacheBytes: *cacheSize, workers: *searchWorkers, dataDir: *dataDir,
 		policy: pol, randSeed: *randSeed, episodes: *episodes,
-		batchSize: *batchSize, execWorkers: *execWorkers, columnar: *columnar}
+		batchSize: *batchSize, execWorkers: *execWorkers}
 	if *dataDir != "" {
 		if err := r.openDir(); err != nil {
 			fmt.Fprintln(os.Stderr, "volcano-repl:", err)
@@ -116,7 +115,6 @@ type repl struct {
 
 	batchSize   int
 	execWorkers int
-	columnar    bool
 
 	// last holds the most recent optimization's counters, for \stats.
 	last *core.Stats
@@ -132,7 +130,6 @@ func (r *repl) options() *vdb.Options {
 	opts.Search.Search.Episodes = r.episodes
 	opts.Exec.BatchSize = r.batchSize
 	opts.Exec.ExchangeWorkers = r.execWorkers
-	opts.Exec.Columnar = r.columnar
 	if r.trace {
 		opts.Search.Trace.Tracer = core.ClassicTracer(func(line string) {
 			fmt.Printf("  trace: %s\n", line)

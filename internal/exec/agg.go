@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"sort"
-
-	"repro/internal/rel"
-)
+import "repro/internal/rel"
 
 // aggState accumulates one aggregate over a group.
 type aggState struct {
@@ -68,6 +64,16 @@ func (s *aggState) value() int64 {
 		return s.max
 	}
 	return 0
+}
+
+// groupOrder is the order grouping operators emit their groups in:
+// ascending on the n leading output columns, the group values.
+func groupOrder(n int) []sortKey {
+	keys := make([]sortKey, n)
+	for i := range keys {
+		keys[i].pos = i
+	}
+	return keys
 }
 
 // SortGroupBy groups a stream already sorted on the grouping columns,
@@ -276,7 +282,7 @@ func (g *HashGroupBy) Open() error {
 			}
 		}
 	}
-	g.out = g.out[:0]
+	out := make([]Row, len(entries))
 	for i := range entries {
 		e := &entries[i]
 		row := make(Row, 0, len(e.key)+len(e.states))
@@ -284,13 +290,9 @@ func (g *HashGroupBy) Open() error {
 		for j := range e.states {
 			row = append(row, e.states[j].value())
 		}
-		g.out = append(g.out, row)
+		out[i] = row
 	}
-	order := make([]int, len(g.groupPos))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(g.out, func(i, j int) bool { return cmpRows(g.out[i], g.out[j], order) < 0 })
+	g.out = sortedRows(out, groupOrder(len(g.groupPos)))
 	g.next = 0
 	g.ra.reset()
 	return nil

@@ -1,0 +1,82 @@
+package exec_test
+
+import (
+	"context"
+	"strconv"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/exec"
+	"repro/internal/rel"
+	"repro/internal/relopt"
+	"repro/internal/sqlish"
+)
+
+// analyticQueries are the four statements of the repository benchmark's
+// exec-analytic workload (bench/query.go), as SQL, so that sqlish lowers
+// each two-sided range to the same stacked Filter nodes the daemon sees.
+var analyticQueries = []struct{ name, sql string }{
+	{"scan-filter", "SELECT * FROM R1 WHERE R1.v >= 250 AND R1.v < 750"},
+	{"join2", "SELECT * FROM R1, R2 WHERE R1.ja = R2.ja " +
+		"AND R1.v >= 350 AND R1.v < 650 AND R2.v >= 350 AND R2.v < 650"},
+	{"join3-orderby", "SELECT * FROM R1, R2, R3 WHERE R1.ja = R2.ja AND R2.jb = R3.id " +
+		"AND R1.v >= 350 AND R1.v < 650 AND R2.v >= 350 AND R2.v < 650 AND R3.v >= 350 AND R3.v < 650 ORDER BY R1.ja"},
+	{"groupby", "SELECT R1.ja, COUNT(*), SUM(R1.v) FROM R1 WHERE R1.v >= 250 AND R1.v < 750 GROUP BY R1.ja"},
+}
+
+// analyticDB builds n tables R1..Rn of exactly rows rows with datagen's
+// column layout, as the repository benchmark does.
+func analyticDB(tb testing.TB, n int, rows int64) (*rel.Catalog, *exec.DB) {
+	tb.Helper()
+	cat := rel.NewCatalog()
+	for i := 1; i <= n; i++ {
+		t := cat.AddTable("R"+strconv.Itoa(i), rows, datagen.TableRowBytes)
+		cat.AddColumn(t, "id", rows, 1, rows)
+		cat.AddColumn(t, "ja", max(rows/6, 2), 1, max(rows/6, 2))
+		cat.AddColumn(t, "jb", max(rows/12, 2), 1, max(rows/12, 2))
+		cat.AddColumn(t, "v", 1000, 0, 999)
+	}
+	return cat, exec.FromData(cat, datagen.New(1993).Rows(cat))
+}
+
+// analyticPlan optimizes one statement as vdb does.
+func analyticPlan(tb testing.TB, cat *rel.Catalog, sql string) *core.Plan {
+	tb.Helper()
+	parsed, err := sqlish.Parse(cat, sql)
+	if err != nil {
+		tb.Fatalf("parse %q: %v", sql, err)
+	}
+	opt := core.NewOptimizer(relopt.New(cat, relopt.DefaultConfig()), nil)
+	plan, err := opt.OptimizeCtx(context.Background(), opt.InsertQuery(parsed.Tree), parsed.Required)
+	if err != nil || plan == nil {
+		tb.Fatalf("optimize %q: %v", sql, err)
+	}
+	return plan
+}
+
+// BenchmarkAnalyticPlans runs exec-analytic's four plans at its table
+// size, under the default build and under the NoFusion row kernels.
+func BenchmarkAnalyticPlans(b *testing.B) {
+	cat, db := analyticDB(b, 3, 200000)
+	for _, q := range analyticQueries {
+		plan := analyticPlan(b, cat, q.sql)
+		for _, cfg := range []struct {
+			name string
+			opts exec.Options
+		}{{"default", exec.Options{}}, {"rowkernels", exec.Options{NoFusion: true}}} {
+			b.Run(q.name+"/"+cfg.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					rows, _, err := exec.RunOpts(context.Background(), db, plan, nil, cfg.opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkRows = len(rows)
+				}
+			})
+		}
+	}
+}
+
+var sinkRows int

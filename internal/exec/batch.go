@@ -73,22 +73,20 @@ func arenaChunk(width, chunk int) int {
 	return chunk
 }
 
-// allocRows carves n fresh rows of the given width from the arena as one
-// contiguous row-major block, appending their headers to the batch, and
-// returns the block for the caller to fill. It is the bulk counterpart
-// of alloc: a columnar operator materializing a whole batch pays one
-// capacity check and one header append loop instead of n alloc calls.
-func (b *Batch) allocRows(n, width, chunk int) []int64 {
-	need := n * width
-	if need == 0 {
-		return nil
-	}
-	if cap(b.arena)-len(b.arena) < need {
-		if chunk < need {
-			chunk = need
-		}
+// carve is the bulk counterpart of alloc for operators that fill a whole
+// batch at once: it appends the headers of up to n (n >= 1) fresh rows
+// of the given width and returns the contiguous row-major block behind
+// them for the caller to fill, len(block)/width rows. It hands out what
+// is left of the current arena before refilling, so a caller that loops
+// until its n rows are placed strands nothing at a refill, whatever the
+// batch sizes; a refill happens only when not one more row fits.
+func (b *Batch) carve(n, width, chunk int) []int64 {
+	free := (cap(b.arena) - len(b.arena)) / width
+	if free == 0 {
 		b.arena = make([]int64, 0, arenaChunk(width, chunk))
+		free = cap(b.arena) / width
 	}
+	need := min(n, free) * width
 	off := len(b.arena)
 	b.arena = b.arena[:off+need]
 	block := b.arena[off : off+need : off+need]

@@ -20,19 +20,16 @@ type Options struct {
 	// producers require a stripe-safe input subplan (scan, filter,
 	// project, sort chains); other inputs fall back to one producer.
 	ExchangeWorkers int
-	// NoFusion disables scan-filter fusion, keeping every operator
-	// boundary a data transfer (the row-engine A/B baseline). It only
-	// affects the row engine; columnar filters are fusion-equivalent by
-	// construction (survivors are marked in a selection vector, never
-	// copied).
+	// NoFusion selects the row kernels with scan-filter fusion off, so
+	// every operator boundary stays a data transfer: the row-engine A/B
+	// baseline. Without it the builder uses the columnar kernels wherever
+	// a plan node is column-capable (see builder.colCapable) and the row
+	// kernels, fused, everywhere else.
 	NoFusion bool
-	// Columnar selects the columnar engine: scans, filters, projections,
-	// hash joins, and aggregations over column-capable inputs run on
-	// ColBatch vectors with selection-vector filtering and per-column
-	// kernels (DESIGN.md §4i). Operators with inherently row-structured
-	// logic (sorts, merges, sets, exchange routing, spools) and the
-	// storage/Collect edges keep the row batch protocol; adapters bridge
-	// the boundaries. Results are identical to the row engine.
+	// Columnar no longer selects anything: the columnar kernels are the
+	// default.
+	//
+	// Deprecated: the builder ignores it.
 	Columnar bool
 	// Spools is the shared store the Materialize/Reuse operators of one
 	// multi-query batch communicate through; every plan of the batch
@@ -100,7 +97,7 @@ func RunOpts(ctx context.Context, db *DB, plan *core.Plan, params []int64, opts 
 		db.countRun(0, err)
 		return nil, nil, err
 	}
-	rows, err := CollectSized(it, rowsHint(plan))
+	rows, err := Collect(it)
 	db.countRun(len(rows), err)
 	return rows, schema, err
 }
@@ -263,20 +260,21 @@ func (b *builder) build(plan *core.Plan, part int) (Iterator, *Schema, error) {
 	return it, s, nil
 }
 
-// colCapable reports whether a plan node, built under Options.Columnar,
-// exposes the columnar batch protocol without a per-batch transpose:
-// scans over tables with a column-major projection, filter/project
-// chains above them, and hash joins with at least one such side (whose
-// output vectors are produced by gathers either way). It doubles as the
-// construction rule: the builder creates the columnar variant of a node
-// exactly when its relevant inputs are column-capable, so transposing
-// adapters only ever appear where a row-structured operator (sort,
-// merge, set, exchange, spool) genuinely sits below a columnar one.
+// colCapable reports whether a plan node exposes the columnar batch
+// protocol without a per-batch transpose: scans over tables with a
+// column-major projection, filter/project chains above them, and hash
+// joins with at least one such side (whose output vectors are produced
+// by gathers either way). It is the construction rule: the builder
+// creates the columnar variant of a node exactly when its relevant
+// inputs are column-capable, so transposing adapters only ever appear
+// where a row-structured operator (sort, merge, set, exchange, spool)
+// genuinely sits below a columnar one. Under NoFusion nothing is
+// column-capable, which leaves the row kernels.
 func (b *builder) colCapable(plan *core.Plan) bool {
 	switch op := plan.Op.(type) {
 	case *relopt.FileScan:
 		t := b.db.Table(op.Tab.Name)
-		return t != nil && t.cols != nil
+		return !b.opts.NoFusion && t != nil && t.cols != nil
 	case *relopt.Filter, *relopt.ProjectOp:
 		return b.colCapable(plan.Inputs[0])
 	case *relopt.HashJoin:
@@ -295,13 +293,12 @@ func (b *builder) buildNode(plan *core.Plan, part int) (Iterator, *Schema, error
 		if t == nil {
 			return nil, nil, fmt.Errorf("exec: table %q not loaded", op.Tab.Name)
 		}
-		if b.opts.Columnar {
-			if scan := NewColScan(t); scan != nil {
-				if b.stripes > 1 {
-					scan.SetStripe(b.stripe, b.stripes)
-				}
-				return scan, t.Schema, nil
+		if b.colCapable(plan) {
+			scan := NewColScan(t)
+			if b.stripes > 1 {
+				scan.SetStripe(b.stripe, b.stripes)
 			}
+			return scan, t.Schema, nil
 		}
 		scan := NewTableScan(t)
 		if b.stripes > 1 {
@@ -310,12 +307,25 @@ func (b *builder) buildNode(plan *core.Plan, part int) (Iterator, *Schema, error
 		return scan, t.Schema, nil
 
 	case *relopt.Filter:
-		columnar := b.opts.Columnar && b.colCapable(plan.Inputs[0])
-		in, ins, err := b.build(plan.Inputs[0], part)
+		// Stacked filters (sqlish lowers a two-sided range to two) fold
+		// into one operator, conjuncts in evaluation order, so the fused
+		// scan-filter and the zero-copy header gather see the whole
+		// predicate.
+		child, conj := plan.Inputs[0], op.Preds
+		for {
+			inner, ok := child.Op.(*relopt.Filter)
+			if !ok {
+				break
+			}
+			conj = append(append([]rel.Pred(nil), inner.Preds...), conj...)
+			child = child.Inputs[0]
+		}
+		columnar := b.colCapable(child)
+		in, ins, err := b.build(child, part)
 		if err != nil {
 			return nil, nil, err
 		}
-		preds, err := b.bind(op.Preds)
+		preds, err := b.bind(conj)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -325,7 +335,7 @@ func (b *builder) buildNode(plan *core.Plan, part int) (Iterator, *Schema, error
 		return NewFilter(in, ins, preds), ins, nil
 
 	case *relopt.ProjectOp:
-		columnar := b.opts.Columnar && b.colCapable(plan.Inputs[0])
+		columnar := b.colCapable(plan.Inputs[0])
 		in, ins, err := b.build(plan.Inputs[0], part)
 		if err != nil {
 			return nil, nil, err
@@ -416,7 +426,7 @@ func (b *builder) buildNode(plan *core.Plan, part int) (Iterator, *Schema, error
 		return x, ls, nil
 
 	case *relopt.SortGroupBy:
-		columnar := b.opts.Columnar && b.colCapable(plan.Inputs[0])
+		columnar := b.colCapable(plan.Inputs[0])
 		in, ins, err := b.build(plan.Inputs[0], part)
 		if err != nil {
 			return nil, nil, err
@@ -427,7 +437,7 @@ func (b *builder) buildNode(plan *core.Plan, part int) (Iterator, *Schema, error
 		return NewSortGroupBy(in, ins, op.GroupCols, op.Aggs), schema, nil
 
 	case *relopt.HashGroupBy:
-		columnar := b.opts.Columnar && b.colCapable(plan.Inputs[0])
+		columnar := b.colCapable(plan.Inputs[0])
 		in, ins, err := b.build(plan.Inputs[0], part)
 		if err != nil {
 			return nil, nil, err
@@ -541,7 +551,7 @@ func (b *builder) buildJoin(plan *core.Plan, part int, lcol, rcol rel.ColID, pro
 	if merge {
 		return NewMergeJoin(l, r, ls, rs, lp, rp, proj), out, nil
 	}
-	if b.opts.Columnar && (b.colCapable(plan.Inputs[0]) || b.colCapable(plan.Inputs[1])) {
+	if b.colCapable(plan) {
 		cj := NewColHashJoin(l, r, ls, rs, lp, rp, proj)
 		cj.BuildHint = rowsHint(plan.Inputs[0])
 		cj.KeyHint = distinctHint(plan.Inputs[0], lcol)

@@ -64,7 +64,8 @@ func collectAll(t *testing.T, it Iterator) []Row {
 }
 
 // TestColFilterMatchesRowFilterRandom is the fuzz-style cross-check of
-// the columnar fused scan-filter against the row filter: random tables,
+// the columnar fused scan-filter against the unfused row filter (the
+// NoFusion baseline): random tables,
 // random conjuncts (all six comparison operators, constant and
 // column-column), random batch sizes. Filters preserve input order, so
 // the comparison is exact row-for-row, not just multiset. Runs under
@@ -82,6 +83,7 @@ func TestColFilterMatchesRowFilterRandom(t *testing.T) {
 		size := []int{1, 7, 64, DefaultBatchSize}[rng.Intn(4)]
 
 		rf := NewFilter(NewTableScan(tab), tab.Schema, preds)
+		rf.SetFusion(false)
 		rf.SetBatchSize(size)
 		want := collectAll(t, rf)
 
@@ -116,7 +118,9 @@ func TestColFilterOverRowInput(t *testing.T) {
 	tab := randTable(rng, cols, 500)
 	preds := []rel.Pred{{Col: 1, Op: rel.CmpGE, Val: 0}, {Col: 2, Op: rel.CmpLT, OtherCol: 1}}
 
-	want := collectAll(t, NewFilter(NewTableScan(tab), tab.Schema, preds))
+	rf := NewFilter(NewTableScan(tab), tab.Schema, preds)
+	rf.SetFusion(false)
+	want := collectAll(t, rf)
 	got := collectAll(t, NewColFilter(NewTableScan(tab), tab.Schema, preds))
 	if len(got) != len(want) {
 		t.Fatalf("got %d rows, want %d", len(got), len(want))
@@ -130,10 +134,13 @@ func TestColFilterOverRowInput(t *testing.T) {
 
 // TestColHashJoinMatchesHashJoin cross-checks the columnar hash join
 // against the row hash join on random tables, with and without a fused
-// projection, at awkward batch sizes.
+// projection, at awkward batch sizes. The build side is a columnar scan
+// or a filter fused on one (indexed in place: nothing is copied), or a
+// projection (copied into scratch vectors); a filter that rejects every
+// row makes it empty.
 func TestColHashJoinMatchesHashJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
-	for trial := 0; trial < 30; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		lcols := []rel.ColID{1, 2}
 		rcols := []rel.ColID{3, 4, 5}
 		lt := randTable(rng, lcols, rng.Intn(400))
@@ -143,18 +150,66 @@ func TestColHashJoinMatchesHashJoin(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			proj = []int{0, 3, 4}
 		}
+		preds := []rel.Pred{{Col: 2, Op: rel.CmpGE, Val: int64(rng.Intn(23) - 11)}}
+		if trial%10 == 0 {
+			preds[0].Val = 11 // above the domain: an empty build side
+		}
+		build := trial % 3
 
-		rj := NewHashJoin(NewTableScan(lt), NewTableScan(rt), lt.Schema, rt.Schema, 0, 1, proj)
+		rl := Iterator(NewTableScan(lt))
+		if build == 1 {
+			rl = NewFilter(rl, lt.Schema, preds)
+		}
+		rj := NewHashJoin(rl, NewTableScan(rt), lt.Schema, rt.Schema, 0, 1, proj)
 		rj.SetBatchSize(size)
 		want := collectAll(t, rj)
 
-		cj := NewColHashJoin(colScanOf(lt), colScanOf(rt), lt.Schema, rt.Schema, 0, 1, proj)
+		cl := colScanOf(lt)
+		switch build {
+		case 1:
+			cl = NewColFilter(cl, lt.Schema, preds)
+		case 2:
+			cl = NewColProject(cl, lt.Schema, lcols)
+		}
+		cj := NewColHashJoin(cl, colScanOf(rt), lt.Schema, rt.Schema, 0, 1, proj)
+		if trial%10 != 0 {
+			cj.BuildHint = len(lt.Rows) / (1 + rng.Intn(3)) // draws on the scratch pools
+		}
 		cj.SetBatchSize(size)
 		got := collectAll(t, cj)
 
 		if Fingerprint(got) != Fingerprint(want) {
-			t.Fatalf("trial %d (size %d, proj %v): columnar join multiset differs (%d vs %d rows)",
-				trial, size, proj, len(got), len(want))
+			t.Fatalf("trial %d (size %d, proj %v, build %d): columnar join multiset differs (%d vs %d rows)",
+				trial, size, proj, build, len(got), len(want))
+		}
+	}
+}
+
+// TestColHashJoinInPlaceBuildKeepsTableVectors: an in-place build side
+// borrows the table's column vectors, and Close must not hand them to
+// the scratch pool — not even when the build side turned out empty —
+// or the next copying build of that size class would overwrite the
+// table.
+func TestColHashJoinInPlaceBuildKeepsTableVectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	cols := []rel.ColID{1, 2}
+	const n = 256 // a whole size class, so the pool would serve it again
+	lt, rt, other := randTable(rng, cols, n), randTable(rng, []rel.ColID{3, 4}, n), randTable(rng, cols, n)
+	for _, preds := range [][]rel.Pred{
+		{{Col: 2, Op: rel.CmpGT, Val: 10}},  // rejects every row
+		{{Col: 2, Op: rel.CmpGE, Val: -10}}, // keeps every row
+	} {
+		inPlace := NewColHashJoin(NewColFilter(NewColScan(lt), lt.Schema, preds), NewColScan(rt), lt.Schema, rt.Schema, 0, 0, nil)
+		collectAll(t, inPlace)
+		copying := NewColHashJoin(NewColProject(NewColScan(other), other.Schema, cols), NewColScan(rt), other.Schema, rt.Schema, 0, 0, nil)
+		copying.BuildHint = n
+		collectAll(t, copying)
+		for i, r := range lt.Rows {
+			for j, v := range r {
+				if lt.cols[j][i] != v {
+					t.Fatalf("preds %v: stored column %d of the build table was overwritten at row %d", preds, j, i)
+				}
+			}
 		}
 	}
 }
@@ -218,7 +273,9 @@ func TestColSortGroupByOverColFilter(t *testing.T) {
 	preds := []rel.Pred{{Col: 2, Op: rel.CmpLT, Val: 10}}
 	aggs := []rel.Agg{{Fn: rel.AggCount}, {Fn: rel.AggSum, Col: 2}}
 
-	want := collectAll(t, NewSortGroupBy(NewFilter(NewTableScan(tab), tab.Schema, preds), tab.Schema, []rel.ColID{1}, aggs))
+	rf := NewFilter(NewTableScan(tab), tab.Schema, preds)
+	rf.SetFusion(false)
+	want := collectAll(t, NewSortGroupBy(rf, tab.Schema, []rel.ColID{1}, aggs))
 	got := collectAll(t, NewColSortGroupBy(NewColFilter(NewColScan(tab), tab.Schema, preds), tab.Schema, []rel.ColID{1}, aggs))
 	if Fingerprint(got) != Fingerprint(want) {
 		t.Fatalf("columnar sort group-by over filter differs: %d vs %d groups", len(got), len(want))
@@ -258,14 +315,14 @@ func TestAllocWholeRowChunks(t *testing.T) {
 	}
 }
 
-// TestAllocRowsBlock checks the bulk carver: headers slice one
-// contiguous block, refills honor whole-row chunks, and a block larger
-// than the chunk is carved in one piece.
-func TestAllocRowsBlock(t *testing.T) {
+// TestCarveBlocks checks the bulk carver: headers slice one contiguous
+// block, a request larger than what is left of the arena is served in
+// pieces with nothing stranded, and refills honor whole-row chunks.
+func TestCarveBlocks(t *testing.T) {
 	b := &Batch{}
-	block := b.allocRows(4, 3, 6)
-	if len(block) != 12 || len(b.Rows) != 4 {
-		t.Fatalf("allocRows(4,3,6): block %d rows %d", len(block), len(b.Rows))
+	block := b.carve(2, 3, 6)
+	if len(block) != 6 || len(b.Rows) != 2 || cap(b.arena) != 6 {
+		t.Fatalf("carve(2,3,6): block %d rows %d arena %d", len(block), len(b.Rows), cap(b.arena))
 	}
 	for i := range block {
 		block[i] = int64(i)
@@ -277,8 +334,19 @@ func TestAllocRowsBlock(t *testing.T) {
 			}
 		}
 	}
-	if got := b.allocRows(0, 3, 6); got != nil {
-		t.Fatalf("allocRows(0,...) = %v, want nil", got)
+	// The arena is full: the next request refills (chunk 8 rounds up to
+	// three rows) and is cut to what fits; the caller asks again.
+	if got := len(b.carve(5, 3, 8)); got != 9 {
+		t.Fatalf("carve(5,3,8) after a full arena: block %d, want 9", got)
+	}
+	if got := len(b.carve(2, 3, 8)); got != 6 || len(b.Rows) != 7 {
+		t.Fatalf("carve of the remaining rows: block %d rows %d", got, len(b.Rows))
+	}
+	// One row of the second refill is left; it is handed out before a
+	// third arena is made.
+	first := &b.arena[0]
+	if got := len(b.carve(4, 3, 8)); got != 3 || &b.arena[0] != first {
+		t.Fatalf("carve did not use the arena's last row first: block %d", got)
 	}
 }
 

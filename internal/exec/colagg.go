@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/rel"
 )
@@ -65,13 +64,14 @@ func (g *ColHashGroupBy) Open() error {
 	in := asCols(g.In)
 
 	// Per-group state, struct-of-arrays: group keys, row counts, and one
-	// accumulator vector per aggregate.
+	// accumulator vector per aggregate. All of it is scratch, dead once
+	// the groups are materialized below.
 	var keys []int64  // single grouping column: the key values
 	var keyRows []Row // multiple grouping columns: cloned key rows
-	counts := make([]int64, 0, g.SizeHint)
+	counts := int64Scratch.get(g.SizeHint)
 	accs := make([][]int64, len(g.aggs))
 	for i := range accs {
-		accs[i] = make([]int64, 0, g.SizeHint)
+		accs[i] = int64Scratch.get(g.SizeHint)
 	}
 	ngroups := 0
 
@@ -80,7 +80,7 @@ func (g *ColHashGroupBy) Open() error {
 	var idx map[string]int32
 	var keybuf Row
 	if single {
-		keys = make([]int64, 0, g.SizeHint)
+		keys = int64Scratch.get(g.SizeHint)
 		table = newJoinTable(g.SizeHint)
 	} else {
 		idx = make(map[string]int32, g.SizeHint)
@@ -88,6 +88,15 @@ func (g *ColHashGroupBy) Open() error {
 	}
 
 	var gidx []int32
+	defer func() {
+		int64Scratch.put(keys)
+		int64Scratch.put(counts)
+		for _, acc := range accs {
+			int64Scratch.put(acc)
+		}
+		int32Scratch.put(gidx)
+		table.release()
+	}()
 	for {
 		cb, ok, err := in.NextColBatch()
 		if err != nil {
@@ -98,7 +107,8 @@ func (g *ColHashGroupBy) Open() error {
 		}
 		n := cb.Len()
 		if cap(gidx) < n {
-			gidx = make([]int32, n)
+			int32Scratch.put(gidx)
+			gidx = int32Scratch.get(n)
 		}
 		gidx = gidx[:n]
 
@@ -225,7 +235,7 @@ func (g *ColHashGroupBy) Open() error {
 	gw := len(g.groupPos)
 	w := gw + len(g.aggs)
 	slab := make([]int64, ngroups*w)
-	g.out = g.out[:0]
+	out := make([]Row, ngroups)
 	for gi := 0; gi < ngroups; gi++ {
 		row := Row(slab[gi*w : (gi+1)*w : (gi+1)*w])
 		if single {
@@ -240,13 +250,9 @@ func (g *ColHashGroupBy) Open() error {
 				row[gw+a] = accs[a][gi]
 			}
 		}
-		g.out = append(g.out, row)
+		out[gi] = row
 	}
-	order := make([]int, gw)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(g.out, func(i, j int) bool { return cmpRows(g.out[i], g.out[j], order) < 0 })
+	g.out = sortedRows(out, groupOrder(gw))
 	g.next = 0
 	g.ra.reset()
 	return nil

@@ -116,31 +116,29 @@ func (r *rowCols) NextColBatch() (*ColBatch, bool, error) {
 }
 
 // materializeInto transposes a columnar batch into row storage appended
-// to out — one contiguous arena block plus cheap row headers — bridging
-// a columnar operator's output back onto the row protocol. chunk sizes
+// to out — contiguous arena blocks plus cheap row headers — bridging a
+// columnar operator's output back onto the row protocol. chunk sizes
 // arena refills, as in Batch.alloc. The gather runs column-at-a-time
 // with a strided write, so each source vector is swept sequentially.
 func materializeInto(out *Batch, cb *ColBatch, chunk int) {
 	w := len(cb.Cols)
-	n := cb.Len()
-	block := out.allocRows(n, w, chunk)
-	if cb.Sel == nil {
+	for lo, n := 0, cb.Len(); lo < n; {
+		block := out.carve(n-lo, w, chunk)
+		hi := lo + len(block)/w
 		for j, col := range cb.Cols {
-			col = col[:cb.N]
 			k := j
-			for _, v := range col {
-				block[k] = v
-				k += w
+			if cb.Sel == nil {
+				for _, v := range col[lo:hi] {
+					block[k] = v
+					k += w
+				}
+			} else {
+				for _, s := range cb.Sel[lo:hi] {
+					block[k] = col[s]
+					k += w
+				}
 			}
 		}
-		return
-	}
-	sel := cb.Sel
-	for j, col := range cb.Cols {
-		k := j
-		for _, s := range sel {
-			block[k] = col[s]
-			k += w
-		}
+		lo = hi
 	}
 }

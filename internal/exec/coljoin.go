@@ -1,8 +1,9 @@
 package exec
 
 // ColHashJoin is the columnar hash join: the left input is drained into
-// column-major build vectors, the right input probes batch by batch with
-// the whole probe-key vector hashed up front (the independent lookups
+// column-major build vectors — or, when it serves stored rows, only
+// indexed where it lies — the right input probes batch by batch with the
+// whole probe-key vector hashed up front (the independent lookups
 // overlap their cache misses), and output batches are produced by
 // per-column gather loops instead of per-row header-and-copy work.
 type ColHashJoin struct {
@@ -19,13 +20,18 @@ type ColHashJoin struct {
 	lwidth, rwidth int
 	size           int
 
-	// Build state: bcols holds every build row column-major, head is the
-	// open-addressed key index (see joinTable), chain links rows sharing
-	// a key.
-	right ColBatchIterator
-	bcols [][]int64
-	head  joinTable
-	chain []int32
+	// Build state: bcols holds the build rows column-major, head is the
+	// open-addressed key index (see joinTable), chain links build rows
+	// sharing a key. When the build input serves stored rows (see
+	// storedSource) bcols are the table's own column vectors and brows
+	// maps each build row to its row there, so the build copies no value
+	// the table already holds; otherwise bcols are scratch copies.
+	right  ColBatchIterator
+	stored bool
+	bcols  [][]int64
+	brows  []int32
+	head   joinTable
+	chain  []int32
 
 	// Probe state. A match pair (lidx[i], ridx[i]) names a build row and
 	// a row of the current probe batch; output vectors gather through
@@ -79,31 +85,39 @@ func (h *ColHashJoin) Open() error {
 		return err
 	}
 	h.right = asCols(h.Right)
-	h.bcols = make([][]int64, h.lwidth)
-	for j := range h.bcols {
-		h.bcols[j] = make([]int64, 0, h.BuildHint)
-	}
 	tableHint := h.BuildHint
 	if h.KeyHint > 0 && h.KeyHint < tableHint {
 		tableHint = h.KeyHint
 	}
 	h.head = newJoinTable(tableHint)
-	h.chain = h.chain[:0]
+	h.chain = int32Scratch.get(h.BuildHint)
 	h.pb, h.pi, h.pn, h.hit, h.probeRow = nil, 0, 0, -1, 0
-	if len(h.lidx) < h.size {
-		h.lidx = make([]int32, h.size)
-		h.ridx = make([]int32, h.size)
-	}
-	if h.vecs == nil || len(h.vecs[0]) < h.size {
-		h.vecs = make([][]int64, h.outWidth())
-		for j := range h.vecs {
-			h.vecs[j] = make([]int64, h.size)
-		}
-	}
+	h.lidx = int32Scratch.get(h.size)[:h.size]
+	h.ridx = int32Scratch.get(h.size)[:h.size]
 	h.ra.reset()
 
 	build := asCols(h.Left)
-	keys := 0
+	scan := storedSource(h.Left)
+	if h.stored = scan != nil; h.stored {
+		h.bcols = scan.Tab.cols
+		h.brows = int32Scratch.get(h.BuildHint)
+	} else {
+		h.bcols = make([][]int64, h.lwidth)
+		for j := range h.bcols {
+			h.bcols[j] = int64Scratch.get(h.BuildHint)
+		}
+	}
+	keys, rows := 0, 0
+	index := func(k int64) {
+		h.head.grow(keys + 1)
+		if prev := h.head.put(k, int32(rows)); prev >= 0 {
+			h.chain = append(h.chain, prev)
+		} else {
+			h.chain = append(h.chain, -1)
+			keys++
+		}
+		rows++
+	}
 	for {
 		cb, ok, err := build.NextColBatch()
 		if err != nil {
@@ -112,40 +126,64 @@ func (h *ColHashJoin) Open() error {
 		if !ok {
 			return nil
 		}
-		base := len(h.bcols[0])
-		// Append the batch column by column: a dense batch is one bulk
-		// copy per column, a selective one gathers through Sel.
-		if cb.Sel == nil {
+		if !h.stored {
+			// Copy the batch column by column: a dense batch is one bulk
+			// copy per column, a selective one gathers through Sel.
 			for j := range h.bcols {
-				h.bcols[j] = append(h.bcols[j], cb.Cols[j][:cb.N]...)
-			}
-		} else {
-			for j := range h.bcols {
-				dst := h.bcols[j]
-				col := cb.Cols[j]
+				if cb.Sel == nil {
+					h.bcols[j] = append(h.bcols[j], cb.Cols[j][:cb.N]...)
+					continue
+				}
+				dst, col := h.bcols[j], cb.Cols[j]
 				for _, s := range cb.Sel {
 					dst = append(dst, col[s])
 				}
 				h.bcols[j] = dst
 			}
 		}
-		keycol := h.bcols[h.lpos][base:]
-		for i, k := range keycol {
-			idx := int32(base + i)
-			h.head.grow(keys + 1)
-			if prev := h.head.put(k, idx); prev >= 0 {
-				h.chain = append(h.chain, prev)
-			} else {
-				h.chain = append(h.chain, -1)
-				keys++
+		first := 0 // the batch's row 0 in the stored table
+		if h.stored {
+			first = scan.next - cb.N
+		}
+		keycol := cb.Cols[h.lpos]
+		if cb.Sel == nil {
+			for i, k := range keycol[:cb.N] {
+				if h.stored {
+					h.brows = append(h.brows, int32(first+i))
+				}
+				index(k)
+			}
+		} else {
+			for _, s := range cb.Sel {
+				if h.stored {
+					h.brows = append(h.brows, int32(first)+s)
+				}
+				index(keycol[s])
 			}
 		}
 	}
 }
 
-// NextColBatch returns the next columnar batch of joined rows. The
-// output vectors are owned by the join and recycled per call.
-func (h *ColHashJoin) NextColBatch() (*ColBatch, bool, error) {
+// storedSource returns the scan an operator's batches are windows of,
+// when it is a columnar scan or a filter fused on one: row i of such an
+// operator's current ColBatch is row scan.next-cb.N+i of scan.Tab, whose
+// column vectors and rows outlive every batch. Nil for any other
+// operator, whose vectors may be recycled.
+func storedSource(it Iterator) *ColScan {
+	switch op := it.(type) {
+	case *ColScan:
+		return op
+	case *ColFilter:
+		return op.scan
+	}
+	return nil
+}
+
+// nextMatches fills lidx/ridx with the next match pairs, up to a batch,
+// and returns their count; zero means end of stream. lidx indexes bcols
+// (through brows, for a stored build side); all pairs of one call name
+// rows of the same probe batch, h.pb.
+func (h *ColHashJoin) nextMatches() (int, error) {
 	m := 0
 	for {
 		// Drain the pending chain and walk the current probe batch.
@@ -168,26 +206,26 @@ func (h *ColHashJoin) NextColBatch() (*ColBatch, bool, error) {
 			}
 			h.hit = h.hits[i]
 		}
-		if m >= h.size {
-			break
-		}
-		// The current probe batch is exhausted. Flush what we have
-		// before pulling the next batch: its vectors may recycle the
-		// current ones, and ridx still points into them.
+		// Flush what we have before pulling the next probe batch: its
+		// vectors may recycle the current ones, and ridx still points
+		// into them.
 		if m > 0 {
-			break
+			if h.stored {
+				for i, b := range h.lidx[:m] {
+					h.lidx[i] = h.brows[b]
+				}
+			}
+			return m, nil
 		}
 		cb, ok, err := h.right.NextColBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
+		if err != nil || !ok {
+			return 0, err
 		}
 		h.pb, h.pi, h.pn = cb, 0, cb.Len()
 		// Probe the whole batch up front, as in HashJoin.
 		if cap(h.hits) < h.pn {
-			h.hits = make([]int32, h.pn)
+			int32Scratch.put(h.hits)
+			h.hits = int32Scratch.get(h.pn)
 		}
 		h.hits = h.hits[:h.pn]
 		keycol := cb.Cols[h.rpos]
@@ -202,50 +240,89 @@ func (h *ColHashJoin) NextColBatch() (*ColBatch, bool, error) {
 			}
 		}
 	}
+}
 
-	// Gather the output vectors through the match pairs.
-	lidx, ridx := h.lidx[:m], h.ridx[:m]
+// gather writes output column j of match pairs [lo,hi) to dst[off],
+// dst[off+stride], ...: a build-side vector through lidx, or a vector of
+// the current probe batch through ridx.
+func (h *ColHashJoin) gather(j, lo, hi int, dst []int64, off, stride int) {
+	if h.proj != nil {
+		j = h.proj[j]
+	}
+	src, idx := h.bcols, h.lidx
+	if j >= h.lwidth {
+		src, idx, j = h.pb.Cols, h.ridx, j-h.lwidth
+	}
+	col := src[j]
+	for _, i := range idx[lo:hi] {
+		dst[off] = col[i]
+		off += stride
+	}
+}
+
+// NextColBatch returns the next columnar batch of joined rows. The
+// output vectors are owned by the join and recycled per call.
+func (h *ColHashJoin) NextColBatch() (*ColBatch, bool, error) {
+	m, err := h.nextMatches()
+	if err != nil || m == 0 {
+		return nil, false, err
+	}
+	if h.vecs == nil {
+		// Only a columnar consumer pays for the output vectors.
+		h.vecs = make([][]int64, h.outWidth())
+		for j := range h.vecs {
+			h.vecs[j] = int64Scratch.get(h.size)[:h.size]
+		}
+	}
 	h.view.Cols = h.view.Cols[:0]
-	for j := 0; j < h.outWidth(); j++ {
-		p := j
-		if h.proj != nil {
-			p = h.proj[j]
-		}
-		dst := h.vecs[j][:m]
-		if p < h.lwidth {
-			src := h.bcols[p]
-			for k, li := range lidx {
-				dst[k] = src[li]
-			}
-		} else {
-			src := h.pb.Cols[p-h.lwidth]
-			for k, ri := range ridx {
-				dst[k] = src[ri]
-			}
-		}
-		h.view.Cols = append(h.view.Cols, dst)
+	for j, vec := range h.vecs {
+		h.gather(j, 0, m, vec, 0, 1)
+		h.view.Cols = append(h.view.Cols, vec[:m])
 	}
 	h.view.Sel, h.view.N = nil, m
 	return &h.view, true, nil
 }
 
-// NextBatch materializes the next joined rows onto the row protocol.
+// NextBatch serves the next joined rows on the row protocol, gathering
+// the match pairs straight into the batch's row storage: a row consumer
+// pays one copy per value, not a gather into vectors and a transpose.
 func (h *ColHashJoin) NextBatch() (*Batch, bool, error) {
-	cb, ok, err := h.NextColBatch()
-	if err != nil || !ok {
+	m, err := h.nextMatches()
+	if err != nil || m == 0 {
 		return nil, false, err
 	}
 	h.out.reset()
-	materializeInto(&h.out, cb, len(cb.Cols)*h.size)
+	w := h.outWidth()
+	for lo := 0; lo < m; {
+		block := h.out.carve(m-lo, w, w*h.size)
+		hi := lo + len(block)/w
+		for j := 0; j < w; j++ {
+			h.gather(j, lo, hi, block, j, w)
+		}
+		lo = hi
+	}
 	return &h.out, true, nil
 }
 
 // Next returns the next joined row.
 func (h *ColHashJoin) Next() (Row, bool, error) { return h.ra.next(h) }
 
-// Close releases the build storage and closes both inputs.
+// Close gives the build storage and the probe scratch back and closes
+// both inputs.
 func (h *ColHashJoin) Close() error {
-	h.bcols, h.head, h.chain = nil, joinTable{}, nil
+	if !h.stored { // else bcols are the table's
+		for _, v := range h.bcols {
+			int64Scratch.put(v)
+		}
+	}
+	for _, v := range h.vecs {
+		int64Scratch.put(v)
+	}
+	for _, v := range [][]int32{h.brows, h.chain, h.lidx, h.ridx, h.hits} {
+		int32Scratch.put(v)
+	}
+	h.head.release()
+	h.bcols, h.brows, h.vecs, h.chain, h.lidx, h.ridx, h.hits = nil, nil, nil, nil, nil, nil, nil
 	h.pb = nil
 	err := h.Left.Close()
 	if err2 := h.Right.Close(); err == nil {

@@ -392,20 +392,6 @@ func (p *exchangePortOrdered) head(i int) (Row, bool, error) {
 	}
 }
 
-func (p *exchangePortOrdered) less(a, b Row) bool {
-	for _, k := range p.st.keys {
-		av, bv := a[k.pos], b[k.pos]
-		if av == bv {
-			continue
-		}
-		if k.desc {
-			return av > bv
-		}
-		return av < bv
-	}
-	return false
-}
-
 // NextBatch returns the next batch of the partition's k-way merge.
 func (p *exchangePortOrdered) NextBatch() (*Batch, bool, error) {
 	p.out.reset()
@@ -420,7 +406,7 @@ func (p *exchangePortOrdered) NextBatch() (*Batch, bool, error) {
 			if !ok {
 				continue
 			}
-			if best < 0 || p.less(row, bestRow) {
+			if best < 0 || cmpKeys(row, bestRow, p.st.keys) < 0 {
 				best, bestRow = i, row
 			}
 		}

@@ -9,7 +9,6 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/rel"
@@ -192,18 +191,11 @@ func FromData(cat *rel.Catalog, data map[string][][]int64) *DB {
 		// Respect the catalog's clustered order: the optimizer relies
 		// on file scans delivering it.
 		if len(t.Ordered) > 0 {
-			pos := make([]int, len(t.Ordered))
+			keys := make([]sortKey, len(t.Ordered))
 			for i, c := range t.Ordered {
-				pos[i] = tab.Schema.Pos(c)
+				keys[i].pos = tab.Schema.Pos(c)
 			}
-			sort.SliceStable(tab.Rows, func(i, j int) bool {
-				for _, p := range pos {
-					if tab.Rows[i][p] != tab.Rows[j][p] {
-						return tab.Rows[i][p] < tab.Rows[j][p]
-					}
-				}
-				return false
-			})
+			tab.Rows = sortedRows(tab.Rows, keys)
 		}
 		tab.compact()
 		db.Add(tab)
@@ -226,54 +218,43 @@ type Iterator interface {
 }
 
 // Collect drains an iterator into a slice, handling open and close. A
-// Close error surfaces when the drain itself succeeded.
-func Collect(it Iterator) ([]Row, error) { return CollectSized(it, 0) }
-
-// collectCap bounds how much a cardinality estimate may pre-allocate:
-// a wildly high estimate must not pin hundreds of megabytes for a
-// query that returns ten rows.
-const collectCap = 1 << 22
-
-// CollectSized is Collect with a result-cardinality hint (0 = unknown),
-// typically the optimizer's estimate for the plan root. A good hint
-// replaces the O(log n) re-grow-and-copy cycles of a growing result
-// slice with a single allocation; a bad hint costs only the difference
-// in slice capacity.
-func CollectSized(it Iterator, sizeHint int) (out []Row, err error) {
+// Close error surfaces when the drain itself succeeded. The result's
+// size is unknown until the input ends, and the optimizer's estimate of
+// it can be several times off either way, so the row headers are staged
+// in pooled chunks and copied once into a slice of exactly their number.
+func Collect(it Iterator) (out []Row, err error) {
 	if err := it.Open(); err != nil {
 		return nil, err
-	}
-	if sizeHint > 0 {
-		if sizeHint > collectCap {
-			sizeHint = collectCap
-		}
-		out = make([]Row, 0, sizeHint)
 	}
 	defer func() {
 		if cerr := it.Close(); err == nil && cerr != nil {
 			out, err = nil, cerr
 		}
 	}()
-	if bi, ok := it.(BatchIterator); ok {
-		for {
-			b, ok, berr := bi.NextBatch()
-			if berr != nil {
-				return nil, berr
-			}
-			if !ok {
-				return out, nil
-			}
-			out = append(out, b.Rows...)
-		}
-	}
+	st := newRowStore()
+	defer st.release()
+	in := asBatch(it)
 	for {
-		row, ok, nerr := it.Next()
-		if nerr != nil {
-			return nil, nerr
+		b, ok, err := in.NextBatch()
+		if err != nil {
+			return nil, err
 		}
 		if !ok {
-			return out, nil
+			break
 		}
-		out = append(out, row)
+		st.add(b.Rows)
 	}
+	if st.n == 0 {
+		return nil, nil
+	}
+	out = make([]Row, 0, st.n)
+	for _, c := range st.chunks {
+		out = append(out, c...)
+	}
+	return out, nil
 }
+
+// CollectSized is Collect; the result-cardinality hint is not used.
+//
+// Deprecated: use Collect, which sizes the result exactly.
+func CollectSized(it Iterator, sizeHint int) ([]Row, error) { return Collect(it) }

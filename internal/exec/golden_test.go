@@ -15,21 +15,20 @@ import (
 )
 
 // engineConfigs are the executor configurations the golden tests compare:
-// the row-at-a-time baseline, batched execution at the default and at an
-// awkward odd batch size, a single-row batch with fusion left on, and
-// the columnar engine at the default, an odd, and a single-row batch
-// size.
+// the row-at-a-time baseline, the NoFusion row kernels at the default and
+// at an awkward odd batch size, and the default build — columnar kernels
+// wherever the plan is column-capable — at the default, an odd, and a
+// single-row batch size.
 var engineConfigs = []struct {
 	name string
 	opts exec.Options
 }{
 	{"row", exec.Options{BatchSize: 1, NoFusion: true}},
-	{"batch", exec.Options{}},
-	{"batch7", exec.Options{BatchSize: 7}},
-	{"batch1-fused", exec.Options{BatchSize: 1}},
-	{"columnar", exec.Options{Columnar: true}},
-	{"columnar7", exec.Options{Columnar: true, BatchSize: 7}},
-	{"columnar1", exec.Options{Columnar: true, BatchSize: 1}},
+	{"rowbatch", exec.Options{NoFusion: true}},
+	{"rowbatch7", exec.Options{NoFusion: true, BatchSize: 7}},
+	{"default", exec.Options{}},
+	{"default7", exec.Options{BatchSize: 7}},
+	{"default1", exec.Options{BatchSize: 1}},
 }
 
 // TestEnginesAgreeRandomQueries runs randomized select-join queries
@@ -71,16 +70,16 @@ func TestEnginesAgreeRandomQueries(t *testing.T) {
 				continue // no parallel plan at this degree for this query
 			}
 			for _, workers := range []int{0, 2} {
-				for _, columnar := range []bool{false, true} {
+				for _, noFusion := range []bool{false, true} {
 					got, schema, err := exec.RunOpts(nil, db, parPlan,
-						nil, exec.Options{ExchangeWorkers: workers, Columnar: columnar})
+						nil, exec.Options{ExchangeWorkers: workers, NoFusion: noFusion})
 					if err != nil {
-						t.Fatalf("trial %d degree %d workers %d columnar %v: %v\nplan:\n%s",
-							trial, degree, workers, columnar, err, parPlan.Format())
+						t.Fatalf("trial %d degree %d workers %d NoFusion %v: %v\nplan:\n%s",
+							trial, degree, workers, noFusion, err, parPlan.Format())
 					}
 					if fp := exec.Fingerprint(exec.Canonical(got, schema)); fp != golden {
-						t.Fatalf("trial %d: exchange degree %d workers %d columnar %v differs from row engine (%d vs %d rows)\nplan:\n%s",
-							trial, degree, workers, columnar, len(got), goldenRows, parPlan.Format())
+						t.Fatalf("trial %d: exchange degree %d workers %d NoFusion %v differs from row engine (%d vs %d rows)\nplan:\n%s",
+							trial, degree, workers, noFusion, len(got), goldenRows, parPlan.Format())
 					}
 				}
 			}

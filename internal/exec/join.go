@@ -229,8 +229,8 @@ type HashJoin struct {
 // indices, sized to a power of two at no more than half load. A key and
 // its row reference share one 16-byte slot, so a probe touches a single
 // cache line; ref 0 means empty (stored indices are offset by one), so
-// a fresh table needs no initialization pass — the runtime's zeroed
-// allocation is already the empty state.
+// the empty state is all zeroes. The slots are operator scratch (see
+// scratch.go): whoever makes a table releases it.
 type joinTable struct {
 	slots []joinSlot
 	mask  uint64
@@ -248,7 +248,16 @@ func newJoinTable(capacity int) joinTable {
 		size *= 2
 		bits++
 	}
-	return joinTable{slots: make([]joinSlot, size), mask: uint64(size - 1), shift: 64 - bits}
+	slots := slotScratch.get(size)[:size]
+	clear(slots)
+	return joinTable{slots: slots, mask: uint64(size - 1), shift: 64 - bits}
+}
+
+// release gives the slots back to the scratch pool; the table is empty
+// afterwards.
+func (t *joinTable) release() {
+	slotScratch.put(t.slots)
+	*t = joinTable{}
 }
 
 // hash mixes the key multiplicatively and keeps the high bits, which
@@ -322,6 +331,7 @@ func (t *joinTable) grow(entries int) {
 			t.put(sl.key, sl.ref-1)
 		}
 	}
+	old.release()
 }
 
 // NewHashJoin resolves join columns (and an optional fused projection)
@@ -426,7 +436,8 @@ func (h *HashJoin) Next() (Row, bool, error) { return h.ra.next(h) }
 
 // Close releases the hash table and closes both inputs.
 func (h *HashJoin) Close() error {
-	h.rows, h.head, h.chain = nil, joinTable{}, nil
+	h.head.release()
+	h.rows, h.chain = nil, nil
 	h.pb = nil
 	err := h.Left.Close()
 	if err2 := h.Right.Close(); err == nil {

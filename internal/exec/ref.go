@@ -168,11 +168,8 @@ func Reference(db *DB, t *core.ExprTree) ([]Row, *Schema, error) {
 			}
 			out = append(out, row)
 		}
-		order := make([]int, len(groupPos))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(out, func(i, j int) bool { return cmpRows(out[i], out[j], order) < 0 })
+		order := groupOrder(len(groupPos))
+		sort.Slice(out, func(i, j int) bool { return cmpKeys(out[i], out[j], order) < 0 })
 		return out, groupSchema(op.GroupCols, len(op.Aggs)), nil
 	}
 	return nil, nil, fmt.Errorf("exec: no reference evaluation for %T", t.Op)
@@ -233,8 +230,9 @@ func Fingerprint(rows []Row) string {
 // SortedBy reports whether rows are ordered on the given positions
 // ascending (used to verify delivered sort properties at runtime).
 func SortedBy(rows []Row, positions []int) bool {
+	keys := ascKeys(positions)
 	for i := 1; i < len(rows); i++ {
-		if cmpRows(rows[i-1], rows[i], positions) > 0 {
+		if cmpKeys(rows[i-1], rows[i], keys) > 0 {
 			return false
 		}
 	}

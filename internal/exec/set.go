@@ -9,7 +9,7 @@ type MergeIntersect struct {
 	// Left and Right are the sorted input streams.
 	Left, Right Iterator
 
-	order []int // comparison positions, the shared sort order
+	order []sortKey // the shared sort order
 	size  int
 
 	lc, rc       cursor
@@ -22,7 +22,7 @@ type MergeIntersect struct {
 
 // NewMergeIntersect takes the shared sort order as row positions.
 func NewMergeIntersect(left, right Iterator, order []int) *MergeIntersect {
-	return &MergeIntersect{Left: left, Right: right, order: order, size: DefaultBatchSize}
+	return &MergeIntersect{Left: left, Right: right, order: ascKeys(order), size: DefaultBatchSize}
 }
 
 // SetBatchSize sets the rows per batch.
@@ -62,24 +62,11 @@ func advance(c *cursor, done *bool) (Row, error) {
 	return row, nil
 }
 
-// cmpRows compares two rows on the given positions.
-func cmpRows(a, b Row, order []int) int {
-	for _, p := range order {
-		switch {
-		case a[p] < b[p]:
-			return -1
-		case a[p] > b[p]:
-			return 1
-		}
-	}
-	return 0
-}
-
 // NextBatch returns the next batch of rows present in both inputs.
 func (m *MergeIntersect) NextBatch() (*Batch, bool, error) {
 	m.out.reset()
 	for !m.ldone && !m.rdone && len(m.out.Rows) < m.size {
-		switch cmpRows(m.lrow, m.rrow, m.order) {
+		switch cmpKeys(m.lrow, m.rrow, m.order) {
 		case -1:
 			var err error
 			if m.lrow, err = advance(&m.lc, &m.ldone); err != nil {
@@ -99,7 +86,7 @@ func (m *MergeIntersect) NextBatch() (*Batch, bool, error) {
 			if m.rrow, err = advance(&m.rc, &m.rdone); err != nil {
 				return nil, false, err
 			}
-			if m.last != nil && cmpRows(out, m.last, m.order) == 0 {
+			if m.last != nil && cmpKeys(out, m.last, m.order) == 0 {
 				continue // set semantics: suppress duplicates
 			}
 			m.last = out
@@ -225,7 +212,7 @@ type MergeUnion struct {
 	// Left and Right are the sorted input streams.
 	Left, Right Iterator
 
-	order []int
+	order []sortKey
 	size  int
 
 	lc, rc       cursor
@@ -238,7 +225,7 @@ type MergeUnion struct {
 
 // NewMergeUnion takes the shared sort order as row positions.
 func NewMergeUnion(left, right Iterator, order []int) *MergeUnion {
-	return &MergeUnion{Left: left, Right: right, order: order, size: DefaultBatchSize}
+	return &MergeUnion{Left: left, Right: right, order: ascKeys(order), size: DefaultBatchSize}
 }
 
 // SetBatchSize sets the rows per batch.
@@ -276,7 +263,7 @@ func (m *MergeUnion) NextBatch() (*Batch, bool, error) {
 				return nil, false, nil
 			}
 			return &m.out, true, nil
-		case m.rdone || (!m.ldone && cmpRows(m.lrow, m.rrow, m.order) <= 0):
+		case m.rdone || (!m.ldone && cmpKeys(m.lrow, m.rrow, m.order) <= 0):
 			out = m.lrow
 			var err error
 			if m.lrow, err = advance(&m.lc, &m.ldone); err != nil {
@@ -289,7 +276,7 @@ func (m *MergeUnion) NextBatch() (*Batch, bool, error) {
 				return nil, false, err
 			}
 		}
-		if m.last != nil && cmpRows(out, m.last, m.order) == 0 {
+		if m.last != nil && cmpKeys(out, m.last, m.order) == 0 {
 			continue // set semantics: suppress duplicates
 		}
 		m.last = out
@@ -581,20 +568,6 @@ func (g *GatherOrdered) head(i int) (Row, bool, error) {
 	}
 }
 
-func (g *GatherOrdered) less(a, b Row) bool {
-	for _, k := range g.keys {
-		av, bv := a[k.pos], b[k.pos]
-		if av == bv {
-			continue
-		}
-		if k.desc {
-			return av > bv
-		}
-		return av < bv
-	}
-	return false
-}
-
 // NextBatch returns the next batch of the k-way merge.
 func (g *GatherOrdered) NextBatch() (*Batch, bool, error) {
 	g.out.reset()
@@ -609,7 +582,7 @@ func (g *GatherOrdered) NextBatch() (*Batch, bool, error) {
 			if !ok {
 				continue
 			}
-			if best < 0 || g.less(row, bestRow) {
+			if best < 0 || cmpKeys(row, bestRow, g.keys) < 0 {
 				best, bestRow = i, row
 			}
 		}

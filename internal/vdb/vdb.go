@@ -51,8 +51,8 @@ type Options struct {
 	// are cached by shape. Budget-degraded plans are never cached.
 	CacheBytes int64
 	// Exec tunes the execution engine: batch size, exchange producer
-	// parallelism, scan-filter fusion, and columnar kernel selection
-	// (exec.Options.Columnar).
+	// parallelism, and the NoFusion row-kernel baseline. The zero value
+	// is what ships: columnar kernels wherever the plan allows.
 	Exec exec.Options
 }
 
