@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-race-core vet staticcheck bench bench-guided bench-anytime bench-cache bench-spar bench-e2e bench-col bench-mqo bench-mcts bench-serve bench-check profile fuzz-fingerprint
+.PHONY: build test test-race test-race-core vet staticcheck bench bench-explore bench-guided bench-anytime bench-cache bench-spar bench-e2e bench-col bench-mqo bench-mcts bench-serve bench-check profile fuzz-fingerprint
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,12 @@ staticcheck:
 bench:
 	$(GO) test -run NONE -bench 'BenchmarkFig4Volcano|BenchmarkFig4VolcanoParallel' -benchmem .
 	$(GO) test -run NONE -bench 'BenchmarkCollectMoves|BenchmarkWinnerLookup' -benchmem ./internal/core/
+
+# Transformation-rule exploration, which is nine tenths of a cold
+# optimization: ns/op, B/op and allocs/op of three cold guided
+# optimizations at each of 6, 8 and 10 relations (fixed seed).
+bench-explore:
+	$(GO) test -run NONE -bench 'BenchmarkExploreFig4' -benchmem ./internal/relopt/
 
 # Guided branch-and-bound A/B: the guided/unguided benchmark pair and
 # the fig4guided cost-identity experiment (plan costs must match).
@@ -116,7 +122,10 @@ bench-check:
 	bash bench/run.sh --workload point-hot --seed 1993 --seconds 2 --trace 0
 
 # CPU and heap profiles of the Figure-4 hot path (serial fig4 by
-# default; override EXPERIMENT=fig4spar etc. to profile another).
+# default; override EXPERIMENT=fig4spar etc. to profile another). For
+# exploration alone, profile the package benchmark behind bench-explore:
+#   go test -run NONE -bench BenchmarkExploreFig4 -cpuprofile cpu.pprof \
+#     -memprofile mem.pprof -o /tmp/relopt.test ./internal/relopt/
 EXPERIMENT ?= fig4
 profile:
 	$(GO) run ./cmd/volcano-bench -experiment $(EXPERIMENT) -json "" \

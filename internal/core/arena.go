@@ -49,9 +49,9 @@ func (a *bindingArena) childSlice(n int) []*Binding {
 	return s
 }
 
-// cloneBinding deep-copies a binding into the arena; the matcher reuses
-// child slices during enumeration, so retained bindings need their own
-// copies.
+// cloneBinding deep-copies a binding into the arena; the matcher
+// recycles its frames as the enumeration unwinds, so retained bindings
+// need their own copies.
 func (m *Memo) cloneBinding(b *Binding) *Binding {
 	c := m.arena.newBinding()
 	c.Expr, c.Group = b.Expr, b.Group

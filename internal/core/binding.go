@@ -12,7 +12,9 @@ package core
 // rule-to-fixpoint exploration equivalent to the paper's interleaved
 // transformation moves under exhaustive search.
 //
-// fn returns false to stop the enumeration early.
+// The binding handed to fn is built from recycled frames and is valid
+// only for the duration of the call: code that retains it clones it
+// (cloneBinding). fn returns false to stop the enumeration early.
 func (m *Memo) matchBindings(e *Expr, pattern *Pattern, fn func(*Binding) bool) bool {
 	if pattern.IsLeaf {
 		panic("core: rule pattern root must be an operator pattern")
@@ -23,46 +25,95 @@ func (m *Memo) matchBindings(e *Expr, pattern *Pattern, fn func(*Binding) bool) 
 	if len(pattern.Children) != len(e.Inputs) {
 		return true
 	}
-	b := &Binding{Expr: e, Group: m.Find(e.group)}
-	return m.bindChildren(e, pattern, b, 0, fn)
+	b := m.frame(e, m.Find(e.group), nil)
+	ok := m.bindChildren(pattern, b, 0, nil, fn)
+	m.releaseFrame(b)
+	return ok
 }
 
 func kindMatches(pat, got OpKind) bool { return pat == AnyKind || pat == got }
 
-// bindChildren extends binding b with matches for pattern children
-// starting at index i, invoking fn for each completed binding.
-func (m *Memo) bindChildren(e *Expr, pattern *Pattern, b *Binding, i int, fn func(*Binding) bool) bool {
+// frame takes a Binding from the memo's free list, or allocates one when
+// the list is empty. Frames come back through releaseFrame as the
+// matcher's recursion unwinds, so a memo allocates only as many as its
+// deepest enumeration (nested explorations included) has live at once.
+func (m *Memo) frame(e *Expr, g GroupID, up *Binding) *Binding {
+	var b *Binding
+	if n := len(m.frames); n > 0 {
+		b = m.frames[n-1]
+		m.frames = m.frames[:n-1]
+	} else {
+		b = new(Binding)
+	}
+	b.Expr, b.Group, b.up = e, g, up
+	return b
+}
+
+// releaseFrame returns a frame to the free list. Children is truncated
+// but keeps its capacity, which is what saves the per-binding slice; the
+// other fields are overwritten when the frame is next taken, and until
+// then point only at expressions and frames the memo owns anyway.
+func (m *Memo) releaseFrame(b *Binding) {
+	b.Children = b.Children[:0]
+	m.frames = append(m.frames, b)
+}
+
+// bindCont is the continuation of a nested match: once the sub-pattern
+// binding under construction completes, it becomes child i of the
+// binding above it (Binding.up) and the enumeration resumes at child i+1
+// of pattern, then at next. The records live on the Go stack of the
+// bindChildren activation that descended into the sub-pattern, which is
+// why they hold no pointer into the memo: escape analysis does not tell
+// a record's fields apart, and one field stored on the heap would move
+// every record there.
+type bindCont struct {
+	pattern *Pattern
+	i       int
+	next    *bindCont
+}
+
+// bindChildren extends binding b of expression b.Expr with matches for
+// pattern children starting at index i. A completed b is handed to the
+// continuation k — the enclosing pattern level still to be matched — or,
+// at the root (k == nil), to fn.
+func (m *Memo) bindChildren(pattern *Pattern, b *Binding, i int, k *bindCont, fn func(*Binding) bool) bool {
 	if i == len(pattern.Children) {
 		if m.stats != nil {
 			m.stats.Bindings++
 		}
-		return fn(b)
+		if k == nil {
+			return fn(b)
+		}
+		up := b.up
+		up.Children = append(up.Children, b)
+		ok := m.bindChildren(k.pattern, up, k.i+1, k.next, fn)
+		up.Children = up.Children[:len(up.Children)-1]
+		return ok
 	}
 	childPat := pattern.Children[i]
-	inGroup := m.Find(e.Inputs[i])
+	inGroup := m.Find(b.Expr.Inputs[i])
 	if childPat.IsLeaf {
-		b.Children = append(b.Children, &Binding{Group: inGroup})
-		ok := m.bindChildren(e, pattern, b, i+1, fn)
+		leaf := m.frame(nil, inGroup, nil)
+		b.Children = append(b.Children, leaf)
+		ok := m.bindChildren(pattern, b, i+1, k, fn)
 		b.Children = b.Children[:len(b.Children)-1]
+		m.releaseFrame(leaf)
 		return ok
 	}
 	// An operator sub-pattern must see the input class fully expanded.
 	m.exploreGroup(m.groups[inGroup-1])
 	g := m.groups[m.Find(inGroup)-1]
+	cont := bindCont{pattern: pattern, i: i, next: k}
 	for j := 0; j < len(g.exprs); j++ {
 		sub := g.exprs[j]
 		if !kindMatches(childPat.Kind, sub.Op.Kind()) ||
 			len(childPat.Children) != len(sub.Inputs) {
 			continue
 		}
-		cb := &Binding{Expr: sub, Group: g.id}
-		cont := m.bindChildren(sub, childPat, cb, 0, func(complete *Binding) bool {
-			b.Children = append(b.Children, complete)
-			ok := m.bindChildren(e, pattern, b, i+1, fn)
-			b.Children = b.Children[:len(b.Children)-1]
-			return ok
-		})
-		if !cont {
+		cb := m.frame(sub, g.id, b)
+		ok := m.bindChildren(childPat, cb, 0, &cont, fn)
+		m.releaseFrame(cb)
+		if !ok {
 			return false
 		}
 	}
@@ -85,6 +136,29 @@ func (m *Memo) exploreGroup(g *Group) {
 
 	rules := m.model.TransformationRules()
 	ctx := m.ctx
+	// One callback serves every (expression, rule) pair of this call; it
+	// reads the rule being attempted and the current class through the
+	// variables the loops below assign.
+	var rule *TransformRule
+	fire := func(b *Binding) bool {
+		if rule.Condition != nil && !rule.Condition(ctx, b) {
+			return true
+		}
+		if m.stats != nil {
+			m.stats.RulesFired++
+		}
+		// Substitutes built through ctx live in the memo's scratch until
+		// they have been inserted.
+		mark := m.subst.mark()
+		for _, sub := range rule.Apply(ctx, b) {
+			m.insertSubstitute(sub, m.Find(g.id))
+			if m.err != nil {
+				break
+			}
+		}
+		m.subst.release(mark)
+		return m.err == nil
+	}
 	for {
 		// Each pass attempts every (expression, rule) pair not yet
 		// attempted, marking attempts in the expression's rule mask.
@@ -94,7 +168,7 @@ func (m *Memo) exploreGroup(g *Group) {
 		attempted := false
 		for i := 0; i < len(g.exprs); i++ { // g.exprs may grow while iterating
 			e := g.exprs[i]
-			for ri, rule := range rules {
+			for ri := range rules {
 				if e.ruleApplied(ri) {
 					continue
 				}
@@ -108,27 +182,13 @@ func (m *Memo) exploreGroup(g *Group) {
 						return
 					}
 				}
+				rule = rules[ri]
 				if !kindMatches(rule.Pattern.Kind, e.Op.Kind()) ||
 					len(rule.Pattern.Children) != len(e.Inputs) {
 					continue
 				}
 				attempted = true
-				m.matchBindings(e, rule.Pattern, func(b *Binding) bool {
-					if rule.Condition != nil && !rule.Condition(ctx, b) {
-						return true
-					}
-					if m.stats != nil {
-						m.stats.RulesFired++
-					}
-					for _, sub := range rule.Apply(ctx, b) {
-						root := m.Find(g.id)
-						m.insertSubstitute(sub, root)
-						if m.err != nil {
-							return false
-						}
-					}
-					return true
-				})
+				m.matchBindings(e, rule.Pattern, fire)
 				if m.err != nil {
 					return
 				}
@@ -159,12 +219,5 @@ func (m *Memo) insertSubstitute(t *ExprTree, target GroupID) (GroupID, bool) {
 		}
 		return target, false
 	}
-	var inputs []GroupID
-	if len(t.Children) > 0 {
-		inputs = make([]GroupID, len(t.Children))
-		for i, c := range t.Children {
-			inputs[i] = m.InsertTree(c, InvalidGroup)
-		}
-	}
-	return m.insertOwned(t.Op, inputs, target)
+	return m.insertNode(t, target)
 }

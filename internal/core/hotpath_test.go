@@ -70,28 +70,30 @@ func (*hpModel) DeriveLogicalProps(op LogicalOp, inputs []LogicalProps) LogicalP
 	return &hpProps{n: n}
 }
 
-func (*hpModel) TransformationRules() []*TransformRule {
-	return []*TransformRule{
-		{
-			Name:    "hp-commute",
-			Pattern: P(hpKindNode, Leaf(), Leaf()),
-			Apply: func(ctx *RuleContext, b *Binding) []*ExprTree {
-				return []*ExprTree{Node(&hpNode{},
-					ClassRef(b.Children[1].Group), ClassRef(b.Children[0].Group))}
-			},
+func (*hpModel) TransformationRules() []*TransformRule { return hpTransformRules }
+
+// Built once: exploreGroup asks the model for its rules on every call,
+// and the allocation tests below count what exploration itself allocates.
+var hpTransformRules = []*TransformRule{
+	{
+		Name:    "hp-commute",
+		Pattern: P(hpKindNode, Leaf(), Leaf()),
+		Apply: func(ctx *RuleContext, b *Binding) []*ExprTree {
+			return ctx.Substitutes(ctx.Node(&hpNode{},
+				ctx.ClassRef(b.Children[1].Group), ctx.ClassRef(b.Children[0].Group)))
 		},
-		{
-			Name:    "hp-rotate",
-			Pattern: P(hpKindNode, P(hpKindNode, Leaf(), Leaf()), Leaf()),
-			Apply: func(ctx *RuleContext, b *Binding) []*ExprTree {
-				a := b.Children[0].Children[0].Group
-				bb := b.Children[0].Children[1].Group
-				c := b.Children[1].Group
-				return []*ExprTree{Node(&hpNode{},
-					ClassRef(a), Node(&hpNode{}, ClassRef(bb), ClassRef(c)))}
-			},
+	},
+	{
+		Name:    "hp-rotate",
+		Pattern: P(hpKindNode, P(hpKindNode, Leaf(), Leaf()), Leaf()),
+		Apply: func(ctx *RuleContext, b *Binding) []*ExprTree {
+			a := b.Children[0].Children[0].Group
+			bb := b.Children[0].Children[1].Group
+			c := b.Children[1].Group
+			return ctx.Substitutes(ctx.Node(&hpNode{},
+				ctx.ClassRef(a), ctx.Node(&hpNode{}, ctx.ClassRef(bb), ctx.ClassRef(c))))
 		},
-	}
+	},
 }
 
 func (*hpModel) ImplementationRules() []*ImplRule {
@@ -318,4 +320,90 @@ func TestHotPathAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("duplicate Insert allocates %.1f times per run, want 0", n)
 	}
+
+	// The same holds on the path rules actually take. Re-firing every
+	// rule on an expression of a class already at fixpoint derives only
+	// duplicates: the bindings come from recycled frames, the substitutes
+	// from the memo's scratch, and the lookups that discard them run over
+	// the inputs stack.
+	m := o.memo
+	exprs, fired := m.stats.Exprs, m.stats.RulesFired
+	if n := testing.AllocsPerRun(100, func() {
+		e.appliedRules = 0
+		g.explored = false
+		m.exploreGroup(g)
+	}); n != 0 {
+		t.Errorf("re-exploring a class at fixpoint allocates %.1f times per run, want 0", n)
+	}
+	if m.stats.RulesFired == fired || m.stats.Exprs != exprs {
+		t.Fatalf("re-exploration fired %d rules and stored %d expressions, want some and none",
+			m.stats.RulesFired-fired, m.stats.Exprs-exprs)
+	}
+
+	// A warm enumeration of a two-level pattern allocates nothing: the
+	// nested level's continuation is a record on the Go stack.
+	rotate := m.model.TransformationRules()[1].Pattern
+	bound := 0
+	count := func(b *Binding) bool {
+		if b.Children[0].Expr == nil || len(b.Children[0].Children) != 2 {
+			t.Fatalf("binding does not mirror the pattern: %+v", b)
+		}
+		bound++
+		return true
+	}
+	if n := testing.AllocsPerRun(100, func() { m.matchBindings(e, rotate, count) }); n != 0 {
+		t.Errorf("warm two-level matchBindings allocates %.1f times per run, want 0", n)
+	}
+	if bound == 0 {
+		t.Fatal("the two-level pattern bound nothing")
+	}
+}
+
+// TestSubstituteScratchOverrun: a firing that builds more nodes than the
+// memo's scratch holds gets heap memory for the excess, and the
+// substitute is inserted whole.
+func TestSubstituteScratchOverrun(t *testing.T) {
+	const leaves = substNodes // 2*leaves-1 operator nodes in all
+	model := &hpWideModel{leaves: leaves}
+	o := NewOptimizer(model, nil)
+	root := o.InsertQuery(Node(&hpNode{}, Node(&hpLeaf{id: -1}), Node(&hpLeaf{id: -2})))
+	if err := o.Explore(root); err != nil {
+		t.Fatal(err)
+	}
+	// The wide substitute is a left-deep chain over `leaves` new leaves:
+	// leaves-1 HPNODE expressions, the topmost in the root class.
+	if got, want := o.Stats().Exprs, 3+leaves+leaves-1; got != want {
+		t.Fatalf("memo stores %d expressions, want %d", got, want)
+	}
+	if n := len(o.memo.Group(root).Exprs()); n != 2 {
+		t.Fatalf("root class holds %d expressions, want the query and the wide substitute", n)
+	}
+	if mk := o.memo.subst.mark(); mk != (substMark{}) {
+		t.Fatalf("scratch not rewound after the firing: %+v", mk)
+	}
+}
+
+// hpWideModel is hpModel with a single transformation rule whose
+// substitute outgrows the substitute scratch.
+type hpWideModel struct {
+	hpModel
+	leaves int
+}
+
+func (m *hpWideModel) TransformationRules() []*TransformRule {
+	return []*TransformRule{{
+		Name:    "hp-widen",
+		Pattern: P(hpKindNode, Leaf(), Leaf()),
+		Condition: func(ctx *RuleContext, b *Binding) bool {
+			// Fire on the query only, not on the chain it produces.
+			return ctx.Memo.ExprCount() == 3
+		},
+		Apply: func(ctx *RuleContext, b *Binding) []*ExprTree {
+			t := ctx.Node(&hpLeaf{id: 0})
+			for i := 1; i < m.leaves; i++ {
+				t = ctx.Node(&hpNode{}, t, ctx.Node(&hpLeaf{id: i}))
+			}
+			return ctx.Substitutes(t)
+		},
+	}}
 }

@@ -49,10 +49,18 @@ type Memo struct {
 	// ctx is the rule context handed to condition and apply code,
 	// hoisted here so exploration does not allocate one per class.
 	ctx *RuleContext
-	// scratch is the reusable canonical-input buffer for insert
-	// lookups; an input copy is only allocated when an expression is
-	// actually stored.
-	scratch []GroupID
+	// inputs is the stack insert lookups canonicalize input classes on:
+	// Insert pushes its arguments, InsertTree the classes of a node's
+	// children as its recursion returns them. An input copy is only
+	// allocated when an expression is actually stored.
+	inputs []GroupID
+	// props is newGroup's scratch for the input properties handed to the
+	// model's property function.
+	props []LogicalProps
+	// frames is the matcher's free list of binding frames.
+	frames []*Binding
+	// subst is the scratch rule substitutes are built in.
+	subst substScratch
 	// arena slab-allocates the bindings retained by cached moves.
 	arena bindingArena
 
@@ -156,10 +164,13 @@ func (m *Memo) Groups(fn func(*Group)) {
 // properties from the member expression.
 func (m *Memo) newGroup(e *Expr) *Group {
 	id := GroupID(len(m.groups) + 1)
-	inProps := make([]LogicalProps, len(e.Inputs))
-	for i, in := range e.Inputs {
-		inProps[i] = m.Group(in).LogicalProps()
+	// The property function reads its inputs and keeps none of them, so
+	// one scratch slice serves every class.
+	inProps := m.props[:0]
+	for _, in := range e.Inputs {
+		inProps = append(inProps, m.Group(in).LogicalProps())
 	}
+	m.props = inProps
 	g := &Group{
 		id:       id,
 		exprs:    []*Expr{e},
@@ -205,22 +216,19 @@ func (m *Memo) lookup(op LogicalOp, inputs []GroupID) *Expr {
 // The returned class is the (representative) class now containing the
 // expression; created reports whether the expression was new.
 func (m *Memo) Insert(op LogicalOp, inputs []GroupID, target GroupID) (GroupID, bool) {
-	// The lookup runs over the reusable scratch buffer; a private copy
-	// of the canonical inputs is made only when the expression is new
-	// and actually stored, so duplicate derivations — the common case
-	// during exploration — allocate nothing.
-	m.scratch = append(m.scratch[:0], inputs...)
-	return m.insertCanon(op, m.scratch, target, false)
+	base := len(m.inputs)
+	m.inputs = append(m.inputs, inputs...)
+	g, created := m.insertCanon(op, m.inputs[base:], target)
+	m.inputs = m.inputs[:base]
+	return g, created
 }
 
-// insertOwned is Insert for callers that hand over ownership of the
-// inputs slice (freshly allocated, never reused), letting the stored
-// expression adopt it without a defensive copy.
-func (m *Memo) insertOwned(op LogicalOp, inputs []GroupID, target GroupID) (GroupID, bool) {
-	return m.insertCanon(op, inputs, target, true)
-}
-
-func (m *Memo) insertCanon(op LogicalOp, inputs []GroupID, target GroupID, owned bool) (GroupID, bool) {
+// insertCanon is Insert over a caller-owned buffer it may canonicalize
+// in place. The lookup runs over that buffer; a private copy of the
+// canonical inputs is made only when the expression is new and actually
+// stored, so duplicate derivations — the common case during exploration
+// — allocate nothing.
+func (m *Memo) insertCanon(op LogicalOp, inputs []GroupID, target GroupID) (GroupID, bool) {
 	if m.err != nil {
 		return target, false
 	}
@@ -252,12 +260,10 @@ func (m *Memo) insertCanon(op LogicalOp, inputs []GroupID, target GroupID, owned
 		m.err = ErrMemoBudget
 		return target, false
 	}
-	if !owned {
-		if len(inputs) == 0 {
-			inputs = nil
-		} else {
-			inputs = append(make([]GroupID, 0, len(inputs)), inputs...)
-		}
+	if len(inputs) == 0 {
+		inputs = nil
+	} else {
+		inputs = append(make([]GroupID, 0, len(inputs)), inputs...)
 	}
 	e := &Expr{Op: op, Inputs: inputs}
 	h := exprHash(op, inputs)
@@ -369,15 +375,22 @@ func (m *Memo) InsertTree(t *ExprTree, target GroupID) GroupID {
 	if t.Op == nil {
 		return m.Find(t.Group)
 	}
-	var inputs []GroupID
-	if len(t.Children) > 0 {
-		inputs = make([]GroupID, len(t.Children))
-		for i, c := range t.Children {
-			inputs[i] = m.InsertTree(c, InvalidGroup)
-		}
-	}
-	g, _ := m.insertOwned(t.Op, inputs, target)
+	g, _ := m.insertNode(t, target)
 	return g
+}
+
+// insertNode inserts the operator node t, its children first. The
+// children's classes are collected on the inputs stack above whatever
+// an enclosing insertNode has pushed, and popped before returning.
+func (m *Memo) insertNode(t *ExprTree, target GroupID) (GroupID, bool) {
+	base := len(m.inputs)
+	for _, c := range t.Children {
+		g := m.InsertTree(c, InvalidGroup)
+		m.inputs = append(m.inputs, g)
+	}
+	g, created := m.insertCanon(t.Op, m.inputs[base:], target)
+	m.inputs = m.inputs[:base]
+	return g, created
 }
 
 // InsertTreeConcurrent is InsertTree under the memo's write lock, for

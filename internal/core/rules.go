@@ -36,6 +36,10 @@ type Binding struct {
 	// Children are the bindings for the pattern's children; empty for
 	// leaf bindings.
 	Children []*Binding
+
+	// up is matcher state: while a sub-pattern binding is under
+	// construction, the binding it will become a child of.
+	up *Binding
 }
 
 // Leaves appends the equivalence classes bound by the pattern's leaf
@@ -64,18 +68,74 @@ type ExprTree struct {
 	Children []*ExprTree
 }
 
-// Node constructs an operator node of an expression tree.
+// Node constructs an operator node of an expression tree. It and
+// ClassRef allocate, and are the constructors for trees that outlive a
+// rule firing: queries handed to the optimizer, lowered statements.
+// Transformation rules build their substitutes with the RuleContext
+// methods of the same names instead.
 func Node(op LogicalOp, children ...*ExprTree) *ExprTree {
 	return &ExprTree{Op: op, Children: children}
 }
 
 // ClassRef constructs a leaf referencing an existing equivalence class.
-// Rules use it to splice bound classes into their substitutes.
 func ClassRef(g GroupID) *ExprTree { return &ExprTree{Group: g} }
 
+// substScratch is the memo-owned storage transformation rules build
+// their substitutes in. Seven in ten substitutes of a join-reordering
+// search are duplicates the memo's lookup discards, so their trees are
+// carved from two fixed slabs that exploreGroup rewinds after each
+// firing rather than allocated. A firing that overruns a slab gets heap
+// memory for the excess.
+type substScratch struct {
+	nodes [substNodes]ExprTree
+	ptrs  [substPtrs]*ExprTree
+	used  substMark
+}
+
+// substMark is a scratch position: how much of each slab is in use.
+type substMark struct{ nodes, ptrs int }
+
+// Slab sizes. Join associativity builds five nodes, four child pointers
+// and one result pointer; the slabs hold several such firings.
+const (
+	substNodes = 32
+	substPtrs  = 64
+)
+
+func (s *substScratch) mark() substMark { return s.used }
+
+// release rewinds the scratch to a mark taken earlier; every tree built
+// since is dead.
+func (s *substScratch) release(mk substMark) { s.used = mk }
+
+func (s *substScratch) node() *ExprTree {
+	if s.used.nodes == len(s.nodes) {
+		return &ExprTree{}
+	}
+	t := &s.nodes[s.used.nodes]
+	s.used.nodes++
+	return t
+}
+
+// slice returns a copy of src carved from the pointer slab.
+func (s *substScratch) slice(src []*ExprTree) []*ExprTree {
+	n := len(src)
+	if n == 0 {
+		return nil
+	}
+	if n > len(s.ptrs)-s.used.ptrs {
+		return append(make([]*ExprTree, 0, n), src...)
+	}
+	dst := s.ptrs[s.used.ptrs : s.used.ptrs+n : s.used.ptrs+n]
+	s.used.ptrs += n
+	copy(dst, src)
+	return dst
+}
+
 // RuleContext gives rule code controlled access to the memo during
-// matching and application: logical properties of bound classes and the
-// model, which typically carries the catalog.
+// matching and application: logical properties of bound classes, the
+// model, which typically carries the catalog, and the builders for a
+// transformation rule's substitutes.
 type RuleContext struct {
 	// Memo is the memo being optimized.
 	Memo *Memo
@@ -86,6 +146,31 @@ type RuleContext struct {
 // LogProps returns the logical properties of an equivalence class.
 func (ctx *RuleContext) LogProps(g GroupID) LogicalProps {
 	return ctx.Memo.Group(g).LogicalProps()
+}
+
+// Node builds an operator node of a substitute. Trees built through
+// Node, ClassRef and Substitutes live in the memo's scratch: they are
+// valid until the engine has inserted the substitutes of the firing that
+// built them, and a rule must not keep one beyond its Apply call's
+// return value.
+func (ctx *RuleContext) Node(op LogicalOp, children ...*ExprTree) *ExprTree {
+	s := &ctx.Memo.subst
+	t := s.node()
+	t.Op, t.Group, t.Children = op, InvalidGroup, s.slice(children)
+	return t
+}
+
+// ClassRef builds a substitute leaf referencing an existing equivalence
+// class, typically one bound by the rule's pattern.
+func (ctx *RuleContext) ClassRef(g GroupID) *ExprTree {
+	t := ctx.Memo.subst.node()
+	t.Op, t.Group, t.Children = nil, g, nil
+	return t
+}
+
+// Substitutes builds the slice a rule's Apply returns.
+func (ctx *RuleContext) Substitutes(trees ...*ExprTree) []*ExprTree {
+	return ctx.Memo.subst.slice(trees)
 }
 
 // TransformRule is an algebraic equivalence within the logical algebra,
@@ -103,8 +188,10 @@ type TransformRule struct {
 	// plans).
 	Condition func(ctx *RuleContext, b *Binding) bool
 	// Apply produces zero or more substitute expressions equivalent to
-	// the binding. Substitutes are inserted into the equivalence class
-	// of the binding's root.
+	// the binding, built with ctx.Node, ctx.ClassRef and
+	// ctx.Substitutes. Substitutes are inserted into the equivalence
+	// class of the binding's root. The binding is valid only during the
+	// call.
 	Apply func(ctx *RuleContext, b *Binding) []*ExprTree
 	// Promise orders transformation moves; higher fires first.
 	Promise int
@@ -198,7 +285,8 @@ type Model interface {
 	// DeriveLogicalProps computes the logical properties of an
 	// expression from its operator and the properties of its inputs.
 	// It is invoked once per equivalence class, before optimization,
-	// and encapsulates selectivity estimation.
+	// and encapsulates selectivity estimation. The inputs slice belongs
+	// to the caller and is reused; the function must not retain it.
 	DeriveLogicalProps(op LogicalOp, inputs []LogicalProps) LogicalProps
 	// TransformationRules returns the algebraic equivalences within
 	// the logical algebra. At most 64 rules are supported.

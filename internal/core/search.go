@@ -622,11 +622,11 @@ func (o *Optimizer) collectMovesInto(ms *moveSet, g *Group, required PhysProps) 
 	}
 }
 
-// cloneBinding deep-copies a binding; the matcher reuses child slices
-// during enumeration, so stored bindings need their own copies. Moves on
-// the transient (non-cached) path use this heap variant so their bindings
-// are garbage-collected with them; cached moves clone into the memo's
-// arena instead.
+// cloneBinding deep-copies a binding; the matcher recycles its frames
+// as the enumeration unwinds, so stored bindings need their own copies.
+// Moves on the transient (non-cached) path use this heap variant so
+// their bindings are garbage-collected with them; cached moves clone
+// into the memo's arena instead.
 func cloneBinding(b *Binding) *Binding {
 	c := &Binding{Expr: b.Expr, Group: b.Group}
 	if len(b.Children) > 0 {

@@ -116,8 +116,8 @@ func (m *toyModel) TransformationRules() []*core.TransformRule {
 			Name:    "pair-commute",
 			Pattern: core.P(kindPair, core.Leaf(), core.Leaf()),
 			Apply: func(ctx *core.RuleContext, b *core.Binding) []*core.ExprTree {
-				return []*core.ExprTree{core.Node(&toyPair{},
-					core.ClassRef(b.Children[1].Group), core.ClassRef(b.Children[0].Group))}
+				return ctx.Substitutes(ctx.Node(&toyPair{},
+					ctx.ClassRef(b.Children[1].Group), ctx.ClassRef(b.Children[0].Group)))
 			},
 		},
 		{
@@ -128,9 +128,9 @@ func (m *toyModel) TransformationRules() []*core.TransformRule {
 				a := b.Children[0].Children[0].Group
 				bb := b.Children[0].Children[1].Group
 				c := b.Children[1].Group
-				return []*core.ExprTree{core.Node(&toyPair{},
-					core.ClassRef(a),
-					core.Node(&toyPair{}, core.ClassRef(bb), core.ClassRef(c)))}
+				return ctx.Substitutes(ctx.Node(&toyPair{},
+					ctx.ClassRef(a),
+					ctx.Node(&toyPair{}, ctx.ClassRef(bb), ctx.ClassRef(c))))
 			},
 		},
 	}
@@ -139,7 +139,7 @@ func (m *toyModel) TransformationRules() []*core.TransformRule {
 			Name:    "mark-elim",
 			Pattern: core.P(kindMark, core.Leaf()),
 			Apply: func(ctx *core.RuleContext, b *core.Binding) []*core.ExprTree {
-				return []*core.ExprTree{core.ClassRef(b.Children[0].Group)}
+				return ctx.Substitutes(ctx.ClassRef(b.Children[0].Group))
 			},
 		})
 	}

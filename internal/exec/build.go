@@ -142,7 +142,7 @@ func rowsHint(plan *core.Plan) int {
 // output (0 = unknown).
 func distinctHint(plan *core.Plan, col rel.ColID) int {
 	if props, ok := plan.LogProps.(*rel.Props); ok {
-		if st, ok := props.Stats[col]; ok {
+		if st, ok := props.Stat(col); ok {
 			if n := int(st.Distinct); n > 0 {
 				return n
 			}

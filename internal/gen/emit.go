@@ -374,21 +374,21 @@ func bindingPaths(n *PatNode, path string, labels, vars map[string]string) {
 	}
 }
 
-// substCode renders a substitute as core.Node/core.ClassRef construction
+// substCode renders a substitute as ctx.Node/ctx.ClassRef construction
 // reusing matched operator instances through their binding paths.
 func substCode(n *PatNode, labels, vars map[string]string) string {
 	if n.IsVar() {
-		return fmt.Sprintf("core.ClassRef(%s.Group)", vars[n.Var])
+		return fmt.Sprintf("ctx.ClassRef(%s.Group)", vars[n.Var])
 	}
 	op := fmt.Sprintf("%s.Expr.Op", labels[n.Label])
 	if len(n.Children) == 0 {
-		return fmt.Sprintf("core.Node(%s)", op)
+		return fmt.Sprintf("ctx.Node(%s)", op)
 	}
 	parts := make([]string, len(n.Children))
 	for i, c := range n.Children {
 		parts[i] = substCode(c, labels, vars)
 	}
-	return fmt.Sprintf("core.Node(%s, %s)", op, strings.Join(parts, ", "))
+	return fmt.Sprintf("ctx.Node(%s, %s)", op, strings.Join(parts, ", "))
 }
 
 func (e *emitter) emitTransform(tr Transform) {
@@ -408,19 +408,21 @@ func (e *emitter) emitTransform(tr Transform) {
 		}
 	}
 	if len(tr.Substs) == 1 && unguarded {
-		e.p("return []*core.ExprTree{%s}", substCode(tr.Substs[0].Node, labels, vars))
+		e.p("return ctx.Substitutes(%s)", substCode(tr.Substs[0].Node, labels, vars))
 	} else {
-		e.p("var out []*core.ExprTree")
+		e.p("var out [%d]*core.ExprTree", len(tr.Substs))
+		e.p("n := 0")
 		for _, sub := range tr.Substs {
 			if sub.Condition != "" {
 				e.p("if s.%s(ctx, b) {", methodName(sub.Condition))
-				e.p("out = append(out, %s)", substCode(sub.Node, labels, vars))
+			}
+			e.p("out[n] = %s", substCode(sub.Node, labels, vars))
+			e.p("n++")
+			if sub.Condition != "" {
 				e.p("}")
-			} else {
-				e.p("out = append(out, %s)", substCode(sub.Node, labels, vars))
 			}
 		}
-		e.p("return out")
+		e.p("return ctx.Substitutes(out[:n]...)")
 	}
 	e.p("},")
 	e.p("Promise: %d,", tr.Promise)

@@ -129,8 +129,9 @@ func TestRelationalSpecParsesAndGenerates(t *testing.T) {
 	}
 }
 
-// TestMultiSubstituteTransform: a rule with guarded alternatives emits
-// one append per substitute, guarded by its condition.
+// TestMultiSubstituteTransform: a rule with guarded alternatives fills
+// one slot per substitute, guarded by its condition, and hands the
+// filled prefix to the context's result helper.
 func TestMultiSubstituteTransform(t *testing.T) {
 	src := `model m; operator S 1; operator J 2;
 	transform push: S:s(J:j(?l, ?r))
@@ -148,7 +149,8 @@ func TestMultiSubstituteTransform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"if s.InLeft(ctx, b)", "if s.InRight(ctx, b)", "var out []*core.ExprTree"} {
+	for _, want := range []string{"if s.InLeft(ctx, b)", "if s.InRight(ctx, b)",
+		"var out [2]*core.ExprTree", "out[n] = ctx.Node(", "return ctx.Substitutes(out[:n]...)"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("generated source missing %q", want)
 		}

@@ -238,9 +238,8 @@ func (m *Model) TransformationRules() []*core.TransformRule {
 			outer := b.Expr.Op
 			inner := b.Children[0].Expr.Op
 			in := b.Children[0].Children[0].Group
-			return []*core.ExprTree{
-				core.Node(inner, core.Node(outer, core.ClassRef(in))),
-			}
+			return ctx.Substitutes(
+				ctx.Node(inner, ctx.Node(outer, ctx.ClassRef(in))))
 		},
 		Promise: 1,
 	}}

@@ -35,8 +35,9 @@ type Props struct {
 	// Tables is a bitset (by Table.Index) of the base relations that
 	// contribute rows to this result.
 	Tables uint64
-	// Stats holds per-column estimates for every column in Cols.
-	Stats map[ColID]ColStat
+	// Stats holds the per-column estimates, parallel to Cols: Stats[i]
+	// describes Cols[i]. Read one column's through Stat.
+	Stats []ColStat
 }
 
 var _ core.LogicalProps = (*Props)(nil)
@@ -46,9 +47,22 @@ func (p *Props) String() string {
 	return fmt.Sprintf("rows=%.0f cols=%d width=%dB", p.Rows, len(p.Cols), p.RowBytes)
 }
 
+// Stat returns the estimate for column c, and whether the schema
+// contains it. Schemas are a few dozen columns at most, so this is a
+// scan of Cols. A self-join repeats a column in Cols; its last
+// occurrence — the right input's — answers.
+func (p *Props) Stat(c ColID) (ColStat, bool) {
+	for i := len(p.Cols) - 1; i >= 0; i-- {
+		if p.Cols[i] == c {
+			return p.Stats[i], true
+		}
+	}
+	return ColStat{}, false
+}
+
 // HasCol reports whether the schema contains the column.
 func (p *Props) HasCol(c ColID) bool {
-	_, ok := p.Stats[c]
+	_, ok := p.Stat(c)
 	return ok
 }
 
@@ -81,13 +95,22 @@ func (p *Props) Pages(pageBytes int) float64 {
 
 // clampDistinct caps every column's distinct count at the row estimate.
 func (p *Props) clampDistinct() {
-	for c, s := range p.Stats {
+	for i := range p.Stats {
+		s := &p.Stats[i]
 		if s.Distinct > p.Rows {
 			s.Distinct = p.Rows
 			if s.Distinct < 1 {
 				s.Distinct = 1
 			}
-			p.Stats[c] = s
+		}
+	}
+}
+
+// setDistinct sets the distinct count of every occurrence of column c.
+func (p *Props) setDistinct(c ColID, d float64) {
+	for i, pc := range p.Cols {
+		if pc == c {
+			p.Stats[i].Distinct = d
 		}
 	}
 }
@@ -96,25 +119,22 @@ func (p *Props) clampDistinct() {
 // operator and the already-derived properties of its inputs. It is the
 // model's property function for every logical operator.
 func DeriveProps(cat *Catalog, op core.LogicalOp, inputs []core.LogicalProps) *Props {
-	in := make([]*Props, len(inputs))
-	for i, lp := range inputs {
-		in[i] = lp.(*Props)
-	}
+	in := func(i int) *Props { return inputs[i].(*Props) }
 	switch o := op.(type) {
 	case *Get:
 		return deriveGet(cat, o)
 	case *Select:
-		return deriveSelect(o, in[0])
+		return deriveSelect(o, in(0))
 	case *Join:
-		return deriveJoin(o, in[0], in[1])
+		return deriveJoin(o, in(0), in(1))
 	case *Project:
-		return deriveProject(o, in[0])
+		return deriveProject(o, in(0))
 	case *Intersect:
-		return deriveIntersect(in[0], in[1])
+		return deriveIntersect(in(0), in(1))
 	case *Union:
-		return deriveUnion(in[0], in[1])
+		return deriveUnion(in(0), in(1))
 	case *GroupBy:
-		return deriveGroupBy(o, in[0])
+		return deriveGroupBy(o, in(0))
 	}
 	panic(fmt.Sprintf("rel: unknown logical operator %T", op))
 }
@@ -127,15 +147,15 @@ func deriveGet(cat *Catalog, g *Get) *Props {
 		Rows:     float64(t.Rows),
 		RowBytes: t.RowBytes,
 		Tables:   1 << uint(t.Index),
-		Stats:    make(map[ColID]ColStat, len(t.Columns)),
+		Stats:    make([]ColStat, len(t.Columns)),
 	}
 	width := t.RowBytes
 	if len(t.Columns) > 0 {
 		width = t.RowBytes / len(t.Columns)
 	}
-	for _, c := range t.Columns {
+	for i, c := range t.Columns {
 		m := cat.Column(c)
-		p.Stats[c] = ColStat{Distinct: float64(m.Distinct), Min: m.Min, Max: m.Max, Width: width}
+		p.Stats[i] = ColStat{Distinct: float64(m.Distinct), Min: m.Min, Max: m.Max, Width: width}
 	}
 	return p
 }
@@ -153,12 +173,12 @@ func Selectivity(pred Pred, in *Props) float64 {
 		}
 		return 1.0 / 3
 	}
-	ls, ok := in.Stats[pred.Col]
+	ls, ok := in.Stat(pred.Col)
 	if !ok {
 		return 0.1
 	}
 	if pred.IsColCol() {
-		rs, ok := in.Stats[pred.OtherCol]
+		rs, ok := in.Stat(pred.OtherCol)
 		if !ok {
 			return 0.1
 		}
@@ -244,17 +264,16 @@ func deriveSelect(s *Select, in *Props) *Props {
 		Rows:     in.Rows * sel,
 		RowBytes: in.RowBytes,
 		Tables:   in.Tables,
-		Stats:    make(map[ColID]ColStat, len(in.Stats)),
-	}
-	for c, st := range in.Stats {
-		p.Stats[c] = st
+		Stats:    append([]ColStat(nil), in.Stats...),
 	}
 	// Equality with a known constant pins the column to one value.
 	if !s.Pred.IsColCol() && !s.Pred.IsParam() && s.Pred.Op == CmpEQ {
-		if st, ok := p.Stats[s.Pred.Col]; ok {
-			st.Distinct = 1
-			st.Min, st.Max = s.Pred.Val, s.Pred.Val
-			p.Stats[s.Pred.Col] = st
+		for i, c := range p.Cols {
+			if c == s.Pred.Col {
+				st := &p.Stats[i]
+				st.Distinct = 1
+				st.Min, st.Max = s.Pred.Val, s.Pred.Val
+			}
 		}
 	}
 	p.clampDistinct()
@@ -262,31 +281,26 @@ func deriveSelect(s *Select, in *Props) *Props {
 }
 
 func deriveJoin(j *Join, l, r *Props) *Props {
-	ls, lok := l.Stats[j.A]
-	rs, rok := r.Stats[j.B]
+	ls, lok := l.Stat(j.A)
+	rs, rok := r.Stat(j.B)
 	if !lok || !rok {
 		// The pair may sit the other way around relative to the
 		// canonicalized argument order.
-		ls, lok = l.Stats[j.B]
-		rs, rok = r.Stats[j.A]
+		ls, lok = l.Stat(j.B)
+		rs, rok = r.Stat(j.A)
 	}
 	sel := 0.1
 	if lok && rok {
 		sel = 1 / maxf(ls.Distinct, rs.Distinct, 1)
 	}
+	n := len(l.Cols) + len(r.Cols)
 	p := &Props{
 		Cat:      l.Cat,
-		Cols:     append(append([]ColID(nil), l.Cols...), r.Cols...),
+		Cols:     append(append(make([]ColID, 0, n), l.Cols...), r.Cols...),
 		Rows:     l.Rows * r.Rows * sel,
 		RowBytes: l.RowBytes + r.RowBytes,
 		Tables:   l.Tables | r.Tables,
-		Stats:    make(map[ColID]ColStat, len(l.Stats)+len(r.Stats)),
-	}
-	for c, st := range l.Stats {
-		p.Stats[c] = st
-	}
-	for c, st := range r.Stats {
-		p.Stats[c] = st
+		Stats:    append(append(make([]ColStat, 0, n), l.Stats...), r.Stats...),
 	}
 	// The equated columns share the smaller distinct count after the join.
 	if lok && rok {
@@ -294,12 +308,8 @@ func deriveJoin(j *Join, l, r *Props) *Props {
 		if rs.Distinct < d {
 			d = rs.Distinct
 		}
-		for _, c := range []ColID{j.A, j.B} {
-			if st, ok := p.Stats[c]; ok {
-				st.Distinct = d
-				p.Stats[c] = st
-			}
-		}
+		p.setDistinct(j.A, d)
+		p.setDistinct(j.B, d)
 	}
 	p.clampDistinct()
 	return p
@@ -311,11 +321,11 @@ func deriveProject(pr *Project, in *Props) *Props {
 		Cols:   append([]ColID(nil), pr.Cols...),
 		Rows:   in.Rows,
 		Tables: in.Tables,
-		Stats:  make(map[ColID]ColStat, len(pr.Cols)),
+		Stats:  make([]ColStat, len(pr.Cols)),
 	}
-	for _, c := range pr.Cols {
-		st := in.Stats[c]
-		p.Stats[c] = st
+	for i, c := range pr.Cols {
+		st, _ := in.Stat(c)
+		p.Stats[i] = st
 		p.RowBytes += st.Width
 	}
 	if p.RowBytes == 0 {
@@ -336,10 +346,7 @@ func deriveIntersect(l, r *Props) *Props {
 		Rows:     rows / 2, // heuristic: half the smaller input matches
 		RowBytes: l.RowBytes,
 		Tables:   l.Tables | r.Tables,
-		Stats:    make(map[ColID]ColStat, len(l.Stats)),
-	}
-	for c, st := range l.Stats {
-		p.Stats[c] = st
+		Stats:    append([]ColStat(nil), l.Stats...),
 	}
 	p.clampDistinct()
 	return p
@@ -356,10 +363,7 @@ func deriveUnion(l, r *Props) *Props {
 		Rows:     l.Rows + r.Rows - overlap/2, // overlap estimate matches intersection's
 		RowBytes: l.RowBytes,
 		Tables:   l.Tables | r.Tables,
-		Stats:    make(map[ColID]ColStat, len(l.Stats)),
-	}
-	for c, st := range l.Stats {
-		p.Stats[c] = st
+		Stats:    append([]ColStat(nil), l.Stats...),
 	}
 	p.clampDistinct()
 	return p
@@ -368,7 +372,7 @@ func deriveUnion(l, r *Props) *Props {
 func deriveGroupBy(g *GroupBy, in *Props) *Props {
 	groups := 1.0
 	for _, c := range g.GroupCols {
-		if st, ok := in.Stats[c]; ok {
+		if st, ok := in.Stat(c); ok {
 			groups *= maxf(st.Distinct, 1, 1)
 		}
 	}
@@ -383,11 +387,11 @@ func deriveGroupBy(g *GroupBy, in *Props) *Props {
 		Cols:   append([]ColID(nil), g.GroupCols...),
 		Rows:   groups,
 		Tables: in.Tables,
-		Stats:  make(map[ColID]ColStat, len(g.GroupCols)),
+		Stats:  make([]ColStat, len(g.GroupCols)),
 	}
-	for _, c := range g.GroupCols {
-		st := in.Stats[c]
-		p.Stats[c] = st
+	for i, c := range g.GroupCols {
+		st, _ := in.Stat(c)
+		p.Stats[i] = st
 		p.RowBytes += st.Width
 	}
 	// Aggregate outputs are appended as 8-byte values; they carry no

@@ -1,6 +1,7 @@
 package rel_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -11,13 +12,18 @@ import (
 	"repro/internal/rel"
 )
 
-// derive walks a logical tree, deriving properties bottom-up.
+// derive walks a logical tree, deriving properties bottom-up. Every
+// derived node must keep Stats parallel to Cols.
 func derive(cat *rel.Catalog, t *core.ExprTree) *rel.Props {
 	inputs := make([]core.LogicalProps, len(t.Children))
 	for i, c := range t.Children {
 		inputs[i] = derive(cat, c)
 	}
-	return rel.DeriveProps(cat, t.Op, inputs)
+	p := rel.DeriveProps(cat, t.Op, inputs)
+	if len(p.Stats) != len(p.Cols) {
+		panic(fmt.Sprintf("%s: %d stats for %d columns", t.Op, len(p.Stats), len(p.Cols)))
+	}
+	return p
 }
 
 func TestDeriveGet(t *testing.T) {
@@ -43,8 +49,11 @@ func TestDeriveSelectEquality(t *testing.T) {
 	if math.Abs(p.Rows-20) > 1e-9 { // 1000 / 50 distinct
 		t.Fatalf("rows = %f, want 20", p.Rows)
 	}
-	if st := p.Stats[dept]; st.Distinct != 1 || st.Min != 7 || st.Max != 7 {
-		t.Fatalf("pinned column stats = %+v", st)
+	if st, ok := p.Stat(dept); !ok || st.Distinct != 1 || st.Min != 7 || st.Max != 7 {
+		t.Fatalf("pinned column stats = %+v, %v", st, ok)
+	}
+	if _, ok := p.Stat(cat.ColumnID("dept", "id")); ok {
+		t.Fatal("Stat reports a column outside the schema")
 	}
 }
 
@@ -111,6 +120,75 @@ func TestDeriveIntersect(t *testing.T) {
 	p := derive(cat, core.Node(&rel.Intersect{}, get(), get()))
 	if p.Rows != 25 { // half the smaller input
 		t.Fatalf("rows = %f, want 25", p.Rows)
+	}
+	u := derive(cat, core.Node(&rel.Union{}, get(), get()))
+	if u.Rows != 75 { // both inputs less half the smaller as overlap
+		t.Fatalf("union rows = %f, want 75", u.Rows)
+	}
+}
+
+// TestDeriveSelfJoin: a self-join repeats its table's columns in Cols.
+// The estimates a column reads back through Stat are the ones the
+// map-keyed layout produced (recorded at commit 0395947, where the right
+// input's entry overwrote the left's), and the updates that name a
+// column — the equated pair's shared distinct count, an equality pin —
+// reach every occurrence of it.
+func TestDeriveSelfJoin(t *testing.T) {
+	cat := demoCatalog(t)
+	id, dept := cat.ColumnID("emp", "id"), cat.ColumnID("emp", "dept")
+	emp := func() *core.ExprTree { return core.Node(&rel.Get{Tab: cat.Table("emp")}) }
+	pinned := func() *core.ExprTree {
+		return core.Node(&rel.Select{Pred: rel.Pred{Col: dept, Op: rel.CmpEQ, Val: 7}}, emp())
+	}
+	pinnedLeft := func() *core.ExprTree { return core.Node(rel.NewJoin(dept, dept), pinned(), emp()) }
+	stat := func(d float64, min, max int64) rel.ColStat {
+		return rel.ColStat{Distinct: d, Min: min, Max: max, Width: 50}
+	}
+	cases := []struct {
+		name     string
+		tree     *core.ExprTree
+		rows     float64
+		cols     int
+		id, dept rel.ColStat
+	}{
+		// clampDistinct caps the right input's id at the 400 output rows.
+		{"pinned-left", pinnedLeft(), 400, 4, stat(400, 1, 1000), stat(1, 1, 50)},
+		{"pinned-right", core.Node(rel.NewJoin(dept, dept), emp(), pinned()),
+			400, 4, stat(20, 1, 1000), stat(1, 7, 7)},
+		{"id-dept", core.Node(rel.NewJoin(id, dept), emp(), pinned()),
+			20, 4, stat(1, 1, 1000), stat(1, 7, 7)},
+		{"select-over", core.Node(&rel.Select{Pred: rel.Pred{Col: id, Op: rel.CmpEQ, Val: 5}}, pinnedLeft()),
+			1, 4, stat(1, 5, 5), stat(1, 1, 50)},
+		{"project-over", core.Node(&rel.Project{Cols: []rel.ColID{dept, id}}, pinnedLeft()),
+			400, 2, stat(400, 1, 1000), stat(1, 1, 50)},
+	}
+	for _, c := range cases {
+		p := derive(cat, c.tree)
+		if p.Rows != c.rows || len(p.Cols) != c.cols {
+			t.Errorf("%s: rows %v over %d columns, want %v over %d", c.name, p.Rows, len(p.Cols), c.rows, c.cols)
+		}
+		if got, ok := p.Stat(id); !ok || got != c.id {
+			t.Errorf("%s: Stat(id) = %+v, %v; want %+v", c.name, got, ok, c.id)
+		}
+		if got, ok := p.Stat(dept); !ok || got != c.dept {
+			t.Errorf("%s: Stat(dept) = %+v, %v; want %+v", c.name, got, ok, c.dept)
+		}
+		if !p.HasCol(id) || !p.HasCol(dept) || p.HasCol(cat.ColumnID("dept", "id")) {
+			t.Errorf("%s: HasCol disagrees with the schema %v", c.name, p.Cols)
+		}
+	}
+
+	// Every occurrence of the equated column carries the shared distinct
+	// count, and every occurrence of a pinned column the pin.
+	joined := derive(cat, pinnedLeft())
+	over := derive(cat, cases[3].tree)
+	for i, c := range joined.Cols {
+		if c == dept && joined.Stats[i].Distinct != 1 {
+			t.Errorf("dept occurrence %d keeps distinct %v after the join equated it", i, joined.Stats[i].Distinct)
+		}
+		if c == id && (over.Stats[i].Distinct != 1 || over.Stats[i].Min != 5 || over.Stats[i].Max != 5) {
+			t.Errorf("id occurrence %d not pinned: %+v", i, over.Stats[i])
+		}
 	}
 }
 

@@ -1,0 +1,140 @@
+package relopt_test
+
+import (
+	"errors"
+	"math"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/rel"
+	"repro/internal/relopt"
+)
+
+// pinnedQuery is one generated query of the pinned workload.
+type pinnedQuery struct {
+	q        datagen.Query
+	required core.PhysProps
+}
+
+// pinnedWorkload draws the fixed query set the exploration counters are
+// pinned on: seed 1993, three queries in each of random shape at 6, 8
+// and 10 relations plus chain and star at 8.
+func pinnedWorkload() (*rel.Catalog, []pinnedQuery) {
+	src := datagen.New(1993)
+	cat := src.Catalog(10)
+	cells := []struct {
+		n     int
+		shape datagen.Shape
+	}{
+		{6, datagen.ShapeRandom}, {8, datagen.ShapeRandom}, {10, datagen.ShapeRandom},
+		{8, datagen.ShapeChain}, {8, datagen.ShapeStar},
+	}
+	var qs []pinnedQuery
+	for _, c := range cells {
+		for i := 0; i < 3; i++ {
+			q := src.SelectJoinQuery(cat, c.n, c.shape)
+			pq := pinnedQuery{q: q}
+			if q.OrderBy != rel.InvalidCol {
+				pq.required = relopt.SortedOn(q.OrderBy)
+			}
+			qs = append(qs, pq)
+		}
+	}
+	return cat, qs
+}
+
+// pinnedCounters is what one configuration sums over the workload.
+type pinnedCounters struct {
+	Exprs, RulesFired, Bindings, Groups, Merges, Steps int
+	CostBits                                           uint64
+}
+
+// guidedOptimizer is a cold optimizer as a caller without a plan cache
+// builds one: a fresh model, a fresh memo, the greedy-seeded guided
+// search with whatever configure adds to its options.
+func guidedOptimizer(cat *rel.Catalog, configure func(*core.Options)) *core.Optimizer {
+	model := relopt.New(cat, relopt.DefaultConfig())
+	opts := &core.Options{Guidance: core.GuidanceOptions{SeedPlanner: model.SeedPlanner()}}
+	configure(opts)
+	return core.NewOptimizer(model, opts)
+}
+
+// runPinned optimizes every query cold under the options configure adds
+// to the guided search, and returns the summed counters and each query's
+// plan cost.
+func runPinned(t *testing.T, cat *rel.Catalog, qs []pinnedQuery, configure func(*core.Options)) (pinnedCounters, []float64) {
+	t.Helper()
+	var sum pinnedCounters
+	var total float64
+	costs := make([]float64, len(qs))
+	for i, pq := range qs {
+		opt := guidedOptimizer(cat, configure)
+		plan, err := opt.Optimize(opt.InsertQuery(pq.q.Root), pq.required)
+		if err != nil && !errors.Is(err, core.ErrBudget) {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if plan == nil {
+			t.Fatalf("query %d: no plan (err %v)", i, err)
+		}
+		s := opt.Stats()
+		sum.Exprs += s.Exprs
+		sum.RulesFired += s.RulesFired
+		sum.Bindings += s.Bindings
+		sum.Groups += s.Groups
+		sum.Merges += s.Merges
+		sum.Steps += s.Steps()
+		costs[i] = plan.Cost.(relopt.Cost).Total()
+		total += costs[i]
+	}
+	sum.CostBits = math.Float64bits(total)
+	return sum, costs
+}
+
+// TestExplorationCountersPinned holds the search's observable behaviour
+// fixed across changes to how exploration is carried out: the number of
+// expressions, classes, merges, rule firings, bindings and steps, and the
+// exact bits of the summed plan cost, for exhaustive guided search and
+// for each policy under a 200-step budget. The constants were recorded
+// at commit 0395947, before the binder, the substitute builders and the
+// logical properties stopped allocating per firing.
+func TestExplorationCountersPinned(t *testing.T) {
+	cat, qs := pinnedWorkload()
+	budgeted := func(p core.SearchPolicy) func(*core.Options) {
+		return func(o *core.Options) {
+			o.Budget = core.Budget{MaxSteps: 200}
+			o.Search.Policy = p
+			o.Search.RandSeed = 1993
+		}
+	}
+	cases := []struct {
+		name      string
+		configure func(*core.Options)
+		want      pinnedCounters
+	}{
+		{"exhaustive", func(*core.Options) {}, pinnedCounters{Exprs: 11488, RulesFired: 39325, Bindings: 140398, Groups: 3347, Merges: 1985, Steps: 9027, CostBits: 4727125208475311958}},
+		{"budgeted-guided", budgeted(core.PolicyExhaustive), pinnedCounters{Exprs: 11488, RulesFired: 39325, Bindings: 134154, Groups: 3347, Merges: 1985, Steps: 2425, CostBits: 4737410236151374192}},
+		{"budgeted-mcts", budgeted(core.PolicyMCTS), pinnedCounters{Exprs: 11488, RulesFired: 39325, Bindings: 133971, Groups: 3347, Merges: 1985, Steps: 2907, CostBits: 4727126041524826560}},
+		{"budgeted-widening", budgeted(core.PolicyWidening), pinnedCounters{Exprs: 11488, RulesFired: 39325, Bindings: 134656, Groups: 3347, Merges: 1985, Steps: 2745, CostBits: 4727132730087928644}},
+	}
+	var sequential []float64
+	for _, c := range cases {
+		got, costs := runPinned(t, cat, qs, c.configure)
+		if got != c.want {
+			t.Errorf("%s: counters %+v, pinned %+v", c.name, got, c.want)
+		}
+		if c.name == "exhaustive" {
+			sequential = costs
+		}
+	}
+
+	// The task engine takes the same exploration path under its write
+	// lock; two workers must price every query as the sequential engine
+	// does (two optimal plans may tie to the last bit of a float sum).
+	_, parallel := runPinned(t, cat, qs, func(o *core.Options) { o.Search.Workers = 2 })
+	for i := range qs {
+		if math.Abs(parallel[i]-sequential[i]) > 1e-12*sequential[i] {
+			t.Errorf("query %d: Workers=2 cost %v, sequential %v", i, parallel[i], sequential[i])
+		}
+	}
+}

@@ -14,9 +14,8 @@ func joinCommute() *core.TransformRule {
 		Pattern: core.P(rel.KindJoin, core.Leaf(), core.Leaf()),
 		Apply: func(ctx *core.RuleContext, b *core.Binding) []*core.ExprTree {
 			j := b.Expr.Op.(*rel.Join)
-			return []*core.ExprTree{
-				core.Node(j, core.ClassRef(b.Children[1].Group), core.ClassRef(b.Children[0].Group)),
-			}
+			return ctx.Substitutes(
+				ctx.Node(j, ctx.ClassRef(b.Children[1].Group), ctx.ClassRef(b.Children[0].Group)))
 		},
 		Promise: 1,
 	}
@@ -49,12 +48,10 @@ func joinAssoc() *core.TransformRule {
 		a := b.Children[0].Children[0].Group
 		bb := b.Children[0].Children[1].Group
 		c := b.Children[1].Group
-		return []*core.ExprTree{
-			core.Node(innerOp,
-				core.ClassRef(a),
-				core.Node(top, core.ClassRef(bb), core.ClassRef(c)),
-			),
-		}
+		return ctx.Substitutes(
+			ctx.Node(innerOp,
+				ctx.ClassRef(a),
+				ctx.Node(top, ctx.ClassRef(bb), ctx.ClassRef(c))))
 	}
 	return &core.TransformRule{
 		Name:      "join-assoc",
@@ -82,18 +79,21 @@ func selectPushdown() *core.TransformRule {
 		if sel.Pred.IsColCol() {
 			cols = append(cols, sel.Pred.OtherCol)
 		}
-		var out []*core.ExprTree
+		var out [2]*core.ExprTree
+		n := 0
 		if lp.HasCols(cols) {
-			out = append(out, core.Node(join,
-				core.Node(sel, core.ClassRef(l)),
-				core.ClassRef(r)))
+			out[n] = ctx.Node(join,
+				ctx.Node(sel, ctx.ClassRef(l)),
+				ctx.ClassRef(r))
+			n++
 		}
 		if rp.HasCols(cols) {
-			out = append(out, core.Node(join,
-				core.ClassRef(l),
-				core.Node(sel, core.ClassRef(r))))
+			out[n] = ctx.Node(join,
+				ctx.ClassRef(l),
+				ctx.Node(sel, ctx.ClassRef(r)))
+			n++
 		}
-		return out
+		return ctx.Substitutes(out[:n]...)
 	}
 	return &core.TransformRule{
 		Name:    "select-pushdown",
@@ -114,9 +114,8 @@ func selectCommute() *core.TransformRule {
 		outer := b.Expr.Op.(*rel.Select)
 		inner := b.Children[0].Expr.Op.(*rel.Select)
 		in := b.Children[0].Children[0].Group
-		return []*core.ExprTree{
-			core.Node(inner, core.Node(outer, core.ClassRef(in))),
-		}
+		return ctx.Substitutes(
+			ctx.Node(inner, ctx.Node(outer, ctx.ClassRef(in))))
 	}
 	return &core.TransformRule{
 		Name:    "select-commute",
@@ -133,9 +132,8 @@ func setCommute(name string, kind core.OpKind) *core.TransformRule {
 		Name:    name,
 		Pattern: core.P(kind, core.Leaf(), core.Leaf()),
 		Apply: func(ctx *core.RuleContext, b *core.Binding) []*core.ExprTree {
-			return []*core.ExprTree{
-				core.Node(b.Expr.Op, core.ClassRef(b.Children[1].Group), core.ClassRef(b.Children[0].Group)),
-			}
+			return ctx.Substitutes(
+				ctx.Node(b.Expr.Op, ctx.ClassRef(b.Children[1].Group), ctx.ClassRef(b.Children[0].Group)))
 		},
 		Promise: 1,
 	}
@@ -153,13 +151,12 @@ func setAssoc(name string, kind core.OpKind) *core.TransformRule {
 			core.Leaf()),
 		Apply: func(ctx *core.RuleContext, b *core.Binding) []*core.ExprTree {
 			inner := b.Children[0]
-			return []*core.ExprTree{
-				core.Node(inner.Expr.Op,
-					core.ClassRef(inner.Children[0].Group),
-					core.Node(b.Expr.Op,
-						core.ClassRef(inner.Children[1].Group),
-						core.ClassRef(b.Children[1].Group))),
-			}
+			return ctx.Substitutes(
+				ctx.Node(inner.Expr.Op,
+					ctx.ClassRef(inner.Children[0].Group),
+					ctx.Node(b.Expr.Op,
+						ctx.ClassRef(inner.Children[1].Group),
+						ctx.ClassRef(b.Children[1].Group))))
 		},
 		Promise: 1,
 	}
