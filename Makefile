@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-race-core vet staticcheck bench bench-explore bench-guided bench-anytime bench-cache bench-spar bench-e2e bench-col bench-mqo bench-mcts bench-serve bench-check profile fuzz-fingerprint
+.PHONY: build test test-race test-race-core vet staticcheck bench bench-explore bench-guided bench-anytime bench-cache bench-e2e bench-col bench-mqo bench-mcts bench-serve bench-check profile fuzz-fingerprint
 
 build:
 	$(GO) build ./...
@@ -11,10 +11,11 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The search engine under the race detector: the intra-query parallel
-# A/B determinism suites live in core and the generated-model packages.
+# What still runs on more than one goroutine around the search engine,
+# under the race detector: the shared-nothing ParallelOptimize pool (core
+# and the root package) and plan-cache coalescing (plancache, vdb).
 test-race-core:
-	$(GO) test -race ./internal/core/... ./internal/gen/... ./internal/relopt/
+	$(GO) test -race ./internal/core/... ./internal/plancache/ ./internal/vdb/... .
 
 vet:
 	$(GO) vet ./...
@@ -59,12 +60,6 @@ bench-anytime:
 bench-cache:
 	$(GO) run ./cmd/volcano-bench -experiment fig4cache -json ""
 	$(GO) test -run NONE -bench 'BenchmarkCache' -benchmem ./internal/plancache/
-
-# Intra-query parallel search A/B: the hardest Figure-4 queries,
-# sequential vs Workers in {2,4,8}. volcano-bench exits non-zero if any
-# parallel plan cost diverges from the sequential optimum.
-bench-spar:
-	$(GO) run ./cmd/volcano-bench -experiment fig4spar -json ""
 
 # End-to-end optimize-and-execute A/B over ~10⁶-row generated tables:
 # the NoFusion row kernels row-at-a-time and batched vs the default build
@@ -114,15 +109,19 @@ bench-serve:
 
 # The repository benchmark (BENCHMARK.json, bench/) is a module of its
 # own that `go test ./...` at the root does not reach: run its tests, and
-# smoke two workloads for two seconds each. The benchmark checks every
-# result against its oracle and exits non-zero on a wrong one.
+# smoke three workloads for two seconds each. The benchmark checks every
+# result against its oracle and exits non-zero on a wrong one. The traced
+# opt-fig4 run compiles and drives the frozen bench's core.w2_* probe,
+# the one reader of the deprecated core.SearchOptions.Workers and
+# core.Stats.TasksRun/TasksParked.
 bench-check:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload exec-analytic --seed 1993 --seconds 2 --trace 0
 	bash bench/run.sh --workload point-hot --seed 1993 --seconds 2 --trace 0
+	bash bench/run.sh --workload opt-fig4 --seed 1993 --seconds 2 --trace 1
 
 # CPU and heap profiles of the Figure-4 hot path (serial fig4 by
-# default; override EXPERIMENT=fig4spar etc. to profile another). For
+# default; override EXPERIMENT=fig4guided etc. to profile another). For
 # exploration alone, profile the package benchmark behind bench-explore:
 #   go test -run NONE -bench BenchmarkExploreFig4 -cpuprofile cpu.pprof \
 #     -memprofile mem.pprof -o /tmp/relopt.test ./internal/relopt/

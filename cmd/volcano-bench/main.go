@@ -4,7 +4,6 @@
 //	volcano-bench -experiment fig4       # Figure 4: Volcano vs EXODUS
 //	volcano-bench -experiment fig4guided # guided B&B vs exhaustive A/B
 //	volcano-bench -experiment fig4par    # worker-pool throughput sweep
-//	volcano-bench -experiment fig4spar   # intra-query parallel search A/B
 //	volcano-bench -experiment fig4cache  # plan-cache hit vs cold latency
 //	volcano-bench -experiment fig4mqo    # shared-memo multi-query optimization
 //	volcano-bench -experiment fig4mcts   # stochastic policies vs guided B&B at 10-16 relations
@@ -26,11 +25,8 @@
 // select-join queries per complexity level, 2-8 input relations, tables
 // of 1,200-7,200 records of 100 bytes).
 //
-// The fig4spar experiment A/B-tests intra-query parallel search
-// (Options.Search.Workers) against the sequential engine on the hardest
-// queries and exits non-zero if any parallel plan cost diverges from the
-// sequential optimum. -cpuprofile and -memprofile write pprof profiles
-// of whatever experiment runs.
+// -cpuprofile and -memprofile write pprof profiles of whatever
+// experiment runs.
 //
 // The e2e experiment optimizes AND executes workloads over generated
 // tables of -rows rows each, A/B-ing the row kernels row-at-a-time and
@@ -91,7 +87,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "fig4", "fig4 | fig4guided | fig4par | fig4spar | fig4cache | fig4mqo | fig4mcts | e2e | serve | ablation | altprops | leftdeep | heuristic | setops | memory | anytime | all")
+	experiment := flag.String("experiment", "fig4", "fig4 | fig4guided | fig4par | fig4cache | fig4mqo | fig4mcts | e2e | serve | ablation | altprops | leftdeep | heuristic | setops | memory | anytime | all")
 	queries := flag.Int("queries", 50, "queries per complexity level")
 	seed := flag.Int64("seed", 1993, "workload seed")
 	minRels := flag.Int("min-rels", 2, "smallest number of input relations")
@@ -103,7 +99,6 @@ func main() {
 	cacheBytes := flag.Int64("cache-size", 0, "fig4cache plan-cache budget in bytes (0 = cache default)")
 	optTimeout := flag.Duration("timeout", 0, "anytime per-query wall-clock budget (0 = sweep defaults)")
 	optSteps := flag.Int("max-steps", 0, "anytime per-query step budget in moves pursued (0 = sweep defaults)")
-	searchWorkers := flag.Int("search-workers", 0, "intra-query search workers for fig4spar (0 = sweep 2,4,8)")
 	e2eRows := flag.Int64("rows", 1_000_000, "e2e target rows per generated table")
 	serveRows := flag.Int64("serve-rows", 5000, "serve experiment rows per generated table")
 	serveDuration := flag.Duration("serve-duration", 3*time.Second, "serve experiment length per phase")
@@ -171,7 +166,6 @@ func main() {
 	var fig4Points []fig4.Point
 	var fig4Sweep *fig4.Sweep
 	var fig4Cache *fig4.CacheResult
-	var fig4Spar *fig4.SparResult
 	var fig4E2E *fig4.E2EResult
 	var fig4MQO *fig4.MQOResult
 	var fig4Serve *fig4.ServeResult
@@ -188,18 +182,6 @@ func main() {
 			sweep := fig4.RunVolcanoSweep(cfg, *workers)
 			fig4Sweep = &sweep
 			fmt.Print(fig4.FormatSweep(sweep))
-		case "fig4spar":
-			var counts []int
-			if *searchWorkers > 0 {
-				counts = []int{*searchWorkers}
-			}
-			spar := fig4.RunSpar(cfg, counts)
-			fig4Spar = &spar
-			fmt.Print(fig4.FormatSpar(spar))
-			if spar.CostMismatches > 0 {
-				fmt.Fprintf(os.Stderr, "volcano-bench: %d parallel-search plans diverged from sequential costs\n", spar.CostMismatches)
-				os.Exit(1)
-			}
 		case "e2e":
 			e2e := fig4.RunE2E(cfg, *e2eRows, *batchSize, *execWorkers, nil)
 			fig4E2E = &e2e
@@ -209,7 +191,7 @@ func main() {
 				os.Exit(1)
 			}
 		case "fig4mqo":
-			mqo := fig4.RunMQO(cfg, *e2eRows, *searchWorkers)
+			mqo := fig4.RunMQO(cfg, *e2eRows)
 			fig4MQO = &mqo
 			fmt.Print(fig4.FormatMQO(mqo))
 			if mqo.CostMismatches > 0 {
@@ -320,17 +302,16 @@ func main() {
 	}
 
 	if *experiment == "all" {
-		for _, name := range []string{"fig4", "fig4guided", "fig4par", "fig4spar", "fig4cache", "fig4mqo", "e2e", "serve", "ablation", "altprops", "leftdeep", "heuristic", "setops", "memory", "anytime"} {
+		for _, name := range []string{"fig4", "fig4guided", "fig4par", "fig4cache", "fig4mqo", "e2e", "serve", "ablation", "altprops", "leftdeep", "heuristic", "setops", "memory", "anytime"} {
 			run(name)
 		}
 	} else {
 		run(*experiment)
 	}
 
-	if *jsonPath != "" && (fig4Points != nil || fig4Sweep != nil || fig4Cache != nil || fig4Spar != nil || fig4E2E != nil || fig4MQO != nil || fig4Serve != nil || fig4Quality != nil) {
+	if *jsonPath != "" && (fig4Points != nil || fig4Sweep != nil || fig4Cache != nil || fig4E2E != nil || fig4MQO != nil || fig4Serve != nil || fig4Quality != nil) {
 		rep := fig4.NewBenchReport(cfg, fig4Points, fig4Sweep)
 		rep.Cache = fig4Cache
-		rep.Spar = fig4Spar
 		rep.E2E = fig4E2E
 		rep.MQO = fig4MQO
 		rep.Serve = fig4Serve
@@ -352,9 +333,6 @@ func main() {
 			}
 			if fig4Cache == nil {
 				rep.Cache = old.Cache
-			}
-			if fig4Spar == nil {
-				rep.Spar = old.Spar
 			}
 			if fig4E2E == nil {
 				rep.E2E = old.E2E

@@ -44,7 +44,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "optimization wall-clock budget (0 = unbounded); on exhaustion the best plan found is printed")
 	maxSteps := flag.Int("max-steps", 0, "optimization step budget in moves pursued (0 = unbounded)")
 	cacheSize := flag.Int64("cache-size", 0, "plan-cache budget in bytes; >0 replays the query through the plan cache and reports the verified-hit latency")
-	searchWorkers := flag.Int("search-workers", 0, "intra-query search workers (0 or 1 = sequential engine)")
 	searchPolicy := flag.String("search-policy", "exhaustive", "search policy: exhaustive, mcts, or widening")
 	randSeed := flag.Int64("rand-seed", 0, "stochastic policy RNG seed (0 = fixed default; runs are deterministic either way)")
 	episodes := flag.Int("episodes", 0, "stochastic policy episode count (0 = default)")
@@ -75,7 +74,6 @@ func main() {
 	}
 	opts.Budget.Timeout = *timeout
 	opts.Budget.MaxSteps = *maxSteps
-	opts.Search.Workers = *searchWorkers
 	pol, err := core.ParseSearchPolicy(*searchPolicy)
 	if err != nil {
 		fatal(err)
@@ -109,10 +107,6 @@ func main() {
 
 	fmt.Printf("optimized in %v (%d classes, %d expressions)\n\n",
 		elapsed, opt.Stats().Groups, opt.Stats().Exprs)
-	if s := opt.Stats(); s.SearchWorkers > 1 {
-		fmt.Printf("parallel search: %d workers, %d tasks run, %d parked\n\n",
-			s.SearchWorkers, s.TasksRun, s.TasksParked)
-	}
 	if degraded {
 		fmt.Printf("-- degraded: %v after %d steps; best plan found:\n", err, opt.Stats().Steps())
 	}

@@ -29,15 +29,10 @@ func main() {
 	spec := flag.String("spec", "", "model specification file")
 	out := flag.String("o", "", "output file (default stdout)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for parsing and generation (0 = unbounded)")
-	searchWorkers := flag.Int("search-workers", 0, "recommended intra-query search workers, recorded in the generated source (0 = omit)")
 	flag.Parse()
 	if *spec == "" {
 		fmt.Fprintln(os.Stderr, "volcano-gen: -spec is required")
 		flag.Usage()
-		os.Exit(2)
-	}
-	if *searchWorkers < 0 {
-		fmt.Fprintln(os.Stderr, "volcano-gen: -search-workers must be non-negative")
 		os.Exit(2)
 	}
 	input, err := os.ReadFile(*spec)
@@ -47,15 +42,6 @@ func main() {
 	src, err := generate(string(input), *timeout)
 	if err != nil {
 		fatal(err)
-	}
-	if *searchWorkers > 1 {
-		// The generated optimizer honors Options.Search.Workers at run
-		// time; record the model author's recommendation where users of
-		// the package will see it.
-		src = append(src, []byte(fmt.Sprintf(
-			"\n// Recommended search configuration for this model:\n//\n"+
-				"//\topts := &core.Options{}\n"+
-				"//\topts.Search.Workers = %d // intra-query parallel search\n", *searchWorkers))...)
 	}
 	if *out == "" {
 		os.Stdout.Write(src)

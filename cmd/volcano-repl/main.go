@@ -7,7 +7,6 @@
 //	\batch S1; S2; …   optimize and run statements over one shared memo
 //	\stats             show the last optimization's full counters
 //	\cache             show plan-cache counters
-//	\workers N         set intra-query search workers (1 = sequential)
 //	\policy NAME       set the search policy (exhaustive, mcts, widening)
 //	\seed N            regenerate the database with a new seed
 //	\quit
@@ -56,7 +55,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "per-query optimization wall-clock budget (0 = unbounded)")
 	maxSteps := flag.Int("max-steps", 0, "per-query optimization step budget in moves pursued (0 = unbounded)")
 	cacheSize := flag.Int64("cache-size", 64<<20, "plan-cache budget in bytes (0 disables the cache)")
-	searchWorkers := flag.Int("search-workers", 0, "intra-query search workers (0 or 1 = sequential engine)")
 	searchPolicy := flag.String("search-policy", "exhaustive", "search policy: exhaustive, mcts, or widening")
 	randSeed := flag.Int64("rand-seed", 0, "stochastic policy RNG seed (0 = fixed default; runs are deterministic either way)")
 	episodes := flag.Int("episodes", 0, "stochastic policy episode count (0 = default)")
@@ -72,7 +70,7 @@ func main() {
 
 	budget := core.Budget{Timeout: *timeout, MaxSteps: *maxSteps}
 	r := &repl{limit: *limit, tables: *tables, guided: *guided, trace: *trace, budget: budget,
-		cacheBytes: *cacheSize, workers: *searchWorkers, dataDir: *dataDir,
+		cacheBytes: *cacheSize, dataDir: *dataDir,
 		policy: pol, randSeed: *randSeed, episodes: *episodes,
 		batchSize: *batchSize, execWorkers: *execWorkers}
 	if *dataDir != "" {
@@ -107,7 +105,6 @@ type repl struct {
 	trace      bool
 	budget     core.Budget
 	cacheBytes int64
-	workers    int
 	dataDir    string
 	policy     core.SearchPolicy
 	randSeed   int64
@@ -124,7 +121,6 @@ type repl struct {
 func (r *repl) options() *vdb.Options {
 	opts := &vdb.Options{Guided: r.guided, CacheBytes: r.cacheBytes}
 	opts.Search.Budget = r.budget
-	opts.Search.Search.Workers = r.workers
 	opts.Search.Search.Policy = r.policy
 	opts.Search.Search.RandSeed = r.randSeed
 	opts.Search.Search.Episodes = r.episodes
@@ -148,7 +144,7 @@ func (r *repl) openDir() error {
 	return nil
 }
 
-// reopen rebuilds the database so option changes (like \workers) take
+// reopen rebuilds the database so option changes (like \policy) take
 // effect; the plan cache starts empty afterwards.
 func (r *repl) reopen() error {
 	if r.dataDir != "" {
@@ -202,30 +198,6 @@ func (r *repl) dispatch(line string) bool {
 	case strings.HasPrefix(line, `\memo `):
 		r.memo(strings.TrimPrefix(line, `\memo `))
 
-	case line == `\workers`:
-		if r.workers > 1 {
-			fmt.Printf("intra-query search workers: %d\n", r.workers)
-		} else {
-			fmt.Println("intra-query search workers: 1 (sequential engine)")
-		}
-
-	case strings.HasPrefix(line, `\workers `):
-		n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(line, `\workers `)))
-		if err != nil || n < 0 {
-			fmt.Println("usage: \\workers N  (N >= 0; 0 or 1 = sequential engine)")
-			break
-		}
-		r.workers = n
-		if err := r.reopen(); err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		if n > 1 {
-			fmt.Printf("intra-query search workers set to %d (plan cache cleared)\n", n)
-		} else {
-			fmt.Println("sequential engine restored (plan cache cleared)")
-		}
-
 	case line == `\policy`:
 		fmt.Printf("search policy: %v\n", r.policy)
 
@@ -260,7 +232,7 @@ func (r *repl) dispatch(line string) bool {
 		fmt.Printf("            %d entries, %d bytes resident\n", ct.Entries, ct.CacheBytes)
 
 	case strings.HasPrefix(line, `\`):
-		fmt.Println("unknown command; available: \\tables \\explain \\memo \\batch \\stats \\cache \\workers \\policy \\seed \\quit")
+		fmt.Println("unknown command; available: \\tables \\explain \\memo \\batch \\stats \\cache \\policy \\seed \\quit")
 
 	default:
 		r.query(line)
@@ -276,7 +248,6 @@ func (r *repl) memo(sql string) {
 	}
 	model := relopt.New(r.cat, relopt.DefaultConfig())
 	opts := &core.Options{Budget: r.budget}
-	opts.Search.Workers = r.workers
 	opts.Search.Policy = r.policy
 	opts.Search.RandSeed = r.randSeed
 	opts.Search.Episodes = r.episodes

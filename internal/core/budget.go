@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 )
 
@@ -64,27 +63,6 @@ type budgetState struct {
 
 	steps int
 	ticks uint
-
-	// sharedSteps, when non-nil, replaces the private steps counter: the
-	// parallel engine hands every worker its own budgetState clone (so
-	// ticks and polls stay contention-free) but one atomic step counter,
-	// keeping the MaxSteps bound exact across workers.
-	sharedSteps *atomic.Int64
-}
-
-// workerClone derives a per-worker checkpoint from the armed budget: the
-// context and deadline are shared by value, the step counter through
-// sharedSteps, and the memo-size poll is dropped — estimating the memo's
-// size walks its groups, which is only safe under the memo's write lock,
-// where the original budgetState still checks it.
-func (bs *budgetState) workerClone(shared *atomic.Int64) *budgetState {
-	return &budgetState{
-		ctx:         bs.ctx,
-		deadline:    bs.deadline,
-		hasDeadline: bs.hasDeadline,
-		maxSteps:    bs.maxSteps,
-		sharedSteps: shared,
-	}
 }
 
 // armBudget installs the budget checkpoints for one optimization call,
@@ -116,12 +94,6 @@ func (o *Optimizer) armBudget(ctx context.Context) {
 // exact — the first move past MaxSteps is refused — while the other
 // bounds are polled at the amortized interval.
 func (bs *budgetState) step() error {
-	if bs.sharedSteps != nil {
-		if n := bs.sharedSteps.Add(1); bs.maxSteps > 0 && n > int64(bs.maxSteps) {
-			return ErrStepBudget
-		}
-		return bs.tick()
-	}
 	bs.steps++
 	if bs.maxSteps > 0 && bs.steps > bs.maxSteps {
 		return ErrStepBudget

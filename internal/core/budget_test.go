@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 )
 
 // TestTypedBudgetErrorMatrix: every typed budget error matches the
@@ -63,6 +64,7 @@ func TestCanceledContextDegrades(t *testing.T) {
 	opt := newToyOpt(nil)
 	g := opt.InsertQuery(leftDeepPair("a", "b", "c", "d"))
 	plan, err := opt.OptimizeCtx(ctx, g, toyColor(1))
+	coretest.CheckMemo(t, opt)
 	if !errors.Is(err, core.ErrBudget) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -88,6 +90,7 @@ func TestStepBudgetDegrades(t *testing.T) {
 	tree := leftDeepPair("a", "b", "c", "d", "e")
 	ref := newToyOpt(nil)
 	optimal, err := ref.Optimize(ref.InsertQuery(tree), toyColor(1))
+	coretest.CheckMemo(t, ref)
 	if err != nil || optimal == nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -95,6 +98,7 @@ func TestStepBudgetDegrades(t *testing.T) {
 	opt := newToyOpt(&core.Options{Budget: core.Budget{MaxSteps: 1}})
 	g := opt.InsertQuery(tree)
 	plan, err := opt.Optimize(g, toyColor(1))
+	coretest.CheckMemo(t, opt)
 	if !errors.Is(err, core.ErrBudget) || !errors.Is(err, core.ErrStepBudget) {
 		t.Fatalf("err = %v, want ErrStepBudget", err)
 	}
@@ -118,6 +122,7 @@ func TestDeadlineBudgetDegrades(t *testing.T) {
 	opt := newToyOpt(&core.Options{Budget: core.Budget{Timeout: time.Nanosecond}})
 	g := opt.InsertQuery(leftDeepPair("a", "b", "c", "d"))
 	plan, err := opt.Optimize(g, toyColor(1))
+	coretest.CheckMemo(t, opt)
 	if !errors.Is(err, core.ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
@@ -132,6 +137,7 @@ func TestMemoBytesBudgetDegrades(t *testing.T) {
 	opt := newToyOpt(&core.Options{Budget: core.Budget{MaxMemoBytes: 1}})
 	g := opt.InsertQuery(leftDeepPair("a", "b", "c", "d"))
 	plan, err := opt.Optimize(g, nil)
+	coretest.CheckMemo(t, opt)
 	if !errors.Is(err, core.ErrMemoBudget) {
 		t.Fatalf("err = %v, want ErrMemoBudget", err)
 	}
@@ -149,6 +155,7 @@ func TestExploreCtxCanceled(t *testing.T) {
 	if err := opt.ExploreCtx(ctx, g); !errors.Is(err, core.ErrBudget) {
 		t.Fatalf("ExploreCtx err = %v, want a budget error", err)
 	}
+	coretest.CheckMemo(t, opt)
 	if sr := opt.Stats().StopReason; sr == nil {
 		t.Error("StopReason not set by a budget-stopped exploration")
 	}
@@ -162,12 +169,14 @@ func TestZeroBudgetIdentical(t *testing.T) {
 
 	classic := newToyOpt(nil)
 	pc, err := classic.Optimize(classic.InsertQuery(tree), toyColor(1))
+	coretest.CheckMemo(t, classic)
 	if err != nil || pc == nil {
 		t.Fatalf("classic: %v", err)
 	}
 
 	budgeted := newToyOpt(&core.Options{Budget: core.Budget{}})
 	pb, err := budgeted.OptimizeCtx(context.Background(), budgeted.InsertQuery(tree), toyColor(1))
+	coretest.CheckMemo(t, budgeted)
 	if err != nil || pb == nil {
 		t.Fatalf("zero-budget: %v", err)
 	}
@@ -227,6 +236,7 @@ func TestTracerStructuredEvents(t *testing.T) {
 	if _, err := opt.Optimize(g, toyColor(1)); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	seen := map[core.TraceEventKind]int{}
 	for _, ev := range events {
 		seen[ev.Kind]++
@@ -254,6 +264,7 @@ func TestTracerStructuredEvents(t *testing.T) {
 	if _, err := opt2.Optimize(g2, nil); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt2)
 	if len(lines) == 0 {
 		t.Fatal("filtered tracer saw nothing")
 	}
@@ -277,9 +288,11 @@ func TestClassicTracerFormat(t *testing.T) {
 	if _, err := opt.OptimizeWithLimit(g, toyColor(2), toyCost(1)); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	if _, err := opt.Optimize(g, toyColor(2)); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	var winner, failure bool
 	for _, l := range lines {
 		if strings.HasPrefix(l, "winner group=") && strings.Contains(l, "cost=") && strings.Contains(l, "plan=") {

@@ -1,0 +1,79 @@
+package core
+
+import (
+	"strings"
+	"testing"
+)
+
+// checkMemo is coretest.CheckMemo for this package's internal tests,
+// which cannot import coretest without a cycle.
+func checkMemo(tb testing.TB, o *Optimizer) {
+	tb.Helper()
+	if err := o.memo.Check(); err != nil {
+		tb.Error(err)
+	}
+}
+
+// TestMemoCheckDetectsCorruption: a checker that never fails proves
+// nothing, so each invariant family is broken once by hand and Check
+// must name it.
+func TestMemoCheckDetectsCorruption(t *testing.T) {
+	required := PhysProps(hpTint(1))
+	fresh := func() (*Optimizer, *Group) {
+		o, g := hpExplored(t, 4)
+		if p, err := o.Optimize(g.ID(), required); err != nil || p == nil {
+			t.Fatalf("optimize: plan=%v err=%v", p, err)
+		}
+		checkMemo(t, o)
+		return o, g
+	}
+	cases := []struct {
+		name    string
+		corrupt func(o *Optimizer, g *Group)
+		want    string
+	}{
+		{"in-progress", func(o *Optimizer, g *Group) {
+			g.lookupWinner(required, nil).inProgress = true
+		}, "left in progress"},
+		{"winner cost", func(o *Optimizer, g *Group) {
+			w := g.lookupWinner(required, nil)
+			w.cost = w.cost.Add(w.cost)
+		}, "recorded cost"},
+		{"winner props", func(o *Optimizer, g *Group) {
+			w := g.lookupWinner(required, nil)
+			cp := *w.plan
+			cp.Delivered = hpTint(2)
+			w.plan = &cp
+		}, "does not cover the goal"},
+		{"winner class", func(o *Optimizer, g *Group) {
+			w := g.lookupWinner(required, nil)
+			cp := *w.plan
+			cp.Group = g.exprs[0].Inputs[0]
+			w.plan = &cp
+		}, "built for class"},
+		{"parent link", func(o *Optimizer, g *Group) {
+			o.memo.parent[0] = GroupID(len(o.memo.groups))
+		}, "older classes"},
+		{"dead class", func(o *Optimizer, g *Group) {
+			leaf := o.memo.Group(g.exprs[0].Inputs[1])
+			o.memo.parent[g.id-1] = leaf.id
+		}, "merged-away class"},
+		{"stray expression", func(o *Optimizer, g *Group) {
+			g.exprs = g.exprs[:len(g.exprs)-1]
+		}, "in no live class"},
+		{"split class", func(o *Optimizer, g *Group) {
+			dup := &Expr{Op: g.exprs[0].Op, Inputs: g.exprs[0].Inputs}
+			o.memo.newGroup(dup)
+			o.memo.exprCount++
+			dup.next, o.memo.table[0] = o.memo.table[0], dup
+		}, "both hold"},
+	}
+	for _, c := range cases {
+		o, g := fresh()
+		c.corrupt(o, g)
+		err := o.memo.Check()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Check() = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package core_test
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core/coretest"
 )
 
 func TestMemoFormat(t *testing.T) {
@@ -11,6 +13,7 @@ func TestMemoFormat(t *testing.T) {
 	if _, err := opt.Optimize(g, toyColor(1)); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	dump := opt.Memo().Format()
 	for _, want := range []string{"class 1", "LEAF(a)", "PAIR[", "winner", "color1"} {
 		if !strings.Contains(dump, want) {
@@ -25,6 +28,7 @@ func TestMemoFormatRecordsFailures(t *testing.T) {
 	if _, err := opt.OptimizeWithLimit(g, toyColor(1), toyCost(2)); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	if !strings.Contains(opt.Memo().Format(), "failed under limit") {
 		t.Error("memo dump does not show memoized failures")
 	}
@@ -34,6 +38,7 @@ func TestPlanDot(t *testing.T) {
 	opt := newToyOpt(nil)
 	g := opt.InsertQuery(pair(leaf("a"), leaf("b")))
 	plan, err := opt.Optimize(g, toyColor(2))
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

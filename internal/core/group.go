@@ -1,7 +1,5 @@
 package core
 
-import "sync"
-
 // Group is an equivalence class: two collections, one of equivalent
 // logical expressions and one of physical plans, plus the logical
 // properties shared by every member and a winner table recording, for
@@ -11,13 +9,6 @@ import "sync"
 // possible future use.
 type Group struct {
 	id GroupID
-
-	// mu guards the group's winner table (including the mutable fields
-	// of its entries), move-set cache, and memoized floor during a
-	// parallel search. Lock order: memo.mu (read or write) before mu;
-	// never two group locks at once. The sequential engine never takes
-	// it.
-	mu sync.Mutex
 
 	// exprs is the collection of logical expressions known to be
 	// equivalent. exprs[0] is the expression that created the group.
@@ -80,15 +71,8 @@ type winner struct {
 	// immediately; a request with a higher limit must re-optimize.
 	failedLimit Cost
 	// inProgress marks the entry while its optimization is on the call
-	// stack, so cyclic derivations do not loop. The sequential engine's
-	// flag; the parallel engine uses claim instead.
+	// stack, so cyclic derivations do not loop.
 	inProgress bool
-	// claim marks the entry while a parallel goal run owns it: the
-	// claim/subscribe protocol's anchor. A task that needs the goal's
-	// result while the claim is live parks on it instead of duplicating
-	// the search; the owner wakes the subscribers when it finishes.
-	// Guarded by the group's mu.
-	claim *goalClaim
 	// next chains entries whose property pairs collide in the hash.
 	next *winner
 }

@@ -97,7 +97,7 @@ func (o *Optimizer) guidedOptimize(root GroupID, required PhysProps, limit Cost)
 		// already at least as tight as the seed: one unguided stage under
 		// the caller's (inclusive) limit.
 		o.stageTrace(root, required, limit)
-		p, _ := o.searchRoot(root, required, limit, true)
+		p, _ := o.findBestPlan(root, required, nil, limit, true)
 		return p
 	}
 
@@ -113,7 +113,7 @@ func (o *Optimizer) guidedOptimize(root GroupID, required PhysProps, limit Cost)
 	cur := seedCost
 	for i := 0; i < stages; i++ {
 		o.stageTrace(root, required, cur)
-		p, transient := o.searchRoot(root, required, cur, true)
+		p, transient := o.findBestPlan(root, required, nil, cur, true)
 		if p != nil {
 			return p
 		}
@@ -142,7 +142,7 @@ func (o *Optimizer) guidedOptimize(root GroupID, required PhysProps, limit Cost)
 	// Final stage: the caller's original limit, with the same inclusive
 	// bound semantics as an unguided run.
 	o.stageTrace(root, required, limit)
-	p, _ := o.searchRoot(root, required, limit, true)
+	p, _ := o.findBestPlan(root, required, nil, limit, true)
 	return p
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 )
 
 // newGuidedToyOpt builds a toy optimizer with the given seed planner.
@@ -27,6 +28,7 @@ func TestGuidedSyntacticSeedMatchesExhaustive(t *testing.T) {
 		guided := newGuidedToyOpt(core.SyntacticSeedPlanner(), nil)
 		g := guided.InsertQuery(s.tree)
 		plan, err := guided.Optimize(g, toyColor(1))
+		coretest.CheckMemo(t, guided)
 		if err != nil || plan == nil {
 			return false
 		}
@@ -65,6 +67,7 @@ func TestGuidedSeedEqualsOptimal(t *testing.T) {
 	}, nil)
 	g := opt.InsertQuery(tree)
 	plan, err := opt.Optimize(g, toyColor(1))
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +104,7 @@ func TestGuidedUnderestimatingSeedRelaxes(t *testing.T) {
 		})
 		g := opt.InsertQuery(tree)
 		plan, err := opt.Optimize(g, toyColor(1))
+		coretest.CheckMemo(t, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,6 +132,7 @@ func TestGuidedSeedDeclines(t *testing.T) {
 	}, nil)
 	g := opt.InsertQuery(tree)
 	plan, err := opt.Optimize(g, toyColor(2))
+	coretest.CheckMemo(t, opt)
 	if err != nil || plan == nil {
 		t.Fatalf("plan=%v err=%v", plan, err)
 	}
@@ -157,6 +162,7 @@ func TestGuidedWithCallerLimit(t *testing.T) {
 	opt := newGuidedToyOpt(seeder, nil)
 	g := opt.InsertQuery(tree)
 	plan, err := opt.OptimizeWithLimit(g, toyColor(1), want)
+	coretest.CheckMemo(t, opt)
 	if err != nil || plan == nil || plan.Cost.(toyCost) != want {
 		t.Fatalf("inclusive caller limit: plan=%v err=%v want=%v", plan, err, want)
 	}
@@ -164,6 +170,7 @@ func TestGuidedWithCallerLimit(t *testing.T) {
 	opt = newGuidedToyOpt(seeder, nil)
 	g = opt.InsertQuery(tree)
 	plan, err = opt.OptimizeWithLimit(g, toyColor(1), want-1)
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,6 +211,7 @@ func TestQuickGuidedTelemetryConsistent(t *testing.T) {
 		}, nil)
 		g := opt.InsertQuery(s.tree)
 		plan, err := opt.Optimize(g, toyColor(1))
+		coretest.CheckMemo(t, opt)
 		if err != nil || plan == nil || plan.Cost.(toyCost) != want {
 			t.Logf("scale=%.2f: plan=%v err=%v want=%v", scale, plan, err, want)
 			return false

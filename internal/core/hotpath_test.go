@@ -173,6 +173,7 @@ func hpExplored(tb testing.TB, n int) (*Optimizer, *Group) {
 	if err := o.Explore(root); err != nil {
 		tb.Fatal(err)
 	}
+	checkMemo(tb, o)
 	return o, o.memo.Group(root)
 }
 
@@ -307,6 +308,7 @@ func TestHotPathAllocs(t *testing.T) {
 	}); n > 2 {
 		t.Errorf("warm winner-hit Optimize allocates %.1f times per run, want <= 2", n)
 	}
+	checkMemo(t, o)
 
 	// Repeated memo insertion of an already-stored expression must not
 	// allocate: the canonical-input lookup runs over the scratch buffer.
@@ -370,6 +372,7 @@ func TestSubstituteScratchOverrun(t *testing.T) {
 	if err := o.Explore(root); err != nil {
 		t.Fatal(err)
 	}
+	checkMemo(t, o)
 	// The wide substitute is a left-deep chain over `leaves` new leaves:
 	// leaves-1 HPNODE expressions, the topmost in the root class.
 	if got, want := o.Stats().Exprs, 3+leaves+leaves-1; got != want {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 )
 
 // TestQuickIncrementalMatchesFromScratch: on random shapes — with and
@@ -23,6 +24,7 @@ func TestQuickIncrementalMatchesFromScratch(t *testing.T) {
 			for _, required := range []core.PhysProps{nil, toyColor(1)} {
 				inc := core.NewOptimizer(&toyModel{withMarkRule: withMark}, nil)
 				pi, err := inc.Optimize(inc.InsertQuery(tree), required)
+				coretest.CheckMemo(t, inc)
 				if err != nil || pi == nil {
 					t.Logf("incremental: plan=%v err=%v", pi, err)
 					return false
@@ -30,6 +32,7 @@ func TestQuickIncrementalMatchesFromScratch(t *testing.T) {
 				scr := core.NewOptimizer(&toyModel{withMarkRule: withMark},
 					&core.Options{Search: core.SearchOptions{NoIncremental: true}})
 				ps, err := scr.Optimize(scr.InsertQuery(tree), required)
+				coretest.CheckMemo(t, scr)
 				if err != nil || ps == nil {
 					t.Logf("from-scratch: plan=%v err=%v", ps, err)
 					return false
@@ -73,6 +76,7 @@ func TestMovesReusedOnReactivation(t *testing.T) {
 	if plan, err := opt.OptimizeWithLimit(g, toyColor(2), toyCost(7.5)); err != nil || plan != nil {
 		t.Fatalf("hopeless limit: plan=%v err=%v", plan, err)
 	}
+	coretest.CheckMemo(t, opt)
 	if opt.Stats().MovesReused != 0 {
 		// Nested goals may legitimately share caches even on the first
 		// activation; record the baseline instead of asserting zero.
@@ -82,6 +86,7 @@ func TestMovesReusedOnReactivation(t *testing.T) {
 	matchesBefore := opt.Stats().MatchCalls
 
 	plan, err := opt.OptimizeWithLimit(g, toyColor(2), toyCost(100))
+	coretest.CheckMemo(t, opt)
 	if err != nil || plan == nil {
 		t.Fatalf("higher limit: plan=%v err=%v", plan, err)
 	}
@@ -109,12 +114,14 @@ func TestWinnerTableSurvivesMerge(t *testing.T) {
 
 	// Success for color 2 on a's class; failure for color 3 on b's.
 	pa, err := opt.Optimize(ga, toyColor(2))
+	coretest.CheckMemo(t, opt)
 	if err != nil || pa == nil {
 		t.Fatalf("optimize a: plan=%v err=%v", pa, err)
 	}
 	if plan, err := opt.OptimizeWithLimit(gb, toyColor(3), toyCost(2)); err != nil || plan != nil {
 		t.Fatalf("limit 2 should fail on b: plan=%v err=%v", plan, err)
 	}
+	coretest.CheckMemo(t, opt)
 
 	// Force a merge by asserting LEAF(a) lives in b's class.
 	memo.Insert(&toyLeaf{name: "a"}, nil, gb)
@@ -128,6 +135,7 @@ func TestWinnerTableSurvivesMerge(t *testing.T) {
 
 	// The winner answers through either pre-merge class reference.
 	p2, err := opt.Optimize(gb, toyColor(2))
+	coretest.CheckMemo(t, opt)
 	if err != nil || p2 == nil || p2.Cost.(toyCost) != pa.Cost.(toyCost) {
 		t.Fatalf("merged winner: plan=%v err=%v want cost %v", p2, err, pa.Cost)
 	}
@@ -139,12 +147,14 @@ func TestWinnerTableSurvivesMerge(t *testing.T) {
 	if plan, _ := opt.OptimizeWithLimit(ga, toyColor(3), toyCost(1)); plan != nil {
 		t.Fatalf("tighter retry found plan %v", plan)
 	}
+	coretest.CheckMemo(t, opt)
 	if opt.Stats().FailureHits <= failHits || opt.Stats().GoalsOptimized != goals {
 		t.Fatal("failure not answered from the surviving table")
 	}
 
 	// A higher limit re-optimizes and succeeds.
 	p3, err := opt.OptimizeWithLimit(ga, toyColor(3), toyCost(100))
+	coretest.CheckMemo(t, opt)
 	if err != nil || p3 == nil {
 		t.Fatalf("higher limit: plan=%v err=%v", p3, err)
 	}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Memo is the hash table of expressions and equivalence classes at the
 // heart of the search engine. It detects redundant derivations of the
@@ -64,19 +61,6 @@ type Memo struct {
 	// arena slab-allocates the bindings retained by cached moves.
 	arena bindingArena
 
-	// mu guards the memo's structure — groups, parent, table, arena, the
-	// shared stats, and err — during a parallel search. The task engine
-	// takes the write lock for every structural mutation (exploration,
-	// insertion, merging, move collection) and the read lock around
-	// pursuit, whose model callbacks resolve classes through Find. The
-	// sequential engine never touches the lock.
-	mu sync.RWMutex
-	// concurrent is set for the duration of a parallel search. It gates
-	// Find's path halving: halving mutates parent, which is only safe
-	// when the memo has a single mutator. The flag is flipped before the
-	// workers start and after they join, so no lock guards it.
-	concurrent bool
-
 	// bud is the armed budget of the current optimization call, shared
 	// with the Optimizer; the memo ticks it on insertions and rule
 	// attempts — the units of work that dominate when a search is stuck
@@ -128,16 +112,6 @@ func (m *Memo) ExprCount() int { return m.exprCount }
 
 // Find resolves a class through merges to its current representative.
 func (m *Memo) Find(g GroupID) GroupID {
-	if m.concurrent {
-		// A parallel search resolves without path halving: halving
-		// mutates parent, and Find runs under the read lock there.
-		// Chains stay short regardless — merges always point the
-		// younger class at the older one.
-		for m.parent[g-1] != g {
-			g = m.parent[g-1]
-		}
-		return g
-	}
 	for m.parent[g-1] != g {
 		// Path halving keeps chains short.
 		m.parent[g-1] = m.parent[m.parent[g-1]-1]
@@ -321,13 +295,6 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 			if w.inProgress {
 				dst.inProgress = true
 			}
-			// A live parallel claim survives the merge so its
-			// subscribers still get woken; when both sides carry one,
-			// each owner finishes and wakes its own subscribers, and
-			// the cheaper of their plans wins above.
-			if w.claim != nil && dst.claim == nil {
-				dst.claim = w.claim
-			}
 			// Failures survive with their strongest limit, symmetric
 			// with the representative's own entries, which also predate
 			// the unification. (In this engine transformations run to
@@ -391,17 +358,6 @@ func (m *Memo) insertNode(t *ExprTree, target GroupID) (GroupID, bool) {
 	g, created := m.insertCanon(t.Op, m.inputs[base:], target)
 	m.inputs = m.inputs[:base]
 	return g, created
-}
-
-// InsertTreeConcurrent is InsertTree under the memo's write lock, for
-// shared-memo batches inserting query trees from several goroutines.
-// Insertion reuses per-memo scratch space and is not otherwise safe for
-// concurrent use; the write lock serializes whole-tree inserts against
-// each other and against any running search.
-func (m *Memo) InsertTreeConcurrent(t *ExprTree, target GroupID) GroupID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.InsertTree(t, target)
 }
 
 // MemoryBytes returns an estimate of the memo's working-set size,

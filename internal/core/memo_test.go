@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 )
 
 func newMemo() (*core.Optimizer, *core.Memo) {
@@ -55,9 +56,11 @@ func TestMergeUnifiesWinners(t *testing.T) {
 	if _, err := opt.Optimize(g1, nil); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	if _, err := opt.Optimize(g2, nil); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	ga := opt.InsertQuery(leaf("a"))
 	gb := opt.InsertQuery(leaf("b"))
 	memo.Insert(&toyPair{}, []core.GroupID{gb, ga}, g1) // proves g1 ≡ g2
@@ -76,6 +79,7 @@ func TestFindPathHalving(t *testing.T) {
 	if err := opt.Explore(g); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	// Every group id, live or merged, must resolve to a live class.
 	for id := core.GroupID(1); int(id) <= memo.GroupCount(); id++ {
 		rep := memo.Find(id)
@@ -95,9 +99,11 @@ func TestMemoryBytesGrowsWithContent(t *testing.T) {
 	if err := opt.Explore(g); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	if _, err := opt.Optimize(g, nil); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	if memo.MemoryBytes() <= small {
 		t.Fatalf("memory estimate did not grow: %d <= %d", memo.MemoryBytes(), small)
 	}
@@ -109,6 +115,7 @@ func TestStatsCounters(t *testing.T) {
 	if _, err := opt.Optimize(g, toyColor(1)); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	st := opt.Stats()
 	if st.Groups == 0 || st.Exprs == 0 || st.RulesFired == 0 ||
 		st.AlgorithmMoves == 0 || st.EnforcerMoves == 0 || st.GoalsOptimized == 0 {
@@ -132,6 +139,7 @@ func TestGroupAccessors(t *testing.T) {
 	if err := opt.Explore(g); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	if !memo.Group(g).Explored() {
 		t.Fatal("explored group claims unexplored")
 	}
@@ -144,6 +152,7 @@ func TestBudgetErrorSurfacesFromMemo(t *testing.T) {
 	opt := newToyOpt(&core.Options{Budget: core.Budget{MaxExprs: 3}})
 	g := opt.InsertQuery(leftDeepPair("a", "b", "c", "d"))
 	err := opt.Explore(g)
+	coretest.CheckMemo(t, opt)
 	if err == nil {
 		t.Fatal("expected budget error from exploration")
 	}
@@ -165,6 +174,7 @@ func TestPreoptimizedSubplansReused(t *testing.T) {
 	if _, err := opt.Optimize(sub, nil); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	goalsAfterSub := opt.Stats().GoalsOptimized
 	hitsBefore := opt.Stats().WinnerHits
 
@@ -172,6 +182,7 @@ func TestPreoptimizedSubplansReused(t *testing.T) {
 	// collapses the shared subtree onto the preoptimized class.
 	full := opt.InsertQuery(pair(pair(leaf("a"), leaf("b")), leaf("c")))
 	plan, err := opt.Optimize(full, nil)
+	coretest.CheckMemo(t, opt)
 	if err != nil || plan == nil {
 		t.Fatal(err)
 	}

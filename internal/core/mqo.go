@@ -12,12 +12,13 @@ import (
 // one query; this file extends the same machinery across a *batch* of
 // distinct-but-overlapping queries, following Roy et al., "Efficient and
 // Extensible Algorithms for Multi Query Optimization": every query's
-// tree is inserted into a common memo, the root goals run as independent
-// roots of one task-engine search (a goal claimed for one root answers
-// every other root warm), and a Volcano-SH-style greedy post-pass
-// decides, per shared winner, whether spooling its result once
-// (Materialize) and rescanning it (Reuse) beats recomputing it in every
-// plan that uses it.
+// tree is inserted into a common memo and the root goals are optimized
+// one after another by the one FindBestPlan: the winner and failure
+// tables an earlier root filled answer every later root warm, so sharing
+// needs nothing beyond the memo's look-up tables. A Volcano-SH-style
+// greedy post-pass then decides, per shared winner, whether spooling its
+// result once (Materialize) and rescanning it (Reuse) beats recomputing
+// it in every plan that uses it.
 
 // SpoolID names one materialized shared result within a batch. The
 // executor uses it to connect a Materialize operator to the Reuse
@@ -43,17 +44,19 @@ type Sharer interface {
 }
 
 // OptimizeBatchCtx optimizes a batch of root goals over this
-// optimizer's one memo, as independent roots of a single task-engine
-// search. required[i] is root i's requirement (nil means none). It
-// returns one plan per root, aligned with roots; a nil plan with a nil
-// error means the completed search proved no plan exists for that root.
-// Shared exploration is free: any goal decided for one root answers
-// every other root from the winner table.
+// optimizer's one memo, in order, each by the same FindBestPlan a single
+// Optimize call runs. required[i] is root i's requirement; a nil entry,
+// a nil slice, or a slice shorter than roots means no requirement for
+// the roots left uncovered. It returns one plan per root, aligned with
+// roots; a nil plan with a nil error means the completed search proved
+// no plan exists for that root. Shared exploration is free: any goal
+// decided for one root answers every later root from the winner table.
 //
 // The optimizer's Budget bounds the batch as a whole. On a budget stop
-// the error is the typed budget error and each undecided root degrades
-// through the anytime path (best known winner or the query as written),
-// exactly as OptimizeWithLimitCtx does for one root.
+// the error is the typed budget error; roots decided before the stop keep
+// their optimal plans, and the interrupted root and every root after it
+// degrade through the anytime path (best known winner or the query as
+// written), exactly as OptimizeWithLimitCtx does for one root.
 //
 // After the search, Stats.SharedGroups and Stats.SharedWinners count
 // the equivalence classes reachable from more than one root and the
@@ -72,7 +75,9 @@ func (o *Optimizer) OptimizeBatchCtx(ctx context.Context, roots []GroupID, requi
 			}
 			return plans, ErrBudget
 		}
-		reqs[i] = required[i]
+		if i < len(required) {
+			reqs[i] = required[i]
+		}
 		if reqs[i] == nil {
 			reqs[i] = o.model.AnyProps()
 		}
@@ -83,13 +88,11 @@ func (o *Optimizer) OptimizeBatchCtx(ctx context.Context, roots []GroupID, requi
 			o.memo.err = err
 		}
 	}
-	if o.opts.Search.Workers > 1 {
-		o.stats.SearchWorkers = o.opts.Search.Workers
-	} else {
-		o.stats.SearchWorkers = 1
-	}
-	if o.memo.err == nil {
-		plans, _ = o.parallelSearchBatch(roots, reqs, o.model.InfiniteCost())
+	limit := o.model.InfiniteCost()
+	for i, root := range roots {
+		// A budget stop is sticky in memo.err: findBestPlan then returns
+		// nil for every remaining root, which takes the fallback below.
+		plans[i], _ = o.findBestPlan(root, reqs[i], nil, limit, true)
 	}
 	o.stats.SharedGroups = o.memo.sharedGroupCount(roots)
 	o.stats.SharedWinners = sharedPlanNodeCount(plans)
@@ -110,7 +113,7 @@ func (o *Optimizer) OptimizeBatchCtx(ctx context.Context, roots []GroupID, requi
 		if plans[i] != nil {
 			continue
 		}
-		if fb := o.anytimeFallback(root, reqs[i], o.model.InfiniteCost()); fb != nil {
+		if fb := o.anytimeFallback(root, reqs[i], limit); fb != nil {
 			o.stats.AnytimeFallback = true
 			plans[i] = fb
 		}

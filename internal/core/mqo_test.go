@@ -2,17 +2,19 @@ package core_test
 
 import (
 	"context"
+	"errors"
+	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 )
 
 // mqoTrees builds a randomized overlapping batch of left-deep toy
 // queries over a small leaf pool: with five leaves and many trees,
-// prefixes collide constantly, which is exactly the sharing the
-// concurrent-insertion and batch-search paths must keep correct.
+// prefixes collide constantly, which is exactly the sharing the batch
+// path must keep correct.
 func mqoTrees(seed int64, n int) []*core.ExprTree {
 	rng := rand.New(rand.NewSource(seed))
 	pool := []string{"a", "b", "c", "d", "e"}
@@ -29,19 +31,41 @@ func mqoTrees(seed int64, n int) []*core.ExprTree {
 	return trees
 }
 
-// TestConcurrentInsertMatchesSequential: inserting randomized
-// overlapping trees into one memo from N goroutines must produce
-// exactly the group count and winner costs of sequential insertion — in
-// any insertion order. Run under -race (make test-race-core) this also
-// proves InsertTreeConcurrent's locking.
-func TestConcurrentInsertMatchesSequential(t *testing.T) {
-	trees := mqoTrees(7, 12)
+// costBits is a toy plan's cost as its float64 bit pattern: batch and
+// per-root optimization run the same engine, so their costs must agree
+// to the last bit, not within a tolerance.
+func costBits(p *core.Plan) uint64 { return math.Float64bits(float64(p.Cost.(toyCost))) }
 
-	// Sequential baselines over several insertion-order permutations:
-	// group count and per-tree optimized cost must not depend on order.
+// optimizeAlone optimizes each tree on a fresh optimizer under its
+// requirement (reqs may be nil or short, meaning none) and returns the
+// cost bits.
+func optimizeAlone(t *testing.T, trees []*core.ExprTree, reqs []core.PhysProps) []uint64 {
+	t.Helper()
+	want := make([]uint64, len(trees))
+	for i, tree := range trees {
+		var req core.PhysProps
+		if i < len(reqs) {
+			req = reqs[i]
+		}
+		o := core.NewOptimizer(&toyModel{}, nil)
+		p, err := o.Optimize(o.InsertQuery(tree), req)
+		coretest.CheckMemo(t, o)
+		if err != nil || p == nil {
+			t.Fatalf("alone %d: plan=%v err=%v", i, p, err)
+		}
+		want[i] = costBits(p)
+	}
+	return want
+}
+
+// TestInsertOrderIndependence: inserting randomized overlapping trees
+// into one memo must produce the same group count and the same optimal
+// costs in any insertion order.
+func TestInsertOrderIndependence(t *testing.T) {
+	trees := mqoTrees(7, 12)
 	rng := rand.New(rand.NewSource(11))
 	wantGroups := -1
-	var wantCosts []core.Cost
+	var wantCosts []uint64
 	for perm := 0; perm < 4; perm++ {
 		order := rng.Perm(len(trees))
 		if perm == 0 {
@@ -55,13 +79,14 @@ func TestConcurrentInsertMatchesSequential(t *testing.T) {
 			roots[i] = o.InsertQuery(trees[i])
 		}
 		groups := o.Stats().Groups
-		costs := make([]core.Cost, len(trees))
+		costs := make([]uint64, len(trees))
 		for i, root := range roots {
 			p, err := o.Optimize(root, nil)
+			coretest.CheckMemo(t, o)
 			if err != nil || p == nil {
 				t.Fatalf("perm %d tree %d: plan=%v err=%v", perm, i, p, err)
 			}
-			costs[i] = p.Cost
+			costs[i] = costBits(p)
 		}
 		if wantGroups < 0 {
 			wantGroups, wantCosts = groups, costs
@@ -72,146 +97,152 @@ func TestConcurrentInsertMatchesSequential(t *testing.T) {
 		}
 		for i := range costs {
 			if costs[i] != wantCosts[i] {
-				t.Errorf("perm %d tree %d: cost %v, want %v", perm, i, costs[i], wantCosts[i])
-			}
-		}
-	}
-
-	// Concurrent insertion from one goroutine per tree.
-	for round := 0; round < 3; round++ {
-		o := core.NewOptimizer(&toyModel{}, nil)
-		roots := make([]core.GroupID, len(trees))
-		var wg sync.WaitGroup
-		wg.Add(len(trees))
-		for i := range trees {
-			go func(i int) {
-				defer wg.Done()
-				roots[i] = o.Memo().InsertTreeConcurrent(trees[i], core.InvalidGroup)
-			}(i)
-		}
-		wg.Wait()
-		if got := o.Stats().Groups; got != wantGroups {
-			t.Errorf("round %d: concurrent insertion built %d groups, want %d", round, got, wantGroups)
-		}
-		for i, root := range roots {
-			p, err := o.Optimize(root, nil)
-			if err != nil || p == nil {
-				t.Fatalf("round %d tree %d: plan=%v err=%v", round, i, p, err)
-			}
-			if p.Cost != wantCosts[i] {
-				t.Errorf("round %d tree %d: cost %v, want %v", round, i, p.Cost, wantCosts[i])
+				t.Errorf("perm %d tree %d: cost bits %#x, want %#x", perm, i, costs[i], wantCosts[i])
 			}
 		}
 	}
 }
 
-// TestOptimizeBatchMatchesSingle: a multi-root batch search over one
-// shared memo finds, for every root, a plan of exactly the cost a
-// single-root optimization finds — at one worker and several.
+// TestOptimizeBatchMatchesSingle: a batch over one shared memo finds,
+// for every root, a plan of bit-identical cost to a single-root
+// optimization — under a full requirement slice, a nil one, and one
+// shorter than the roots (missing entries mean no requirement).
 func TestOptimizeBatchMatchesSingle(t *testing.T) {
 	trees := mqoTrees(19, 8)
-	want := make([]core.Cost, len(trees))
-	for i, tree := range trees {
-		o := core.NewOptimizer(&toyModel{}, nil)
-		p, err := o.Optimize(o.InsertQuery(tree), toyColor(1))
-		if err != nil || p == nil {
-			t.Fatalf("single %d: plan=%v err=%v", i, p, err)
-		}
-		want[i] = p.Cost
+	full := make([]core.PhysProps, len(trees))
+	for i := range full {
+		full[i] = toyColor(1)
 	}
-	for _, workers := range []int{0, 1, 4} {
+	for name, reqs := range map[string][]core.PhysProps{"full": full, "nil": nil, "short": full[:3]} {
+		want := optimizeAlone(t, trees, reqs)
 		opts := &core.Options{}
 		opts.Search.ShareMemo = true
-		opts.Search.Workers = workers
 		o := core.NewOptimizer(&toyModel{}, opts)
 		roots := make([]core.GroupID, len(trees))
-		reqs := make([]core.PhysProps, len(trees))
 		for i, tree := range trees {
 			roots[i] = o.InsertQuery(tree)
-			reqs[i] = toyColor(1)
 		}
 		plans, err := o.OptimizeBatchCtx(context.Background(), roots, reqs)
+		coretest.CheckMemo(t, o)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		for i, p := range plans {
 			if p == nil {
-				t.Fatalf("workers=%d root %d: no plan", workers, i)
+				t.Fatalf("%s root %d: no plan", name, i)
 			}
-			if p.Cost != want[i] {
-				t.Errorf("workers=%d root %d: cost %v, want %v", workers, i, p.Cost, want[i])
+			if got := costBits(p); got != want[i] {
+				t.Errorf("%s root %d: cost %v (bits %#x), want bits %#x", name, i, p.Cost, got, want[i])
 			}
 		}
 		if o.Stats().SharedGroups == 0 {
-			t.Errorf("workers=%d: overlapping batch reports no shared groups", workers)
+			t.Errorf("%s: overlapping batch reports no shared groups", name)
 		}
-		if o.Stats().SearchWorkers < 1 {
-			t.Errorf("workers=%d: SearchWorkers = %d", workers, o.Stats().SearchWorkers)
+	}
+}
+
+// TestOptimizeBatchBudgetStop: a step budget that runs out inside the
+// second root leaves the first root's plan optimal, degrades every later
+// root to an anytime plan covering its requirement, and surfaces the
+// typed budget error.
+func TestOptimizeBatchBudgetStop(t *testing.T) {
+	trees := []*core.ExprTree{
+		leftDeepPair("a", "b", "c"),
+		leftDeepPair("d", "e", "f", "g", "h"),
+		leftDeepPair("h", "g", "a"),
+	}
+	reqs := []core.PhysProps{toyColor(1), toyColor(2), toyColor(3)}
+	want := optimizeAlone(t, trees, reqs)
+
+	first := core.NewOptimizer(&toyModel{}, nil)
+	if _, err := first.Optimize(first.InsertQuery(trees[0]), reqs[0]); err != nil {
+		t.Fatal(err)
+	}
+	opts := &core.Options{}
+	opts.Search.ShareMemo = true
+	opts.Budget.MaxSteps = first.Stats().Steps() + 3
+	o := core.NewOptimizer(&toyModel{}, opts)
+	roots := make([]core.GroupID, len(trees))
+	for i, tree := range trees {
+		roots[i] = o.InsertQuery(tree)
+	}
+	plans, err := o.OptimizeBatchCtx(context.Background(), roots, reqs)
+	coretest.CheckMemo(t, o)
+	if !errors.Is(err, core.ErrBudget) {
+		t.Fatalf("err = %v, want a budget error", err)
+	}
+	if !errors.Is(o.Stats().StopReason, core.ErrStepBudget) {
+		t.Errorf("StopReason = %v, want ErrStepBudget", o.Stats().StopReason)
+	}
+	if plans[0] == nil || costBits(plans[0]) != want[0] {
+		t.Errorf("root 0 decided before the stop: plan %v, want cost bits %#x", plans[0], want[0])
+	}
+	for i := 1; i < len(plans); i++ {
+		p := plans[i]
+		if p == nil {
+			t.Fatalf("root %d: no anytime plan", i)
 		}
+		if !p.Delivered.Covers(reqs[i]) {
+			t.Errorf("root %d: anytime plan delivers %v, not covering %v", i, p.Delivered, reqs[i])
+		}
+		if costBits(p) < want[i] {
+			t.Errorf("root %d: anytime plan %v undercuts the optimum", i, p.Cost)
+		}
+	}
+	if !o.Stats().AnytimeFallback {
+		t.Errorf("no root took the anytime fallback; the budget did not stop the batch early")
 	}
 }
 
 // TestShareMemoThroughParallelOptimize: the ParallelOptimizeCtx routing
 // — shared memo when every job qualifies, shared-nothing otherwise —
-// returns identical costs either way, and the shared path reports
+// returns bit-identical costs either way, and the shared path reports
 // sharing. Duplicate queries collapse to the same root and need no
 // special casing.
 func TestShareMemoThroughParallelOptimize(t *testing.T) {
 	trees := mqoTrees(23, 6)
 	trees = append(trees, trees[0]) // an exact duplicate
-	baseline := make([]core.Cost, len(trees))
+	baseline := optimizeAlone(t, trees, nil)
+	opts := &core.Options{}
+	opts.Search.ShareMemo = true
+	// One model pointer for every job qualifies the batch; distinct
+	// pointers per job would disqualify it.
+	model := &toyModel{}
+	jobs := make([]core.ParallelJob, len(trees))
 	for i, tree := range trees {
-		o := core.NewOptimizer(&toyModel{}, nil)
-		p, err := o.Optimize(o.InsertQuery(tree), nil)
-		if err != nil || p == nil {
-			t.Fatalf("baseline %d: plan=%v err=%v", i, p, err)
-		}
-		baseline[i] = p.Cost
+		jobs[i] = core.ParallelJob{Model: model, Options: opts, Tree: tree}
 	}
-	for _, workers := range []int{0, 4} {
-		opts := &core.Options{}
-		opts.Search.ShareMemo = true
-		opts.Search.Workers = workers
-		jobs := make([]core.ParallelJob, len(trees))
-		for i, tree := range trees {
-			jobs[i] = core.ParallelJob{Model: &toyModel{}, Options: opts, Tree: tree}
+	results := core.ParallelOptimizeCtx(context.Background(), jobs, 2)
+	for i, r := range results {
+		if r.Err != nil || r.Plan == nil {
+			t.Fatalf("job %d: plan=%v err=%v", i, r.Plan, r.Err)
 		}
-		// Distinct model pointers per job disqualify the batch; same
-		// pointer everywhere qualifies it.
-		model := jobs[0].Model
-		for i := range jobs {
-			jobs[i].Model = model
+		if got := costBits(r.Plan); got != baseline[i] {
+			t.Errorf("job %d: cost %v (bits %#x), want bits %#x", i, r.Plan.Cost, got, baseline[i])
 		}
-		results := core.ParallelOptimizeCtx(context.Background(), jobs, 2)
-		for i, r := range results {
-			if r.Err != nil || r.Plan == nil {
-				t.Fatalf("workers=%d job %d: plan=%v err=%v", workers, i, r.Plan, r.Err)
-			}
-			if r.Plan.Cost != baseline[i] {
-				t.Errorf("workers=%d job %d: cost %v, want %v", workers, i, r.Plan.Cost, baseline[i])
-			}
-			if r.Stats.SharedGroups == 0 {
-				t.Errorf("workers=%d job %d: no shared groups reported", workers, i)
-			}
+		if r.Stats.SharedGroups == 0 {
+			t.Errorf("job %d: no shared groups reported", i)
 		}
 	}
 }
 
-// TestShareMemoValidate: the configuration contradictions ShareMemo
-// introduces are rejected up front.
+// TestShareMemoValidate: the strategies a ShareMemo batch would ignore
+// are rejected up front.
 func TestShareMemoValidate(t *testing.T) {
 	bad := []core.Options{
 		{Search: core.SearchOptions{ShareMemo: true, GlueMode: true}},
 		{Search: core.SearchOptions{ShareMemo: true, NoIncremental: true,
 			MoveFilter: func(m []core.Move) []core.Move { return m }}},
+		{Search: core.SearchOptions{ShareMemo: true},
+			Guidance: core.GuidanceOptions{SeedPlanner: core.SyntacticSeedPlanner()}},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {
 			t.Errorf("case %d: contradictory options validated", i)
 		}
 	}
-	ok := core.Options{Search: core.SearchOptions{ShareMemo: true, Workers: 4}}
+	ok := core.Options{Search: core.SearchOptions{ShareMemo: true}}
 	if err := ok.Validate(); err != nil {
-		t.Errorf("ShareMemo with workers rejected: %v", err)
+		t.Errorf("ShareMemo alone rejected: %v", err)
 	}
 }

@@ -35,28 +35,22 @@ type Options struct {
 // SearchOptions are the search-strategy toggles. The zero value is the
 // paper's exhaustive, pruned, memoizing search.
 type SearchOptions struct {
-	// Workers sets the intra-query parallelism of one optimization call:
-	// FindBestPlan activations are decomposed into goal and move tasks
-	// scheduled over this many workers sharing the memo. Values <= 1
-	// select the sequential engine — the exact recursive code path of
-	// prior versions, byte-identical in both plans and Stats counters.
-	// With Workers > 1 the pruning order (and therefore the effort
-	// counters) may differ run to run, but the final plan cost is always
-	// identical to a sequential run's. This is parallelism *within* one
-	// search; ParallelOptimize parallelizes *across* queries and composes
-	// with it (see ParallelOptimizeCtx on oversubscription).
+	// Workers is ignored: there is one search engine, the recursive
+	// FindBestPlan.
+	//
+	// Deprecated: ignored; remove with bench's core.w2_* probe.
 	Workers int
 	// ShareMemo lets ParallelOptimizeCtx target one shared memo for a
 	// whole batch: jobs over the same model and options insert their
-	// trees into a common memo, their root goals are optimized as
-	// independent roots of one task-engine search, and equivalence
+	// trees into a common memo and their root goals are optimized in job
+	// order by OptimizeBatchCtx, each later root answered warm from the
+	// winner and failure tables the earlier ones filled. Equivalence
 	// classes (and winners) reached by more than one root are counted in
 	// Stats.SharedGroups and Stats.SharedWinners. With ShareMemo off —
 	// or for batches whose jobs differ in model or options — every
-	// result is bit-identical to an independent optimization. ShareMemo
-	// batches run the task engine even when Workers <= 1 (with one
-	// worker), and the Budget bounds the batch as a whole rather than
-	// each job. See ParallelOptimizeCtx and MaterializeSharedPlans.
+	// result is bit-identical to an independent optimization. The Budget
+	// bounds a ShareMemo batch as a whole rather than each job. See
+	// ParallelOptimizeCtx and MaterializeSharedPlans.
 	ShareMemo bool
 	// NoPruning disables branch-and-bound: every move is pursued to
 	// completion regardless of the cost limit.
@@ -95,8 +89,8 @@ type SearchOptions struct {
 	// exists: where the exhaustive engine returns (nil, nil) as proof
 	// of absence, a policy run returns the best vetted fallback plan
 	// instead, and returns nil only when not even a fallback exists.
-	// Policies run on the sequential engine (Workers <= 1) and require
-	// the incremental move cache; Validate rejects other combinations.
+	// Policies require the incremental move cache; Validate rejects other
+	// combinations.
 	Policy SearchPolicy
 	// RandSeed seeds the stochastic policy's random stream. Runs with
 	// equal seeds (and no wall-clock budget) are deterministic:
@@ -208,38 +202,29 @@ func (o *Options) Validate() error {
 	if o.Search.MoveFilter != nil && !o.Search.NoIncremental {
 		return errors.New("core: Search.MoveFilter requires Search.NoIncremental — heuristics must see the complete move list of every iteration, which the incremental move cache does not replay")
 	}
-	if o.Search.Workers < 0 {
-		return fmt.Errorf("core: Search.Workers must not be negative, got %d", o.Search.Workers)
-	}
-	if o.Search.Workers > 1 && o.Search.MoveFilter != nil {
-		return errors.New("core: Search.MoveFilter requires sequential search (Search.Workers <= 1) — a heuristic move order is meaningless when moves are pursued concurrently")
-	}
-	if o.Search.Workers > 1 && o.Search.GlueMode {
-		return errors.New("core: Search.GlueMode requires sequential search (Search.Workers <= 1)")
-	}
 	if o.Search.GlueMode && o.Guidance.SeedPlanner != nil {
 		return errors.New("core: Search.GlueMode and Guidance.SeedPlanner are mutually exclusive — glue mode optimizes without property-directed limits to guide")
 	}
+	// A ShareMemo batch drives its roots through FindBestPlan directly
+	// (OptimizeBatchCtx), bypassing the per-call strategy dispatch; the
+	// strategies below would be silently ignored, so they are rejected.
 	if o.Search.ShareMemo && o.Search.GlueMode {
-		return errors.New("core: Search.ShareMemo requires the task engine, which Search.GlueMode does not run on")
+		return errors.New("core: Search.ShareMemo batches drive every root through FindBestPlan directly and would ignore Search.GlueMode")
 	}
 	if o.Search.ShareMemo && o.Search.MoveFilter != nil {
-		return errors.New("core: Search.MoveFilter requires sequential search, which Search.ShareMemo batches never use")
+		return errors.New("core: Search.ShareMemo batches drive every root through FindBestPlan directly and would ignore Search.MoveFilter")
 	}
 	if o.Search.ShareMemo && o.Guidance.SeedPlanner != nil {
-		return errors.New("core: Guidance.SeedPlanner seeds one root's limit and cannot guide a Search.ShareMemo batch of roots")
+		return errors.New("core: Search.ShareMemo batches drive every root through FindBestPlan directly and would ignore Guidance.SeedPlanner")
 	}
 	switch o.Search.Policy {
 	case PolicyExhaustive:
 	case PolicyMCTS, PolicyWidening:
-		if o.Search.Workers > 1 {
-			return errors.New("core: stochastic search policies require the sequential engine (Search.Workers <= 1)")
-		}
 		if o.Search.GlueMode {
 			return errors.New("core: Search.GlueMode and a stochastic Search.Policy are mutually exclusive")
 		}
 		if o.Search.ShareMemo {
-			return errors.New("core: Search.ShareMemo batches run the exhaustive task engine; a stochastic Search.Policy cannot drive them")
+			return errors.New("core: Search.ShareMemo batches drive every root through FindBestPlan directly and would ignore a stochastic Search.Policy")
 		}
 		if o.Search.NoIncremental || o.Search.MoveFilter != nil {
 			return errors.New("core: stochastic search policies index the incremental move cache; Search.NoIncremental and Search.MoveFilter are incompatible with them")
@@ -379,16 +364,13 @@ type Stats struct {
 	// cheapest kind of pruning, and the one a seeded limit multiplies.
 	MovesSkipped int
 
-	// SearchWorkers is the number of workers the search ran on: 1 for
-	// the sequential engine, Options.Search.Workers for the task engine.
-	SearchWorkers int
-	// TasksRun counts task executions of the parallel engine: goal
-	// starts, move pursuits (including re-executions after a wake-up),
-	// and goal finalizations. Zero for a sequential run.
+	// TasksRun is always zero.
+	//
+	// Deprecated: always zero; remove with bench's core.w2_* probe.
 	TasksRun int
-	// TasksParked counts tasks that parked on a claimed goal — suspended
-	// until the goal's owner finished — instead of spinning or
-	// duplicating the work. Zero for a sequential run.
+	// TasksParked is always zero.
+	//
+	// Deprecated: always zero; remove with bench's core.w2_* probe.
 	TasksParked int
 
 	// SharedGroups counts equivalence classes reachable from more than
@@ -440,24 +422,3 @@ type Stats struct {
 // Steps returns the number of search steps taken: moves pursued, the
 // unit Budget.MaxSteps bounds.
 func (s *Stats) Steps() int { return s.AlgorithmMoves + s.EnforcerMoves }
-
-// merge folds a worker's private counters into the shared Stats. The
-// parallel engine gives each worker its own Stats so the hot pursuit
-// loops never contend on shared counters; the workers' totals are merged
-// once, after the pool joins. Only the counters pursuit touches are
-// merged — memo-side counters (Groups, Exprs, Merges, RulesFired,
-// Bindings, MatchCalls, MovesReused) accumulate directly in the shared
-// Stats under the memo's write lock.
-func (s *Stats) merge(w *Stats) {
-	s.AlgorithmMoves += w.AlgorithmMoves
-	s.EnforcerMoves += w.EnforcerMoves
-	s.Pruned += w.Pruned
-	s.WinnerHits += w.WinnerHits
-	s.FailureHits += w.FailureHits
-	s.GoalsOptimized += w.GoalsOptimized
-	s.GoalsPruned += w.GoalsPruned
-	s.MovesSkipped += w.MovesSkipped
-	s.ConsistencyViolations += w.ConsistencyViolations
-	s.TasksRun += w.TasksRun
-	s.TasksParked += w.TasksParked
-}

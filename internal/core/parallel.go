@@ -97,21 +97,7 @@ func ParallelOptimizeCtx(ctx context.Context, jobs []ParallelJob, workers int) [
 	unique, primary := coalesceJobs(jobs)
 
 	if workers <= 0 {
-		// Compose outer (per-query) with inner (intra-query) parallelism
-		// without oversubscribing: when jobs themselves run the task
-		// engine (Options.Search.Workers > 1), the automatic pool size
-		// divides the cores among them so outer×inner stays at
-		// GOMAXPROCS. An explicit workers count is taken as given.
-		inner := 1
-		for i := range jobs {
-			if o := jobs[i].Options; o != nil && o.Search.Workers > inner {
-				inner = o.Search.Workers
-			}
-		}
-		workers = runtime.GOMAXPROCS(0) / inner
-		if workers < 1 {
-			workers = 1
-		}
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(unique) {
 		workers = len(unique)
@@ -206,10 +192,8 @@ func sharedMemoBatch(jobs []ParallelJob) bool {
 }
 
 // sharedMemoOptimize runs a qualifying batch over one shared memo: all
-// query trees are inserted into a single optimizer's memo — from one
-// goroutine per job when the configuration runs more than one search
-// worker, exercising the same write-locked path a concurrent search
-// uses — and the root goals are optimized together by OptimizeBatchCtx.
+// query trees are inserted into a single optimizer's memo and the root
+// goals are optimized in job order by OptimizeBatchCtx.
 // Duplicate queries need no special casing: their trees collapse to the
 // same class on insertion and the second root consumes the first's
 // winner warm.
@@ -225,20 +209,8 @@ func sharedMemoOptimize(ctx context.Context, jobs []ParallelJob) []ParallelResul
 	for i := range jobs {
 		reqs[i] = jobs[i].Required
 	}
-	if o.opts.Search.Workers > 1 && len(jobs) > 1 {
-		var wg sync.WaitGroup
-		wg.Add(len(jobs))
-		for i := range jobs {
-			go func(i int) {
-				defer wg.Done()
-				roots[i] = o.memo.InsertTreeConcurrent(jobs[i].Tree, InvalidGroup)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range jobs {
-			roots[i] = o.InsertQuery(jobs[i].Tree)
-		}
+	for i := range jobs {
+		roots[i] = o.InsertQuery(jobs[i].Tree)
 	}
 	plans, err := o.OptimizeBatchCtx(ctx, roots, reqs)
 	stats := *o.Stats()

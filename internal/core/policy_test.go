@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 )
 
 // Metric lets the stochastic policies scalarize toy costs for UCT
@@ -32,6 +33,7 @@ func policyOpt(t *testing.T, opts *core.Options, n int) (*core.Optimizer, core.G
 func TestPolicyMatchesExhaustiveOnSmallSpace(t *testing.T) {
 	ex, exRoot := policyOpt(t, nil, 4)
 	want, err := ex.Optimize(exRoot, toyColor(3))
+	coretest.CheckMemo(t, ex)
 	if err != nil || want == nil {
 		t.Fatalf("exhaustive optimize: plan=%v err=%v", want, err)
 	}
@@ -40,6 +42,7 @@ func TestPolicyMatchesExhaustiveOnSmallSpace(t *testing.T) {
 			Search: core.SearchOptions{Policy: pol, Episodes: 128},
 		}, 4)
 		got, err := opt.Optimize(root, toyColor(3))
+		coretest.CheckMemo(t, opt)
 		if err != nil {
 			t.Fatalf("%v: unexpected error %v", pol, err)
 		}
@@ -80,6 +83,7 @@ func TestPolicyDeterminism(t *testing.T) {
 					Budget: core.Budget{MaxSteps: 300},
 				}, 6)
 				p, err := opt.OptimizeCtx(t.Context(), root, toyColor(2))
+				coretest.CheckMemo(t, opt)
 				if p == nil {
 					t.Fatalf("%v seed=%d: no plan (err=%v)", pol, seed, err)
 				}
@@ -110,6 +114,7 @@ func TestPolicyAnytime(t *testing.T) {
 				Budget: core.Budget{MaxSteps: steps},
 			}, 6)
 			p, err := opt.Optimize(root, toyColor(1))
+			coretest.CheckMemo(t, opt)
 			if !errors.Is(err, core.ErrBudget) {
 				t.Fatalf("%v steps=%d: want budget error, got %v", pol, steps, err)
 			}
@@ -136,7 +141,6 @@ func TestPolicyAnytime(t *testing.T) {
 // TestPolicyValidate: contradictory policy configurations are rejected.
 func TestPolicyValidate(t *testing.T) {
 	bad := []core.Options{
-		{Search: core.SearchOptions{Policy: core.PolicyMCTS, Workers: 2}},
 		{Search: core.SearchOptions{Policy: core.PolicyWidening, GlueMode: true}},
 		{Search: core.SearchOptions{Policy: core.PolicyMCTS, ShareMemo: true}},
 		{Search: core.SearchOptions{Policy: core.PolicyMCTS, NoIncremental: true}},
@@ -213,6 +217,7 @@ func TestPolicyNoMetric(t *testing.T) {
 	ex := core.NewOptimizer(&noMetricModel{}, nil)
 	exRoot := ex.InsertQuery(leftDeepPair("a", "b", "c", "d"))
 	want, err := ex.Optimize(exRoot, toyColor(2))
+	coretest.CheckMemo(t, ex)
 	if err != nil || want == nil {
 		t.Fatalf("exhaustive optimize: plan=%v err=%v", want, err)
 	}
@@ -222,6 +227,7 @@ func TestPolicyNoMetric(t *testing.T) {
 		})
 		root := opt.InsertQuery(leftDeepPair("a", "b", "c", "d"))
 		got, err := opt.Optimize(root, toyColor(2))
+		coretest.CheckMemo(t, opt)
 		if err != nil {
 			t.Fatalf("%v: unexpected error %v", pol, err)
 		}
@@ -255,6 +261,7 @@ func TestPolicyTracing(t *testing.T) {
 	if _, err := opt.Optimize(root, toyColor(1)); err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
+	coretest.CheckMemo(t, opt)
 	if episodes != 8 {
 		t.Errorf("TracePolicyEpisode events = %d, want 8", episodes)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 )
 
 // toyShape is a random binary tree over distinct leaves, generated for
@@ -54,6 +55,7 @@ func TestQuickOptimumMatchesClosedForm(t *testing.T) {
 		opt := newToyOpt(nil)
 		g := opt.InsertQuery(s.tree)
 		plain, err := opt.Optimize(g, nil)
+		coretest.CheckMemo(t, opt)
 		if err != nil || plain == nil {
 			return false
 		}
@@ -62,6 +64,7 @@ func TestQuickOptimumMatchesClosedForm(t *testing.T) {
 			return false
 		}
 		colored, err := opt.Optimize(g, toyColor(2))
+		coretest.CheckMemo(t, opt)
 		if err != nil || colored == nil {
 			return false
 		}
@@ -97,6 +100,7 @@ func TestQuickPruningAndMemoInvariant(t *testing.T) {
 			opt := core.NewOptimizer(&toyModel{}, &v)
 			g := opt.InsertQuery(s.tree)
 			plan, err := opt.Optimize(g, toyColor(1))
+			coretest.CheckMemo(t, opt)
 			if err != nil || plan == nil || plan.Cost.(toyCost) != want {
 				t.Logf("options %+v: plan=%v err=%v want=%v", v, plan, err, want)
 				return false
@@ -117,6 +121,7 @@ func TestQuickDeliveredCoversRequired(t *testing.T) {
 		opt := newToyOpt(nil)
 		g := opt.InsertQuery(s.tree)
 		plan, err := opt.Optimize(g, required)
+		coretest.CheckMemo(t, opt)
 		if err != nil || plan == nil {
 			return false
 		}
@@ -152,6 +157,7 @@ func TestQuickMergeStability(t *testing.T) {
 		if err := opt.Explore(g); err != nil {
 			return false
 		}
+		coretest.CheckMemo(t, opt)
 		memo := opt.Memo()
 		ok := true
 		memo.Groups(func(grp *core.Group) {
@@ -181,6 +187,7 @@ func TestQuickMoveFilterNeverImproves(t *testing.T) {
 		exhaustive := newToyOpt(nil)
 		ge := exhaustive.InsertQuery(s.tree)
 		pe, err := exhaustive.Optimize(ge, toyColor(1))
+		coretest.CheckMemo(t, exhaustive)
 		if err != nil || pe == nil {
 			return false
 		}
@@ -202,6 +209,7 @@ func TestQuickMoveFilterNeverImproves(t *testing.T) {
 		})
 		gf := filtered.InsertQuery(s.tree)
 		pf, err := filtered.Optimize(gf, toyColor(1))
+		coretest.CheckMemo(t, filtered)
 		if err != nil {
 			return false
 		}

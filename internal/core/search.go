@@ -163,11 +163,6 @@ func (o *Optimizer) OptimizeWithLimitCtx(ctx context.Context, root GroupID, requ
 			o.memo.err = err
 		}
 	}
-	if o.opts.Search.Workers > 1 {
-		o.stats.SearchWorkers = o.opts.Search.Workers
-	} else {
-		o.stats.SearchWorkers = 1
-	}
 	var plan *Plan
 	if o.memo.err == nil {
 		switch {
@@ -178,7 +173,7 @@ func (o *Optimizer) OptimizeWithLimitCtx(ctx context.Context, root GroupID, requ
 		case o.opts.Guidance.SeedPlanner != nil:
 			plan = o.guidedOptimize(root, required, limit)
 		default:
-			plan, _ = o.searchRoot(root, required, limit, true)
+			plan, _ = o.findBestPlan(root, required, nil, limit, true)
 		}
 	}
 	if b := o.memo.MemoryBytes(); b > o.stats.PeakMemoBytes {
@@ -255,19 +250,6 @@ func (o *Optimizer) classFloor(g *Group) Cost {
 		g.floorSet = true
 	}
 	return g.floor
-}
-
-// searchRoot dispatches a top-level optimization goal to the configured
-// engine: the recursive sequential FindBestPlan, or — when
-// Options.Search.Workers asks for intra-query parallelism — the task
-// engine (see psearch.go). The two produce plans of identical cost; with
-// Workers <= 1 the sequential path below runs unchanged, byte-identical
-// to prior versions in both plans and counters.
-func (o *Optimizer) searchRoot(root GroupID, required PhysProps, limit Cost, inclusive bool) (*Plan, bool) {
-	if o.opts.Search.Workers <= 1 {
-		return o.findBestPlan(root, required, nil, limit, inclusive)
-	}
-	return o.parallelSearch(root, required, limit, inclusive)
 }
 
 // goal carries the mutable state of one FindBestPlan activation.

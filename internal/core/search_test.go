@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 )
 
 func newToyOpt(opts *core.Options) *core.Optimizer {
@@ -15,6 +16,7 @@ func TestOptimizeSingleLeaf(t *testing.T) {
 	opt := newToyOpt(nil)
 	g := opt.InsertQuery(leaf("a"))
 	plan, err := opt.Optimize(g, nil)
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,6 +32,7 @@ func TestOptimizePairCost(t *testing.T) {
 	opt := newToyOpt(nil)
 	g := opt.InsertQuery(pair(leaf("a"), leaf("b")))
 	plan, err := opt.Optimize(g, nil)
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,6 +48,7 @@ func TestColorEnforcerWins(t *testing.T) {
 	opt := newToyOpt(nil)
 	g := opt.InsertQuery(pair(leaf("a"), leaf("b")))
 	plan, err := opt.Optimize(g, toyColor(3))
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +70,7 @@ func TestExcludedVectorBlocksRedundantAlgorithm(t *testing.T) {
 	opt := newToyOpt(nil)
 	g := opt.InsertQuery(pair(leaf("a"), leaf("b")))
 	plan, err := opt.Optimize(g, toyColor(1))
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,6 +95,7 @@ func TestExplorationClosure(t *testing.T) {
 	if err := opt.Explore(g); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	memo := opt.Memo()
 	root := memo.Group(g)
 	if !root.Explored() {
@@ -125,6 +131,7 @@ func TestDuplicateDerivationsMerge(t *testing.T) {
 	if err := opt.Explore(g1); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	memo := opt.Memo()
 	if memo.Find(g1) != memo.Find(g2) {
 		t.Fatalf("classes %d and %d not merged after exploration", g1, g2)
@@ -141,6 +148,7 @@ func TestMarkElimination(t *testing.T) {
 	opt := core.NewOptimizer(&toyModel{withMarkRule: true}, nil)
 	g := opt.InsertQuery(core.Node(&toyMark{}, pair(leaf("a"), leaf("b"))))
 	plan, err := opt.Optimize(g, nil)
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,10 +171,12 @@ func TestWinnerAndFailureMemo(t *testing.T) {
 	if _, err := opt.Optimize(g, nil); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	before := opt.Stats().WinnerHits
 	if _, err := opt.Optimize(g, nil); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	if opt.Stats().WinnerHits <= before {
 		t.Fatal("second optimization did not hit the winner table")
 	}
@@ -175,6 +185,7 @@ func TestWinnerAndFailureMemo(t *testing.T) {
 	opt2 := newToyOpt(nil)
 	g2 := opt2.InsertQuery(pair(leaf("a"), leaf("b")))
 	plan, err := opt2.OptimizeWithLimit(g2, toyColor(2), toyCost(3))
+	coretest.CheckMemo(t, opt2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,10 +196,12 @@ func TestWinnerAndFailureMemo(t *testing.T) {
 	if plan, _ := opt2.OptimizeWithLimit(g2, toyColor(2), toyCost(2)); plan != nil {
 		t.Fatal("tighter retry should fail")
 	}
+	coretest.CheckMemo(t, opt2)
 	if opt2.Stats().FailureHits <= fBefore {
 		t.Fatal("tighter retry did not use the memoized failure")
 	}
 	plan, err = opt2.OptimizeWithLimit(g2, toyColor(2), toyCost(100))
+	coretest.CheckMemo(t, opt2)
 	if err != nil || plan == nil {
 		t.Fatalf("higher limit should succeed, got plan=%v err=%v", plan, err)
 	}
@@ -202,6 +215,7 @@ func TestExpressionBudget(t *testing.T) {
 	opt := newToyOpt(&core.Options{Budget: core.Budget{MaxExprs: 5}})
 	g := opt.InsertQuery(leftDeepPair("a", "b", "c", "d", "e"))
 	_, err := opt.Optimize(g, nil)
+	coretest.CheckMemo(t, opt)
 	if err == nil {
 		t.Fatal("expected budget error")
 	}
@@ -225,6 +239,7 @@ func TestMoveFilterHeuristic(t *testing.T) {
 	opt := newToyOpt(opts)
 	g := opt.InsertQuery(pair(leaf("a"), leaf("b")))
 	plan, err := opt.Optimize(g, toyColor(1))
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,12 +255,14 @@ func TestNoPruningSameOptimum(t *testing.T) {
 	base := newToyOpt(nil)
 	gb := base.InsertQuery(tree)
 	pb, err := base.Optimize(gb, toyColor(1))
+	coretest.CheckMemo(t, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	np := newToyOpt(&core.Options{Search: core.SearchOptions{NoPruning: true}})
 	gn := np.InsertQuery(tree)
 	pn, err := np.Optimize(gn, toyColor(1))
+	coretest.CheckMemo(t, np)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +278,14 @@ func TestGlueModeNeverCheaper(t *testing.T) {
 	def := newToyOpt(nil)
 	gd := def.InsertQuery(tree)
 	pd, err := def.Optimize(gd, toyColor(1))
+	coretest.CheckMemo(t, def)
 	if err != nil {
 		t.Fatal(err)
 	}
 	glue := newToyOpt(&core.Options{Search: core.SearchOptions{GlueMode: true}})
 	gg := glue.InsertQuery(tree)
 	pg, err := glue.Optimize(gg, toyColor(1))
+	coretest.CheckMemo(t, glue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,6 +310,7 @@ func TestTrace(t *testing.T) {
 	if _, err := opt.Optimize(g, nil); err != nil {
 		t.Fatal(err)
 	}
+	coretest.CheckMemo(t, opt)
 	if !strings.Contains(sb.String(), "winner") {
 		t.Fatal("no winner events traced")
 	}
@@ -301,6 +321,7 @@ func TestPlanFormatting(t *testing.T) {
 	opt := newToyOpt(nil)
 	g := opt.InsertQuery(pair(leaf("a"), leaf("b")))
 	plan, err := opt.Optimize(g, toyColor(1))
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,6 +357,7 @@ func TestConsistencyCheckRejectsLyingAlgorithms(t *testing.T) {
 	opt := core.NewOptimizer(&brokenModel{}, nil)
 	g := opt.InsertQuery(pair(leaf("a"), leaf("b")))
 	plan, err := opt.Optimize(g, toyColor(1))
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

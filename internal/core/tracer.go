@@ -102,18 +102,12 @@ type TraceEvent struct {
 	Steps int
 	// Err is the typed budget error of a budget stop.
 	Err error
-	// Worker is the 1-based id of the search worker that emitted the
-	// event under the parallel engine (Options.Search.Workers > 1);
-	// 0 for events of the sequential engine.
-	Worker int
 }
 
 // Tracer receives structured search-trace events. Implementations must
 // be cheap: the engine calls Trace synchronously from the innermost
-// search loops. A Tracer used with ParallelOptimize, or with
-// Options.Search.Workers > 1, is shared by all workers and must be
-// safe for concurrent use; parallel-search events carry the emitting
-// worker's id in TraceEvent.Worker.
+// search loops. A Tracer shared by the jobs of a ParallelOptimize pool
+// must be safe for concurrent use.
 type Tracer interface {
 	Trace(ev TraceEvent)
 }
@@ -123,13 +117,6 @@ type Tracer interface {
 // the printf-style traces earlier versions emitted, so tooling that
 // scrapes them keeps working.
 func FormatTraceEvent(ev TraceEvent) string {
-	if ev.Worker > 0 {
-		return fmt.Sprintf("[w%d] %s", ev.Worker, formatTraceEvent(ev))
-	}
-	return formatTraceEvent(ev)
-}
-
-func formatTraceEvent(ev TraceEvent) string {
 	switch ev.Kind {
 	case TraceGoalBegin:
 		return fmt.Sprintf("goal group=%d props=%s limit=%s", ev.Group, ev.Required, ev.Limit)

@@ -265,6 +265,10 @@ func TestSortAllocationBudget(t *testing.T) {
 			float64(after.Mallocs-before.Mallocs) / float64(runs)
 	}
 
+	// The scratch pools are sync.Pools, cached per P: a test goroutine
+	// that migrates between Ps misses what the previous run gave back
+	// and the warm measurement reads cold. Pin the measurement to one P.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// Two collections empty a sync.Pool, victim cache included.
 	runtime.GC()

@@ -18,8 +18,6 @@ type BenchReport struct {
 	Parallel *Sweep `json:"parallel,omitempty"`
 	// Cache holds the plan-cache serving measurements, when run.
 	Cache *CacheResult `json:"cache,omitempty"`
-	// Spar holds the intra-query parallel search A/B, when run.
-	Spar *SparResult `json:"spar,omitempty"`
 	// E2E holds the end-to-end optimize-and-execute engine A/B, when run.
 	E2E *E2EResult `json:"e2e,omitempty"`
 	// MQO holds the shared-memo multi-query optimization A/B, when run.

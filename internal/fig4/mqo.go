@@ -127,9 +127,8 @@ func mqoWorkloads(cat *rel.Catalog) []e2eWorkload {
 func mqoTotal(p *core.Plan) float64 { return p.Cost.(relopt.Cost).Total() }
 
 // RunMQO optimizes and executes the overlapping batch over generated
-// tables of about `rows` rows each. searchWorkers sets the shared
-// batch's task-engine workers (0 = one).
-func RunMQO(cfg Config, rows int64, searchWorkers int) MQOResult {
+// tables of about `rows` rows each.
+func RunMQO(cfg Config, rows int64) MQOResult {
 	cfg = cfg.Defaults()
 	if rows <= 0 {
 		rows = 200_000
@@ -195,7 +194,6 @@ func RunMQO(cfg Config, rows int64, searchWorkers int) MQOResult {
 	// one spool store.
 	onOpts := &core.Options{}
 	onOpts.Search.ShareMemo = true
-	onOpts.Search.Workers = searchWorkers
 	onJobs := make([]core.ParallelJob, len(workloads))
 	for i, w := range workloads {
 		onJobs[i] = core.ParallelJob{Model: model, Options: onOpts, Tree: w.tree, Required: w.required}

@@ -67,10 +67,6 @@ type Search struct {
 	Episodes       int64 `json:"episodes,omitempty"`
 	RolloutCommits int64 `json:"rollout_commits,omitempty"`
 
-	SearchWorkers int64 `json:"search_workers"`
-	TasksRun      int64 `json:"tasks_run"`
-	TasksParked   int64 `json:"tasks_parked"`
-
 	SharedGroups  int64 `json:"shared_groups"`
 	SharedWinners int64 `json:"shared_winners"`
 
@@ -120,10 +116,6 @@ func FromStats(s core.Stats) *Search {
 		Episodes:       int64(s.Episodes),
 		RolloutCommits: int64(s.RolloutCommits),
 
-		SearchWorkers: int64(s.SearchWorkers),
-		TasksRun:      int64(s.TasksRun),
-		TasksParked:   int64(s.TasksParked),
-
 		SharedGroups:  int64(s.SharedGroups),
 		SharedWinners: int64(s.SharedWinners),
 
@@ -150,9 +142,8 @@ func FromStats(s core.Stats) *Search {
 	return out
 }
 
-// Merge folds another projection into the receiver: counters sum,
-// SearchWorkers keeps the maximum, and the string fields keep the most
-// recent non-empty value.
+// Merge folds another projection into the receiver: counters sum, and
+// the string fields keep the most recent non-empty value.
 func (a *Search) Merge(b *Search) {
 	a.Optimizations += b.Optimizations
 	a.Groups += b.Groups
@@ -175,11 +166,6 @@ func (a *Search) Merge(b *Search) {
 	a.GoalsPruned += b.GoalsPruned
 	a.Episodes += b.Episodes
 	a.RolloutCommits += b.RolloutCommits
-	if b.SearchWorkers > a.SearchWorkers {
-		a.SearchWorkers = b.SearchWorkers
-	}
-	a.TasksRun += b.TasksRun
-	a.TasksParked += b.TasksParked
 	a.SharedGroups += b.SharedGroups
 	a.SharedWinners += b.SharedWinners
 	if b.SeedCost != "" {
@@ -241,8 +227,6 @@ func (s *Snapshot) Format() string {
 			v.GoalsOptimized, v.AlgorithmMoves+v.EnforcerMoves, v.AlgorithmMoves, v.EnforcerMoves, v.Pruned, v.MovesSkipped)
 		fmt.Fprintf(&b, "lookups:   %d winner hits, %d failure hits, %d goals failed in-limit\n",
 			v.WinnerHits, v.FailureHits, v.GoalsPruned)
-		fmt.Fprintf(&b, "engine:    %d workers, %d tasks run, %d tasks parked\n",
-			v.SearchWorkers, v.TasksRun, v.TasksParked)
 		fmt.Fprintf(&b, "sharing:   %d shared classes, %d shared winner nodes\n",
 			v.SharedGroups, v.SharedWinners)
 		if v.Episodes > 0 {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/datagen"
 	"repro/internal/exec"
 	"repro/internal/rel"
@@ -80,6 +81,7 @@ func TestDynamicPlanExecutesCorrectly(t *testing.T) {
 		opt := core.NewOptimizer(relopt.New(cat, relopt.DefaultConfig()), nil)
 		root := opt.InsertQuery(bound.Tree)
 		plan, err := opt.Optimize(root, bound.Required)
+		coretest.CheckMemo(t, opt)
 		if err != nil || plan == nil {
 			t.Fatalf("v=%d static optimize: %v", v, err)
 		}
@@ -157,6 +159,7 @@ func TestParamSelectivityAssumption(t *testing.T) {
 		opt := core.NewOptimizer(relopt.New(cat, relopt.DefaultConfig()), nil)
 		root := opt.InsertQuery(st.Tree)
 		plan, err := opt.Optimize(root, st.Required)
+		coretest.CheckMemo(t, opt)
 		if err != nil || plan == nil {
 			t.Fatalf("optimize: %v", err)
 		}

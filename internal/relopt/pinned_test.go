@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/datagen"
 	"repro/internal/rel"
 	"repro/internal/relopt"
@@ -61,16 +62,15 @@ func guidedOptimizer(cat *rel.Catalog, configure func(*core.Options)) *core.Opti
 }
 
 // runPinned optimizes every query cold under the options configure adds
-// to the guided search, and returns the summed counters and each query's
-// plan cost.
-func runPinned(t *testing.T, cat *rel.Catalog, qs []pinnedQuery, configure func(*core.Options)) (pinnedCounters, []float64) {
+// to the guided search, and returns the summed counters.
+func runPinned(t *testing.T, cat *rel.Catalog, qs []pinnedQuery, configure func(*core.Options)) pinnedCounters {
 	t.Helper()
 	var sum pinnedCounters
 	var total float64
-	costs := make([]float64, len(qs))
 	for i, pq := range qs {
 		opt := guidedOptimizer(cat, configure)
 		plan, err := opt.Optimize(opt.InsertQuery(pq.q.Root), pq.required)
+		coretest.CheckMemo(t, opt)
 		if err != nil && !errors.Is(err, core.ErrBudget) {
 			t.Fatalf("query %d: %v", i, err)
 		}
@@ -84,11 +84,10 @@ func runPinned(t *testing.T, cat *rel.Catalog, qs []pinnedQuery, configure func(
 		sum.Groups += s.Groups
 		sum.Merges += s.Merges
 		sum.Steps += s.Steps()
-		costs[i] = plan.Cost.(relopt.Cost).Total()
-		total += costs[i]
+		total += plan.Cost.(relopt.Cost).Total()
 	}
 	sum.CostBits = math.Float64bits(total)
-	return sum, costs
+	return sum
 }
 
 // TestExplorationCountersPinned holds the search's observable behaviour
@@ -117,24 +116,9 @@ func TestExplorationCountersPinned(t *testing.T) {
 		{"budgeted-mcts", budgeted(core.PolicyMCTS), pinnedCounters{Exprs: 11488, RulesFired: 39325, Bindings: 133971, Groups: 3347, Merges: 1985, Steps: 2907, CostBits: 4727126041524826560}},
 		{"budgeted-widening", budgeted(core.PolicyWidening), pinnedCounters{Exprs: 11488, RulesFired: 39325, Bindings: 134656, Groups: 3347, Merges: 1985, Steps: 2745, CostBits: 4727132730087928644}},
 	}
-	var sequential []float64
 	for _, c := range cases {
-		got, costs := runPinned(t, cat, qs, c.configure)
-		if got != c.want {
+		if got := runPinned(t, cat, qs, c.configure); got != c.want {
 			t.Errorf("%s: counters %+v, pinned %+v", c.name, got, c.want)
-		}
-		if c.name == "exhaustive" {
-			sequential = costs
-		}
-	}
-
-	// The task engine takes the same exploration path under its write
-	// lock; two workers must price every query as the sequential engine
-	// does (two optimal plans may tie to the last bit of a float sum).
-	_, parallel := runPinned(t, cat, qs, func(o *core.Options) { o.Search.Workers = 2 })
-	for i := range qs {
-		if math.Abs(parallel[i]-sequential[i]) > 1e-12*sequential[i] {
-			t.Errorf("query %d: Workers=2 cost %v, sequential %v", i, parallel[i], sequential[i])
 		}
 	}
 }

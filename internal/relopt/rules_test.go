@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/rel"
 )
 
@@ -28,6 +29,7 @@ func optimizePlan(t *testing.T, cat *rel.Catalog, cfg Config, tree *core.ExprTre
 	opt := core.NewOptimizer(New(cat, cfg), nil)
 	root := opt.InsertQuery(tree)
 	plan, err := opt.Optimize(root, required)
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,6 +176,7 @@ func TestNLJoinOnlyWhenEnabled(t *testing.T) {
 		if err := opt.Explore(root); err != nil {
 			t.Fatal(err)
 		}
+		coretest.CheckMemo(t, opt)
 		for _, r := range New(cat, cfg).ImplementationRules() {
 			if r.Name == "join->nl-join" {
 				return true
@@ -242,6 +245,7 @@ func TestParallelRequirementPlacesExchange(t *testing.T) {
 	opt := core.NewOptimizer(New(cat, DefaultConfig()), nil)
 	root := opt.InsertQuery(joinTree(cat, cols))
 	p, err := opt.Optimize(root, required)
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/rel"
 )
 
@@ -49,6 +50,7 @@ func TestSmokeOptimizeChain(t *testing.T) {
 	root := opt.InsertQuery(chainQuery(cat, cols))
 
 	plan, err := opt.Optimize(root, nil)
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
@@ -70,6 +72,7 @@ func TestSmokeOptimizeSorted(t *testing.T) {
 
 	required := SortedOn(cols["emp.dept"])
 	plan, err := opt.Optimize(root, required)
+	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}

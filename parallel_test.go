@@ -6,6 +6,7 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -223,8 +224,8 @@ func TestParallelOptimizeBudgetIsolation(t *testing.T) {
 }
 
 // TestSharedMemoBatchMatchesIndependent: a ShareMemo batch over
-// overlapping relational queries returns, per query, exactly the
-// independently optimized cost, and reports the sharing it found.
+// overlapping relational queries returns, per query, the independently
+// optimized cost to the last bit, and reports the sharing it found.
 func TestSharedMemoBatchMatchesIndependent(t *testing.T) {
 	src := datagen.New(53)
 	cat := src.Catalog(4)
@@ -237,41 +238,38 @@ func TestSharedMemoBatchMatchesIndependent(t *testing.T) {
 	// Duplicate one query verbatim so at least two roots collapse.
 	queries = append(queries, queries[0])
 
-	serial := make([]float64, len(queries))
+	serial := make([]uint64, len(queries))
 	for i, q := range queries {
 		opt := core.NewOptimizer(model, nil)
 		plan, err := opt.Optimize(opt.InsertQuery(q.Root), relopt.SortedOn(q.OrderBy))
 		if err != nil || plan == nil {
 			t.Fatalf("serial optimize %d: %v", i, err)
 		}
-		serial[i] = plan.Cost.(relopt.Cost).Total()
+		serial[i] = math.Float64bits(plan.Cost.(relopt.Cost).Total())
 	}
 
-	for _, workers := range []int{0, 4} {
-		opts := &core.Options{}
-		opts.Search.ShareMemo = true
-		opts.Search.Workers = workers
-		jobs := make([]core.ParallelJob, len(queries))
-		for i := range jobs {
-			q := queries[i]
-			jobs[i] = core.ParallelJob{
-				Model:    model,
-				Options:  opts,
-				Tree:     q.Root,
-				Required: relopt.SortedOn(q.OrderBy),
-			}
+	opts := &core.Options{}
+	opts.Search.ShareMemo = true
+	jobs := make([]core.ParallelJob, len(queries))
+	for i := range jobs {
+		q := queries[i]
+		jobs[i] = core.ParallelJob{
+			Model:    model,
+			Options:  opts,
+			Tree:     q.Root,
+			Required: relopt.SortedOn(q.OrderBy),
 		}
-		results := core.ParallelOptimize(jobs, 1)
-		for i, r := range results {
-			if r.Err != nil || r.Plan == nil {
-				t.Fatalf("workers=%d query %d: plan=%v err=%v", workers, i, r.Plan, r.Err)
-			}
-			if got := r.Plan.Cost.(relopt.Cost).Total(); got != serial[i] {
-				t.Errorf("workers=%d query %d: shared-memo cost %v != serial %v", workers, i, got, serial[i])
-			}
-			if r.Stats.SharedGroups == 0 {
-				t.Errorf("workers=%d query %d: batch with a duplicate query reports no shared groups", workers, i)
-			}
+	}
+	results := core.ParallelOptimize(jobs, 1)
+	for i, r := range results {
+		if r.Err != nil || r.Plan == nil {
+			t.Fatalf("query %d: plan=%v err=%v", i, r.Plan, r.Err)
+		}
+		if got := math.Float64bits(r.Plan.Cost.(relopt.Cost).Total()); got != serial[i] {
+			t.Errorf("query %d: shared-memo cost %v (bits %#x) != serial bits %#x", i, r.Plan.Cost, got, serial[i])
+		}
+		if r.Stats.SharedGroups == 0 {
+			t.Errorf("query %d: batch with a duplicate query reports no shared groups", i)
 		}
 	}
 }
