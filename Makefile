@@ -35,8 +35,9 @@ bench:
 	$(GO) test -run NONE -bench 'BenchmarkFig4Volcano|BenchmarkFig4VolcanoParallel' -benchmem .
 	$(GO) test -run NONE -bench 'BenchmarkCollectMoves|BenchmarkWinnerLookup' -benchmem ./internal/core/
 
-# Transformation-rule exploration, which is nine tenths of a cold
-# optimization: ns/op, B/op and allocs/op of three cold guided
+# Transformation-rule exploration, about seven tenths of a cold
+# optimization (traced opt-fig4 core.explore_share 0.70; 0.80 on
+# opt-budgeted): ns/op, B/op and allocs/op of three cold guided
 # optimizations at each of 6, 8 and 10 relations (fixed seed).
 bench-explore:
 	$(GO) test -run NONE -bench 'BenchmarkExploreFig4' -benchmem ./internal/relopt/
@@ -109,16 +110,18 @@ bench-serve:
 
 # The repository benchmark (BENCHMARK.json, bench/) is a module of its
 # own that `go test ./...` at the root does not reach: run its tests, and
-# smoke three workloads for two seconds each. The benchmark checks every
+# smoke four workloads for two seconds each. The benchmark checks every
 # result against its oracle and exits non-zero on a wrong one. The traced
 # opt-fig4 run compiles and drives the frozen bench's core.w2_* probe,
 # the one reader of the deprecated core.SearchOptions.Workers and
-# core.Stats.TasksRun/TasksParked.
+# core.Stats.TasksRun/TasksParked. The traced opt-budgeted run at seed
+# 1994 reports core.floor_violation_share, the anytime floor's metric.
 bench-check:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload exec-analytic --seed 1993 --seconds 2 --trace 0
 	bash bench/run.sh --workload point-hot --seed 1993 --seconds 2 --trace 0
 	bash bench/run.sh --workload opt-fig4 --seed 1993 --seconds 2 --trace 1
+	bash bench/run.sh --workload opt-budgeted --seed 1994 --seconds 2 --trace 1
 
 # CPU and heap profiles of the Figure-4 hot path (serial fig4 by
 # default; override EXPERIMENT=fig4guided etc. to profile another). For

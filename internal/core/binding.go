@@ -106,7 +106,7 @@ func (m *Memo) bindChildren(pattern *Pattern, b *Binding, i int, k *bindCont, fn
 	cont := bindCont{pattern: pattern, i: i, next: k}
 	for j := 0; j < len(g.exprs); j++ {
 		sub := g.exprs[j]
-		if !kindMatches(childPat.Kind, sub.Op.Kind()) ||
+		if sub.dead || !kindMatches(childPat.Kind, sub.Op.Kind()) ||
 			len(childPat.Children) != len(sub.Inputs) {
 			continue
 		}
@@ -169,7 +169,7 @@ func (m *Memo) exploreGroup(g *Group) {
 		for i := 0; i < len(g.exprs); i++ { // g.exprs may grow while iterating
 			e := g.exprs[i]
 			for ri := range rules {
-				if e.ruleApplied(ri) {
+				if e.dead || e.ruleApplied(ri) {
 					continue
 				}
 				e.markRuleApplied(ri)

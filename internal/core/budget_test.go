@@ -116,6 +116,52 @@ func TestStepBudgetDegrades(t *testing.T) {
 	}
 }
 
+// TestBudgetStopNeverAboveSeedFloor: whatever step budget interrupts the
+// search, under every policy, the degraded plan costs no more than the
+// captured seed floor. The seed planner's estimate overshoots its own
+// floor plan, as the greedy relational seeder's can, so the seeded limit
+// admits the costlier colored-pair plans the promise order pursues first,
+// and a stop can catch the search holding one of them.
+func TestBudgetStopNeverAboveSeedFloor(t *testing.T) {
+	tree := leftDeepPair("a", "b", "c", "d")
+	overshoot := func(o *core.Optimizer, root core.GroupID, required core.PhysProps) *core.SeedPlan {
+		seed := o.SyntacticSeed(root, required)
+		if seed != nil {
+			seed.Cost = seed.Cost.Add(toyCost(20))
+		}
+		return seed
+	}
+	stops := 0
+	for _, policy := range []core.SearchPolicy{core.PolicyExhaustive, core.PolicyMCTS, core.PolicyWidening} {
+		for steps := 1; steps <= 60; steps++ {
+			opt := newToyOpt(&core.Options{
+				Budget:   core.Budget{MaxSteps: steps},
+				Search:   core.SearchOptions{Policy: policy},
+				Guidance: core.GuidanceOptions{SeedPlanner: overshoot},
+			})
+			plan, err := opt.Optimize(opt.InsertQuery(tree), toyColor(1))
+			coretest.CheckMemo(t, opt)
+			if err == nil {
+				continue
+			}
+			if !errors.Is(err, core.ErrStepBudget) {
+				t.Fatalf("%s, MaxSteps %d: err = %v", policy, steps, err)
+			}
+			stops++
+			floor := opt.Stats().SeedFloorCost
+			if plan == nil || floor == nil {
+				t.Fatalf("%s, MaxSteps %d: plan %v, floor %v", policy, steps, plan, floor)
+			}
+			if floor.Less(plan.Cost) {
+				t.Errorf("%s, MaxSteps %d: budget-stopped plan costs %v, above the seed floor %v", policy, steps, plan.Cost, floor)
+			}
+		}
+	}
+	if stops == 0 {
+		t.Fatal("no step budget stopped the search")
+	}
+}
+
 // TestDeadlineBudgetDegrades: an immediately-expiring wall-clock budget
 // surfaces ErrDeadline with a fallback plan.
 func TestDeadlineBudgetDegrades(t *testing.T) {

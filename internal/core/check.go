@@ -11,48 +11,37 @@ import "fmt"
 //   - union-find: every class resolves through Find to a live
 //     representative (merges point younger classes at older ones, so
 //     parent links only ever decrease), and a merged-away class holds no
-//     expressions, winners, or parents (an empty move cache may remain:
-//     an activation whose class merges away during its own exploration
-//     still opens one before it notices);
-//   - expressions: every stored expression sits in the expression list
-//     of the class it names, its inputs resolve to live classes, and no
-//     two expressions of different classes share (operator, canonical
-//     inputs) — within one class a merge of input classes can leave two
-//     spellings of the same expression, because merge does not rehash
-//     the parents of the classes it unifies;
+//     expressions, winners, parents, or move sets;
+//   - congruence: every live expression sits in the expression list of
+//     the class it names, its inputs name live classes, and no two live
+//     expressions, in one class or in two, share (operator, inputs);
+//     retired spellings are out of the hash table and counted by the
+//     class that lists them;
 //   - winners: no entry is left in progress; a recorded plan delivers
 //     properties covering the entry's goal and none covering its
 //     excluded vector, costs exactly the entry's recorded cost, and
 //     belongs to the entry's class.
 func (m *Memo) Check() error {
-	live := 0
 	for i, g := range m.groups {
 		id := GroupID(i + 1)
 		if p := m.parent[i]; p < 1 || p > id {
 			return fmt.Errorf("core: memo check: class %d has parent %d; merges must point at older classes", id, p)
 		}
-		if m.parent[i] == id {
-			if len(g.exprs) == 0 {
-				return fmt.Errorf("core: memo check: representative class %d has no expressions", id)
-			}
-			live += len(g.exprs)
-			continue
-		}
-		if g.exprs != nil || g.winners != nil || g.parents != nil {
-			return fmt.Errorf("core: memo check: merged-away class %d still holds expressions, winners, or parents", id)
+		if m.parent[i] != id && (g.exprs != nil || g.winners != nil || g.parents != nil || g.moveSets != nil) {
+			return fmt.Errorf("core: memo check: merged-away class %d still holds expressions, winners, parents, or move sets", id)
 		}
 	}
 
-	// Walk the live classes. Every expression is re-spelled over
-	// canonical inputs — stored inputs may predate a merge, which would
-	// hide two classes holding the same expression — and remembered in
-	// seen under its canonical hash, tagged with its class.
+	// Walk the live classes, remembering every live expression in seen
+	// under its hash.
+	live := 0
 	seen := make(map[uint64][]*Expr, m.exprCount)
 	listed := make(map[*Expr]bool, m.exprCount)
 	for i, g := range m.groups {
 		if m.parent[i] != g.id {
 			continue
 		}
+		retired := 0
 		for _, e := range g.exprs {
 			if e.group < 1 || int(e.group) > len(m.groups) || m.Find(e.group) != g.id {
 				return fmt.Errorf("core: memo check: expression %s listed in class %d names class %d", e, g.id, e.group)
@@ -61,21 +50,34 @@ func (m *Memo) Check() error {
 				return fmt.Errorf("core: memo check: expression %s listed twice in class %d", e, g.id)
 			}
 			listed[e] = true
-			canon := &Expr{Op: e.Op, Inputs: make([]GroupID, len(e.Inputs)), group: g.id}
-			for j, in := range e.Inputs {
-				if in < 1 || int(in) > len(m.groups) {
-					return fmt.Errorf("core: memo check: expression %s has input class %d, out of range", e, in)
-				}
-				canon.Inputs[j] = m.Find(in)
+			if e.dead {
+				retired++
+				continue
 			}
-			h := exprHash(canon.Op, canon.Inputs)
+			for _, in := range e.Inputs {
+				if in < 1 || int(in) > len(m.groups) || m.parent[in-1] != in {
+					return fmt.Errorf("core: memo check: expression %s has input class %d, which is not a live class", e, in)
+				}
+			}
+			h := exprHash(e.Op, e.Inputs)
 			for _, d := range seen[h] {
-				if d.group != g.id && exprEqual(d, canon.Op, canon.Inputs) {
-					return fmt.Errorf("core: memo check: classes %d and %d both hold %s", d.group, g.id, canon)
+				if !exprEqual(d, e.Op, e.Inputs) {
+					continue
 				}
+				if d.group == e.group {
+					return fmt.Errorf("core: memo check: class %d holds two spellings of %s", g.id, e)
+				}
+				return fmt.Errorf("core: memo check: classes %d and %d both hold %s", d.group, g.id, e)
 			}
-			seen[h] = append(seen[h], canon)
+			seen[h] = append(seen[h], e)
 		}
+		if retired != g.retired {
+			return fmt.Errorf("core: memo check: class %d lists %d retired spellings but counts %d", g.id, retired, g.retired)
+		}
+		if retired == len(g.exprs) {
+			return fmt.Errorf("core: memo check: representative class %d has no expressions", g.id)
+		}
+		live += len(g.exprs) - retired
 		for _, w := range g.winners {
 			for ; w != nil; w = w.next {
 				if err := m.checkWinner(g, w); err != nil {
@@ -88,7 +90,7 @@ func (m *Memo) Check() error {
 	for _, e := range m.table {
 		for ; e != nil; e = e.next {
 			stored++
-			if !listed[e] {
+			if !listed[e] || e.dead {
 				return fmt.Errorf("core: memo check: stored expression %s is in no live class", e)
 			}
 		}

@@ -58,11 +58,34 @@ func TestMemoCheckDetectsCorruption(t *testing.T) {
 			leaf := o.memo.Group(g.exprs[0].Inputs[1])
 			o.memo.parent[g.id-1] = leaf.id
 		}, "merged-away class"},
+		{"dead move set", func(o *Optimizer, g *Group) {
+			for i, d := range o.memo.groups {
+				if o.memo.parent[i] != d.id {
+					d.ensureMoveSet(keyOf(required), required)
+					return
+				}
+			}
+			t.Fatal("no merged-away class to corrupt")
+		}, "merged-away class"},
 		{"stray expression", func(o *Optimizer, g *Group) {
-			g.exprs = g.exprs[:len(g.exprs)-1]
+			for i := len(g.exprs) - 1; ; i-- {
+				if !g.exprs[i].dead {
+					g.exprs = append(g.exprs[:i], g.exprs[i+1:]...)
+					return
+				}
+			}
 		}, "in no live class"},
+		{"duplicate spelling", func(o *Optimizer, g *Group) {
+			e := g.Exprs()[0]
+			dup := &Expr{Op: e.Op, Inputs: e.Inputs, group: g.id}
+			g.exprs = append(g.exprs, dup)
+			o.memo.exprCount++
+			h := exprHash(dup.Op, dup.Inputs)
+			dup.next, o.memo.table[h] = o.memo.table[h], dup
+		}, "two spellings"},
 		{"split class", func(o *Optimizer, g *Group) {
-			dup := &Expr{Op: g.exprs[0].Op, Inputs: g.exprs[0].Inputs}
+			e := g.Exprs()[0]
+			dup := &Expr{Op: e.Op, Inputs: e.Inputs}
 			o.memo.newGroup(dup)
 			o.memo.exprCount++
 			dup.next, o.memo.table[0] = o.memo.table[0], dup

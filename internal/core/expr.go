@@ -30,6 +30,11 @@ type Expr struct {
 	// exploration terminates. Bit i corresponds to the rule at index
 	// i in the model's transformation rule list.
 	appliedRules uint64
+	// dead marks a retired spelling: a merge of one of its input classes
+	// made it identical to another stored expression, which carries on
+	// in its place. A dead expression is out of the hash table and
+	// ignored by every walk of its class's expression list.
+	dead bool
 	// next chains expressions within the memo's hash table bucket.
 	next *Expr
 }

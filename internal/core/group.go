@@ -12,12 +12,18 @@ type Group struct {
 
 	// exprs is the collection of logical expressions known to be
 	// equivalent. exprs[0] is the expression that created the group.
-	exprs []*Expr
+	// Retired (dead) spellings stay in place, since index-based walks of
+	// the list may be on the stack when a merge retires one; retired
+	// counts them. A merge drops them when it moves the list to the
+	// surviving class.
+	exprs   []*Expr
+	retired int
 
 	// parents lists every expression (in any class) that consumes this
-	// class as an input. When this class gains members through a
-	// merge, the parents' fired-rule masks are reset so multi-level
-	// patterns can re-match through the enlarged class.
+	// class as an input; retired ones linger and are skipped. When this
+	// class gains members through a merge, the parents' fired-rule masks
+	// are reset so multi-level patterns can re-match through the enlarged
+	// class, and when it merges away they are rehashed.
 	parents []*Expr
 
 	// logProps are the logical properties of the class, derived once
@@ -144,9 +150,20 @@ func (g *Group) ID() GroupID { return g.id }
 // LogicalProps returns the logical properties of the equivalence class.
 func (g *Group) LogicalProps() LogicalProps { return g.logProps }
 
-// Exprs returns the logical expressions currently in the class. The
-// slice must not be modified.
-func (g *Group) Exprs() []*Expr { return g.exprs }
+// Exprs returns the logical expressions currently in the class, without
+// retired spellings. The slice must not be modified.
+func (g *Group) Exprs() []*Expr {
+	if g.retired == 0 {
+		return g.exprs
+	}
+	live := make([]*Expr, 0, len(g.exprs)-g.retired)
+	for _, e := range g.exprs {
+		if !e.dead {
+			live = append(live, e)
+		}
+	}
+	return live
+}
 
 // Explored reports whether the group has been expanded to
 // transformation-rule fixpoint.

@@ -222,11 +222,11 @@ func (o *Optimizer) originalTree(gid GroupID, onPath map[GroupID]bool) *ExprTree
 	if onPath[gid] {
 		return nil
 	}
-	g := o.memo.Group(gid)
-	if len(g.exprs) == 0 {
+	exprs := o.memo.Group(gid).Exprs()
+	if len(exprs) == 0 {
 		return nil
 	}
-	e := g.exprs[0]
+	e := exprs[0]
 	t := &ExprTree{Op: e.Op}
 	if len(e.Inputs) > 0 {
 		onPath[gid] = true

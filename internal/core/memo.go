@@ -262,10 +262,15 @@ func (m *Memo) insertCanon(op LogicalOp, inputs []GroupID, target GroupID) (Grou
 
 // merge unifies two classes proven equivalent and returns the surviving
 // representative. Expressions move to the survivor; winner tables keep
-// the cheaper entry per property vector. Classes under optimization
-// cannot be merged mid-flight in this engine because transformations run
-// to fixpoint during exploration, before cost analysis, so in-progress
-// winner entries never collide here.
+// the cheaper entry per property vector, and in-progress marks and
+// failure limits carry over to the survivor.
+//
+// The merge keeps the memo congruence-closed: every live consumer of the
+// merged-away class is rehashed over canonical inputs (rehash). A
+// consumer that thereby becomes identical to another stored expression
+// is retired, and when the two live in different classes those classes
+// are merged in turn, recursively, until no two live expressions share a
+// canonical spelling.
 func (m *Memo) merge(a, b GroupID) GroupID {
 	a, b = m.Find(a), m.Find(b)
 	if a == b {
@@ -277,11 +282,15 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 	}
 	ga, gb := m.groups[a-1], m.groups[b-1]
 	m.parent[b-1] = a
+	// gb's list ends here, so its retired spellings are dropped rather
+	// than moved: nothing can index into the copy yet.
 	for _, e := range gb.exprs {
-		e.group = a
+		if !e.dead {
+			e.group = a
+			ga.exprs = append(ga.exprs, e)
+		}
 	}
-	ga.exprs = append(ga.exprs, gb.exprs...)
-	gb.exprs = nil
+	gb.exprs, gb.retired = nil, 0
 	for _, w := range gb.winners {
 		for ; w != nil; w = w.next {
 			dst := ga.ensureWinner(w.props, w.excluded)
@@ -297,10 +306,7 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 			}
 			// Failures survive with their strongest limit, symmetric
 			// with the representative's own entries, which also predate
-			// the unification. (In this engine transformations run to
-			// fixpoint before cost analysis, so merges precede the
-			// winner entries of the classes they touch; the carry-over
-			// matters only for bookkeeping and inspection.)
+			// the unification.
 			if w.failedLimit != nil &&
 				(dst.failedLimit == nil || dst.failedLimit.Less(w.failedLimit)) {
 				dst.failedLimit = w.failedLimit
@@ -322,9 +328,13 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 	// operator rule binds input classes as opaque leaves — so only
 	// their bits are cleared.
 	ga.explored = false
+	moved := gb.parents
 	ga.parents = append(ga.parents, gb.parents...)
 	gb.parents = nil
 	for _, p := range ga.parents {
+		if p.dead {
+			continue
+		}
 		p.appliedRules &^= m.multiMask
 		pg := m.groups[m.Find(p.group)-1]
 		pg.explored = false
@@ -332,7 +342,45 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 	if m.stats != nil {
 		m.stats.Merges++
 	}
-	return a
+	// The consumers of gb now name a merged-away class: re-key them.
+	for _, p := range moved {
+		if !p.dead {
+			m.rehash(p)
+		}
+	}
+	return m.Find(a)
+}
+
+// rehash re-keys a live expression whose inputs may name merged-away
+// classes: it unlinks the expression from its hash bucket, canonicalizes
+// its inputs in place and looks the new spelling up. If another live
+// expression already has that spelling, this one is retired and the two
+// classes, if different, are merged; otherwise it is relinked under the
+// new hash.
+func (m *Memo) rehash(p *Expr) {
+	h := exprHash(p.Op, p.Inputs)
+	if e := m.table[h]; e == p {
+		if p.next == nil {
+			delete(m.table, h)
+		} else {
+			m.table[h] = p.next
+		}
+	} else {
+		for ; e.next != p; e = e.next {
+		}
+		e.next = p.next
+	}
+	m.canon(p.Inputs)
+	if twin := m.lookup(p.Op, p.Inputs); twin != nil {
+		p.dead, p.next = true, nil
+		m.exprCount--
+		m.groups[m.Find(p.group)-1].retired++
+		m.merge(p.group, twin.group)
+		return
+	}
+	h = exprHash(p.Op, p.Inputs)
+	p.next = m.table[h]
+	m.table[h] = p
 }
 
 // InsertTree inserts a whole expression tree, bottom-up. Leaf references
@@ -372,7 +420,7 @@ func (m *Memo) MemoryBytes() int {
 	)
 	bytes := 0
 	m.Groups(func(g *Group) {
-		bytes += groupBytes + exprBytes*len(g.exprs) +
+		bytes += groupBytes + exprBytes*(len(g.exprs)-g.retired) +
 			winnerBytes*g.winnerCount() + moveBytes*g.moveCount()
 	})
 	return bytes

@@ -73,6 +73,70 @@ func TestMergeUnifiesWinners(t *testing.T) {
 	}
 }
 
+// TestMergeRetiresDuplicateSpelling: a class holding PAIR[a b] and
+// PAIR[a m] keeps one live spelling once MARK(b) proves m ≡ b, and
+// exploring it fires exactly the rules that a class which never held the
+// second spelling fires — none on the retired one.
+func TestMergeRetiresDuplicateSpelling(t *testing.T) {
+	explore := func(second bool) (live, fired int) {
+		opt := core.NewOptimizer(&toyModel{withMarkRule: true}, nil)
+		memo := opt.Memo()
+		a := opt.InsertQuery(leaf("a"))
+		b := opt.InsertQuery(leaf("b"))
+		m := opt.InsertQuery(core.Node(&toyMark{}, leaf("b")))
+		q := opt.InsertQuery(pair(leaf("a"), leaf("b")))
+		if second {
+			memo.Insert(&toyPair{}, []core.GroupID{a, m}, q)
+		}
+		if err := opt.Explore(m); err != nil {
+			t.Fatal(err)
+		}
+		if memo.Find(m) != memo.Find(b) {
+			t.Fatal("MARK(b) not merged with b")
+		}
+		before := opt.Stats().RulesFired
+		if err := opt.Explore(q); err != nil {
+			t.Fatal(err)
+		}
+		coretest.CheckMemo(t, opt)
+		return len(memo.Group(q).Exprs()), opt.Stats().RulesFired - before
+	}
+	wantLive, wantFired := explore(false)
+	live, fired := explore(true)
+	if live != wantLive || fired != wantFired {
+		t.Errorf("with a retired spelling: %d live expressions, %d rules fired; without: %d, %d",
+			live, fired, wantLive, wantFired)
+	}
+}
+
+// TestCongruentConsumersMergeClasses: consumers in different classes
+// that a merge of their inputs makes identical merge their classes, and
+// the closure carries up to their own consumers.
+func TestCongruentConsumersMergeClasses(t *testing.T) {
+	opt := core.NewOptimizer(&toyModel{withMarkRule: true}, nil)
+	memo := opt.Memo()
+	ab := pair(leaf("a"), leaf("b"))
+	amb := pair(leaf("a"), core.Node(&toyMark{}, leaf("b")))
+	q1, q2 := opt.InsertQuery(ab), opt.InsertQuery(amb)
+	r1, r2 := opt.InsertQuery(pair(ab, leaf("c"))), opt.InsertQuery(pair(amb, leaf("c")))
+	if memo.Find(q1) == memo.Find(q2) {
+		t.Fatal("PAIR[a b] and PAIR[a MARK(b)] share a class before any rule fired")
+	}
+	if err := opt.Explore(opt.InsertQuery(core.Node(&toyMark{}, leaf("b")))); err != nil {
+		t.Fatal(err)
+	}
+	coretest.CheckMemo(t, opt)
+	if memo.Find(q1) != memo.Find(q2) {
+		t.Errorf("PAIR[a b] and PAIR[a MARK(b)] stay in classes %d and %d after MARK(b) ≡ b", memo.Find(q1), memo.Find(q2))
+	}
+	if memo.Find(r1) != memo.Find(r2) {
+		t.Errorf("their consumers stay in classes %d and %d", memo.Find(r1), memo.Find(r2))
+	}
+	if n := len(memo.Group(q1).Exprs()); n != 1 {
+		t.Errorf("merged class holds %d live spellings of PAIR[a b], want 1", n)
+	}
+}
+
 func TestFindPathHalving(t *testing.T) {
 	opt, memo := newMemo()
 	g := opt.InsertQuery(leftDeepPair("a", "b", "c", "d"))

@@ -110,13 +110,7 @@ func (o *Optimizer) OptimizeBatchCtx(ctx context.Context, roots []GroupID, requi
 	// known at the stop alongside the typed budget error.
 	o.stats.StopReason = err
 	for i, root := range roots {
-		if plans[i] != nil {
-			continue
-		}
-		if fb := o.anytimeFallback(root, reqs[i], limit); fb != nil {
-			o.stats.AnytimeFallback = true
-			plans[i] = fb
-		}
+		plans[i] = o.withFallback(root, reqs[i], limit, plans[i])
 	}
 	return plans, err
 }
@@ -138,7 +132,7 @@ func (m *Memo) sharedGroupCount(roots []GroupID) int {
 				return
 			}
 			seen[g] = true
-			for _, e := range m.groups[g-1].exprs {
+			for _, e := range m.groups[g-1].Exprs() {
 				for _, in := range e.Inputs {
 					visit(in)
 				}

@@ -308,7 +308,9 @@ func (mv *Move) Name() string {
 type Stats struct {
 	// Groups is the number of equivalence classes created.
 	Groups int
-	// Exprs is the number of distinct logical expressions stored.
+	// Exprs is the number of distinct logical expressions stored,
+	// counting spellings a later merge retired (Memo.ExprCount is the
+	// live number).
 	Exprs int
 	// Merges is the number of class unifications performed.
 	Merges int
@@ -415,7 +417,8 @@ type Stats struct {
 	// AnytimeFallback reports that the returned plan came from the
 	// degradation path — a previously recorded root winner, the seed
 	// plan, or the query as written — rather than from the stopped
-	// search activation itself.
+	// search activation itself, which returned nothing or a costlier
+	// plan.
 	AnytimeFallback bool
 }
 

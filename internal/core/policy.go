@@ -480,14 +480,9 @@ func (o *Optimizer) policyOptimize(root GroupID, required PhysProps, limit Cost)
 	}
 	if o.memo.err != nil {
 		// Budget stop: hand the best episode result (possibly nil) to
-		// the caller's anytime epilogue, which falls back through the
-		// committed root winner, the seed floor, and the query as
-		// written.
+		// the caller's anytime epilogue, which takes the cheaper of it
+		// and the fallback ladder.
 		return best
 	}
-	if fb := o.anytimeFallback(root, required, limit); fb != nil && (best == nil || fb.Cost.Less(best.Cost)) {
-		best = fb
-		o.stats.AnytimeFallback = true
-	}
-	return best
+	return o.withFallback(root, required, limit, best)
 }

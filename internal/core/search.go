@@ -136,10 +136,13 @@ func (o *Optimizer) OptimizeWithLimit(root GroupID, required PhysProps, limit Co
 //     only means not even a fallback within the limit exists.
 //   - (plan?, err) with errors.Is(err, ErrBudget): the context was
 //     canceled or a Budget bound was exhausted. The search degrades
-//     gracefully instead of failing: plan, when non-nil, is the best
-//     complete, consistency-checked plan known at the stop — the root
-//     winner found so far, the guided seed plan, or the query as
-//     written — and Stats.StopReason records what stopped the search.
+//     gracefully instead of failing: plan, when non-nil, is the cheapest
+//     complete, consistency-checked plan known at the stop — what the
+//     interrupted search returned, the root winner found so far, the
+//     seed plan, or the query as written — so it never costs more than
+//     the seed floor (Stats.SeedFloorCost) when one was captured.
+//     Stats.StopReason records what stopped the search, and
+//     Stats.AnytimeFallback that a fallback beat the search's own plan.
 //     plan is nil only when not even a fallback plan within the limit
 //     exists.
 //
@@ -192,12 +195,7 @@ func (o *Optimizer) OptimizeWithLimitCtx(ctx context.Context, root GroupID, requ
 	// Anytime degradation: surface the best complete plan known at the
 	// stop alongside the typed budget error.
 	o.stats.StopReason = err
-	if plan == nil {
-		if fb := o.anytimeFallback(root, required, limit); fb != nil {
-			o.stats.AnytimeFallback = true
-			plan = fb
-		}
-	}
+	plan = o.withFallback(root, required, limit, plan)
 	if o.tracer != nil {
 		o.tracer.Trace(TraceEvent{Kind: TraceBudgetStop, Group: root,
 			Required: required, Steps: o.stats.Steps(), Err: err})
@@ -205,16 +203,28 @@ func (o *Optimizer) OptimizeWithLimitCtx(ctx context.Context, root GroupID, requ
 	return plan, err
 }
 
-// anytimeFallback produces the degraded result for a budget-stopped
-// search whose interrupted activation returned no plan: the cheapest of
-// the root winner recorded by an earlier guided stage, the seed
-// planner's complete plan if it captured one, and — as the last resort
-// — the query costed as written with transformations disabled. Every
-// candidate is a complete, consistency-checked plan; candidates not
-// covering the requirement or exceeding the caller's limit are
-// rejected, and nil is returned only when no fallback within the limit
-// exists. Taking the minimum guarantees that, when the seed floor
-// exists, the degraded result never costs more than the floor.
+// withFallback is the one place the anytime floor is enforced: on every
+// budget stop, and when a stochastic policy finishes, it returns the
+// cheaper of the plan the search produced (possibly nil) and
+// anytimeFallback's candidate, and sets Stats.AnytimeFallback when the
+// fallback wins.
+func (o *Optimizer) withFallback(root GroupID, required PhysProps, limit Cost, plan *Plan) *Plan {
+	if fb := o.anytimeFallback(root, required, limit); fb != nil && (plan == nil || fb.Cost.Less(plan.Cost)) {
+		o.stats.AnytimeFallback = true
+		return fb
+	}
+	return plan
+}
+
+// anytimeFallback produces the fallback candidate for a degraded result:
+// the cheapest of the root winner recorded so far, the seed planner's
+// complete plan if it captured one, and — as the last resort — the query
+// costed as written with transformations disabled. Every candidate is a
+// complete, consistency-checked plan; candidates not covering the
+// requirement or exceeding the caller's limit are rejected, and nil is
+// returned only when no fallback within the limit exists. Taking the
+// minimum guarantees that, when the seed floor exists, the degraded
+// result never costs more than the floor.
 func (o *Optimizer) anytimeFallback(root GroupID, required PhysProps, limit Cost) *Plan {
 	var best *Plan
 	offer := func(p *Plan) {
@@ -394,13 +404,15 @@ func (o *Optimizer) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 		curGen uint64
 	)
 	for {
-		gid = o.memo.Find(gid)
-		g = o.memo.groups[gid-1]
-		o.memo.exploreGroup(g)
+		o.memo.exploreGroup(o.memo.groups[o.memo.Find(gid)-1])
 		if o.memo.err != nil {
 			s.transient = true
 			break
 		}
+		// Resolved after exploring, so a class that merged away during
+		// its own exploration never opens a move set.
+		gid = o.memo.Find(gid)
+		g = o.memo.groups[gid-1]
 		nExprs := len(g.exprs)
 
 		var moves []Move
@@ -519,7 +531,7 @@ func (o *Optimizer) collectMoves(g *Group, required PhysProps) []Move {
 			e := g.exprs[i]
 			// The O(1) root test screens the pair before it counts as a
 			// match attempt — same convention as exploreGroup.
-			if !kindMatches(rule.Pattern.Kind, e.Op.Kind()) ||
+			if e.dead || !kindMatches(rule.Pattern.Kind, e.Op.Kind()) ||
 				len(rule.Pattern.Children) != len(e.Inputs) {
 				continue
 			}
@@ -567,7 +579,7 @@ func (o *Optimizer) collectMovesInto(ms *moveSet, g *Group, required PhysProps) 
 			e := g.exprs[i]
 			// Root-kind screening, as in collectMoves: a pair the O(1)
 			// test rejects is not a match attempt.
-			if !kindMatches(rule.Pattern.Kind, e.Op.Kind()) ||
+			if e.dead || !kindMatches(rule.Pattern.Kind, e.Op.Kind()) ||
 				len(rule.Pattern.Children) != len(e.Inputs) {
 				continue
 			}

@@ -24,7 +24,8 @@ var benchPlan *core.Plan
 // BenchmarkExploreFig4 is the package-level handle on what the
 // repository benchmark's opt-fig4 workload times: cold guided
 // optimization of random select-join queries at 6, 8 and 10 relations,
-// where transformation-rule exploration is nine tenths of the work. One
+// where transformation-rule exploration is about seven tenths of the
+// work (the traced core.explore_share of that workload reads 0.70). One
 // operation optimizes the level's three pinned queries (seed 1993), so
 // ns/op, B/op and allocs/op do not depend on the iteration count.
 func BenchmarkExploreFig4(b *testing.B) {
@@ -43,14 +44,15 @@ func BenchmarkExploreFig4(b *testing.B) {
 }
 
 // TestColdOptimizeAllocs caps the allocations of one cold 8-relation
-// optimization about 15% above the 7965 it measures with the matcher on
-// recycled frames, substitutes in the memo's scratch and slice-backed
-// logical properties (the closure-based binder over map-backed
-// properties took 49118), so that gain cannot silently rot.
+// optimization about 15% above the 7610 it measures with the matcher on
+// recycled frames, substitutes in the memo's scratch, slice-backed
+// logical properties and a congruence-closed memo (the closure-based
+// binder over map-backed properties took 49118; before duplicate
+// spellings were retired it was 7966), so that gain cannot silently rot.
 func TestColdOptimizeAllocs(t *testing.T) {
 	cat, qs := pinnedWorkload()
 	pq := qs[3] // the first random 8-relation query
-	const ceiling = 9200
+	const ceiling = 8750
 	if n := testing.AllocsPerRun(5, func() { optimizeCold(t, cat, pq) }); n > ceiling {
 		t.Errorf("cold 8-relation optimization allocates %.0f times, ceiling %d", n, ceiling)
 	}
