@@ -116,10 +116,12 @@ bench-serve:
 # the one reader of the deprecated core.SearchOptions.Workers and
 # core.Stats.TasksRun/TasksParked. The traced opt-budgeted run at seed
 # 1994 reports core.floor_violation_share, the anytime floor's metric.
+# The traced point-hot run prints exec.tiny_run_us, the executor's share
+# of a cached point statement.
 bench-check:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload exec-analytic --seed 1993 --seconds 2 --trace 0
-	bash bench/run.sh --workload point-hot --seed 1993 --seconds 2 --trace 0
+	bash bench/run.sh --workload point-hot --seed 1993 --seconds 2 --trace 1
 	bash bench/run.sh --workload opt-fig4 --seed 1993 --seconds 2 --trace 1
 	bash bench/run.sh --workload opt-budgeted --seed 1994 --seconds 2 --trace 1
 

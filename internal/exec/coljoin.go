@@ -2,15 +2,15 @@ package exec
 
 // ColHashJoin is the columnar hash join: the left input is drained into
 // column-major build vectors — or, when it serves stored rows, only
-// indexed where it lies — the right input probes batch by batch with the
-// whole probe-key vector hashed up front (the independent lookups
-// overlap their cache misses), and output batches are produced by
-// per-column gather loops instead of per-row header-and-copy work.
+// indexed where it lies — and its key vector indexed once; the right
+// input probes batch by batch with the whole probe-key vector looked up
+// front (the independent lookups overlap their cache misses), and output
+// batches are produced by per-column gather loops instead of per-row
+// header-and-copy work.
 type ColHashJoin struct {
 	// Left and Right are the input streams; Left builds.
 	Left, Right Iterator
-	// BuildHint pre-sizes the build storage and hash table, as in
-	// HashJoin.
+	// BuildHint pre-sizes the build storage, as in HashJoin.
 	BuildHint int
 	// KeyHint estimates the distinct build keys, as in HashJoin.
 	KeyHint int
@@ -21,11 +21,11 @@ type ColHashJoin struct {
 	size           int
 
 	// Build state: bcols holds the build rows column-major, head is the
-	// open-addressed key index (see joinTable), chain links build rows
-	// sharing a key. When the build input serves stored rows (see
-	// storedSource) bcols are the table's own column vectors and brows
-	// maps each build row to its row there, so the build copies no value
-	// the table already holds; otherwise bcols are scratch copies.
+	// key index (see joinTable), chain links build rows sharing a key.
+	// When the build input serves stored rows (see storedSource) bcols
+	// are the table's own column vectors and brows maps each build row
+	// to its row there, so the build copies no value the table already
+	// holds; otherwise bcols are scratch copies.
 	right  ColBatchIterator
 	stored bool
 	bcols  [][]int64
@@ -85,12 +85,6 @@ func (h *ColHashJoin) Open() error {
 		return err
 	}
 	h.right = asCols(h.Right)
-	tableHint := h.BuildHint
-	if h.KeyHint > 0 && h.KeyHint < tableHint {
-		tableHint = h.KeyHint
-	}
-	h.head = newJoinTable(tableHint)
-	h.chain = int32Scratch.get(h.BuildHint)
 	h.pb, h.pi, h.pn, h.hit, h.probeRow = nil, 0, 0, -1, 0
 	h.lidx = int32Scratch.get(h.size)[:h.size]
 	h.ridx = int32Scratch.get(h.size)[:h.size]
@@ -107,61 +101,49 @@ func (h *ColHashJoin) Open() error {
 			h.bcols[j] = int64Scratch.get(h.BuildHint)
 		}
 	}
-	keys, rows := 0, 0
-	index := func(k int64) {
-		h.head.grow(keys + 1)
-		if prev := h.head.put(k, int32(rows)); prev >= 0 {
-			h.chain = append(h.chain, prev)
-		} else {
-			h.chain = append(h.chain, -1)
-			keys++
-		}
-		rows++
-	}
+	// Drain the build side, then index its key vector once.
 	for {
 		cb, ok, err := build.NextColBatch()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return nil
+			break
 		}
-		if !h.stored {
-			// Copy the batch column by column: a dense batch is one bulk
-			// copy per column, a selective one gathers through Sel.
-			for j := range h.bcols {
-				if cb.Sel == nil {
-					h.bcols[j] = append(h.bcols[j], cb.Cols[j][:cb.N]...)
-					continue
-				}
-				dst, col := h.bcols[j], cb.Cols[j]
-				for _, s := range cb.Sel {
-					dst = append(dst, col[s])
-				}
-				h.bcols[j] = dst
-			}
-		}
-		first := 0 // the batch's row 0 in the stored table
 		if h.stored {
-			first = scan.next - cb.N
+			first := int32(scan.next - cb.N) // the batch's row 0 in the table
+			if cb.Sel == nil {
+				for i := range int32(cb.N) {
+					h.brows = append(h.brows, first+i)
+				}
+			} else {
+				for _, s := range cb.Sel {
+					h.brows = append(h.brows, first+s)
+				}
+			}
+			continue
 		}
-		keycol := cb.Cols[h.lpos]
-		if cb.Sel == nil {
-			for i, k := range keycol[:cb.N] {
-				if h.stored {
-					h.brows = append(h.brows, int32(first+i))
-				}
-				index(k)
+		// Copy the batch column by column: a dense batch is one bulk
+		// copy per column, a selective one gathers through Sel.
+		for j := range h.bcols {
+			if cb.Sel == nil {
+				h.bcols[j] = append(h.bcols[j], cb.Cols[j][:cb.N]...)
+				continue
 			}
-		} else {
+			dst, col := h.bcols[j], cb.Cols[j]
 			for _, s := range cb.Sel {
-				if h.stored {
-					h.brows = append(h.brows, int32(first)+s)
-				}
-				index(keycol[s])
+				dst = append(dst, col[s])
 			}
+			h.bcols[j] = dst
 		}
 	}
+	keys := joinKeys{col: h.bcols[h.lpos], n: len(h.bcols[h.lpos])}
+	if h.stored {
+		keys.sel, keys.n = h.brows, len(h.brows)
+	}
+	h.chain = int32Scratch.get(keys.n)[:keys.n]
+	h.head = buildJoinTable(keys, h.chain, h.KeyHint)
+	return nil
 }
 
 // storedSource returns the scan an operator's batches are windows of,
@@ -228,17 +210,7 @@ func (h *ColHashJoin) nextMatches() (int, error) {
 			h.hits = int32Scratch.get(h.pn)
 		}
 		h.hits = h.hits[:h.pn]
-		keycol := cb.Cols[h.rpos]
-		if cb.Sel == nil {
-			keycol = keycol[:cb.N]
-			for i, k := range keycol {
-				h.hits[i] = h.head.get(k)
-			}
-		} else {
-			for i, s := range cb.Sel {
-				h.hits[i] = h.head.get(keycol[s])
-			}
-		}
+		h.head.probe(cb.Cols[h.rpos], cb.Sel, h.hits)
 	}
 }
 

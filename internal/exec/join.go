@@ -1,5 +1,7 @@
 package exec
 
+import "math"
+
 // MergeJoin joins two streams sorted ascending on the join columns,
 // buffering the groups of equal keys on both sides so duplicate keys
 // produce the full cross product. Inputs are consumed through batch
@@ -193,13 +195,13 @@ func (m *MergeJoin) Close() error {
 type HashJoin struct {
 	// Left and Right are the input streams; Left builds.
 	Left, Right Iterator
-	// BuildHint pre-sizes the build hash table; the plan builder sets it
-	// from the optimizer's cardinality estimate so the table is
+	// BuildHint pre-sizes the build row storage; the plan builder sets
+	// it from the optimizer's cardinality estimate so the storage is
 	// allocated once instead of grown from empty.
 	BuildHint int
 	// KeyHint estimates the distinct join keys on the build side. The
-	// key index needs slots per key, not per row, so a duplicate-heavy
-	// build gets a table sized (and cache-footprinted) by its key count.
+	// key index needs entries per key, not per row, so a duplicate-heavy
+	// build gets an index sized (and cache-footprinted) by its key count.
 	KeyHint int
 
 	lpos, rpos int
@@ -208,10 +210,10 @@ type HashJoin struct {
 	size       int
 
 	// The build side is an array-chained hash table: rows holds every
-	// build row, head is an open-addressed index from key to the newest
-	// row with that key, and chain links rows sharing a key (-1 ends a
-	// chain). Flat slices instead of a map[int64][]Row keep the build to
-	// three allocations and make probes a couple of array reads.
+	// build row, head indexes each key's newest row (see joinTable), and
+	// chain links rows sharing a key (-1 ends a chain). Flat slices
+	// instead of a map[int64][]Row keep the build to three allocations
+	// and make probes a couple of array reads.
 	right BatchIterator
 	rows  []Row
 	head  joinTable
@@ -225,16 +227,32 @@ type HashJoin struct {
 	ra    rowAdapter
 }
 
-// joinTable is a linear-probing hash index from int64 join keys to row
-// indices, sized to a power of two at no more than half load. A key and
-// its row reference share one 16-byte slot, so a probe touches a single
-// cache line; ref 0 means empty (stored indices are offset by one), so
-// the empty state is all zeroes. The slots are operator scratch (see
-// scratch.go): whoever makes a table releases it.
+// joinTable is a key index from int64 keys to row indices, in one of two
+// layouts. The hash joins build it once over a drained build side
+// (buildJoinTable), which picks the layout from the keys' observed range:
+//
+//   - Dense (slots == nil): dense[k-lo] holds the row for key k, offset
+//     by one so that 0 is empty. A probe is a subtraction, one bounds
+//     check and one load: no hashing, no probe loop, no key compare. A
+//     zero joinTable is an empty dense table.
+//   - Hashed: a linear-probing table sized to a power of two at no more
+//     than half load. A key and its row reference share one 16-byte
+//     slot, so a probe touches a single cache line; ref 0 means empty
+//     (stored indices are offset by one), so the empty state is all
+//     zeroes. A join-built table keeps its keys' range too, and a probe
+//     key outside it misses without hashing: a small build probed by a
+//     large input mostly misses. Grouping builds this layout
+//     incrementally (newJoinTable, grow, lookupOrInsert).
+//
+// The slots and the dense vector are operator scratch (see scratch.go):
+// whoever makes a table releases it.
 type joinTable struct {
 	slots []joinSlot
 	mask  uint64
 	shift uint
+	dense []int32 // dense layout: row index + 1 per key - lo; 0 = empty
+	lo    int64
+	top   uint64 // hashed layout: keys lie in [lo, lo+top]
 }
 
 type joinSlot struct {
@@ -250,13 +268,99 @@ func newJoinTable(capacity int) joinTable {
 	}
 	slots := slotScratch.get(size)[:size]
 	clear(slots)
-	return joinTable{slots: slots, mask: uint64(size - 1), shift: 64 - bits}
+	return joinTable{slots: slots, mask: uint64(size - 1), shift: 64 - bits, top: math.MaxUint64}
 }
 
-// release gives the slots back to the scratch pool; the table is empty
-// afterwards.
+// denseRatio bounds the dense layout: a build takes it when its key range
+// spans fewer than denseRatio values per expected key. Below 8 the dense
+// vector (4 bytes per value of the range) is never larger than the
+// hashed table the same build would get (16-byte slots, at least two per
+// key). Memory sets the bound, not speed: BenchmarkJoinTableLayouts finds
+// the dense layout faster at every ratio it runs, up to 16.
+const denseRatio = 8
+
+// joinKeys names a drained build side's n join keys where they already
+// lie, without copying them: key i is col[i], or col[sel[i]] when sel is
+// set, or rows[i][pos] when rows is set.
+type joinKeys struct {
+	col  []int64
+	sel  []int32
+	rows []Row
+	pos  int
+	n    int
+}
+
+func (ks *joinKeys) at(i int) int64 {
+	switch {
+	case ks.rows != nil:
+		return ks.rows[i][ks.pos]
+	case ks.sel != nil:
+		return ks.col[ks.sel[i]]
+	}
+	return ks.col[i]
+}
+
+// buildJoinTable indexes a drained build side in one pass over its keys
+// and fills chain[i] with the previous build row sharing row i's key (-1
+// ends a chain), so every chain runs newest row first. keyHint estimates
+// the distinct keys (0 = unknown). The layout is dense when the keys'
+// range is small next to the keys expected, hashed otherwise.
+func buildJoinTable(keys joinKeys, chain []int32, keyHint int) joinTable {
+	n := keys.n
+	if n == 0 {
+		return joinTable{}
+	}
+	lo, hi := keys.at(0), keys.at(0)
+	for i := 1; i < n; i++ {
+		k := keys.at(i)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	expect := n
+	if keyHint > 0 && keyHint < n {
+		expect = keyHint
+	}
+	// The range in uint64 cannot overflow, whatever lo and hi are.
+	if uint64(hi)-uint64(lo) < denseRatio*uint64(expect) {
+		return denseJoinTable(keys, chain, lo, hi)
+	}
+	return hashedJoinTable(keys, chain, expect, lo, hi)
+}
+
+// denseJoinTable builds the dense layout over keys within [lo, hi].
+func denseJoinTable(keys joinKeys, chain []int32, lo, hi int64) joinTable {
+	span := int(uint64(hi)-uint64(lo)) + 1
+	dense := int32Scratch.get(span)[:span]
+	clear(dense)
+	for i := range keys.n {
+		d := &dense[keys.at(i)-lo]
+		chain[i] = *d - 1
+		*d = int32(i) + 1
+	}
+	return joinTable{dense: dense, lo: lo}
+}
+
+// hashedJoinTable builds the hashed layout over keys within [lo, hi],
+// sized for capacity keys and grown if there are more.
+func hashedJoinTable(keys joinKeys, chain []int32, capacity int, lo, hi int64) joinTable {
+	t := newJoinTable(capacity)
+	t.lo, t.top = lo, uint64(hi)-uint64(lo)
+	distinct := 0
+	for i := range keys.n {
+		t.grow(distinct + 1)
+		prev := t.put(keys.at(i), int32(i))
+		if prev < 0 {
+			distinct++
+		}
+		chain[i] = prev
+	}
+	return t
+}
+
+// release gives the slots or the dense vector back to the scratch pool;
+// the table is empty afterwards.
 func (t *joinTable) release() {
 	slotScratch.put(t.slots)
+	int32Scratch.put(t.dense)
 	*t = joinTable{}
 }
 
@@ -267,8 +371,51 @@ func (t *joinTable) hash(k int64) uint64 {
 	return (uint64(k) * 0x9e3779b97f4a7c15) >> t.shift
 }
 
-// get returns the row index stored for k, or -1.
+// get returns the newest row index stored for k, or -1.
 func (t *joinTable) get(k int64) int32 {
+	if t.slots == nil {
+		return t.getDense(k)
+	}
+	return t.getHashed(k)
+}
+
+// getDense is get on the dense layout: a key outside [lo, lo+len) wraps
+// to a large offset and misses.
+func (t *joinTable) getDense(k int64) int32 {
+	if d := uint64(k) - uint64(t.lo); d < uint64(len(t.dense)) {
+		return t.dense[d] - 1
+	}
+	return -1
+}
+
+// probe stores get(col[i]) — or get(col[sel[i]]) when sel is set — in
+// hits[i], testing the layout once for the whole vector.
+func (t *joinTable) probe(col []int64, sel []int32, hits []int32) {
+	switch {
+	case t.slots == nil && sel == nil:
+		for i, k := range col[:len(hits)] {
+			hits[i] = t.getDense(k)
+		}
+	case t.slots == nil:
+		for i, s := range sel {
+			hits[i] = t.getDense(col[s])
+		}
+	case sel == nil:
+		for i, k := range col[:len(hits)] {
+			hits[i] = t.getHashed(k)
+		}
+	default:
+		for i, s := range sel {
+			hits[i] = t.getHashed(col[s])
+		}
+	}
+}
+
+// getHashed is get on the hashed layout.
+func (t *joinTable) getHashed(k int64) int32 {
+	if uint64(k)-uint64(t.lo) > t.top {
+		return -1
+	}
 	for s := t.hash(k); ; s = (s + 1) & t.mask {
 		sl := &t.slots[s]
 		if sl.ref == 0 {
@@ -359,36 +506,22 @@ func (h *HashJoin) Open() error {
 	}
 	h.right = asBatch(h.Right)
 	h.rows = make([]Row, 0, h.BuildHint)
-	tableHint := h.BuildHint
-	if h.KeyHint > 0 && h.KeyHint < tableHint {
-		tableHint = h.KeyHint
-	}
-	h.head = newJoinTable(tableHint)
-	h.chain = make([]int32, 0, h.BuildHint)
 	h.pb, h.pi, h.hit, h.probe = nil, 0, -1, nil
 	h.ra.reset()
 	build := asBatch(h.Left)
-	keys := 0
 	for {
 		b, ok, err := build.NextBatch()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			return nil
+			break
 		}
-		for _, row := range b.Rows {
-			idx := int32(len(h.rows))
-			h.rows = append(h.rows, row)
-			h.head.grow(keys + 1)
-			if prev := h.head.put(row[h.lpos], idx); prev >= 0 {
-				h.chain = append(h.chain, prev)
-			} else {
-				h.chain = append(h.chain, -1)
-				keys++
-			}
-		}
+		h.rows = append(h.rows, b.Rows...)
 	}
+	h.chain = make([]int32, len(h.rows))
+	h.head = buildJoinTable(joinKeys{rows: h.rows, pos: h.lpos, n: len(h.rows)}, h.chain, h.KeyHint)
+	return nil
 }
 
 // NextBatch returns the next batch of joined rows.

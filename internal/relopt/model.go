@@ -142,11 +142,18 @@ func (m *Model) Enforcers() []*core.Enforcer { return m.enfs }
 // AnyProps returns the vacuous physical property vector.
 func (m *Model) AnyProps() core.PhysProps { return Any }
 
+// The identity and unreachable costs boxed once: the search asks for
+// them on every goal, and boxing a Cost allocates.
+var (
+	zeroCost     core.Cost = Cost{}
+	infiniteCost core.Cost = Infinite
+)
+
 // ZeroCost returns the additive identity of the cost ADT.
-func (m *Model) ZeroCost() core.Cost { return Cost{} }
+func (m *Model) ZeroCost() core.Cost { return zeroCost }
 
 // InfiniteCost returns the unreachable cost.
-func (m *Model) InfiniteCost() core.Cost { return Infinite }
+func (m *Model) InfiniteCost() core.Cost { return infiniteCost }
 
 var (
 	_ core.Commuter  = (*Model)(nil)
