@@ -82,11 +82,11 @@ func TestRowsMatchCatalog(t *testing.T) {
 	}
 }
 
-// TestScaledCatalogDeterministic: the e2e experiment's reproducibility
-// rests on one seed pinning the whole dataset — two sources built from
-// the same seed must produce identical scaled catalogs and identical
-// table contents, and a different seed must actually change the data
-// (so volcano-bench -seed is not a no-op).
+// TestScaledCatalogDeterministic: the benchmark's reproducibility rests
+// on one seed pinning the whole dataset — two sources built from the
+// same seed must produce identical scaled catalogs and identical table
+// contents, and a different seed must actually change the data (so
+// bench/run.sh --seed is not a no-op).
 func TestScaledCatalogDeterministic(t *testing.T) {
 	const rows = 2000
 	gen := func(seed int64) (map[string]int64, map[string][][]int64) {

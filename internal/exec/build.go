@@ -73,9 +73,12 @@ func BuildPlanOpts(ctx context.Context, db *DB, plan *core.Plan, params []int64,
 		if keys := sortKeysFor(plan, schema); len(keys) > 0 {
 			g := NewGatherOrdered(parts, keys)
 			g.SetBatchSize(opts.BatchSize)
+			g.ctx = ctx
 			return g, schema, nil
 		}
-		return NewGather(parts), schema, nil
+		g := NewGather(parts)
+		g.ctx = ctx
+		return g, schema, nil
 	}
 	return b.build(plan, -1)
 }

@@ -89,6 +89,11 @@ type exchangeState struct {
 
 	producers []Iterator
 
+	// parent is the caller's context, checked once per batch a port
+	// hands out: producers that queued every batch before a cancel
+	// must not let the ports report a clean end-of-stream. ctx derives
+	// from it and is also canceled when the producers finish normally.
+	parent context.Context
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -124,6 +129,7 @@ func newExchangeState(ctx context.Context, degree, pos, size int, keys []sortKey
 		size:      sizeOrDefault(size),
 		keys:      keys,
 		producers: producers,
+		parent:    ctx,
 		done:      make([]chan struct{}, degree),
 		allDone:   make(chan struct{}),
 	}
@@ -325,6 +331,9 @@ func (p *exchangePort) Open() error {
 
 // NextBatch returns the next batch routed to this partition.
 func (p *exchangePort) NextBatch() (*Batch, bool, error) {
+	if err := p.st.parent.Err(); err != nil {
+		return nil, false, err
+	}
 	msg, ok := <-p.st.outs[p.part]
 	if !ok {
 		if err := p.st.getErr(); err != nil {
@@ -394,6 +403,9 @@ func (p *exchangePortOrdered) head(i int) (Row, bool, error) {
 
 // NextBatch returns the next batch of the partition's k-way merge.
 func (p *exchangePortOrdered) NextBatch() (*Batch, bool, error) {
+	if err := p.st.parent.Err(); err != nil {
+		return nil, false, err
+	}
 	p.out.reset()
 	for len(p.out.Rows) < p.size {
 		best := -1

@@ -1,6 +1,9 @@
 package exec
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // MergeIntersect computes set intersection of two streams sorted
 // identically on every column. Output rows are deduplicated, following
@@ -438,6 +441,10 @@ type Gather struct {
 	// Parts are the per-partition streams.
 	Parts []Iterator
 
+	// ctx, when the builder sets it, fails NextBatch once canceled;
+	// checked once per batch, since the partitions may have queued
+	// every batch before the cancel.
+	ctx     context.Context
 	batches chan gatherBatchMsg
 	stop    chan struct{}
 	open    bool
@@ -472,6 +479,11 @@ func (g *Gather) Open() error {
 
 // NextBatch returns the next batch from any partition.
 func (g *Gather) NextBatch() (*Batch, bool, error) {
+	if g.ctx != nil {
+		if err := g.ctx.Err(); err != nil {
+			return nil, false, err
+		}
+	}
 	msg, ok := <-g.batches
 	if !ok {
 		return nil, false, nil
@@ -505,6 +517,7 @@ type GatherOrdered struct {
 
 	keys []sortKey
 	size int
+	ctx  context.Context // as in Gather
 
 	chans []chan gatherBatchMsg
 	bufs  [][]Row
@@ -570,6 +583,11 @@ func (g *GatherOrdered) head(i int) (Row, bool, error) {
 
 // NextBatch returns the next batch of the k-way merge.
 func (g *GatherOrdered) NextBatch() (*Batch, bool, error) {
+	if g.ctx != nil {
+		if err := g.ctx.Err(); err != nil {
+			return nil, false, err
+		}
+	}
 	g.out.reset()
 	for len(g.out.Rows) < g.size {
 		best := -1

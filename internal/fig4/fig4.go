@@ -40,11 +40,6 @@ type Config struct {
 	ExodusMaxNodes int
 	// ExodusTimeout bounds the baseline's per-query time.
 	ExodusTimeout time.Duration
-	// Unguided disables the greedy seed planner on the Volcano side.
-	// The default (guided) is the engine's production configuration;
-	// guidance never changes plan costs, only search effort — the
-	// fig4guided experiment verifies exactly that.
-	Unguided bool
 }
 
 // Defaults fills unset fields with the paper's parameters.
@@ -97,11 +92,10 @@ type Point struct {
 	// match-call mean quantifies the rule-matching work the incremental
 	// move collection avoids.
 	VolcanoGoals, VolcanoMatchCalls, VolcanoMovesReused float64
-	// VolcanoSeedCost is the mean greedy-seed cost (guided runs only;
-	// zero when Unguided). VolcanoLimitStages, VolcanoGoalsPruned, and
-	// VolcanoMovesSkipped are the guided-search telemetry means: limit
-	// stages used, goals refuted by the bound, and moves abandoned
-	// before their inputs were optimized.
+	// VolcanoSeedCost is the mean greedy-seed cost. VolcanoLimitStages,
+	// VolcanoGoalsPruned, and VolcanoMovesSkipped are the guided-search
+	// telemetry means: limit stages used, goals refuted by the bound, and
+	// moves abandoned before their inputs were optimized.
 	VolcanoSeedCost                                             float64
 	VolcanoLimitStages, VolcanoGoalsPruned, VolcanoMovesSkipped float64
 }
@@ -115,14 +109,12 @@ func Run(cfg Config) []Point {
 
 	// The production configuration seeds the search with the greedy
 	// join-ordering planner; the planner closure is shared across
-	// queries (it is stateless beyond catalog statistics).
-	var volOpts *core.Options
-	if !cfg.Unguided {
-		volOpts = &core.Options{
-			Guidance: core.GuidanceOptions{
-				SeedPlanner: relopt.New(cat, relopt.DefaultConfig()).SeedPlanner(),
-			},
-		}
+	// queries (it is stateless beyond catalog statistics). Guidance never
+	// changes plan costs, only search effort (TestGuidedMatchesUnguided).
+	volOpts := &core.Options{
+		Guidance: core.GuidanceOptions{
+			SeedPlanner: relopt.New(cat, relopt.DefaultConfig()).SeedPlanner(),
+		},
 	}
 
 	var points []Point

@@ -14,18 +14,6 @@ type BenchReport struct {
 	Config BenchConfig `json:"config"`
 	// Points holds one entry per complexity level.
 	Points []BenchPoint `json:"points"`
-	// Parallel holds the worker-pool throughput sweep, when run.
-	Parallel *Sweep `json:"parallel,omitempty"`
-	// Cache holds the plan-cache serving measurements, when run.
-	Cache *CacheResult `json:"cache,omitempty"`
-	// E2E holds the end-to-end optimize-and-execute engine A/B, when run.
-	E2E *E2EResult `json:"e2e,omitempty"`
-	// MQO holds the shared-memo multi-query optimization A/B, when run.
-	MQO *MQOResult `json:"mqo,omitempty"`
-	// Serve holds the serving-tier load measurements, when run.
-	Serve *ServeResult `json:"serve,omitempty"`
-	// Quality holds the stochastic-policy frontier sweep, when run.
-	Quality *QualityResult `json:"quality,omitempty"`
 }
 
 // BenchConfig is the subset of Config that shapes the measurements.
@@ -61,8 +49,8 @@ type BenchPoint struct {
 }
 
 // NewBenchReport assembles a report from an experiment's inputs and
-// outputs. sweep may be nil when the parallel sweep was not run.
-func NewBenchReport(cfg Config, points []Point, sweep *Sweep) BenchReport {
+// outputs.
+func NewBenchReport(cfg Config, points []Point) BenchReport {
 	cfg = cfg.Defaults()
 	rep := BenchReport{
 		Config: BenchConfig{
@@ -72,7 +60,6 @@ func NewBenchReport(cfg Config, points []Point, sweep *Sweep) BenchReport {
 			MaxRelations:    cfg.MaxRelations,
 			Shape:           cfg.Shape.String(),
 		},
-		Parallel: sweep,
 	}
 	for _, p := range points {
 		rep.Points = append(rep.Points, BenchPoint{
@@ -125,8 +112,8 @@ func MergeBenchPoints(old, fresh []BenchPoint) []BenchPoint {
 	return merged
 }
 
-// ReadBenchJSON loads a previously written report, so a run of one
-// experiment can preserve the sections of experiments it did not rerun.
+// ReadBenchJSON loads a previously written report, so a rerun can merge
+// its levels into the existing curve (MergeBenchPoints).
 func ReadBenchJSON(path string) (BenchReport, error) {
 	var rep BenchReport
 	data, err := os.ReadFile(path)

@@ -1,266 +1,13 @@
-// Package load is an open-loop load generator for the volcano-serve
-// daemon. Arrivals are paced by a clock, not by responses — a slow
-// server does not slow the offered load down, which is what exposes
-// overload behavior (closed-loop generators self-throttle and hide
-// it). Each completed response is checked against a reference
-// fingerprint when one is supplied, so a run doubles as a correctness
-// gate: plans served under pressure (degraded, cached, coalesced) must
-// return exactly the rows the unloaded server returns.
+// Package load holds the demo statement mix that the benchmark's
+// point-hot workload (bench/) replays against the generated demo schema.
 package load
 
-import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
-	"net/http"
-	"sort"
-	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/metrics"
-	"repro/internal/serve"
-)
+import "fmt"
 
 // Statement is one workload element.
 type Statement struct {
 	SQL    string  `json:"sql"`
 	Params []int64 `json:"params,omitempty"`
-}
-
-// key identifies a statement within a workload (for reference lookup).
-func (s Statement) key() string {
-	if len(s.Params) == 0 {
-		return s.SQL
-	}
-	k := s.SQL
-	for _, p := range s.Params {
-		k += "|" + strconv.FormatInt(p, 10)
-	}
-	return k
-}
-
-// Options tune one load run.
-type Options struct {
-	// BaseURL is the daemon address, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// Client overrides http.DefaultClient.
-	Client *http.Client
-	// Rate is the open-loop arrival rate in requests/second.
-	Rate float64
-	// Duration bounds the run.
-	Duration time.Duration
-	// MaxOutstanding caps in-flight requests (a file-descriptor guard,
-	// not a closed loop: arrivals beyond the cap are dropped and
-	// counted, never queued). Default 512.
-	MaxOutstanding int
-	// Workload is cycled through in order, one statement per arrival.
-	Workload []Statement
-	// Reference maps statement keys to expected row fingerprints; when
-	// non-nil every 200 response is checked and divergence counted in
-	// Report.Mismatches.
-	Reference map[string]string
-	// TimeoutMS is attached to every request; 0 uses the server default.
-	TimeoutMS int64
-}
-
-// Report is the outcome of one run.
-type Report struct {
-	// Sent counts arrivals dispatched; Dropped counts arrivals withheld
-	// by the MaxOutstanding guard.
-	Sent    int64 `json:"sent"`
-	Dropped int64 `json:"dropped"`
-	// OK counts 200 responses; Degraded and Cached count the subsets
-	// whose envelope reported a budget-degraded or plan-cache-served
-	// plan. Shed counts 503s; Errors counts everything else (transport
-	// failures included).
-	OK       int64 `json:"ok"`
-	Degraded int64 `json:"degraded"`
-	Cached   int64 `json:"cached"`
-	Shed     int64 `json:"shed"`
-	Errors   int64 `json:"errors"`
-	// Mismatches counts 200 responses whose row multiset diverged from
-	// the reference fingerprint. Any non-zero value is a correctness
-	// bug, loaded or not.
-	Mismatches int64 `json:"mismatches"`
-	// DurationMS is the measured run length; ThroughputRPS is
-	// OK/duration.
-	DurationMS    int64   `json:"duration_ms"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	// Latency summarizes 200-response latency only: shed fast-fails
-	// would otherwise drag the quantiles down exactly when the tier is
-	// most loaded.
-	Latency metrics.Latency `json:"latency"`
-	// DegradedRate and CacheHitRate are Degraded/OK and Cached/OK.
-	DegradedRate float64 `json:"degraded_rate"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-}
-
-// FingerprintRows is the order-insensitive multiset fingerprint used
-// to compare row sets across runs: plans are free to reorder ties, so
-// identity is defined on the multiset, not the sequence.
-func FingerprintRows(rows [][]int64) string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		var b []byte
-		for _, v := range r {
-			b = strconv.AppendInt(b, v, 10)
-			b = append(b, ',')
-		}
-		keys[i] = string(b)
-	}
-	sort.Strings(keys)
-	h := fnv.New64a()
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{';'})
-	}
-	return fmt.Sprintf("%d:%016x", len(rows), h.Sum64())
-}
-
-// Collect runs every workload statement once against an unloaded
-// daemon and returns the reference fingerprint map a loaded Run is
-// gated on.
-func Collect(ctx context.Context, baseURL string, client *http.Client, workload []Statement) (map[string]string, error) {
-	if client == nil {
-		client = http.DefaultClient
-	}
-	ref := make(map[string]string, len(workload))
-	for _, st := range workload {
-		res, status, err := post(ctx, client, baseURL, st, 0)
-		if err != nil {
-			return nil, fmt.Errorf("load: reference %q: %w", st.SQL, err)
-		}
-		if status != http.StatusOK {
-			return nil, fmt.Errorf("load: reference %q: status %d", st.SQL, status)
-		}
-		ref[st.key()] = FingerprintRows(res.Rows)
-	}
-	return ref, nil
-}
-
-// post sends one /query request and decodes the response.
-func post(ctx context.Context, client *http.Client, baseURL string, st Statement, timeoutMS int64) (*serve.Result, int, error) {
-	body, err := json.Marshal(serve.Request{SQL: st.SQL, Params: st.Params, TimeoutMS: timeoutMS})
-	if err != nil {
-		return nil, 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/query", bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var drain bytes.Buffer
-		drain.ReadFrom(resp.Body)
-		return nil, resp.StatusCode, nil
-	}
-	var out serve.Result
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, resp.StatusCode, err
-	}
-	return &out, resp.StatusCode, nil
-}
-
-// Run drives one open-loop load run and reports what came back.
-func Run(ctx context.Context, opts Options) (*Report, error) {
-	if len(opts.Workload) == 0 {
-		return nil, fmt.Errorf("load: empty workload")
-	}
-	if opts.Rate <= 0 {
-		return nil, fmt.Errorf("load: rate must be positive")
-	}
-	client := opts.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	maxOut := opts.MaxOutstanding
-	if maxOut <= 0 {
-		maxOut = 512
-	}
-
-	var rep Report
-	var hist metrics.Histogram
-	var outstanding atomic.Int64
-	var wg sync.WaitGroup
-
-	interval := time.Duration(float64(time.Second) / opts.Rate)
-	if interval <= 0 {
-		interval = time.Microsecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	runCtx, cancel := context.WithTimeout(ctx, opts.Duration)
-	defer cancel()
-
-	start := time.Now()
-	next := 0
-loop:
-	for {
-		select {
-		case <-runCtx.Done():
-			break loop
-		case <-ticker.C:
-		}
-		st := opts.Workload[next%len(opts.Workload)]
-		next++
-		if outstanding.Load() >= int64(maxOut) {
-			atomic.AddInt64(&rep.Dropped, 1)
-			continue
-		}
-		outstanding.Add(1)
-		atomic.AddInt64(&rep.Sent, 1)
-		wg.Add(1)
-		go func(st Statement) {
-			defer wg.Done()
-			defer outstanding.Add(-1)
-			reqStart := time.Now()
-			res, status, err := post(ctx, client, opts.BaseURL, st, opts.TimeoutMS)
-			switch {
-			case err != nil:
-				atomic.AddInt64(&rep.Errors, 1)
-			case status == http.StatusOK:
-				hist.Observe(time.Since(reqStart))
-				atomic.AddInt64(&rep.OK, 1)
-				if res.Degraded {
-					atomic.AddInt64(&rep.Degraded, 1)
-				}
-				if res.Cached {
-					atomic.AddInt64(&rep.Cached, 1)
-				}
-				if opts.Reference != nil {
-					if want, ok := opts.Reference[st.key()]; ok && FingerprintRows(res.Rows) != want {
-						atomic.AddInt64(&rep.Mismatches, 1)
-					}
-				}
-			case status == http.StatusServiceUnavailable:
-				atomic.AddInt64(&rep.Shed, 1)
-			default:
-				atomic.AddInt64(&rep.Errors, 1)
-			}
-		}(st)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	rep.DurationMS = elapsed.Milliseconds()
-	if secs := elapsed.Seconds(); secs > 0 {
-		rep.ThroughputRPS = float64(rep.OK) / secs
-	}
-	if rep.OK > 0 {
-		rep.DegradedRate = float64(rep.Degraded) / float64(rep.OK)
-		rep.CacheHitRate = float64(rep.Cached) / float64(rep.OK)
-	}
-	rep.Latency = hist.Summary()
-	return &rep, nil
 }
 
 // ChainWorkload builds a statement mix over the generated demo schema

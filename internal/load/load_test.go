@@ -1,32 +1,11 @@
 package load
 
 import (
-	"context"
-	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/datagen"
-	"repro/internal/serve"
 	"repro/internal/vdb"
 )
-
-func TestFingerprintRows(t *testing.T) {
-	a := [][]int64{{1, 2}, {3, 4}, {1, 2}}
-	b := [][]int64{{3, 4}, {1, 2}, {1, 2}}
-	c := [][]int64{{3, 4}, {1, 2}}
-	if FingerprintRows(a) != FingerprintRows(b) {
-		t.Errorf("reordered multiset fingerprints differ")
-	}
-	if FingerprintRows(a) == FingerprintRows(c) {
-		t.Errorf("different multisets share a fingerprint")
-	}
-	// {1},{23} must not collide with {12},{3}: the encoding is
-	// per-value delimited.
-	if FingerprintRows([][]int64{{1, 23}}) == FingerprintRows([][]int64{{12, 3}}) {
-		t.Errorf("value-boundary collision")
-	}
-}
 
 func TestChainWorkload(t *testing.T) {
 	w := ChainWorkload(5, 12)
@@ -47,51 +26,4 @@ func TestChainWorkload(t *testing.T) {
 			t.Errorf("workload statement %q: %v", st.SQL, err)
 		}
 	}
-}
-
-// TestRunAgainstServer: a short open-loop run against an in-process
-// daemon completes with zero mismatches and accounts every arrival.
-func TestRunAgainstServer(t *testing.T) {
-	src := datagen.New(7)
-	cat := src.Catalog(4)
-	db := vdb.Open(cat, src.Rows(cat), &vdb.Options{Guided: true, CacheBytes: 1 << 20})
-	s := serve.New(db, nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	workload := ChainWorkload(4, 8)
-	ref, err := Collect(context.Background(), ts.URL, nil, workload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ref) != len(workload) {
-		t.Fatalf("reference covers %d/%d statements", len(ref), len(workload))
-	}
-
-	rep, err := Run(context.Background(), Options{
-		BaseURL:   ts.URL,
-		Rate:      200,
-		Duration:  500 * time.Millisecond,
-		Workload:  workload,
-		Reference: ref,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Sent == 0 {
-		t.Fatal("open loop sent nothing")
-	}
-	if rep.Mismatches != 0 {
-		t.Errorf("%d result mismatches", rep.Mismatches)
-	}
-	if rep.OK+rep.Shed+rep.Errors+rep.Dropped != rep.Sent+rep.Dropped {
-		t.Errorf("accounting leak: %+v", rep)
-	}
-	if rep.OK > 0 && rep.Latency.Count != rep.OK {
-		t.Errorf("latency histogram holds %d observations for %d OK responses",
-			rep.Latency.Count, rep.OK)
-	}
-	t.Logf("run: sent=%d ok=%d shed=%d dropped=%d errors=%d p99=%dµs cacheRate=%.2f",
-		rep.Sent, rep.OK, rep.Shed, rep.Dropped, rep.Errors,
-		rep.Latency.P99US, rep.CacheHitRate)
 }

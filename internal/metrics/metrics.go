@@ -2,9 +2,8 @@
 // serving stack. It merges the three counter families the repository
 // grew separately — the optimizer's core.Stats, the plan cache's
 // plancache.Counters, and the executor's exec.Counters — into a single
-// Snapshot, so the volcano-serve /metrics endpoint, the repl's \stats
-// command, and volcano-bench's serve experiment all render the same
-// struct instead of three hand-rolled dumps.
+// Snapshot, so the volcano-serve /metrics endpoint and the repl's \stats
+// command render the same struct instead of hand-rolled dumps.
 //
 // core.Stats itself is not JSON-stable (it carries a Cost interface
 // and error values); Search is its wire projection, with costs and

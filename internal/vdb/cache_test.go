@@ -1,6 +1,8 @@
 package vdb_test
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -124,11 +126,11 @@ func TestCacheServesQueryAndExplain(t *testing.T) {
 		t.Fatalf("cached cost %v != fresh cost %v", warm.Plan.Cost, cold.Plan.Cost)
 	}
 
-	text, err := db.Explain(sql)
+	exp, err := db.ExplainCtx(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if text[:len("-- cached\n")] != "-- cached\n" {
+	if text := exp.PlanText; !strings.HasPrefix(text, "-- cached\n") {
 		t.Fatalf("explain of a cached query lacks the cache note:\n%s", text)
 	}
 }
@@ -183,7 +185,7 @@ func TestDegradedPlansNeverCached(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prepare %d: %v", i, err)
 		}
-		if st.Degraded() == nil {
+		if st.Result().StopReason == nil {
 			t.Fatalf("prepare %d: expected a budget-degraded plan", i)
 		}
 		if st.Cached() {

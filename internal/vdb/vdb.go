@@ -308,7 +308,7 @@ func (db *DB) Prepare(sql string) (*Stmt, error) {
 // regions); fully specified queries get a single optimal plan. The
 // context cancels or deadline-bounds the optimization: a budget-stopped
 // search yields a statement carrying the best plan found (see
-// Stmt.Degraded) rather than an error.
+// Result.StopReason) rather than an error.
 func (db *DB) PrepareCtx(ctx context.Context, sql string) (*Stmt, error) {
 	st, err := sqlish.Parse(db.cat, sql)
 	if err != nil {
@@ -329,14 +329,6 @@ func (db *DB) PrepareCtx(ctx context.Context, sql string) (*Stmt, error) {
 // Result exposes the prepare-time envelope: plan, cost,
 // cache/degradation markers, and optimization timing, with no rows.
 func (s *Stmt) Result() *Result { return s.res }
-
-// Degraded reports the budget error that stopped the statement's
-// optimization, or nil when the plan is proven optimal. Degraded plans
-// are never inserted into the plan cache, so Cached and Degraded are
-// mutually exclusive.
-//
-// Deprecated: use Result().StopReason (and Result().Degraded).
-func (s *Stmt) Degraded() error { return s.res.StopReason }
 
 // Cached reports whether the statement's plan was served from the plan
 // cache rather than optimized by this Prepare call.
@@ -428,19 +420,6 @@ func (db *DB) QueryParamsCtx(ctx context.Context, sql string, params ...int64) (
 		return nil, err
 	}
 	return stmt.ExecCtx(ctx, params...)
-}
-
-// Explain parses and optimizes without executing, returning the plan
-// rendering.
-//
-// Deprecated: use ExplainCtx, whose Result carries the rendering in
-// PlanText alongside the full envelope.
-func (db *DB) Explain(sql string) (string, error) {
-	res, err := db.ExplainCtx(context.Background(), sql)
-	if err != nil {
-		return "", err
-	}
-	return res.PlanText, nil
 }
 
 // ExplainCtx parses and optimizes without executing. The Result's

@@ -102,11 +102,11 @@ func TestQueryRejectsUnboundParams(t *testing.T) {
 
 func TestExplain(t *testing.T) {
 	db := openDemo(t)
-	plan, err := db.Explain("SELECT R1.id, R1.ja, R2.v FROM R1, R2 WHERE R1.ja = R2.ja ORDER BY R1.ja")
+	res, err := db.ExplainCtx(context.Background(), "SELECT R1.id, R1.ja, R2.v FROM R1, R2 WHERE R1.ja = R2.ja ORDER BY R1.ja")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "join") || !strings.Contains(plan, "cost=") {
+	if plan := res.PlanText; !strings.Contains(plan, "join") || !strings.Contains(plan, "cost=") {
 		t.Fatalf("explain output:\n%s", plan)
 	}
 }
