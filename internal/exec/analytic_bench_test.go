@@ -3,11 +3,13 @@ package exec_test
 import (
 	"context"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/load"
 	"repro/internal/rel"
 	"repro/internal/relopt"
 	"repro/internal/sqlish"
@@ -76,6 +78,40 @@ func BenchmarkAnalyticPlans(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkPointPlans runs the GROUP BY and ORDER BY chain statements of
+// the point workloads' mix (load.ChainWorkload) over two and four of
+// their six 5 000-row tables: the statements whose joins projection
+// pushdown at build narrows.
+func BenchmarkPointPlans(b *testing.B) {
+	cat, db := analyticDB(b, 6, 5000)
+	seen := map[string]bool{}
+	for _, st := range load.ChainWorkload(6, 16) {
+		kind := "orderby"
+		switch {
+		case strings.Contains(st.SQL, "GROUP BY"):
+			kind = "groupby"
+		case !strings.Contains(st.SQL, "ORDER BY"):
+			continue
+		}
+		tables := strings.Count(st.SQL, " = R") + 1 // one equi-join per link
+		if (tables != 2 && tables != 4) || seen[st.SQL] {
+			continue
+		}
+		seen[st.SQL] = true
+		plan := analyticPlan(b, cat, st.SQL)
+		b.Run(kind+"/tables="+strconv.Itoa(tables), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, _, err := exec.RunOpts(context.Background(), db, plan, nil, exec.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkRows = len(rows)
+			}
+		})
 	}
 }
 

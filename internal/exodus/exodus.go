@@ -341,7 +341,7 @@ func (o *Optimizer) exprFor(op core.LogicalOp, ins []*eqClass, target *eqClass) 
 		for i, c := range ins {
 			inProps[i] = c.props
 		}
-		cls := &eqClass{id: o.eqSeq, props: rel.DeriveProps(o.cat, op, inProps)}
+		cls := &eqClass{id: o.eqSeq, props: rel.DeriveProps(o.cat, 0, op, inProps)}
 		cls.repr = cls
 		o.eqSeq++
 		o.stats.EqClasses++

@@ -34,7 +34,7 @@ func (s *DefaultSupport) AnyProps() core.PhysProps {
 }
 
 func (s *DefaultSupport) DeriveLogicalProps(op core.LogicalOp, inputs []core.LogicalProps) core.LogicalProps {
-	return rel.DeriveProps(s.cat, op, inputs)
+	return rel.DeriveProps(s.cat, 0, op, inputs)
 }
 
 func props(ctx *core.RuleContext, g core.GroupID) *rel.Props {

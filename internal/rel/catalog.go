@@ -58,11 +58,6 @@ type Catalog struct {
 	names   []string
 	columns []ColumnMeta // columns[i] belongs to ColID i+1
 
-	// ParamSelectivity is the selectivity assumed for parameterized
-	// predicates (runtime-bound constants); zero means the System R
-	// default of 1/3. Dynamic-plan generation sweeps this assumption.
-	ParamSelectivity float64
-
 	// version counts schema and statistics changes. Plan caches mix it
 	// into query fingerprints, so every registration (and every explicit
 	// BumpVersion) orphans plans optimized against the old catalog.

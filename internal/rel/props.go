@@ -117,14 +117,17 @@ func (p *Props) setDistinct(c ColID, d float64) {
 
 // DeriveProps computes the logical properties of an expression from its
 // operator and the already-derived properties of its inputs. It is the
-// model's property function for every logical operator.
-func DeriveProps(cat *Catalog, op core.LogicalOp, inputs []core.LogicalProps) *Props {
+// model's property function for every logical operator. paramSel is the
+// selectivity assumed for parameterized predicates (runtime-bound
+// constants); zero means the System R default of 1/3. Dynamic-plan
+// generation sweeps this assumption.
+func DeriveProps(cat *Catalog, paramSel float64, op core.LogicalOp, inputs []core.LogicalProps) *Props {
 	in := func(i int) *Props { return inputs[i].(*Props) }
 	switch o := op.(type) {
 	case *Get:
 		return deriveGet(cat, o)
 	case *Select:
-		return deriveSelect(o, in(0))
+		return deriveSelect(o, in(0), paramSel)
 	case *Join:
 		return deriveJoin(o, in(0), in(1))
 	case *Project:
@@ -163,14 +166,11 @@ func deriveGet(cat *Catalog, g *Get) *Props {
 // Selectivity estimates the fraction of rows satisfying a predicate
 // against an input with the given properties, using the System R
 // formulas: 1/distinct for equality with a constant, domain fractions
-// for ranges, and 1/max(d1,d2) for column equality.
+// for ranges, and 1/max(d1,d2) for column equality. A parameterized
+// predicate's constant binds at run time, so its estimate is the System
+// R default of 1/3 (DeriveProps may assume another).
 func Selectivity(pred Pred, in *Props) float64 {
 	if pred.IsParam() {
-		// Incompletely specified query: the constant binds at run
-		// time, so the estimate is an assumption.
-		if in.Cat != nil && in.Cat.ParamSelectivity > 0 {
-			return in.Cat.ParamSelectivity
-		}
 		return 1.0 / 3
 	}
 	ls, ok := in.Stat(pred.Col)
@@ -256,8 +256,11 @@ func maxf(a, b, floor float64) float64 {
 	return m
 }
 
-func deriveSelect(s *Select, in *Props) *Props {
+func deriveSelect(s *Select, in *Props, paramSel float64) *Props {
 	sel := Selectivity(s.Pred, in)
+	if s.Pred.IsParam() && paramSel > 0 {
+		sel = paramSel
+	}
 	p := &Props{
 		Cat:      in.Cat,
 		Cols:     in.Cols,

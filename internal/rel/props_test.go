@@ -19,7 +19,7 @@ func derive(cat *rel.Catalog, t *core.ExprTree) *rel.Props {
 	for i, c := range t.Children {
 		inputs[i] = derive(cat, c)
 	}
-	p := rel.DeriveProps(cat, t.Op, inputs)
+	p := rel.DeriveProps(cat, 0, t.Op, inputs)
 	if len(p.Stats) != len(p.Cols) {
 		panic(fmt.Sprintf("%s: %d stats for %d columns", t.Op, len(p.Stats), len(p.Cols)))
 	}
@@ -228,7 +228,7 @@ func TestQuickSelectivityBounds(t *testing.T) {
 			t.Logf("selectivity(%s) = %f", p, sel)
 			return false
 		}
-		out := rel.DeriveProps(cat, &rel.Select{Pred: p}, []core.LogicalProps{base})
+		out := rel.DeriveProps(cat, 0, &rel.Select{Pred: p}, []core.LogicalProps{base})
 		if out.Rows < 0 || out.Rows > base.Rows+1e-9 {
 			t.Logf("rows %f outside [0, %f]", out.Rows, base.Rows)
 			return false

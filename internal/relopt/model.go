@@ -61,6 +61,11 @@ type Model struct {
 	// Cfg is the model configuration.
 	Cfg Config
 
+	// paramSel is the selectivity assumed for parameterized predicates;
+	// zero means rel's default. OptimizeDynamicCtx sets it on a private
+	// model per bucket, so concurrent sweeps never share an assumption.
+	paramSel float64
+
 	trules []*core.TransformRule
 	irules []*core.ImplRule
 	enfs   []*core.Enforcer
@@ -127,7 +132,7 @@ func (m *Model) Name() string { return "relational" }
 // the model's property function for every logical operator and
 // encapsulates selectivity estimation.
 func (m *Model) DeriveLogicalProps(op core.LogicalOp, inputs []core.LogicalProps) core.LogicalProps {
-	return rel.DeriveProps(m.Cat, op, inputs)
+	return rel.DeriveProps(m.Cat, m.paramSel, op, inputs)
 }
 
 // TransformationRules returns the logical-algebra equivalences.

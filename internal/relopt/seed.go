@@ -170,7 +170,7 @@ func (m *Model) greedySeed(o *core.Optimizer, root core.GroupID, required core.P
 			if m.Cfg.NoCompositeInner && !comps[ci].base && !comps[cj].base {
 				continue
 			}
-			out := rel.DeriveProps(m.Cat, j, []core.LogicalProps{comps[ci].props, comps[cj].props})
+			out := rel.DeriveProps(m.Cat, m.paramSel, j, []core.LogicalProps{comps[ci].props, comps[cj].props})
 			if bout == nil || out.Rows < bout.Rows {
 				bi, bj, bp, bout = ci, cj, pi, out
 			}

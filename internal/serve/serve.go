@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/metrics"
 	"repro/internal/relopt"
 	"repro/internal/vdb"
@@ -136,10 +137,10 @@ type Request struct {
 // Result is the wire projection of vdb.Result. Rows appear only for
 // executed statements, Plan only for explain/prepare responses.
 type Result struct {
-	Rows    [][]int64 `json:"rows,omitempty"`
-	Columns []string  `json:"columns,omitempty"`
-	Plan    string    `json:"plan,omitempty"`
-	Cost    float64   `json:"cost"`
+	Rows    []exec.Row `json:"rows,omitempty"`
+	Columns []string   `json:"columns,omitempty"`
+	Plan    string     `json:"plan,omitempty"`
+	Cost    float64    `json:"cost"`
 
 	Degraded   bool   `json:"degraded"`
 	StopReason string `json:"stop_reason,omitempty"`
@@ -175,18 +176,13 @@ func toWire(res *vdb.Result, withPlan bool) *Result {
 		NParams:    res.NParams,
 		OptimizeUS: res.OptimizeTime.Microseconds(),
 		ExecUS:     res.ExecTime.Microseconds(),
+		Rows:       res.Rows,
 	}
 	if res.StopReason != nil {
 		out.StopReason = res.StopReason.Error()
 	}
 	if c, ok := res.Cost.(relopt.Cost); ok {
 		out.Cost = c.Total()
-	}
-	if res.Rows != nil {
-		out.Rows = make([][]int64, len(res.Rows))
-		for i, r := range res.Rows {
-			out.Rows[i] = r
-		}
 	}
 	switch {
 	case res.PlanText != "":

@@ -42,6 +42,42 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, req Request) (*htt
 	return resp, buf.Bytes()
 }
 
+// TestQueryRowsWire: /query hands the executor's rows to the encoder as
+// they are, and they encode exactly as a [][]int64 of the same rows.
+func TestQueryRowsWire(t *testing.T) {
+	db := openDemo(t, 2)
+	ts := httptest.NewServer(New(db, nil).Handler())
+	defer ts.Close()
+
+	// R2.id is unique, so each R1 row appears once and the order is total.
+	const sql = "SELECT R1.id, R2.v FROM R1, R2 WHERE R1.ja = R2.id ORDER BY R1.id"
+	resp, body := postJSON(t, ts, "/query", Request{SQL: sql})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/query status %d: %s", resp.StatusCode, body)
+	}
+	var wire struct {
+		Rows json.RawMessage `json:"rows"`
+	}
+	if err := json.Unmarshal(body, &wire); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]int64, len(res.Rows))
+	for i, r := range res.Rows {
+		rows[i] = r
+	}
+	want, err := json.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 || !bytes.Equal(wire.Rows, want) {
+		t.Fatalf("/query rows encode as\n%.200s\nwant\n%.200s", wire.Rows, want)
+	}
+}
+
 func TestEndpoints(t *testing.T) {
 	db := openDemo(t, 4)
 	s := New(db, nil)

@@ -25,42 +25,57 @@ func sortedKeys(rows []exec.Row) []string {
 // per statement, exactly the rows the statement returns alone.
 func TestQueryBatchMatchesSingle(t *testing.T) {
 	db := openDemo(t)
-	sqls := []string{
-		"SELECT R1.ja, COUNT(*) FROM R1, R2 WHERE R1.ja = R2.ja GROUP BY R1.ja",
-		"SELECT R1.id, R1.ja FROM R1, R2 WHERE R1.ja = R2.ja ORDER BY R1.id",
-		"SELECT R1.id, R1.ja FROM R1 WHERE R1.v < 500 ORDER BY R1.ja",
-		"SELECT R1.ja, COUNT(*) FROM R1, R2 WHERE R1.ja = R2.ja GROUP BY R1.ja",
-	}
-	batch, err := db.QueryBatch(sqls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Results) != len(sqls) {
-		t.Fatalf("%d results for %d statements", len(batch.Results), len(sqls))
-	}
-	for i, sql := range sqls {
-		solo, err := db.Query(sql)
+	const chain = " FROM R1, R2, R3 WHERE R1.ja = R2.ja AND R2.jb = R3.jb AND R1.v < 100"
+	for _, sqls := range [][]string{
+		// Two statements are verbatim duplicates and two more share the
+		// R1 ⋈ R2 join.
+		{
+			"SELECT R1.ja, COUNT(*) FROM R1, R2 WHERE R1.ja = R2.ja GROUP BY R1.ja",
+			"SELECT R1.id, R1.ja FROM R1, R2 WHERE R1.ja = R2.ja ORDER BY R1.id",
+			"SELECT R1.id, R1.ja FROM R1 WHERE R1.v < 500 ORDER BY R1.ja",
+			"SELECT R1.ja, COUNT(*) FROM R1, R2 WHERE R1.ja = R2.ja GROUP BY R1.ja",
+		},
+		// One spooled R1 ⋈ R2 subtree, each statement reading different
+		// columns of it: the spool holds every column, whatever the
+		// statement that fills it reads.
+		{
+			"SELECT R1.id" + chain,
+			"SELECT R2.v, R3.id" + chain,
+			"SELECT R3.jb, SUM(R1.v), MAX(R2.id)" + chain + " GROUP BY R3.jb",
+		},
+	} {
+		batch, err := db.QueryBatch(sqls)
 		if err != nil {
-			t.Fatalf("single statement %d: %v", i, err)
+			t.Fatal(err)
 		}
-		got, want := sortedKeys(batch.Results[i].Rows), sortedKeys(solo.Rows)
-		if len(got) != len(want) {
-			t.Fatalf("statement %d: %d rows in batch, %d alone", i, len(got), len(want))
+		if len(batch.Results) != len(sqls) {
+			t.Fatalf("%d results for %d statements", len(batch.Results), len(sqls))
 		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("statement %d row %d: batch %q != solo %q", i, j, got[j], want[j])
+		for i, sql := range sqls {
+			solo, err := db.Query(sql)
+			if err != nil {
+				t.Fatalf("single statement %d: %v", i, err)
+			}
+			got, want := sortedKeys(batch.Results[i].Rows), sortedKeys(solo.Rows)
+			if len(got) != len(want) {
+				t.Fatalf("%q: %d rows in batch, %d alone", sql, len(got), len(want))
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("%q row %d: batch %q != solo %q", sql, j, got[j], want[j])
+				}
 			}
 		}
-	}
-	// Two statements are verbatim duplicates and two more share the
-	// R1 ⋈ R2 join, so the shared memo must report overlap.
-	if batch.Stats.SharedGroups == 0 {
-		t.Error("overlapping batch reports no shared groups")
-	}
-	for _, r := range batch.Results {
-		if r.Degraded {
-			t.Errorf("unbudgeted batch degraded: %v", r.StopReason)
+		if batch.Stats.SharedGroups == 0 {
+			t.Errorf("overlapping batch %q reports no shared groups", sqls)
+		}
+		if batch.Spools == 0 {
+			t.Errorf("overlapping batch %q shares no spool", sqls)
+		}
+		for _, r := range batch.Results {
+			if r.Degraded {
+				t.Errorf("unbudgeted batch degraded: %v", r.StopReason)
+			}
 		}
 	}
 }

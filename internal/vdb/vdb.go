@@ -178,7 +178,8 @@ type budgetKey struct{}
 // (the stored plan is already proven optimal), budget-degraded plans
 // are never inserted into the cache, and a coalesced caller shares the
 // in-flight optimization's budget, not its own. Dynamic-plan
-// optimization of parameterized statements is not budgeted.
+// optimization of parameterized statements is not budgeted, but the
+// request context's cancellation and deadline do stop it.
 func WithBudget(ctx context.Context, b core.Budget) context.Context {
 	return context.WithValue(ctx, budgetKey{}, b)
 }
@@ -251,7 +252,7 @@ func (db *DB) optimize(ctx context.Context, tree *core.ExprTree, required core.P
 func (db *DB) serve(ctx context.Context, st *sqlish.Statement, nparams int) (*plancache.Entry, plancache.Outcome, error) {
 	compute := func() (*plancache.Entry, error) {
 		if nparams == 1 {
-			res, err := relopt.OptimizeDynamic(db.cat, db.opts.Config, st.Tree, st.Required, db.opts.DynamicBuckets)
+			res, err := relopt.OptimizeDynamicCtx(ctx, db.cat, db.opts.Config, st.Tree, st.Required, db.opts.DynamicBuckets)
 			if err != nil {
 				return nil, err
 			}
