@@ -16,6 +16,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -332,7 +333,7 @@ func BenchmarkDynamicOptimize(b *testing.B) {
 		"SELECT R1.id, R1.jb, R2.v FROM R1, R2 WHERE R1.jb = R2.jb AND R1.v < $1 ORDER BY R1.jb")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := relopt.OptimizeDynamic(cat, relopt.DefaultConfig(), st.Tree, st.Required, nil)
+		res, err := relopt.OptimizeDynamicCtx(context.Background(), cat, relopt.DefaultConfig(), st.Tree, st.Required, nil)
 		if err != nil || res.Plan == nil {
 			b.Fatalf("dynamic optimize: %v", err)
 		}

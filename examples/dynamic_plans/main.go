@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := relopt.OptimizeDynamic(cat, relopt.DefaultConfig(), st.Tree, st.Required, nil)
+	res, err := relopt.OptimizeDynamicCtx(context.Background(), cat, relopt.DefaultConfig(), st.Tree, st.Required, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
