@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race test-race-core vet staticcheck loc bench bench-explore bench-guided bench-check profile fuzz-fingerprint
+.PHONY: build test test-race vet staticcheck loc bench bench-explore bench-guided bench-check profile fuzz-fingerprint
 
 build:
 	$(GO) build ./...
@@ -10,12 +10,6 @@ test:
 
 test-race:
 	$(GO) test -race ./...
-
-# What still runs on more than one goroutine around the search engine,
-# under the race detector: the shared-nothing ParallelOptimize pool (core
-# and the root package) and plan-cache coalescing (plancache, vdb).
-test-race-core:
-	$(GO) test -race ./internal/core/... ./internal/plancache/ ./internal/vdb/... .
 
 vet:
 	$(GO) vet ./...
@@ -33,10 +27,10 @@ staticcheck:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = n == 2 ? "." : n == 3 ? p[2] : p[2] "/" p[3]; s[d] += $$1; t += $$1 } END { for (d in s) printf "%7d %s\n", s[d], d; printf "%7d total\n", t }' | sort -k2
 
-# The headline numbers: Figure-4 optimization time (serial and parallel
-# batch throughput) plus the search-engine micro-benchmarks.
+# The headline numbers: Figure-4 optimization time plus the search-engine
+# micro-benchmarks.
 bench:
-	$(GO) test -run NONE -bench 'BenchmarkFig4Volcano|BenchmarkFig4VolcanoParallel' -benchmem .
+	$(GO) test -run NONE -bench 'BenchmarkFig4Volcano' -benchmem .
 	$(GO) test -run NONE -bench 'BenchmarkCollectMoves|BenchmarkWinnerLookup' -benchmem ./internal/core/
 
 # Transformation-rule exploration, about seven tenths of a cold

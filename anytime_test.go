@@ -209,50 +209,3 @@ func TestBudgetsNeverHitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelPoolCancellation: canceling the pool context stops every
-// unfinished job; each job still yields a complete plan, finished jobs
-// report no error, stopped jobs report a budget error. Run under -race
-// this also exercises the pool's cancellation paths for data races.
-func TestParallelPoolCancellation(t *testing.T) {
-	src := datagen.New(31)
-	cat := src.Catalog(7)
-	model := relopt.New(cat, relopt.DefaultConfig())
-
-	var queries []datagen.Query
-	for i := 0; i < 24; i++ {
-		queries = append(queries, src.SelectJoinQuery(cat, 7, datagen.ShapeRandom))
-	}
-	jobs := make([]core.ParallelJob, len(queries))
-	for i := range jobs {
-		q := queries[i]
-		jobs[i] = core.ParallelJob{
-			Model:    model,
-			Build:    func(o *core.Optimizer) core.GroupID { return o.InsertQuery(q.Root) },
-			Required: relopt.SortedOn(q.OrderBy),
-		}
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
-	results := core.ParallelOptimizeCtx(ctx, jobs, 4)
-
-	var stopped int
-	for i, r := range results {
-		required := relopt.SortedOn(queries[i].OrderBy)
-		if r.Err != nil {
-			stopped++
-			checkDegraded(t, fmt.Sprintf("job %d", i), r.Plan, r.Err, required)
-			if r.Stats.StopReason == nil {
-				t.Errorf("job %d: stopped without a StopReason", i)
-			}
-		} else if r.Plan == nil {
-			t.Errorf("job %d: completed with no plan", i)
-		}
-	}
-	t.Logf("pool cancel: %d/%d jobs stopped", stopped, len(results))
-}

@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -92,52 +91,6 @@ func BenchmarkFig4Volcano(b *testing.B) { benchmarkFig4Volcano(b, true) }
 // BenchmarkFig4VolcanoUnguided is the cold-start A/B counterpart: plain
 // exhaustive search with no seed plan.
 func BenchmarkFig4VolcanoUnguided(b *testing.B) { benchmarkFig4Volcano(b, false) }
-
-// BenchmarkFig4VolcanoParallel measures batch throughput of the
-// shared-nothing worker-pool driver on the Figure-4 workload, at pool
-// sizes 1 and GOMAXPROCS. Each iteration optimizes the whole 32-query
-// batch; the queries/s metric is the figure of merit, and on a
-// multi-core machine the GOMAXPROCS pool should approach a linear
-// multiple of the single-worker number.
-func BenchmarkFig4VolcanoParallel(b *testing.B) {
-	const rels = 6
-	poolSizes := []int{1}
-	if p := runtime.GOMAXPROCS(0); p > 1 {
-		poolSizes = append(poolSizes, p)
-	}
-	for _, workers := range poolSizes {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cat, queries := workload(b, rels, 32)
-			model := relopt.New(cat, relopt.DefaultConfig())
-			jobs := make([]core.ParallelJob, len(queries))
-			for i := range jobs {
-				q := queries[i]
-				jobs[i] = core.ParallelJob{
-					Model:    model,
-					Build:    func(o *core.Optimizer) core.GroupID { return o.InsertQuery(q.Root) },
-					Required: relopt.SortedOn(q.OrderBy),
-				}
-			}
-			var cost float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				results := core.ParallelOptimize(jobs, workers)
-				for _, r := range results {
-					if r.Err != nil || r.Plan == nil {
-						b.Fatalf("optimize: %v", r.Err)
-					}
-					cost += r.Plan.Cost.(relopt.Cost).Total()
-				}
-			}
-			b.StopTimer()
-			n := float64(b.N * len(jobs))
-			b.ReportMetric(cost/n, "plan-cost")
-			if e := b.Elapsed(); e > 0 {
-				b.ReportMetric(n/e.Seconds(), "queries/s")
-			}
-		})
-	}
-}
 
 // BenchmarkFig4Exodus measures the EXODUS-style baseline on the same
 // workload; the growing gap to BenchmarkFig4Volcano is Figure 4's upper

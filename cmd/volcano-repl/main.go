@@ -113,8 +113,9 @@ type repl struct {
 	batchSize   int
 	execWorkers int
 
-	// last holds the most recent optimization's counters, for \stats.
-	last *core.Stats
+	// last holds the most recent optimization's envelope, for \stats:
+	// its counters and how its plan was served.
+	last *vdb.Result
 }
 
 // options assembles the database options from the repl's flags.
@@ -192,7 +193,7 @@ func (r *repl) dispatch(line string) bool {
 			fmt.Println("error:", err)
 			break
 		}
-		r.last = &res.Stats
+		r.last = res
 		fmt.Print(res.PlanText)
 
 	case strings.HasPrefix(line, `\memo `):
@@ -265,7 +266,7 @@ func (r *repl) memo(sql string) {
 		}
 		fmt.Printf("budget exhausted (%v); showing the partial memo\n", err)
 	}
-	r.last = opt.Stats()
+	r.last = &vdb.Result{Stats: *opt.Stats()}
 	fmt.Print(opt.Memo().Format())
 }
 
@@ -287,7 +288,7 @@ func (r *repl) batch(input string) {
 		fmt.Println("error:", err)
 		return
 	}
-	r.last = &res.Stats
+	r.last = &vdb.Result{Stats: res.Stats}
 	for i, q := range res.Results {
 		fmt.Printf("-- statement %d: %s\n", i+1, sqls[i])
 		fmt.Print(q.Plan.Format())
@@ -305,7 +306,14 @@ func (r *repl) stats() {
 		fmt.Println("no optimization has run yet")
 		return
 	}
-	snap := metrics.Snapshot{Search: metrics.FromStats(*r.last)}
+	search := metrics.FromStats(r.last.Stats)
+	if r.last.Cached {
+		search.CacheHits = 1
+	}
+	if r.last.Coalesced {
+		search.Coalesced = 1
+	}
+	snap := metrics.Snapshot{Search: search}
 	if c := r.db.PlanCache(); c != nil {
 		counters := c.Counters()
 		snap.Cache = &counters
@@ -321,7 +329,7 @@ func (r *repl) query(sql string) {
 		fmt.Println("error:", err)
 		return
 	}
-	r.last = &res.Stats
+	r.last = res
 	fmt.Print(res.Plan.Format())
 	fmt.Printf("(%s)\n", strings.Join(res.Columns, ", "))
 	for i, row := range res.Rows {
@@ -333,7 +341,7 @@ func (r *repl) query(sql string) {
 	}
 	fmt.Printf("%d rows; %d classes, %d expressions explored\n",
 		len(res.Rows), res.Stats.Groups, res.Stats.Exprs)
-	if res.Stats.CacheHit {
+	if res.Cached {
 		fmt.Println("plan served from cache")
 	}
 	if res.Degraded {

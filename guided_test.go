@@ -6,6 +6,8 @@ package repro
 
 import (
 	"fmt"
+	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -74,10 +76,12 @@ func TestGuidedMatchesUnguided(t *testing.T) {
 		guidedMatches, plainMatches, 100*float64(guidedMatches)/float64(plainMatches))
 }
 
-// TestGuidedParallelMatchesSerial: guidance composes with the parallel
-// driver — the shared Options value (and the one SeedPlanner closure in
-// it) is used concurrently by every worker, and the plans still match
-// serial unguided search exactly.
+// TestGuidedParallelMatchesSerial: guidance is safe to share across
+// concurrent optimizers, the way vdb serves concurrent requests from one
+// Options value — goroutines, each with its own optimizer, share one
+// model and one guided Options (and so one SeedPlanner closure), and
+// every plan still matches serial unguided search to the last bit. Run
+// under -race this also checks the sharing for data races.
 func TestGuidedParallelMatchesSerial(t *testing.T) {
 	src := datagen.New(29)
 	cat := src.Catalog(7)
@@ -90,37 +94,35 @@ func TestGuidedParallelMatchesSerial(t *testing.T) {
 		}
 	}
 
-	serial := make([]float64, len(queries))
+	serial := make([]uint64, len(queries))
 	for i, q := range queries {
 		opt := core.NewOptimizer(model, nil)
 		plan, err := opt.Optimize(opt.InsertQuery(q.Root), relopt.SortedOn(q.OrderBy))
 		if err != nil || plan == nil {
 			t.Fatalf("serial optimize %d: %v", i, err)
 		}
-		serial[i] = plan.Cost.(relopt.Cost).Total()
+		serial[i] = math.Float64bits(plan.Cost.(relopt.Cost).Total())
 	}
 
 	guidedOpts := &core.Options{Guidance: core.GuidanceOptions{SeedPlanner: model.SeedPlanner()}}
-	for _, workers := range []int{1, 4} {
-		jobs := make([]core.ParallelJob, len(queries))
-		for i := range jobs {
-			q := queries[i]
-			jobs[i] = core.ParallelJob{
-				Model:    model,
-				Options:  guidedOpts,
-				Build:    func(o *core.Optimizer) core.GroupID { return o.InsertQuery(q.Root) },
-				Required: relopt.SortedOn(q.OrderBy),
-			}
+	plans := make([]*core.Plan, len(queries))
+	errs := make([]error, len(queries))
+	var wg sync.WaitGroup
+	for i, q := range queries {
+		wg.Add(1)
+		go func(i int, q datagen.Query) {
+			defer wg.Done()
+			opt := core.NewOptimizer(model, guidedOpts)
+			plans[i], errs[i] = opt.Optimize(opt.InsertQuery(q.Root), relopt.SortedOn(q.OrderBy))
+		}(i, q)
+	}
+	wg.Wait()
+	for i, plan := range plans {
+		if errs[i] != nil || plan == nil {
+			t.Fatalf("query %d: plan=%v err=%v", i, plan, errs[i])
 		}
-		results := core.ParallelOptimize(jobs, workers)
-		for i, r := range results {
-			if r.Err != nil || r.Plan == nil {
-				t.Fatalf("workers=%d query %d: plan=%v err=%v", workers, i, r.Plan, r.Err)
-			}
-			if got := r.Plan.Cost.(relopt.Cost).Total(); got != serial[i] {
-				t.Errorf("workers=%d query %d: guided parallel cost %v != serial unguided %v",
-					workers, i, got, serial[i])
-			}
+		if got := math.Float64bits(plan.Cost.(relopt.Cost).Total()); got != serial[i] {
+			t.Errorf("query %d: concurrent guided cost bits %#x != serial unguided bits %#x", i, got, serial[i])
 		}
 	}
 }

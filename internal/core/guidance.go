@@ -45,8 +45,8 @@ type SeedPlan struct {
 // in the optimizer's memo (not yet explored), required the goal's
 // physical property vector. Returning nil declines to seed — the search
 // proceeds unguided. Planners must be safe for concurrent use across
-// optimizer instances: ParallelOptimize shares one Options value among
-// its workers.
+// optimizer instances: vdb's concurrent requests share one Options
+// value, and with it one SeedPlanner.
 type SeedPlanner func(o *Optimizer, root GroupID, required PhysProps) *SeedPlan
 
 // LowerBounder is an optional model extension that makes cost bounds cut

@@ -61,8 +61,21 @@ type Sharer interface {
 // After the search, Stats.SharedGroups and Stats.SharedWinners count
 // the equivalence classes reachable from more than one root and the
 // winner plan nodes shared by more than one returned plan.
+//
+// The batch calls FindBestPlan directly, so the strategies a single
+// Optimize call dispatches to instead — GlueMode, a SeedPlanner, a
+// stochastic Policy — are rejected with an error and all-nil plans.
+// MoveFilter needs no dispatch: FindBestPlan applies it itself.
 func (o *Optimizer) OptimizeBatchCtx(ctx context.Context, roots []GroupID, required []PhysProps) ([]*Plan, error) {
 	plans := make([]*Plan, len(roots))
+	switch {
+	case o.opts.Search.GlueMode:
+		return plans, errors.New("core: OptimizeBatchCtx drives every root through FindBestPlan and does not support Search.GlueMode")
+	case o.opts.Guidance.SeedPlanner != nil:
+		return plans, errors.New("core: OptimizeBatchCtx drives every root through FindBestPlan and does not support Guidance.SeedPlanner")
+	case o.opts.Search.Policy != PolicyExhaustive:
+		return plans, errors.New("core: OptimizeBatchCtx drives every root through FindBestPlan and does not support a stochastic Search.Policy")
+	}
 	if len(roots) == 0 {
 		return plans, nil
 	}
@@ -200,8 +213,8 @@ type spoolDecision struct {
 }
 
 // MaterializeSharedPlans applies the Volcano-SH-style greedy
-// materialization pass to a batch's plans (typically the output of a
-// shared-memo ParallelOptimizeCtx): every plan node used k >= 2 times
+// materialization pass to a batch's plans (typically the output of
+// OptimizeBatchCtx): every plan node used k >= 2 times
 // across the batch is a candidate, and a candidate p is rewritten iff
 // the cost model says sharing wins —
 //

@@ -106,18 +106,19 @@ func TestInsertOrderIndependence(t *testing.T) {
 // TestOptimizeBatchMatchesSingle: a batch over one shared memo finds,
 // for every root, a plan of bit-identical cost to a single-root
 // optimization — under a full requirement slice, a nil one, and one
-// shorter than the roots (missing entries mean no requirement).
+// shorter than the roots (missing entries mean no requirement). An exact
+// duplicate tree collapses to its original's root on insertion and needs
+// no special casing.
 func TestOptimizeBatchMatchesSingle(t *testing.T) {
 	trees := mqoTrees(19, 8)
+	trees = append(trees, trees[0])
 	full := make([]core.PhysProps, len(trees))
 	for i := range full {
 		full[i] = toyColor(1)
 	}
 	for name, reqs := range map[string][]core.PhysProps{"full": full, "nil": nil, "short": full[:3]} {
 		want := optimizeAlone(t, trees, reqs)
-		opts := &core.Options{}
-		opts.Search.ShareMemo = true
-		o := core.NewOptimizer(&toyModel{}, opts)
+		o := core.NewOptimizer(&toyModel{}, nil)
 		roots := make([]core.GroupID, len(trees))
 		for i, tree := range trees {
 			roots[i] = o.InsertQuery(tree)
@@ -159,7 +160,6 @@ func TestOptimizeBatchBudgetStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := &core.Options{}
-	opts.Search.ShareMemo = true
 	opts.Budget.MaxSteps = first.Stats().Steps() + 3
 	o := core.NewOptimizer(&toyModel{}, opts)
 	roots := make([]core.GroupID, len(trees))
@@ -194,55 +194,89 @@ func TestOptimizeBatchBudgetStop(t *testing.T) {
 	}
 }
 
-// TestShareMemoThroughParallelOptimize: the ParallelOptimizeCtx routing
-// — shared memo when every job qualifies, shared-nothing otherwise —
-// returns bit-identical costs either way, and the shared path reports
-// sharing. Duplicate queries collapse to the same root and need no
-// special casing.
-func TestShareMemoThroughParallelOptimize(t *testing.T) {
-	trees := mqoTrees(23, 6)
-	trees = append(trees, trees[0]) // an exact duplicate
-	baseline := optimizeAlone(t, trees, nil)
-	opts := &core.Options{}
-	opts.Search.ShareMemo = true
-	// One model pointer for every job qualifies the batch; distinct
-	// pointers per job would disqualify it.
-	model := &toyModel{}
-	jobs := make([]core.ParallelJob, len(trees))
-	for i, tree := range trees {
-		jobs[i] = core.ParallelJob{Model: model, Options: opts, Tree: tree}
+// TestOptimizeBatchMoveFilterMatchesSingle: FindBestPlan applies
+// Search.MoveFilter in its own move collection, so a batch under a
+// truncating filter finds, per root, plans of exactly the cost per-root
+// optimization finds under the same filter — costs the filter has moved
+// away from the exhaustive optimum.
+func TestOptimizeBatchMoveFilterMatchesSingle(t *testing.T) {
+	opts := &core.Options{Search: core.SearchOptions{
+		NoIncremental: true, // MoveFilter requires the full-recollection path
+		MoveFilter: func(moves []core.Move) []core.Move {
+			if len(moves) > 2 {
+				return moves[:2]
+			}
+			return moves
+		},
+	}}
+	trees := mqoTrees(29, 8)
+	reqs := make([]core.PhysProps, len(trees))
+	for i := range reqs {
+		reqs[i] = toyColor(1 + i%2)
 	}
-	results := core.ParallelOptimizeCtx(context.Background(), jobs, 2)
-	for i, r := range results {
-		if r.Err != nil || r.Plan == nil {
-			t.Fatalf("job %d: plan=%v err=%v", i, r.Plan, r.Err)
+	exhaustive := optimizeAlone(t, trees, reqs)
+	want := make([]uint64, len(trees))
+	filtered := false
+	for i, tree := range trees {
+		o := core.NewOptimizer(&toyModel{}, opts)
+		p, err := o.Optimize(o.InsertQuery(tree), reqs[i])
+		coretest.CheckMemo(t, o)
+		if err != nil || p == nil {
+			t.Fatalf("alone %d: plan=%v err=%v", i, p, err)
 		}
-		if got := costBits(r.Plan); got != baseline[i] {
-			t.Errorf("job %d: cost %v (bits %#x), want bits %#x", i, r.Plan.Cost, got, baseline[i])
+		want[i] = costBits(p)
+		filtered = filtered || want[i] != exhaustive[i]
+	}
+	if !filtered {
+		t.Fatal("the filter changed no plan cost; the test checks nothing")
+	}
+	o := core.NewOptimizer(&toyModel{}, opts)
+	roots := make([]core.GroupID, len(trees))
+	for i, tree := range trees {
+		roots[i] = o.InsertQuery(tree)
+	}
+	plans, err := o.OptimizeBatchCtx(context.Background(), roots, reqs)
+	coretest.CheckMemo(t, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range plans {
+		if p == nil {
+			t.Fatalf("root %d: no plan", i)
 		}
-		if r.Stats.SharedGroups == 0 {
-			t.Errorf("job %d: no shared groups reported", i)
+		if got := costBits(p); got != want[i] {
+			t.Errorf("root %d: cost bits %#x, want %#x", i, got, want[i])
 		}
 	}
 }
 
-// TestShareMemoValidate: the strategies a ShareMemo batch would ignore
-// are rejected up front.
-func TestShareMemoValidate(t *testing.T) {
-	bad := []core.Options{
-		{Search: core.SearchOptions{ShareMemo: true, GlueMode: true}},
-		{Search: core.SearchOptions{ShareMemo: true, NoIncremental: true,
-			MoveFilter: func(m []core.Move) []core.Move { return m }}},
-		{Search: core.SearchOptions{ShareMemo: true},
-			Guidance: core.GuidanceOptions{SeedPlanner: core.SyntacticSeedPlanner()}},
-	}
-	for i := range bad {
-		if err := bad[i].Validate(); err == nil {
-			t.Errorf("case %d: contradictory options validated", i)
+// TestOptimizeBatchRejectsUnsupported: the strategies a single Optimize
+// call dispatches to, and a batch driving FindBestPlan directly would
+// skip, are rejected with an error and no plans.
+func TestOptimizeBatchRejectsUnsupported(t *testing.T) {
+	trees := mqoTrees(31, 3)
+	for name, opts := range map[string]*core.Options{
+		"glue":     {Search: core.SearchOptions{GlueMode: true}},
+		"seed":     {Guidance: core.GuidanceOptions{SeedPlanner: core.SyntacticSeedPlanner()}},
+		"mcts":     {Search: core.SearchOptions{Policy: core.PolicyMCTS}},
+		"widening": {Search: core.SearchOptions{Policy: core.PolicyWidening}},
+	} {
+		o := core.NewOptimizer(&toyModel{}, opts)
+		roots := make([]core.GroupID, len(trees))
+		for i, tree := range trees {
+			roots[i] = o.InsertQuery(tree)
 		}
-	}
-	ok := core.Options{Search: core.SearchOptions{ShareMemo: true}}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("ShareMemo alone rejected: %v", err)
+		plans, err := o.OptimizeBatchCtx(context.Background(), roots, nil)
+		if err == nil {
+			t.Errorf("%s: batch accepted", name)
+		}
+		if len(plans) != len(roots) {
+			t.Errorf("%s: %d plans for %d roots", name, len(plans), len(roots))
+		}
+		for i, p := range plans {
+			if p != nil {
+				t.Errorf("%s root %d: rejected batch returned a plan", name, i)
+			}
+		}
 	}
 }

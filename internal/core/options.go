@@ -40,18 +40,6 @@ type SearchOptions struct {
 	//
 	// Deprecated: ignored; remove with bench's core.w2_* probe.
 	Workers int
-	// ShareMemo lets ParallelOptimizeCtx target one shared memo for a
-	// whole batch: jobs over the same model and options insert their
-	// trees into a common memo and their root goals are optimized in job
-	// order by OptimizeBatchCtx, each later root answered warm from the
-	// winner and failure tables the earlier ones filled. Equivalence
-	// classes (and winners) reached by more than one root are counted in
-	// Stats.SharedGroups and Stats.SharedWinners. With ShareMemo off —
-	// or for batches whose jobs differ in model or options — every
-	// result is bit-identical to an independent optimization. The Budget
-	// bounds a ShareMemo batch as a whole rather than each job. See
-	// ParallelOptimizeCtx and MaterializeSharedPlans.
-	ShareMemo bool
 	// NoPruning disables branch-and-bound: every move is pursued to
 	// completion regardless of the cost limit.
 	NoPruning bool
@@ -205,26 +193,11 @@ func (o *Options) Validate() error {
 	if o.Search.GlueMode && o.Guidance.SeedPlanner != nil {
 		return errors.New("core: Search.GlueMode and Guidance.SeedPlanner are mutually exclusive — glue mode optimizes without property-directed limits to guide")
 	}
-	// A ShareMemo batch drives its roots through FindBestPlan directly
-	// (OptimizeBatchCtx), bypassing the per-call strategy dispatch; the
-	// strategies below would be silently ignored, so they are rejected.
-	if o.Search.ShareMemo && o.Search.GlueMode {
-		return errors.New("core: Search.ShareMemo batches drive every root through FindBestPlan directly and would ignore Search.GlueMode")
-	}
-	if o.Search.ShareMemo && o.Search.MoveFilter != nil {
-		return errors.New("core: Search.ShareMemo batches drive every root through FindBestPlan directly and would ignore Search.MoveFilter")
-	}
-	if o.Search.ShareMemo && o.Guidance.SeedPlanner != nil {
-		return errors.New("core: Search.ShareMemo batches drive every root through FindBestPlan directly and would ignore Guidance.SeedPlanner")
-	}
 	switch o.Search.Policy {
 	case PolicyExhaustive:
 	case PolicyMCTS, PolicyWidening:
 		if o.Search.GlueMode {
 			return errors.New("core: Search.GlueMode and a stochastic Search.Policy are mutually exclusive")
-		}
-		if o.Search.ShareMemo {
-			return errors.New("core: Search.ShareMemo batches drive every root through FindBestPlan directly and would ignore a stochastic Search.Policy")
 		}
 		if o.Search.NoIncremental || o.Search.MoveFilter != nil {
 			return errors.New("core: stochastic search policies index the incremental move cache; Search.NoIncremental and Search.MoveFilter are incompatible with them")
@@ -376,14 +349,12 @@ type Stats struct {
 	TasksParked int
 
 	// SharedGroups counts equivalence classes reachable from more than
-	// one root of a shared-memo batch (ParallelOptimizeCtx with
-	// Search.ShareMemo): exploration work done once instead of per
-	// query. Zero outside shared-memo batches.
+	// one root of a shared-memo batch (OptimizeBatchCtx): exploration
+	// work done once instead of per query. Zero outside batches.
 	SharedGroups int
 	// SharedWinners counts winner plan nodes appearing in more than one
 	// root's final plan of a shared-memo batch — the candidate set the
-	// Materialize/Reuse post-pass prices. Zero outside shared-memo
-	// batches.
+	// Materialize/Reuse post-pass prices. Zero outside batches.
 	SharedWinners int
 
 	// SeedFloorCost is the cost of the complete seed plan captured as the
@@ -399,16 +370,6 @@ type Stats struct {
 	// committed into the memo's winner tables — new winners or
 	// improvements over earlier episodes. Zero for exhaustive runs.
 	RolloutCommits int
-
-	// CacheHit reports that this result was served from a plan cache:
-	// the plan, cost, and the other counters in this struct describe
-	// the original search that produced the cached entry, not work done
-	// by the serving call.
-	CacheHit bool
-	// Coalesced reports that this result was shared from an identical
-	// optimization running concurrently (or from a duplicate job in the
-	// same ParallelOptimize batch) instead of being searched again.
-	Coalesced bool
 
 	// StopReason is the typed budget error that stopped the search, or
 	// nil when it ran to completion. It explains a degraded (anytime)

@@ -142,7 +142,6 @@ func TestPolicyAnytime(t *testing.T) {
 func TestPolicyValidate(t *testing.T) {
 	bad := []core.Options{
 		{Search: core.SearchOptions{Policy: core.PolicyWidening, GlueMode: true}},
-		{Search: core.SearchOptions{Policy: core.PolicyMCTS, ShareMemo: true}},
 		{Search: core.SearchOptions{Policy: core.PolicyMCTS, NoIncremental: true}},
 		{Search: core.SearchOptions{Policy: core.PolicyMCTS, Episodes: -1}},
 		{Search: core.SearchOptions{Policy: core.SearchPolicy(9)}},

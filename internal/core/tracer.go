@@ -106,8 +106,9 @@ type TraceEvent struct {
 
 // Tracer receives structured search-trace events. Implementations must
 // be cheap: the engine calls Trace synchronously from the innermost
-// search loops. A Tracer shared by the jobs of a ParallelOptimize pool
-// must be safe for concurrent use.
+// search loops. A Tracer in an Options value shared by concurrent
+// optimizers (vdb serves concurrent requests from one Options) must be
+// safe for concurrent use.
 type Tracer interface {
 	Trace(ev TraceEvent)
 }

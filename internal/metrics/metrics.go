@@ -79,8 +79,10 @@ type Search struct {
 	// CacheHits / Coalesced / Degraded / AnytimeFallbacks count
 	// optimizations by how they were served: from the plan cache, by
 	// sharing an in-flight identical search, stopped by a budget, and
-	// answered by the anytime fallback ladder. FromStats sets each to
-	// 0 or 1; Merge makes them cumulative.
+	// answered by the anytime fallback ladder. FromStats sets the last
+	// two to 0 or 1; the serving outcomes come from vdb.Result's Cached
+	// and Coalesced, which the caller records. Merge makes them
+	// cumulative.
 	CacheHits        int64 `json:"cache_hits"`
 	Coalesced        int64 `json:"coalesced"`
 	Degraded         int64 `json:"degraded"`
@@ -124,12 +126,6 @@ func FromStats(s core.Stats) *Search {
 	}
 	if s.SeedCost != nil {
 		out.SeedCost = s.SeedCost.String()
-	}
-	if s.CacheHit {
-		out.CacheHits = 1
-	}
-	if s.Coalesced {
-		out.Coalesced = 1
 	}
 	if s.StopReason != nil {
 		out.Degraded = 1

@@ -12,11 +12,16 @@ import (
 )
 
 func TestFromStatsAndMerge(t *testing.T) {
-	a := FromStats(core.Stats{Groups: 3, Exprs: 10, MatchCalls: 7, CacheHit: true})
+	a := FromStats(core.Stats{Groups: 3, Exprs: 10, MatchCalls: 7})
+	if a.CacheHits != 0 || a.Coalesced != 0 {
+		t.Fatalf("search counters alone recorded a serving outcome: %+v", a)
+	}
 	b := FromStats(core.Stats{Groups: 2, Exprs: 4, MatchCalls: 5,
 		StopReason: errors.New("step budget exhausted"), AnytimeFallback: true, PeakMemoBytes: 99})
 	a.Merge(b)
-	if a.Optimizations != 2 || a.Groups != 5 || a.Exprs != 14 || a.MatchCalls != 12 {
+	// A cache hit is recorded from the serving result, not from Stats.
+	a.Merge(&Search{Optimizations: 1, CacheHits: 1})
+	if a.Optimizations != 3 || a.Groups != 5 || a.Exprs != 14 || a.MatchCalls != 12 {
 		t.Fatalf("merged counters: %+v", a)
 	}
 	if a.CacheHits != 1 || a.Degraded != 1 || a.AnytimeFallbacks != 1 {

@@ -8,7 +8,7 @@ import (
 )
 
 // Multi-query materialization operators. A shared-memo batch
-// (core.ParallelOptimizeCtx with Search.ShareMemo) can rewrite a
+// (core.Optimizer.OptimizeBatchCtx) can rewrite a
 // subplan used by several queries into one Materialize feeding
 // Reuse scans in the other plans; core.MaterializeSharedPlans makes
 // that decision against the costs below. Neither operator is produced

@@ -51,7 +51,6 @@ func (db *DB) PrepareBatchCtx(ctx context.Context, sqls []string) ([]*core.Plan,
 	if b, ok := budgetFrom(ctx); ok {
 		opts.Budget = b
 	}
-	opts.Search.ShareMemo = true
 	// Guided search seeds one root's cost limit; the multi-root batch
 	// engine has no per-root limits to seed, so the batch path always
 	// runs unguided.
@@ -60,7 +59,9 @@ func (db *DB) PrepareBatchCtx(ctx context.Context, sqls []string) ([]*core.Plan,
 		return nil, nil, err
 	}
 	model := relopt.New(db.cat, db.opts.Config)
-	jobs := make([]core.ParallelJob, len(sqls))
+	opt := core.NewOptimizer(model, &opts)
+	roots := make([]core.GroupID, len(sqls))
+	reqs := make([]core.PhysProps, len(sqls))
 	for i, sql := range sqls {
 		st, err := sqlish.Parse(db.cat, sql)
 		if err != nil {
@@ -69,28 +70,22 @@ func (db *DB) PrepareBatchCtx(ctx context.Context, sqls []string) ([]*core.Plan,
 		if countParams(st.Tree) != 0 {
 			return nil, nil, fmt.Errorf("vdb: batch statement %d: batch queries must be fully specified", i)
 		}
-		jobs[i] = core.ParallelJob{Model: model, Options: &opts, Tree: st.Tree, Required: st.Required}
+		roots[i], reqs[i] = opt.InsertQuery(st.Tree), st.Required
 	}
-	rs := core.ParallelOptimizeCtx(ctx, jobs, 1)
-	plans := make([]*core.Plan, len(rs))
-	out := &BatchResult{}
-	var degraded error
-	for i := range rs {
-		r := &rs[i]
-		if r.Err != nil {
-			if r.Plan == nil || !errors.Is(r.Err, core.ErrBudget) {
-				return nil, nil, fmt.Errorf("vdb: batch statement %d: %w", i, r.Err)
-			}
-			degraded = r.Err
+	plans, err := opt.OptimizeBatchCtx(ctx, roots, reqs)
+	if err != nil && !errors.Is(err, core.ErrBudget) {
+		return nil, nil, fmt.Errorf("vdb: batch: %w", err)
+	}
+	for i, p := range plans {
+		if p == nil && err != nil {
+			return nil, nil, fmt.Errorf("vdb: batch statement %d: %w", i, err)
 		}
-		if r.Plan == nil {
+		if p == nil {
 			return nil, nil, fmt.Errorf("vdb: batch statement %d: no plan satisfies the query", i)
 		}
-		plans[i] = r.Plan
-		out.Stats = r.Stats
 	}
+	out := &BatchResult{Stats: *opt.Stats()}
 	plans, out.Spools = core.MaterializeSharedPlans(model, plans)
-	out.Stats.StopReason = degraded
 	return plans, out, nil
 }
 

@@ -5,7 +5,10 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/datagen"
 	"repro/internal/exec"
+	"repro/internal/vdb"
 )
 
 // rowKey renders a row for order-insensitive multiset comparison.
@@ -125,6 +128,27 @@ func TestQueryBatchRejectsParams(t *testing.T) {
 	_, err := db.QueryBatch([]string{"SELECT R1.id FROM R1 WHERE R1.v < ?"})
 	if err == nil {
 		t.Fatal("parameterized batch statement accepted")
+	}
+}
+
+// TestQueryBatchRejectsStochasticPolicy: the batch drives every root
+// through the exhaustive FindBestPlan, so a database configured with a
+// stochastic search policy refuses a batch rather than silently
+// ignoring the policy.
+func TestQueryBatchRejectsStochasticPolicy(t *testing.T) {
+	src := datagen.New(31)
+	cat := src.Catalog(3)
+	for _, pol := range []core.SearchPolicy{core.PolicyMCTS, core.PolicyWidening} {
+		opts := &vdb.Options{}
+		opts.Search.Search.Policy = pol
+		db := vdb.Open(cat, src.Rows(cat), opts)
+		_, err := db.QueryBatch([]string{
+			"SELECT R1.id, R1.ja FROM R1, R2 WHERE R1.ja = R2.ja ORDER BY R1.id",
+			"SELECT R1.ja, COUNT(*) FROM R1, R2 WHERE R1.ja = R2.ja GROUP BY R1.ja",
+		})
+		if err == nil {
+			t.Errorf("%v: batch accepted under a stochastic policy", pol)
+		}
 	}
 }
 

@@ -109,14 +109,14 @@ func TestCacheServesQueryAndExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Stats.CacheHit {
+	if cold.Cached {
 		t.Fatal("first execution reported a cache hit")
 	}
 	warm, err := db.Query(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Stats.CacheHit {
+	if !warm.Cached {
 		t.Fatal("second execution missed the cache")
 	}
 	if len(warm.Rows) != len(cold.Rows) {

@@ -121,8 +121,8 @@ type Result struct {
 	Cost core.Cost
 	// Stats are the search counters of the optimization that produced
 	// the plan — the original run's counters when the plan was served
-	// from the cache (Stats.CacheHit set) or coalesced
-	// (Stats.Coalesced set). Batch results share the batch's counters.
+	// from the cache (Cached) or coalesced (Coalesced). Batch results
+	// share the batch's counters.
 	Stats core.Stats
 	// Degraded reports that a budget stopped the optimizer before it
 	// could prove the plan optimal: the statement still ran, on the
@@ -156,7 +156,7 @@ func resultFrom(entry *plancache.Entry, outcome plancache.Outcome, optTime time.
 	return &Result{
 		Plan:         entry.Plan,
 		Cost:         entry.Plan.Cost,
-		Stats:        serveStats(entry, outcome),
+		Stats:        entry.Stats,
 		Degraded:     entry.Degraded != nil,
 		StopReason:   entry.Degraded,
 		Cached:       outcome == plancache.OutcomeHit,
@@ -274,19 +274,6 @@ func (db *DB) serve(ctx context.Context, st *sqlish.Statement, nparams int) (*pl
 	}
 	fp, canon := core.FingerprintQuery(db.model, st.Tree, st.Required)
 	return db.cache.Do(fp, canon, compute)
-}
-
-// serveStats returns the entry's search stats annotated with how the
-// entry was served.
-func serveStats(e *plancache.Entry, outcome plancache.Outcome) core.Stats {
-	stats := e.Stats
-	switch outcome {
-	case plancache.OutcomeHit:
-		stats.CacheHit = true
-	case plancache.OutcomeCoalesced:
-		stats.Coalesced = true
-	}
-	return stats
 }
 
 // Stmt is a prepared statement: parsed, optimized (statically or
