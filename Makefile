@@ -27,11 +27,13 @@ staticcheck:
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = n == 2 ? "." : n == 3 ? p[2] : p[2] "/" p[3]; s[d] += $$1; t += $$1 } END { for (d in s) printf "%7d %s\n", s[d], d; printf "%7d total\n", t }' | sort -k2
 
-# The headline numbers: Figure-4 optimization time plus the search-engine
-# micro-benchmarks.
+# The headline numbers: Figure-4 optimization time, the search-engine
+# micro-benchmarks, and a served plan-cache miss (vdb's cold PrepareCtx
+# over the point-churn statement shapes).
 bench:
 	$(GO) test -run NONE -bench 'BenchmarkFig4Volcano' -benchmem .
 	$(GO) test -run NONE -bench 'BenchmarkCollectMoves|BenchmarkWinnerLookup' -benchmem ./internal/core/
+	$(GO) test -run NONE -bench 'BenchmarkServedMiss' -benchmem ./internal/vdb/
 
 # Transformation-rule exploration, about seven tenths of a cold
 # optimization (traced opt-fig4 core.explore_share 0.70; 0.80 on
@@ -47,7 +49,7 @@ bench-guided:
 
 # The repository benchmark (BENCHMARK.json, bench/) is a module of its
 # own that `go test ./...` at the root does not reach: run its tests, and
-# smoke five workloads for two seconds each. The benchmark checks every
+# smoke all six workloads for two seconds each. The benchmark checks every
 # result against its oracle and exits non-zero on a wrong one; serve-open
 # drives a volcano-serve child over HTTP, so the loaded serving path keeps
 # an oracle-checked gate. The traced
@@ -56,11 +58,15 @@ bench-guided:
 # core.Stats.TasksRun/TasksParked. The traced opt-budgeted run at seed
 # 1994 reports core.floor_violation_share, the anytime floor's metric.
 # The traced point-hot run prints exec.tiny_run_us, the executor's share
-# of a cached point statement.
+# of a cached point statement. The traced point-churn run is the served
+# plan-cache miss: every statement optimizes (vdb.optimize_us) or runs a
+# dynamic-plan sweep (relopt.dynamic_ms), and its plans must stay optimal
+# (plan_cost_ratio 1).
 bench-check:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload exec-analytic --seed 1993 --seconds 2 --trace 0
 	bash bench/run.sh --workload point-hot --seed 1993 --seconds 2 --trace 1
+	bash bench/run.sh --workload point-churn --seed 1993 --seconds 2 --trace 1
 	bash bench/run.sh --workload opt-fig4 --seed 1993 --seconds 2 --trace 1
 	bash bench/run.sh --workload opt-budgeted --seed 1994 --seconds 2 --trace 1
 	bash bench/run.sh --workload serve-open --seed 1993 --seconds 2 --trace 0

@@ -26,8 +26,9 @@ type Group struct {
 	// class, and when it merges away they are rehashed.
 	parents []*Expr
 
-	// logProps are the logical properties of the class, derived once
-	// from the creating expression before any optimization.
+	// logProps are the logical properties of the class, derived from the
+	// creating expression before any optimization, and again by
+	// Optimizer.Rederive.
 	logProps LogicalProps
 
 	// winners maps a (required, excluded) physical property pair to
@@ -45,9 +46,9 @@ type Group struct {
 
 	// floor memoizes the model's admissible cost floor for the class;
 	// floorSet distinguishes a computed nil ("model declined") from
-	// not-yet-computed. Logical properties are fixed at class creation
-	// and merges only unite equivalent classes, so one computation per
-	// class is sound.
+	// not-yet-computed. Logical properties change only through
+	// Rederive, which resets the floor, and merges only unite equivalent
+	// classes, so one computation per class and model is sound.
 	floor    Cost
 	floorSet bool
 

@@ -14,6 +14,16 @@ type LogicalProps interface {
 	String() string
 }
 
+// PropsEqualer is an optional extension of LogicalProps. Equal reports
+// whether other holds exactly the same properties, estimates compared bit
+// for bit. Optimizer.Rederive keeps the search results of a class whose
+// re-derived properties are Equal to its old ones; without the method,
+// it re-costs every class.
+type PropsEqualer interface {
+	LogicalProps
+	Equal(other LogicalProps) bool
+}
+
 // PhysProps is the abstract data type for a physical property vector:
 // sort order, partitioning, compression status, assembledness, or
 // whatever the optimizer implementor defines. Physical properties attach

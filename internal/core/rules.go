@@ -185,7 +185,9 @@ type TransformRule struct {
 	// invoked after a pattern match has succeeded and may veto the
 	// match (for example, to check the type of an intermediate result
 	// in a many-sorted algebra, or to restrict the search to left-deep
-	// plans).
+	// plans). Condition and Apply may read only the schema part of
+	// logical properties, never estimates: Optimizer.Rederive keeps the
+	// explored expression set when estimates change.
 	Condition func(ctx *RuleContext, b *Binding) bool
 	// Apply produces zero or more substitute expressions equivalent to
 	// the binding, built with ctx.Node, ctx.ClassRef and

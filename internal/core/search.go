@@ -72,6 +72,65 @@ func (o *Optimizer) InsertQuery(t *ExprTree) GroupID {
 	return o.memo.InsertTree(t, InvalidGroup)
 }
 
+// Rederive rebinds the optimizer, between optimization calls, to model:
+// the same data model under other estimates, such as another selectivity
+// for a runtime parameter. model must declare the same transformation
+// rules in the same order; explored flags and fired-rule marks stay,
+// since rule conditions read only schemas (see TransformRule.Condition).
+// Every live class's logical properties are derived again from its first
+// expression, in class-ID order, so a class's founding inputs (older
+// classes) are re-derived before it. A class is stale when its properties
+// differ (by PropsEqualer; without it every class is) or when a live
+// member consumes a stale class. Changed classes take the new property
+// objects — the old ones stay intact for plans already built — and every
+// stale class drops its winners, failures, move sets and floor. Rederive
+// returns the number of live classes kept.
+func (o *Optimizer) Rederive(model Model) int {
+	m := o.memo
+	if len(model.TransformationRules()) != len(m.model.TransformationRules()) {
+		panic("core: Rederive: the model's transformation rules differ from the memo's")
+	}
+	o.model, m.model, o.ctx.Model, m.ctx.Model = model, model, model, model
+	o.lower, _ = model.(LowerBounder)
+	o.seedFallback = nil
+
+	stale := make([]bool, len(m.groups))
+	var work []*Group
+	live := 0
+	for i, g := range m.groups {
+		if m.parent[i] != g.id {
+			continue
+		}
+		live++
+		e := g.exprs[0]
+		in := m.props[:0]
+		for _, c := range e.Inputs {
+			in = append(in, m.Group(c).logProps)
+		}
+		m.props = in
+		lp := model.DeriveLogicalProps(e.Op, in)
+		if eq, ok := lp.(PropsEqualer); ok && eq.Equal(g.logProps) {
+			continue
+		}
+		g.logProps = lp
+		stale[i] = true
+		work = append(work, g)
+	}
+	for len(work) > 0 {
+		g := work[len(work)-1]
+		work = work[:len(work)-1]
+		g.winners, g.moveSets, g.floor, g.floorSet = nil, nil, nil, false
+		for _, p := range g.parents {
+			if pg := m.Find(p.group); !p.dead && !stale[pg-1] {
+				stale[pg-1] = true
+				work = append(work, m.groups[pg-1])
+			}
+		}
+		live--
+	}
+	return live
+}
+
 // Explore expands the class to transformation-rule fixpoint without a
 // context; see ExploreCtx.
 func (o *Optimizer) Explore(g GroupID) error {
@@ -249,7 +308,8 @@ func (o *Optimizer) anytimeFallback(root GroupID, required PhysProps, limit Cost
 // call runs under an armed budget — a cancelable context, a deadline, or
 // any Budget bound. Seed planners use it to decide whether materializing
 // a complete floor plan is worth the extra work: without a budget the
-// floor can never be needed.
+// floor can never be needed, and relopt's planner seeds the shapes its
+// greedy pass declines only then.
 func (o *Optimizer) Budgeted() bool { return o.bud != nil }
 
 // classFloor returns the memoized admissible cost floor for a class, or

@@ -2,6 +2,8 @@ package rel
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -40,7 +42,26 @@ type Props struct {
 	Stats []ColStat
 }
 
-var _ core.LogicalProps = (*Props)(nil)
+var _ core.PropsEqualer = (*Props)(nil)
+
+// Equal reports whether other is a *Props with the same catalog, schema
+// and estimates, comparing every float bit for bit.
+func (p *Props) Equal(other core.LogicalProps) bool {
+	q, ok := other.(*Props)
+	if !ok || p.Cat != q.Cat || math.Float64bits(p.Rows) != math.Float64bits(q.Rows) ||
+		p.RowBytes != q.RowBytes || p.Tables != q.Tables ||
+		!slices.Equal(p.Cols, q.Cols) || len(p.Stats) != len(q.Stats) {
+		return false
+	}
+	for i, s := range p.Stats {
+		t := q.Stats[i]
+		if math.Float64bits(s.Distinct) != math.Float64bits(t.Distinct) ||
+			s.Min != t.Min || s.Max != t.Max || s.Width != t.Width {
+			return false
+		}
+	}
+	return true
+}
 
 // String summarizes the properties.
 func (p *Props) String() string {

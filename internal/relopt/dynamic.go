@@ -57,13 +57,16 @@ func OptimizeDynamic(cat *rel.Catalog, cfg Config, query *core.ExprTree, require
 
 // OptimizeDynamicCtx optimizes a query containing exactly one
 // parameterized predicate under each selectivity assumption in buckets
-// (default: 0.01, 0.1, 0.5, 0.9) and combines the distinct winners under
-// a ChoosePlan operator. The memo is rebuilt per bucket — the partial
-// optimization results depend on the assumed selectivity — and the
-// assumption is the bucket's model's own, so the catalog is only read.
+// (default: 0.01, 0.1, 0.5, 0.9; the caller's slice is not modified) and
+// combines the distinct winners under a ChoosePlan operator. The query is
+// inserted and explored once; before each later bucket the optimizer is
+// rebound to that bucket's model with core.Optimizer.Rederive, which
+// keeps the search results of every class the parameter does not reach.
+// The assumption is the bucket model's own, so the catalog is only read.
 // A canceled or expired ctx stops the sweep with core's typed stop error
 // (matching core.ErrCanceled or core.ErrDeadline).
 func OptimizeDynamicCtx(ctx context.Context, cat *rel.Catalog, cfg Config, query *core.ExprTree, required core.PhysProps, buckets []float64) (*DynamicResult, error) {
+	buckets = append([]float64(nil), buckets...)
 	if len(buckets) == 0 {
 		buckets = []float64{0.01, 0.1, 0.5, 0.9}
 	}
@@ -81,11 +84,16 @@ func OptimizeDynamicCtx(ctx context.Context, cat *rel.Catalog, cfg Config, query
 	}
 	var alts []alt
 	idxFor := make([]int, len(buckets)) // bucket → alternative index
+	base := New(cat, cfg)
+	var opt *core.Optimizer
+	var root core.GroupID
 	for i, sel := range buckets {
-		m := New(cat, cfg)
-		m.paramSel = sel
-		opt := core.NewOptimizer(m, nil)
-		root := opt.InsertQuery(query)
+		if m := base.withParamSel(sel); opt == nil {
+			opt = core.NewOptimizer(m, nil)
+			root = opt.InsertQuery(query)
+		} else {
+			opt.Rederive(m)
+		}
 		plan, err := opt.OptimizeCtx(ctx, root, required)
 		if err != nil {
 			return nil, err
@@ -136,7 +144,7 @@ func OptimizeDynamicCtx(ctx context.Context, cat *rel.Catalog, cfg Config, query
 	cutoffs[len(cutoffs)-1] = 1
 
 	first := alts[0].plan
-	root := &core.Plan{
+	choose := &core.Plan{
 		Op:        &ChoosePlan{Pred: pred, Stat: stat, Cutoffs: cutoffs},
 		Inputs:    plans,
 		Delivered: first.Delivered,
@@ -145,7 +153,7 @@ func OptimizeDynamicCtx(ctx context.Context, cat *rel.Catalog, cfg Config, query
 		Group:     first.Group,
 		LogProps:  first.LogProps,
 	}
-	return &DynamicResult{Plan: root, Buckets: buckets, Alternatives: len(alts)}, nil
+	return &DynamicResult{Plan: choose, Buckets: buckets, Alternatives: len(alts)}, nil
 }
 
 // findParamPred locates the single parameterized predicate.

@@ -3,6 +3,10 @@ package relopt_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -158,7 +162,7 @@ func TestDynamicRequiresParam(t *testing.T) {
 func TestParamSelectivityAssumption(t *testing.T) {
 	cat, _, st := dynamicFixture(t)
 	costUnder := func(sel float64) float64 {
-		opt := core.NewOptimizer(relopt.NewWithParamSel(cat, relopt.DefaultConfig(), sel), nil)
+		opt := core.NewOptimizer(relopt.New(cat, relopt.DefaultConfig()).WithParamSel(sel), nil)
 		root := opt.InsertQuery(st.Tree)
 		plan, err := opt.Optimize(root, st.Required)
 		coretest.CheckMemo(t, opt)
@@ -230,4 +234,103 @@ func TestDynamicHonoursContext(t *testing.T) {
 	if res != nil {
 		t.Fatalf("canceled sweep returned a plan:\n%s", res.Plan.Format())
 	}
+}
+
+// paramChainSQL draws a parameterized statement of the point-churn
+// shapes: 2–4 consecutive tables of six chained on ja = id, a constant
+// selection on the last table and the parameter on the first, under a
+// plain projection, an ORDER BY or a GROUP BY. Length and shape go round
+// in turn; the first table and the constant are drawn.
+func paramChainSQL(rng *rand.Rand, i int) string {
+	k := 2 + i%3
+	first := 1 + rng.Intn(6-k+1)
+	t := func(j int) string { return "R" + strconv.Itoa(first+j) }
+	from, where := t(0), ""
+	for j := 1; j < k; j++ {
+		from += ", " + t(j)
+		where += fmt.Sprintf("%s.ja = %s.id AND ", t(j-1), t(j))
+	}
+	where += fmt.Sprintf("%s.v < %d AND %s.v < $1", t(k-1), 100+rng.Intn(900), t(0))
+	switch i / 3 % 3 {
+	case 0:
+		return fmt.Sprintf("SELECT %s.id FROM %s WHERE %s", t(0), from, where)
+	case 1:
+		return fmt.Sprintf("SELECT %s.id, %s.v FROM %s WHERE %s ORDER BY %s.id", t(0), t(0), from, where, t(0))
+	}
+	return fmt.Sprintf("SELECT %s.ja, COUNT(*) FROM %s WHERE %s GROUP BY %s.ja", t(0), from, where, t(0))
+}
+
+// sameCostBits reports whether two relational costs are bit-identical.
+func sameCostBits(a, b core.Cost) bool {
+	x, y := a.(relopt.Cost), b.(relopt.Cost)
+	return math.Float64bits(x.IO) == math.Float64bits(y.IO) && math.Float64bits(x.CPU) == math.Float64bits(y.CPU)
+}
+
+// TestRederiveMatchesFreshBuckets: a sweep that inserts the query once
+// and calls Rederive before every later bucket — what OptimizeDynamicCtx
+// does — costs every bucket bit for bit as a fresh per-bucket
+// optimization does, keeps the memo's invariants after every bucket, and
+// keeps the classes the parameter does not reach. OptimizeDynamicCtx's
+// alternatives carry those same costs.
+func TestRederiveMatchesFreshBuckets(t *testing.T) {
+	buckets := []float64{0.01, 0.1, 0.5, 0.9}
+	cfg := relopt.DefaultConfig()
+	kept, live := 0, 0
+	for _, seed := range []int64{1993, 1994, 20260925} {
+		cat := datagen.New(seed).Catalog(6)
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 36; i++ {
+			sql := paramChainSQL(rng, i)
+			st, err := sqlish.Parse(cat, sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := relopt.New(cat, cfg)
+			var opt *core.Optimizer
+			var root core.GroupID
+			fresh := map[[2]uint64]bool{}
+			for _, sel := range buckets {
+				if m := base.WithParamSel(sel); opt == nil {
+					opt = core.NewOptimizer(m, nil)
+					root = opt.InsertQuery(st.Tree)
+				} else {
+					kept += opt.Rederive(m)
+					opt.Memo().Groups(func(*core.Group) { live++ })
+				}
+				got, err := opt.Optimize(root, st.Required)
+				coretest.CheckMemo(t, opt)
+				if err != nil || got == nil {
+					t.Fatalf("%s at %g: %v", sql, sel, err)
+				}
+				ref := core.NewOptimizer(relopt.New(cat, cfg).WithParamSel(sel), nil)
+				want, err := ref.Optimize(ref.InsertQuery(st.Tree), st.Required)
+				if err != nil || want == nil {
+					t.Fatalf("%s at %g, fresh: %v", sql, sel, err)
+				}
+				if !sameCostBits(got.Cost, want.Cost) {
+					t.Errorf("%s at selectivity %g: cost %s after Rederive, %s fresh", sql, sel, got.Cost, want.Cost)
+				}
+				c := want.Cost.(relopt.Cost)
+				fresh[[2]uint64{math.Float64bits(c.IO), math.Float64bits(c.CPU)}] = true
+			}
+			res, err := relopt.OptimizeDynamicCtx(context.Background(), cat, cfg, st.Tree, st.Required, buckets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alts := []*core.Plan{res.Plan}
+			if res.Alternatives > 1 {
+				alts = res.Plan.Inputs
+			}
+			for _, p := range alts {
+				c := p.Cost.(relopt.Cost)
+				if !fresh[[2]uint64{math.Float64bits(c.IO), math.Float64bits(c.CPU)}] {
+					t.Errorf("%s: dynamic alternative costs %s, no fresh bucket does", sql, c)
+				}
+			}
+		}
+	}
+	if kept == 0 || kept == live {
+		t.Errorf("Rederive kept %d of %d classes; want some but not all", kept, live)
+	}
+	t.Logf("Rederive kept %d of %d classes (%.0f%%)", kept, live, 100*float64(kept)/float64(live))
 }

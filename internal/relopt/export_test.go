@@ -1,11 +1,5 @@
 package relopt
 
-import "repro/internal/rel"
-
-// NewWithParamSel is New with the selectivity assumed for parameterized
-// predicates set to sel, the model each bucket of a dynamic sweep uses.
-func NewWithParamSel(cat *rel.Catalog, cfg Config, sel float64) *Model {
-	m := New(cat, cfg)
-	m.paramSel = sel
-	return m
-}
+// WithParamSel is withParamSel: the model a dynamic sweep's bucket uses,
+// assuming selectivity sel for parameterized predicates.
+func (m *Model) WithParamSel(sel float64) *Model { return m.withParamSel(sel) }

@@ -63,7 +63,8 @@ type Model struct {
 
 	// paramSel is the selectivity assumed for parameterized predicates;
 	// zero means rel's default. OptimizeDynamicCtx sets it on a private
-	// model per bucket, so concurrent sweeps never share an assumption.
+	// copy per bucket (withParamSel), so concurrent sweeps never share an
+	// assumption.
 	paramSel float64
 
 	trules []*core.TransformRule
@@ -123,6 +124,16 @@ func New(cat *rel.Catalog, cfg Config) *Model {
 		m.enfs = append(m.enfs, m.exchangeEnforcer())
 	}
 	return m
+}
+
+// withParamSel returns a copy of the model that assumes selectivity sel
+// for parameterized predicates. The copy shares the rule and enforcer
+// sets, which read no estimate of their own, so it meets
+// core.Optimizer.Rederive's same-rules contract.
+func (m *Model) withParamSel(sel float64) *Model {
+	c := *m
+	c.paramSel = sel
+	return &c
 }
 
 // Name returns "relational".

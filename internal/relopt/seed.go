@@ -96,28 +96,33 @@ func (m *Model) LowerBound(lp core.LogicalProps) core.Cost {
 var _ core.LowerBounder = (*Model)(nil)
 
 // SeedPlanner returns the model's seed planner for core's guided search:
-// the greedy join-ordering seeder, falling back to the generic syntactic
-// seed (the query as written, algorithm choices only) for query shapes
-// the greedy pass does not cover — non-join roots, partitioned goals,
-// and disconnected join graphs.
+// the greedy join-ordering seeder. Query shapes the greedy pass does not
+// cover — non-join roots, partitioned goals, and disconnected join graphs
+// — get the generic syntactic seed (the query as written, algorithm
+// choices only) under a budget, where it is the anytime floor, and no
+// seed otherwise: a scratch optimization bought only for its cost limit
+// costs more than the pruning it buys, so an unbudgeted declined shape
+// runs exactly the unguided search.
 func (m *Model) SeedPlanner() core.SeedPlanner {
 	return func(o *core.Optimizer, root core.GroupID, required core.PhysProps) *core.SeedPlan {
-		if sp := m.greedySeed(o, root, required); sp != nil {
-			// The greedy seed prices a plan it never builds (it may drop
-			// intra-component predicates, so materializing it would
-			// change query results). Under a budget the search needs a
-			// real degradation floor, so attach the syntactic plan — the
-			// query as written, correct by construction — while keeping
-			// the (usually tighter) greedy cost as the seeded limit.
-			// Unbudgeted runs skip the extra pass entirely.
-			if o.Budgeted() {
-				if syn := o.SyntacticSeed(root, required); syn != nil {
-					sp.Plan = syn.Plan
-				}
-			}
+		sp := m.greedySeed(o, root, required)
+		if !o.Budgeted() {
 			return sp
 		}
-		return o.SyntacticSeed(root, required)
+		syn := o.SyntacticSeed(root, required)
+		if sp == nil {
+			return syn
+		}
+		// The greedy seed prices a plan it never builds (it may drop
+		// intra-component predicates, so materializing it would change
+		// query results). The budgeted search needs a real degradation
+		// floor, so attach the syntactic plan — the query as written,
+		// correct by construction — while keeping the (usually tighter)
+		// greedy cost as the seeded limit.
+		if syn != nil {
+			sp.Plan = syn.Plan
+		}
+		return sp
 	}
 }
 

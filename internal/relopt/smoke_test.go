@@ -64,6 +64,43 @@ func TestSmokeOptimizeChain(t *testing.T) {
 	}
 }
 
+// TestDeclinedSeedRunsUnguided: the greedy seeder declines a PROJECT
+// root. Without a budget the seed planner then returns no seed, so guided
+// search is exactly the unguided one — same counters, same cost bits, no
+// scratch syntactic pass. Under a budget the syntactic plan is still
+// captured as the anytime floor.
+func TestDeclinedSeedRunsUnguided(t *testing.T) {
+	cat, cols := testCatalog(t)
+	model := New(cat, DefaultConfig())
+	query := core.Node(&rel.Project{Cols: []rel.ColID{cols["emp.id"], cols["proj.budget"]}}, chainQuery(cat, cols))
+	run := func(opts *core.Options) (*core.Plan, *core.Stats) {
+		opt := core.NewOptimizer(model, opts)
+		plan, err := opt.Optimize(opt.InsertQuery(query), nil)
+		coretest.CheckMemo(t, opt)
+		if err != nil || plan == nil {
+			t.Fatalf("optimize: %v", err)
+		}
+		return plan, opt.Stats()
+	}
+	guidance := core.GuidanceOptions{SeedPlanner: model.SeedPlanner()}
+	up, us := run(nil)
+	gp, gs := run(&core.Options{Guidance: guidance})
+	if gs.SeedCost != nil {
+		t.Errorf("declined shape seeded at %s without a budget", gs.SeedCost)
+	}
+	if gs.Steps() != us.Steps() || gs.MatchCalls != us.MatchCalls || gs.Exprs != us.Exprs {
+		t.Errorf("guided steps/matches/exprs %d/%d/%d, unguided %d/%d/%d",
+			gs.Steps(), gs.MatchCalls, gs.Exprs, us.Steps(), us.MatchCalls, us.Exprs)
+	}
+	if g, u := gp.Cost.(Cost), up.Cost.(Cost); g != u {
+		t.Errorf("guided cost %s, unguided %s", g, u)
+	}
+	_, bs := run(&core.Options{Guidance: guidance, Budget: core.Budget{MaxSteps: 1 << 20}})
+	if bs.SeedFloorCost == nil {
+		t.Error("budgeted run captured no syntactic floor")
+	}
+}
+
 func TestSmokeOptimizeSorted(t *testing.T) {
 	cat, cols := testCatalog(t)
 	model := New(cat, DefaultConfig())

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/relopt"
 	"repro/internal/sqlish"
 )
 
@@ -58,8 +57,7 @@ func (db *DB) PrepareBatchCtx(ctx context.Context, sqls []string) ([]*core.Plan,
 	if err := opts.Validate(); err != nil {
 		return nil, nil, err
 	}
-	model := relopt.New(db.cat, db.opts.Config)
-	opt := core.NewOptimizer(model, &opts)
+	opt := core.NewOptimizer(db.model, &opts)
 	roots := make([]core.GroupID, len(sqls))
 	reqs := make([]core.PhysProps, len(sqls))
 	for i, sql := range sqls {
@@ -85,7 +83,7 @@ func (db *DB) PrepareBatchCtx(ctx context.Context, sqls []string) ([]*core.Plan,
 		}
 	}
 	out := &BatchResult{Stats: *opt.Stats()}
-	plans, out.Spools = core.MaterializeSharedPlans(model, plans)
+	plans, out.Spools = core.MaterializeSharedPlans(db.model, plans)
 	return plans, out, nil
 }
 

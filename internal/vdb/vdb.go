@@ -62,8 +62,9 @@ type DB struct {
 	cat  *rel.Catalog
 	data *exec.DB
 	opts Options
-	// model is the read-only optimizer model used for fingerprinting;
-	// nil when the plan cache is disabled.
+	// model is the database's one optimizer model, built at Open: every
+	// optimization, the seed planner, batches and fingerprinting use it.
+	// It is read-only, so concurrent requests share it.
 	model *relopt.Model
 	// cache is the cross-query plan cache; nil when disabled.
 	cache *plancache.Cache
@@ -76,11 +77,11 @@ func Open(cat *rel.Catalog, data map[string][][]int64, opts *Options) *DB {
 	if opts != nil {
 		db.opts = *opts
 	}
+	db.model = relopt.New(cat, db.opts.Config)
 	if db.opts.Guided && db.opts.Search.Guidance.SeedPlanner == nil {
-		db.opts.Search.Guidance.SeedPlanner = relopt.New(cat, db.opts.Config).SeedPlanner()
+		db.opts.Search.Guidance.SeedPlanner = db.model.SeedPlanner()
 	}
 	if db.opts.CacheBytes > 0 {
-		db.model = relopt.New(cat, db.opts.Config)
 		db.cache = plancache.New(plancache.Options{MaxBytes: db.opts.CacheBytes})
 	}
 	return db
@@ -228,7 +229,7 @@ func (db *DB) optimize(ctx context.Context, tree *core.ExprTree, required core.P
 	if err := opts.Validate(); err != nil {
 		return nil, core.Stats{}, nil, err
 	}
-	opt := core.NewOptimizer(relopt.New(db.cat, db.opts.Config), &opts)
+	opt := core.NewOptimizer(db.model, &opts)
 	root := opt.InsertQuery(tree)
 	plan, err := opt.OptimizeCtx(ctx, root, required)
 	stats := *opt.Stats()

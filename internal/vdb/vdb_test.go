@@ -2,7 +2,9 @@ package vdb_test
 
 import (
 	"context"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -90,6 +92,42 @@ func TestPrepareDynamic(t *testing.T) {
 	}
 	if _, err := db.QueryParams("SELECT id FROM R1 WHERE v < $1", 250); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDynamicBucketsUnsortedConcurrent: concurrent misses share the
+// database's DynamicBuckets option; the sweep sorts its own copy, so the
+// option is neither raced on nor rewritten, and every miss plans alike.
+func TestDynamicBucketsUnsortedConcurrent(t *testing.T) {
+	src := datagen.New(31)
+	cat := src.Catalog(3)
+	buckets := []float64{0.9, 0.01, 0.5, 0.1}
+	db := vdb.Open(cat, src.Rows(cat), &vdb.Options{DynamicBuckets: buckets})
+	const sql = "SELECT R1.id, R1.jb, R2.v FROM R1, R2 WHERE R1.jb = R2.jb AND R1.v < $1 ORDER BY R1.jb"
+	plans := make([]string, 8)
+	errs := make([]error, len(plans))
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stmt, err := db.PrepareCtx(context.Background(), sql)
+			if errs[i] = err; err == nil {
+				plans[i] = stmt.Plan().Format()
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range plans {
+		if errs[i] != nil {
+			t.Fatalf("prepare %d: %v", i, errs[i])
+		}
+		if plans[i] != plans[0] {
+			t.Errorf("prepare %d planned differently:\n%s\nwant\n%s", i, plans[i], plans[0])
+		}
+	}
+	if want := []float64{0.9, 0.01, 0.5, 0.1}; !slices.Equal(buckets, want) {
+		t.Errorf("DynamicBuckets rewritten to %v, want %v", buckets, want)
 	}
 }
 
