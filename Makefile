@@ -35,12 +35,14 @@ bench:
 	$(GO) test -run NONE -bench 'BenchmarkCollectMoves|BenchmarkWinnerLookup' -benchmem ./internal/core/
 	$(GO) test -run NONE -bench 'BenchmarkServedMiss' -benchmem ./internal/vdb/
 
-# Transformation-rule exploration, about seven tenths of a cold
-# optimization (traced opt-fig4 core.explore_share 0.70; 0.80 on
-# opt-budgeted): ns/op, B/op and allocs/op of three cold guided
-# optimizations at each of 6, 8 and 10 relations (fixed seed).
+# Transformation-rule exploration, most of a cold optimization (traced
+# core.explore_share 0.68 on opt-fig4 and 0.76 on opt-budgeted, seed
+# 1993): ns/op, B/op and allocs/op of three cold guided optimizations at
+# each of 6, 8 and 10 relations (BenchmarkExploreFig4), and of chain,
+# star and random queries at 8, 9 and 10 relations under a 200-step
+# budget (BenchmarkExploreBudgeted), fixed seed.
 bench-explore:
-	$(GO) test -run NONE -bench 'BenchmarkExploreFig4' -benchmem ./internal/relopt/
+	$(GO) test -run NONE -bench 'BenchmarkExploreFig4|BenchmarkExploreBudgeted' -benchmem ./internal/relopt/
 
 # Guided branch-and-bound A/B: the guided/unguided benchmark pair. Plan
 # costs must match; TestGuidedMatchesUnguided gates that.

@@ -100,11 +100,18 @@ func (m *Memo) bindChildren(pattern *Pattern, b *Binding, i int, k *bindCont, fn
 		m.releaseFrame(leaf)
 		return ok
 	}
+	// A delta match (matchDelta) starts its one root-level loop past the
+	// watermark. It is read before exploring, whose nested matches set
+	// their own.
+	from := 0
+	if k == nil {
+		from, m.from = m.from, 0
+	}
 	// An operator sub-pattern must see the input class fully expanded.
 	m.exploreGroup(m.groups[inGroup-1])
 	g := m.groups[m.Find(inGroup)-1]
 	cont := bindCont{pattern: pattern, i: i, next: k}
-	for j := 0; j < len(g.exprs); j++ {
+	for j := from; j < len(g.exprs); j++ {
 		sub := g.exprs[j]
 		if sub.dead || !kindMatches(childPat.Kind, sub.Op.Kind()) ||
 			len(childPat.Children) != len(sub.Inputs) {
@@ -126,13 +133,26 @@ func (m *Memo) bindChildren(pattern *Pattern, b *Binding, i int, k *bindCont, fn
 // expression fired-rule masks guarantee each (expression, rule) pair is
 // attempted once, so exploration terminates whenever the rule set
 // generates a finite space.
+//
+// Exploration is semi-naive. An input class that gains members — by a
+// merge, or by a derivation when it is explored again — can give a
+// multi-level rule new bindings at an expression it has already fired
+// on, and the growth marks the pair stale (markStale). A
+// stale pair is attempted again, but a delta rule — one operator
+// sub-pattern, whose inputs are leaves — binds only the input class's
+// members beyond the watermark its last complete enumeration left
+// (ruleMark): class lists only append, so every binding below it has
+// fired. Other multi-level rules re-enumerate every binding.
 func (m *Memo) exploreGroup(g *Group) {
 	g = m.groups[m.Find(g.id)-1]
 	if g.explored || g.exploring || m.err != nil {
 		return
 	}
+	// A merge may move the loop below onto another class, which an outer
+	// frame may be exploring; the flag is this frame's to clear.
+	opened := g
 	g.exploring = true
-	defer func() { g.exploring = false }()
+	defer func() { opened.exploring = false }()
 
 	rules := m.model.TransformationRules()
 	ctx := m.ctx
@@ -161,18 +181,32 @@ func (m *Memo) exploreGroup(g *Group) {
 	}
 	for {
 		// Each pass attempts every (expression, rule) pair not yet
-		// attempted, marking attempts in the expression's rule mask.
-		// Merges reset the masks of affected expressions, which makes
-		// the next pass re-attempt them; the loop ends only when a
-		// full pass finds nothing left to attempt, i.e. at fixpoint.
+		// attempted or stale, and loops until a full pass finds nothing
+		// left to attempt, i.e. at fixpoint: a merge during the pass may
+		// have made an earlier pair stale.
 		attempted := false
 		for i := 0; i < len(g.exprs); i++ { // g.exprs may grow while iterating
 			e := g.exprs[i]
+			slot := 0 // e's watermark for the next delta rule
 			for ri := range rules {
-				if e.dead || e.ruleApplied(ri) {
+				rule = rules[ri]
+				if e.dead {
+					break
+				}
+				if !kindMatches(rule.Pattern.Kind, e.Op.Kind()) ||
+					len(rule.Pattern.Children) != len(e.Inputs) {
 					continue
 				}
-				e.markRuleApplied(ri)
+				pos := m.deltaPos[ri]
+				if pos >= 0 {
+					slot++
+				}
+				bit := uint64(1) << uint(ri)
+				if e.appliedRules&bit != 0 && e.stale&bit == 0 {
+					continue
+				}
+				e.appliedRules |= bit
+				e.stale &^= bit
 				if m.bud != nil {
 					// Budget checkpoint per (expression, rule) attempt:
 					// together with the insertion tick this bounds how
@@ -182,13 +216,12 @@ func (m *Memo) exploreGroup(g *Group) {
 						return
 					}
 				}
-				rule = rules[ri]
-				if !kindMatches(rule.Pattern.Kind, e.Op.Kind()) ||
-					len(rule.Pattern.Children) != len(e.Inputs) {
-					continue
-				}
 				attempted = true
-				m.matchBindings(e, rule.Pattern, fire)
+				if pos < 0 {
+					m.matchBindings(e, rule.Pattern, fire)
+				} else {
+					m.matchDelta(e, pos, slot-1, rule.Pattern, fire)
+				}
 				if m.err != nil {
 					return
 				}
@@ -196,7 +229,6 @@ func (m *Memo) exploreGroup(g *Group) {
 				// iteration sees the surviving expression list.
 				if moved := m.groups[m.Find(g.id)-1]; moved != g {
 					g = moved
-					attempted = true
 				}
 			}
 		}
@@ -205,6 +237,50 @@ func (m *Memo) exploreGroup(g *Group) {
 		}
 	}
 	g.explored = true
+}
+
+// ruleMark is a delta rule's watermark at one expression: the class its
+// operator sub-pattern bound, and how many of that class's expressions
+// the last complete enumeration reached.
+type ruleMark struct {
+	class GroupID
+	n     int32
+}
+
+// matchDelta enumerates the bindings of delta rule pattern at e — its
+// operator sub-pattern at input pos — that bind a member of the input
+// class beyond the expression's watermark number slot, then advances the
+// watermark. A class other than the one the watermark names (the input
+// merged away since) is enumerated whole.
+func (m *Memo) matchDelta(e *Expr, pos, slot int, pattern *Pattern, fn func(*Binding) bool) {
+	if e.marks == 0 {
+		n := 0
+		for ri, r := range m.model.TransformationRules() {
+			if m.deltaPos[ri] >= 0 && kindMatches(r.Pattern.Kind, e.Op.Kind()) &&
+				len(r.Pattern.Children) == len(e.Inputs) {
+				n++
+			}
+		}
+		e.marks = int32(len(m.marks) + 1)
+		m.marks = append(m.marks, make([]ruleMark, n)...)
+	}
+	// Explored here rather than by the matcher, so the class the loop
+	// will walk is known; the matcher's own call then returns at once.
+	in := m.Find(e.Inputs[pos])
+	m.exploreGroup(m.groups[in-1])
+	g := m.groups[m.Find(in)-1]
+	mk := &m.marks[int(e.marks)-1+slot]
+	if mk.class == g.id {
+		m.from = int(mk.n)
+	}
+	m.matchBindings(e, pattern, fn)
+	m.from = 0
+	if m.err == nil {
+		// Reached the end of g's list, or g merged away (an empty list
+		// under a class that no longer resolves to itself).
+		mk = &m.marks[int(e.marks)-1+slot]
+		mk.class, mk.n = g.id, int32(len(g.exprs))
+	}
 }
 
 // insertSubstitute inserts a rule substitute: the root lands in the

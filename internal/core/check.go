@@ -8,6 +8,7 @@ import "fmt"
 // bookkeeping of FindBestPlan — and must only be called while no
 // optimization is on the call stack. The invariants:
 //
+//   - no class, live or merged away, is left marked under exploration;
 //   - union-find: every class resolves through Find to a live
 //     representative (merges point younger classes at older ones, so
 //     parent links only ever decrease), and a merged-away class holds no
@@ -24,6 +25,9 @@ import "fmt"
 func (m *Memo) Check() error {
 	for i, g := range m.groups {
 		id := GroupID(i + 1)
+		if g.exploring {
+			return fmt.Errorf("core: memo check: class %d is left marked under exploration", id)
+		}
 		if p := m.parent[i]; p < 1 || p > id {
 			return fmt.Errorf("core: memo check: class %d has parent %d; merges must point at older classes", id, p)
 		}
@@ -126,4 +130,69 @@ func (m *Memo) checkWinner(g *Group, w *winner) error {
 		return fail("plan was built for class %d", p.Group)
 	}
 	return nil
+}
+
+// CheckFixpoint verifies that exploration reached transformation-rule
+// fixpoint, the property semi-naive exploration must not lose: re-firing
+// every transformation rule over every binding of every live expression
+// in an explored class derives only expressions already present in that
+// class. It returns the first firing that adds an expression or merges
+// two classes, leaving the memo as that firing left it. Input classes
+// are bound as they stand: a class the search never explored is not
+// expanded, and its own members are not checked. Call it only after a
+// search that ran to completion, with none on the call stack; it changes
+// no counter.
+func (m *Memo) CheckFixpoint() error {
+	stats, bud := m.stats, m.bud
+	m.stats, m.bud = nil, nil
+	defer func() { m.stats, m.bud = stats, bud }()
+	// An unexplored class is held as if under exploration, so binding
+	// through it does not expand it.
+	var held []*Group
+	m.Groups(func(g *Group) {
+		if !g.explored && !g.exploring {
+			g.exploring = true
+			held = append(held, g)
+		}
+	})
+	defer func() {
+		for _, g := range held {
+			g.exploring = false
+		}
+	}()
+
+	var err error
+	for i, g := range m.groups {
+		if m.parent[i] != g.id || !g.explored {
+			continue
+		}
+		for _, e := range g.exprs {
+			for _, rule := range m.model.TransformationRules() {
+				if e.dead || !kindMatches(rule.Pattern.Kind, e.Op.Kind()) ||
+					len(rule.Pattern.Children) != len(e.Inputs) {
+					continue
+				}
+				m.matchBindings(e, rule.Pattern, func(b *Binding) bool {
+					if rule.Condition != nil && !rule.Condition(m.ctx, b) {
+						return true
+					}
+					exprs, epoch := m.exprCount, m.mergeEpoch
+					mark := m.subst.mark()
+					for _, sub := range rule.Apply(m.ctx, b) {
+						m.insertSubstitute(sub, g.id)
+					}
+					m.subst.release(mark)
+					if m.exprCount != exprs || m.mergeEpoch != epoch {
+						err = fmt.Errorf("core: fixpoint check: rule %s on %s in class %d derives a new expression or merges classes",
+							rule.Name, e, g.id)
+					}
+					return err == nil
+				})
+				if err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return m.err
 }

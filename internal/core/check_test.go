@@ -51,6 +51,9 @@ func TestMemoCheckDetectsCorruption(t *testing.T) {
 			cp.Group = g.exprs[0].Inputs[0]
 			w.plan = &cp
 		}, "built for class"},
+		{"exploring", func(o *Optimizer, g *Group) {
+			g.exploring = true
+		}, "under exploration"},
 		{"parent link", func(o *Optimizer, g *Group) {
 			o.memo.parent[0] = GroupID(len(o.memo.groups))
 		}, "older classes"},

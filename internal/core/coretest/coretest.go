@@ -16,3 +16,13 @@ func CheckMemo(t testing.TB, o *core.Optimizer) {
 		t.Error(err)
 	}
 }
+
+// CheckFixpoint fails the test when re-firing the transformation rules
+// over the optimizer's memo still derives something (core.Memo's
+// CheckFixpoint). Tests call it after a search that ran to completion.
+func CheckFixpoint(t testing.TB, o *core.Optimizer) {
+	t.Helper()
+	if err := o.Memo().CheckFixpoint(); err != nil {
+		t.Error(err)
+	}
+}

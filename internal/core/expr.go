@@ -25,11 +25,17 @@ type Expr struct {
 
 	// group is the equivalence class this expression belongs to.
 	group GroupID
+	// marks is one more than the index in Memo.marks of the expression's
+	// first delta-rule watermark; 0 until one is recorded.
+	marks int32
 	// appliedRules records which transformation rules have already
 	// fired with this expression as the binding root, so exhaustive
 	// exploration terminates. Bit i corresponds to the rule at index
 	// i in the model's transformation rule list.
 	appliedRules uint64
+	// stale has the bit of every applied multi-level rule that an input
+	// class's growth may since have given new bindings (Memo.markStale).
+	stale uint64
 	// dead marks a retired spelling: a merge of one of its input classes
 	// made it identical to another stored expression, which carries on
 	// in its place. A dead expression is out of the hash table and
@@ -60,12 +66,6 @@ func (e *Expr) String() string {
 	b.WriteByte(']')
 	return b.String()
 }
-
-// ruleApplied reports whether rule index i has fired on this expression.
-func (e *Expr) ruleApplied(i int) bool { return e.appliedRules&(1<<uint(i)) != 0 }
-
-// markRuleApplied records that rule index i has fired on this expression.
-func (e *Expr) markRuleApplied(i int) { e.appliedRules |= 1 << uint(i) }
 
 // exprHash hashes an expression's identity: kind, argument hash, and
 // input groups. It must agree with exprEqual.

@@ -21,9 +21,9 @@ type Group struct {
 
 	// parents lists every expression (in any class) that consumes this
 	// class as an input; retired ones linger and are skipped. When this
-	// class gains members through a merge, the parents' fired-rule masks
-	// are reset so multi-level patterns can re-match through the enlarged
-	// class, and when it merges away they are rehashed.
+	// class gains members, the parents are marked stale so multi-level
+	// patterns re-match through the enlarged class (Memo.markStale), and
+	// when it merges away they are rehashed.
 	parents []*Expr
 
 	// logProps are the logical properties of the class, derived from the

@@ -324,27 +324,49 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 
 	// The same holds on the path rules actually take. Re-firing every
-	// rule on an expression of a class already at fixpoint derives only
-	// duplicates: the bindings come from recycled frames, the substitutes
-	// from the memo's scratch, and the lookups that discard them run over
-	// the inputs stack.
+	// rule over every binding on an expression of a class already at
+	// fixpoint — its fired-rule mask and its rotation's watermark cleared
+	// — derives only duplicates: the bindings come from recycled frames,
+	// the substitutes from the memo's scratch, and the lookups that
+	// discard them run over the inputs stack.
 	m := o.memo
+	rotate := m.model.TransformationRules()[1].Pattern
+	if m.deltaPos[1] != 0 || e.marks == 0 {
+		t.Fatalf("the rotation is not a delta rule with a watermark at %s", e)
+	}
 	exprs, fired := m.stats.Exprs, m.stats.RulesFired
 	if n := testing.AllocsPerRun(100, func() {
 		e.appliedRules = 0
+		m.marks[e.marks-1] = ruleMark{}
 		g.explored = false
 		m.exploreGroup(g)
 	}); n != 0 {
-		t.Errorf("re-exploring a class at fixpoint allocates %.1f times per run, want 0", n)
+		t.Errorf("re-firing every binding at fixpoint allocates %.1f times per run, want 0", n)
 	}
 	if m.stats.RulesFired == fired || m.stats.Exprs != exprs {
 		t.Fatalf("re-exploration fired %d rules and stored %d expressions, want some and none",
 			m.stats.RulesFired-fired, m.stats.Exprs-exprs)
 	}
 
+	// A stale pair whose input class has not grown since its watermark —
+	// what a merge leaves at a consumer bound through the other input —
+	// binds nothing, allocating nothing.
+	fired, bindings := m.stats.RulesFired, m.stats.Bindings
+	if n := testing.AllocsPerRun(100, func() {
+		e.stale = m.staleAt[0]
+		g.explored = false
+		m.exploreGroup(g)
+	}); n != 0 {
+		t.Errorf("a stale re-attempt at fixpoint allocates %.1f times per run, want 0", n)
+	}
+	if m.stats.RulesFired != fired || m.stats.Bindings != bindings {
+		t.Fatalf("a stale re-attempt at fixpoint fired %d rules over %d bindings, want none",
+			m.stats.RulesFired-fired, m.stats.Bindings-bindings)
+	}
+
 	// A warm enumeration of a two-level pattern allocates nothing: the
-	// nested level's continuation is a record on the Go stack.
-	rotate := m.model.TransformationRules()[1].Pattern
+	// nested level's continuation is a record on the Go stack. From a
+	// watermark at the end of the input class, it binds nothing.
 	bound := 0
 	count := func(b *Binding) bool {
 		if b.Children[0].Expr == nil || len(b.Children[0].Children) != 2 {
@@ -358,6 +380,13 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	if bound == 0 {
 		t.Fatal("the two-level pattern bound nothing")
+	}
+	bound = 0
+	if n := testing.AllocsPerRun(100, func() { m.matchDelta(e, 0, 0, rotate, count) }); n != 0 {
+		t.Errorf("warm two-level matchDelta allocates %.1f times per run, want 0", n)
+	}
+	if bound != 0 {
+		t.Fatalf("matchDelta from an up-to-date watermark bound %d times", bound)
 	}
 }
 

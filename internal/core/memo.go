@@ -37,12 +37,19 @@ type Memo struct {
 	// search, where transformations have already reached fixpoint —
 	// caches stay valid and incremental collection does no rework.
 	mergeEpoch uint64
-	// multiMask has the bit of every transformation rule whose pattern
-	// spans more than one operator. Only those rules can bind new
-	// expressions through an input class enlarged by a merge, so only
-	// their fired-rule bits are reset on parents when classes unify;
-	// single-operator rules never need to re-fire.
-	multiMask uint64
+	// Semi-naive exploration (exploreGroup). deltaPos classifies the
+	// transformation rules by index: the input position of a delta rule's
+	// one operator sub-pattern, -1 for every other rule. staleAt[d-1] has
+	// the bit of every rule whose pattern reaches more than d levels below
+	// its root: the rules a class gaining members can give new bindings at
+	// an expression d levels above it (markStale).
+	deltaPos []int
+	staleAt  []uint64
+	// marks holds the delta rules' watermarks, one run per expression
+	// (Expr.marks); from is where the next delta match's root-level loop
+	// starts (matchDelta).
+	marks []ruleMark
+	from  int
 	// ctx is the rule context handed to condition and apply code,
 	// hoisted here so exploration does not allocate one per class.
 	ctx *RuleContext
@@ -78,23 +85,46 @@ func NewMemo(model Model, opts *Options, stats *Stats) *Memo {
 		opts:  opts,
 	}
 	for i, rule := range model.TransformationRules() {
-		if multiLevel(rule.Pattern) {
-			m.multiMask |= 1 << uint(i)
+		m.deltaPos = append(m.deltaPos, deltaPos(rule.Pattern))
+		for d := 1; d < depth(rule.Pattern); d++ {
+			if len(m.staleAt) < d {
+				m.staleAt = append(m.staleAt, 0)
+			}
+			m.staleAt[d-1] |= 1 << uint(i)
 		}
 	}
 	m.ctx = &RuleContext{Memo: m, Model: model}
 	return m
 }
 
-// multiLevel reports whether a pattern spans more than one operator,
-// i.e. has an operator (non-leaf) sub-pattern.
-func multiLevel(p *Pattern) bool {
-	for _, c := range p.Children {
-		if !c.IsLeaf {
-			return true
-		}
+// depth returns the number of operator levels a pattern spans.
+func depth(p *Pattern) int {
+	if p.IsLeaf {
+		return 0
 	}
-	return false
+	d := 0
+	for _, c := range p.Children {
+		d = max(d, depth(c))
+	}
+	return d + 1
+}
+
+// deltaPos returns the input position of a pattern's operator
+// sub-pattern when it has exactly one and that one's inputs are all
+// leaves — the shape semi-naive exploration re-fires from a watermark —
+// and -1 otherwise.
+func deltaPos(p *Pattern) int {
+	pos := -1
+	for i, c := range p.Children {
+		if c.IsLeaf {
+			continue
+		}
+		if pos >= 0 || depth(c) > 1 {
+			return -1
+		}
+		pos = i
+	}
+	return pos
 }
 
 // Model returns the data model this memo optimizes.
@@ -257,6 +287,7 @@ func (m *Memo) insertCanon(op LogicalOp, inputs []GroupID, target GroupID) (Grou
 	g := m.groups[target-1]
 	e.group = target
 	g.exprs = append(g.exprs, e)
+	m.markStale(g, 1)
 	return target, true
 }
 
@@ -320,25 +351,15 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 	// the enlarged class.
 	gb.moveSets = nil
 	m.mergeEpoch++
-	// The merged class must be (re-)explored: rules may now fire on
-	// the union of expressions, and every expression that consumes
-	// either side can now bind through new members, so the fired-rule
-	// masks of all parents are reset and their classes re-opened. Only
-	// multi-operator rules can gain bindings this way — a single-
-	// operator rule binds input classes as opaque leaves — so only
-	// their bits are cleared.
+	// The merged class must be (re-)explored: rules may now fire on the
+	// union of expressions. Every expression that consumes either side,
+	// or consumes one that does, up to the deepest rule pattern, may now
+	// bind through new members; markStale re-opens their classes.
 	ga.explored = false
 	moved := gb.parents
 	ga.parents = append(ga.parents, gb.parents...)
 	gb.parents = nil
-	for _, p := range ga.parents {
-		if p.dead {
-			continue
-		}
-		p.appliedRules &^= m.multiMask
-		pg := m.groups[m.Find(p.group)-1]
-		pg.explored = false
-	}
+	m.markStale(ga, 1)
 	if m.stats != nil {
 		m.stats.Merges++
 	}
@@ -349,6 +370,28 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 		}
 	}
 	return m.Find(a)
+}
+
+// markStale marks every live consumer of g, d levels above a class that
+// gained members — by a merge, or by a new expression derived into it —
+// stale for the rules whose patterns reach that deep, and re-opens its
+// class; then it recurses to their consumers while deeper patterns
+// remain. Only multi-level rules can gain bindings this way: a
+// single-operator rule binds input classes as opaque leaves.
+func (m *Memo) markStale(g *Group, d int) {
+	for _, p := range g.parents {
+		if p.dead {
+			continue
+		}
+		pg := m.groups[m.Find(p.group)-1]
+		pg.explored = false
+		if d <= len(m.staleAt) {
+			p.stale |= m.staleAt[d-1]
+		}
+		if d < len(m.staleAt) {
+			m.markStale(pg, d+1)
+		}
+	}
 }
 
 // rehash re-keys a live expression whose inputs may name merged-away

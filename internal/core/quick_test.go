@@ -56,6 +56,7 @@ func TestQuickOptimumMatchesClosedForm(t *testing.T) {
 		g := opt.InsertQuery(s.tree)
 		plain, err := opt.Optimize(g, nil)
 		coretest.CheckMemo(t, opt)
+		coretest.CheckFixpoint(t, opt)
 		if err != nil || plain == nil {
 			return false
 		}
@@ -158,6 +159,7 @@ func TestQuickMergeStability(t *testing.T) {
 			return false
 		}
 		coretest.CheckMemo(t, opt)
+		coretest.CheckFixpoint(t, opt)
 		memo := opt.Memo()
 		ok := true
 		memo.Groups(func(grp *core.Group) {

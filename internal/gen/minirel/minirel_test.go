@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/datagen"
 	"repro/internal/gen/minirel"
 	"repro/internal/rel"
@@ -14,7 +15,8 @@ import (
 // TestGeneratedOptimizerMatchesHandWritten: the generated minirel
 // optimizer and the hand-maintained relopt configuration explore the
 // same space with the same cost model for select-join queries, so their
-// optimal plan costs must be identical.
+// optimal plan costs must be identical, and both must reach
+// transformation fixpoint.
 func TestGeneratedOptimizerMatchesHandWritten(t *testing.T) {
 	src := datagen.New(21)
 	cat := src.Catalog(6)
@@ -42,6 +44,10 @@ func TestGeneratedOptimizerMatchesHandWritten(t *testing.T) {
 			if math.Abs(g-h) > 1e-6*h {
 				t.Errorf("n=%d trial=%d: generated cost %.4f != hand-written %.4f\ngenerated:\n%s\nhand-written:\n%s",
 					n, trial, g, h, genPlan.Format(), handPlan.Format())
+			}
+			for _, opt := range []*core.Optimizer{genOpt, handOpt} {
+				coretest.CheckMemo(t, opt)
+				coretest.CheckFixpoint(t, opt)
 			}
 			if genOpt.Stats().ConsistencyViolations != 0 {
 				t.Errorf("n=%d trial=%d: consistency violations in generated optimizer", n, trial)

