@@ -143,6 +143,9 @@ func (m *Memo) bindChildren(pattern *Pattern, b *Binding, i int, k *bindCont, fn
 // members beyond the watermark its last complete enumeration left
 // (ruleMark): class lists only append, so every binding below it has
 // fired. Other multi-level rules re-enumerate every binding.
+//
+// A rule an expression was born with switched off (ExprTree.Disabled) is
+// never attempted on it, stale or not.
 func (m *Memo) exploreGroup(g *Group) {
 	g = m.groups[m.Find(g.id)-1]
 	if g.explored || g.exploring || m.err != nil {
@@ -202,7 +205,7 @@ func (m *Memo) exploreGroup(g *Group) {
 					slot++
 				}
 				bit := uint64(1) << uint(ri)
-				if e.appliedRules&bit != 0 && e.stale&bit == 0 {
+				if e.disabled&bit != 0 || e.appliedRules&bit != 0 && e.stale&bit == 0 {
 					continue
 				}
 				e.appliedRules |= bit

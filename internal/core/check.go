@@ -133,37 +133,39 @@ func (m *Memo) checkWinner(g *Group, w *winner) error {
 }
 
 // CheckFixpoint verifies that exploration reached transformation-rule
-// fixpoint, the property semi-naive exploration must not lose: re-firing
-// every transformation rule over every binding of every live expression
-// in an explored class derives only expressions already present in that
-// class. It returns the first firing that adds an expression or merges
-// two classes, leaving the memo as that firing left it. Input classes
-// are bound as they stand: a class the search never explored is not
-// expanded, and its own members are not checked. Call it only after a
-// search that ran to completion, with none on the call stack; it changes
-// no counter.
+// fixpoint, the property semi-naive exploration and the rules' birth
+// masks must not lose. It first explores every live class — a search
+// explores only the classes its goals reach, and binding through an
+// unexplored class would "derive" what that class's own exploration
+// produces — and then re-fires every transformation rule over every
+// binding of every live expression, disabled bits ignored: each firing
+// must derive only expressions already present in the class. It returns
+// the first firing that adds an expression or merges two classes,
+// leaving the memo as that firing left it. Call it only after a search
+// that ran to completion, with none on the call stack; it changes no
+// counter.
 func (m *Memo) CheckFixpoint() error {
 	stats, bud := m.stats, m.bud
 	m.stats, m.bud = nil, nil
 	defer func() { m.stats, m.bud = stats, bud }()
-	// An unexplored class is held as if under exploration, so binding
-	// through it does not expand it.
-	var held []*Group
-	m.Groups(func(g *Group) {
-		if !g.explored && !g.exploring {
-			g.exploring = true
-			held = append(held, g)
+	// Exploring one class can re-open another (markStale), so sweep
+	// until a pass finds every live class explored.
+	for open := true; open && m.err == nil; {
+		open = false
+		for i := 0; i < len(m.groups); i++ {
+			if g := m.groups[i]; m.parent[i] == g.id && !g.explored {
+				m.exploreGroup(g)
+				open = true
+			}
 		}
-	})
-	defer func() {
-		for _, g := range held {
-			g.exploring = false
-		}
-	}()
+	}
+	if m.err != nil {
+		return m.err
+	}
 
 	var err error
 	for i, g := range m.groups {
-		if m.parent[i] != g.id || !g.explored {
+		if m.parent[i] != g.id {
 			continue
 		}
 		for _, e := range g.exprs {

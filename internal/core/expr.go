@@ -36,6 +36,10 @@ type Expr struct {
 	// stale has the bit of every applied multi-level rule that an input
 	// class's growth may since have given new bindings (Memo.markStale).
 	stale uint64
+	// disabled has the bit of every transformation rule the expression
+	// was born with switched off (ExprTree.Disabled): exploration never
+	// fires those rules with it as the binding root.
+	disabled uint64
 	// dead marks a retired spelling: a merge of one of its input classes
 	// made it identical to another stored expression, which carries on
 	// in its place. A dead expression is out of the hash table and

@@ -222,7 +222,7 @@ func (m *Memo) lookup(op LogicalOp, inputs []GroupID) *Expr {
 func (m *Memo) Insert(op LogicalOp, inputs []GroupID, target GroupID) (GroupID, bool) {
 	base := len(m.inputs)
 	m.inputs = append(m.inputs, inputs...)
-	g, created := m.insertCanon(op, m.inputs[base:], target)
+	g, created := m.insertCanon(op, m.inputs[base:], target, 0)
 	m.inputs = m.inputs[:base]
 	return g, created
 }
@@ -231,8 +231,9 @@ func (m *Memo) Insert(op LogicalOp, inputs []GroupID, target GroupID) (GroupID, 
 // in place. The lookup runs over that buffer; a private copy of the
 // canonical inputs is made only when the expression is new and actually
 // stored, so duplicate derivations — the common case during exploration
-// — allocate nothing.
-func (m *Memo) insertCanon(op LogicalOp, inputs []GroupID, target GroupID) (GroupID, bool) {
+// — allocate nothing. A new expression is born with the transformation
+// rules in disabled switched off; a duplicate keeps its own bits.
+func (m *Memo) insertCanon(op LogicalOp, inputs []GroupID, target GroupID, disabled uint64) (GroupID, bool) {
 	if m.err != nil {
 		return target, false
 	}
@@ -269,7 +270,7 @@ func (m *Memo) insertCanon(op LogicalOp, inputs []GroupID, target GroupID) (Grou
 	} else {
 		inputs = append(make([]GroupID, 0, len(inputs)), inputs...)
 	}
-	e := &Expr{Op: op, Inputs: inputs}
+	e := &Expr{Op: op, Inputs: inputs, disabled: disabled}
 	h := exprHash(op, inputs)
 	e.next = m.table[h]
 	m.table[h] = e
@@ -446,7 +447,7 @@ func (m *Memo) insertNode(t *ExprTree, target GroupID) (GroupID, bool) {
 		g := m.InsertTree(c, InvalidGroup)
 		m.inputs = append(m.inputs, g)
 	}
-	g, created := m.insertCanon(t.Op, m.inputs[base:], target)
+	g, created := m.insertCanon(t.Op, m.inputs[base:], target, t.Disabled)
 	m.inputs = m.inputs[:base]
 	return g, created
 }

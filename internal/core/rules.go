@@ -66,6 +66,13 @@ type ExprTree struct {
 	Group GroupID
 	// Children are the operator's inputs.
 	Children []*ExprTree
+	// Disabled has bit i set when the transformation rule at index i of
+	// the model's list must never fire on the expression this node
+	// creates. A rule set that derives each expression once tags its
+	// substitutes so (Pellenkoft et al.'s RS-B2); the bits take effect
+	// only when the node founds a new expression — a duplicate that is
+	// found keeps its own.
+	Disabled uint64
 }
 
 // Node constructs an operator node of an expression tree. It and
@@ -154,9 +161,16 @@ func (ctx *RuleContext) LogProps(g GroupID) LogicalProps {
 // built them, and a rule must not keep one beyond its Apply call's
 // return value.
 func (ctx *RuleContext) Node(op LogicalOp, children ...*ExprTree) *ExprTree {
+	return ctx.NodeWithout(0, op, children...)
+}
+
+// NodeWithout is Node for a substitute born with the transformation
+// rules in the disabled mask (bit i for the rule at index i) switched
+// off; see ExprTree.Disabled.
+func (ctx *RuleContext) NodeWithout(disabled uint64, op LogicalOp, children ...*ExprTree) *ExprTree {
 	s := &ctx.Memo.subst
 	t := s.node()
-	t.Op, t.Group, t.Children = op, InvalidGroup, s.slice(children)
+	t.Op, t.Group, t.Children, t.Disabled = op, InvalidGroup, s.slice(children), disabled
 	return t
 }
 
@@ -164,7 +178,7 @@ func (ctx *RuleContext) Node(op LogicalOp, children ...*ExprTree) *ExprTree {
 // class, typically one bound by the rule's pattern.
 func (ctx *RuleContext) ClassRef(g GroupID) *ExprTree {
 	t := ctx.Memo.subst.node()
-	t.Op, t.Group, t.Children = nil, g, nil
+	t.Op, t.Group, t.Children, t.Disabled = nil, g, nil, 0
 	return t
 }
 

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Optimizer is a generated optimizer: the model-independent search
@@ -137,13 +138,13 @@ func (o *Optimizer) Explore(g GroupID) error {
 	return o.ExploreCtx(context.Background(), g)
 }
 
-// ExploreCtx expands the class (and, through rule bindings, everything
-// it references) to transformation-rule fixpoint without any algorithm
-// selection or cost analysis. This is the extreme point the paper
-// mentions — transforming a logical expression without cost analysis,
-// covering the optimizations Starburst separates into its query rewrite
-// level — available here as a choice, not a mandate. Cancellation and
-// the configured Budget stop the expansion with a typed budget error.
+// ExploreCtx expands the class and everything it references to
+// transformation-rule fixpoint without any algorithm selection or cost
+// analysis. This is the extreme point the paper mentions — transforming
+// a logical expression without cost analysis, covering the
+// optimizations Starburst separates into its query rewrite level —
+// available here as a choice, not a mandate. Cancellation and the
+// configured Budget stop the expansion with a typed budget error.
 func (o *Optimizer) ExploreCtx(ctx context.Context, g GroupID) error {
 	if g == InvalidGroup {
 		// Query insertion itself failed (e.g. expression budget).
@@ -153,11 +154,38 @@ func (o *Optimizer) ExploreCtx(ctx context.Context, g GroupID) error {
 		return ErrBudget
 	}
 	o.armBudget(ctx)
-	o.memo.exploreGroup(o.memo.Group(g))
-	if err := o.memo.err; err != nil && errors.Is(err, ErrBudget) {
+	m := o.memo
+	// The root's rule patterns need not bind every class below it — a
+	// substitute born with rules off binds no deeper than its own
+	// inputs — so walk every class reachable from the root. Exploring one
+	// class can re-open another (markStale): walk until a pass finds
+	// every reachable class explored.
+	for open := true; open && m.err == nil; {
+		open = false
+		seen := make(map[GroupID]bool)
+		stack := []GroupID{g}
+		for len(stack) > 0 && m.err == nil {
+			id := m.Find(stack[len(stack)-1])
+			stack = stack[:len(stack)-1]
+			if seen[id] {
+				continue
+			}
+			seen[id] = true
+			if grp := m.groups[id-1]; !grp.explored {
+				m.exploreGroup(grp)
+				open = true
+			}
+			for _, e := range m.groups[m.Find(id)-1].exprs {
+				if !e.dead {
+					stack = append(stack, e.Inputs...)
+				}
+			}
+		}
+	}
+	if err := m.err; err != nil && errors.Is(err, ErrBudget) {
 		o.stats.StopReason = err
 	}
-	return o.memo.err
+	return m.err
 }
 
 // Optimize finds the cheapest plan for the class that delivers the
@@ -618,7 +646,7 @@ func (o *Optimizer) collectMoves(g *Group, required PhysProps) []Move {
 	for _, enf := range o.model.Enforcers() {
 		moves = append(moves, Move{Kind: MoveEnforcer, Promise: enf.Promise, Enforcer: enf})
 	}
-	sort.SliceStable(moves, func(i, j int) bool { return moves[i].Promise > moves[j].Promise })
+	slices.SortStableFunc(moves, byPromise)
 	return moves
 }
 
@@ -672,9 +700,13 @@ func (o *Optimizer) collectMovesInto(ms *moveSet, g *Group, required PhysProps) 
 	}
 	ms.matched = len(g.exprs)
 	if tail := ms.moves[batch:]; len(tail) > 1 {
-		sort.SliceStable(tail, func(i, j int) bool { return tail[i].Promise > tail[j].Promise })
+		slices.SortStableFunc(tail, byPromise)
 	}
 }
+
+// byPromise orders moves by descending promise; sorted stably, moves of
+// equal promise keep their collection order.
+func byPromise(a, b Move) int { return cmp.Compare(b.Promise, a.Promise) }
 
 // cloneBinding deep-copies a binding; the matcher recycles its frames
 // as the enumeration unwinds, so stored bindings need their own copies.

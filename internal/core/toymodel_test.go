@@ -98,6 +98,9 @@ func (p *toyPhys) String() string { return p.name }
 // case redundant colored-pair-under-paint derivations appear.
 type toyModel struct {
 	withMarkRule bool
+	// commuteBornOff births pair-commute's substitute with pair-commute
+	// switched off (ExprTree.Disabled).
+	commuteBornOff bool
 }
 
 func (m *toyModel) Name() string { return "toy" }
@@ -116,7 +119,11 @@ func (m *toyModel) TransformationRules() []*core.TransformRule {
 			Name:    "pair-commute",
 			Pattern: core.P(kindPair, core.Leaf(), core.Leaf()),
 			Apply: func(ctx *core.RuleContext, b *core.Binding) []*core.ExprTree {
-				return ctx.Substitutes(ctx.Node(&toyPair{},
+				var off uint64
+				if m.commuteBornOff {
+					off = 1 // pair-commute, rule 0
+				}
+				return ctx.Substitutes(ctx.NodeWithout(off, &toyPair{},
 					ctx.ClassRef(b.Children[1].Group), ctx.ClassRef(b.Children[0].Group)))
 			},
 		},

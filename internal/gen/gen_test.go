@@ -107,7 +107,7 @@ func TestRelationalSpecParsesAndGenerates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spec.Operators) != 7 || len(spec.Transforms) != 8 ||
+	if len(spec.Operators) != 7 || len(spec.Transforms) != 9 ||
 		len(spec.Algorithms) != 14 || len(spec.Enforcers) != 2 {
 		t.Fatalf("counts: ops=%d transforms=%d algs=%d enfs=%d",
 			len(spec.Operators), len(spec.Transforms), len(spec.Algorithms), len(spec.Enforcers))

@@ -89,20 +89,22 @@ func BenchmarkExploreBudgeted(b *testing.B) {
 }
 
 // TestColdOptimizeAllocs caps the allocations of one cold 8-relation
-// optimization about 15% above the 6699 it measures with the matcher on
+// optimization about 15% above the 4811 it measures with the matcher on
 // recycled frames, substitutes in the memo's scratch, a congruence-closed
-// memo, preboxed zero and infinite costs, and join and selection
-// properties that read their inputs' column statistics instead of
-// copying them (the closure-based binder over map-backed properties took
-// 49118; before duplicate spellings were retired it was 7966, 7616 while
-// ZeroCost boxed a fresh Cost per call, and 6887 while every property
-// copied its statistics), so that gain cannot silently rot. The bytes
-// are capped the same way, about 15% above the 402716 measured (485918
-// with copied statistics).
+// memo, preboxed zero and infinite costs, join and selection properties
+// that read their inputs' column statistics instead of copying them, and
+// join rules whose substitutes are born with the rules off that would
+// only re-derive them (the closure-based binder over map-backed
+// properties took 49118; before duplicate spellings were retired it was
+// 7966, 7616 while ZeroCost boxed a fresh Cost per call, 6887 while every
+// property copied its statistics, and 6699 under plain commutativity and
+// associativity), so that gain cannot silently rot. The bytes are capped
+// the same way, about 15% above the 249114 measured (402716 under plain
+// commutativity and associativity, 485918 with copied statistics).
 func TestColdOptimizeAllocs(t *testing.T) {
 	cat, qs := pinnedWorkload()
 	pq := qs[3] // the first random 8-relation query
-	const ceiling, byteCeiling = 7700, 463000
+	const ceiling, byteCeiling = 5500, 287000
 	if n := testing.AllocsPerRun(5, func() { optimizeCold(t, cat, pq) }); n > ceiling {
 		t.Errorf("cold 8-relation optimization allocates %.0f times, ceiling %d", n, ceiling)
 	}

@@ -84,11 +84,14 @@ func New(cat *rel.Catalog, cfg Config) *Model {
 	}
 	m := &Model{Cat: cat, Cfg: cfg}
 
+	// In rule-index order: the birth masks of transform.go name the
+	// first five by position.
 	m.trules = []*core.TransformRule{
-		joinCommute(),
-		joinAssoc(),
-		selectPushdown(),
-		selectCommute(),
+		ruleJoinCommute:    joinCommute(),
+		ruleJoinRightAssoc: joinRightAssoc(),
+		ruleJoinLeftAssoc:  joinLeftAssoc(),
+		ruleSelectPushdown: selectPushdown(),
+		ruleSelectCommute:  selectCommute(),
 	}
 	if !cfg.NoSetReorder {
 		m.trules = append(m.trules,
