@@ -271,7 +271,7 @@ func BenchmarkMemoExplore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opt := core.NewOptimizer(model, nil)
 		root := opt.InsertQuery(q.Root)
-		if err := opt.Explore(root); err != nil {
+		if err := opt.ExploreCtx(context.Background(), root); err != nil {
 			b.Fatal(err)
 		}
 	}

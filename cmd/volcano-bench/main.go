@@ -20,16 +20,19 @@
 // The fig4 experiment additionally writes a machine-readable report
 // (default BENCH_fig4.json; -json "" disables) so per-level optimization
 // time, plan cost, memo size, and search-effort counters can be tracked
-// across commits. Rerun levels replace their entries in an existing
-// report; levels the run did not cover are kept.
+// across commits. A run writes the whole report — the levels it measured,
+// with its commit, Go version, GOMAXPROCS and CPU count; `make fig4-json`
+// regenerates the committed one.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/datagen"
@@ -146,17 +149,21 @@ func main() {
 	}
 
 	if *jsonPath != "" && fig4Points != nil {
-		rep := fig4.NewBenchReport(cfg, fig4Points)
-		// Merge rerun levels into the existing per-level curve.
-		if old, err := fig4.ReadBenchJSON(*jsonPath); err == nil && old.Points != nil {
-			rep.Points = fig4.MergeBenchPoints(old.Points, rep.Points)
-			rep.Config.MinRelations = rep.Points[0].Relations
-			rep.Config.MaxRelations = rep.Points[len(rep.Points)-1].Relations
-		}
+		rep := fig4.NewBenchReport(gitCommit(), cfg, fig4Points)
 		if err := fig4.WriteBenchJSON(*jsonPath, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "volcano-bench: writing %s: %v\n", *jsonPath, err)
 			os.Exit(1)
 		}
 		fmt.Printf("(wrote %s)\n", *jsonPath)
 	}
+}
+
+// gitCommit names the checked-out commit, or "unknown" outside a git
+// checkout.
+func gitCommit() string {
+	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }

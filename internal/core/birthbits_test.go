@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -32,7 +33,7 @@ func TestBirthBitsSwitchRulesOff(t *testing.T) {
 		for _, q := range c.spellings {
 			root = opt.InsertQuery(q)
 		}
-		if err := opt.Explore(root); err != nil {
+		if err := opt.ExploreCtx(context.Background(), root); err != nil {
 			t.Fatal(err)
 		}
 		if got := opt.Stats().RulesFired; got != c.fired {
@@ -53,7 +54,7 @@ func TestBirthBitsSwitchRulesOff(t *testing.T) {
 func TestExploreReachesEveryClass(t *testing.T) {
 	opt := core.NewOptimizer(&toyModel{}, nil)
 	root := opt.InsertQuery(core.Node(&toyMark{}, pair(leaf("a"), pair(leaf("b"), leaf("c")))))
-	if err := opt.Explore(root); err != nil {
+	if err := opt.ExploreCtx(context.Background(), root); err != nil {
 		t.Fatal(err)
 	}
 	opt.Memo().Groups(func(g *core.Group) {

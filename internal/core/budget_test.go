@@ -331,7 +331,7 @@ func TestClassicTracerFormat(t *testing.T) {
 	g := opt.InsertQuery(pair(leaf("a"), leaf("b")))
 	// A hopeless limit records failures; a follow-up open run records
 	// winners.
-	if _, err := opt.OptimizeWithLimit(g, toyColor(2), toyCost(1)); err != nil {
+	if _, err := opt.OptimizeWithLimitCtx(context.Background(), g, toyColor(2), toyCost(1)); err != nil {
 		t.Fatal(err)
 	}
 	coretest.CheckMemo(t, opt)

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Check verifies the memo's invariants between searches and returns the
 // first violation found, or nil. It is the test suite's oracle for the
@@ -12,12 +15,14 @@ import "fmt"
 //   - union-find: every class resolves through Find to a live
 //     representative (merges point younger classes at older ones, so
 //     parent links only ever decrease), and a merged-away class holds no
-//     expressions, winners, parents, or move sets;
+//     expressions, winners, parents, matches, or move sets;
 //   - congruence: every live expression sits in the expression list of
 //     the class it names, its inputs name live classes, and no two live
 //     expressions, in one class or in two, share (operator, inputs);
 //     retired spellings are out of the hash table and counted by the
 //     class that lists them;
+//   - matches: a class's current implementation-rule matches bind live
+//     members among the expressions they cover, within its list;
 //   - winners: no entry is left in progress; a recorded plan delivers
 //     properties covering the entry's goal and none covering its
 //     excluded vector, costs exactly the entry's recorded cost, and
@@ -31,8 +36,8 @@ func (m *Memo) Check() error {
 		if p := m.parent[i]; p < 1 || p > id {
 			return fmt.Errorf("core: memo check: class %d has parent %d; merges must point at older classes", id, p)
 		}
-		if m.parent[i] != id && (g.exprs != nil || g.winners != nil || g.parents != nil || g.moveSets != nil) {
-			return fmt.Errorf("core: memo check: merged-away class %d still holds expressions, winners, parents, or move sets", id)
+		if m.parent[i] != id && (g.exprs != nil || g.winners != nil || g.parents != nil || g.moveSets != nil || g.matches != nil) {
+			return fmt.Errorf("core: memo check: merged-away class %d still holds expressions, winners, parents, matches, or move sets", id)
 		}
 	}
 
@@ -75,7 +80,7 @@ func (m *Memo) Check() error {
 			}
 			seen[h] = append(seen[h], e)
 		}
-		if retired != g.retired {
+		if retired != int(g.retired) {
 			return fmt.Errorf("core: memo check: class %d lists %d retired spellings but counts %d", g.id, retired, g.retired)
 		}
 		if retired == len(g.exprs) {
@@ -83,10 +88,8 @@ func (m *Memo) Check() error {
 		}
 		live += len(g.exprs) - retired
 		for _, w := range g.winners {
-			for ; w != nil; w = w.next {
-				if err := m.checkWinner(g, w); err != nil {
-					return err
-				}
+			if err := m.checkWinner(g, w); err != nil {
+				return err
 			}
 		}
 	}
@@ -101,6 +104,21 @@ func (m *Memo) Check() error {
 	}
 	if stored != m.exprCount || live != m.exprCount {
 		return fmt.Errorf("core: memo check: %d expressions counted, %d in the hash table, %d in live classes", m.exprCount, stored, live)
+	}
+	// Matches a merge has since voided are skipped: they are dropped
+	// before their next use.
+	for i, g := range m.groups {
+		if m.parent[i] != g.id || g.matchEpoch != m.mergeEpoch {
+			continue
+		}
+		if int(g.matched) > len(g.exprs) {
+			return fmt.Errorf("core: memo check: class %d has matched %d expressions, past its expression list of %d", g.id, g.matched, len(g.exprs))
+		}
+		for _, im := range g.matches {
+			if e := im.b.Expr; e.dead || !slices.Contains(g.exprs[:g.matched], e) {
+				return fmt.Errorf("core: memo check: class %d holds a match of %s, which is not a live member among its matched expressions", g.id, e)
+			}
+		}
 	}
 	return nil
 }

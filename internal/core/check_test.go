@@ -70,6 +70,14 @@ func TestMemoCheckDetectsCorruption(t *testing.T) {
 			}
 			t.Fatal("no merged-away class to corrupt")
 		}, "merged-away class"},
+		{"stray match", func(o *Optimizer, g *Group) {
+			im := *g.matches[0]
+			im.b = &Binding{Expr: o.memo.Group(g.exprs[0].Inputs[0]).exprs[0]}
+			g.matches = append(g.matches, &im)
+		}, "not a live member"},
+		{"match past the list", func(o *Optimizer, g *Group) {
+			g.matched = int32(len(g.exprs)) + 1
+		}, "past its expression list"},
 		{"stray expression", func(o *Optimizer, g *Group) {
 			for i := len(g.exprs) - 1; ; i-- {
 				if !g.exprs[i].dead {
@@ -83,8 +91,8 @@ func TestMemoCheckDetectsCorruption(t *testing.T) {
 			dup := &Expr{Op: e.Op, Inputs: e.Inputs, group: g.id}
 			g.exprs = append(g.exprs, dup)
 			o.memo.exprCount++
-			h := exprHash(dup.Op, dup.Inputs)
-			dup.next, o.memo.table[h] = o.memo.table[h], dup
+			head := o.memo.chain(dup.Op, dup.Inputs)
+			dup.next, *head = *head, dup
 		}, "two spellings"},
 		{"split class", func(o *Optimizer, g *Group) {
 			e := g.Exprs()[0]

@@ -23,23 +23,21 @@ func (m *Memo) Format() string {
 		}
 		var winners []entry
 		for _, w := range g.winners {
-			for ; w != nil; w = w.next {
-				props := w.props.String()
-				if props == "" {
-					props = "(any)"
-				}
-				suffix := ""
-				if w.excluded != nil {
-					suffix = fmt.Sprintf(" excluding %s", w.excluded)
-				}
-				switch {
-				case w.plan != nil:
-					winners = append(winners, entry{props + suffix,
-						fmt.Sprintf("  winner %s%s: cost=%s %s\n", props, suffix, w.cost, w.plan)})
-				case w.failedLimit != nil:
-					winners = append(winners, entry{props + suffix,
-						fmt.Sprintf("  winner %s%s: failed under limit %s\n", props, suffix, w.failedLimit)})
-				}
+			props := w.props.String()
+			if props == "" {
+				props = "(any)"
+			}
+			suffix := ""
+			if w.excluded != nil {
+				suffix = fmt.Sprintf(" excluding %s", w.excluded)
+			}
+			switch {
+			case w.plan != nil:
+				winners = append(winners, entry{props + suffix,
+					fmt.Sprintf("  winner %s%s: cost=%s %s\n", props, suffix, w.cost, w.plan)})
+			case w.failedLimit != nil:
+				winners = append(winners, entry{props + suffix,
+					fmt.Sprintf("  winner %s%s: failed under limit %s\n", props, suffix, w.failedLimit)})
 			}
 		}
 		sort.Slice(winners, func(i, j int) bool { return winners[i].key < winners[j].key })

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestMemoFormat(t *testing.T) {
 func TestMemoFormatRecordsFailures(t *testing.T) {
 	opt := newToyOpt(nil)
 	g := opt.InsertQuery(pair(leaf("a"), leaf("b")))
-	if _, err := opt.OptimizeWithLimit(g, toyColor(1), toyCost(2)); err != nil {
+	if _, err := opt.OptimizeWithLimitCtx(context.Background(), g, toyColor(1), toyCost(2)); err != nil {
 		t.Fatal(err)
 	}
 	coretest.CheckMemo(t, opt)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -24,14 +25,14 @@ func Example() {
 	// cost: 8.0
 }
 
-// ExampleOptimizer_Explore performs pure logical exploration — the
+// ExampleOptimizer_ExploreCtx performs pure logical exploration — the
 // query-rewrite-style extreme the paper leaves as a choice: transforming
 // expressions without any algorithm selection or cost analysis.
-func ExampleOptimizer_Explore() {
+func ExampleOptimizer_ExploreCtx() {
 	opt := core.NewOptimizer(&toyModel{}, nil)
 	root := opt.InsertQuery(pair(leaf("a"), leaf("b")))
 
-	if err := opt.Explore(root); err != nil {
+	if err := opt.ExploreCtx(context.Background(), root); err != nil {
 		panic(err)
 	}
 	fmt.Println("equivalent expressions:", len(opt.Memo().Group(root).Exprs()))

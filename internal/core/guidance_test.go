@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -161,7 +162,7 @@ func TestGuidedWithCallerLimit(t *testing.T) {
 
 	opt := newGuidedToyOpt(seeder, nil)
 	g := opt.InsertQuery(tree)
-	plan, err := opt.OptimizeWithLimit(g, toyColor(1), want)
+	plan, err := opt.OptimizeWithLimitCtx(context.Background(), g, toyColor(1), want)
 	coretest.CheckMemo(t, opt)
 	if err != nil || plan == nil || plan.Cost.(toyCost) != want {
 		t.Fatalf("inclusive caller limit: plan=%v err=%v want=%v", plan, err, want)
@@ -169,7 +170,7 @@ func TestGuidedWithCallerLimit(t *testing.T) {
 
 	opt = newGuidedToyOpt(seeder, nil)
 	g = opt.InsertQuery(tree)
-	plan, err = opt.OptimizeWithLimit(g, toyColor(1), want-1)
+	plan, err = opt.OptimizeWithLimitCtx(context.Background(), g, toyColor(1), want-1)
 	coretest.CheckMemo(t, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -46,12 +47,29 @@ func (t hpTint) Covers(o PhysProps) bool { return o.(hpTint) == 0 || t == o.(hpT
 func (t hpTint) Hash() uint64            { return uint64(t) }
 func (t hpTint) String() string          { return fmt.Sprintf("tint%d", int(t)) }
 
-type hpCost float64
+// hpCost is a small saturating integer: every value boxes into an
+// interface without allocating, so the allocation counts below are the
+// engine's own. hpInfinite is the infinite cost.
+type hpCost uint8
 
-func (c hpCost) Add(o Cost) Cost  { return c + o.(hpCost) }
-func (c hpCost) Sub(o Cost) Cost  { return c - o.(hpCost) }
+const hpInfinite hpCost = 255
+
+func (c hpCost) Add(o Cost) Cost {
+	if s := int(c) + int(o.(hpCost)); s < int(hpInfinite) {
+		return hpCost(s)
+	}
+	return hpInfinite
+}
+
+func (c hpCost) Sub(o Cost) Cost {
+	if c == hpInfinite {
+		return c
+	}
+	return c - o.(hpCost)
+}
+
 func (c hpCost) Less(o Cost) bool { return c < o.(hpCost) }
-func (c hpCost) String() string   { return fmt.Sprintf("%.1f", float64(c)) }
+func (c hpCost) String() string   { return fmt.Sprintf("%d", int(c)) }
 
 type hpPhys struct{ name string }
 
@@ -153,7 +171,13 @@ func (*hpModel) Enforcers() []*Enforcer {
 
 func (*hpModel) AnyProps() PhysProps { return hpTint(0) }
 func (*hpModel) ZeroCost() Cost      { return hpCost(0) }
-func (*hpModel) InfiniteCost() Cost  { return hpCost(1e18) }
+func (*hpModel) InfiniteCost() Cost  { return hpInfinite }
+
+// hpFloorModel is hpModel with an admissible cost floor: a class of n
+// operators costs at least n.
+type hpFloorModel struct{ hpModel }
+
+func (*hpFloorModel) LowerBound(lp LogicalProps) Cost { return hpCost(lp.(*hpProps).n) }
 
 // hpChain builds HPNODE(...HPNODE(HPNODE(l0,l1),l2)...,ln).
 func hpChain(n int) *ExprTree {
@@ -170,7 +194,7 @@ func hpExplored(tb testing.TB, n int) (*Optimizer, *Group) {
 	tb.Helper()
 	o := NewOptimizer(&hpModel{}, nil)
 	root := o.InsertQuery(hpChain(n))
-	if err := o.Explore(root); err != nil {
+	if err := o.ExploreCtx(context.Background(), root); err != nil {
 		tb.Fatal(err)
 	}
 	checkMemo(tb, o)
@@ -184,9 +208,13 @@ func BenchmarkCollectMoves(b *testing.B) {
 	b.Run("scratch", func(b *testing.B) {
 		o, g := hpExplored(b, 6)
 		required := o.model.AnyProps()
+		ms := g.ensureMoveSet(keyOf(required), required)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if len(o.collectMoves(g, required)) == 0 {
+			g.resetMatches(o.memo.mergeEpoch)
+			ms.reset(o.memo.mergeEpoch)
+			o.collectMoves(ms, g, required)
+			if len(ms.moves) == 0 {
 				b.Fatal("no moves")
 			}
 		}
@@ -196,13 +224,13 @@ func BenchmarkCollectMoves(b *testing.B) {
 		required := o.model.AnyProps()
 		ms := g.ensureMoveSet(keyOf(required), required)
 		ms.epoch = o.memo.mergeEpoch
-		o.collectMovesInto(ms, g, required)
+		o.collectMoves(ms, g, required)
 		if len(ms.moves) == 0 {
 			b.Fatal("no moves")
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o.collectMovesInto(ms, g, required)
+			o.collectMoves(ms, g, required)
 		}
 	})
 }
@@ -238,11 +266,11 @@ func TestMergeCarriesWinnerState(t *testing.T) {
 
 	// All state goes on the class that will merge away (gb: higher id).
 	loser := m.Group(gb)
-	wProg := loser.ensureWinner(hpTint(1), nil)
+	wProg := loser.ensureWinnerKeyed(winnerKey(hpTint(1), nil), hpTint(1), nil)
 	wProg.inProgress = true
-	wFail := loser.ensureWinner(hpTint(2), nil)
+	wFail := loser.ensureWinnerKeyed(winnerKey(hpTint(2), nil), hpTint(2), nil)
 	wFail.failedLimit = hpCost(3)
-	wPlan := loser.ensureWinner(hpTint(3), hpTint(1))
+	wPlan := loser.ensureWinnerKeyed(winnerKey(hpTint(3), hpTint(1)), hpTint(3), hpTint(1))
 	wPlan.plan = &Plan{Cost: hpCost(5)}
 	wPlan.cost = hpCost(5)
 	ms := loser.ensureMoveSet(keyOf(hpTint(0)), hpTint(0))
@@ -282,7 +310,7 @@ func TestHotPathAllocs(t *testing.T) {
 	required := o.model.AnyProps()
 	ms := g.ensureMoveSet(keyOf(required), required)
 	ms.epoch = o.memo.mergeEpoch
-	o.collectMovesInto(ms, g, required)
+	o.collectMoves(ms, g, required)
 	if len(ms.moves) == 0 {
 		t.Fatal("no moves collected")
 	}
@@ -290,9 +318,24 @@ func TestHotPathAllocs(t *testing.T) {
 	// Extending an up-to-date move set is a watermark comparison and
 	// must not allocate.
 	if n := testing.AllocsPerRun(100, func() {
-		o.collectMovesInto(ms, g, required)
+		o.collectMoves(ms, g, required)
 	}); n != 0 {
-		t.Errorf("warm collectMovesInto allocates %.1f times per run, want 0", n)
+		t.Errorf("warm collectMoves allocates %.1f times per run, want 0", n)
+	}
+
+	// A second requirement on a class whose matches are collected runs
+	// Applicability over them and matches no implementation rule again.
+	calls, matches := o.stats.MatchCalls, len(g.matches)
+	tinted := PhysProps(hpTint(1))
+	tms := g.ensureMoveSet(keyOf(tinted), tinted)
+	tms.epoch = o.memo.mergeEpoch
+	o.collectMoves(tms, g, tinted)
+	if o.stats.MatchCalls != calls || len(g.matches) != matches {
+		t.Errorf("a second requirement made %d match calls and %d matches, want none",
+			o.stats.MatchCalls-calls, len(g.matches)-matches)
+	}
+	if len(tms.moves) != 1 || tms.moves[0].Kind != MoveEnforcer {
+		t.Errorf("tinted moves %+v, want the tinter alone", tms.moves)
 	}
 
 	// A warm winner-table hit may box at most a couple of interface
@@ -388,6 +431,40 @@ func TestHotPathAllocs(t *testing.T) {
 	if bound != 0 {
 		t.Fatalf("matchDelta from an up-to-date watermark bound %d times", bound)
 	}
+
+	// An algorithm pursuit that its floor check refutes before optimizing
+	// any input allocates nothing: the input floors are summed once per
+	// class match, and the input plan slices are made only for an input
+	// that survives its check.
+	fo := NewOptimizer(&hpFloorModel{}, nil)
+	root := fo.InsertQuery(hpChain(4))
+	if err := fo.ExploreCtx(context.Background(), root); err != nil {
+		t.Fatal(err)
+	}
+	fg := fo.memo.Group(root)
+	fms := fg.ensureMoveSet(keyOf(required), required)
+	fms.epoch = fo.memo.mergeEpoch
+	fo.collectMoves(fms, fg, required)
+	var mv *Move
+	for i := range fms.moves {
+		if fms.moves[i].Kind == MoveAlgorithm {
+			mv = &fms.moves[i]
+			break
+		}
+	}
+	if mv == nil {
+		t.Fatal("no algorithm move collected")
+	}
+	// The join costs 2 and its inputs at least 6 together: a limit of 8
+	// refutes it at the floor check.
+	s := &goal{required: required, limit: hpCost(8)}
+	skipped := fo.stats.MovesSkipped
+	if n := testing.AllocsPerRun(100, func() { fo.pursueAlgorithm(s, fg, mv) }); n != 0 {
+		t.Errorf("a refuted pursuit allocates %.1f times per run, want 0", n)
+	}
+	if fo.stats.MovesSkipped == skipped || s.best != nil || fo.stats.GoalsOptimized != 0 {
+		t.Fatalf("the pursuit was not refuted at its floor check: %+v", fo.stats)
+	}
 }
 
 // TestSubstituteScratchOverrun: a firing that builds more nodes than the
@@ -398,7 +475,7 @@ func TestSubstituteScratchOverrun(t *testing.T) {
 	model := &hpWideModel{leaves: leaves}
 	o := NewOptimizer(model, nil)
 	root := o.InsertQuery(Node(&hpNode{}, Node(&hpLeaf{id: -1}), Node(&hpLeaf{id: -2})))
-	if err := o.Explore(root); err != nil {
+	if err := o.ExploreCtx(context.Background(), root); err != nil {
 		t.Fatal(err)
 	}
 	checkMemo(t, o)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -73,7 +74,7 @@ func TestMovesReusedOnReactivation(t *testing.T) {
 	// The optimum for a colored pair is 8 (scans 2 + pair 2 + paint 4);
 	// a limit of 7.5 fails only after the whole space has been searched
 	// and every sub-goal's moves have been collected and cached.
-	if plan, err := opt.OptimizeWithLimit(g, toyColor(2), toyCost(7.5)); err != nil || plan != nil {
+	if plan, err := opt.OptimizeWithLimitCtx(context.Background(), g, toyColor(2), toyCost(7.5)); err != nil || plan != nil {
 		t.Fatalf("hopeless limit: plan=%v err=%v", plan, err)
 	}
 	coretest.CheckMemo(t, opt)
@@ -85,7 +86,7 @@ func TestMovesReusedOnReactivation(t *testing.T) {
 	before := opt.Stats().MovesReused
 	matchesBefore := opt.Stats().MatchCalls
 
-	plan, err := opt.OptimizeWithLimit(g, toyColor(2), toyCost(100))
+	plan, err := opt.OptimizeWithLimitCtx(context.Background(), g, toyColor(2), toyCost(100))
 	coretest.CheckMemo(t, opt)
 	if err != nil || plan == nil {
 		t.Fatalf("higher limit: plan=%v err=%v", plan, err)
@@ -118,7 +119,7 @@ func TestWinnerTableSurvivesMerge(t *testing.T) {
 	if err != nil || pa == nil {
 		t.Fatalf("optimize a: plan=%v err=%v", pa, err)
 	}
-	if plan, err := opt.OptimizeWithLimit(gb, toyColor(3), toyCost(2)); err != nil || plan != nil {
+	if plan, err := opt.OptimizeWithLimitCtx(context.Background(), gb, toyColor(3), toyCost(2)); err != nil || plan != nil {
 		t.Fatalf("limit 2 should fail on b: plan=%v err=%v", plan, err)
 	}
 	coretest.CheckMemo(t, opt)
@@ -144,7 +145,7 @@ func TestWinnerTableSurvivesMerge(t *testing.T) {
 	}
 
 	// The failure still short-circuits an equal-or-tighter retry.
-	if plan, _ := opt.OptimizeWithLimit(ga, toyColor(3), toyCost(1)); plan != nil {
+	if plan, _ := opt.OptimizeWithLimitCtx(context.Background(), ga, toyColor(3), toyCost(1)); plan != nil {
 		t.Fatalf("tighter retry found plan %v", plan)
 	}
 	coretest.CheckMemo(t, opt)
@@ -153,7 +154,7 @@ func TestWinnerTableSurvivesMerge(t *testing.T) {
 	}
 
 	// A higher limit re-optimizes and succeeds.
-	p3, err := opt.OptimizeWithLimit(ga, toyColor(3), toyCost(100))
+	p3, err := opt.OptimizeWithLimitCtx(context.Background(), ga, toyColor(3), toyCost(100))
 	coretest.CheckMemo(t, opt)
 	if err != nil || p3 == nil {
 		t.Fatalf("higher limit: plan=%v err=%v", p3, err)

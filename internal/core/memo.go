@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Memo is the hash table of expressions and equivalence classes at the
 // heart of the search engine. It detects redundant derivations of the
@@ -21,8 +24,10 @@ type Memo struct {
 	// expression already present in another. parent[i] is the parent
 	// of GroupID i+1; a root is its own parent.
 	parent []GroupID
-	// table chains expressions by identity hash.
-	table map[uint64]*Expr
+	// table holds the heads of the expressions' identity-hash chains
+	// (Expr.next); its length is a power of two, doubled when the memo
+	// stores twice as many expressions as it has chains.
+	table []*Expr
 
 	exprCount int
 	stats     *Stats
@@ -65,8 +70,18 @@ type Memo struct {
 	frames []*Binding
 	// subst is the scratch rule substitutes are built in.
 	subst substScratch
-	// arena slab-allocates the bindings retained by cached moves.
-	arena bindingArena
+	// leaves[g-1] is the retained leaf binding of class g (cloneBinding).
+	leaves []*Binding
+	// flat is collectMoves' scratch for sharing leaf-only bindings
+	// (newMatch).
+	flat []*implMatch
+	// Slabs for what the memo stores: expressions, their input lists,
+	// and the class matches with their bindings.
+	exprs    slab[Expr]
+	ids      slab[GroupID]
+	matches  slab[implMatch]
+	bindings slab[Binding]
+	children slab[*Binding]
 
 	// bud is the armed budget of the current optimization call, shared
 	// with the Optimizer; the memo ticks it on insertions and rule
@@ -80,7 +95,7 @@ type Memo struct {
 func NewMemo(model Model, opts *Options, stats *Stats) *Memo {
 	m := &Memo{
 		model: model,
-		table: make(map[uint64]*Expr),
+		table: make([]*Expr, 8),
 		stats: stats,
 		opts:  opts,
 	}
@@ -202,7 +217,7 @@ func (m *Memo) canon(inputs []GroupID) []GroupID {
 // lookup finds the expression (op, inputs) in the hash table, if stored.
 // Inputs must already be canonical.
 func (m *Memo) lookup(op LogicalOp, inputs []GroupID) *Expr {
-	for e := m.table[exprHash(op, inputs)]; e != nil; e = e.next {
+	for e := *m.chain(op, inputs); e != nil; e = e.next {
 		if exprEqual(e, op, inputs) {
 			return e
 		}
@@ -268,12 +283,11 @@ func (m *Memo) insertCanon(op LogicalOp, inputs []GroupID, target GroupID, disab
 	if len(inputs) == 0 {
 		inputs = nil
 	} else {
-		inputs = append(make([]GroupID, 0, len(inputs)), inputs...)
+		inputs = append(m.ids.take(len(inputs))[:0], inputs...)
 	}
-	e := &Expr{Op: op, Inputs: inputs, disabled: disabled}
-	h := exprHash(op, inputs)
-	e.next = m.table[h]
-	m.table[h] = e
+	e := &m.exprs.take(1)[0]
+	e.Op, e.Inputs, e.disabled = op, inputs, disabled
+	m.link(e)
 	m.exprCount++
 	if m.stats != nil {
 		m.stats.Exprs++
@@ -324,33 +338,31 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 	}
 	gb.exprs, gb.retired = nil, 0
 	for _, w := range gb.winners {
-		for ; w != nil; w = w.next {
-			dst := ga.ensureWinner(w.props, w.excluded)
-			if dst.plan == nil || (w.plan != nil && w.cost.Less(dst.cost)) {
-				dst.plan, dst.cost = w.plan, w.cost
-			}
-			// A goal on the merged-away class that is still on the call
-			// stack must stay visible as in-progress through the
-			// representative, or a cyclic derivation could re-enter it
-			// and loop.
-			if w.inProgress {
-				dst.inProgress = true
-			}
-			// Failures survive with their strongest limit, symmetric
-			// with the representative's own entries, which also predate
-			// the unification.
-			if w.failedLimit != nil &&
-				(dst.failedLimit == nil || dst.failedLimit.Less(w.failedLimit)) {
-				dst.failedLimit = w.failedLimit
-			}
+		dst := ga.ensureWinnerKeyed(w.key, w.props, w.excluded)
+		if dst.plan == nil || (w.plan != nil && w.cost.Less(dst.cost)) {
+			dst.plan, dst.cost = w.plan, w.cost
+		}
+		// A goal on the merged-away class that is still on the call
+		// stack must stay visible as in-progress through the
+		// representative, or a cyclic derivation could re-enter it
+		// and loop.
+		if w.inProgress {
+			dst.inProgress = true
+		}
+		// Failures survive with their strongest limit, symmetric
+		// with the representative's own entries, which also predate
+		// the unification.
+		if w.failedLimit != nil &&
+			(dst.failedLimit == nil || dst.failedLimit.Less(w.failedLimit)) {
+			dst.failedLimit = w.failedLimit
 		}
 	}
 	gb.winners = nil
-	// Cached move sets of the merged-away class die with it; sets of
-	// every other class (including ga's) are voided lazily through the
-	// epoch bump, since any of them may bind new expressions through
-	// the enlarged class.
-	gb.moveSets = nil
+	// Cached matches and move sets of the merged-away class die with it;
+	// those of every other class (including ga's) are voided lazily
+	// through the epoch bump, since any of them may bind new expressions
+	// through the enlarged class.
+	gb.moveSets, gb.matches = nil, nil
 	m.mergeEpoch++
 	// The merged class must be (re-)explored: rules may now fire on the
 	// union of expressions. Every expression that consumes either side,
@@ -402,18 +414,11 @@ func (m *Memo) markStale(g *Group, d int) {
 // classes, if different, are merged; otherwise it is relinked under the
 // new hash.
 func (m *Memo) rehash(p *Expr) {
-	h := exprHash(p.Op, p.Inputs)
-	if e := m.table[h]; e == p {
-		if p.next == nil {
-			delete(m.table, h)
-		} else {
-			m.table[h] = p.next
-		}
-	} else {
-		for ; e.next != p; e = e.next {
-		}
-		e.next = p.next
+	link := m.chain(p.Op, p.Inputs)
+	for *link != p {
+		link = &(*link).next
 	}
+	*link = p.next
 	m.canon(p.Inputs)
 	if twin := m.lookup(p.Op, p.Inputs); twin != nil {
 		p.dead, p.next = true, nil
@@ -422,9 +427,31 @@ func (m *Memo) rehash(p *Expr) {
 		m.merge(p.group, twin.group)
 		return
 	}
-	h = exprHash(p.Op, p.Inputs)
-	p.next = m.table[h]
-	m.table[h] = p
+	m.link(p)
+}
+
+// chain returns the head of the hash chain an expression (op, inputs)
+// belongs on.
+func (m *Memo) chain(op LogicalOp, inputs []GroupID) **Expr {
+	return &m.table[exprHash(op, inputs)&uint64(len(m.table)-1)]
+}
+
+// link puts a stored expression at the head of its chain, first doubling
+// the table when it holds twice as many expressions as chains.
+func (m *Memo) link(e *Expr) {
+	if m.exprCount >= 2*len(m.table) {
+		old := m.table
+		m.table = make([]*Expr, 2*len(old))
+		for _, x := range old {
+			for x != nil {
+				next, head := x.next, m.chain(x.Op, x.Inputs)
+				x.next, *head = *head, x
+				x = next
+			}
+		}
+	}
+	head := m.chain(e.Op, e.Inputs)
+	e.next, *head = *head, e
 }
 
 // InsertTree inserts a whole expression tree, bottom-up. Leaf references
@@ -452,20 +479,28 @@ func (m *Memo) insertNode(t *ExprTree, target GroupID) (GroupID, bool) {
 	return g, created
 }
 
-// MemoryBytes returns an estimate of the memo's working-set size,
-// supporting the paper's report that Volcano performed exhaustive search
-// for all test queries within 1 MB of work space.
+// MemoryBytes returns the memo's working-set size, for the paper's report
+// that Volcano searched exhaustively within 1 MB of work space: the sizes
+// of the structures core allocates for it and the capacities of the
+// slices holding them. Model-derived values (logical and physical
+// properties, costs, operators) are excluded.
 func (m *Memo) MemoryBytes() int {
-	const (
-		groupBytes  = 96  // Group struct + slice headers
-		exprBytes   = 80  // Expr struct + average input slice
-		winnerBytes = 72  // winner struct + map entry share
-		moveBytes   = 112 // cached Move + binding share
-	)
-	bytes := 0
-	m.Groups(func(g *Group) {
-		bytes += groupBytes + exprBytes*(len(g.exprs)-g.retired) +
-			winnerBytes*g.winnerCount() + moveBytes*g.moveCount()
-	})
+	const ptr = int(unsafe.Sizeof(uintptr(0)))
+	bytes := m.exprs.bytes() + m.ids.bytes() + m.matches.bytes() + m.bindings.bytes() +
+		m.children.bytes() + (cap(m.groups)+cap(m.table)+cap(m.leaves))*ptr +
+		cap(m.parent)*int(unsafe.Sizeof(GroupID(0))) + cap(m.marks)*int(unsafe.Sizeof(ruleMark{}))
+	for _, g := range m.groups {
+		bytes += int(unsafe.Sizeof(*g)) +
+			(cap(g.exprs)+cap(g.parents)+cap(g.winners)+cap(g.moveSets)+cap(g.matches))*ptr
+		for _, w := range g.winners {
+			bytes += int(unsafe.Sizeof(*w))
+			if w.plan != nil {
+				bytes += int(unsafe.Sizeof(*w.plan)) + cap(w.plan.Inputs)*ptr
+			}
+		}
+		for _, ms := range g.moveSets {
+			bytes += int(unsafe.Sizeof(*ms)) + cap(ms.moves)*int(unsafe.Sizeof(Move{}))
+		}
+	}
 	return bytes
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -88,14 +89,14 @@ func TestMergeRetiresDuplicateSpelling(t *testing.T) {
 		if second {
 			memo.Insert(&toyPair{}, []core.GroupID{a, m}, q)
 		}
-		if err := opt.Explore(m); err != nil {
+		if err := opt.ExploreCtx(context.Background(), m); err != nil {
 			t.Fatal(err)
 		}
 		if memo.Find(m) != memo.Find(b) {
 			t.Fatal("MARK(b) not merged with b")
 		}
 		before := opt.Stats().RulesFired
-		if err := opt.Explore(q); err != nil {
+		if err := opt.ExploreCtx(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 		coretest.CheckMemo(t, opt)
@@ -122,7 +123,7 @@ func TestCongruentConsumersMergeClasses(t *testing.T) {
 	if memo.Find(q1) == memo.Find(q2) {
 		t.Fatal("PAIR[a b] and PAIR[a MARK(b)] share a class before any rule fired")
 	}
-	if err := opt.Explore(opt.InsertQuery(core.Node(&toyMark{}, leaf("b")))); err != nil {
+	if err := opt.ExploreCtx(context.Background(), opt.InsertQuery(core.Node(&toyMark{}, leaf("b")))); err != nil {
 		t.Fatal(err)
 	}
 	coretest.CheckMemo(t, opt)
@@ -140,7 +141,7 @@ func TestCongruentConsumersMergeClasses(t *testing.T) {
 func TestFindPathHalving(t *testing.T) {
 	opt, memo := newMemo()
 	g := opt.InsertQuery(leftDeepPair("a", "b", "c", "d"))
-	if err := opt.Explore(g); err != nil {
+	if err := opt.ExploreCtx(context.Background(), g); err != nil {
 		t.Fatal(err)
 	}
 	coretest.CheckMemo(t, opt)
@@ -160,7 +161,7 @@ func TestMemoryBytesGrowsWithContent(t *testing.T) {
 	opt, memo := newMemo()
 	g := opt.InsertQuery(leftDeepPair("a", "b", "c"))
 	small := memo.MemoryBytes()
-	if err := opt.Explore(g); err != nil {
+	if err := opt.ExploreCtx(context.Background(), g); err != nil {
 		t.Fatal(err)
 	}
 	coretest.CheckMemo(t, opt)
@@ -200,7 +201,7 @@ func TestGroupAccessors(t *testing.T) {
 	if grp.Explored() {
 		t.Fatal("unexplored group claims explored")
 	}
-	if err := opt.Explore(g); err != nil {
+	if err := opt.ExploreCtx(context.Background(), g); err != nil {
 		t.Fatal(err)
 	}
 	coretest.CheckMemo(t, opt)
@@ -215,7 +216,7 @@ func TestGroupAccessors(t *testing.T) {
 func TestBudgetErrorSurfacesFromMemo(t *testing.T) {
 	opt := newToyOpt(&core.Options{Budget: core.Budget{MaxExprs: 3}})
 	g := opt.InsertQuery(leftDeepPair("a", "b", "c", "d"))
-	err := opt.Explore(g)
+	err := opt.ExploreCtx(context.Background(), g)
 	coretest.CheckMemo(t, opt)
 	if err == nil {
 		t.Fatal("expected budget error from exploration")

@@ -86,7 +86,7 @@ type policyNode struct {
 	// cache (merge) so stale arm statistics are dropped with it.
 	arms []policyArm
 	ms   *moveSet
-	gen  uint64
+	gen  uint32
 	// best is the scalar metric of the cheapest complete plan achieved
 	// at this node, the reference for rewards; +Inf until one exists.
 	best float64
@@ -133,21 +133,9 @@ func (o *Optimizer) primeArms(node *policyNode, g *Group, ms *moveSet, from int)
 		mv := &ms.moves[i]
 		switch mv.Kind {
 		case MoveAlgorithm:
-			leaves := mv.leaves
-			if leaves == nil {
-				leaves = mv.Binding.Leaves(nil)
-			}
-			floorSum := o.model.ZeroCost()
-			if o.lower != nil {
-				for _, leaf := range leaves {
-					lg := o.memo.groups[o.memo.Find(leaf)-1]
-					if lb := o.classFloor(lg); lb != nil {
-						floorSum = floorSum.Add(lb)
-					}
-				}
-			}
+			floorSum := o.matchFloor(mv.match)
 			for _, alt := range mv.Alts {
-				local := mv.Rule.Cost(o.ctx, mv.Binding, node.required, alt)
+				local := mv.Rule.Cost(o.ctx, mv.match.b, node.required, alt)
 				if m, ok := costMetric(local.Add(floorSum)); ok {
 					if math.IsNaN(a.prior) || m < a.prior {
 						a.prior = m
@@ -284,7 +272,7 @@ func (o *Optimizer) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 	if ms.epoch != o.memo.mergeEpoch {
 		ms.reset(o.memo.mergeEpoch)
 	}
-	o.collectMovesInto(ms, g, required)
+	o.collectMoves(ms, g, required)
 	if node.ms != ms || node.gen != ms.gen {
 		// First visit, or a merge voided the cached moves the arms
 		// indexed: (re)build the arm list, dropping stale statistics.

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -155,7 +156,7 @@ func TestQuickMergeStability(t *testing.T) {
 	check := func(s toyShape) bool {
 		opt := newToyOpt(nil)
 		g := opt.InsertQuery(s.tree)
-		if err := opt.Explore(g); err != nil {
+		if err := opt.ExploreCtx(context.Background(), g); err != nil {
 			return false
 		}
 		coretest.CheckMemo(t, opt)

@@ -103,10 +103,12 @@ type substScratch struct {
 type substMark struct{ nodes, ptrs int }
 
 // Slab sizes. Join associativity builds five nodes, four child pointers
-// and one result pointer; the slabs hold several such firings.
+// and one result pointer. A firing's substitutes are inserted before the
+// next firing starts, so the slabs hold one firing at a time, and they
+// live in the Memo struct, where every slot costs each memo its bytes.
 const (
-	substNodes = 32
-	substPtrs  = 64
+	substNodes = 16
+	substPtrs  = 16
 )
 
 func (s *substScratch) mark() substMark { return s.used }

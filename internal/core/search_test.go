@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -92,7 +93,7 @@ func TestExcludedVectorBlocksRedundantAlgorithm(t *testing.T) {
 func TestExplorationClosure(t *testing.T) {
 	opt := newToyOpt(nil)
 	g := opt.InsertQuery(leftDeepPair("a", "b", "c"))
-	if err := opt.Explore(g); err != nil {
+	if err := opt.ExploreCtx(context.Background(), g); err != nil {
 		t.Fatal(err)
 	}
 	coretest.CheckMemo(t, opt)
@@ -128,7 +129,7 @@ func TestDuplicateDerivationsMerge(t *testing.T) {
 	if g1 == g2 {
 		t.Fatal("distinct shapes collapsed before any derivation")
 	}
-	if err := opt.Explore(g1); err != nil {
+	if err := opt.ExploreCtx(context.Background(), g1); err != nil {
 		t.Fatal(err)
 	}
 	coretest.CheckMemo(t, opt)
@@ -184,7 +185,7 @@ func TestWinnerAndFailureMemo(t *testing.T) {
 	// A fresh optimizer with a hopeless limit for a new color goal.
 	opt2 := newToyOpt(nil)
 	g2 := opt2.InsertQuery(pair(leaf("a"), leaf("b")))
-	plan, err := opt2.OptimizeWithLimit(g2, toyColor(2), toyCost(3))
+	plan, err := opt2.OptimizeWithLimitCtx(context.Background(), g2, toyColor(2), toyCost(3))
 	coretest.CheckMemo(t, opt2)
 	if err != nil {
 		t.Fatal(err)
@@ -193,14 +194,14 @@ func TestWinnerAndFailureMemo(t *testing.T) {
 		t.Fatalf("expected failure under limit 3, got plan %s", plan)
 	}
 	fBefore := opt2.Stats().FailureHits
-	if plan, _ := opt2.OptimizeWithLimit(g2, toyColor(2), toyCost(2)); plan != nil {
+	if plan, _ := opt2.OptimizeWithLimitCtx(context.Background(), g2, toyColor(2), toyCost(2)); plan != nil {
 		t.Fatal("tighter retry should fail")
 	}
 	coretest.CheckMemo(t, opt2)
 	if opt2.Stats().FailureHits <= fBefore {
 		t.Fatal("tighter retry did not use the memoized failure")
 	}
-	plan, err = opt2.OptimizeWithLimit(g2, toyColor(2), toyCost(100))
+	plan, err = opt2.OptimizeWithLimitCtx(context.Background(), g2, toyColor(2), toyCost(100))
 	coretest.CheckMemo(t, opt2)
 	if err != nil || plan == nil {
 		t.Fatalf("higher limit should succeed, got plan=%v err=%v", plan, err)

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -219,7 +220,7 @@ func TestExplorationFlagStaysWithItsClass(t *testing.T) {
 	// outer ∋ X(inner): X(W(a)) → DONE(a) explores inner, where
 	// MARK(outer) → outer merges inner into outer.
 	memo.Insert(opX, []core.GroupID{inner}, outer)
-	if err := opt.Explore(outer); err != nil {
+	if err := opt.ExploreCtx(context.Background(), outer); err != nil {
 		t.Fatal(err)
 	}
 	if memo.Find(inner) != memo.Find(outer) {
@@ -259,7 +260,7 @@ func TestExplorationReachesFixpoint(t *testing.T) {
 		if _, err := opt.Optimize(root, toyColor(1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := opt.Explore(other); err != nil {
+		if err := opt.ExploreCtx(context.Background(), other); err != nil {
 			t.Fatal(err)
 		}
 		coretest.CheckMemo(t, opt)
@@ -273,7 +274,7 @@ func TestFixpointCheckDetectsSkippedBinding(t *testing.T) {
 	opt := newToyOpt(nil)
 	memo := opt.Memo()
 	root := opt.InsertQuery(leftDeepPair("a", "b", "c"))
-	if err := opt.Explore(root); err != nil {
+	if err := opt.ExploreCtx(context.Background(), root); err != nil {
 		t.Fatal(err)
 	}
 	if err := memo.CheckFixpoint(); err != nil {

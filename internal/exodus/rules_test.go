@@ -1,6 +1,7 @@
 package exodus
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -182,7 +183,7 @@ func TestClosureMatchesVolcano(t *testing.T) {
 
 		vo := core.NewOptimizer(relopt.New(cat, relopt.DefaultConfig()), nil)
 		root := vo.InsertQuery(q.Root)
-		if err := vo.Explore(root); err != nil {
+		if err := vo.ExploreCtx(context.Background(), root); err != nil {
 			t.Fatalf("n=%d volcano: %v", n, err)
 		}
 		memo := vo.Memo()

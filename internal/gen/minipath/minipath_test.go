@@ -1,6 +1,7 @@
 package minipath_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -89,7 +90,7 @@ func TestSelectCommuteGenerated(t *testing.T) {
 		core.Node(&oodb.Select{Attr: "salary", Op: oodb.CmpEQ, Val: 10},
 			core.Node(&oodb.GetSet{Cls: cat.Class("Emp")})))
 	root := opt.InsertQuery(tree)
-	if err := opt.Explore(root); err != nil {
+	if err := opt.ExploreCtx(context.Background(), root); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(opt.Memo().Group(root).Exprs()); got != 2 {

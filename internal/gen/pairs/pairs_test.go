@@ -1,6 +1,7 @@
 package pairs_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
@@ -139,7 +140,7 @@ func TestGeneratedDefaults(t *testing.T) {
 	// Commute closure: the root class holds both orders of {ab|c} plus
 	// rotations are absent (no assoc rule), so exactly... commute only
 	// doubles each shape.
-	if err := opt.Explore(root); err != nil {
+	if err := opt.ExploreCtx(context.Background(), root); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(opt.Memo().Group(root).Exprs()); got != 2 {

@@ -1,6 +1,7 @@
 package oodb_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -126,7 +127,7 @@ func TestSelectCommute(t *testing.T) {
 			core.Node(&oodb.GetSet{Cls: cat.Class("Emp")})))
 	opt := core.NewOptimizer(oodb.New(cat, oodb.DefaultParams()), nil)
 	root := opt.InsertQuery(tree)
-	if err := opt.Explore(root); err != nil {
+	if err := opt.ExploreCtx(context.Background(), root); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(opt.Memo().Group(root).Exprs()); got != 2 {

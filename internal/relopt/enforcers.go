@@ -19,6 +19,9 @@ func (m *Model) sortEnforcer() *core.Enforcer {
 			if len(rp.Sort) == 0 {
 				return nil, nil, false
 			}
+			if rp.Part.Kind == PartNone {
+				return Any, required, true
+			}
 			return rp.WithoutSort(), required, true
 		},
 		Cost: func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.Cost {
@@ -34,6 +37,9 @@ func (m *Model) sortEnforcer() *core.Enforcer {
 		Delivered: func(ctx *core.RuleContext, required core.PhysProps, input core.PhysProps) core.PhysProps {
 			rp := reqProps(required)
 			in := input.(*PhysProps)
+			if in.Part == rp.Part {
+				return rp
+			}
 			return &PhysProps{Sort: rp.Sort, Part: in.Part}
 		},
 		Build: func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.PhysicalOp {

@@ -89,27 +89,71 @@ func BenchmarkExploreBudgeted(b *testing.B) {
 }
 
 // TestColdOptimizeAllocs caps the allocations of one cold 8-relation
-// optimization about 15% above the 4811 it measures with the matcher on
-// recycled frames, substitutes in the memo's scratch, a congruence-closed
-// memo, preboxed zero and infinite costs, join and selection properties
-// that read their inputs' column statistics instead of copying them, and
-// join rules whose substitutes are born with the rules off that would
-// only re-derive them (the closure-based binder over map-backed
-// properties took 49118; before duplicate spellings were retired it was
-// 7966, 7616 while ZeroCost boxed a fresh Cost per call, 6887 while every
-// property copied its statistics, and 6699 under plain commutativity and
-// associativity), so that gain cannot silently rot. The bytes are capped
-// the same way, about 15% above the 249114 measured (402716 under plain
-// commutativity and associativity, 485918 with copied statistics).
+// optimization about 10% above the 3044 and 157568 bytes it measures with
+// each class matching its implementation rules once for all requirements,
+// compact moves, the memo's expressions, bindings and matches in slabs
+// and its tables in slices (4811 and 249114 before, with moves collected
+// per requirement into growing slices and the memo's tables in maps; the
+// closure-based binder over map-backed properties took 49118 allocations,
+// and 7966 before duplicate spellings were retired), so that gain cannot
+// silently rot. A 3-relation chain — a point-churn statement's shape — is
+// capped the same way (710 allocations and 34112 bytes; 861 and 47024
+// before), so memo storage sized for large searches cannot inflate small
+// ones.
 func TestColdOptimizeAllocs(t *testing.T) {
 	cat, qs := pinnedWorkload()
-	pq := qs[3] // the first random 8-relation query
-	const ceiling, byteCeiling = 5500, 287000
-	if n := testing.AllocsPerRun(5, func() { optimizeCold(t, cat, pq) }); n > ceiling {
-		t.Errorf("cold 8-relation optimization allocates %.0f times, ceiling %d", n, ceiling)
+	src := datagen.New(1993)
+	cat3 := src.Catalog(3)
+	chain := pinnedQuery{q: src.SelectJoinQuery(cat3, 3, datagen.ShapeChain)}
+	if chain.q.OrderBy != rel.InvalidCol {
+		chain.required = relopt.SortedOn(chain.q.OrderBy)
 	}
-	if n := bytesPerRun(5, func() { optimizeCold(t, cat, pq) }); n > byteCeiling {
-		t.Errorf("cold 8-relation optimization allocates %.0f bytes, ceiling %d", n, byteCeiling)
+	for _, c := range []struct {
+		name               string
+		cat                *rel.Catalog
+		pq                 pinnedQuery
+		ceiling, byteLimit float64
+	}{
+		{"8-relation random", cat, qs[3], 3350, 173300}, // the first random 8-relation query
+		{"3-relation chain", cat3, chain, 780, 37500},
+	} {
+		if n := testing.AllocsPerRun(5, func() { optimizeCold(t, c.cat, c.pq) }); n > c.ceiling {
+			t.Errorf("cold %s optimization allocates %.0f times, ceiling %.0f", c.name, n, c.ceiling)
+		}
+		if n := bytesPerRun(5, func() { optimizeCold(t, c.cat, c.pq) }); n > c.byteLimit {
+			t.Errorf("cold %s optimization allocates %.0f bytes, ceiling %.0f", c.name, n, c.byteLimit)
+		}
+	}
+}
+
+// TestMemoryBytesTracksRetainedHeap holds Memo.MemoryBytes to what an
+// optimization leaves on the heap: over the pinned queries, each
+// optimized cold after a warm-up and kept alive across a GC, the memo's
+// measured size is between 55% and 85% of the heap the optimizer
+// retains (71% when the bound was set). The rest is what MemoryBytes
+// excludes: the model, logical and physical properties, costs and
+// physical operators.
+func TestMemoryBytesTracksRetainedHeap(t *testing.T) {
+	cat, qs := pinnedWorkload()
+	var memo, heap float64
+	for i, pq := range append(qs[:1:1], qs...) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		opt := guidedOptimizer(cat, func(*core.Options) {})
+		if _, err := opt.Optimize(opt.InsertQuery(pq.q.Root), pq.required); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if i > 0 { // the first run warms up the heap
+			memo += float64(opt.Memo().MemoryBytes())
+			heap += float64(after.HeapAlloc) - float64(before.HeapAlloc)
+		}
+		runtime.KeepAlive(opt)
+	}
+	if r := memo / heap; r < 0.55 || r > 0.85 {
+		t.Errorf("MemoryBytes sums to %.0f bytes, %.2f of the %.0f the optimizers retain; want 0.55 to 0.85", memo, r, heap)
 	}
 }
 

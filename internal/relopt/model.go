@@ -70,6 +70,10 @@ type Model struct {
 	trules []*core.TransformRule
 	irules []*core.ImplRule
 	enfs   []*core.Enforcer
+	// sorted[c] is the serial vector "sorted on c" for every catalog
+	// column c, built by New and then only read: vdb shares one model
+	// across concurrent optimizers.
+	sorted []*PhysProps
 }
 
 var _ core.Model = (*Model)(nil)
@@ -120,6 +124,20 @@ func New(cat *rel.Catalog, cfg Config) *Model {
 	}
 	if cfg.EnableNLJoin {
 		m.irules = append(m.irules, m.nlJoinRule())
+	}
+
+	var cols []rel.ColID
+	for _, name := range cat.Tables() {
+		cols = append(cols, cat.Table(name).Columns...)
+	}
+	props, order := make([]PhysProps, len(cols)), make([]OrderCol, len(cols))
+	m.sorted = make([]*PhysProps, len(cols)+1)
+	for i, c := range cols {
+		order[i] = OrderCol{Col: c}
+		props[i] = PhysProps{Sort: order[i : i+1 : i+1]}
+		if int(c) < len(m.sorted) {
+			m.sorted[c] = &props[i]
+		}
 	}
 
 	m.enfs = []*core.Enforcer{m.sortEnforcer()}

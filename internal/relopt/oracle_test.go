@@ -1,6 +1,7 @@
 package relopt_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -383,7 +384,7 @@ func oracleRun(t *testing.T, model core.Model, in oracleInput, fixpoint bool) (m
 		if fixpoint {
 			coretest.CheckFixpoint(t, opt)
 		}
-		if err := opt.Explore(root); err != nil {
+		if err := opt.ExploreCtx(context.Background(), root); err != nil {
 			t.Fatal(err)
 		}
 		if sp, err = space(opt.Memo()); err != nil {

@@ -126,7 +126,11 @@ func runPinned(t *testing.T, cat *rel.Catalog, qs []pinnedQuery, configure func(
 // merges to 2483, 1599, 7261, 884 and 0; MCTS (71451 bindings before) to
 // 2994, 2009, 8193, 985 and 0; widening (71825 bindings before) to 3123,
 // 2123, 8870, 1000 and 0. Steps and cost bits are unchanged in all four
-// cases.
+// cases. Bindings were re-pinned once more when each class came to match
+// its implementation rules once for all its requirements rather than once
+// per requirement: exhaustive search from 15160 to 11534, guided from
+// 7261 to 6292, MCTS from 8193 to 7307 and widening from 8870 to 7986,
+// every other counter and the cost bits unchanged.
 func TestExplorationCountersPinned(t *testing.T) {
 	cat, qs := pinnedWorkload()
 	budgeted := func(p core.SearchPolicy) func(*core.Options) {
@@ -141,10 +145,10 @@ func TestExplorationCountersPinned(t *testing.T) {
 		configure func(*core.Options)
 		want      pinnedCounters
 	}{
-		{"exhaustive", func(*core.Options) {}, pinnedCounters{Exprs: 3871, RulesFired: 2799, Bindings: 15160, Groups: 1072, Merges: 0, Steps: 8058, CostBits: 4727125208475311958}},
-		{"budgeted-guided", budgeted(core.PolicyExhaustive), pinnedCounters{Exprs: 2483, RulesFired: 1599, Bindings: 7261, Groups: 884, Merges: 0, Steps: 2391, CostBits: 4737410220511340758}},
-		{"budgeted-mcts", budgeted(core.PolicyMCTS), pinnedCounters{Exprs: 2994, RulesFired: 2009, Bindings: 8193, Groups: 985, Merges: 0, Steps: 2904, CostBits: 4727125978186072590}},
-		{"budgeted-widening", budgeted(core.PolicyWidening), pinnedCounters{Exprs: 3123, RulesFired: 2123, Bindings: 8870, Groups: 1000, Merges: 0, Steps: 2762, CostBits: 4727132687584594105}},
+		{"exhaustive", func(*core.Options) {}, pinnedCounters{Exprs: 3871, RulesFired: 2799, Bindings: 11534, Groups: 1072, Merges: 0, Steps: 8058, CostBits: 4727125208475311958}},
+		{"budgeted-guided", budgeted(core.PolicyExhaustive), pinnedCounters{Exprs: 2483, RulesFired: 1599, Bindings: 6292, Groups: 884, Merges: 0, Steps: 2391, CostBits: 4737410220511340758}},
+		{"budgeted-mcts", budgeted(core.PolicyMCTS), pinnedCounters{Exprs: 2994, RulesFired: 2009, Bindings: 7307, Groups: 985, Merges: 0, Steps: 2904, CostBits: 4727125978186072590}},
+		{"budgeted-widening", budgeted(core.PolicyWidening), pinnedCounters{Exprs: 3123, RulesFired: 2123, Bindings: 7986, Groups: 1000, Merges: 0, Steps: 2762, CostBits: 4727132687584594105}},
 	}
 	for _, c := range cases {
 		if got := runPinned(t, cat, qs, c.configure); got != c.want {

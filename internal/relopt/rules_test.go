@@ -1,6 +1,7 @@
 package relopt
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -173,7 +174,7 @@ func TestNLJoinOnlyWhenEnabled(t *testing.T) {
 	hasNL := func(cfg Config) bool {
 		opt := core.NewOptimizer(New(cat, cfg), nil)
 		root := opt.InsertQuery(joinTree(cat, cols))
-		if err := opt.Explore(root); err != nil {
+		if err := opt.ExploreCtx(context.Background(), root); err != nil {
 			t.Fatal(err)
 		}
 		coretest.CheckMemo(t, opt)
