@@ -62,6 +62,9 @@ bench-guided:
 # the one reader of the deprecated core.SearchOptions.Workers and
 # core.Stats.TasksRun/TasksParked. The traced opt-budgeted run at seed
 # 1994 reports core.floor_violation_share, the anytime floor's metric.
+# The traced exec-analytic run prints each statement's executor time
+# (exec.run_ms_*), among them exec.run_ms_join2 (a hash join whose probes
+# mostly hit) and exec.run_ms_join3-orderby (a merge join over sorts).
 # The traced point-hot run prints exec.tiny_run_us, the executor's share
 # of a cached point statement. The traced point-churn run is the served
 # plan-cache miss: every statement optimizes (vdb.optimize_us) or runs a
@@ -69,7 +72,7 @@ bench-guided:
 # (plan_cost_ratio 1).
 bench-check:
 	cd bench && $(GO) test ./...
-	bash bench/run.sh --workload exec-analytic --seed 1993 --seconds 2 --trace 0
+	bash bench/run.sh --workload exec-analytic --seed 1993 --seconds 2 --trace 1
 	bash bench/run.sh --workload point-hot --seed 1993 --seconds 2 --trace 1
 	bash bench/run.sh --workload point-churn --seed 1993 --seconds 2 --trace 1
 	bash bench/run.sh --workload opt-fig4 --seed 1993 --seconds 2 --trace 1

@@ -32,7 +32,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := relopt.OptimizeDynamicCtx(context.Background(), cat, relopt.DefaultConfig(), st.Tree, st.Required, nil)
+	res, err := relopt.OptimizeDynamicCtx(context.Background(), relopt.New(cat, relopt.DefaultConfig()), st.Tree, st.Required, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

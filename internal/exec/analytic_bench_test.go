@@ -81,28 +81,33 @@ func BenchmarkAnalyticPlans(b *testing.B) {
 	}
 }
 
-// BenchmarkPointPlans runs the GROUP BY and ORDER BY chain statements of
-// the point workloads' mix (load.ChainWorkload) over two and four of
-// their six 5 000-row tables: the statements whose joins projection
-// pushdown at build narrows.
+// BenchmarkPointPlans runs the chain statements of the point workloads'
+// mix (load.ChainWorkload) over their six 5 000-row tables: the GROUP BY
+// and ORDER BY chains over two and four tables, whose joins projection
+// pushdown at build narrows, and the small selections (R1.v < c) over
+// two, three and four tables, point-hot's median statements, whose
+// joins build on a few dozen rows and probe whole tables.
 func BenchmarkPointPlans(b *testing.B) {
 	cat, db := analyticDB(b, 6, 5000)
 	seen := map[string]bool{}
 	for _, st := range load.ChainWorkload(6, 16) {
-		kind := "orderby"
+		kind := "select"
 		switch {
+		case st.Params != nil:
+			continue
 		case strings.Contains(st.SQL, "GROUP BY"):
 			kind = "groupby"
-		case !strings.Contains(st.SQL, "ORDER BY"):
-			continue
+		case strings.Contains(st.SQL, "ORDER BY"):
+			kind = "orderby"
 		}
 		tables := strings.Count(st.SQL, " = R") + 1 // one equi-join per link
-		if (tables != 2 && tables != 4) || seen[st.SQL] {
+		name := kind + "/tables=" + strconv.Itoa(tables)
+		if (tables == 3 && kind != "select") || seen[name] {
 			continue
 		}
-		seen[st.SQL] = true
+		seen[name] = true
 		plan := analyticPlan(b, cat, st.SQL)
-		b.Run(kind+"/tables="+strconv.Itoa(tables), func(b *testing.B) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				rows, _, err := exec.RunOpts(context.Background(), db, plan, nil, exec.Options{})

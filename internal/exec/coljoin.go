@@ -4,9 +4,9 @@ package exec
 // column-major build vectors — or, when it serves stored rows, only
 // indexed where it lies — and its key vector indexed once; the right
 // input probes batch by batch with the whole probe-key vector looked up
-// front (the independent lookups overlap their cache misses), and output
-// batches are produced by per-column gather loops instead of per-row
-// header-and-copy work.
+// front (the independent lookups overlap their cache misses) and only
+// its hits walked afterwards, and output batches are produced by
+// per-column gather loops instead of per-row header-and-copy work.
 type ColHashJoin struct {
 	// Left and Right are the input streams; Left builds.
 	Left, Right Iterator
@@ -33,22 +33,23 @@ type ColHashJoin struct {
 	head   joinTable
 	chain  []int32
 
-	// Probe state. A match pair (lidx[i], ridx[i]) names a build row and
-	// a row of the current probe batch; output vectors gather through
-	// them. An output batch never spans two probe batches: probe vectors
-	// may be recycled by the producer, so pending matches are flushed
-	// before pulling the next batch.
-	pb       *ColBatch
-	pi, pn   int
-	hits     []int32
-	hit      int32
-	probeRow int32
-	lidx     []int32
-	ridx     []int32
-	vecs     [][]int64
-	view     ColBatch
-	out      Batch
-	ra       rowAdapter
+	// Probe state. prow, phead are the current probe batch's hits
+	// (joinTable.probeHits). A match pair (lidx[i], ridx[i]) names a build
+	// row and a row of the current probe batch; output vectors gather
+	// through them. An output batch never spans two probe batches: probe
+	// vectors may be recycled by the producer, so pending matches are
+	// flushed before pulling the next batch.
+	pb          *ColBatch
+	pi, pn      int
+	prow, phead []int32
+	hit         int32
+	probeRow    int32
+	lidx        []int32
+	ridx        []int32
+	vecs        [][]int64
+	view        ColBatch
+	out         Batch
+	ra          rowAdapter
 }
 
 // NewColHashJoin resolves join columns (and an optional fused
@@ -179,14 +180,8 @@ func (h *ColHashJoin) nextMatches() (int, error) {
 			if h.pi >= h.pn {
 				break
 			}
-			i := h.pi
+			h.probeRow, h.hit = h.prow[h.pi], h.phead[h.pi]
 			h.pi++
-			if h.pb.Sel != nil {
-				h.probeRow = h.pb.Sel[i]
-			} else {
-				h.probeRow = int32(i)
-			}
-			h.hit = h.hits[i]
 		}
 		// Flush what we have before pulling the next probe batch: its
 		// vectors may recycle the current ones, and ridx still points
@@ -203,14 +198,11 @@ func (h *ColHashJoin) nextMatches() (int, error) {
 		if err != nil || !ok {
 			return 0, err
 		}
-		h.pb, h.pi, h.pn = cb, 0, cb.Len()
 		// Probe the whole batch up front, as in HashJoin.
-		if cap(h.hits) < h.pn {
-			int32Scratch.put(h.hits)
-			h.hits = int32Scratch.get(h.pn)
-		}
-		h.hits = h.hits[:h.pn]
-		h.head.probe(cb.Cols[h.rpos], cb.Sel, h.hits)
+		h.prow = growScratch(&int32Scratch, h.prow, cb.Len())
+		h.phead = growScratch(&int32Scratch, h.phead, cb.Len())
+		h.pb, h.pi = cb, 0
+		h.pn = h.head.probeHits(cb.Cols[h.rpos][:cb.N], cb.Sel, h.prow, h.phead)
 	}
 }
 
@@ -290,11 +282,11 @@ func (h *ColHashJoin) Close() error {
 	for _, v := range h.vecs {
 		int64Scratch.put(v)
 	}
-	for _, v := range [][]int32{h.brows, h.chain, h.lidx, h.ridx, h.hits} {
+	for _, v := range [][]int32{h.brows, h.chain, h.lidx, h.ridx, h.prow, h.phead} {
 		int32Scratch.put(v)
 	}
 	h.head.release()
-	h.bcols, h.brows, h.vecs, h.chain, h.lidx, h.ridx, h.hits = nil, nil, nil, nil, nil, nil, nil
+	h.bcols, h.brows, h.vecs, h.chain, h.lidx, h.ridx, h.prow, h.phead = nil, nil, nil, nil, nil, nil, nil, nil
 	h.pb = nil
 	err := h.Left.Close()
 	if err2 := h.Right.Close(); err == nil {

@@ -1,11 +1,14 @@
 package exec
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // MergeJoin joins two streams sorted ascending on the join columns,
 // buffering the groups of equal keys on both sides so duplicate keys
-// produce the full cross product. Inputs are consumed through batch
-// cursors; joined rows are emitted in batches from an append-only arena.
+// produce the full cross product. Inputs are aligned on windows of their
+// join keys (mergeSide); joined rows are emitted from an append-only arena.
 type MergeJoin struct {
 	// Left and Right are the sorted input streams.
 	Left, Right Iterator
@@ -15,16 +18,87 @@ type MergeJoin struct {
 	lwidth     int
 	size       int
 
-	lc, rc cursor
+	l, r   mergeSide
 	lgroup []Row
 	rgroup []Row
 	li, ri int
-	lrow   Row
-	rrow   Row
-	ldone  bool
-	rdone  bool
 	out    Batch
 	ra     rowAdapter
+}
+
+// mergeSide is one input of a merge join, read a window of join keys at
+// a time. A one-run sort whose first key is the join column, ascending,
+// hands over its sorted keys (sortRun.key), and a row is read only when
+// its key matches; any other input's keys are taken from its batches.
+type mergeSide struct {
+	src   BatchIterator
+	run   *sortRun  // a keyed sort's run, else nil
+	store *rowStore // the rows run names
+	pos   int
+	keys  []int64  // the window's keys, in scratch
+	perm  []uint64 // a keyed sort's window of its run
+	rows  []Row    // any other input's window: its batch
+	i     int      // the position in the window
+	done  bool
+}
+
+func (s *mergeSide) reset(in Iterator, pos, size int) {
+	*s = mergeSide{src: asBatch(in), pos: pos, keys: int64Scratch.get(size)}
+	if sort, ok := in.(*Sort); ok && len(sort.runs) == 1 && len(sort.keys) > 0 && sort.keys[0] == (sortKey{pos: pos}) {
+		s.run, s.store = &sort.runs[0], &sort.rows
+	}
+}
+
+// more reports whether the side has a key at i, reading the next window
+// when the current one is spent.
+func (s *mergeSide) more() (bool, error) {
+	for s.i == len(s.keys) && !s.done {
+		s.i = 0
+		if r := s.run; r != nil {
+			lo := r.next
+			r.next = min(lo+cap(s.keys), len(r.perm))
+			s.perm, s.keys = r.perm[lo:r.next], s.keys[:r.next-lo]
+			for i := range s.keys {
+				s.keys[i] = r.key(lo + i)
+			}
+			s.done = lo == r.next
+			continue
+		}
+		b, ok, err := s.src.NextBatch()
+		if err != nil {
+			return false, err
+		}
+		s.done, s.keys = !ok, s.keys[:0]
+		if ok {
+			for _, row := range b.Rows {
+				s.keys = append(s.keys, row[s.pos])
+			}
+			s.rows = b.Rows
+		}
+	}
+	return !s.done, nil
+}
+
+// skipBelow moves past the window's keys below k.
+func (s *mergeSide) skipBelow(k int64) {
+	for s.i < len(s.keys) && s.keys[s.i] < k {
+		s.i++
+	}
+}
+
+// group moves past the side's keys equal to k, appending their rows.
+func (s *mergeSide) group(k int64, rows []Row) ([]Row, error) {
+	for {
+		if ok, err := s.more(); !ok || err != nil || s.keys[s.i] != k {
+			return rows, err
+		}
+		if s.run != nil {
+			rows = append(rows, s.store.at(uint32(s.perm[s.i])))
+		} else {
+			rows = append(rows, s.rows[s.i])
+		}
+		s.i++
+	}
 }
 
 // NewMergeJoin resolves join columns (and an optional fused projection)
@@ -43,7 +117,7 @@ func NewMergeJoin(left, right Iterator, lschema, rschema *Schema, lcol, rcol int
 // SetBatchSize sets the rows per batch.
 func (m *MergeJoin) SetBatchSize(n int) { m.size = sizeOrDefault(n) }
 
-// Open opens both inputs and primes the merge.
+// Open opens both inputs.
 func (m *MergeJoin) Open() error {
 	if err := m.Left.Open(); err != nil {
 		return err
@@ -51,43 +125,12 @@ func (m *MergeJoin) Open() error {
 	if err := m.Right.Open(); err != nil {
 		return err
 	}
-	m.lc.reset(asBatch(m.Left))
-	m.rc.reset(asBatch(m.Right))
+	m.l.reset(m.Left, m.lpos, m.size)
+	m.r.reset(m.Right, m.rpos, m.size)
 	m.lgroup, m.rgroup = nil, nil
 	m.li, m.ri = 0, 0
-	m.ldone, m.rdone = false, false
 	m.ra.reset()
-	var err error
-	m.lrow, err = m.advanceLeft()
-	if err != nil {
-		return err
-	}
-	m.rrow, err = m.advanceRight()
-	return err
-}
-
-func (m *MergeJoin) advanceLeft() (Row, error) {
-	row, ok, err := m.lc.next()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		m.ldone = true
-		return nil, nil
-	}
-	return row, nil
-}
-
-func (m *MergeJoin) advanceRight() (Row, error) {
-	row, ok, err := m.rc.next()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		m.rdone = true
-		return nil, nil
-	}
-	return row, nil
+	return nil
 }
 
 // NextBatch returns the next batch of joined rows.
@@ -107,47 +150,36 @@ func (m *MergeJoin) NextBatch() (*Batch, bool, error) {
 		m.lgroup, m.rgroup = m.lgroup[:0], m.rgroup[:0]
 		m.li, m.ri = 0, 0
 
-		// Align the inputs on the next matching key.
-		aligned := false
-		for !aligned {
-			if m.ldone || m.rdone {
+		// Align the inputs on the next matching key, then buffer both
+		// equal-key groups.
+		for {
+			ok, err := m.l.more()
+			if ok {
+				ok, err = m.r.more()
+			}
+			if err != nil {
+				return nil, false, err
+			}
+			if !ok {
 				if len(m.out.Rows) == 0 {
 					return nil, false, nil
 				}
 				return &m.out, true, nil
 			}
-			lk, rk := m.lrow[m.lpos], m.rrow[m.rpos]
-			if lk < rk {
-				var err error
-				if m.lrow, err = m.advanceLeft(); err != nil {
-					return nil, false, err
-				}
-				continue
+			lk, rk := m.l.keys[m.l.i], m.r.keys[m.r.i]
+			if lk == rk {
+				break
 			}
-			if lk > rk {
-				var err error
-				if m.rrow, err = m.advanceRight(); err != nil {
-					return nil, false, err
-				}
-				continue
-			}
-			// Buffer both equal-key groups.
-			key := lk
-			for !m.ldone && m.lrow[m.lpos] == key {
-				m.lgroup = append(m.lgroup, m.lrow)
-				var err error
-				if m.lrow, err = m.advanceLeft(); err != nil {
-					return nil, false, err
-				}
-			}
-			for !m.rdone && m.rrow[m.rpos] == key {
-				m.rgroup = append(m.rgroup, m.rrow)
-				var err error
-				if m.rrow, err = m.advanceRight(); err != nil {
-					return nil, false, err
-				}
-			}
-			aligned = true
+			m.l.skipBelow(rk)
+			m.r.skipBelow(lk)
+		}
+		key := m.l.keys[m.l.i]
+		var err error
+		if m.lgroup, err = m.l.group(key, m.lgroup); err != nil {
+			return nil, false, err
+		}
+		if m.rgroup, err = m.r.group(key, m.rgroup); err != nil {
+			return nil, false, err
 		}
 	}
 	return &m.out, true, nil
@@ -181,8 +213,11 @@ func combineInto(out *Batch, l, r Row, proj []int, size int) {
 // Next returns the next joined row.
 func (m *MergeJoin) Next() (Row, bool, error) { return m.ra.next(m) }
 
-// Close closes both inputs.
+// Close gives the key windows back and closes both inputs.
 func (m *MergeJoin) Close() error {
+	int64Scratch.put(m.l.keys)
+	int64Scratch.put(m.r.keys)
+	m.l, m.r = mergeSide{}, mergeSide{}
 	err := m.Left.Close()
 	if err2 := m.Right.Close(); err == nil {
 		err = err2
@@ -218,13 +253,15 @@ type HashJoin struct {
 	rows  []Row
 	head  joinTable
 	chain []int32
-	pb    *Batch  // current probe batch
-	hits  []int32 // per probe-batch row: initial chain position
-	pi    int
-	hit   int32 // current chain position; -1 = exhausted
-	probe Row
-	out   Batch
-	ra    rowAdapter
+	pb    *Batch // current probe batch
+	// keys gathers the probe batch's keys; prow, phead are its hits.
+	keys        []int64
+	prow, phead []int32
+	pi, pn      int
+	hit         int32 // current chain position; -1 = exhausted
+	probe       Row
+	out         Batch
+	ra          rowAdapter
 }
 
 // joinTable is a key index from int64 keys to row indices, in one of two
@@ -232,9 +269,10 @@ type HashJoin struct {
 // (buildJoinTable), which picks the layout from the keys' observed range:
 //
 //   - Dense (slots == nil): dense[k-lo] holds the row for key k, offset
-//     by one so that 0 is empty. A probe is a subtraction, one bounds
-//     check and one load: no hashing, no probe loop, no key compare. A
-//     zero joinTable is an empty dense table.
+//     by one so that 0 is empty, and a last entry past the range is
+//     always empty. A probe is a subtraction, a clamp to that last entry
+//     and one load: no branch, no hashing, no key compare. A zero
+//     joinTable is an empty dense table.
 //   - Hashed: a linear-probing table sized to a power of two at no more
 //     than half load. A key and its row reference share one 16-byte
 //     slot, so a probe touches a single cache line; ref 0 means empty
@@ -271,13 +309,16 @@ func newJoinTable(capacity int) joinTable {
 	return joinTable{slots: slots, mask: uint64(size - 1), shift: 64 - bits, top: math.MaxUint64}
 }
 
-// denseRatio bounds the dense layout: a build takes it when its key range
-// spans fewer than denseRatio values per expected key. Below 8 the dense
-// vector (4 bytes per value of the range) is never larger than the
-// hashed table the same build would get (16-byte slots, at least two per
-// key). Memory sets the bound, not speed: BenchmarkJoinTableLayouts finds
-// the dense layout faster at every ratio it runs, up to 16.
-const denseRatio = 8
+// denseRatio and denseFloor bound the dense layout: a build takes it when
+// its key range spans fewer than denseRatio values per expected key, or
+// its dense vector needs at most denseFloor entries (16 KiB, pooled, in
+// L1). Below 8 the dense vector (4 bytes per value of the range) is never
+// larger than the hashed table (16-byte slots, at least two per key); the
+// floor serves small selections' builds (DESIGN §4i).
+const (
+	denseRatio = 8
+	denseFloor = 4096
+)
 
 // joinKeys names a drained build side's n join keys where they already
 // lie, without copying them: key i is col[i], or col[sel[i]] when sel is
@@ -320,7 +361,7 @@ func buildJoinTable(keys joinKeys, chain []int32, keyHint int) joinTable {
 		expect = keyHint
 	}
 	// The range in uint64 cannot overflow, whatever lo and hi are.
-	if uint64(hi)-uint64(lo) < denseRatio*uint64(expect) {
+	if span := uint64(hi) - uint64(lo); span < denseRatio*uint64(expect) || span <= denseFloor-2 {
 		return denseJoinTable(keys, chain, lo, hi)
 	}
 	return hashedJoinTable(keys, chain, expect, lo, hi)
@@ -328,7 +369,7 @@ func buildJoinTable(keys joinKeys, chain []int32, keyHint int) joinTable {
 
 // denseJoinTable builds the dense layout over keys within [lo, hi].
 func denseJoinTable(keys joinKeys, chain []int32, lo, hi int64) joinTable {
-	span := int(uint64(hi)-uint64(lo)) + 1
+	span := int(uint64(hi)-uint64(lo)) + 2 // the range and an empty last entry
 	dense := int32Scratch.get(span)[:span]
 	clear(dense)
 	for i := range keys.n {
@@ -371,47 +412,54 @@ func (t *joinTable) hash(k int64) uint64 {
 	return (uint64(k) * 0x9e3779b97f4a7c15) >> t.shift
 }
 
-// get returns the newest row index stored for k, or -1.
-func (t *joinTable) get(k int64) int32 {
-	if t.slots == nil {
-		return t.getDense(k)
-	}
-	return t.getHashed(k)
-}
-
-// getDense is get on the dense layout: a key outside [lo, lo+len) wraps
-// to a large offset and misses.
-func (t *joinTable) getDense(k int64) int32 {
-	if d := uint64(k) - uint64(t.lo); d < uint64(len(t.dense)) {
-		return t.dense[d] - 1
-	}
-	return -1
-}
-
-// probe stores get(col[i]) — or get(col[sel[i]]) when sel is set — in
-// hits[i], testing the layout once for the whole vector.
-func (t *joinTable) probe(col []int64, sel []int32, hits []int32) {
+// probeHits looks up the probe rows' keys — col[i] for every i, or
+// col[s] for every s in sel — and writes only the hits: hit k of n is
+// probe row rows[k], whose key the newest build row heads[k] holds. rows
+// and heads need room for every probe row. The loops store
+// unconditionally and advance by the hit bit (keepHit), so no hit rate
+// mispredicts; the layout is tested once per vector.
+func (t *joinTable) probeHits(col []int64, sel []int32, rows, heads []int32) (n int) {
+	dense, lo := t.dense, uint64(t.lo)
 	switch {
+	case t.slots == nil && t.dense == nil:
 	case t.slots == nil && sel == nil:
-		for i, k := range col[:len(hits)] {
-			hits[i] = t.getDense(k)
+		for i, k := range col {
+			n = keepHit(rows, heads, n, int32(i), denseHead(dense, lo, k))
 		}
 	case t.slots == nil:
-		for i, s := range sel {
-			hits[i] = t.getDense(col[s])
+		for _, s := range sel {
+			n = keepHit(rows, heads, n, s, denseHead(dense, lo, col[s]))
 		}
 	case sel == nil:
-		for i, k := range col[:len(hits)] {
-			hits[i] = t.getHashed(k)
+		for i, k := range col {
+			n = keepHit(rows, heads, n, int32(i), t.getHashed(k))
 		}
 	default:
-		for i, s := range sel {
-			hits[i] = t.getHashed(col[s])
+		for _, s := range sel {
+			n = keepHit(rows, heads, n, s, t.getHashed(col[s]))
 		}
 	}
+	return n
 }
 
-// getHashed is get on the hashed layout.
+// denseHead looks k up in a dense layout's vector whose keys start at
+// lo: an offset past the vector's last entry, which is always empty, is
+// clamped to it without a branch.
+func denseHead(dense []int32, lo uint64, k int64) int32 {
+	d, last := uint64(k)-lo, uint64(len(dense)-1)
+	_, out := bits.Sub64(last, d, 0) // 1 when d > last
+	return dense[d^(d^last)&-out] - 1
+}
+
+// keepHit stores probe row r and chain head h at n and returns n, plus
+// one when h is a row (not -1), without a branch.
+func keepHit(rows, heads []int32, n int, r, h int32) int {
+	rows[n], heads[n] = r, h
+	return n + int(uint32(^h)>>31)
+}
+
+// getHashed returns the newest row index stored for k in the hashed
+// layout, or -1.
 func (t *joinTable) getHashed(k int64) int32 {
 	if uint64(k)-uint64(t.lo) > t.top {
 		return -1
@@ -506,7 +554,7 @@ func (h *HashJoin) Open() error {
 	}
 	h.right = asBatch(h.Right)
 	h.rows = make([]Row, 0, h.BuildHint)
-	h.pb, h.pi, h.hit, h.probe = nil, 0, -1, nil
+	h.pb, h.pi, h.pn, h.hit, h.probe = nil, 0, 0, -1, nil
 	h.ra.reset()
 	build := asBatch(h.Left)
 	for {
@@ -533,7 +581,7 @@ func (h *HashJoin) NextBatch() (*Batch, bool, error) {
 			h.hit = h.chain[h.hit]
 			continue
 		}
-		if h.pb == nil || h.pi >= len(h.pb.Rows) {
+		if h.pi >= h.pn {
 			b, ok, err := h.right.NextBatch()
 			if err != nil {
 				return nil, false, err
@@ -544,21 +592,22 @@ func (h *HashJoin) NextBatch() (*Batch, bool, error) {
 				}
 				return &h.out, true, nil
 			}
-			h.pb, h.pi = b, 0
 			// Probe the whole batch up front: the lookups are
 			// independent, so a tight loop lets the out-of-order core
 			// overlap their cache misses instead of serializing one
 			// miss per emitted row.
-			if cap(h.hits) < len(b.Rows) {
-				h.hits = make([]int32, len(b.Rows))
-			}
-			h.hits = h.hits[:len(b.Rows)]
+			h.keys = growScratch(&int64Scratch, h.keys, len(b.Rows))
+			h.prow = growScratch(&int32Scratch, h.prow, len(b.Rows))
+			h.phead = growScratch(&int32Scratch, h.phead, len(b.Rows))
 			for i, row := range b.Rows {
-				h.hits[i] = h.head.get(row[h.rpos])
+				h.keys[i] = row[h.rpos]
 			}
+			h.pb, h.pi = b, 0
+			h.pn = h.head.probeHits(h.keys, nil, h.prow, h.phead)
+			continue
 		}
-		h.probe = h.pb.Rows[h.pi]
-		h.hit = h.hits[h.pi]
+		h.probe = h.pb.Rows[h.prow[h.pi]]
+		h.hit = h.phead[h.pi]
 		h.pi++
 	}
 	return &h.out, true, nil
@@ -567,10 +616,14 @@ func (h *HashJoin) NextBatch() (*Batch, bool, error) {
 // Next returns the next joined row.
 func (h *HashJoin) Next() (Row, bool, error) { return h.ra.next(h) }
 
-// Close releases the hash table and closes both inputs.
+// Close releases the hash table and the probe scratch and closes both
+// inputs.
 func (h *HashJoin) Close() error {
 	h.head.release()
-	h.rows, h.chain = nil, nil
+	int64Scratch.put(h.keys)
+	int32Scratch.put(h.prow)
+	int32Scratch.put(h.phead)
+	h.rows, h.chain, h.keys, h.prow, h.phead = nil, nil, nil, nil, nil
 	h.pb = nil
 	err := h.Left.Close()
 	if err2 := h.Right.Close(); err == nil {

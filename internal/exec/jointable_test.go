@@ -32,20 +32,33 @@ func keyForms(keys []int64) map[string]joinKeys {
 	}
 }
 
-// checkChains asserts that walking t from get(k) through chain yields,
-// for every probe key, exactly the build rows holding k, newest first.
+// checkChains asserts that probing t with every probe key lists the
+// probe rows whose key some build row holds, ascending, and that walking
+// chain from each hit's head yields exactly the build rows holding its
+// key, newest first.
 func checkChains(t *testing.T, what string, tab joinTable, chain []int32, keys, probes []int64) {
 	t.Helper()
 	want := map[int64][]int32{}
 	for i := len(keys) - 1; i >= 0; i-- {
 		want[keys[i]] = append(want[keys[i]], int32(i))
 	}
-	for _, k := range probes {
+	rows, heads := make([]int32, len(probes)), make([]int32, len(probes))
+	n := tab.probeHits(probes, nil, rows, heads)
+	var wantRows []int32
+	for i, k := range probes {
+		if want[k] != nil {
+			wantRows = append(wantRows, int32(i))
+		}
+	}
+	if !slices.Equal(rows[:n], wantRows) {
+		t.Fatalf("%s: probe rows %v hit, want %v", what, rows[:n], wantRows)
+	}
+	for h, i := range rows[:n] {
 		var got []int32
-		for r := tab.get(k); r >= 0; r = chain[r] {
+		for r := heads[h]; r >= 0; r = chain[r] {
 			got = append(got, r)
 		}
-		if !slices.Equal(got, want[k]) {
+		if k := probes[i]; !slices.Equal(got, want[k]) {
 			t.Fatalf("%s: key %d resolves to rows %v, want %v", what, k, got, want[k])
 		}
 	}
@@ -125,13 +138,15 @@ func TestJoinTableMissesOutsideRange(t *testing.T) {
 			t.Fatalf("keys %v: hashed layout %v, want %v", keys, hashed, tc.hashed)
 		}
 		lo, hi := slices.Min(keys), slices.Max(keys)
+		var outside []int64
 		for _, k := range []int64{lo - 1, hi + 1, lo - 1<<32, hi + 1<<32, math.MinInt64, math.MaxInt64, 0} {
-			if k >= lo && k <= hi {
-				continue
+			if k < lo || k > hi {
+				outside = append(outside, k)
 			}
-			if r := tab.get(k); r != -1 {
-				t.Fatalf("keys %v: probe %d outside the range hit row %d", keys, k, r)
-			}
+		}
+		rows, heads := make([]int32, len(outside)), make([]int32, len(outside))
+		if n := tab.probeHits(outside, nil, rows, heads); n != 0 {
+			t.Fatalf("keys %v: probe %d outside the range hit row %d", keys, outside[rows[0]], heads[0])
 		}
 		checkChains(t, "in range", tab, chain, keys, keys)
 		tab.release()
@@ -226,45 +241,61 @@ func TestSparseKeyJoinsMatchReference(t *testing.T) {
 	}
 }
 
-// BenchmarkJoinTableLayouts builds and probes each layout over builds
-// whose distinct keys span ratio × rows values, probing every build row's
-// worth of keys drawn from the same range (a hit rate of 1/ratio). It
-// measures whether speed or memory bounds denseRatio; DESIGN §4i keeps
-// the table.
+// BenchmarkJoinTableLayouts builds and probes each layout. The ratio
+// cases build rows distinct keys spanning ratio × rows values and probe
+// every build row's worth of keys drawn from the same range (a hit rate
+// of 1/ratio): they measure whether speed or memory bounds denseRatio.
+// The tiny cases build 16 or 44 keys over 810 values and probe 5 000
+// keys drawn from 5 000 values, so the range check rejects 84% of them:
+// point-hot's small selections, which take the dense layout by
+// denseFloor. DESIGN §4i keeps the table.
 func BenchmarkJoinTableLayouts(b *testing.B) {
+	run := func(name string, keys []int64, span int64, probes []int64, withDense bool) {
+		chain := make([]int32, len(keys))
+		rows, heads := make([]int32, len(probes)), make([]int32, len(probes))
+		ks := joinKeys{col: keys, n: len(keys)}
+		for _, layout := range []string{"dense", "hashed"} {
+			if layout == "dense" && !withDense {
+				continue
+			}
+			b.Run(name+"/"+layout, func(b *testing.B) {
+				for range b.N {
+					var tab joinTable
+					if layout == "dense" {
+						tab = denseJoinTable(ks, chain, 0, span-1)
+					} else {
+						tab = hashedJoinTable(ks, chain, len(keys), 0, span-1)
+					}
+					tab.probeHits(probes, nil, rows, heads)
+					tab.release()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(probes)), "ns/row")
+			})
+		}
+	}
+	// draw returns n distinct keys below span and probes keys below
+	// probeSpan.
+	draw := func(seed int64, n int, span int64, probes int, probeSpan int64) ([]int64, []int64) {
+		rng := rand.New(rand.NewSource(seed))
+		keys := make([]int64, n)
+		for i, p := range rng.Perm(int(span))[:n] {
+			keys[i] = int64(p)
+		}
+		ps := make([]int64, probes)
+		for i := range ps {
+			ps[i] = rng.Int63n(probeSpan)
+		}
+		return keys, ps
+	}
 	for _, rows := range []int{5000, 200000} {
 		for _, ratio := range []int{1, 2, 4, 8, 16, 64} {
-			rng := rand.New(rand.NewSource(int64(rows * ratio)))
 			span := int64(rows * ratio)
-			keys := make([]int64, rows)
-			for i, p := range rng.Perm(int(span))[:rows] {
-				keys[i] = int64(p)
-			}
-			probes := make([]int64, rows)
-			for i := range probes {
-				probes[i] = rng.Int63n(span)
-			}
-			chain := make([]int32, rows)
-			hits := make([]int32, rows)
-			ks := joinKeys{col: keys, n: rows}
-			for _, layout := range []string{"dense", "hashed"} {
-				if layout == "dense" && ratio > 16 {
-					continue
-				}
-				b.Run(fmt.Sprintf("rows=%d/ratio=%d/%s", rows, ratio, layout), func(b *testing.B) {
-					for range b.N {
-						var tab joinTable
-						if layout == "dense" {
-							tab = denseJoinTable(ks, chain, 0, span-1)
-						} else {
-							tab = hashedJoinTable(ks, chain, rows, 0, span-1)
-						}
-						tab.probe(probes, nil, hits)
-						tab.release()
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
-				})
-			}
+			keys, probes := draw(span, rows, span, rows, span)
+			run(fmt.Sprintf("rows=%d/ratio=%d", rows, ratio), keys, span, probes, ratio <= 16)
 		}
+	}
+	for _, n := range []int{16, 44} {
+		keys, probes := draw(int64(n), n, 810, 5000, 5000)
+		run(fmt.Sprintf("tiny/keys=%d/span=810", n), keys, 810, probes, true)
 	}
 }

@@ -28,6 +28,8 @@ import (
 // class.
 type scratchPool[T any] struct {
 	classes [32]sync.Pool
+	// boxes recycles the classes' *[]T, so a warm put allocates nothing.
+	boxes sync.Pool
 }
 
 // get returns a vector of length zero and capacity at least n. Its spare
@@ -40,10 +42,23 @@ func (p *scratchPool[T]) get(n int) []T {
 	if c >= len(p.classes) {
 		return make([]T, 0, n)
 	}
-	if v, _ := p.classes[c].Get().(*[]T); v != nil {
-		return *v
+	if box, _ := p.classes[c].Get().(*[]T); box != nil {
+		v := *box
+		*box = nil
+		p.boxes.Put(box)
+		return v
 	}
 	return make([]T, 0, 1<<c)
+}
+
+// growScratch returns v resliced to length n, or, when its capacity is
+// short, a pooled vector of length n in its place (v goes back).
+func growScratch[T any](p *scratchPool[T], v []T, n int) []T {
+	if cap(v) < n {
+		p.put(v)
+		v = p.get(n)
+	}
+	return v[:n]
 }
 
 // put gives a vector back. Vectors whose capacity is not a whole class
@@ -56,8 +71,12 @@ func (p *scratchPool[T]) put(v []T) {
 	if c >= len(p.classes) {
 		return
 	}
-	v = v[:0]
-	p.classes[c].Put(&v)
+	box, ok := p.boxes.Get().(*[]T)
+	if !ok {
+		box = new([]T)
+	}
+	*box = v[:0]
+	p.classes[c].Put(box)
 }
 
 var (

@@ -67,18 +67,19 @@ type sortEntry struct {
 }
 
 // sortPerm returns the stable sort permutation of rows [lo,hi) of the
-// store on keys: the low 32 bits of element i hold the store index of the
-// i-th row in sort order (the high bits are the kernel's packed key, or
-// zero). Rows that tie on every key keep their input order. The store
-// must hold fewer than 2^32 rows. The permutation is scratch: the caller
-// gives it back to uint64Scratch when done.
-func sortPerm(st *rowStore, lo, hi int, keys []sortKey) []uint64 {
+// store on keys, as a run: the low 32 bits of perm[i] hold the store
+// index of the i-th row in sort order. Rows that tie on every key keep
+// their input order. The run also knows the i-th row's first key,
+// normalised (see key): the kernel's packed high half plus base, or
+// wide[i] from the wide-span fallback. The store must hold fewer than
+// 2^32 rows. perm and wide are scratch: the caller gives them back.
+func sortPerm(st *rowStore, lo, hi int, keys []sortKey) sortRun {
 	perm := uint64Scratch.get(hi - lo)[:hi-lo]
-	if len(keys) == 0 || len(perm) < 2 {
+	if len(keys) == 0 || len(perm) == 0 {
 		for i := range perm {
 			perm[i] = uint64(lo + i)
 		}
-		return perm
+		return sortRun{perm: perm}
 	}
 	// One pass over the rows: the first key, normalised so that ascending
 	// int64 order is the sort order (^v reverses it exactly; -v would
@@ -93,6 +94,7 @@ func sortPerm(st *rowStore, lo, hi int, keys []sortKey) []uint64 {
 		kmin, kmax = min(kmin, v), max(kmax, v)
 		perm[i] = uint64(v)
 	}
+	run := sortRun{perm: perm, base: kmin}
 	if span := uint64(kmax) - uint64(kmin); span < 1<<32 {
 		for i, v := range perm {
 			perm[i] = (v-uint64(kmin))<<32 | uint64(lo+i)
@@ -109,12 +111,13 @@ func sortPerm(st *rowStore, lo, hi int, keys []sortKey) []uint64 {
 			}
 			return cmp.Compare(a.ord, b.ord)
 		})
+		run.wide = int64Scratch.get(len(ents))[:len(ents)]
 		for i, e := range ents {
-			perm[i] = uint64(e.ord)
+			perm[i], run.wide[i] = uint64(e.ord), e.key
 		}
 	}
 	if len(keys) == 1 {
-		return perm
+		return run
 	}
 	// Resolve the remaining keys inside each range of equal first keys.
 	// Within a range the elements differ only in their ordinals, so
@@ -127,9 +130,9 @@ func sortPerm(st *rowStore, lo, hi int, keys []sortKey) []uint64 {
 		return cmp.Compare(uint32(a), uint32(b))
 	}
 	for i := 0; i < len(perm); {
-		k := st.at(uint32(perm[i]))[k0.pos]
+		k := run.key(i)
 		j := i + 1
-		for j < len(perm) && st.at(uint32(perm[j]))[k0.pos] == k {
+		for j < len(perm) && run.key(j) == k {
 			j++
 		}
 		if j-i > 1 {
@@ -137,7 +140,7 @@ func sortPerm(st *rowStore, lo, hi int, keys []sortKey) []uint64 {
 		}
 		i = j
 	}
-	return perm
+	return run
 }
 
 // radixSortHigh orders v by bits [32, 32+width) with a stable LSD radix
@@ -180,12 +183,13 @@ func radixSortHigh(v []uint64, width int) {
 // header slice; the input is left as it was.
 func sortedRows(rows []Row, keys []sortKey) []Row {
 	st := flatRows(rows)
-	perm := sortPerm(&st, 0, len(rows), keys)
+	run := sortPerm(&st, 0, len(rows), keys)
 	out := make([]Row, len(rows))
-	for i, p := range perm {
+	for i, p := range run.perm {
 		out[i] = rows[uint32(p)]
 	}
-	uint64Scratch.put(perm)
+	uint64Scratch.put(run.perm)
+	int64Scratch.put(run.wide)
 	return out
 }
 
@@ -214,10 +218,20 @@ type Sort struct {
 }
 
 // sortRun is one sorted run: the sort permutation of a window of the
-// drained rows, and the merge's position in it.
+// drained rows, its first keys (sortPerm) and the merge's position in it.
 type sortRun struct {
 	perm []uint64
+	base int64
+	wide []int64
 	next int
+}
+
+// key returns the normalised first sort key of the run's i-th row.
+func (r *sortRun) key(i int) int64 {
+	if r.wide != nil {
+		return r.wide[i]
+	}
+	return r.base + int64(r.perm[i]>>32)
 }
 
 // NewSort resolves the sort order against the input schema.
@@ -257,7 +271,7 @@ func (s *Sort) Open() error {
 	s.runs, s.heap = s.runs[:0], s.heap[:0]
 	for lo := 0; lo < s.rows.n; lo += limit {
 		s.heap = append(s.heap, len(s.runs))
-		s.runs = append(s.runs, sortRun{perm: sortPerm(&s.rows, lo, min(lo+limit, s.rows.n), s.keys)})
+		s.runs = append(s.runs, sortPerm(&s.rows, lo, min(lo+limit, s.rows.n), s.keys))
 	}
 	// Runs were formed in input order, so the heap array starts ordered
 	// by run index only; establish the heap property on the head rows.
@@ -339,6 +353,7 @@ func (s *Sort) Close() error {
 	s.rows.release()
 	for _, r := range s.runs {
 		uint64Scratch.put(r.perm)
+		int64Scratch.put(r.wide)
 	}
 	s.runs, s.heap = nil, nil
 	return s.In.Close()

@@ -49,10 +49,11 @@ type DynamicResult struct {
 	Alternatives int
 }
 
-// OptimizeDynamic is OptimizeDynamicCtx without a context. Its only
-// caller is the benchmark module, which is pinned to this signature.
+// OptimizeDynamic is OptimizeDynamicCtx without a context, over a model
+// it builds for the catalog and configuration. Its only caller is the
+// benchmark module, which is pinned to this signature.
 func OptimizeDynamic(cat *rel.Catalog, cfg Config, query *core.ExprTree, required core.PhysProps, buckets []float64) (*DynamicResult, error) {
-	return OptimizeDynamicCtx(context.Background(), cat, cfg, query, required, buckets)
+	return OptimizeDynamicCtx(context.Background(), New(cat, cfg), query, required, buckets)
 }
 
 // OptimizeDynamicCtx optimizes a query containing exactly one
@@ -62,10 +63,12 @@ func OptimizeDynamic(cat *rel.Catalog, cfg Config, query *core.ExprTree, require
 // inserted and explored once; before each later bucket the optimizer is
 // rebound to that bucket's model with core.Optimizer.Rederive, which
 // keeps the search results of every class the parameter does not reach.
-// The assumption is the bucket model's own, so the catalog is only read.
+// The assumption is the bucket model's own, a private copy of m, so
+// neither m nor its catalog is written and one model serves concurrent
+// sweeps.
 // A canceled or expired ctx stops the sweep with core's typed stop error
 // (matching core.ErrCanceled or core.ErrDeadline).
-func OptimizeDynamicCtx(ctx context.Context, cat *rel.Catalog, cfg Config, query *core.ExprTree, required core.PhysProps, buckets []float64) (*DynamicResult, error) {
+func OptimizeDynamicCtx(ctx context.Context, m *Model, query *core.ExprTree, required core.PhysProps, buckets []float64) (*DynamicResult, error) {
 	buckets = append([]float64(nil), buckets...)
 	if len(buckets) == 0 {
 		buckets = []float64{0.01, 0.1, 0.5, 0.9}
@@ -75,7 +78,7 @@ func OptimizeDynamicCtx(ctx context.Context, cat *rel.Catalog, cfg Config, query
 	if !ok {
 		return nil, fmt.Errorf("relopt: query has no parameterized predicate")
 	}
-	meta := cat.Column(pred.Col)
+	meta := m.Cat.Column(pred.Col)
 	stat := rel.ColStat{Distinct: float64(meta.Distinct), Min: meta.Min, Max: meta.Max}
 
 	type alt struct {
@@ -84,15 +87,14 @@ func OptimizeDynamicCtx(ctx context.Context, cat *rel.Catalog, cfg Config, query
 	}
 	var alts []alt
 	idxFor := make([]int, len(buckets)) // bucket → alternative index
-	base := New(cat, cfg)
 	var opt *core.Optimizer
 	var root core.GroupID
 	for i, sel := range buckets {
-		if m := base.withParamSel(sel); opt == nil {
-			opt = core.NewOptimizer(m, nil)
+		if bm := m.withParamSel(sel); opt == nil {
+			opt = core.NewOptimizer(bm, nil)
 			root = opt.InsertQuery(query)
 		} else {
-			opt.Rederive(m)
+			opt.Rederive(bm)
 		}
 		plan, err := opt.OptimizeCtx(ctx, root, required)
 		if err != nil {

@@ -37,7 +37,7 @@ func dynamicFixture(t *testing.T) (*rel.Catalog, *exec.DB, *sqlish.Statement) {
 
 func TestDynamicPlanAlternatives(t *testing.T) {
 	cat, _, st := dynamicFixture(t)
-	res, err := relopt.OptimizeDynamicCtx(context.Background(), cat, relopt.DefaultConfig(), st.Tree, st.Required, nil)
+	res, err := relopt.OptimizeDynamicCtx(context.Background(), relopt.New(cat, relopt.DefaultConfig()), st.Tree, st.Required, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDynamicPlanAlternatives(t *testing.T) {
 // fully-specified query.
 func TestDynamicPlanExecutesCorrectly(t *testing.T) {
 	cat, db, st := dynamicFixture(t)
-	res, err := relopt.OptimizeDynamicCtx(context.Background(), cat, relopt.DefaultConfig(), st.Tree, st.Required, nil)
+	res, err := relopt.OptimizeDynamicCtx(context.Background(), relopt.New(cat, relopt.DefaultConfig()), st.Tree, st.Required, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func itoa(v int64) string {
 // picks the same plan, no ChoosePlan node is emitted.
 func TestDynamicSinglePlanCollapses(t *testing.T) {
 	cat, _, st := dynamicFixture(t)
-	res, err := relopt.OptimizeDynamicCtx(context.Background(), cat, relopt.DefaultConfig(), st.Tree, st.Required,
+	res, err := relopt.OptimizeDynamicCtx(context.Background(), relopt.New(cat, relopt.DefaultConfig()), st.Tree, st.Required,
 		[]float64{0.4, 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestDynamicRequiresParam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relopt.OptimizeDynamicCtx(context.Background(), cat, relopt.DefaultConfig(), st.Tree, st.Required, nil); err == nil {
+	if _, err := relopt.OptimizeDynamicCtx(context.Background(), relopt.New(cat, relopt.DefaultConfig()), st.Tree, st.Required, nil); err == nil {
 		t.Fatal("expected error for unparameterized query")
 	}
 }
@@ -177,11 +177,12 @@ func TestParamSelectivityAssumption(t *testing.T) {
 	}
 }
 
-// TestDynamicConcurrentSweeps: sweeps running at once on one catalog, as
+// TestDynamicConcurrentSweeps: sweeps running at once on one model, as
 // a server's parameterized plan-cache misses do, each produce the plan a
-// serial sweep does; the assumption is per sweep, not the catalog's.
+// serial sweep does; the assumption is per sweep, not the model's.
 func TestDynamicConcurrentSweeps(t *testing.T) {
 	cat, _, st := dynamicFixture(t)
+	m := relopt.New(cat, relopt.DefaultConfig())
 	other, err := sqlish.Parse(cat, "SELECT R1.id, R2.jb FROM R1, R2 WHERE R1.ja = R2.ja AND R2.v >= $1")
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +190,7 @@ func TestDynamicConcurrentSweeps(t *testing.T) {
 	stmts := []*sqlish.Statement{st, other}
 	want := make([]string, len(stmts))
 	for i, s := range stmts {
-		res, err := relopt.OptimizeDynamicCtx(context.Background(), cat, relopt.DefaultConfig(), s.Tree, s.Required, nil)
+		res, err := relopt.OptimizeDynamicCtx(context.Background(), m, s.Tree, s.Required, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +205,7 @@ func TestDynamicConcurrentSweeps(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			s := stmts[g%2]
-			res, err := relopt.OptimizeDynamicCtx(context.Background(), cat, relopt.DefaultConfig(), s.Tree, s.Required, nil)
+			res, err := relopt.OptimizeDynamicCtx(context.Background(), m, s.Tree, s.Required, nil)
 			if errs[g] = err; err == nil {
 				got[g] = res.Plan.Format()
 			}
@@ -227,7 +228,7 @@ func TestDynamicHonoursContext(t *testing.T) {
 	cat, _, st := dynamicFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := relopt.OptimizeDynamicCtx(ctx, cat, relopt.DefaultConfig(), st.Tree, st.Required, nil)
+	res, err := relopt.OptimizeDynamicCtx(ctx, relopt.New(cat, relopt.DefaultConfig()), st.Tree, st.Required, nil)
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("canceled sweep returned %v, want core.ErrCanceled", err)
 	}
@@ -313,7 +314,7 @@ func TestRederiveMatchesFreshBuckets(t *testing.T) {
 				c := want.Cost.(relopt.Cost)
 				fresh[[2]uint64{math.Float64bits(c.IO), math.Float64bits(c.CPU)}] = true
 			}
-			res, err := relopt.OptimizeDynamicCtx(context.Background(), cat, cfg, st.Tree, st.Required, buckets)
+			res, err := relopt.OptimizeDynamicCtx(context.Background(), relopt.New(cat, cfg), st.Tree, st.Required, buckets)
 			if err != nil {
 				t.Fatal(err)
 			}

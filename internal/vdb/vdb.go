@@ -253,7 +253,7 @@ func (db *DB) optimize(ctx context.Context, tree *core.ExprTree, required core.P
 func (db *DB) serve(ctx context.Context, st *sqlish.Statement, nparams int) (*plancache.Entry, plancache.Outcome, error) {
 	compute := func() (*plancache.Entry, error) {
 		if nparams == 1 {
-			res, err := relopt.OptimizeDynamicCtx(ctx, db.cat, db.opts.Config, st.Tree, st.Required, db.opts.DynamicBuckets)
+			res, err := relopt.OptimizeDynamicCtx(ctx, db.model, st.Tree, st.Required, db.opts.DynamicBuckets)
 			if err != nil {
 				return nil, err
 			}
