@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race vet staticcheck loc bench bench-explore bench-guided bench-check fig4-json profile fuzz-fingerprint
+.PHONY: build test test-race test-debug vet staticcheck loc bench bench-explore bench-guided bench-check fig4-json profile fuzz-fingerprint
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The executor and vdb under the volcano_debug tag: the scratch pools
+# poison what they hand out and take back, and keep none of it, so a read
+# of a vector or a batch's headers after Close meets the poison instead
+# of another operator's data.
+test-debug:
+	$(GO) test -tags volcano_debug -race ./internal/exec/ ./internal/vdb/
 
 vet:
 	$(GO) vet ./...

@@ -121,7 +121,7 @@ func (g *SortGroupBy) Open() error {
 
 // NextBatch returns the next batch of completed groups.
 func (g *SortGroupBy) NextBatch() (*Batch, bool, error) {
-	g.out.reset()
+	g.out.reset(g.size)
 	for !g.done && len(g.out.Rows) < g.size {
 		row, ok, err := g.in.next()
 		if err != nil {
@@ -182,8 +182,11 @@ func (g *SortGroupBy) emit() {
 // Next returns the next completed group.
 func (g *SortGroupBy) Next() (Row, bool, error) { return g.ra.next(g) }
 
-// Close closes the input.
-func (g *SortGroupBy) Close() error { return g.In.Close() }
+// Close gives the batch's headers back and closes the input.
+func (g *SortGroupBy) Close() error {
+	g.out.release()
+	return g.In.Close()
+}
 
 // HashGroupBy groups an unordered stream via a hash table, emitting
 // groups in a deterministic (sorted) order once the input is drained.
@@ -282,7 +285,7 @@ func (g *HashGroupBy) Open() error {
 			}
 		}
 	}
-	out := make([]Row, len(entries))
+	out := rowScratch.get(len(entries))[:len(entries)]
 	for i := range entries {
 		e := &entries[i]
 		row := make(Row, 0, len(e.key)+len(e.states))
@@ -292,7 +295,8 @@ func (g *HashGroupBy) Open() error {
 		}
 		out[i] = row
 	}
-	g.out = sortedRows(out, groupOrder(len(g.groupPos)))
+	sortRows(out, groupOrder(len(g.groupPos)))
+	g.out = out
 	g.next = 0
 	g.ra.reset()
 	return nil
@@ -316,8 +320,9 @@ func (g *HashGroupBy) NextBatch() (*Batch, bool, error) {
 // Next returns the next group.
 func (g *HashGroupBy) Next() (Row, bool, error) { return g.ra.next(g) }
 
-// Close releases the groups and closes the input.
+// Close gives the groups' header vector back and closes the input.
 func (g *HashGroupBy) Close() error {
+	rowScratch.put(g.out)
 	g.out = nil
 	return g.In.Close()
 }

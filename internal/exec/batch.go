@@ -1,5 +1,7 @@
 package exec
 
+import "math/bits"
+
 // The batch protocol. Every operator in this package is batch-native:
 // its NextBatch method moves up to BatchSize rows per call, so the
 // per-row interface-dispatch and allocation costs of the classic
@@ -24,38 +26,78 @@ const DefaultBatchSize = 1024
 // Batch is one unit of data flow: a reusable vector of rows. The Rows
 // header slice is recycled across NextBatch calls; value storage
 // allocated through alloc is append-only and stays valid forever.
+//
+// An operator that fills its own batch takes the header vector from the
+// scratch pool on its first reset and gives it back in Close (release):
+// the batch is not valid past Close, so nothing can still read it. A
+// view batch, whose Rows are a window onto storage it does not own
+// (stored rows, a spool, materialized groups, an exchange message), sets
+// Rows directly and never resets, so it never takes or gives back
+// anything.
 type Batch struct {
 	// Rows are the batch's tuples, valid until the producing operator's
 	// next NextBatch call.
 	Rows []Row
 
-	arena []int64
+	arena  []int64
+	pooled bool // Rows came from rowScratch and go back in release
 }
 
 // Len returns the number of rows in the batch.
 func (b *Batch) Len() int { return len(b.Rows) }
 
-// reset recycles the Rows header for a new batch. The arena is kept:
+// reset empties the batch for up to n new rows; the first reset takes
+// a header vector for n rows from the scratch pool. The arena is kept:
 // previously allocated row data is never overwritten, only the unused
 // capacity beyond it is carved further.
-func (b *Batch) reset() { b.Rows = b.Rows[:0] }
+func (b *Batch) reset(n int) {
+	if b.Rows == nil {
+		b.Rows, b.pooled = rowScratch.get(n), true
+	}
+	b.Rows = b.Rows[:0]
+}
+
+// release gives a header vector that reset took back to the pool,
+// cleared (a pooled header would keep the rows it points at alive), and
+// leaves the batch empty; a second release, or one on a view batch,
+// gives nothing back. The arena is not given back: rows carved from it
+// may outlive the batch.
+func (b *Batch) release() {
+	if b.pooled {
+		rowScratch.put(b.Rows)
+	}
+	b.Rows, b.pooled = nil, false
+}
 
 // add appends an existing row (header copy only).
 func (b *Batch) add(r Row) { b.Rows = append(b.Rows, r) }
 
 // alloc appends a fresh zero row of the given width, carving it from the
-// batch's arena. chunk sizes arena refills (typically width×BatchSize),
-// so a full batch of new rows costs one allocation instead of one per
-// row. Arena memory is never rewound, so rows stay valid after reset.
+// batch's arena, which refill sizes. Arena memory is never rewound, so
+// rows stay valid after reset.
 func (b *Batch) alloc(width, chunk int) Row {
 	if cap(b.arena)-len(b.arena) < width {
-		b.arena = make([]int64, 0, arenaChunk(width, chunk))
+		b.refill(width, width, chunk)
 	}
 	off := len(b.arena)
 	b.arena = b.arena[:off+width]
 	r := Row(b.arena[off : off+width : off+width])
 	b.Rows = append(b.Rows, r)
 	return r
+}
+
+// refill replaces a spent arena with a fresh one for at least need
+// values: need rounded up to a power of two, at least double the last
+// arena, at most chunk (typically width×BatchSize), and a whole number
+// of rows. A statement that returns a few rows pays an arena of their
+// size, not a full batch's; one that returns many reaches whole chunks
+// after a few doublings, so a full batch of new rows costs one
+// allocation instead of one per row. Exact-size arenas would cost more:
+// a large allocation is rounded up to whole pages, and batches that
+// each fill their own arena strand the rest of every page.
+func (b *Batch) refill(need, width, chunk int) {
+	c := max(1<<bits.Len(uint(need-1)), 2*cap(b.arena))
+	b.arena = make([]int64, 0, arenaChunk(width, min(c, chunk)))
 }
 
 // arenaChunk sizes an arena refill: at least width, rounded up to a
@@ -79,11 +121,12 @@ func arenaChunk(width, chunk int) int {
 // them for the caller to fill, len(block)/width rows. It hands out what
 // is left of the current arena before refilling, so a caller that loops
 // until its n rows are placed strands nothing at a refill, whatever the
-// batch sizes; a refill happens only when not one more row fits.
+// batch sizes; a refill, sized for the n rows, happens only when not
+// one more row fits.
 func (b *Batch) carve(n, width, chunk int) []int64 {
 	free := (cap(b.arena) - len(b.arena)) / width
 	if free == 0 {
-		b.arena = make([]int64, 0, arenaChunk(width, chunk))
+		b.refill(n*width, width, chunk)
 		free = cap(b.arena) / width
 	}
 	need := min(n, free) * width
@@ -130,7 +173,7 @@ type iterBatch struct {
 func (a *iterBatch) Open() error { return a.it.Open() }
 
 func (a *iterBatch) NextBatch() (*Batch, bool, error) {
-	a.out.reset()
+	a.out.reset(a.size)
 	for len(a.out.Rows) < a.size {
 		row, ok, err := a.it.Next()
 		if err != nil {
@@ -147,7 +190,10 @@ func (a *iterBatch) NextBatch() (*Batch, bool, error) {
 	return &a.out, true, nil
 }
 
-func (a *iterBatch) Close() error { return a.it.Close() }
+func (a *iterBatch) Close() error {
+	a.out.release()
+	return a.it.Close()
+}
 
 // rowAdapter implements an operator's row-at-a-time Next on top of its
 // own NextBatch: it drains the current batch one row per call and pulls

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/rel"
@@ -289,13 +290,17 @@ func TestColSortGroupByOverColFilter(t *testing.T) {
 // fix: a chunk that is not a whole-row multiple used to strand its
 // remainder at every refill, costing extra allocations. With the chunk
 // rounded up to a width multiple, 240 width-3 rows at chunk 8 (rounded
-// to 9: three rows per arena) need exactly 80 refills, not 120.
+// to 9: three rows per arena) need exactly 80 refills, not 120. Each
+// run starts from a spent whole-chunk arena, so that every refill is a
+// whole chunk (a fresh batch's first arenas are sized to the rows:
+// TestArenaSizedToRows).
 func TestAllocWholeRowChunks(t *testing.T) {
 	const width, chunk, rows = 3, 8, 240
 	b := &Batch{Rows: make([]Row, 0, rows)}
+	spent := make([]int64, chunk+1)
 	allocs := testing.AllocsPerRun(10, func() {
-		b.reset()
-		b.arena = nil
+		b.reset(rows)
+		b.arena = spent
 		for i := 0; i < rows; i++ {
 			b.alloc(width, chunk)
 		}
@@ -312,6 +317,37 @@ func TestAllocWholeRowChunks(t *testing.T) {
 		if r[0] != int64(i) {
 			t.Fatalf("row %d storage aliased", i)
 		}
+	}
+}
+
+// TestArenaSizedToRows checks how arenas grow: a fresh batch's first
+// arena holds the rows asked for, rounded up to a power of two, and each
+// refill at least doubles the last arena up to the chunk.
+func TestArenaSizedToRows(t *testing.T) {
+	b := &Batch{}
+	if b.carve(13, 1, DefaultBatchSize); cap(b.arena) != 16 {
+		t.Fatalf("13 one-value rows: arena %d, want 16", cap(b.arena))
+	}
+	// Three rows are left; the rest of a full batch takes a whole chunk.
+	if got := len(b.carve(DefaultBatchSize-13, 1, DefaultBatchSize)); got != 3 {
+		t.Fatalf("carve handed out %d values before refilling, want the 3 left", got)
+	}
+	if b.carve(DefaultBatchSize-16, 1, DefaultBatchSize); cap(b.arena) != DefaultBatchSize {
+		t.Fatalf("a full batch's refill: arena %d, want the chunk %d", cap(b.arena), DefaultBatchSize)
+	}
+	// Row by row, width 2, chunk 64: arenas of 2, 4, ..., 64 values,
+	// then whole chunks.
+	b = &Batch{}
+	var caps []int
+	for range 90 {
+		before := cap(b.arena) - len(b.arena)
+		b.alloc(2, 64)
+		if before < 2 {
+			caps = append(caps, cap(b.arena))
+		}
+	}
+	if want := []int{2, 4, 8, 16, 32, 64, 64}; !slices.Equal(caps, want) {
+		t.Fatalf("arena refills %v, want %v", caps, want)
 	}
 }
 

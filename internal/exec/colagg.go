@@ -231,11 +231,12 @@ func (g *ColHashGroupBy) Open() error {
 	}
 
 	// Materialize the groups: key values then aggregate values, carved
-	// from one slab, in the same sorted order HashGroupBy emits.
+	// from one slab, their headers in a pooled vector sorted in place
+	// into the order HashGroupBy emits.
 	gw := len(g.groupPos)
 	w := gw + len(g.aggs)
 	slab := make([]int64, ngroups*w)
-	out := make([]Row, ngroups)
+	out := rowScratch.get(ngroups)[:ngroups]
 	for gi := 0; gi < ngroups; gi++ {
 		row := Row(slab[gi*w : (gi+1)*w : (gi+1)*w])
 		if single {
@@ -252,7 +253,8 @@ func (g *ColHashGroupBy) Open() error {
 		}
 		out[gi] = row
 	}
-	g.out = sortedRows(out, groupOrder(gw))
+	sortRows(out, groupOrder(gw))
+	g.out = out
 	g.next = 0
 	g.ra.reset()
 	return nil
@@ -276,8 +278,9 @@ func (g *ColHashGroupBy) NextBatch() (*Batch, bool, error) {
 // Next returns the next group.
 func (g *ColHashGroupBy) Next() (Row, bool, error) { return g.ra.next(g) }
 
-// Close releases the groups and closes the input.
+// Close gives the groups' header vector back and closes the input.
 func (g *ColHashGroupBy) Close() error {
+	rowScratch.put(g.out)
 	g.out = nil
 	return g.In.Close()
 }
@@ -491,7 +494,7 @@ func (g *ColSortGroupBy) rowsEqual(cb *ColBatch, a, b int) bool {
 // completes many groups; consumers iterate Rows, so this only affects
 // granularity.
 func (g *ColSortGroupBy) NextBatch() (*Batch, bool, error) {
-	g.out.reset()
+	g.out.reset(g.size)
 	for !g.done && len(g.out.Rows) < g.size {
 		cb, ok, err := g.in.NextColBatch()
 		if err != nil {
@@ -516,5 +519,8 @@ func (g *ColSortGroupBy) NextBatch() (*Batch, bool, error) {
 // Next returns the next completed group.
 func (g *ColSortGroupBy) Next() (Row, bool, error) { return g.ra.next(g) }
 
-// Close closes the input.
-func (g *ColSortGroupBy) Close() error { return g.In.Close() }
+// Close gives the batch's headers back and closes the input.
+func (g *ColSortGroupBy) Close() error {
+	g.out.release()
+	return g.In.Close()
+}

@@ -97,7 +97,7 @@ func (h *ColHashJoin) Open() error {
 		h.bcols = scan.Tab.cols
 		h.brows = int32Scratch.get(h.BuildHint)
 	} else {
-		h.bcols = make([][]int64, h.lwidth)
+		h.bcols = colScratch.get(h.lwidth)[:h.lwidth]
 		for j := range h.bcols {
 			h.bcols[j] = int64Scratch.get(h.BuildHint)
 		}
@@ -113,6 +113,7 @@ func (h *ColHashJoin) Open() error {
 		}
 		if h.stored {
 			first := int32(scan.next - cb.N) // the batch's row 0 in the table
+			h.brows = reserveScratch(&int32Scratch, h.brows, cb.Len())
 			if cb.Sel == nil {
 				for i := range int32(cb.N) {
 					h.brows = append(h.brows, first+i)
@@ -127,6 +128,7 @@ func (h *ColHashJoin) Open() error {
 		// Copy the batch column by column: a dense batch is one bulk
 		// copy per column, a selective one gathers through Sel.
 		for j := range h.bcols {
+			h.bcols[j] = reserveScratch(&int64Scratch, h.bcols[j], cb.Len())
 			if cb.Sel == nil {
 				h.bcols[j] = append(h.bcols[j], cb.Cols[j][:cb.N]...)
 				continue
@@ -233,10 +235,11 @@ func (h *ColHashJoin) NextColBatch() (*ColBatch, bool, error) {
 	}
 	if h.vecs == nil {
 		// Only a columnar consumer pays for the output vectors.
-		h.vecs = make([][]int64, h.outWidth())
+		h.vecs = colScratch.get(h.outWidth())[:h.outWidth()]
 		for j := range h.vecs {
 			h.vecs[j] = int64Scratch.get(h.size)[:h.size]
 		}
+		h.view.Cols = colScratch.get(len(h.vecs))
 	}
 	h.view.Cols = h.view.Cols[:0]
 	for j, vec := range h.vecs {
@@ -255,7 +258,7 @@ func (h *ColHashJoin) NextBatch() (*Batch, bool, error) {
 	if err != nil || m == 0 {
 		return nil, false, err
 	}
-	h.out.reset()
+	h.out.reset(h.size)
 	w := h.outWidth()
 	for lo := 0; lo < m; {
 		block := h.out.carve(m-lo, w, w*h.size)
@@ -278,14 +281,19 @@ func (h *ColHashJoin) Close() error {
 		for _, v := range h.bcols {
 			int64Scratch.put(v)
 		}
+		colScratch.put(h.bcols)
 	}
 	for _, v := range h.vecs {
 		int64Scratch.put(v)
 	}
+	colScratch.put(h.vecs)
+	colScratch.put(h.view.Cols)
+	h.view.Cols = nil
 	for _, v := range [][]int32{h.brows, h.chain, h.lidx, h.ridx, h.prow, h.phead} {
 		int32Scratch.put(v)
 	}
 	h.head.release()
+	h.out.release()
 	h.bcols, h.brows, h.vecs, h.chain, h.lidx, h.ridx, h.prow, h.phead = nil, nil, nil, nil, nil, nil, nil, nil
 	h.pb = nil
 	err := h.Left.Close()

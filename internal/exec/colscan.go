@@ -76,6 +76,9 @@ func (s *ColScan) NextColBatch() (*ColBatch, bool, error) {
 	if end > s.hi {
 		end = s.hi
 	}
+	if s.view.Cols == nil {
+		s.view.Cols = colScratch.get(len(s.Tab.cols))
+	}
 	s.view.Cols = s.view.Cols[:0]
 	for _, col := range s.Tab.cols {
 		s.view.Cols = append(s.view.Cols, col[s.next:end:end])
@@ -107,8 +110,12 @@ func (s *ColScan) NextBatch() (*Batch, bool, error) {
 // Next returns the next stored row.
 func (s *ColScan) Next() (Row, bool, error) { return s.ra.next(s) }
 
-// Close is a no-op for scans.
-func (s *ColScan) Close() error { return nil }
+// Close gives the column-window vector back.
+func (s *ColScan) Close() error {
+	colScratch.put(s.view.Cols)
+	s.view.Cols = nil
+	return nil
+}
 
 // ColFilter drops rows failing any conjunct, columnar-style: instead of
 // copying surviving rows it passes the input vectors through untouched
@@ -165,10 +172,8 @@ func (f *ColFilter) NextColBatch() (*ColBatch, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		if cap(f.selbuf) < cb.N {
-			f.selbuf = make([]int32, cb.N)
-		}
-		sel := f.selbuf[:cb.N]
+		f.selbuf = growScratch(&int32Scratch, f.selbuf, cb.N)
+		sel := f.selbuf
 		n := 0
 		for i, p := range f.preds {
 			switch {
@@ -206,7 +211,7 @@ func (f *ColFilter) NextBatch() (*Batch, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	f.out.reset()
+	f.out.reset(f.size)
 	if f.scan != nil {
 		base := f.scan.next - cb.N
 		rows := f.scan.Tab.Rows[base:]
@@ -222,8 +227,14 @@ func (f *ColFilter) NextBatch() (*Batch, bool, error) {
 // Next returns the next row satisfying every conjunct.
 func (f *ColFilter) Next() (Row, bool, error) { return f.ra.next(f) }
 
-// Close closes the input.
-func (f *ColFilter) Close() error { return f.In.Close() }
+// Close gives the selection vector and the batch's headers back and
+// closes the input.
+func (f *ColFilter) Close() error {
+	int32Scratch.put(f.selbuf)
+	f.selbuf = nil
+	f.out.release()
+	return f.In.Close()
+}
 
 // selectDense fills sel with the indexes of the rows in [0,n) satisfying
 // p, returning the survivor count. One loop per comparison operator
@@ -471,6 +482,9 @@ func (p *ColProject) NextColBatch() (*ColBatch, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
+	if p.view.Cols == nil {
+		p.view.Cols = colScratch.get(len(p.idx))
+	}
 	p.view.Cols = p.view.Cols[:0]
 	for _, j := range p.idx {
 		p.view.Cols = append(p.view.Cols, cb.Cols[j])
@@ -485,7 +499,7 @@ func (p *ColProject) NextBatch() (*Batch, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	p.out.reset()
+	p.out.reset(p.size)
 	materializeInto(&p.out, cb, len(cb.Cols)*p.size)
 	return &p.out, true, nil
 }
@@ -493,5 +507,11 @@ func (p *ColProject) NextBatch() (*Batch, bool, error) {
 // Next returns the next projected row.
 func (p *ColProject) Next() (Row, bool, error) { return p.ra.next(p) }
 
-// Close closes the input.
-func (p *ColProject) Close() error { return p.In.Close() }
+// Close gives the column-window vector and the batch's headers back and
+// closes the input.
+func (p *ColProject) Close() error {
+	colScratch.put(p.view.Cols)
+	p.view.Cols = nil
+	p.out.release()
+	return p.In.Close()
+}

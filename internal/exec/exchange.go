@@ -406,7 +406,7 @@ func (p *exchangePortOrdered) NextBatch() (*Batch, bool, error) {
 	if err := p.st.parent.Err(); err != nil {
 		return nil, false, err
 	}
-	p.out.reset()
+	p.out.reset(p.size)
 	for len(p.out.Rows) < p.size {
 		best := -1
 		var bestRow Row
@@ -439,6 +439,9 @@ func (p *exchangePortOrdered) Next() (Row, bool, error) { return p.ra.next(p) }
 
 // Close releases this partition; producers stop routing to it.
 func (p *exchangePortOrdered) Close() error {
-	p.closeOnce.Do(func() { p.st.closePart(p.part) })
+	p.closeOnce.Do(func() {
+		p.out.release()
+		p.st.closePart(p.part)
+	})
 	return nil
 }

@@ -26,36 +26,38 @@ func (r Row) Clone() Row { return append(Row(nil), r...) }
 type Schema struct {
 	// Cols lists the stream's columns in row order.
 	Cols []rel.ColID
-
-	pos map[rel.ColID]int
 }
 
 // NewSchema builds a schema over the given column list.
-func NewSchema(cols []rel.ColID) *Schema {
-	s := &Schema{Cols: cols, pos: make(map[rel.ColID]int, len(cols))}
-	for i, c := range cols {
-		if c != rel.InvalidCol {
-			s.pos[c] = i
+func NewSchema(cols []rel.ColID) *Schema { return &Schema{Cols: cols} }
+
+// find returns the row position of a column, the last if it repeats, or
+// -1. A schema is a handful of columns and is looked up only while a
+// plan is built, so a scan beats building an index per plan node.
+func (s *Schema) find(c rel.ColID) int {
+	if c == rel.InvalidCol {
+		return -1
+	}
+	for i := len(s.Cols) - 1; i >= 0; i-- {
+		if s.Cols[i] == c {
+			return i
 		}
 	}
-	return s
+	return -1
 }
 
 // Pos returns the row position of a column; it panics on unknown
 // columns, which indicates a planner bug.
 func (s *Schema) Pos(c rel.ColID) int {
-	p, ok := s.pos[c]
-	if !ok {
+	p := s.find(c)
+	if p < 0 {
 		panic(fmt.Sprintf("exec: column c%d not in schema %v", c, s.Cols))
 	}
 	return p
 }
 
 // Has reports whether the schema contains the column.
-func (s *Schema) Has(c rel.ColID) bool {
-	_, ok := s.pos[c]
-	return ok
-}
+func (s *Schema) Has(c rel.ColID) bool { return s.find(c) >= 0 }
 
 // Width returns the number of columns.
 func (s *Schema) Width() int { return len(s.Cols) }
@@ -195,7 +197,7 @@ func FromData(cat *rel.Catalog, data map[string][][]int64) *DB {
 			for i, c := range t.Ordered {
 				keys[i].pos = tab.Schema.Pos(c)
 			}
-			tab.Rows = sortedRows(tab.Rows, keys)
+			sortRows(tab.Rows, keys)
 		}
 		tab.compact()
 		db.Add(tab)

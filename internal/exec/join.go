@@ -135,7 +135,7 @@ func (m *MergeJoin) Open() error {
 
 // NextBatch returns the next batch of joined rows.
 func (m *MergeJoin) NextBatch() (*Batch, bool, error) {
-	m.out.reset()
+	m.out.reset(m.size)
 	for len(m.out.Rows) < m.size {
 		// Emit from buffered groups first.
 		if m.li < len(m.lgroup) {
@@ -215,6 +215,7 @@ func (m *MergeJoin) Next() (Row, bool, error) { return m.ra.next(m) }
 
 // Close gives the key windows back and closes both inputs.
 func (m *MergeJoin) Close() error {
+	m.out.release()
 	int64Scratch.put(m.l.keys)
 	int64Scratch.put(m.r.keys)
 	m.l, m.r = mergeSide{}, mergeSide{}
@@ -553,7 +554,7 @@ func (h *HashJoin) Open() error {
 		return err
 	}
 	h.right = asBatch(h.Right)
-	h.rows = make([]Row, 0, h.BuildHint)
+	h.rows = rowScratch.get(h.BuildHint)
 	h.pb, h.pi, h.pn, h.hit, h.probe = nil, 0, 0, -1, nil
 	h.ra.reset()
 	build := asBatch(h.Left)
@@ -565,16 +566,16 @@ func (h *HashJoin) Open() error {
 		if !ok {
 			break
 		}
-		h.rows = append(h.rows, b.Rows...)
+		h.rows = append(reserveScratch(&rowScratch, h.rows, len(b.Rows)), b.Rows...)
 	}
-	h.chain = make([]int32, len(h.rows))
+	h.chain = int32Scratch.get(len(h.rows))[:len(h.rows)]
 	h.head = buildJoinTable(joinKeys{rows: h.rows, pos: h.lpos, n: len(h.rows)}, h.chain, h.KeyHint)
 	return nil
 }
 
 // NextBatch returns the next batch of joined rows.
 func (h *HashJoin) NextBatch() (*Batch, bool, error) {
-	h.out.reset()
+	h.out.reset(h.size)
 	for len(h.out.Rows) < h.size {
 		if h.hit >= 0 {
 			combineInto(&h.out, h.rows[h.hit], h.probe, h.proj, h.size)
@@ -619,7 +620,10 @@ func (h *HashJoin) Next() (Row, bool, error) { return h.ra.next(h) }
 // Close releases the hash table and the probe scratch and closes both
 // inputs.
 func (h *HashJoin) Close() error {
+	h.out.release()
 	h.head.release()
+	rowScratch.put(h.rows)
+	int32Scratch.put(h.chain)
 	int64Scratch.put(h.keys)
 	int32Scratch.put(h.prow)
 	int32Scratch.put(h.phead)
@@ -681,13 +685,13 @@ func (n *NLJoin) Open() error {
 		if !ok {
 			return nil
 		}
-		n.inner = append(n.inner, b.Rows...)
+		n.inner = append(reserveScratch(&rowScratch, n.inner, len(b.Rows)), b.Rows...)
 	}
 }
 
 // NextBatch returns the next batch of joined rows.
 func (n *NLJoin) NextBatch() (*Batch, bool, error) {
-	n.out.reset()
+	n.out.reset(n.size)
 	for len(n.out.Rows) < n.size {
 		if n.lrow == nil {
 			if n.ldone {
@@ -725,6 +729,8 @@ func (n *NLJoin) Next() (Row, bool, error) { return n.ra.next(n) }
 
 // Close releases the inner buffer and closes both inputs.
 func (n *NLJoin) Close() error {
+	n.out.release()
+	rowScratch.put(n.inner)
 	n.inner = nil
 	err := n.Left.Close()
 	if err2 := n.Right.Close(); err == nil {

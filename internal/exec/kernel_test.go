@@ -271,16 +271,20 @@ func TestKeyedMergeJoinMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSmallSelectionJoinAllocations pins what a warm small-selection
-// hash join allocates: a 13-row build (a filtered 5 000-row table) probed
-// by a whole 5 000-row table, as in the point workloads' median
-// statement, opened, drained and closed again and again. The key index,
-// the build row indexes, the chain and the probe's hit vectors come from
-// the scratch pools and go back to them, so a run allocates only its
-// output: 13 one-column rows, carved from 8 KiB arena chunks.
+// TestSmallSelectionJoinAllocations pins what a small-selection hash
+// join allocates when, as in vdb, every statement builds a fresh
+// operator tree: a 13-row build (a filtered 5 000-row table) probed by a
+// whole 5 000-row table, as in the point workloads' median statement.
+// The key index, the build row indexes, the chain, the probe's hit
+// vectors, the filter's selection vector, the scans' column windows and
+// the output batch's headers come from the scratch pools and go back to
+// them, and the output arena is sized to its rows, so a run allocates
+// the output's data (13 one-column rows, in an arena of 16 values), as
+// much again for the headers a consumer would keep, and the operators
+// themselves.
 func TestSmallSelectionJoinAllocations(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("the race detector makes sync.Pool drop vectors at random")
+	if PoolsDrop {
+		t.Skip("sync.Pool does not keep what it is given")
 	}
 	const n = 5000
 	rng := rand.New(rand.NewSource(13))
@@ -302,11 +306,10 @@ func TestSmallSelectionJoinAllocations(t *testing.T) {
 	})
 	probe := table([]rel.ColID{4, 5, 6}, func(i int) Row { return Row{int64(i + 1), rng.Int63n(833), 0} })
 	preds := []rel.Pred{{Col: 3, Op: rel.CmpLT, Val: 13}}
-	j := NewColHashJoin(NewColFilter(NewColScan(build), build.Schema, preds), NewColScan(probe),
-		build.Schema, probe.Schema, 1, 0, []int{0})
-	j.BuildHint = 13
 	rows := 0
 	run := func() {
+		j := NewColHashJoin(NewColFilter(NewColScan(build), build.Schema, preds), NewColScan(probe),
+			build.Schema, probe.Schema, 1, 0, []int{0})
 		if err := j.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -326,10 +329,9 @@ func TestSmallSelectionJoinAllocations(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	run() // fill the pools and the operators' own vectors
-	run()
-	if rows != 2*13 {
-		t.Fatalf("the join returned %d rows, want 13", rows/2)
+	run() // fill the pools
+	if rows != 13 {
+		t.Fatalf("the join returned %d rows, want 13", rows)
 	}
 	const runs = 200
 	var before, after runtime.MemStats
@@ -338,11 +340,17 @@ func TestSmallSelectionJoinAllocations(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	// The output's share of the arena chunks it was carved from.
-	rows -= 2 * 13
-	chunks := (rows + DefaultBatchSize - 1) / DefaultBatchSize
-	budget := uint64(chunks * DefaultBatchSize * 8)
-	if bytes, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs; bytes > budget || allocs > uint64(chunks) {
-		t.Errorf("%d runs allocated %d B in %d allocations; their %d output rows take %d B in %d", runs, bytes, allocs, rows, budget, chunks)
+	if rows != 13*(1+runs) {
+		t.Fatalf("%d runs returned %d rows, want 13 each", 1+runs, rows)
+	}
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	// 16 values of arena and 16 headers of 24 B, and the operators: two
+	// scans, a filter and its compiled predicate, and the join. Six
+	// allocations a run; the runtime adds a few of its own over 200 runs.
+	const data, headers, operators = 16 * 8, 16 * 24, 1024
+	if bytes > data+headers+operators || allocs > 6.1 {
+		t.Errorf("a run allocates %.0f B in %.2f allocations; want at most %d B (output %d B, headers %d B, operators %d B) in 6",
+			bytes, allocs, data+headers+operators, data, headers, operators)
 	}
 }

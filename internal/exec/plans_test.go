@@ -70,8 +70,8 @@ func TestStackedFiltersFoldIntoOneOperator(t *testing.T) {
 
 	// What a run allocates is the result's header slice and per-operator
 	// state; row values for the survivors would add 32 bytes a row.
-	if exec.RaceEnabled {
-		return // sync.Pool drops vectors at random under the race detector
+	if exec.PoolsDrop {
+		return // sync.Pool does not keep what it is given
 	}
 	var before, after runtime.MemStats
 	const runs = 20

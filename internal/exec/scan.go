@@ -167,7 +167,7 @@ func (f *Filter) Open() error {
 
 // NextBatch returns the next batch of rows satisfying every conjunct.
 func (f *Filter) NextBatch() (*Batch, bool, error) {
-	f.out.reset()
+	f.out.reset(f.size)
 	if f.fused != nil {
 		return f.nextFused()
 	}
@@ -229,8 +229,11 @@ func (f *Filter) nextFused() (*Batch, bool, error) {
 // Next returns the next row satisfying every conjunct.
 func (f *Filter) Next() (Row, bool, error) { return f.ra.next(f) }
 
-// Close closes the input.
-func (f *Filter) Close() error { return f.In.Close() }
+// Close gives the batch's headers back and closes the input.
+func (f *Filter) Close() error {
+	f.out.release()
+	return f.In.Close()
+}
 
 // Project narrows rows to a column subset.
 type Project struct {
@@ -268,7 +271,7 @@ func (p *Project) NextBatch() (*Batch, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	p.out.reset()
+	p.out.reset(p.size)
 	w := len(p.idx)
 	chunk := w * p.size
 	for _, row := range b.Rows {
@@ -283,5 +286,8 @@ func (p *Project) NextBatch() (*Batch, bool, error) {
 // Next returns the next projected row.
 func (p *Project) Next() (Row, bool, error) { return p.ra.next(p) }
 
-// Close closes the input.
-func (p *Project) Close() error { return p.In.Close() }
+// Close gives the batch's headers back and closes the input.
+func (p *Project) Close() error {
+	p.out.release()
+	return p.In.Close()
+}

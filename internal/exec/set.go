@@ -67,7 +67,7 @@ func advance(c *cursor, done *bool) (Row, error) {
 
 // NextBatch returns the next batch of rows present in both inputs.
 func (m *MergeIntersect) NextBatch() (*Batch, bool, error) {
-	m.out.reset()
+	m.out.reset(m.size)
 	for !m.ldone && !m.rdone && len(m.out.Rows) < m.size {
 		switch cmpKeys(m.lrow, m.rrow, m.order) {
 		case -1:
@@ -105,8 +105,9 @@ func (m *MergeIntersect) NextBatch() (*Batch, bool, error) {
 // Next returns the next row present in both inputs.
 func (m *MergeIntersect) Next() (Row, bool, error) { return m.ra.next(m) }
 
-// Close closes both inputs.
+// Close gives the batch's headers back and closes both inputs.
 func (m *MergeIntersect) Close() error {
+	m.out.release()
 	err := m.Left.Close()
 	if err2 := m.Right.Close(); err == nil {
 		err = err2
@@ -175,7 +176,7 @@ func rowKey(r Row) string {
 
 // NextBatch returns the next batch of distinct rows found in both inputs.
 func (h *HashIntersect) NextBatch() (*Batch, bool, error) {
-	h.out.reset()
+	h.out.reset(h.size)
 	for len(h.out.Rows) < h.size {
 		row, ok, err := h.rc.next()
 		if err != nil {
@@ -201,6 +202,7 @@ func (h *HashIntersect) Next() (Row, bool, error) { return h.ra.next(h) }
 
 // Close releases the set and closes both inputs.
 func (h *HashIntersect) Close() error {
+	h.out.release()
 	h.set = nil
 	err := h.Left.Close()
 	if err2 := h.Right.Close(); err == nil {
@@ -257,7 +259,7 @@ func (m *MergeUnion) Open() error {
 
 // NextBatch returns the next batch of distinct rows, in order.
 func (m *MergeUnion) NextBatch() (*Batch, bool, error) {
-	m.out.reset()
+	m.out.reset(m.size)
 	for len(m.out.Rows) < m.size {
 		var out Row
 		switch {
@@ -291,8 +293,9 @@ func (m *MergeUnion) NextBatch() (*Batch, bool, error) {
 // Next returns the next distinct row from either input, in order.
 func (m *MergeUnion) Next() (Row, bool, error) { return m.ra.next(m) }
 
-// Close closes both inputs.
+// Close gives the batch's headers back and closes both inputs.
 func (m *MergeUnion) Close() error {
+	m.out.release()
 	err := m.Left.Close()
 	if err2 := m.Right.Close(); err == nil {
 		err = err2
@@ -344,7 +347,7 @@ func (h *HashUnion) Open() error {
 // NextBatch returns the next batch of unseen rows, draining left then
 // right.
 func (h *HashUnion) NextBatch() (*Batch, bool, error) {
-	h.out.reset()
+	h.out.reset(h.size)
 	for len(h.out.Rows) < h.size {
 		src := &h.lc
 		if h.onRight {
@@ -379,6 +382,7 @@ func (h *HashUnion) Next() (Row, bool, error) { return h.ra.next(h) }
 
 // Close releases the set and closes both inputs.
 func (h *HashUnion) Close() error {
+	h.out.release()
 	h.seen = nil
 	err := h.Left.Close()
 	if err2 := h.Right.Close(); err == nil {
@@ -588,7 +592,7 @@ func (g *GatherOrdered) NextBatch() (*Batch, bool, error) {
 			return nil, false, err
 		}
 	}
-	g.out.reset()
+	g.out.reset(g.size)
 	for len(g.out.Rows) < g.size {
 		best := -1
 		var bestRow Row
@@ -621,6 +625,7 @@ func (g *GatherOrdered) Next() (Row, bool, error) { return g.ra.next(g) }
 
 // Close stops the producers.
 func (g *GatherOrdered) Close() error {
+	g.out.release()
 	if g.open {
 		close(g.stop)
 		g.open = false

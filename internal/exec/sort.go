@@ -179,18 +179,27 @@ func radixSortHigh(v []uint64, width int) {
 	}
 }
 
-// sortedRows returns the rows in stable sort order on keys, as a new
-// header slice; the input is left as it was.
-func sortedRows(rows []Row, keys []sortKey) []Row {
+// sortRows puts the rows in stable sort order on keys, in place: it
+// follows each cycle of the sort permutation, moving one header at a
+// time, and marks each position it fills by making the permutation's
+// entry there a fixed point, so no second header vector is needed.
+func sortRows(rows []Row, keys []sortKey) {
 	st := flatRows(rows)
 	run := sortPerm(&st, 0, len(rows), keys)
-	out := make([]Row, len(rows))
-	for i, p := range run.perm {
-		out[i] = rows[uint32(p)]
+	perm := run.perm
+	for i := range perm {
+		first := rows[i]
+		k := uint32(i)
+		for j := uint32(perm[k]); j != uint32(i); j = uint32(perm[k]) {
+			rows[k] = rows[j]
+			perm[k] = uint64(k)
+			k = j
+		}
+		rows[k] = first
+		perm[k] = uint64(k)
 	}
 	uint64Scratch.put(run.perm)
 	int64Scratch.put(run.wide)
-	return out
 }
 
 // Sort is the sort enforcer's runtime. It drains its input once,
@@ -316,7 +325,7 @@ func (s *Sort) siftDown(i int) {
 
 // NextBatch returns the next batch of row headers in sort order.
 func (s *Sort) NextBatch() (*Batch, bool, error) {
-	s.out.reset()
+	s.out.reset(s.size)
 	if len(s.runs) == 1 {
 		r := &s.runs[0]
 		end := min(r.next+s.size, len(r.perm))
@@ -350,6 +359,7 @@ func (s *Sort) Next() (Row, bool, error) { return s.ra.next(s) }
 // Close gives the drained headers and the permutations back and closes
 // the input.
 func (s *Sort) Close() error {
+	s.out.release()
 	s.rows.release()
 	for _, r := range s.runs {
 		uint64Scratch.put(r.perm)

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind classifies lexer tokens.
@@ -33,11 +34,44 @@ const (
 	tokParam // $1, $2, ... — runtime parameters
 )
 
-// keywords of the dialect, uppercase.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true,
-	"GROUP": true, "BY": true, "ORDER": true, "DESC": true, "ASC": true,
-	"INTERSECT": true, "UNION": true, "DISTINCT": true, "COUNT": true, "SUM": true, "MIN": true, "MAX": true,
+// keywords of the dialect, uppercase, each mapped to itself: a lookup
+// by any spelling returns the keyword's own string.
+var keywords = func() map[string]string {
+	m := map[string]string{}
+	for _, kw := range strings.Fields("SELECT FROM WHERE AND GROUP BY ORDER DESC ASC " +
+		"INTERSECT UNION DISTINCT COUNT SUM MIN MAX") {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeywordLen is the length of the longest keyword.
+const maxKeywordLen = len("INTERSECT")
+
+// keyword returns the keyword a word spells in any case, and whether it
+// spells one. An ASCII word is uppercased in a stack buffer, so neither
+// an identifier nor a keyword allocates; any other word takes
+// strings.ToUpper, whose Unicode case mapping could spell a keyword.
+func keyword(word string) (string, bool) {
+	var buf [maxKeywordLen]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if c >= utf8.RuneSelf {
+			kw, ok := keywords[strings.ToUpper(word)]
+			return kw, ok
+		}
+		if i < len(buf) {
+			if 'a' <= c && c <= 'z' {
+				c -= 'a' - 'A'
+			}
+			buf[i] = c
+		}
+	}
+	if len(word) > len(buf) {
+		return "", false
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // token is one lexed unit.
@@ -49,7 +83,10 @@ type token struct {
 
 // lex splits the input into tokens.
 func lex(input string) ([]token, error) {
-	var toks []token
+	// Every token but the last takes a byte or more, and a statement's
+	// average is three or more: half the input length covers it, and an
+	// input that packs tokens tighter grows the vector once.
+	toks := make([]token, 0, len(input)/2+1)
 	i := 0
 	for i < len(input) {
 		c := rune(input[i])
@@ -63,9 +100,8 @@ func lex(input string) ([]token, error) {
 				i++
 			}
 			word := input[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, token{kind: tokKeyword, text: upper, pos: start})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, token{kind: tokKeyword, text: kw, pos: start})
 			} else {
 				toks = append(toks, token{kind: tokIdent, text: word, pos: start})
 			}
@@ -86,7 +122,7 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{kind: tokParam, text: input[start+1 : i], pos: start})
 		case strings.ContainsRune("(),.*=", c):
-			toks = append(toks, token{kind: tokSymbol, text: string(c), pos: i})
+			toks = append(toks, token{kind: tokSymbol, text: input[i : i+1], pos: i})
 			i++
 		case c == '<' || c == '>':
 			start := i

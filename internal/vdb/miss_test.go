@@ -50,8 +50,8 @@ func openMissDB(tb testing.TB) *vdb.DB {
 // once its sweep ran on the database's model instead of building one per
 // miss (1 943).
 func TestServedMissAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops break allocation budgets")
+	if poolsDrop {
+		t.Skip("sync.Pool does not keep what it is given")
 	}
 	db := openMissDB(t)
 	for _, c := range []struct {
