@@ -323,7 +323,7 @@ func BenchmarkExecExternalSort(b *testing.B) {
 	for i := range rows {
 		rows[i] = exec.Row{int64((i * 2654435761) % 100000), int64(i % 100)}
 	}
-	table := &exec.Table{Name: "t", Schema: exec.NewSchema(tab.Columns), Rows: rows}
+	table := exec.NewTable("t", exec.NewSchema(tab.Columns), rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := exec.NewSort(exec.NewTableScan(table), table.Schema, []relopt.OrderCol{{Col: c1}})

@@ -76,19 +76,19 @@ func main() {
 func makeEmp(cat *rel.Catalog, id, dept, age rel.ColID) *exec.Table {
 	t := cat.Table("emp")
 	rng := rand.New(rand.NewSource(7))
-	tab := &exec.Table{Name: t.Name, Schema: exec.NewSchema(t.Columns)}
+	var rows []exec.Row
 	for i := int64(1); i <= t.Rows; i++ {
-		tab.Rows = append(tab.Rows, exec.Row{i, 1 + rng.Int63n(200), 21 + rng.Int63n(45)})
+		rows = append(rows, exec.Row{i, 1 + rng.Int63n(200), 21 + rng.Int63n(45)})
 	}
-	return tab
+	return exec.NewTable(t.Name, exec.NewSchema(t.Columns), rows)
 }
 
 func makeDept(cat *rel.Catalog, id, budget rel.ColID) *exec.Table {
 	t := cat.Table("dept")
 	rng := rand.New(rand.NewSource(8))
-	tab := &exec.Table{Name: t.Name, Schema: exec.NewSchema(t.Columns)}
+	var rows []exec.Row
 	for i := int64(1); i <= t.Rows; i++ {
-		tab.Rows = append(tab.Rows, exec.Row{i, 1 + rng.Int63n(50)})
+		rows = append(rows, exec.Row{i, 1 + rng.Int63n(50)})
 	}
-	return tab
+	return exec.NewTable(t.Name, exec.NewSchema(t.Columns), rows)
 }

@@ -27,13 +27,13 @@ const DefaultBatchSize = 1024
 // header slice is recycled across NextBatch calls; value storage
 // allocated through alloc is append-only and stays valid forever.
 //
-// An operator that fills its own batch takes the header vector from the
+// An operator that fills its own batch — a scan too, whose headers name
+// windows of its table's row slab — takes the header vector from the
 // scratch pool on its first reset and gives it back in Close (release):
 // the batch is not valid past Close, so nothing can still read it. A
-// view batch, whose Rows are a window onto storage it does not own
-// (stored rows, a spool, materialized groups, an exchange message), sets
-// Rows directly and never resets, so it never takes or gives back
-// anything.
+// view batch, whose Rows are a window onto a header vector it does not
+// own (a spool, materialized groups, an exchange message), sets Rows
+// directly and never resets, so it never takes or gives back anything.
 type Batch struct {
 	// Rows are the batch's tuples, valid until the producing operator's
 	// next NextBatch call.
@@ -71,6 +71,13 @@ func (b *Batch) release() {
 
 // add appends an existing row (header copy only).
 func (b *Batch) add(r Row) { b.Rows = append(b.Rows, r) }
+
+// addStored appends the headers of stored rows [lo,hi) of t.
+func (b *Batch) addStored(t *Table, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		b.Rows = append(b.Rows, t.Row(i))
+	}
+}
 
 // alloc appends a fresh zero row of the given width, carving it from the
 // batch's arena, which refill sizes. Arena memory is never rewound, so

@@ -103,6 +103,9 @@ func RunOpts(ctx context.Context, db *DB, plan *core.Plan, params []int64, opts 
 	}
 	rows, err := Collect(it)
 	db.countRun(len(rows), err)
+	if debugBuild {
+		db.verifyTables()
+	}
 	return rows, schema, err
 }
 
@@ -326,7 +329,7 @@ func (b *builder) colCapable(plan *core.Plan) bool {
 	switch op := plan.Op.(type) {
 	case *relopt.FileScan:
 		t := b.db.Table(op.Tab.Name)
-		return !b.opts.NoFusion && t != nil && t.cols != nil
+		return !b.opts.NoFusion && t != nil
 	case *relopt.Filter, *relopt.ProjectOp:
 		return b.colCapable(plan.Inputs[0])
 	case *relopt.HashJoin:

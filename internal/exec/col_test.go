@@ -9,20 +9,27 @@ import (
 	"repro/internal/relopt"
 )
 
-// randTable builds a compacted table (row and columnar storage) with the
-// given column IDs, rows drawn from a small signed domain so predicates
-// hit every comparison outcome.
+// randTable builds a table with the given column IDs, rows drawn from a
+// small signed domain so predicates hit every comparison outcome.
 func randTable(rng *rand.Rand, cols []rel.ColID, n int) *Table {
-	t := &Table{Name: "t", Schema: NewSchema(cols), Rows: make([]Row, n)}
-	for i := range t.Rows {
+	rows := make([]Row, n)
+	for i := range rows {
 		r := make(Row, len(cols))
 		for j := range r {
 			r[j] = int64(rng.Intn(21) - 10)
 		}
-		t.Rows[i] = r
+		rows[i] = r
 	}
-	t.compact()
-	return t
+	return NewTable("t", NewSchema(cols), rows)
+}
+
+// storedRows returns a table's stored rows (Table.Row), in scan order.
+func storedRows(t *Table) []Row {
+	rows := make([]Row, t.Len())
+	for i := range rows {
+		rows[i] = t.Row(i)
+	}
+	return rows
 }
 
 var cmpOps = []rel.CmpOp{rel.CmpEQ, rel.CmpNE, rel.CmpLT, rel.CmpLE, rel.CmpGT, rel.CmpGE}
@@ -44,15 +51,6 @@ func randPreds(rng *rand.Rand, cols []rel.ColID) []rel.Pred {
 		preds[i] = p
 	}
 	return preds
-}
-
-// colScanOf returns a columnar scan over the table, falling back to a
-// row scan for tables without a columnar projection (empty tables).
-func colScanOf(tab *Table) Iterator {
-	if cs := NewColScan(tab); cs != nil {
-		return cs
-	}
-	return NewTableScan(tab)
 }
 
 func collectAll(t *testing.T, it Iterator) []Row {
@@ -88,11 +86,8 @@ func TestColFilterMatchesRowFilterRandom(t *testing.T) {
 		rf.SetBatchSize(size)
 		want := collectAll(t, rf)
 
-		var scan Iterator = NewTableScan(tab)
-		if cs := NewColScan(tab); cs != nil {
-			cs.SetBatchSize(size)
-			scan = cs
-		}
+		scan := NewColScan(tab)
+		scan.SetBatchSize(size)
 		cf := NewColFilter(scan, tab.Schema, preds)
 		cf.SetBatchSize(size)
 		got := collectAll(t, cf)
@@ -111,8 +106,8 @@ func TestColFilterMatchesRowFilterRandom(t *testing.T) {
 }
 
 // TestColFilterOverRowInput checks the transposing adapter path: a
-// columnar filter over a row-producing input (no columnar projection)
-// must agree with the row filter.
+// columnar filter over a row-producing input (a TableScan) must agree
+// with the row filter.
 func TestColFilterOverRowInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	cols := []rel.ColID{1, 2}
@@ -165,16 +160,16 @@ func TestColHashJoinMatchesHashJoin(t *testing.T) {
 		rj.SetBatchSize(size)
 		want := collectAll(t, rj)
 
-		cl := colScanOf(lt)
+		var cl Iterator = NewColScan(lt)
 		switch build {
 		case 1:
 			cl = NewColFilter(cl, lt.Schema, preds)
 		case 2:
 			cl = NewColProject(cl, lt.Schema, lcols)
 		}
-		cj := NewColHashJoin(cl, colScanOf(rt), lt.Schema, rt.Schema, 0, 1, proj)
+		cj := NewColHashJoin(cl, NewColScan(rt), lt.Schema, rt.Schema, 0, 1, proj)
 		if trial%10 != 0 {
-			cj.BuildHint = len(lt.Rows) / (1 + rng.Intn(3)) // draws on the scratch pools
+			cj.BuildHint = lt.Len() / (1 + rng.Intn(3)) // draws on the scratch pools
 		}
 		cj.SetBatchSize(size)
 		got := collectAll(t, cj)
@@ -205,8 +200,8 @@ func TestColHashJoinInPlaceBuildKeepsTableVectors(t *testing.T) {
 		copying := NewColHashJoin(NewColProject(NewColScan(other), other.Schema, cols), NewColScan(rt), other.Schema, rt.Schema, 0, 0, nil)
 		copying.BuildHint = n
 		collectAll(t, copying)
-		for i, r := range lt.Rows {
-			for j, v := range r {
+		for i := range lt.Len() {
+			for j, v := range lt.Row(i) {
 				if lt.cols[j][i] != v {
 					t.Fatalf("preds %v: stored column %d of the build table was overwritten at row %d", preds, j, i)
 				}
@@ -236,7 +231,7 @@ func TestColGroupByMatchesRowGroupBy(t *testing.T) {
 		rg.SetBatchSize(size)
 		want := collectAll(t, rg)
 
-		cg := NewColHashGroupBy(colScanOf(tab), tab.Schema, groupCols, aggs)
+		cg := NewColHashGroupBy(NewColScan(tab), tab.Schema, groupCols, aggs)
 		cg.SetBatchSize(size)
 		got := collectAll(t, cg)
 		if Fingerprint(got) != Fingerprint(want) {
@@ -251,7 +246,7 @@ func TestColGroupByMatchesRowGroupBy(t *testing.T) {
 		sg := NewSortGroupBy(NewSort(NewTableScan(tab), tab.Schema, sortOrder), tab.Schema, groupCols, aggs)
 		sg.SetBatchSize(size)
 		want = collectAll(t, sg)
-		csg := NewColSortGroupBy(NewSort(colScanOf(tab), tab.Schema, sortOrder), tab.Schema, groupCols, aggs)
+		csg := NewColSortGroupBy(NewSort(NewColScan(tab), tab.Schema, sortOrder), tab.Schema, groupCols, aggs)
 		csg.SetBatchSize(size)
 		got = collectAll(t, csg)
 		if Fingerprint(got) != Fingerprint(want) {
@@ -264,13 +259,13 @@ func TestColGroupByMatchesRowGroupBy(t *testing.T) {
 // the streaming aggregate: a columnar filter feeds the sorted grouping
 // directly, so runs are detected through the selection vector.
 func TestColSortGroupByOverColFilter(t *testing.T) {
-	tab := &Table{Name: "t", Schema: NewSchema([]rel.ColID{1, 2})}
+	var rows []Row
 	for g := int64(0); g < 50; g++ {
 		for i := int64(0); i < 20; i++ {
-			tab.Rows = append(tab.Rows, Row{g, i})
+			rows = append(rows, Row{g, i})
 		}
 	}
-	tab.compact()
+	tab := NewTable("t", NewSchema([]rel.ColID{1, 2}), rows)
 	preds := []rel.Pred{{Col: 2, Op: rel.CmpLT, Val: 10}}
 	aggs := []rel.Agg{{Fn: rel.AggCount}, {Fn: rel.AggSum, Col: 2}}
 
@@ -399,10 +394,10 @@ func TestColScanStripes(t *testing.T) {
 			s.SetBatchSize(64)
 			all = append(all, collectAll(t, s)...)
 		}
-		if len(all) != len(tab.Rows) {
-			t.Fatalf("stripes %d: %d rows, want %d", stripes, len(all), len(tab.Rows))
+		if len(all) != tab.Len() {
+			t.Fatalf("stripes %d: %d rows, want %d", stripes, len(all), tab.Len())
 		}
-		if Fingerprint(all) != Fingerprint(tab.Rows) {
+		if Fingerprint(all) != Fingerprint(storedRows(tab)) {
 			t.Fatalf("stripes %d: striped union differs from table", stripes)
 		}
 	}
@@ -412,13 +407,11 @@ func TestColScanStripes(t *testing.T) {
 
 func benchTable(n int) *Table {
 	rng := rand.New(rand.NewSource(1))
-	t := &Table{Name: "b", Schema: NewSchema([]rel.ColID{1, 2, 3, 4})}
-	t.Rows = make([]Row, n)
-	for i := range t.Rows {
-		t.Rows[i] = Row{int64(i), int64(rng.Intn(n / 6)), int64(rng.Intn(n / 3)), int64(rng.Intn(1000))}
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{int64(i), int64(rng.Intn(n / 6)), int64(rng.Intn(n / 3)), int64(rng.Intn(1000))}
 	}
-	t.compact()
-	return t
+	return NewTable("b", NewSchema([]rel.ColID{1, 2, 3, 4}), rows)
 }
 
 func drain(b *testing.B, it Iterator) int {

@@ -25,6 +25,7 @@ type ColHashGroupBy struct {
 	aggPos   []int
 	size     int
 
+	in   ColBatchIterator
 	out  []Row
 	next int
 	view Batch
@@ -34,7 +35,7 @@ type ColHashGroupBy struct {
 // NewColHashGroupBy resolves grouping columns and aggregate arguments
 // against the input schema.
 func NewColHashGroupBy(in Iterator, schema *Schema, groupCols []rel.ColID, aggs []rel.Agg) *ColHashGroupBy {
-	g := &ColHashGroupBy{In: in, aggs: aggs, aggPos: aggPositions(aggs, schema), size: DefaultBatchSize}
+	g := &ColHashGroupBy{In: in, in: asCols(in), aggs: aggs, aggPos: aggPositions(aggs, schema), size: DefaultBatchSize}
 	for _, c := range groupCols {
 		g.groupPos = append(g.groupPos, schema.Pos(c))
 	}
@@ -61,7 +62,7 @@ func (g *ColHashGroupBy) Open() error {
 	if err := g.In.Open(); err != nil {
 		return err
 	}
-	in := asCols(g.In)
+	in := g.in
 
 	// Per-group state, struct-of-arrays: group keys, row counts, and one
 	// accumulator vector per aggregate. All of it is scratch, dead once
@@ -278,11 +279,12 @@ func (g *ColHashGroupBy) NextBatch() (*Batch, bool, error) {
 // Next returns the next group.
 func (g *ColHashGroupBy) Next() (Row, bool, error) { return g.ra.next(g) }
 
-// Close gives the groups' header vector back and closes the input.
+// Close gives the groups' header vector back and closes the input
+// through its columnar adapter.
 func (g *ColHashGroupBy) Close() error {
 	rowScratch.put(g.out)
 	g.out = nil
-	return g.In.Close()
+	return g.in.Close()
 }
 
 // ColSortGroupBy groups a columnar stream already sorted on the grouping
@@ -519,8 +521,9 @@ func (g *ColSortGroupBy) NextBatch() (*Batch, bool, error) {
 // Next returns the next completed group.
 func (g *ColSortGroupBy) Next() (Row, bool, error) { return g.ra.next(g) }
 
-// Close gives the batch's headers back and closes the input.
+// Close gives the batch's headers back and closes the input through its
+// columnar adapter.
 func (g *ColSortGroupBy) Close() error {
 	g.out.release()
-	return g.In.Close()
+	return g.in.Close()
 }

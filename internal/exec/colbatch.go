@@ -63,8 +63,9 @@ type ColBatchIterator interface {
 // asCols promotes any Iterator to the columnar protocol: columnar
 // operators are returned as themselves, row-producing iterators are
 // wrapped in a transposing adapter. As with asBatch, the adapter
-// delegates Open/Close to the wrapped iterator; callers open the
-// underlying input as usual.
+// delegates Open to the wrapped iterator; its Close gives its vectors
+// back and closes the wrapped iterator, so an operator that promotes an
+// input closes it through what asCols returned.
 func asCols(it Iterator) ColBatchIterator {
 	if ci, ok := it.(ColBatchIterator); ok {
 		return ci
@@ -72,8 +73,17 @@ func asCols(it Iterator) ColBatchIterator {
 	return &rowCols{it: it, in: asBatch(it)}
 }
 
+// closeCols closes an input through the columnar adapter asCols made
+// for it, or directly when none was made yet.
+func closeCols(in ColBatchIterator, it Iterator) error {
+	if in != nil {
+		return in.Close()
+	}
+	return it.Close()
+}
+
 // rowCols adapts a row-batch producer into a columnar one by transposing
-// each batch into reusable vectors.
+// each batch into vectors taken from the scratch pools.
 type rowCols struct {
 	it   Iterator
 	in   BatchIterator
@@ -81,8 +91,18 @@ type rowCols struct {
 	view ColBatch
 }
 
-func (r *rowCols) Open() error  { return r.it.Open() }
-func (r *rowCols) Close() error { return r.it.Close() }
+func (r *rowCols) Open() error { return r.it.Open() }
+
+// Close gives the vectors back and closes the wrapped iterator.
+func (r *rowCols) Close() error {
+	for _, v := range r.vecs {
+		int64Scratch.put(v)
+	}
+	colScratch.put(r.vecs)
+	colScratch.put(r.view.Cols)
+	r.vecs, r.view.Cols = nil, nil
+	return r.it.Close()
+}
 
 func (r *rowCols) Next() (Row, bool, error) {
 	return r.it.Next()
@@ -95,15 +115,13 @@ func (r *rowCols) NextColBatch() (*ColBatch, bool, error) {
 	}
 	n := len(b.Rows)
 	w := len(b.Rows[0])
-	for len(r.vecs) < w {
-		r.vecs = append(r.vecs, nil)
+	if r.vecs == nil {
+		r.vecs = colScratch.get(w)[:w]
+		r.view.Cols = colScratch.get(w)
 	}
 	r.view.Cols = r.view.Cols[:0]
-	for j := 0; j < w; j++ {
-		if cap(r.vecs[j]) < n {
-			r.vecs[j] = make([]int64, n)
-		}
-		r.vecs[j] = r.vecs[j][:n]
+	for j := range r.vecs {
+		r.vecs[j] = growScratch(&int64Scratch, r.vecs[j], n)
 		r.view.Cols = append(r.view.Cols, r.vecs[j])
 	}
 	for i, row := range b.Rows {

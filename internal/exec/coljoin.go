@@ -15,7 +15,7 @@ type ColHashJoin struct {
 	// KeyHint estimates the distinct build keys, as in HashJoin.
 	KeyHint int
 
-	lpos, rpos     int
+	lpos, rpos     int32
 	proj           []int
 	lwidth, rwidth int
 	size           int
@@ -26,6 +26,7 @@ type ColHashJoin struct {
 	// are the table's own column vectors and brows maps each build row
 	// to its row there, so the build copies no value the table already
 	// holds; otherwise bcols are scratch copies.
+	left   ColBatchIterator
 	right  ColBatchIterator
 	stored bool
 	bcols  [][]int64
@@ -40,7 +41,7 @@ type ColHashJoin struct {
 	// vectors may be recycled by the producer, so pending matches are
 	// flushed before pulling the next batch.
 	pb          *ColBatch
-	pi, pn      int
+	pi, pn      int32
 	prow, phead []int32
 	hit         int32
 	probeRow    int32
@@ -58,7 +59,7 @@ type ColHashJoin struct {
 func NewColHashJoin(left, right Iterator, lschema, rschema *Schema, lcol, rcol int, proj []int) *ColHashJoin {
 	return &ColHashJoin{
 		Left: left, Right: right,
-		lpos: lcol, rpos: rcol,
+		lpos: int32(lcol), rpos: int32(rcol),
 		proj:   proj,
 		lwidth: lschema.Width(),
 		rwidth: rschema.Width(),
@@ -85,13 +86,15 @@ func (h *ColHashJoin) Open() error {
 	if err := h.Right.Open(); err != nil {
 		return err
 	}
-	h.right = asCols(h.Right)
+	if h.left == nil {
+		h.left, h.right = asCols(h.Left), asCols(h.Right)
+	}
 	h.pb, h.pi, h.pn, h.hit, h.probeRow = nil, 0, 0, -1, 0
 	h.lidx = int32Scratch.get(h.size)[:h.size]
 	h.ridx = int32Scratch.get(h.size)[:h.size]
 	h.ra.reset()
 
-	build := asCols(h.Left)
+	build := h.left
 	scan := storedSource(h.Left)
 	if h.stored = scan != nil; h.stored {
 		h.bcols = scan.Tab.cols
@@ -204,7 +207,7 @@ func (h *ColHashJoin) nextMatches() (int, error) {
 		h.prow = growScratch(&int32Scratch, h.prow, cb.Len())
 		h.phead = growScratch(&int32Scratch, h.phead, cb.Len())
 		h.pb, h.pi = cb, 0
-		h.pn = h.head.probeHits(cb.Cols[h.rpos][:cb.N], cb.Sel, h.prow, h.phead)
+		h.pn = int32(h.head.probeHits(cb.Cols[h.rpos][:cb.N], cb.Sel, h.prow, h.phead))
 	}
 }
 
@@ -275,7 +278,7 @@ func (h *ColHashJoin) NextBatch() (*Batch, bool, error) {
 func (h *ColHashJoin) Next() (Row, bool, error) { return h.ra.next(h) }
 
 // Close gives the build storage and the probe scratch back and closes
-// both inputs.
+// both inputs through their columnar adapters.
 func (h *ColHashJoin) Close() error {
 	if !h.stored { // else bcols are the table's
 		for _, v := range h.bcols {
@@ -296,8 +299,8 @@ func (h *ColHashJoin) Close() error {
 	h.out.release()
 	h.bcols, h.brows, h.vecs, h.chain, h.lidx, h.ridx, h.prow, h.phead = nil, nil, nil, nil, nil, nil, nil, nil
 	h.pb = nil
-	err := h.Left.Close()
-	if err2 := h.Right.Close(); err == nil {
+	err := closeCols(h.left, h.Left)
+	if err2 := closeCols(h.right, h.Right); err == nil {
 		err = err2
 	}
 	return err

@@ -6,15 +6,14 @@ import (
 	"repro/internal/rel"
 )
 
-// ColScan reads a stored relation's column-major projection front to
-// back, one columnar batch per call. The returned batches are zero-copy
+// ColScan reads a stored relation's column-major slab front to back,
+// one columnar batch per call. The returned batches are zero-copy
 // windows of the table's column vectors. Its row-protocol side
-// (NextBatch) serves zero-copy views of the stored rows, exactly like
-// TableScan, so row consumers above a ColScan pay nothing for the
-// columnar capability below them.
+// (NextBatch) serves the stored rows themselves, exactly like TableScan,
+// so row consumers above a ColScan pay nothing for the columnar
+// capability below them.
 type ColScan struct {
-	// Tab is the relation scanned; it must carry a columnar projection
-	// (Table.compact builds one).
+	// Tab is the relation scanned.
 	Tab *Table
 
 	size    int
@@ -24,16 +23,12 @@ type ColScan struct {
 	lo, hi  int
 	next    int
 	view    ColBatch
-	rview   Batch
+	out     Batch
 	ra      rowAdapter
 }
 
-// NewColScan creates a columnar scan over a table; it returns nil when
-// the table has no columnar projection (callers fall back to TableScan).
+// NewColScan creates a columnar scan over a table.
 func NewColScan(t *Table) *ColScan {
-	if t.cols == nil {
-		return nil
-	}
 	return &ColScan{Tab: t, size: DefaultBatchSize}
 }
 
@@ -50,7 +45,7 @@ func (s *ColScan) SetStripe(i, n int) { s.stripe, s.stripes = i, n }
 
 // Open resets the scan to the first row of its stripe.
 func (s *ColScan) Open() error {
-	total := len(s.Tab.Rows)
+	total := s.Tab.Len()
 	s.lo, s.hi = 0, total
 	if s.stripes > 1 {
 		s.lo = s.stripe * total / s.stripes
@@ -88,7 +83,7 @@ func (s *ColScan) NextColBatch() (*ColBatch, bool, error) {
 	return &s.view, true, nil
 }
 
-// NextBatch returns the next batch of stored rows as a zero-copy view.
+// NextBatch returns the next batch of stored rows, zero-copy.
 func (s *ColScan) NextBatch() (*Batch, bool, error) {
 	if s.ctx != nil {
 		if err := s.ctx.Err(); err != nil {
@@ -98,22 +93,21 @@ func (s *ColScan) NextBatch() (*Batch, bool, error) {
 	if s.next >= s.hi {
 		return nil, false, nil
 	}
-	end := s.next + s.size
-	if end > s.hi {
-		end = s.hi
-	}
-	s.rview.Rows = s.Tab.Rows[s.next:end]
+	end := min(s.next+s.size, s.hi)
+	s.out.reset(s.size)
+	s.out.addStored(s.Tab, s.next, end)
 	s.next = end
-	return &s.rview, true, nil
+	return &s.out, true, nil
 }
 
 // Next returns the next stored row.
 func (s *ColScan) Next() (Row, bool, error) { return s.ra.next(s) }
 
-// Close gives the column-window vector back.
+// Close gives the column-window vector and the batch's headers back.
 func (s *ColScan) Close() error {
 	colScratch.put(s.view.Cols)
 	s.view.Cols = nil
+	s.out.release()
 	return nil
 }
 
@@ -213,10 +207,9 @@ func (f *ColFilter) NextBatch() (*Batch, bool, error) {
 	}
 	f.out.reset(f.size)
 	if f.scan != nil {
-		base := f.scan.next - cb.N
-		rows := f.scan.Tab.Rows[base:]
+		tab, base := f.scan.Tab, f.scan.next-cb.N
 		for _, s := range cb.Sel {
-			f.out.add(rows[s])
+			f.out.add(tab.Row(base + int(s)))
 		}
 		return &f.out, true, nil
 	}
@@ -228,12 +221,12 @@ func (f *ColFilter) NextBatch() (*Batch, bool, error) {
 func (f *ColFilter) Next() (Row, bool, error) { return f.ra.next(f) }
 
 // Close gives the selection vector and the batch's headers back and
-// closes the input.
+// closes the input through its columnar adapter.
 func (f *ColFilter) Close() error {
 	int32Scratch.put(f.selbuf)
 	f.selbuf = nil
 	f.out.release()
-	return f.In.Close()
+	return f.in.Close()
 }
 
 // selectDense fills sel with the indexes of the rows in [0,n) satisfying
@@ -508,10 +501,10 @@ func (p *ColProject) NextBatch() (*Batch, bool, error) {
 func (p *ColProject) Next() (Row, bool, error) { return p.ra.next(p) }
 
 // Close gives the column-window vector and the batch's headers back and
-// closes the input.
+// closes the input through its columnar adapter.
 func (p *ColProject) Close() error {
 	colScratch.put(p.view.Cols)
 	p.view.Cols = nil
 	p.out.release()
-	return p.In.Close()
+	return p.in.Close()
 }

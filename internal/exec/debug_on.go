@@ -2,6 +2,7 @@
 
 package exec
 
-// debugPools is set by the volcano_debug build tag: scratch pools then
-// poison what they hand out and take back (scratch.go).
-const debugPools = true
+// debugBuild is set by the volcano_debug build tag: scratch pools then
+// poison what they hand out and take back (scratch.go), and every Run
+// checks the stored tables against their checksums (Table.verify).
+const debugBuild = true

@@ -62,64 +62,113 @@ func (s *Schema) Has(c rel.ColID) bool { return s.find(c) >= 0 }
 // Width returns the number of columns.
 func (s *Schema) Width() int { return len(s.Cols) }
 
-// Table is a stored relation.
+// Table is a stored relation. Its contents live in two pointer-free
+// slabs, both in clustered scan order: the row-major slab, where stored
+// row i is the window rows[i*w:(i+1)*w], and the column-major slab, one
+// vector of n values per schema column, which a ColScan serves as
+// transpose-free column windows. There is no header per stored row: the
+// row operators make a row's header where they emit it (Row), so the
+// collector has nothing to mark inside a table but its two slabs. A
+// table is built only by NewTable or FromData, and is never written
+// after that.
 type Table struct {
 	// Name is the relation name.
 	Name string
 	// Schema is the table's column layout.
 	Schema *Schema
-	// Rows is the table's contents.
-	Rows []Row
 
-	// cols is the column-major projection of Rows, built once by
-	// compact: one dense vector per column, in clustered order, so a
-	// ColScan produces columnar batches as zero-copy windows without a
-	// transpose on the hot path. Nil for tables that were never
-	// compacted (hand-built test tables) or are empty; the plan builder
-	// falls back to row scans then.
+	n, w int
+	// rows is the row-major slab.
+	rows []int64
+	// cols are the column vectors, windows of the column-major slab.
 	cols [][]int64
+	// sum is the checksum of both slabs at build, kept by debug builds
+	// only (verify).
+	sum uint64
 }
 
-// compact rewrites the table's row storage into one contiguous slab in
-// scan order, and builds the column-major projection from it. Loaded
-// rows arrive as individually allocated slices in whatever order the
-// loader produced them; after sorting into clustered order a scan would
-// chase pointers all over the heap. The slab makes a full scan a
-// sequential sweep and frees the per-row allocations.
-func (t *Table) compact() {
-	width := 0
-	for _, r := range t.Rows {
-		width += len(r)
-	}
-	slab := make([]int64, 0, width)
-	for i, r := range t.Rows {
-		off := len(slab)
-		slab = append(slab, r...)
-		t.Rows[i] = Row(slab[off:len(slab):len(slab)])
+// NewTable builds a stored table from rows in the order given, copying
+// their values into the table's slabs. Every row must have the schema's
+// width.
+func NewTable(name string, schema *Schema, rows []Row) *Table {
+	t := &Table{Name: name, Schema: schema}
+	t.compact(rows)
+	return t
+}
+
+// Len returns the number of stored rows.
+func (t *Table) Len() int { return t.n }
+
+// Row returns stored row i: a window of the row slab, not a copy. Its
+// capacity ends with the row, so an append to it cannot write into the
+// next one. Stored rows must not be written.
+func (t *Table) Row(i int) Row {
+	lo := i * t.w
+	return Row(t.rows[lo : lo+t.w : lo+t.w])
+}
+
+// compact copies rows into the table's row-major slab, one contiguous
+// sweep in scan order, and builds the column-major slab from it. Loaded
+// rows arrive as individually allocated slices; after compaction a scan
+// reads memory sequentially, and the loaded rows, headers included, are
+// garbage.
+func (t *Table) compact(rows []Row) {
+	t.n, t.w = len(rows), t.Schema.Width()
+	t.rows = make([]int64, t.n*t.w)
+	for i, r := range rows {
+		if len(r) != t.w {
+			panic(fmt.Sprintf("exec: table %q row %d has %d values, schema width %d", t.Name, i, len(r), t.w))
+		}
+		copy(t.rows[i*t.w:], r)
 	}
 	t.buildCols()
+	if debugBuild {
+		t.sum = t.checksum()
+	}
 }
 
-// buildCols materializes the table's column-major projection: one
-// vector per schema column, carved from a single slab. It doubles the
-// table's memory footprint in exchange for transpose-free columnar
-// scans; both layouts share the clustered order.
+// buildCols builds the column-major slab from the row slab, carved into
+// one vector per schema column. It doubles the table's footprint in
+// exchange for transpose-free columnar scans.
 func (t *Table) buildCols() {
-	n := len(t.Rows)
-	w := t.Schema.Width()
-	if n == 0 || w == 0 {
-		t.cols = nil
-		return
+	slab := make([]int64, t.w*t.n)
+	t.cols = make([][]int64, t.w)
+	for j := range t.cols {
+		t.cols[j] = slab[j*t.n : (j+1)*t.n : (j+1)*t.n]
 	}
-	slab := make([]int64, w*n)
-	t.cols = make([][]int64, w)
-	for j := 0; j < w; j++ {
-		t.cols[j] = slab[j*n : (j+1)*n : (j+1)*n]
-	}
-	for i, r := range t.Rows {
-		for j, v := range r {
+	for i := 0; i < t.n; i++ {
+		for j, v := range t.Row(i) {
 			t.cols[j][i] = v
 		}
+	}
+}
+
+// checksum hashes both slabs.
+func (t *Table) checksum() uint64 {
+	h := uint64(14695981039346656037)
+	for _, slab := range append([][]int64{t.rows}, t.cols...) {
+		for _, v := range slab {
+			h = (h ^ uint64(v)) * 1099511628211
+		}
+	}
+	return h
+}
+
+// verify panics, naming the table, when its row and column slabs
+// disagree or either changed since the table was built: a stored row is
+// shared with every result that returns it, so a write through a result
+// row lands here. Only debug builds record the checksum it compares.
+func (t *Table) verify() {
+	for i := 0; i < t.n; i++ {
+		for j, v := range t.Row(i) {
+			if t.cols[j][i] != v {
+				panic(fmt.Sprintf("exec: table %q: row %d column %d reads %d in the row slab, %d in the column slab",
+					t.Name, i, j, v, t.cols[j][i]))
+			}
+		}
+	}
+	if sum := t.checksum(); sum != t.sum {
+		panic(fmt.Sprintf("exec: table %q changed since it was built (checksum %x, was %x)", t.Name, sum, t.sum))
 	}
 }
 
@@ -168,6 +217,13 @@ func (db *DB) countRun(rows int, err error) {
 	db.rows.Add(int64(rows))
 }
 
+// verifyTables runs Table.verify on every table of the instance.
+func (db *DB) verifyTables() {
+	for _, t := range db.tables {
+		t.verify()
+	}
+}
+
 // NewDB creates an empty database.
 func NewDB() *DB { return &DB{tables: make(map[string]*Table)} }
 
@@ -186,20 +242,21 @@ func FromData(cat *rel.Catalog, data map[string][][]int64) *DB {
 		if t == nil {
 			panic(fmt.Sprintf("exec: data for unknown table %q", name))
 		}
-		tab := &Table{Name: name, Schema: NewSchema(t.Columns), Rows: make([]Row, len(rows))}
+		schema := NewSchema(t.Columns)
+		loaded := make([]Row, len(rows))
 		for i, r := range rows {
-			tab.Rows[i] = Row(r)
+			loaded[i] = Row(r)
 		}
 		// Respect the catalog's clustered order: the optimizer relies
 		// on file scans delivering it.
 		if len(t.Ordered) > 0 {
 			keys := make([]sortKey, len(t.Ordered))
 			for i, c := range t.Ordered {
-				keys[i].pos = tab.Schema.Pos(c)
+				keys[i].pos = schema.Pos(c)
 			}
-			sortRows(tab.Rows, keys)
+			sortRows(loaded, keys)
 		}
-		tab.compact()
+		tab := NewTable(name, schema, loaded)
 		db.Add(tab)
 	}
 	return db

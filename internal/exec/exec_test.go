@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -174,4 +175,39 @@ func TestParallelPlanMatchesSerial(t *testing.T) {
 				trial, len(got), len(want), parPlan.Format())
 		}
 	}
+}
+
+// TestTableFootprint pins what a loaded table keeps alive: its two slabs
+// of rows × width values, row-major and column-major, and nothing per
+// row. A 24-byte header per stored row would add 37% to them.
+func TestTableFootprint(t *testing.T) {
+	const rows, width = 100000, 4
+	cat := rel.NewCatalog()
+	tab := cat.AddTable("t", rows, 8*width)
+	for _, name := range []string{"a", "b", "c", "d"} {
+		cat.AddColumn(tab, name, rows, 0, rows-1)
+	}
+	load := func() *exec.DB {
+		data := make([][]int64, rows)
+		for i := range data {
+			data[i] = []int64{int64(i), int64(i % 7), int64(i % 11), int64(i % 13)}
+		}
+		return exec.FromData(cat, map[string][][]int64{"t": data})
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // and the scratch pools' victim caches
+	runtime.ReadMemStats(&before)
+	db := load()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	retained := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	const slabs = 2 * 8 * rows * width
+	if retained > slabs+slabs/20 {
+		t.Errorf("a loaded %d x %d table retains %d B; its two slabs are %d B", rows, width, retained, slabs)
+	}
+	if db.Table("t").Len() != rows {
+		t.Fatalf("the table holds %d rows, want %d", db.Table("t").Len(), rows)
+	}
+	runtime.KeepAlive(db)
 }

@@ -289,12 +289,11 @@ func TestSmallSelectionJoinAllocations(t *testing.T) {
 	const n = 5000
 	rng := rand.New(rand.NewSource(13))
 	table := func(cols []rel.ColID, row func(i int) Row) *Table {
-		tab := &Table{Name: "t", Schema: NewSchema(cols), Rows: make([]Row, n)}
-		for i := range tab.Rows {
-			tab.Rows[i] = row(i)
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = row(i)
 		}
-		tab.compact()
-		return tab
+		return NewTable("t", NewSchema(cols), rows)
 	}
 	// The build: v < 13 keeps 13 rows, whose keys span about 800 values.
 	build := table([]rel.ColID{1, 2, 3}, func(i int) Row {

@@ -48,9 +48,12 @@ func TestStackedFiltersFoldIntoOneOperator(t *testing.T) {
 		t.Fatalf("NoFusion build: filter input %T, want *exec.TableScan (filters not folded)", f.In)
 	}
 
+	// A stored row is a window of the table's row slab: the address of
+	// its first value names it.
+	tab := db.Table("R1")
 	stored := map[*int64]bool{}
-	for _, r := range db.Table("R1").Rows {
-		stored[&r[0]] = true
+	for i := range tab.Len() {
+		stored[&tab.Row(i)[0]] = true
 	}
 	rows, _, err := exec.RunOpts(context.Background(), db, plan, nil, exec.Options{})
 	if err != nil {
@@ -65,6 +68,9 @@ func TestStackedFiltersFoldIntoOneOperator(t *testing.T) {
 		}
 		if !stored[&r[0]] {
 			t.Fatalf("row %d = %v is a copy, not the stored row", i, r)
+		}
+		if cap(r) != len(r) {
+			t.Fatalf("row %d = %v has capacity %d: an append to it would write into the next stored row", i, r, cap(r))
 		}
 	}
 
@@ -231,16 +237,20 @@ func genStatement(rng *rand.Rand, tables int) (sql string, orderBy []string, des
 
 // TestGeneratedPlansThreeWays runs generated statements three ways —
 // the default build, the NoFusion row kernels, and the by-definition
-// reference evaluator — over tables with a columnar projection and over
-// the same rows without one (the row-kernel fallback), and requires
+// reference evaluator — over the loaded tables and over copies rebuilt
+// by NewTable from the rows Table.Row reads out of them, and requires
 // equal multisets everywhere and, for ORDER BY, the same key sequence
 // in the requested order from both builds.
 func TestGeneratedPlansThreeWays(t *testing.T) {
-	cat, compacted, _ := smallData(t, 51, 4)
-	plain := exec.NewDB()
+	cat, loaded, _ := smallData(t, 51, 4)
+	rebuilt := exec.NewDB()
 	for i := 1; i <= 4; i++ {
-		src := compacted.Table(tname(i))
-		plain.Add(&exec.Table{Name: src.Name, Schema: src.Schema, Rows: append([]exec.Row(nil), src.Rows...)})
+		src := loaded.Table(tname(i))
+		rows := make([]exec.Row, src.Len())
+		for j := range rows {
+			rows[j] = src.Row(j)
+		}
+		rebuilt.Add(exec.NewTable(src.Name, src.Schema, rows))
 	}
 	rng := rand.New(rand.NewSource(52))
 	for trial := 0; trial < 150; trial++ {
@@ -254,13 +264,13 @@ func TestGeneratedPlansThreeWays(t *testing.T) {
 		if err != nil || plan == nil {
 			t.Fatalf("%q: optimize: %v", sql, err)
 		}
-		ref, refSchema, err := exec.Reference(compacted, parsed.Tree)
+		ref, refSchema, err := exec.Reference(loaded, parsed.Tree)
 		if err != nil {
 			t.Fatalf("%q: reference: %v", sql, err)
 		}
 		want := exec.Fingerprint(exec.Canonical(ref, refSchema))
 
-		for dbName, db := range map[string]*exec.DB{"compacted": compacted, "plain": plain} {
+		for dbName, db := range map[string]*exec.DB{"loaded": loaded, "rebuilt": rebuilt} {
 			var keySeq string
 			for _, cfg := range []struct {
 				name string

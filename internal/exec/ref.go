@@ -18,7 +18,11 @@ func Reference(db *DB, t *core.ExprTree) ([]Row, *Schema, error) {
 		if tab == nil {
 			return nil, nil, fmt.Errorf("exec: table %q not loaded", op.Tab.Name)
 		}
-		return tab.Rows, tab.Schema, nil
+		rows := make([]Row, tab.Len())
+		for i := range rows {
+			rows[i] = tab.Row(i)
+		}
+		return rows, tab.Schema, nil
 
 	case *rel.Select:
 		rows, schema, err := Reference(db, t.Children[0])

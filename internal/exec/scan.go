@@ -7,8 +7,8 @@ import (
 )
 
 // TableScan reads a stored relation front to back (filescan), one batch
-// of rows per call. The returned batches are zero-copy views of the
-// stored rows.
+// of rows per call. The returned rows are the stored rows themselves
+// (Table.Row); only the batch's header vector is the scan's.
 type TableScan struct {
 	// Tab is the relation scanned.
 	Tab *Table
@@ -19,7 +19,7 @@ type TableScan struct {
 	stripes int
 	lo, hi  int
 	next    int
-	view    Batch
+	out     Batch
 	ra      rowAdapter
 }
 
@@ -42,7 +42,7 @@ func (s *TableScan) SetStripe(i, n int) { s.stripe, s.stripes = i, n }
 
 // Open resets the scan to the first row of its stripe.
 func (s *TableScan) Open() error {
-	total := len(s.Tab.Rows)
+	total := s.Tab.Len()
 	s.lo, s.hi = 0, total
 	if s.stripes > 1 {
 		s.lo = s.stripe * total / s.stripes
@@ -53,7 +53,7 @@ func (s *TableScan) Open() error {
 	return nil
 }
 
-// NextBatch returns the next batch of stored rows as a zero-copy view.
+// NextBatch returns the next batch of stored rows, zero-copy.
 func (s *TableScan) NextBatch() (*Batch, bool, error) {
 	if s.ctx != nil {
 		if err := s.ctx.Err(); err != nil {
@@ -63,20 +63,21 @@ func (s *TableScan) NextBatch() (*Batch, bool, error) {
 	if s.next >= s.hi {
 		return nil, false, nil
 	}
-	end := s.next + s.size
-	if end > s.hi {
-		end = s.hi
-	}
-	s.view.Rows = s.Tab.Rows[s.next:end]
+	end := min(s.next+s.size, s.hi)
+	s.out.reset(s.size)
+	s.out.addStored(s.Tab, s.next, end)
 	s.next = end
-	return &s.view, true, nil
+	return &s.out, true, nil
 }
 
 // Next returns the next stored row.
 func (s *TableScan) Next() (Row, bool, error) { return s.ra.next(s) }
 
-// Close is a no-op for scans.
-func (s *TableScan) Close() error { return nil }
+// Close gives the batch's headers back.
+func (s *TableScan) Close() error {
+	s.out.release()
+	return nil
+}
 
 // compiledPred is a predicate with schema positions resolved.
 type compiledPred struct {
@@ -198,14 +199,14 @@ func (f *Filter) nextFused() (*Batch, bool, error) {
 			return nil, false, err
 		}
 	}
-	rows := f.fused.Tab.Rows
+	tab := f.fused.Tab
 	if len(f.preds) == 1 && f.preds[0].otherPos < 0 {
 		// Fusion admits one more specialization: the dominant
 		// single-conjunct column-vs-constant filter runs as a direct
 		// compare loop, no conjunct iteration per row.
 		p := f.preds[0]
 		for f.fi < f.fused.hi && len(f.out.Rows) < f.size {
-			row := rows[f.fi]
+			row := tab.Row(f.fi)
 			f.fi++
 			if p.op.Eval(row[p.pos], p.val) {
 				f.out.add(row)
@@ -213,7 +214,7 @@ func (f *Filter) nextFused() (*Batch, bool, error) {
 		}
 	} else {
 		for f.fi < f.fused.hi && len(f.out.Rows) < f.size {
-			row := rows[f.fi]
+			row := tab.Row(f.fi)
 			f.fi++
 			if evalPreds(f.preds, row) {
 				f.out.add(row)

@@ -55,7 +55,7 @@ func (p *scratchPool[T]) get(n int) []T {
 	if c >= len(p.classes) {
 		return make([]T, 0, n)
 	}
-	if debugPools {
+	if debugBuild {
 		return p.poisoned(make([]T, 1<<c))[:0]
 	}
 	if box, _ := p.classes[c].Get().(*[]T); box != nil {
@@ -97,7 +97,7 @@ func (p *scratchPool[T]) put(v []T) {
 	if cap(v) == 0 {
 		return
 	}
-	if debugPools {
+	if debugBuild {
 		p.poisoned(v[:cap(v)])
 		return
 	}

@@ -116,15 +116,14 @@ func TestSortMatchesStableOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, c := range genSortCases(rng) {
 		want := oracleSort(c.rows, c.order)
-		tab := &Table{Name: "t", Schema: sortSchema, Rows: append([]Row(nil), c.rows...)}
-		tab.compact()
+		tab := NewTable("t", sortSchema, c.rows)
 		inputs := map[string]func() Iterator{
 			"iter":    func() Iterator { return iterOf(c.rows...) },
 			"rowscan": func() Iterator { return NewTableScan(tab) },
-			"colscan": func() Iterator { return colScanOf(tab) },
+			"colscan": func() Iterator { return NewColScan(tab) },
 			"colfilter": func() Iterator {
 				// Always true: every row survives, through a selection vector.
-				return NewColFilter(colScanOf(tab), sortSchema, []rel.Pred{{Col: 4, Op: rel.CmpGE, Val: 0}})
+				return NewColFilter(NewColScan(tab), sortSchema, []rel.Pred{{Col: 4, Op: rel.CmpGE, Val: 0}})
 			},
 		}
 		for in, mk := range inputs {
@@ -187,12 +186,11 @@ const sortBenchRows = 60000
 
 func sortBenchTable() *Table {
 	rng := rand.New(rand.NewSource(1))
-	t := &Table{Name: "s", Schema: sortSchema, Rows: make([]Row, sortBenchRows)}
-	for i := range t.Rows {
-		t.Rows[i] = Row{int64(i), 1 + int64(rng.Intn(200000/6)), int64(rng.Intn(200000 / 12)), int64(rng.Intn(1000))}
+	rows := make([]Row, sortBenchRows)
+	for i := range rows {
+		rows[i] = Row{int64(i), 1 + int64(rng.Intn(200000/6)), int64(rng.Intn(200000 / 12)), int64(rng.Intn(1000))}
 	}
-	t.compact()
-	return t
+	return NewTable("s", sortSchema, rows)
 }
 
 var sortBenchOrder = []relopt.OrderCol{{Col: 2}}
@@ -304,15 +302,16 @@ func TestFromDataClustersOnOrdered(t *testing.T) {
 	}
 	got := FromData(cat, map[string][][]int64{"t": data}).Table("t")
 	pa, pb := got.Schema.Pos(a), got.Schema.Pos(b)
-	for i, r := range got.Rows {
+	for i := range got.Len() {
+		r := got.Row(i)
 		if i > 0 {
-			prev := got.Rows[i-1]
+			prev := got.Row(i - 1)
 			if prev[pb] > r[pb] || prev[pb] == r[pb] && prev[pa] > r[pa] {
 				t.Fatalf("rows %d and %d are not in stable clustered order: %v, %v", i-1, i, prev, r)
 			}
 		}
 		if got.cols[pa][i] != r[pa] || got.cols[pb][i] != r[pb] {
-			t.Fatalf("row %d: columnar projection %d,%d differs from the row %v", i, got.cols[pa][i], got.cols[pb][i], r)
+			t.Fatalf("row %d: column slab %d,%d differs from the row %v", i, got.cols[pa][i], got.cols[pb][i], r)
 		}
 	}
 }

@@ -318,7 +318,18 @@ func (s *Server) endpoint(path string, fn handlerFn) {
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "overloaded, request shed"})
 			return
 		}
-		defer s.adm.release()
+		// The slot is released as soon as fn returns, before the
+		// response is written: a client that has read the whole body
+		// must find the slot free. The guard keeps the deferred release
+		// for the error and panic paths from releasing it twice.
+		released := false
+		release := func() {
+			if !released {
+				released = true
+				s.adm.release()
+			}
+		}
+		defer release()
 		if s.onAdmitted != nil {
 			s.onAdmitted()
 		}
@@ -342,6 +353,7 @@ func (s *Server) endpoint(path string, fn handlerFn) {
 		ctx = vdb.WithBudget(ctx, budget)
 
 		body, res, err := fn(ctx, &req)
+		release()
 		if err != nil {
 			status := classify(r.Context(), ctx, err)
 			switch status {
