@@ -18,8 +18,11 @@ test-race:
 test-debug:
 	$(GO) test -tags volcano_debug -race ./internal/exec/ ./internal/vdb/
 
+# bench/ is a module of its own, which the root `go vet ./...` does not
+# reach.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # staticcheck runs when the binary is available (CI installs it; the
 # local toolchain need not have it).
@@ -100,6 +103,11 @@ fig4-json:
 # exploration alone, profile the package benchmark behind bench-explore:
 #   go test -run NONE -bench BenchmarkExploreFig4 -cpuprofile cpu.pprof \
 #     -memprofile mem.pprof -o /tmp/relopt.test ./internal/relopt/
+# To count every allocation rather than a sample, and see which callers
+# make a function's objects (how the boxed cost arithmetic was found):
+#   GODEBUG=memprofilerate=1 go test -run NONE -bench BenchmarkExploreFig4 \
+#     -benchtime 20x -memprofile mem.pprof -o /tmp/relopt.test ./internal/relopt/
+#   go tool pprof -sample_index=alloc_objects -peek 'FUNC' /tmp/relopt.test mem.pprof
 EXPERIMENT ?= fig4
 profile:
 	$(GO) run ./cmd/volcano-bench -experiment $(EXPERIMENT) -json "" \

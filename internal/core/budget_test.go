@@ -108,7 +108,7 @@ func TestStepBudgetDegrades(t *testing.T) {
 	if !plan.Delivered.Covers(toyColor(1)) {
 		t.Fatalf("degraded plan does not cover the requirement: %s", plan.Format())
 	}
-	if plan.Cost.Less(optimal.Cost) {
+	if toyCosts.Less(plan.Cost, optimal.Cost) {
 		t.Fatalf("degraded cost %v below optimum %v", plan.Cost, optimal.Cost)
 	}
 	if s := opt.Stats().Steps(); s > 1 {
@@ -127,7 +127,7 @@ func TestBudgetStopNeverAboveSeedFloor(t *testing.T) {
 	overshoot := func(o *core.Optimizer, root core.GroupID, required core.PhysProps) *core.SeedPlan {
 		seed := o.SyntacticSeed(root, required)
 		if seed != nil {
-			seed.Cost = seed.Cost.Add(toyCost(20))
+			seed.Cost = seed.Cost.(toyCost).Add(20)
 		}
 		return seed
 	}
@@ -152,7 +152,7 @@ func TestBudgetStopNeverAboveSeedFloor(t *testing.T) {
 			if plan == nil || floor == nil {
 				t.Fatalf("%s, MaxSteps %d: plan %v, floor %v", policy, steps, plan, floor)
 			}
-			if floor.Less(plan.Cost) {
+			if toyCosts.Less(floor, plan.Cost) {
 				t.Errorf("%s, MaxSteps %d: budget-stopped plan costs %v, above the seed floor %v", policy, steps, plan.Cost, floor)
 			}
 		}

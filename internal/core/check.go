@@ -141,7 +141,7 @@ func (m *Memo) checkWinner(g *Group, w *winner) error {
 	if w.excluded != nil && p.Delivered.Covers(w.excluded) {
 		return fail("plan delivers %s, covering the excluded vector %s", p.Delivered, w.excluded)
 	}
-	if p.Cost.Less(w.cost) || w.cost.Less(p.Cost) {
+	if m.costs.Less(p.Cost, w.cost) || m.costs.Less(w.cost, p.Cost) {
 		return fail("recorded cost %s but the plan costs %s", w.cost, p.Cost)
 	}
 	if p.Group < 1 || int(p.Group) > len(m.groups) || m.Find(p.Group) != g.id {

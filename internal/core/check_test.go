@@ -37,7 +37,7 @@ func TestMemoCheckDetectsCorruption(t *testing.T) {
 		}, "left in progress"},
 		{"winner cost", func(o *Optimizer, g *Group) {
 			w := g.lookupWinner(required, nil)
-			w.cost = w.cost.Add(w.cost)
+			w.cost = w.cost.(hpCost).Add(w.cost.(hpCost))
 		}, "recorded cost"},
 		{"winner props", func(o *Optimizer, g *Group) {
 			w := g.lookupWinner(required, nil)

@@ -116,13 +116,10 @@ type moveSet struct {
 }
 
 // implMatch is a binding of the implementation rule at index rule in the
-// model's list, at a class member. floor caches the sum of its leaves'
-// admissible floors (Optimizer.matchFloor); class floors change only
-// through Rederive, which drops the matches with them.
+// model's list, at a class member.
 type implMatch struct {
-	rule  int
-	b     *Binding
-	floor Cost
+	rule int
+	b    *Binding
 }
 
 // reset voids the set for re-collection from scratch. The moves slice is

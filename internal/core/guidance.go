@@ -2,7 +2,7 @@ package core
 
 // Guided branch-and-bound. The paper's directed dynamic programming
 // derives its efficiency from descending cost limits, yet a cold start
-// at InfiniteCost() prunes nothing until the depth-first search happens
+// at an infinite limit prunes nothing until the depth-first search happens
 // to complete a first plan. The guidance layer closes that gap: a seed
 // planner produces a cheap complete plan up front, and the seed's cost
 // becomes the initial limit. Because the seed is achievable, the optimal
@@ -79,9 +79,9 @@ const (
 // the ordinary tables across stages: winners recorded under any finite
 // limit are globally optimal, and a failure at limit F certifies that no
 // plan costs less than F, so both are sound to reuse at higher limits.
-func (o *Optimizer) guidedOptimize(root GroupID, required PhysProps, limit Cost) *Plan {
+func (o *search[C]) guidedOptimize(root GroupID, required PhysProps, limit C) *Plan {
 	var seedCost Cost
-	if seed := o.opts.Guidance.SeedPlanner(o, root, required); seed != nil {
+	if seed := o.opts.Guidance.SeedPlanner(o.Optimizer, root, required); seed != nil {
 		seedCost = seed.Cost
 		o.stats.SeedCost = seedCost
 		if seed.Plan != nil {
@@ -92,7 +92,7 @@ func (o *Optimizer) guidedOptimize(root GroupID, required PhysProps, limit Cost)
 			o.stats.SeedFloorCost = seed.Plan.Cost
 		}
 	}
-	if seedCost == nil || o.opts.Search.NoPruning || !seedCost.Less(limit) {
+	if seedCost == nil || o.opts.Search.NoPruning || !seedCost.(C).Less(limit) {
 		// No usable seed, pruning disabled, or the caller's limit is
 		// already at least as tight as the seed: one unguided stage under
 		// the caller's (inclusive) limit.
@@ -110,7 +110,7 @@ func (o *Optimizer) guidedOptimize(root GroupID, required PhysProps, limit Cost)
 		growth = DefaultSeedGrowth
 	}
 
-	cur := seedCost
+	cur := seedCost.(C)
 	for i := 0; i < stages; i++ {
 		o.stageTrace(root, required, cur)
 		p, transient := o.findBestPlan(root, required, nil, cur, true)
@@ -126,13 +126,12 @@ func (o *Optimizer) guidedOptimize(root GroupID, required PhysProps, limit Cost)
 			// the final stage does.
 			break
 		}
-		sc, ok := cur.(ScalableCost)
+		next, ok := scale(cur, growth)
 		if !ok {
 			// The cost ADT cannot be scaled; skip straight to the
 			// caller's limit.
 			break
 		}
-		next := sc.Scale(growth)
 		if !next.Less(limit) {
 			break
 		}
@@ -148,7 +147,7 @@ func (o *Optimizer) guidedOptimize(root GroupID, required PhysProps, limit Cost)
 
 // stageTrace counts a guided-search limit stage and reports it to the
 // tracer.
-func (o *Optimizer) stageTrace(root GroupID, required PhysProps, limit Cost) {
+func (o *search[C]) stageTrace(root GroupID, required PhysProps, limit C) {
 	o.stats.LimitStages++
 	if o.tracer != nil {
 		o.tracer.Trace(TraceEvent{Kind: TraceLimitStage, Group: root,

@@ -54,22 +54,24 @@ type hpCost uint8
 
 const hpInfinite hpCost = 255
 
-func (c hpCost) Add(o Cost) Cost {
-	if s := int(c) + int(o.(hpCost)); s < int(hpInfinite) {
+func (c hpCost) Add(o hpCost) hpCost {
+	if s := int(c) + int(o); s < int(hpInfinite) {
 		return hpCost(s)
 	}
 	return hpInfinite
 }
 
-func (c hpCost) Sub(o Cost) Cost {
+func (c hpCost) Sub(o hpCost) hpCost {
 	if c == hpInfinite {
 		return c
 	}
-	return c - o.(hpCost)
+	return c - o
 }
 
-func (c hpCost) Less(o Cost) bool { return c < o.(hpCost) }
-func (c hpCost) String() string   { return fmt.Sprintf("%d", int(c)) }
+func (c hpCost) Less(o hpCost) bool { return c < o }
+func (c hpCost) String() string     { return fmt.Sprintf("%d", int(c)) }
+
+var hpCosts = CostsOf(hpCost(0), hpInfinite)
 
 type hpPhys struct{ name string }
 
@@ -170,8 +172,7 @@ func (*hpModel) Enforcers() []*Enforcer {
 }
 
 func (*hpModel) AnyProps() PhysProps { return hpTint(0) }
-func (*hpModel) ZeroCost() Cost      { return hpCost(0) }
-func (*hpModel) InfiniteCost() Cost  { return hpInfinite }
+func (*hpModel) Costs() CostSpace    { return hpCosts }
 
 // hpFloorModel is hpModel with an admissible cost floor: a class of n
 // operators costs at least n.
@@ -433,9 +434,9 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 
 	// An algorithm pursuit that its floor check refutes before optimizing
-	// any input allocates nothing: the input floors are summed once per
-	// class match, and the input plan slices are made only for an input
-	// that survives its check.
+	// any input allocates nothing: the input floors are summed as values,
+	// and the input plan slices are made only for an input that survives
+	// its check.
 	fo := NewOptimizer(&hpFloorModel{}, nil)
 	root := fo.InsertQuery(hpChain(4))
 	if err := fo.ExploreCtx(context.Background(), root); err != nil {
@@ -457,9 +458,10 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	// The join costs 2 and its inputs at least 6 together: a limit of 8
 	// refutes it at the floor check.
-	s := &goal{required: required, limit: hpCost(8)}
+	s := &goal[hpCost]{required: required, limit: hpCost(8)}
 	skipped := fo.stats.MovesSkipped
-	if n := testing.AllocsPerRun(100, func() { fo.pursueAlgorithm(s, fg, mv) }); n != 0 {
+	eng := fo.eng.(*search[hpCost])
+	if n := testing.AllocsPerRun(100, func() { eng.pursueAlgorithm(s, fg, mv) }); n != 0 {
 		t.Errorf("a refuted pursuit allocates %.1f times per run, want 0", n)
 	}
 	if fo.stats.MovesSkipped == skipped || s.best != nil || fo.stats.GoalsOptimized != 0 {

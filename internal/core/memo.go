@@ -29,6 +29,10 @@ type Memo struct {
 	// stores twice as many expressions as it has chains.
 	table []*Expr
 
+	// costs is the model's cost declaration; winner merges compare the
+	// stored costs through it.
+	costs CostSpace
+
 	exprCount int
 	stats     *Stats
 	opts      *Options
@@ -95,6 +99,7 @@ type Memo struct {
 func NewMemo(model Model, opts *Options, stats *Stats) *Memo {
 	m := &Memo{
 		model: model,
+		costs: model.Costs(),
 		table: make([]*Expr, 8),
 		stats: stats,
 		opts:  opts,
@@ -339,7 +344,7 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 	gb.exprs, gb.retired = nil, 0
 	for _, w := range gb.winners {
 		dst := ga.ensureWinnerKeyed(w.key, w.props, w.excluded)
-		if dst.plan == nil || (w.plan != nil && w.cost.Less(dst.cost)) {
+		if dst.plan == nil || (w.plan != nil && m.costs.Less(w.cost, dst.cost)) {
 			dst.plan, dst.cost = w.plan, w.cost
 		}
 		// A goal on the merged-away class that is still on the call
@@ -353,7 +358,7 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 		// with the representative's own entries, which also predate
 		// the unification.
 		if w.failedLimit != nil &&
-			(dst.failedLimit == nil || dst.failedLimit.Less(w.failedLimit)) {
+			(dst.failedLimit == nil || m.costs.Less(dst.failedLimit, w.failedLimit)) {
 			dst.failedLimit = w.failedLimit
 		}
 	}

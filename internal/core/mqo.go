@@ -101,11 +101,13 @@ func (o *Optimizer) OptimizeBatchCtx(ctx context.Context, roots []GroupID, requi
 			o.memo.err = err
 		}
 	}
-	limit := o.model.InfiniteCost()
+	limit := o.memo.costs.Infinite()
 	for i, root := range roots {
 		// A budget stop is sticky in memo.err: findBestPlan then returns
 		// nil for every remaining root, which takes the fallback below.
-		plans[i], _ = o.findBestPlan(root, reqs[i], nil, limit, true)
+		// With the strategies above rejected, the engine runs exactly
+		// findBestPlan.
+		plans[i] = o.eng.optimize(root, reqs[i], limit)
 	}
 	o.stats.SharedGroups = o.memo.sharedGroupCount(roots)
 	o.stats.SharedWinners = sharedPlanNodeCount(plans)
@@ -238,6 +240,7 @@ func MaterializeSharedPlans(model Model, plans []*Plan) ([]*Plan, int) {
 	if !ok {
 		return plans, 0
 	}
+	cs := model.Costs()
 	// Count occurrences of every node across the batch. Each plan is a
 	// tree of occurrences over a DAG of shared nodes: a node used twice
 	// contributes its subtree's occurrences twice, which is exactly the
@@ -271,10 +274,10 @@ func MaterializeSharedPlans(model Model, plans []*Plan) ([]*Plan, int) {
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		if cands[j].Cost.Less(cands[i].Cost) {
+		if cs.Less(cands[j].Cost, cands[i].Cost) {
 			return true
 		}
-		if cands[i].Cost.Less(cands[j].Cost) {
+		if cs.Less(cands[i].Cost, cands[j].Cost) {
 			return false
 		}
 		return order[cands[i]] < order[cands[j]]
@@ -288,13 +291,13 @@ func MaterializeSharedPlans(model Model, plans []*Plan) ([]*Plan, int) {
 		// shared = p + materialize + (k-1) reuses; recompute = k·p.
 		// Cost has no scaling in the base interface, so both sides are
 		// built by repeated addition.
-		shared := p.Cost.Add(matCost)
+		shared := cs.add(p.Cost, matCost)
 		recompute := p.Cost
 		for i := 1; i < k; i++ {
-			shared = shared.Add(reuseCost)
-			recompute = recompute.Add(p.Cost)
+			shared = cs.add(shared, reuseCost)
+			recompute = cs.add(recompute, p.Cost)
 		}
-		if shared.Less(recompute) {
+		if cs.Less(shared, recompute) {
 			decided[p] = &spoolDecision{id: nextID, mat: matCost, reuse: reuseCost}
 			nextID++
 		}
@@ -333,7 +336,7 @@ func MaterializeSharedPlans(model Model, plans []*Plan) ([]*Plan, int) {
 			cp.Inputs = inputs
 			cp.Cost = cp.LocalCost
 			for _, in := range inputs {
-				cp.Cost = cp.Cost.Add(in.Cost)
+				cp.Cost = cs.add(cp.Cost, in.Cost)
 			}
 			out = &cp
 		}
@@ -344,7 +347,7 @@ func MaterializeSharedPlans(model Model, plans []*Plan) ([]*Plan, int) {
 			Op:        sh.BuildMaterialize(d.id, p.LogProps),
 			Inputs:    []*Plan{out},
 			Delivered: p.Delivered, // the spool preserves its input's order
-			Cost:      out.Cost.Add(d.mat),
+			Cost:      cs.add(out.Cost, d.mat),
 			LocalCost: d.mat,
 			Group:     p.Group,
 			LogProps:  p.LogProps,
@@ -428,7 +431,7 @@ func MaterializeSharedPlans(model Model, plans []*Plan) ([]*Plan, int) {
 				cp.Inputs = inputs
 				cp.Cost = cp.LocalCost
 				for _, in := range inputs {
-					cp.Cost = cp.Cost.Add(in.Cost)
+					cp.Cost = cs.add(cp.Cost, in.Cost)
 				}
 				res = &cp
 			}

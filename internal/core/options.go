@@ -256,9 +256,10 @@ type Move struct {
 	// Enforcer is the enforcer for MoveEnforcer moves.
 	Enforcer *Enforcer
 
-	// match is the class match a MoveAlgorithm move was collected from,
-	// which caches its inputs' floor sum. A MoveFilter selects and orders
-	// the moves it is given; it cannot make up algorithm moves.
+	// match is the class match a MoveAlgorithm move was collected from;
+	// the move's floor charge sums the floors of its bound inputs. A
+	// MoveFilter selects and orders the moves it is given; it cannot
+	// make up algorithm moves.
 	match *implMatch
 }
 

@@ -126,7 +126,7 @@ func (o *Optimizer) policyNode(gid GroupID, wk physKey, required, excluded PhysP
 // of local cost plus the admissible floors of its input classes — the
 // same advance charge branch-and-bound uses — so the greedy first
 // descent follows exactly the bound the exhaustive engine prunes with.
-func (o *Optimizer) primeArms(node *policyNode, g *Group, ms *moveSet, from int) {
+func (o *search[C]) primeArms(node *policyNode, g *Group, ms *moveSet, from int) {
 	for i := from; i < len(ms.moves); i++ {
 		a := &node.arms[i]
 		a.prior = math.NaN()
@@ -135,7 +135,7 @@ func (o *Optimizer) primeArms(node *policyNode, g *Group, ms *moveSet, from int)
 		case MoveAlgorithm:
 			floorSum := o.matchFloor(mv.match)
 			for _, alt := range mv.Alts {
-				local := mv.Rule.Cost(o.ctx, mv.match.b, node.required, alt)
+				local := mv.Rule.Cost(o.ctx, mv.match.b, node.required, alt).(C)
 				if m, ok := costMetric(local.Add(floorSum)); ok {
 					if math.IsNaN(a.prior) || m < a.prior {
 						a.prior = m
@@ -149,8 +149,8 @@ func (o *Optimizer) primeArms(node *policyNode, g *Group, ms *moveSet, from int)
 			}
 			charged := mv.Enforcer.Cost(o.ctx, g.logProps, node.required)
 			if o.lower != nil {
-				if lb := o.classFloor(g); lb != nil {
-					charged = charged.Add(lb)
+				if lb, ok := o.floor(g); ok {
+					charged = charged.(C).Add(lb)
 				}
 			}
 			if m, ok := costMetric(charged); ok {
@@ -229,7 +229,7 @@ func (o *Optimizer) selectArm(node *policyNode) int {
 // table. The returned transient flag is true unless the failure is
 // provable (floor refutation, or a goal with no moves at all): one arm
 // per episode never certifies absence.
-func (o *Optimizer) rolloutGoal(gid GroupID, required, excluded PhysProps, limit Cost, inclusive bool) (*Plan, bool) {
+func (o *search[C]) rolloutGoal(gid GroupID, required, excluded PhysProps, limit C, inclusive bool) (*Plan, bool) {
 	if o.memo.err != nil {
 		return nil, true
 	}
@@ -240,8 +240,8 @@ func (o *Optimizer) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 	// Floor refutation is sound regardless of policy: when even the
 	// admissible floor breaks the bound, no plan within it exists.
 	if o.lower != nil && !o.opts.Search.NoPruning {
-		if lb := o.classFloor(g); lb != nil {
-			if inclusive && limit.Less(lb) || !inclusive && costLE(limit, lb) {
+		if lb, ok := o.floor(g); ok {
+			if inclusive && limit.Less(lb) || !inclusive && le(limit, lb) {
 				o.stats.GoalsPruned++
 				return nil, false
 			}
@@ -261,7 +261,7 @@ func (o *Optimizer) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 	if node.onPath {
 		// A cyclic descent answers from the winner table or declines
 		// transiently, like the exhaustive engine's in-progress check.
-		if w := g.lookupWinnerKeyed(wk, required, excluded); w != nil && w.plan != nil && costLE(w.cost, limit) {
+		if w := g.lookupWinnerKeyed(wk, required, excluded); w != nil && w.plan != nil && le(w.cost.(C), limit) {
 			return w.plan, false
 		}
 		return nil, true
@@ -293,12 +293,12 @@ func (o *Optimizer) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 	// The goal's incumbent is the committed winner: the episode must
 	// strictly improve on it, so branch-and-bound refutes worse arms
 	// cheaply.
-	s := &goal{required: required, excluded: excluded, limit: limit, inclusive: inclusive, policy: true}
-	if w := g.lookupWinnerKeyed(wk, required, excluded); w != nil && w.plan != nil && costLE(w.cost, limit) {
+	s := &goal[C]{required: required, excluded: excluded, limit: limit, inclusive: inclusive, policy: true}
+	if w := g.lookupWinnerKeyed(wk, required, excluded); w != nil && w.plan != nil && le(w.cost.(C), limit) {
 		o.stats.WinnerHits++
-		s.best = w.plan
+		s.best, s.bestCost = w.plan, w.cost.(C)
 		if !o.opts.Search.NoPruning {
-			s.limit = w.cost
+			s.limit = s.bestCost
 			s.inclusive = false
 		}
 	}
@@ -365,7 +365,7 @@ func (o *Optimizer) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 		gid = ng
 	}
 	fw := o.memo.groups[gid-1].ensureWinnerKeyed(wk, required, excluded)
-	if s.best != nil && (fw.plan == nil || s.best.Cost.Less(fw.cost)) {
+	if s.best != nil && (fw.plan == nil || s.bestCost.Less(fw.cost.(C))) {
 		fw.plan, fw.cost = s.best, s.best.Cost
 		o.stats.RolloutCommits++
 		if o.tracer != nil {
@@ -380,7 +380,7 @@ func (o *Optimizer) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 		}
 		o.tracer.Trace(ev)
 	}
-	if fw.plan != nil && costLE(fw.cost, limit) {
+	if fw.plan != nil && le(fw.cost.(C), limit) {
 		return fw.plan, false
 	}
 	return nil, true
@@ -395,11 +395,11 @@ func (o *Optimizer) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 // On a clean finish the result is the best of the committed root
 // winner and the vetted fallback ladder, never a bare nil unless no
 // fallback exists: a stochastic policy proves nothing by failing.
-func (o *Optimizer) policyOptimize(root GroupID, required PhysProps, limit Cost) *Plan {
+func (o *search[C]) policyOptimize(root GroupID, required PhysProps, limit C) *Plan {
 	var seedCost Cost
 	var seed *SeedPlan
 	if o.opts.Guidance.SeedPlanner != nil {
-		seed = o.opts.Guidance.SeedPlanner(o, root, required)
+		seed = o.opts.Guidance.SeedPlanner(o.Optimizer, root, required)
 	} else {
 		seed = o.SyntacticSeed(root, required)
 	}
@@ -413,10 +413,10 @@ func (o *Optimizer) policyOptimize(root GroupID, required PhysProps, limit Cost)
 	}
 	rootLimit := limit
 	inclusive := true
-	if seedCost != nil && !o.opts.Search.NoPruning && seedCost.Less(limit) {
+	if seedCost != nil && !o.opts.Search.NoPruning && seedCost.(C).Less(limit) {
 		// The seed is achievable, so the optimum costs at most the
 		// seed; the inclusive bound admits a plan costing exactly it.
-		rootLimit = seedCost
+		rootLimit = seedCost.(C)
 	}
 
 	episodes := o.opts.Search.Episodes
@@ -437,7 +437,7 @@ func (o *Optimizer) policyOptimize(root GroupID, required PhysProps, limit Cost)
 	for ep := 0; ep < episodes && o.memo.err == nil; ep++ {
 		o.pol.episode = ep
 		p, _ := o.rolloutGoal(root, required, nil, rootLimit, inclusive)
-		if p != nil && (best == nil || p.Cost.Less(best.Cost)) {
+		if p != nil && (best == nil || p.Cost.(C).Less(best.Cost.(C))) {
 			best = p
 		}
 		if p == nil && best == nil {
@@ -446,13 +446,14 @@ func (o *Optimizer) policyOptimize(root GroupID, required PhysProps, limit Cost)
 			// that came back empty-handed relaxes the limit geometrically
 			// toward the caller's, exactly like guided search's staged
 			// relaxation, so later episodes can commit real plans.
-			if sc, ok := rootLimit.(ScalableCost); ok && rootLimit.Less(limit) {
-				relaxed := sc.Scale(growth)
-				if limit.Less(relaxed) {
-					relaxed = limit
+			if rootLimit.Less(limit) {
+				if relaxed, ok := scale(rootLimit, growth); ok {
+					if limit.Less(relaxed) {
+						relaxed = limit
+					}
+					rootLimit = relaxed
+					o.stats.LimitStages++
 				}
-				rootLimit = relaxed
-				o.stats.LimitStages++
 			}
 		}
 		o.stats.Episodes++

@@ -49,7 +49,7 @@ func TestPolicyMatchesExhaustiveOnSmallSpace(t *testing.T) {
 		if got == nil {
 			t.Fatalf("%v: no plan", pol)
 		}
-		if got.Cost.Less(want.Cost) || want.Cost.Less(got.Cost) {
+		if toyCosts.Less(got.Cost, want.Cost) || toyCosts.Less(want.Cost, got.Cost) {
 			t.Errorf("%v: cost %s, exhaustive optimum %s", pol, got.Cost, want.Cost)
 		}
 		if !got.Delivered.Covers(toyColor(3)) {
@@ -65,7 +65,7 @@ func TestPolicyMatchesExhaustiveOnSmallSpace(t *testing.T) {
 		if st.SeedCost == nil || st.SeedFloorCost == nil {
 			t.Errorf("%v: seed not captured: SeedCost=%v SeedFloorCost=%v", pol, st.SeedCost, st.SeedFloorCost)
 		}
-		if st.SeedFloorCost.Less(got.Cost) {
+		if toyCosts.Less(st.SeedFloorCost, got.Cost) {
 			t.Errorf("%v: cost %s exceeds the syntactic seed floor %s", pol, got.Cost, st.SeedFloorCost)
 		}
 	}
@@ -128,7 +128,7 @@ func TestPolicyAnytime(t *testing.T) {
 			if st.StopReason == nil {
 				t.Errorf("%v steps=%d: StopReason not recorded", pol, steps)
 			}
-			if st.SeedFloorCost != nil && st.SeedFloorCost.Less(p.Cost) {
+			if st.SeedFloorCost != nil && toyCosts.Less(st.SeedFloorCost, p.Cost) {
 				t.Errorf("%v steps=%d: cost %s exceeds seed floor %s", pol, steps, p.Cost, st.SeedFloorCost)
 			}
 			if got := st.Steps(); got > steps {
@@ -167,20 +167,19 @@ func TestPolicyValidate(t *testing.T) {
 // must degrade to promise-order greed and 0/1 rewards without it.
 type plainCost float64
 
-func (c plainCost) Add(o core.Cost) core.Cost { return c + o.(plainCost) }
-func (c plainCost) Sub(o core.Cost) core.Cost { return c - o.(plainCost) }
-func (c plainCost) Less(o core.Cost) bool     { return c < o.(plainCost) }
+func (c plainCost) Add(o plainCost) plainCost { return c + o }
+func (c plainCost) Sub(o plainCost) plainCost { return c - o }
+func (c plainCost) Less(o plainCost) bool     { return c < o }
 func (c plainCost) String() string            { return fmt.Sprintf("%.1f", float64(c)) }
+
+var plainCosts = core.CostsOf(plainCost(0), 1e18)
 
 // noMetricModel delegates to the toy model but rewrites every cost into
 // plainCost, stripping the MetricCost extension.
 type noMetricModel struct{ toyModel }
 
-func (m *noMetricModel) Name() string        { return "toy-no-metric" }
-func (m *noMetricModel) ZeroCost() core.Cost { return plainCost(0) }
-func (m *noMetricModel) InfiniteCost() core.Cost {
-	return plainCost(1e18)
-}
+func (m *noMetricModel) Name() string          { return "toy-no-metric" }
+func (m *noMetricModel) Costs() core.CostSpace { return plainCosts }
 
 func (m *noMetricModel) ImplementationRules() []*core.ImplRule {
 	rules := m.toyModel.ImplementationRules()
@@ -233,7 +232,7 @@ func TestPolicyNoMetric(t *testing.T) {
 		if got == nil || !got.Delivered.Covers(toyColor(2)) {
 			t.Fatalf("%v: bad plan %v", pol, got)
 		}
-		if got.Cost.Less(want.Cost) || want.Cost.Less(got.Cost) {
+		if got.Cost != want.Cost {
 			t.Errorf("%v: cost %s, exhaustive optimum %s", pol, got.Cost, want.Cost)
 		}
 	}

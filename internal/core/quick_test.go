@@ -218,7 +218,7 @@ func TestQuickMoveFilterNeverImproves(t *testing.T) {
 		}
 		// The filtered search may fail entirely; when it finds a plan
 		// it must not beat the exhaustive optimum.
-		return pf == nil || !pf.Cost.Less(pe.Cost)
+		return pf == nil || !toyCosts.Less(pf.Cost, pe.Cost)
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -291,8 +291,9 @@ type Enforcer struct {
 
 // Model is everything the optimizer implementor provides: the paper's
 // ten-item list. Items (1)–(4) are the operator sets and rules; items
-// (5)–(7) are the cost and property ADTs, realized here as the Cost,
-// LogicalProps, and PhysProps interfaces; items (8)–(10) — applicability,
+// (5)–(7) are the cost and property ADTs, realized here as the cost
+// type the model declares through CostModel (CostsOf) and the
+// LogicalProps and PhysProps interfaces; items (8)–(10) — applicability,
 // cost, and property functions — are carried by the rules and by
 // DeriveLogicalProps.
 type Model interface {

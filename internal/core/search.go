@@ -39,6 +39,26 @@ type Optimizer struct {
 	pol *policyState
 	// batch is collectMoves' scratch for the moves of one extension.
 	batch []Move
+	// eng is the branch-and-bound search instantiated for the model's
+	// cost type (CostSpace.engine).
+	eng engine
+}
+
+// engine is the branch-and-bound search compiled for one cost type: the
+// strategies OptimizeWithLimitCtx dispatches to, from the paper's
+// FindBestPlan down to the cost arithmetic, with limits, partial sums
+// and floors held as values of that type.
+type engine interface {
+	// optimize runs the configured strategy for one root goal under an
+	// inclusive limit.
+	optimize(root GroupID, required PhysProps, limit Cost) *Plan
+}
+
+// search is the engine for cost type C. It embeds the optimizer whose
+// memo, options and counters it works on.
+type search[C CostADT[C]] struct {
+	*Optimizer
+	cs *costSpace[C]
 }
 
 // NewOptimizer creates an optimizer for the model. opts may be nil for
@@ -60,6 +80,7 @@ func NewOptimizer(model Model, opts *Options) *Optimizer {
 	o.tracer = o.opts.Trace.Tracer
 	o.memo = NewMemo(model, &o.opts, &o.stats)
 	o.ctx = &RuleContext{Memo: o.memo, Model: model}
+	o.eng = o.memo.costs.engine(o)
 	return o
 }
 
@@ -94,6 +115,8 @@ func (o *Optimizer) Rederive(model Model) int {
 		panic("core: Rederive: the model's transformation rules differ from the memo's")
 	}
 	o.model, m.model, o.ctx.Model, m.ctx.Model = model, model, model, model
+	m.costs = model.Costs()
+	o.eng = m.costs.engine(o)
 	o.lower, _ = model.(LowerBounder)
 	o.seedFallback = nil
 
@@ -190,14 +213,14 @@ func (o *Optimizer) ExploreCtx(ctx context.Context, g GroupID) error {
 // original invocation of the paper's FindBestPlan, with the cost limit
 // set to infinity and no cancellation.
 func (o *Optimizer) Optimize(root GroupID, required PhysProps) (*Plan, error) {
-	return o.OptimizeWithLimitCtx(context.Background(), root, required, o.model.InfiniteCost())
+	return o.OptimizeWithLimitCtx(context.Background(), root, required, o.memo.costs.Infinite())
 }
 
 // OptimizeCtx is Optimize under a context: cancellation (and a context
 // deadline) stops the search with the anytime degradation described on
 // OptimizeWithLimitCtx.
 func (o *Optimizer) OptimizeCtx(ctx context.Context, root GroupID, required PhysProps) (*Plan, error) {
-	return o.OptimizeWithLimitCtx(ctx, root, required, o.model.InfiniteCost())
+	return o.OptimizeWithLimitCtx(ctx, root, required, o.memo.costs.Infinite())
 }
 
 // OptimizeWithLimitCtx is Optimize with a caller-supplied cost limit; a
@@ -247,16 +270,7 @@ func (o *Optimizer) OptimizeWithLimitCtx(ctx context.Context, root GroupID, requ
 	}
 	var plan *Plan
 	if o.memo.err == nil {
-		switch {
-		case o.opts.Search.Policy != PolicyExhaustive:
-			plan = o.policyOptimize(root, required, limit)
-		case o.opts.Search.GlueMode:
-			plan = o.glueOptimize(root, required, limit)
-		case o.opts.Guidance.SeedPlanner != nil:
-			plan = o.guidedOptimize(root, required, limit)
-		default:
-			plan, _ = o.findBestPlan(root, required, nil, limit, true)
-		}
+		plan = o.eng.optimize(root, required, limit)
 	}
 	if b := o.memo.MemoryBytes(); b > o.stats.PeakMemoBytes {
 		o.stats.PeakMemoBytes = b
@@ -282,13 +296,30 @@ func (o *Optimizer) OptimizeWithLimitCtx(ctx context.Context, root GroupID, requ
 	return plan, err
 }
 
+// optimize dispatches a root goal to the configured strategy: a
+// stochastic policy, glue mode, guided search, or the paper's
+// FindBestPlan. The limit must hold the model's cost type.
+func (o *search[C]) optimize(root GroupID, required PhysProps, limit Cost) *Plan {
+	lim := limit.(C)
+	switch {
+	case o.opts.Search.Policy != PolicyExhaustive:
+		return o.policyOptimize(root, required, lim)
+	case o.opts.Search.GlueMode:
+		return o.glueOptimize(root, required, lim)
+	case o.opts.Guidance.SeedPlanner != nil:
+		return o.guidedOptimize(root, required, lim)
+	}
+	p, _ := o.findBestPlan(root, required, nil, lim, true)
+	return p
+}
+
 // withFallback is the one place the anytime floor is enforced: on every
 // budget stop, and when a stochastic policy finishes, it returns the
 // cheaper of the plan the search produced (possibly nil) and
 // anytimeFallback's candidate, and sets Stats.AnytimeFallback when the
 // fallback wins.
 func (o *Optimizer) withFallback(root GroupID, required PhysProps, limit Cost, plan *Plan) *Plan {
-	if fb := o.anytimeFallback(root, required, limit); fb != nil && (plan == nil || fb.Cost.Less(plan.Cost)) {
+	if fb := o.anytimeFallback(root, required, limit); fb != nil && (plan == nil || o.memo.costs.Less(fb.Cost, plan.Cost)) {
 		o.stats.AnytimeFallback = true
 		return fb
 	}
@@ -306,8 +337,9 @@ func (o *Optimizer) withFallback(root GroupID, required PhysProps, limit Cost, p
 // result never costs more than the floor.
 func (o *Optimizer) anytimeFallback(root GroupID, required PhysProps, limit Cost) *Plan {
 	var best *Plan
+	cs := o.memo.costs
 	offer := func(p *Plan) {
-		if p != nil && costLE(p.Cost, limit) && (best == nil || p.Cost.Less(best.Cost)) {
+		if p != nil && !cs.Less(limit, p.Cost) && (best == nil || cs.Less(p.Cost, best.Cost)) {
 			best = p
 		}
 	}
@@ -342,14 +374,24 @@ func (o *Optimizer) classFloor(g *Group) Cost {
 	return g.floor
 }
 
+// floor is classFloor as a value; ok is false when the model declines.
+func (o *search[C]) floor(g *Group) (lb C, ok bool) {
+	if f := o.classFloor(g); f != nil {
+		return f.(C), true
+	}
+	return lb, false
+}
+
 // goal carries the mutable state of one FindBestPlan activation.
-type goal struct {
+type goal[C CostADT[C]] struct {
 	required PhysProps
 	excluded PhysProps
 	// limit is the branch-and-bound bound; it tightens as complete
 	// plans are found.
-	limit Cost
+	limit C
 	best  *Plan
+	// bestCost is best's cost, as a value.
+	bestCost C
 	// inclusive makes the bound admit plans costing exactly limit.
 	// Seeded limits are inclusive: the seed's cost is achievable, so an
 	// optimal plan equal to it must not be pruned. The flag clears as
@@ -368,7 +410,7 @@ type goal struct {
 // to the engine the enclosing goal runs under: the exhaustive
 // FindBestPlan, or — inside a stochastic policy episode — a rollout
 // that itself pursues one selected move.
-func (o *Optimizer) optimizeInput(s *goal, gid GroupID, required, excluded PhysProps, limit Cost) (*Plan, bool) {
+func (o *search[C]) optimizeInput(s *goal[C], gid GroupID, required, excluded PhysProps, limit C) (*Plan, bool) {
 	if s.policy {
 		return o.rolloutGoal(gid, required, excluded, limit, s.inclusive)
 	}
@@ -382,7 +424,7 @@ func (o *Optimizer) optimizeInput(s *goal, gid GroupID, required, excluded PhysP
 // widens the bound to admit plans costing exactly limit (seeded limits);
 // input goals inherit the inclusivity their parent goal has at the time
 // they are optimized.
-func (o *Optimizer) findBestPlan(gid GroupID, required, excluded PhysProps, limit Cost, inclusive bool) (plan *Plan, transient bool) {
+func (o *search[C]) findBestPlan(gid GroupID, required, excluded PhysProps, limit C, inclusive bool) (plan *Plan, transient bool) {
 	if o.memo.err != nil {
 		return nil, true
 	}
@@ -400,7 +442,7 @@ func (o *Optimizer) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 		}
 		if w.plan != nil {
 			o.stats.WinnerHits++
-			if costLE(w.cost, limit) {
+			if le(w.cost.(C), limit) {
 				return w.plan, false
 			}
 			// The recorded plan is optimal; a tighter limit cannot
@@ -413,7 +455,7 @@ func (o *Optimizer) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 			// limit <= F is therefore hopeless; an inclusive query
 			// additionally admits cost == limit, so it may reuse the
 			// failure only when limit < F strictly.
-			if costLE(limit, w.failedLimit) && (!inclusive || limit.Less(w.failedLimit)) {
+			if f := w.failedLimit.(C); le(limit, f) && (!inclusive || limit.Less(f)) {
 				o.stats.FailureHits++
 				return nil, false
 			}
@@ -426,8 +468,8 @@ func (o *Optimizer) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 	// This is where a finite seeded limit saves work that incumbent-
 	// driven pruning cannot: it is in force before any plan exists.
 	if o.lower != nil && !o.opts.Search.NoPruning {
-		if lb := o.classFloor(g); lb != nil {
-			if inclusive && limit.Less(lb) || !inclusive && costLE(limit, lb) {
+		if lb, ok := o.floor(g); ok {
+			if inclusive && limit.Less(lb) || !inclusive && le(limit, lb) {
 				o.stats.GoalsPruned++
 				return nil, false
 			}
@@ -468,7 +510,7 @@ func (o *Optimizer) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 	incremental := !o.opts.Search.NoIncremental
 	mk := keyOf(required)
 
-	s := &goal{required: required, excluded: excluded, limit: limit, inclusive: inclusive}
+	s := &goal[C]{required: required, excluded: excluded, limit: limit, inclusive: inclusive}
 	// done is this activation's pursuit frontier into the cached move
 	// set: moves[:done] have been pursued. It resets when the cache is
 	// voided or the class merges onto another (curMS/curGen detect
@@ -560,7 +602,7 @@ func (o *Optimizer) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 	gid = o.memo.Find(gid)
 	fw := o.memo.groups[gid-1].ensureWinnerKeyed(wk, required, excluded)
 	if s.best != nil {
-		if fw.plan == nil || s.best.Cost.Less(fw.cost) {
+		if fw.plan == nil || s.bestCost.Less(fw.cost.(C)) {
 			fw.plan, fw.cost = s.best, s.best.Cost
 		}
 		if o.tracer != nil {
@@ -569,7 +611,7 @@ func (o *Optimizer) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 			o.tracer.Trace(TraceEvent{Kind: TraceGoalEnd, Group: gid,
 				Required: required, Cost: fw.cost})
 		}
-		if costLE(fw.cost, limit) {
+		if le(fw.cost.(C), limit) {
 			return fw.plan, false
 		}
 		return nil, false
@@ -577,7 +619,7 @@ func (o *Optimizer) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 	if !s.transient {
 		o.stats.GoalsPruned++
 		if !o.opts.Search.NoFailureMemo {
-			if fw.failedLimit == nil || fw.failedLimit.Less(limit) {
+			if fw.failedLimit == nil || fw.failedLimit.(C).Less(limit) {
 				fw.failedLimit = limit
 			}
 			if o.tracer != nil {
@@ -703,7 +745,7 @@ func byPromise(a, b Move) int { return cmp.Compare(b.Promise(), a.Promise()) }
 // moves cannot lead to a better plan and are abandoned. An inclusive
 // goal admits partial costs equal to the bound — a complete plan at
 // exactly the (seeded) limit is acceptable.
-func (o *Optimizer) prune(s *goal, partial Cost) bool {
+func (o *search[C]) prune(s *goal[C], partial C) bool {
 	if o.opts.Search.NoPruning {
 		return false
 	}
@@ -714,7 +756,7 @@ func (o *Optimizer) prune(s *goal, partial Cost) bool {
 		}
 		return false
 	}
-	if costLE(s.limit, partial) {
+	if le(s.limit, partial) {
 		o.stats.Pruned++
 		return true
 	}
@@ -727,13 +769,13 @@ func (o *Optimizer) prune(s *goal, partial Cost) bool {
 // componentwise cost subtraction can round the remainder slightly below
 // zero; the result is clamped so a legitimate zero-budget child goal is
 // not turned into a spurious (and memoized) failure.
-func (o *Optimizer) childLimit(s *goal, partial Cost) Cost {
+func (o *search[C]) childLimit(s *goal[C], partial C) C {
 	if o.opts.Search.NoPruning {
-		return o.model.InfiniteCost()
+		return o.cs.inf
 	}
 	rem := s.limit.Sub(partial)
-	if zero := o.model.ZeroCost(); rem.Less(zero) {
-		return zero
+	if rem.Less(o.cs.zero) {
+		return o.cs.zero
 	}
 	return rem
 }
@@ -741,12 +783,12 @@ func (o *Optimizer) childLimit(s *goal, partial Cost) Cost {
 // offer installs a complete plan as the goal's best if it improves on
 // the current one, tightening the branch-and-bound limit. Once an
 // incumbent exists the bound turns exclusive: only strictly cheaper
-// plans remain interesting.
-func (o *Optimizer) offer(s *goal, p *Plan) {
-	if s.best == nil || p.Cost.Less(s.best.Cost) {
-		s.best = p
-		if !o.opts.Search.NoPruning && (p.Cost.Less(s.limit) || (s.inclusive && costLE(p.Cost, s.limit))) {
-			s.limit = p.Cost
+// plans remain interesting. cost is p's cost, as a value.
+func (o *search[C]) offer(s *goal[C], p *Plan, cost C) {
+	if s.best == nil || cost.Less(s.bestCost) {
+		s.best, s.bestCost = p, cost
+		if !o.opts.Search.NoPruning && (cost.Less(s.limit) || (s.inclusive && le(cost, s.limit))) {
+			s.limit = cost
 		}
 		s.inclusive = false
 	}
@@ -755,7 +797,7 @@ func (o *Optimizer) offer(s *goal, p *Plan) {
 // pursueAlgorithm explores one algorithm move: for each acceptable input
 // property combination, cost the algorithm, optimize each input under
 // the remaining budget, and offer the completed plan.
-func (o *Optimizer) pursueAlgorithm(s *goal, g *Group, mv *Move) {
+func (o *search[C]) pursueAlgorithm(s *goal[C], g *Group, mv *Move) {
 	o.stats.AlgorithmMoves++
 	rule, b := mv.Rule, mv.match.b
 	var buf [4]GroupID
@@ -769,11 +811,12 @@ func (o *Optimizer) pursueAlgorithm(s *goal, g *Group, mv *Move) {
 			panic(fmt.Sprintf("core: rule %s returned %d input requirements for %d inputs",
 				rule.Name, len(alt.Required), len(leaves)))
 		}
-		local := rule.Cost(o.ctx, b, s.required, alt)
+		localCost := rule.Cost(o.ctx, b, s.required, alt)
+		local := localCost.(C)
 		total := local
 		// rest is the floor mass of the inputs still to be optimized; it
 		// shrinks as each input's actual cost is folded into total.
-		var rest Cost
+		var rest C
 		charged := total
 		if floored {
 			rest = o.matchFloor(mv.match)
@@ -813,7 +856,7 @@ func (o *Optimizer) pursueAlgorithm(s *goal, g *Group, mv *Move) {
 					break
 				}
 			}
-			total = total.Add(p.Cost)
+			total = total.Add(p.Cost.(C))
 			charged = total
 			if floored {
 				charged = total.Add(rest)
@@ -869,40 +912,39 @@ func (o *Optimizer) pursueAlgorithm(s *goal, g *Group, mv *Move) {
 			Inputs:    inPlans,
 			Delivered: delivered,
 			Cost:      total,
-			LocalCost: local,
+			LocalCost: localCost,
 			Group:     g.id,
 			LogProps:  g.logProps,
-		})
+		}, total)
 	}
 }
 
 // matchFloor returns the sum of the admissible floors of a class match's
-// inputs, computing it at the first call.
-func (o *Optimizer) matchFloor(im *implMatch) Cost {
-	if im.floor == nil {
-		// ZeroCost is the additive identity: the sum starts at the first floor.
-		im.floor = o.model.ZeroCost()
-		var buf [4]GroupID
-		for i, leaf := range im.b.Leaves(buf[:0]) {
-			if i == 0 {
-				im.floor = o.inputFloor(leaf)
-			} else {
-				im.floor = im.floor.Add(o.inputFloor(leaf))
-			}
+// inputs. Class floors are memoized; their sum is a few additions of
+// values, so it is recomputed rather than stored with the match.
+func (o *search[C]) matchFloor(im *implMatch) C {
+	// Zero is the additive identity: the sum starts at the first floor.
+	sum := o.cs.zero
+	var buf [4]GroupID
+	for i, leaf := range im.b.Leaves(buf[:0]) {
+		if i == 0 {
+			sum = o.inputFloor(leaf)
+		} else {
+			sum = sum.Add(o.inputFloor(leaf))
 		}
 	}
-	return im.floor
+	return sum
 }
 
 // inputFloor is the floor charged for an input class not yet optimized:
 // its admissible floor, or zero when the model declines.
-func (o *Optimizer) inputFloor(g GroupID) Cost {
+func (o *search[C]) inputFloor(g GroupID) C {
 	if o.lower != nil {
-		if lb := o.classFloor(o.memo.groups[o.memo.Find(g)-1]); lb != nil {
+		if lb, ok := o.floor(o.memo.groups[o.memo.Find(g)-1]); ok {
 			return lb
 		}
 	}
-	return o.model.ZeroCost()
+	return o.cs.zero
 }
 
 // pursueEnforcer explores one enforcer move: relax the required vector,
@@ -910,19 +952,19 @@ func (o *Optimizer) inputFloor(g GroupID) Cost {
 // that already qualified for the original requirement — and stack the
 // enforcer on top. The enforcer's cost is subtracted from the bound
 // before the input is optimized, so pruning reaches into enforcer inputs.
-func (o *Optimizer) pursueEnforcer(s *goal, g *Group, enf *Enforcer) {
+func (o *search[C]) pursueEnforcer(s *goal[C], g *Group, enf *Enforcer) {
 	relaxed, excl, ok := enf.Relax(o.ctx, g.logProps, s.required)
 	if !ok {
 		return
 	}
 	o.stats.EnforcerMoves++
-	local := enf.Cost(o.ctx, g.logProps, s.required)
-	total := local
+	localCost := enf.Cost(o.ctx, g.logProps, s.required)
+	total := localCost.(C)
 	charged := total
 	if o.lower != nil && !o.opts.Search.NoPruning {
 		// The enforcer's input is this same class, so the class floor is
 		// a sound advance charge for the input plan.
-		if lb := o.classFloor(g); lb != nil {
+		if lb, ok := o.floor(g); ok {
 			charged = total.Add(lb)
 		}
 	}
@@ -939,7 +981,7 @@ func (o *Optimizer) pursueEnforcer(s *goal, g *Group, enf *Enforcer) {
 		s.transient = s.transient || tr
 		return
 	}
-	total = total.Add(in.Cost)
+	total = total.Add(in.Cost.(C))
 	if o.prune(s, total) {
 		if o.tracer != nil {
 			o.tracer.Trace(TraceEvent{Kind: TraceMovePruned, Group: g.id,
@@ -969,10 +1011,10 @@ func (o *Optimizer) pursueEnforcer(s *goal, g *Group, enf *Enforcer) {
 		Inputs:    []*Plan{in},
 		Delivered: delivered,
 		Cost:      total,
-		LocalCost: local,
+		LocalCost: localCost,
 		Group:     g.id,
 		LogProps:  g.logProps,
-	})
+	}, total)
 }
 
 // glueOptimize is the Starburst-style strategy used for ablation:
@@ -980,7 +1022,7 @@ func (o *Optimizer) pursueEnforcer(s *goal, g *Group, enf *Enforcer) {
 // onto the winning plan to meet the real requirement, adding their cost
 // to the plan after the fact instead of letting properties direct the
 // search.
-func (o *Optimizer) glueOptimize(root GroupID, required PhysProps, limit Cost) *Plan {
+func (o *search[C]) glueOptimize(root GroupID, required PhysProps, limit C) *Plan {
 	p, _ := o.findBestPlan(root, o.model.AnyProps(), nil, limit, true)
 	if p == nil {
 		return nil
@@ -989,7 +1031,7 @@ func (o *Optimizer) glueOptimize(root GroupID, required PhysProps, limit Cost) *
 	if !ok {
 		return nil
 	}
-	if !costLE(wrapped.Cost, limit) {
+	if !le(wrapped.Cost.(C), limit) {
 		return nil
 	}
 	return wrapped
@@ -1028,7 +1070,7 @@ func (o *Optimizer) wrapWithEnforcers(p *Plan, required PhysProps, depth int) (*
 			Op:        enf.Build(o.ctx, lp, required),
 			Inputs:    []*Plan{in},
 			Delivered: delivered,
-			Cost:      in.Cost.Add(local),
+			Cost:      o.memo.costs.add(in.Cost, local),
 			LocalCost: local,
 			Group:     p.Group,
 			LogProps:  lp,

@@ -79,11 +79,13 @@ func (c toyColor) String() string {
 // toyCost is a float cost.
 type toyCost float64
 
-func (c toyCost) Add(o core.Cost) core.Cost { return c + o.(toyCost) }
-func (c toyCost) Sub(o core.Cost) core.Cost { return c - o.(toyCost) }
-func (c toyCost) Less(o core.Cost) bool     { return c < o.(toyCost) }
-func (c toyCost) Scale(f float64) core.Cost { return toyCost(float64(c) * f) }
-func (c toyCost) String() string            { return fmt.Sprintf("%.1f", float64(c)) }
+func (c toyCost) Add(o toyCost) toyCost   { return c + o }
+func (c toyCost) Sub(o toyCost) toyCost   { return c - o }
+func (c toyCost) Less(o toyCost) bool     { return c < o }
+func (c toyCost) Scale(f float64) toyCost { return toyCost(float64(c) * f) }
+func (c toyCost) String() string          { return fmt.Sprintf("%.1f", float64(c)) }
+
+var toyCosts = core.CostsOf(toyCost(0), 1e18)
 
 // toyPhys is every toy physical operator.
 type toyPhys struct{ name string }
@@ -228,8 +230,7 @@ func (m *toyModel) Enforcers() []*core.Enforcer {
 }
 
 func (m *toyModel) AnyProps() core.PhysProps { return toyColor(0) }
-func (m *toyModel) ZeroCost() core.Cost      { return toyCost(0) }
-func (m *toyModel) InfiniteCost() core.Cost  { return toyCost(1e18) }
+func (m *toyModel) Costs() core.CostSpace    { return toyCosts }
 
 // leaf builds a toy leaf node.
 func leaf(name string) *core.ExprTree { return core.Node(&toyLeaf{name: name}) }

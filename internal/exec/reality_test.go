@@ -67,7 +67,7 @@ func TestPropertyDirectedPlansRunFaster(t *testing.T) {
 	}
 	directed := optimize(nil)
 	glued := optimize(&core.Options{Search: core.SearchOptions{GlueMode: true}})
-	if !directed.Cost.Less(glued.Cost) {
+	if !directed.Cost.(relopt.Cost).Less(glued.Cost.(relopt.Cost)) {
 		t.Skip("plans coincide under this cost model; nothing to compare")
 	}
 

@@ -51,7 +51,7 @@ func (o *Optimizer) analyzeVersions(e *exprNode, inputs []*Node) []*Node {
 			return nil
 		}
 		n.Alg = "filter"
-		n.Cost = in.Cost.Add(relopt.Cost{CPU: in.props().Rows * p.CPUPred}).(relopt.Cost)
+		n.Cost = in.Cost.Add(relopt.Cost{CPU: in.props().Rows * p.CPUPred})
 		n.SortedOn, n.SortedOn2 = in.SortedOn, in.SortedOn2
 		return []*Node{n}
 
@@ -62,7 +62,7 @@ func (o *Optimizer) analyzeVersions(e *exprNode, inputs []*Node) []*Node {
 			return nil
 		}
 		n.Alg = "project"
-		n.Cost = in.Cost.Add(relopt.Cost{CPU: in.props().Rows * p.CPUTuple}).(relopt.Cost)
+		n.Cost = in.Cost.Add(relopt.Cost{CPU: in.props().Rows * p.CPUTuple})
 		for _, c := range op.Cols {
 			if c == in.SortedOn {
 				n.SortedOn = in.SortedOn
@@ -123,7 +123,7 @@ func (o *Optimizer) analyzeJoin(e *exprNode, inputs []*Node, j *rel.Join, versio
 		panic("exodus: join predicate does not span the inputs")
 	}
 
-	inCost := l.Cost.Add(r.Cost).(relopt.Cost)
+	inCost := l.Cost.Add(r.Cost)
 
 	hash := version()
 	if hash == nil {
@@ -133,7 +133,7 @@ func (o *Optimizer) analyzeJoin(e *exprNode, inputs []*Node, j *rel.Join, versio
 	hash.Cost = inCost.Add(relopt.Cost{
 		IO:  relopt.HashSpillIO(p, lp.Pages(p.PageBytes), rp.Pages(p.PageBytes)),
 		CPU: (lp.Rows+rp.Rows)*p.CPUHash + out.Rows*p.CPUTuple,
-	}).(relopt.Cost)
+	})
 
 	merge := version()
 	if merge == nil {
@@ -142,14 +142,14 @@ func (o *Optimizer) analyzeJoin(e *exprNode, inputs []*Node, j *rel.Join, versio
 	merge.Alg = "merge-join"
 	mc := inCost
 	if !l.sortedOnCol(lc) {
-		mc = mc.Add(o.sortCost(lp)).(relopt.Cost)
+		mc = mc.Add(o.sortCost(lp))
 	}
 	if !r.sortedOnCol(rc) {
-		mc = mc.Add(o.sortCost(rp)).(relopt.Cost)
+		mc = mc.Add(o.sortCost(rp))
 	}
 	merge.Cost = mc.Add(relopt.Cost{
 		CPU: (lp.Rows+rp.Rows)*p.CPUCompare + out.Rows*p.CPUTuple,
-	}).(relopt.Cost)
+	})
 	merge.SortedOn, merge.SortedOn2 = lc, rc
 
 	return []*Node{hash, merge}
@@ -161,7 +161,7 @@ func (o *Optimizer) analyzeIntersect(e *exprNode, inputs []*Node, version func()
 	l, r := inputs[0], inputs[1]
 	lp, rp := l.props(), r.props()
 	out := e.cls.find().props
-	inCost := l.Cost.Add(r.Cost).(relopt.Cost)
+	inCost := l.Cost.Add(r.Cost)
 
 	hash := version()
 	if hash == nil {
@@ -171,7 +171,7 @@ func (o *Optimizer) analyzeIntersect(e *exprNode, inputs []*Node, version func()
 	hash.Cost = inCost.Add(relopt.Cost{
 		IO:  relopt.HashSpillIO(p, lp.Pages(p.PageBytes), rp.Pages(p.PageBytes)),
 		CPU: (lp.Rows+rp.Rows)*p.CPUHash + out.Rows*p.CPUTuple,
-	}).(relopt.Cost)
+	})
 
 	// Merge intersection needs both inputs fully sorted; EXODUS always
 	// charges the sorts because single-column incidental order says
@@ -181,10 +181,10 @@ func (o *Optimizer) analyzeIntersect(e *exprNode, inputs []*Node, version func()
 		return nil
 	}
 	merge.Alg = "merge-intersect"
-	mc := inCost.Add(o.sortCost(lp)).(relopt.Cost).Add(o.sortCost(rp)).(relopt.Cost)
+	mc := inCost.Add(o.sortCost(lp)).Add(o.sortCost(rp))
 	merge.Cost = mc.Add(relopt.Cost{
 		CPU: (lp.Rows+rp.Rows)*p.CPUCompare*float64(len(out.Cols)) + out.Rows*p.CPUTuple,
-	}).(relopt.Cost)
+	})
 
 	return []*Node{hash, merge}
 }
@@ -203,7 +203,7 @@ func (o *Optimizer) analyzeGroupBy(e *exprNode, inputs []*Node, g *rel.GroupBy, 
 	hash.Alg = "hash-groupby"
 	hash.Cost = in.Cost.Add(relopt.Cost{
 		CPU: ip.Rows*p.CPUHash + out.Rows*p.CPUTuple,
-	}).(relopt.Cost)
+	})
 
 	srt := version()
 	if srt == nil {
@@ -212,11 +212,11 @@ func (o *Optimizer) analyzeGroupBy(e *exprNode, inputs []*Node, g *rel.GroupBy, 
 	srt.Alg = "sort-groupby"
 	sc := in.Cost
 	if len(g.GroupCols) != 1 || !in.sortedOnCol(g.GroupCols[0]) {
-		sc = sc.Add(o.sortCost(ip)).(relopt.Cost)
+		sc = sc.Add(o.sortCost(ip))
 	}
 	srt.Cost = sc.Add(relopt.Cost{
 		CPU: ip.Rows*p.CPUCompare + out.Rows*p.CPUTuple,
-	}).(relopt.Cost)
+	})
 	if len(g.GroupCols) == 1 {
 		srt.SortedOn = g.GroupCols[0]
 	}

@@ -259,7 +259,7 @@ func (o *Optimizer) Optimize(query *core.ExprTree, requiredSort rel.ColID) (*Nod
 func (o *Optimizer) adjusted(n *Node, requiredSort rel.ColID) relopt.Cost {
 	cost := n.Cost
 	if requiredSort != 0 && !n.sortedOnCol(requiredSort) {
-		cost = cost.Add(o.sortCost(n.props())).(relopt.Cost)
+		cost = cost.Add(o.sortCost(n.props()))
 	}
 	return cost
 }

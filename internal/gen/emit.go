@@ -273,11 +273,9 @@ func (e *emitter) emit() string {
 	e.p("// AnyProps delegates to the support code.")
 	e.p("func (m *Model) AnyProps() core.PhysProps { return m.s.AnyProps() }")
 	e.p("")
-	e.p("// ZeroCost delegates to the support code.")
-	e.p("func (m *Model) ZeroCost() core.Cost { return m.s.ZeroCost() }")
-	e.p("")
-	e.p("// InfiniteCost delegates to the support code.")
-	e.p("func (m *Model) InfiniteCost() core.Cost { return m.s.InfiniteCost() }")
+	e.p("// Costs delegates to the support code's cost declaration")
+	e.p("// (core.CostsOf), the cost type the search engine is instantiated for.")
+	e.p("func (m *Model) Costs() core.CostSpace { return m.s.Costs() }")
 	e.p("")
 	// The spec hash covers everything emitted so far — operator kinds,
 	// rule wiring, and support signatures — so any regeneration that

@@ -160,11 +160,9 @@ func (m *Model) Enforcers() []*core.Enforcer { return m.enforcers }
 // AnyProps delegates to the support code.
 func (m *Model) AnyProps() core.PhysProps { return m.s.AnyProps() }
 
-// ZeroCost delegates to the support code.
-func (m *Model) ZeroCost() core.Cost { return m.s.ZeroCost() }
-
-// InfiniteCost delegates to the support code.
-func (m *Model) InfiniteCost() core.Cost { return m.s.InfiniteCost() }
+// Costs delegates to the support code's cost declaration
+// (core.CostsOf), the cost type the search engine is instantiated for.
+func (m *Model) Costs() core.CostSpace { return m.s.Costs() }
 
 var _ core.Versioned = (*Model)(nil)
 
@@ -174,7 +172,7 @@ var _ core.Versioned = (*Model)(nil)
 // reflect catalog or statistics changes). Plan caches key entries by
 // this token, so regenerating the optimizer orphans cached plans.
 func (m *Model) Version() uint64 {
-	const specHash = 0xc004fe1f1aed9560
+	const specHash = 0x247791e5ce6c6a1b
 	if v, ok := m.s.(core.Versioned); ok {
 		return specHash ^ (v.Version() * 0x9E3779B185EBCA87)
 	}

@@ -168,11 +168,9 @@ func (m *Model) Enforcers() []*core.Enforcer { return m.enforcers }
 // AnyProps delegates to the support code.
 func (m *Model) AnyProps() core.PhysProps { return m.s.AnyProps() }
 
-// ZeroCost delegates to the support code.
-func (m *Model) ZeroCost() core.Cost { return m.s.ZeroCost() }
-
-// InfiniteCost delegates to the support code.
-func (m *Model) InfiniteCost() core.Cost { return m.s.InfiniteCost() }
+// Costs delegates to the support code's cost declaration
+// (core.CostsOf), the cost type the search engine is instantiated for.
+func (m *Model) Costs() core.CostSpace { return m.s.Costs() }
 
 var _ core.Versioned = (*Model)(nil)
 
@@ -182,7 +180,7 @@ var _ core.Versioned = (*Model)(nil)
 // reflect catalog or statistics changes). Plan caches key entries by
 // this token, so regenerating the optimizer orphans cached plans.
 func (m *Model) Version() uint64 {
-	const specHash = 0x068c05b006a62db5
+	const specHash = 0xd46abc8fca0abba0
 	if v, ok := m.s.(core.Versioned); ok {
 		return specHash ^ (v.Version() * 0x9E3779B185EBCA87)
 	}

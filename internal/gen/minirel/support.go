@@ -27,8 +27,10 @@ func NewSupport(cat *rel.Catalog) *DefaultSupport {
 	return &DefaultSupport{cat: cat, params: relopt.DefaultParams()}
 }
 
-func (s *DefaultSupport) ZeroCost() core.Cost     { return relopt.Cost{} }
-func (s *DefaultSupport) InfiniteCost() core.Cost { return relopt.Infinite }
+// costs declares relopt's cost record as the model's cost ADT.
+var costs = core.CostsOf(relopt.Cost{}, relopt.Infinite)
+
+func (s *DefaultSupport) Costs() core.CostSpace { return costs }
 func (s *DefaultSupport) AnyProps() core.PhysProps {
 	return relopt.Any
 }

@@ -155,11 +155,9 @@ func (m *Model) Enforcers() []*core.Enforcer { return m.enforcers }
 // AnyProps delegates to the support code.
 func (m *Model) AnyProps() core.PhysProps { return m.s.AnyProps() }
 
-// ZeroCost delegates to the support code.
-func (m *Model) ZeroCost() core.Cost { return m.s.ZeroCost() }
-
-// InfiniteCost delegates to the support code.
-func (m *Model) InfiniteCost() core.Cost { return m.s.InfiniteCost() }
+// Costs delegates to the support code's cost declaration
+// (core.CostsOf), the cost type the search engine is instantiated for.
+func (m *Model) Costs() core.CostSpace { return m.s.Costs() }
 
 var _ core.Versioned = (*Model)(nil)
 
@@ -169,7 +167,7 @@ var _ core.Versioned = (*Model)(nil)
 // reflect catalog or statistics changes). Plan caches key entries by
 // this token, so regenerating the optimizer orphans cached plans.
 func (m *Model) Version() uint64 {
-	const specHash = 0x426b2fd9301961ac
+	const specHash = 0xb84e071514ddc27f
 	if v, ok := m.s.(core.Versioned); ok {
 		return specHash ^ (v.Version() * 0x9E3779B185EBCA87)
 	}

@@ -15,10 +15,12 @@ import (
 // pcost is a one-number cost ADT for the pairs model.
 type pcost float64
 
-func (c pcost) Add(o core.Cost) core.Cost { return c + o.(pcost) }
-func (c pcost) Sub(o core.Cost) core.Cost { return c - o.(pcost) }
-func (c pcost) Less(o core.Cost) bool     { return c < o.(pcost) }
-func (c pcost) String() string            { return fmt.Sprintf("%.0f", float64(c)) }
+func (c pcost) Add(o pcost) pcost { return c + o }
+func (c pcost) Sub(o pcost) pcost { return c - o }
+func (c pcost) Less(o pcost) bool { return c < o }
+func (c pcost) String() string    { return fmt.Sprintf("%.0f", float64(c)) }
+
+var pcosts = core.CostsOf(pcost(0), 1e18)
 
 // pcolor is the property vector: 0 = none.
 type pcolor int
@@ -69,8 +71,7 @@ func (w weight) String() string { return fmt.Sprintf("w=%d", int(w)) }
 // sup is the implementor's support code.
 type sup struct{}
 
-func (sup) ZeroCost() core.Cost      { return pcost(0) }
-func (sup) InfiniteCost() core.Cost  { return pcost(1e18) }
+func (sup) Costs() core.CostSpace    { return pcosts }
 func (sup) AnyProps() core.PhysProps { return pcolor(0) }
 
 func (sup) DeriveLogicalProps(op core.LogicalOp, inputs []core.LogicalProps) core.LogicalProps {

@@ -53,21 +53,21 @@ func (p *PhysProps) String() string {
 // units, showing that cost structure is entirely up to the model.
 type Cost float64
 
-var _ core.Cost = Cost(0)
+var _ core.CostADT[Cost] = Cost(0)
 
 // Add sums costs.
-func (c Cost) Add(o core.Cost) core.Cost { return c + o.(Cost) }
+func (c Cost) Add(o Cost) Cost { return c + o }
 
 // Sub subtracts costs; infinity stays infinite.
-func (c Cost) Sub(o core.Cost) core.Cost {
+func (c Cost) Sub(o Cost) Cost {
 	if math.IsInf(float64(c), 1) {
 		return c
 	}
-	return c - o.(Cost)
+	return c - o
 }
 
 // Less compares costs.
-func (c Cost) Less(o core.Cost) bool { return c < o.(Cost) }
+func (c Cost) Less(o Cost) bool { return c < o }
 
 // String renders the cost.
 func (c Cost) String() string { return fmt.Sprintf("%.2f", float64(c)) }
@@ -191,11 +191,11 @@ func New(cat *Catalog, p Params) *Model {
 // Name returns "oodb".
 func (m *Model) Name() string { return "oodb" }
 
-// ZeroCost returns 0.
-func (m *Model) ZeroCost() core.Cost { return Cost(0) }
+// costs declares Cost as the model's cost ADT: 0 and +inf.
+var costs = core.CostsOf(Cost(0), Cost(math.Inf(1)))
 
-// InfiniteCost returns +inf.
-func (m *Model) InfiniteCost() core.Cost { return Cost(math.Inf(1)) }
+// Costs returns the cost declaration.
+func (m *Model) Costs() core.CostSpace { return costs }
 
 // AnyProps returns the vacuous vector.
 func (m *Model) AnyProps() core.PhysProps { return Any }

@@ -89,7 +89,7 @@ func TestSelectionReducesAssemblyCost(t *testing.T) {
 	cat := schema(t)
 	withSel, _ := optimize(t, cat, pathQuery(cat, true, "dept", "division", "company"))
 	without, _ := optimize(t, cat, pathQuery(cat, false, "dept", "division", "company"))
-	if !withSel.Cost.Less(without.Cost) {
+	if !withSel.Cost.(oodb.Cost).Less(without.Cost.(oodb.Cost)) {
 		t.Fatalf("selection did not reduce cost: %v vs %v", withSel.Cost, without.Cost)
 	}
 }
@@ -100,7 +100,7 @@ func TestSelectionReducesAssemblyCost(t *testing.T) {
 func TestAssemblyCrossover(t *testing.T) {
 	cat := schema(t)
 	steps := []string{"dept", "division", "company"}
-	var prev core.Cost
+	var prev oodb.Cost
 	for k := 1; k <= 3; k++ {
 		plan, _ := optimize(t, cat, pathQuery(cat, false, steps[:k]...))
 		usesAssembly := strings.Contains(plan.String(), "assembly")
@@ -111,10 +111,10 @@ func TestAssemblyCrossover(t *testing.T) {
 		if k >= 2 && !usesAssembly {
 			t.Errorf("k=%d should assemble", k)
 		}
-		if prev != nil && plan.Cost.Less(prev) {
+		if k > 1 && plan.Cost.(oodb.Cost).Less(prev) {
 			t.Errorf("cost decreased with longer path")
 		}
-		prev = plan.Cost
+		prev = plan.Cost.(oodb.Cost)
 	}
 }
 

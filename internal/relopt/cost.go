@@ -10,8 +10,9 @@ import (
 // Cost is the relational model's cost ADT: a record of I/O and CPU cost,
 // the structure the paper attributes to System R. The unit is "the time
 // of one page I/O"; CPU costs are expressed in the same unit through the
-// Params weights. The search engine performs all arithmetic and
-// comparisons through the interface methods, never looking inside.
+// Params weights. The search engine is instantiated for this type (see
+// Model.Costs) and performs all arithmetic and comparisons through its
+// methods, never looking inside.
 type Cost struct {
 	// IO is the page-I/O component.
 	IO float64
@@ -19,47 +20,45 @@ type Cost struct {
 	CPU float64
 }
 
-var _ core.Cost = Cost{}
+var _ core.CostADT[Cost] = Cost{}
 
 // Total collapses the record into a single comparable magnitude.
 func (c Cost) Total() float64 { return c.IO + c.CPU }
 
 // Add returns the componentwise sum.
-func (c Cost) Add(other core.Cost) core.Cost {
-	o := other.(Cost)
+func (c Cost) Add(o Cost) Cost {
 	return Cost{IO: c.IO + o.IO, CPU: c.CPU + o.CPU}
 }
 
 // Sub returns the componentwise difference; subtracting anything from an
 // infinite cost leaves it infinite.
-func (c Cost) Sub(other core.Cost) core.Cost {
+func (c Cost) Sub(o Cost) Cost {
 	if math.IsInf(c.IO, 1) {
 		return c
 	}
-	o := other.(Cost)
 	return Cost{IO: c.IO - o.IO, CPU: c.CPU - o.CPU}
 }
 
 // Less compares total magnitudes.
-func (c Cost) Less(other core.Cost) bool {
-	return c.Total() < other.(Cost).Total()
+func (c Cost) Less(o Cost) bool {
+	return c.Total() < o.Total()
 }
 
 // Scale returns the componentwise multiple; guided search uses it to
 // relax an infeasible seed limit geometrically. Scaling an infinite cost
 // leaves it infinite.
-func (c Cost) Scale(factor float64) core.Cost {
+func (c Cost) Scale(factor float64) Cost {
 	return Cost{IO: c.IO * factor, CPU: c.CPU * factor}
 }
 
-var _ core.ScalableCost = Cost{}
+var _ core.ScalableCost[Cost] = Cost{}
 
 // Metric projects the record onto the scalar the comparisons already
 // use; the stochastic search policies (core.MetricCost) turn it into
 // UCT rewards and floor priors.
 func (c Cost) Metric() float64 { return c.Total() }
 
-var _ core.MetricCost = Cost{}
+var _ core.MetricCost[Cost] = Cost{}
 
 // String renders the record.
 func (c Cost) String() string {

@@ -89,17 +89,18 @@ func BenchmarkExploreBudgeted(b *testing.B) {
 }
 
 // TestColdOptimizeAllocs caps the allocations of one cold 8-relation
-// optimization about 10% above the 3044 and 157568 bytes it measures with
-// each class matching its implementation rules once for all requirements,
-// compact moves, the memo's expressions, bindings and matches in slabs
-// and its tables in slices (4811 and 249114 before, with moves collected
-// per requirement into growing slices and the memo's tables in maps; the
+// optimization about 10% above the 1926 and 137472 bytes it measures with
+// the search instantiated for the cost type, so that limits, partial sums
+// and floors are values (3044 and 157568 before, when every Add and Sub
+// boxed its result through the cost interface; 4811 and 249114 before
+// each class matched its implementation rules once for all requirements
+// and the memo kept its expressions, bindings and matches in slabs; the
 // closure-based binder over map-backed properties took 49118 allocations,
 // and 7966 before duplicate spellings were retired), so that gain cannot
 // silently rot. A 3-relation chain — a point-churn statement's shape — is
-// capped the same way (710 allocations and 34112 bytes; 861 and 47024
-// before), so memo storage sized for large searches cannot inflate small
-// ones.
+// capped the same way (557 allocations and 31248 bytes; 710 and 34112
+// with boxed costs, 861 and 47024 before that), so memo storage sized for
+// large searches cannot inflate small ones.
 func TestColdOptimizeAllocs(t *testing.T) {
 	cat, qs := pinnedWorkload()
 	src := datagen.New(1993)
@@ -114,8 +115,8 @@ func TestColdOptimizeAllocs(t *testing.T) {
 		pq                 pinnedQuery
 		ceiling, byteLimit float64
 	}{
-		{"8-relation random", cat, qs[3], 3350, 173300}, // the first random 8-relation query
-		{"3-relation chain", cat3, chain, 780, 37500},
+		{"8-relation random", cat, qs[3], 2120, 151200}, // the first random 8-relation query
+		{"3-relation chain", cat3, chain, 615, 34400},
 	} {
 		if n := testing.AllocsPerRun(5, func() { optimizeCold(t, c.cat, c.pq) }); n > c.ceiling {
 			t.Errorf("cold %s optimization allocates %.0f times, ceiling %.0f", c.name, n, c.ceiling)

@@ -179,18 +179,13 @@ func (m *Model) Enforcers() []*core.Enforcer { return m.enfs }
 // AnyProps returns the vacuous physical property vector.
 func (m *Model) AnyProps() core.PhysProps { return Any }
 
-// The identity and unreachable costs boxed once: the search asks for
-// them on every goal, and boxing a Cost allocates.
-var (
-	zeroCost     core.Cost = Cost{}
-	infiniteCost core.Cost = Infinite
-)
+// costs declares Cost as the model's cost ADT, with its zero and
+// Infinite.
+var costs = core.CostsOf(Cost{}, Infinite)
 
-// ZeroCost returns the additive identity of the cost ADT.
-func (m *Model) ZeroCost() core.Cost { return zeroCost }
-
-// InfiniteCost returns the unreachable cost.
-func (m *Model) InfiniteCost() core.Cost { return infiniteCost }
+// Costs returns the cost declaration the search engine is instantiated
+// for.
+func (m *Model) Costs() core.CostSpace { return costs }
 
 var (
 	_ core.Commuter  = (*Model)(nil)

@@ -129,16 +129,16 @@ func TestQuickCoverLaws(t *testing.T) {
 func TestCostArithmetic(t *testing.T) {
 	a := Cost{IO: 2, CPU: 1}
 	b := Cost{IO: 1, CPU: 0.5}
-	if got := a.Add(b).(Cost); got.IO != 3 || got.CPU != 1.5 {
+	if got := a.Add(b); got.IO != 3 || got.CPU != 1.5 {
 		t.Fatalf("Add = %+v", got)
 	}
-	if got := a.Sub(b).(Cost); got.IO != 1 || got.CPU != 0.5 {
+	if got := a.Sub(b); got.IO != 1 || got.CPU != 0.5 {
 		t.Fatalf("Sub = %+v", got)
 	}
 	if !b.Less(a) || a.Less(b) {
 		t.Fatal("Less broken")
 	}
-	if !math.IsInf(Infinite.Sub(a).(Cost).IO, 1) {
+	if !math.IsInf(Infinite.Sub(a).IO, 1) {
 		t.Fatal("infinite minus finite must stay infinite")
 	}
 	if a.String() == "" || Infinite.String() != "inf" {

@@ -135,7 +135,7 @@ func TestFusedProjectJoin(t *testing.T) {
 	if !strings.Contains(separate.String(), "project(") {
 		t.Fatalf("no separate project operator:\n%s", separate.Format())
 	}
-	if separate.Cost.Less(fused.Cost) {
+	if separate.Cost.(Cost).Less(fused.Cost.(Cost)) {
 		t.Fatalf("separate projection cheaper than fused: %s < %s", separate.Cost, fused.Cost)
 	}
 }

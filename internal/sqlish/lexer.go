@@ -81,12 +81,16 @@ type token struct {
 	pos  int
 }
 
-// lex splits the input into tokens.
-func lex(input string) ([]token, error) {
-	// Every token but the last takes a byte or more, and a statement's
-	// average is three or more: half the input length covers it, and an
-	// input that packs tokens tighter grows the vector once.
-	toks := make([]token, 0, len(input)/2+1)
+// lexTokens is the length of the token array Parse lends lex: a served
+// point statement has some 35 tokens; a longer statement grows the
+// vector on the heap.
+const lexTokens = 64
+
+// lex splits the input into tokens, appending them to toks[:0]. Tokens
+// never outlive the parse — their texts are substrings of the input — so
+// Parse lends lex a vector in its own frame.
+func lex(input string, toks []token) ([]token, error) {
+	toks = toks[:0]
 	i := 0
 	for i < len(input) {
 		c := rune(input[i])

@@ -22,7 +22,8 @@ type Statement struct {
 
 // Parse lexes, parses, and lowers one statement against the catalog.
 func Parse(cat *rel.Catalog, sql string) (*Statement, error) {
-	toks, err := lex(sql)
+	var buf [lexTokens]token
+	toks, err := lex(sql, buf[:])
 	if err != nil {
 		return nil, err
 	}
