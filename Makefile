@@ -47,9 +47,9 @@ bench:
 
 # Transformation-rule exploration inside cold optimizations: exploreGroup
 # is 31% of OptimizeWithLimitCtx in a CPU profile of these benchmarks.
-# (Traced core.explore_share reads 0.93 on opt-fig4 and 1.45 on
-# opt-budgeted, seed 1993, because its probe explores every class a query
-# references and a search explores only those its goals reach.) Measures
+# (Traced core.explore_share can exceed 1, on opt-budgeted especially,
+# because its probe explores every class a query references and a search
+# explores only those its goals reach.) Measures
 # ns/op, B/op and allocs/op of three cold guided optimizations at
 # each of 6, 8 and 10 relations (BenchmarkExploreFig4), and of chain,
 # star and random queries at 8, 9 and 10 relations under a 200-step

@@ -250,8 +250,6 @@ func TestOptionsValidate(t *testing.T) {
 			Search:   core.SearchOptions{GlueMode: true},
 			Guidance: core.GuidanceOptions{SeedPlanner: core.SyntacticSeedPlanner()},
 		},
-		{Guidance: core.GuidanceOptions{SeedStages: -1}},
-		{Guidance: core.GuidanceOptions{SeedGrowth: -0.5}},
 		{Budget: core.Budget{Timeout: -time.Second}},
 		{Budget: core.Budget{MaxSteps: -1}},
 		{Budget: core.Budget{MaxMemoBytes: -1}},

@@ -28,6 +28,16 @@ package core
 //
 // Implementations must be immutable values: Add returns a new value and
 // leaves the receiver unchanged.
+//
+// Add and Sub must be exact: associative, with (a + b) − b == a, so that
+// a plan's cost does not depend on the order its terms are summed in.
+// Branch-and-bound relies on it twice. It passes "Limit − TotalCost"
+// down as an input's limit, and an input whose cost equals that
+// remainder must fit it. It memoizes a failure with its limit, and that
+// failure must be a proof. Under rounding arithmetic (two float64
+// components, say) a limit equal to the optimum can miss it, and a
+// seed's cost can sit a rounding below the plan it prices. Fixed-point
+// integers, as relopt.Cost uses, meet the contract.
 type CostADT[C any] interface {
 	// Add returns the sum of the receiver and other.
 	Add(other C) C
@@ -51,20 +61,6 @@ type CostADT[C any] interface {
 // A value is boxed once, when it is recorded, never per arithmetic step.
 type Cost interface {
 	String() string
-}
-
-// ScalableCost is an optional extension of the cost ADT for cost types
-// that can be multiplied by a scalar. Guided search uses it to relax an
-// infeasible seed limit geometrically (iterative deepening) instead of
-// jumping straight to the caller's limit. Cost types that do not
-// implement it skip the intermediate stages: after a failed seed stage
-// the search falls back to the caller's limit directly.
-type ScalableCost[C any] interface {
-	CostADT[C]
-	// Scale returns the receiver multiplied by factor (factor > 1 for
-	// limit relaxation). Like the other arithmetic methods it must not
-	// mutate the receiver.
-	Scale(factor float64) C
 }
 
 // MetricCost is an optional extension of the cost ADT for cost types
@@ -132,15 +128,6 @@ func (cs *costSpace[C]) Less(a, b Cost) bool { return a.(C).Less(b.(C)) }
 func (cs *costSpace[C]) add(a, b Cost) Cost  { return a.(C).Add(b.(C)) }
 
 func (cs *costSpace[C]) engine(o *Optimizer) engine { return &search[C]{Optimizer: o, cs: cs} }
-
-// scale multiplies c by factor when C is a ScalableCost; ok is false
-// otherwise. Guided search calls it once per relaxed stage.
-func scale[C CostADT[C]](c C, factor float64) (C, bool) {
-	if s, ok := any(c).(ScalableCost[C]); ok {
-		return s.Scale(factor), true
-	}
-	return c, false
-}
 
 // le reports c <= d under the ADT's ordering.
 func le[C CostADT[C]](c, d C) bool { return !d.Less(c) }

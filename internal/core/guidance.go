@@ -7,15 +7,15 @@ package core
 // planner produces a cheap complete plan up front, and the seed's cost
 // becomes the initial limit. Because the seed is achievable, the optimal
 // plan costs at most the seed — the seeded stage searches with the bound
-// inclusive so a plan costing exactly the seed is admitted, and the
-// first stage is guaranteed to succeed whenever the seed's cost is
-// honest. If a seed planner underestimates (a cost-only planner whose
-// formulas drift from the model's), the stage fails, the failure is
-// memoized against that limit, and the search retries under a
-// geometrically relaxed limit — iterative deepening over cost — reusing
-// every winner and memoized failure already recorded. Guided search
-// never returns the seed plan itself: only what the search engine finds
-// is returned, so guided and unguided runs produce identical plans.
+// inclusive so a plan costing exactly the seed is admitted, and under
+// the cost ADT's exact arithmetic that one stage succeeds whenever the
+// seed's cost is honest. If a seed planner underestimates (a cost-only
+// planner whose formulas drift from the model's), the stage fails, the
+// failures are memoized against that limit, and one more stage runs at
+// the caller's limit, reusing every winner and memoized failure already
+// recorded. Guided search never returns the seed plan itself: only what
+// the search engine finds is returned, so guided and unguided runs
+// produce identical plans.
 
 // SeedPlan is what a seed planner hands the guidance layer: the cost of
 // one complete, achievable plan for the goal, plus an optional
@@ -25,8 +25,8 @@ package core
 type SeedPlan struct {
 	// Cost is the seed plan's estimated cost under the model's own cost
 	// functions. It must be achievable (a real plan costs this much);
-	// an underestimate costs extra search stages but never changes the
-	// result.
+	// an underestimate costs a second search stage, at the caller's
+	// limit, but never changes the result.
 	Cost Cost
 	// Desc optionally sketches the seed plan for display.
 	Desc string
@@ -64,21 +64,13 @@ type LowerBounder interface {
 	LowerBound(lp LogicalProps) Cost
 }
 
-// Defaults for the staged relaxation schedule.
-const (
-	// DefaultSeedStages is the number of seeded limit stages before the
-	// final stage at the caller's limit.
-	DefaultSeedStages = 3
-	// DefaultSeedGrowth is the geometric limit-relaxation factor
-	// between seeded stages.
-	DefaultSeedGrowth = 4.0
-)
-
-// guidedOptimize runs the staged search for OptimizeWithLimit when a
-// SeedPlanner is configured. Winners and memoized failures accumulate in
-// the ordinary tables across stages: winners recorded under any finite
-// limit are globally optimal, and a failure at limit F certifies that no
-// plan costs less than F, so both are sound to reuse at higher limits.
+// guidedOptimize runs OptimizeWithLimit when a SeedPlanner is
+// configured: one stage under the seed's cost and, only when that stage
+// ends without a plan, one at the caller's limit. Winners and memoized
+// failures carry over from the first stage to the second: winners
+// recorded under any finite limit are globally optimal, and a failure at
+// limit F certifies that no plan costs less than F, so both are sound to
+// reuse at a higher limit.
 func (o *search[C]) guidedOptimize(root GroupID, required PhysProps, limit C) *Plan {
 	var seedCost Cost
 	if seed := o.opts.Guidance.SeedPlanner(o.Optimizer, root, required); seed != nil {
@@ -92,54 +84,16 @@ func (o *search[C]) guidedOptimize(root GroupID, required PhysProps, limit C) *P
 			o.stats.SeedFloorCost = seed.Plan.Cost
 		}
 	}
-	if seedCost == nil || o.opts.Search.NoPruning || !seedCost.(C).Less(limit) {
-		// No usable seed, pruning disabled, or the caller's limit is
-		// already at least as tight as the seed: one unguided stage under
-		// the caller's (inclusive) limit.
-		o.stageTrace(root, required, limit)
-		p, _ := o.findBestPlan(root, required, nil, limit, true)
-		return p
-	}
-
-	stages := o.opts.Guidance.SeedStages
-	if stages < 1 {
-		stages = DefaultSeedStages
-	}
-	growth := o.opts.Guidance.SeedGrowth
-	if growth <= 1 {
-		growth = DefaultSeedGrowth
-	}
-
-	cur := seedCost.(C)
-	for i := 0; i < stages; i++ {
-		o.stageTrace(root, required, cur)
-		p, transient := o.findBestPlan(root, required, nil, cur, true)
-		if p != nil {
+	// With no usable seed, pruning disabled, or a caller's limit already
+	// at least as tight as the seed, the one stage is the caller's.
+	if seedCost != nil && !o.opts.Search.NoPruning && seedCost.(C).Less(limit) {
+		o.stageTrace(root, required, seedCost.(C))
+		if p, _ := o.findBestPlan(root, required, nil, seedCost.(C), true); p != nil || o.memo.err != nil {
 			return p
 		}
-		if o.memo.err != nil {
-			return nil
-		}
-		if transient {
-			// A cycle or budget stop kept the stage from being
-			// definitive; relaxing the limit will not help more than
-			// the final stage does.
-			break
-		}
-		next, ok := scale(cur, growth)
-		if !ok {
-			// The cost ADT cannot be scaled; skip straight to the
-			// caller's limit.
-			break
-		}
-		if !next.Less(limit) {
-			break
-		}
-		cur = next
+		// The seed lied low, or a cycle kept the stage from being
+		// definitive: search once more under the caller's limit.
 	}
-
-	// Final stage: the caller's original limit, with the same inclusive
-	// bound semantics as an unguided run.
 	o.stageTrace(root, required, limit)
 	p, _ := o.findBestPlan(root, required, nil, limit, true)
 	return p

@@ -87,10 +87,10 @@ func TestGuidedSeedEqualsOptimal(t *testing.T) {
 	}
 }
 
-// TestGuidedUnderestimatingSeedRelaxes: a seeder that lies low forces
-// iterative deepening — stages are spent relaxing the limit, failures
-// are memoized and reused, and the final result is still exactly the
-// exhaustive optimum.
+// TestGuidedUnderestimatingSeedRelaxes: a seeder that lies low costs
+// exactly one more stage — the seeded stage fails, its failures are
+// memoized, and a second stage at the caller's limit reuses them — and
+// the result is still exactly the exhaustive optimum.
 func TestGuidedUnderestimatingSeedRelaxes(t *testing.T) {
 	tree := leftDeepPair("a", "b", "c", "d", "e")
 	want := toyOptimum(5, true) // 5 + 2*4 + 4 = 17
@@ -100,8 +100,6 @@ func TestGuidedUnderestimatingSeedRelaxes(t *testing.T) {
 			return &core.SeedPlan{Cost: toyCost(0.5), Desc: "liar"}
 		}, func(opts *core.Options) {
 			opts.Search.NoFailureMemo = !memo
-			opts.Guidance.SeedStages = 2
-			opts.Guidance.SeedGrowth = 3
 		})
 		g := opt.InsertQuery(tree)
 		plan, err := opt.Optimize(g, toyColor(1))
@@ -113,13 +111,13 @@ func TestGuidedUnderestimatingSeedRelaxes(t *testing.T) {
 			t.Fatalf("memo=%v: plan=%v, want cost %v", memo, plan, want)
 		}
 		st := opt.Stats()
-		// Stage 0 at 0.5 and stage 1 at 1.5 both fail (every complete
-		// plan costs >= 17); the final stage at the caller's limit wins.
-		if st.LimitStages != 3 {
-			t.Errorf("memo=%v: LimitStages = %d, want 3", memo, st.LimitStages)
+		// The seeded stage at 0.5 fails (every complete plan costs
+		// >= 17); the stage at the caller's limit wins.
+		if st.LimitStages != 2 {
+			t.Errorf("memo=%v: LimitStages = %d, want 2", memo, st.LimitStages)
 		}
 		if st.GoalsPruned == 0 {
-			t.Errorf("memo=%v: no goals recorded as bound-failures despite failing stages", memo)
+			t.Errorf("memo=%v: no goals recorded as bound-failures despite a failing stage", memo)
 		}
 	}
 }
@@ -225,6 +223,34 @@ func TestQuickGuidedTelemetryConsistent(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLimitEqualToOptimumReturnsIt: OptimizeWithLimitCtx's limit is
+// inclusive, so a limit equal to the optimum's cost returns the optimum,
+// unguided and guided by the syntactic seed, and the guided run finishes
+// in its one seeded stage.
+func TestLimitEqualToOptimumReturnsIt(t *testing.T) {
+	check := func(s guidedShape, color uint8) bool {
+		required := toyColor(color % 3)
+		want := toyOptimum(s.leaves, required != 0)
+		for _, sp := range []core.SeedPlanner{nil, core.SyntacticSeedPlanner()} {
+			opt := newGuidedToyOpt(sp, nil)
+			plan, err := opt.OptimizeWithLimitCtx(context.Background(), opt.InsertQuery(s.tree), required, want)
+			coretest.CheckMemo(t, opt)
+			if err != nil || plan == nil || plan.Cost.(toyCost) != want {
+				t.Logf("guided=%v, %d leaves, %v: plan=%v err=%v want=%v", sp != nil, s.leaves, required, plan, err, want)
+				return false
+			}
+			if st := opt.Stats(); sp != nil && st.LimitStages != 1 {
+				t.Logf("%d leaves: %d limit stages, want 1", s.leaves, st.LimitStages)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

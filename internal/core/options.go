@@ -151,23 +151,13 @@ type GuidanceOptions struct {
 	// becomes the initial cost limit. The seeded limit is inclusive —
 	// an optimal plan costing exactly the seed is never pruned away —
 	// and if it proves infeasible (the seed underestimated), the search
-	// retries under geometrically relaxed limits before falling back to
-	// the caller's limit, reusing the winner and failure tables across
-	// stages. Guided search returns only plans found by the search
-	// engine, never the seed itself, so the returned plan and its cost
-	// are identical to an unguided exhaustive run. (The seed plan does
-	// serve as the degradation floor when a Budget stops the search —
-	// see OptimizeWithLimitCtx.)
+	// runs once more at the caller's limit, reusing the winner and
+	// failure tables. Guided search returns only plans found by the
+	// search engine, never the seed itself, so the returned plan and
+	// its cost are identical to an unguided exhaustive run. (The seed
+	// plan does serve as the degradation floor when a Budget stops the
+	// search — see OptimizeWithLimitCtx.)
 	SeedPlanner SeedPlanner
-	// SeedStages is the number of seeded limit stages guided search
-	// runs before the final stage at the caller's limit; values < 1
-	// mean DefaultSeedStages.
-	SeedStages int
-	// SeedGrowth is the geometric factor applied to the cost limit
-	// between seeded stages; values <= 1 mean DefaultSeedGrowth. It
-	// takes effect only when the model's cost type implements
-	// ScalableCost.
-	SeedGrowth float64
 }
 
 // TraceOptions configure search observability.
@@ -180,7 +170,7 @@ type TraceOptions struct {
 
 // Validate checks the configuration for contradictions: a MoveFilter
 // without NoIncremental, GlueMode combined with a SeedPlanner, or
-// negative guidance and budget bounds. NewOptimizer panics on an
+// negative episode and budget bounds. NewOptimizer panics on an
 // invalid configuration; servers accepting user-supplied options should
 // validate first and surface the error instead.
 func (o *Options) Validate() error {
@@ -207,12 +197,6 @@ func (o *Options) Validate() error {
 	}
 	if o.Search.Episodes < 0 {
 		return fmt.Errorf("core: Search.Episodes must not be negative, got %d", o.Search.Episodes)
-	}
-	if o.Guidance.SeedStages < 0 {
-		return fmt.Errorf("core: Guidance.SeedStages must not be negative, got %d", o.Guidance.SeedStages)
-	}
-	if o.Guidance.SeedGrowth < 0 {
-		return fmt.Errorf("core: Guidance.SeedGrowth must not be negative, got %g", o.Guidance.SeedGrowth)
 	}
 	if o.Budget.Timeout < 0 {
 		return fmt.Errorf("core: Budget.Timeout must not be negative, got %s", o.Budget.Timeout)
@@ -331,8 +315,10 @@ type Stats struct {
 	// nothing.
 	SeedCost Cost
 	// LimitStages counts the branch-and-bound stages guided search ran:
-	// 1 when the seeded limit sufficed immediately, more when the limit
-	// had to be relaxed.
+	// 1 when the seeded limit sufficed, 2 when the seed lied low and a
+	// stage at the caller's limit followed. Under a stochastic policy it
+	// is 1 when an empty-handed episode relaxed the root limit to the
+	// caller's, else 0.
 	LimitStages int
 	// GoalsPruned counts goals that completed without finding any plan
 	// within their cost limit — the definitive bound-failures a tight

@@ -428,11 +428,6 @@ func (o *search[C]) policyOptimize(root GroupID, required PhysProps, limit C) *P
 		rng:   rand.New(rand.NewSource(o.opts.Search.RandSeed)),
 	}
 
-	growth := o.opts.Guidance.SeedGrowth
-	if growth <= 1 {
-		growth = DefaultSeedGrowth
-	}
-
 	var best *Plan
 	for ep := 0; ep < episodes && o.memo.err == nil; ep++ {
 		o.pol.episode = ep
@@ -440,21 +435,14 @@ func (o *search[C]) policyOptimize(root GroupID, required PhysProps, limit C) *P
 		if p != nil && (best == nil || p.Cost.(C).Less(best.Cost.(C))) {
 			best = p
 		}
-		if p == nil && best == nil {
+		if p == nil && best == nil && rootLimit.Less(limit) {
 			// The seed cost is an estimate and may be unachievable (the
-			// greedy planner prices a plan it never builds); an episode
-			// that came back empty-handed relaxes the limit geometrically
-			// toward the caller's, exactly like guided search's staged
-			// relaxation, so later episodes can commit real plans.
-			if rootLimit.Less(limit) {
-				if relaxed, ok := scale(rootLimit, growth); ok {
-					if limit.Less(relaxed) {
-						relaxed = limit
-					}
-					rootLimit = relaxed
-					o.stats.LimitStages++
-				}
-			}
+			// greedy planner prices a plan it never builds), and a
+			// rollout proves nothing by failing: an episode that came
+			// back empty-handed relaxes the limit to the caller's, so
+			// later episodes can commit real plans.
+			rootLimit = limit
+			o.stats.LimitStages++
 		}
 		o.stats.Episodes++
 		if o.tracer != nil {

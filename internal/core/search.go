@@ -225,7 +225,11 @@ func (o *Optimizer) OptimizeCtx(ctx context.Context, root GroupID, required Phys
 
 // OptimizeWithLimitCtx is Optimize with a caller-supplied cost limit; a
 // user interface may set a finite limit to "catch" unreasonable queries.
-// The limit is inclusive: a plan costing exactly the limit is within it.
+// The limit is inclusive: a plan costing exactly the limit is within it,
+// so a limit equal to the optimum's cost returns the optimum (CostADT's
+// exact arithmetic makes that hold). With a SeedPlanner the search runs
+// one stage under the seed's cost when that is below the limit, and a
+// second under the limit only when the seed's stage finds no plan.
 //
 // The return contract distinguishes three outcomes:
 //
@@ -764,20 +768,15 @@ func (o *search[C]) prune(s *goal[C], partial C) bool {
 }
 
 // childLimit is the cost limit passed down when optimizing an input:
-// the remaining budget after the partial cost accumulated so far. Under
-// an inclusive bound the partial cost may equal the limit exactly, and
-// componentwise cost subtraction can round the remainder slightly below
-// zero; the result is clamped so a legitimate zero-budget child goal is
-// not turned into a spurious (and memoized) failure.
+// the remaining budget after the partial cost accumulated so far. The
+// caller has already pruned a partial cost beyond the bound, so the
+// remainder is never negative, and exact cost arithmetic makes it
+// exactly what the input may spend.
 func (o *search[C]) childLimit(s *goal[C], partial C) C {
 	if o.opts.Search.NoPruning {
 		return o.cs.inf
 	}
-	rem := s.limit.Sub(partial)
-	if rem.Less(o.cs.zero) {
-		return o.cs.zero
-	}
-	return rem
+	return s.limit.Sub(partial)
 }
 
 // offer installs a complete plan as the goal's best if it improves on

@@ -11,8 +11,8 @@ import (
 
 // ioCPU is a two-component cost record, the shape of relopt's I/O and
 // CPU cost: the search engine is instantiated for a struct, not a
-// scalar. Less compares totals. Like toyCost it is a ScalableCost and a
-// MetricCost, so every strategy takes the same path for both.
+// scalar. Less compares totals. Like toyCost it is a MetricCost, so every
+// strategy takes the same path for both.
 type ioCPU struct{ IO, CPU float64 }
 
 func (c ioCPU) Add(o ioCPU) ioCPU { return ioCPU{c.IO + o.IO, c.CPU + o.CPU} }
@@ -22,11 +22,10 @@ func (c ioCPU) Sub(o ioCPU) ioCPU {
 	}
 	return ioCPU{c.IO - o.IO, c.CPU - o.CPU}
 }
-func (c ioCPU) Less(o ioCPU) bool     { return c.total() < o.total() }
-func (c ioCPU) Scale(f float64) ioCPU { return ioCPU{c.IO * f, c.CPU * f} }
-func (c ioCPU) Metric() float64       { return c.total() }
-func (c ioCPU) String() string        { return fmt.Sprintf("io=%.2f,cpu=%.2f", c.IO, c.CPU) }
-func (c ioCPU) total() float64        { return c.IO + c.CPU }
+func (c ioCPU) Less(o ioCPU) bool { return c.total() < o.total() }
+func (c ioCPU) Metric() float64   { return c.total() }
+func (c ioCPU) String() string    { return fmt.Sprintf("io=%.2f,cpu=%.2f", c.IO, c.CPU) }
+func (c ioCPU) total() float64    { return c.IO + c.CPU }
 
 var ioCPUCosts = core.CostsOf(ioCPU{}, ioCPU{math.Inf(1), math.Inf(1)})
 

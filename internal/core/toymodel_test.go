@@ -79,11 +79,10 @@ func (c toyColor) String() string {
 // toyCost is a float cost.
 type toyCost float64
 
-func (c toyCost) Add(o toyCost) toyCost   { return c + o }
-func (c toyCost) Sub(o toyCost) toyCost   { return c - o }
-func (c toyCost) Less(o toyCost) bool     { return c < o }
-func (c toyCost) Scale(f float64) toyCost { return toyCost(float64(c) * f) }
-func (c toyCost) String() string          { return fmt.Sprintf("%.1f", float64(c)) }
+func (c toyCost) Add(o toyCost) toyCost { return c + o }
+func (c toyCost) Sub(o toyCost) toyCost { return c - o }
+func (c toyCost) Less(o toyCost) bool   { return c < o }
+func (c toyCost) String() string        { return fmt.Sprintf("%.1f", float64(c)) }
 
 var toyCosts = core.CostsOf(toyCost(0), 1e18)
 

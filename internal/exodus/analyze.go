@@ -38,10 +38,7 @@ func (o *Optimizer) analyzeVersions(e *exprNode, inputs []*Node) []*Node {
 			return nil
 		}
 		n.Alg = "filescan"
-		n.Cost = relopt.Cost{
-			IO:  props.Pages(p.PageBytes),
-			CPU: props.Rows * p.CPUTuple,
-		}
+		n.Cost = relopt.NewCost(props.Pages(p.PageBytes), props.Rows*p.CPUTuple)
 		return []*Node{n}
 
 	case *rel.Select:
@@ -51,7 +48,7 @@ func (o *Optimizer) analyzeVersions(e *exprNode, inputs []*Node) []*Node {
 			return nil
 		}
 		n.Alg = "filter"
-		n.Cost = in.Cost.Add(relopt.Cost{CPU: in.props().Rows * p.CPUPred})
+		n.Cost = in.Cost.Add(relopt.NewCost(0, in.props().Rows*p.CPUPred))
 		n.SortedOn, n.SortedOn2 = in.SortedOn, in.SortedOn2
 		return []*Node{n}
 
@@ -62,7 +59,7 @@ func (o *Optimizer) analyzeVersions(e *exprNode, inputs []*Node) []*Node {
 			return nil
 		}
 		n.Alg = "project"
-		n.Cost = in.Cost.Add(relopt.Cost{CPU: in.props().Rows * p.CPUTuple})
+		n.Cost = in.Cost.Add(relopt.NewCost(0, in.props().Rows*p.CPUTuple))
 		for _, c := range op.Cols {
 			if c == in.SortedOn {
 				n.SortedOn = in.SortedOn
@@ -90,10 +87,7 @@ func (o *Optimizer) analyzeVersions(e *exprNode, inputs []*Node) []*Node {
 func (o *Optimizer) sortCost(props *rel.Props) relopt.Cost {
 	p := o.cfg.Params
 	rows := props.Rows
-	return relopt.Cost{
-		IO:  2 * props.Pages(p.PageBytes) * p.SpillIO,
-		CPU: rows * log2(rows) * p.CPUCompare,
-	}
+	return relopt.NewCost(2*props.Pages(p.PageBytes)*p.SpillIO, rows*log2(rows)*p.CPUCompare)
 }
 
 func log2(n float64) float64 {
@@ -130,10 +124,9 @@ func (o *Optimizer) analyzeJoin(e *exprNode, inputs []*Node, j *rel.Join, versio
 		return nil
 	}
 	hash.Alg = "hybrid-hash-join"
-	hash.Cost = inCost.Add(relopt.Cost{
-		IO:  relopt.HashSpillIO(p, lp.Pages(p.PageBytes), rp.Pages(p.PageBytes)),
-		CPU: (lp.Rows+rp.Rows)*p.CPUHash + out.Rows*p.CPUTuple,
-	})
+	hash.Cost = inCost.Add(relopt.NewCost(
+		relopt.HashSpillIO(p, lp.Pages(p.PageBytes), rp.Pages(p.PageBytes)),
+		(lp.Rows+rp.Rows)*p.CPUHash+out.Rows*p.CPUTuple))
 
 	merge := version()
 	if merge == nil {
@@ -147,9 +140,7 @@ func (o *Optimizer) analyzeJoin(e *exprNode, inputs []*Node, j *rel.Join, versio
 	if !r.sortedOnCol(rc) {
 		mc = mc.Add(o.sortCost(rp))
 	}
-	merge.Cost = mc.Add(relopt.Cost{
-		CPU: (lp.Rows+rp.Rows)*p.CPUCompare + out.Rows*p.CPUTuple,
-	})
+	merge.Cost = mc.Add(relopt.NewCost(0, (lp.Rows+rp.Rows)*p.CPUCompare+out.Rows*p.CPUTuple))
 	merge.SortedOn, merge.SortedOn2 = lc, rc
 
 	return []*Node{hash, merge}
@@ -168,10 +159,9 @@ func (o *Optimizer) analyzeIntersect(e *exprNode, inputs []*Node, version func()
 		return nil
 	}
 	hash.Alg = "hash-intersect"
-	hash.Cost = inCost.Add(relopt.Cost{
-		IO:  relopt.HashSpillIO(p, lp.Pages(p.PageBytes), rp.Pages(p.PageBytes)),
-		CPU: (lp.Rows+rp.Rows)*p.CPUHash + out.Rows*p.CPUTuple,
-	})
+	hash.Cost = inCost.Add(relopt.NewCost(
+		relopt.HashSpillIO(p, lp.Pages(p.PageBytes), rp.Pages(p.PageBytes)),
+		(lp.Rows+rp.Rows)*p.CPUHash+out.Rows*p.CPUTuple))
 
 	// Merge intersection needs both inputs fully sorted; EXODUS always
 	// charges the sorts because single-column incidental order says
@@ -182,9 +172,7 @@ func (o *Optimizer) analyzeIntersect(e *exprNode, inputs []*Node, version func()
 	}
 	merge.Alg = "merge-intersect"
 	mc := inCost.Add(o.sortCost(lp)).Add(o.sortCost(rp))
-	merge.Cost = mc.Add(relopt.Cost{
-		CPU: (lp.Rows+rp.Rows)*p.CPUCompare*float64(len(out.Cols)) + out.Rows*p.CPUTuple,
-	})
+	merge.Cost = mc.Add(relopt.NewCost(0, (lp.Rows+rp.Rows)*p.CPUCompare*float64(len(out.Cols))+out.Rows*p.CPUTuple))
 
 	return []*Node{hash, merge}
 }
@@ -201,9 +189,7 @@ func (o *Optimizer) analyzeGroupBy(e *exprNode, inputs []*Node, g *rel.GroupBy, 
 		return nil
 	}
 	hash.Alg = "hash-groupby"
-	hash.Cost = in.Cost.Add(relopt.Cost{
-		CPU: ip.Rows*p.CPUHash + out.Rows*p.CPUTuple,
-	})
+	hash.Cost = in.Cost.Add(relopt.NewCost(0, ip.Rows*p.CPUHash+out.Rows*p.CPUTuple))
 
 	srt := version()
 	if srt == nil {
@@ -214,9 +200,7 @@ func (o *Optimizer) analyzeGroupBy(e *exprNode, inputs []*Node, g *rel.GroupBy, 
 	if len(g.GroupCols) != 1 || !in.sortedOnCol(g.GroupCols[0]) {
 		sc = sc.Add(o.sortCost(ip))
 	}
-	srt.Cost = sc.Add(relopt.Cost{
-		CPU: ip.Rows*p.CPUCompare + out.Rows*p.CPUTuple,
-	})
+	srt.Cost = sc.Add(relopt.NewCost(0, ip.Rows*p.CPUCompare+out.Rows*p.CPUTuple))
 	if len(g.GroupCols) == 1 {
 		srt.SortedOn = g.GroupCols[0]
 	}

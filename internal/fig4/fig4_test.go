@@ -1,7 +1,6 @@
 package fig4
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/datagen"
@@ -70,15 +69,15 @@ func TestAblationInvariants(t *testing.T) {
 		noMemo := byVariant["no-failure-memo"][n]
 		glue := byVariant["glue-mode"][n]
 
-		if math.Abs(noPrune.MeanCost-def.MeanCost) > 1e-6*def.MeanCost {
+		if noPrune.MeanCost != def.MeanCost {
 			t.Errorf("rels=%d: no-pruning cost %.3f != default %.3f",
 				n, noPrune.MeanCost, def.MeanCost)
 		}
-		if math.Abs(noMemo.MeanCost-def.MeanCost) > 1e-6*def.MeanCost {
+		if noMemo.MeanCost != def.MeanCost {
 			t.Errorf("rels=%d: no-failure-memo cost %.3f != default %.3f",
 				n, noMemo.MeanCost, def.MeanCost)
 		}
-		if glue.MeanCost < def.MeanCost-1e-6*def.MeanCost {
+		if glue.MeanCost < def.MeanCost {
 			t.Errorf("rels=%d: glue-mode cost %.3f beats property-directed %.3f",
 				n, glue.MeanCost, def.MeanCost)
 		}

@@ -75,7 +75,7 @@ func (s *DefaultSupport) ScanApplic(ctx *core.RuleContext, b *core.Binding, requ
 
 func (s *DefaultSupport) ScanCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
 	p := props(ctx, b.Group)
-	return relopt.Cost{IO: p.Pages(s.params.PageBytes), CPU: p.Rows * s.params.CPUTuple}
+	return relopt.NewCost(p.Pages(s.params.PageBytes), p.Rows*s.params.CPUTuple)
 }
 
 func (s *DefaultSupport) BuildScan(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
@@ -88,7 +88,7 @@ func (s *DefaultSupport) FilterApplic(ctx *core.RuleContext, b *core.Binding, re
 
 func (s *DefaultSupport) FilterCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
 	in := props(ctx, b.Children[0].Group)
-	return relopt.Cost{CPU: in.Rows * s.params.CPUPred}
+	return relopt.NewCost(0, in.Rows*s.params.CPUPred)
 }
 
 func (s *DefaultSupport) FilterDelivered(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
@@ -113,10 +113,9 @@ func (s *DefaultSupport) HashJoinCost(ctx *core.RuleContext, b *core.Binding, re
 	lp := props(ctx, b.Children[0].Group)
 	rp := props(ctx, b.Children[1].Group)
 	out := props(ctx, b.Group)
-	return relopt.Cost{
-		IO:  relopt.HashSpillIO(s.params, lp.Pages(s.params.PageBytes), rp.Pages(s.params.PageBytes)),
-		CPU: (lp.Rows+rp.Rows)*s.params.CPUHash + out.Rows*s.params.CPUTuple,
-	}
+	return relopt.NewCost(
+		relopt.HashSpillIO(s.params, lp.Pages(s.params.PageBytes), rp.Pages(s.params.PageBytes)),
+		(lp.Rows+rp.Rows)*s.params.CPUHash+out.Rows*s.params.CPUTuple)
 }
 
 func (s *DefaultSupport) BuildHashJoin(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
@@ -146,7 +145,7 @@ func (s *DefaultSupport) MergeJoinCost(ctx *core.RuleContext, b *core.Binding, r
 	lp := props(ctx, b.Children[0].Group)
 	rp := props(ctx, b.Children[1].Group)
 	out := props(ctx, b.Group)
-	return relopt.Cost{CPU: (lp.Rows+rp.Rows)*s.params.CPUCompare + out.Rows*s.params.CPUTuple}
+	return relopt.NewCost(0, (lp.Rows+rp.Rows)*s.params.CPUCompare+out.Rows*s.params.CPUTuple)
 }
 
 func (s *DefaultSupport) MergeJoinDelivered(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
@@ -178,10 +177,7 @@ func (s *DefaultSupport) SortEnfCost(ctx *core.RuleContext, lp core.LogicalProps
 	if rows >= 2 {
 		lg = math.Log2(rows)
 	}
-	return relopt.Cost{
-		IO:  2 * p.Pages(s.params.PageBytes) * s.params.SpillIO,
-		CPU: rows * lg * s.params.CPUCompare,
-	}
+	return relopt.NewCost(2*p.Pages(s.params.PageBytes)*s.params.SpillIO, rows*lg*s.params.CPUCompare)
 }
 
 func (s *DefaultSupport) BuildSort(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.PhysicalOp {

@@ -50,27 +50,65 @@ func (p *PhysProps) String() string {
 }
 
 // Cost is the object model's cost ADT: a single number of I/O-equivalent
-// units, showing that cost structure is entirely up to the model.
-type Cost float64
+// units, showing that cost structure is entirely up to the model. It
+// counts millionths of a unit as an integer, so sums and differences
+// are exact, as core.CostADT requires; each cost formula rounds once,
+// through costOf. Finite sums saturate at a ceiling below Infinite.
+type Cost int64
+
+// Infinite is the cost beyond every plan, the default limit.
+const Infinite Cost = math.MaxInt64
+
+const (
+	// perUnit is the number of Cost steps per I/O-equivalent unit.
+	perUnit = 1e6
+	// ceiling bounds every finite cost, so a sum of two never overflows.
+	ceiling = 1<<62 - 1
+)
 
 var _ core.CostADT[Cost] = Cost(0)
 
-// Add sums costs.
-func (c Cost) Add(o Cost) Cost { return c + o }
+// costOf rounds a formula's cost, in units, to the nearest Cost step.
+func costOf(x float64) Cost {
+	u := math.Round(x * perUnit)
+	if !(u < ceiling) {
+		return ceiling
+	}
+	return Cost(u)
+}
+
+// sat clamps a sum of two finite costs to ±ceiling.
+func sat(c Cost) Cost { return max(-ceiling, min(c, ceiling)) }
+
+// Add sums costs; a sum with Infinite is Infinite.
+func (c Cost) Add(o Cost) Cost {
+	if c == Infinite || o == Infinite {
+		return Infinite
+	}
+	return sat(c + o)
+}
 
 // Sub subtracts costs; infinity stays infinite.
 func (c Cost) Sub(o Cost) Cost {
-	if math.IsInf(float64(c), 1) {
+	switch {
+	case c == Infinite:
 		return c
+	case o == Infinite:
+		return -ceiling
 	}
-	return c - o
+	return sat(c - o)
 }
 
 // Less compares costs.
 func (c Cost) Less(o Cost) bool { return c < o }
 
 // String renders the cost.
-func (c Cost) String() string { return fmt.Sprintf("%.2f", float64(c)) }
+func (c Cost) String() string {
+	if c == Infinite {
+		return "inf"
+	}
+	return fmt.Sprintf("%.2f", float64(c)/perUnit)
+}
 
 // Params are the object model's cost weights, in units of one
 // sequential page read.
@@ -191,8 +229,8 @@ func New(cat *Catalog, p Params) *Model {
 // Name returns "oodb".
 func (m *Model) Name() string { return "oodb" }
 
-// costs declares Cost as the model's cost ADT: 0 and +inf.
-var costs = core.CostsOf(Cost(0), Cost(math.Inf(1)))
+// costs declares Cost as the model's cost ADT: 0 and Infinite.
+var costs = core.CostsOf(Cost(0), Infinite)
 
 // Costs returns the cost declaration.
 func (m *Model) Costs() core.CostSpace { return costs }
@@ -273,7 +311,7 @@ func (m *Model) ScanCost(ctx *core.RuleContext, b *core.Binding, required core.P
 	if pages < 1 {
 		pages = 1
 	}
-	return Cost(pages)
+	return costOf(pages)
 }
 
 // BuildScan constructs the extent-scan operator.
@@ -298,7 +336,7 @@ func (m *Model) FilterApplic(ctx *core.RuleContext, b *core.Binding, required co
 
 // FilterCost prices one predicate evaluation per input object.
 func (m *Model) FilterCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
-	return Cost(oprops(ctx, b.Children[0].Group).Objects * m.P.CPUPred)
+	return costOf(oprops(ctx, b.Children[0].Group).Objects * m.P.CPUPred)
 }
 
 // FilterDelivered reports the input's actual properties.
@@ -323,7 +361,7 @@ func (m *Model) ChaseApplic(ctx *core.RuleContext, b *core.Binding, required cor
 
 // ChaseCost prices one random I/O per input object.
 func (m *Model) ChaseCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
-	return Cost(oprops(ctx, b.Children[0].Group).Objects * m.P.RandomIO)
+	return costOf(oprops(ctx, b.Children[0].Group).Objects * m.P.RandomIO)
 }
 
 // BuildChase constructs the pointer-chase operator.
@@ -339,7 +377,7 @@ func (m *Model) TraverseApplic(ctx *core.RuleContext, b *core.Binding, required 
 
 // TraverseCost prices an in-memory pointer step per object.
 func (m *Model) TraverseCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
-	return Cost(oprops(ctx, b.Children[0].Group).Objects * m.P.CPUStep)
+	return costOf(oprops(ctx, b.Children[0].Group).Objects * m.P.CPUStep)
 }
 
 // TraverseDelivered: components of assembled objects are themselves
@@ -368,7 +406,7 @@ func (m *Model) AssemblyRelax(ctx *core.RuleContext, lp core.LogicalProps, requi
 func (m *Model) AssemblyCost(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.Cost {
 	p := lp.(*Props)
 	levels := p.Head.Depth() + 1
-	return Cost(p.Objects * float64(levels) * m.P.AssemblyIO)
+	return costOf(p.Objects * float64(levels) * m.P.AssemblyIO)
 }
 
 // BuildAssembly constructs the assembly operator.

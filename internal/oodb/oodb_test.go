@@ -169,3 +169,41 @@ func TestAssembledRequirement(t *testing.T) {
 		t.Fatal("assembled requirement not delivered")
 	}
 }
+
+// TestLimitEqualToOptimumReturnsIt: the limit of OptimizeWithLimitCtx is
+// inclusive, so a limit equal to the optimum's cost returns the optimum,
+// unguided and guided by the syntactic seed, and the guided run finishes
+// in its one seeded stage.
+func TestLimitEqualToOptimumReturnsIt(t *testing.T) {
+	cat := schema(t)
+	steps := []string{"dept", "division", "company"}
+	run := func(q *core.ExprTree, required core.PhysProps, sp core.SeedPlanner, limit core.Cost) (*core.Plan, *core.Optimizer) {
+		opt := core.NewOptimizer(oodb.New(cat, oodb.DefaultParams()),
+			&core.Options{Guidance: core.GuidanceOptions{SeedPlanner: sp}})
+		plan, err := opt.OptimizeWithLimitCtx(context.Background(), opt.InsertQuery(q), required, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan, opt
+	}
+	for k := 0; k <= len(steps); k++ {
+		for _, sel := range []bool{false, true} {
+			for _, required := range []core.PhysProps{oodb.Any, oodb.Assembled} {
+				q := pathQuery(cat, sel, steps[:k]...)
+				want, _ := run(q, required, nil, oodb.Infinite)
+				if want == nil {
+					t.Fatalf("%d steps, select %v, %v: no plan", k, sel, required)
+				}
+				for _, sp := range []core.SeedPlanner{nil, core.SyntacticSeedPlanner()} {
+					plan, opt := run(q, required, sp, want.Cost)
+					if plan == nil || plan.Cost != want.Cost {
+						t.Fatalf("%d steps, select %v, %v, guided %v: plan %v, want cost %v", k, sel, required, sp != nil, plan, want.Cost)
+					}
+					if st := opt.Stats(); sp != nil && st.LimitStages != 1 {
+						t.Errorf("%d steps, select %v, %v: %d limit stages, want 1", k, sel, required, st.LimitStages)
+					}
+				}
+			}
+		}
+	}
+}

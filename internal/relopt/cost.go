@@ -13,45 +13,92 @@ import (
 // Params weights. The search engine is instantiated for this type (see
 // Model.Costs) and performs all arithmetic and comparisons through its
 // methods, never looking inside.
+//
+// Both components are integers in Unit steps, so Add and Sub are exact
+// and associative: branch-and-bound's "Limit − TotalCost" leaves exactly
+// the budget an input may spend, and a plan's cost does not depend on
+// the order its terms were summed in. Every cost formula computes its
+// terms in floating point and rounds them once, through NewCost. Sums
+// saturate at a ceiling far above any plan's cost and strictly below
+// Infinite.
 type Cost struct {
-	// IO is the page-I/O component.
-	IO float64
-	// CPU is the processor component, in I/O-equivalent units.
-	CPU float64
+	io, cpu int64
 }
+
+// Unit is the resolution of a Cost, in page I/Os.
+const Unit = 1.0 / perUnit
+
+const (
+	// perUnit is the number of Units per page I/O.
+	perUnit = 1e6
+	// ceiling bounds each finite component, so a total of two finite
+	// components never overflows and stays below Infinite's.
+	ceiling = 1<<62 - 1
+)
+
+// Infinite is the unreachable cost used as the default optimization
+// limit: its total exceeds every finite cost's.
+var Infinite = Cost{io: math.MaxInt64}
 
 var _ core.CostADT[Cost] = Cost{}
 
-// Total collapses the record into a single comparable magnitude.
-func (c Cost) Total() float64 { return c.IO + c.CPU }
+// NewCost rounds a formula's I/O and CPU terms, in page I/Os, to the
+// nearest Unit. It is the one rounding a cost formula makes; terms
+// beyond the ceiling saturate there.
+func NewCost(io, cpu float64) Cost { return Cost{io: units(io), cpu: units(cpu)} }
 
-// Add returns the componentwise sum.
-func (c Cost) Add(o Cost) Cost {
-	return Cost{IO: c.IO + o.IO, CPU: c.CPU + o.CPU}
+// units rounds x page I/Os to Units, saturating at ±ceiling (NaN too).
+func units(x float64) int64 {
+	u := math.Round(x * perUnit)
+	switch {
+	case !(u < ceiling):
+		return ceiling
+	case u <= -ceiling:
+		return -ceiling
+	}
+	return int64(u)
 }
 
-// Sub returns the componentwise difference; subtracting anything from an
-// infinite cost leaves it infinite.
-func (c Cost) Sub(o Cost) Cost {
-	if math.IsInf(c.IO, 1) {
-		return c
+// sat clamps a sum of two components to ±ceiling.
+func sat(x int64) int64 { return max(-ceiling, min(x, ceiling)) }
+
+func (c Cost) inf() bool { return c.io == math.MaxInt64 }
+
+// Units returns the exact total in Units.
+func (c Cost) Units() int64 { return c.io + c.cpu }
+
+// Total collapses the record into a single comparable magnitude, in page
+// I/Os.
+func (c Cost) Total() float64 {
+	if c.inf() {
+		return math.Inf(1)
 	}
-	return Cost{IO: c.IO - o.IO, CPU: c.CPU - o.CPU}
+	return float64(c.Units()) / perUnit
+}
+
+// Add returns the componentwise sum; a sum with Infinite is Infinite.
+func (c Cost) Add(o Cost) Cost {
+	if c.inf() || o.inf() {
+		return Infinite
+	}
+	return Cost{io: sat(c.io + o.io), cpu: sat(c.cpu + o.cpu)}
+}
+
+// Sub returns the componentwise difference; subtracting anything from
+// Infinite leaves it infinite, and subtracting Infinite from a finite
+// cost gives the floor below every finite cost.
+func (c Cost) Sub(o Cost) Cost {
+	switch {
+	case c.inf():
+		return c
+	case o.inf():
+		return Cost{io: -ceiling, cpu: -ceiling}
+	}
+	return Cost{io: sat(c.io - o.io), cpu: sat(c.cpu - o.cpu)}
 }
 
 // Less compares total magnitudes.
-func (c Cost) Less(o Cost) bool {
-	return c.Total() < o.Total()
-}
-
-// Scale returns the componentwise multiple; guided search uses it to
-// relax an infeasible seed limit geometrically. Scaling an infinite cost
-// leaves it infinite.
-func (c Cost) Scale(factor float64) Cost {
-	return Cost{IO: c.IO * factor, CPU: c.CPU * factor}
-}
-
-var _ core.ScalableCost[Cost] = Cost{}
+func (c Cost) Less(o Cost) bool { return c.Units() < o.Units() }
 
 // Metric projects the record onto the scalar the comparisons already
 // use; the stochastic search policies (core.MetricCost) turn it into
@@ -62,15 +109,11 @@ var _ core.MetricCost[Cost] = Cost{}
 
 // String renders the record.
 func (c Cost) String() string {
-	if math.IsInf(c.IO, 1) {
+	if c.inf() {
 		return "inf"
 	}
-	return fmt.Sprintf("%.2f(io=%.1f,cpu=%.2f)", c.Total(), c.IO, c.CPU)
+	return fmt.Sprintf("%.2f(io=%.1f,cpu=%.2f)", c.Total(), float64(c.io)/perUnit, float64(c.cpu)/perUnit)
 }
-
-// Infinite is the unreachable cost used as the default optimization
-// limit.
-var Infinite = Cost{IO: math.Inf(1), CPU: math.Inf(1)}
 
 // Params are the cost-model weights, all expressed in units of one page
 // I/O. The defaults model the paper's setup: both I/O and CPU costs

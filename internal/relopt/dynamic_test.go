@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 	"sync"
@@ -261,12 +260,6 @@ func paramChainSQL(rng *rand.Rand, i int) string {
 	return fmt.Sprintf("SELECT %s.ja, COUNT(*) FROM %s WHERE %s GROUP BY %s.ja", t(0), from, where, t(0))
 }
 
-// sameCostBits reports whether two relational costs are bit-identical.
-func sameCostBits(a, b core.Cost) bool {
-	x, y := a.(relopt.Cost), b.(relopt.Cost)
-	return math.Float64bits(x.IO) == math.Float64bits(y.IO) && math.Float64bits(x.CPU) == math.Float64bits(y.CPU)
-}
-
 // TestRederiveMatchesFreshBuckets: a sweep that inserts the query once
 // and calls Rederive before every later bucket — what OptimizeDynamicCtx
 // does — costs every bucket bit for bit as a fresh per-bucket
@@ -289,7 +282,7 @@ func TestRederiveMatchesFreshBuckets(t *testing.T) {
 			base := relopt.New(cat, cfg)
 			var opt *core.Optimizer
 			var root core.GroupID
-			fresh := map[[2]uint64]bool{}
+			fresh := map[relopt.Cost]bool{}
 			for _, sel := range buckets {
 				if m := base.WithParamSel(sel); opt == nil {
 					opt = core.NewOptimizer(m, nil)
@@ -308,11 +301,10 @@ func TestRederiveMatchesFreshBuckets(t *testing.T) {
 				if err != nil || want == nil {
 					t.Fatalf("%s at %g, fresh: %v", sql, sel, err)
 				}
-				if !sameCostBits(got.Cost, want.Cost) {
+				if got.Cost != want.Cost {
 					t.Errorf("%s at selectivity %g: cost %s after Rederive, %s fresh", sql, sel, got.Cost, want.Cost)
 				}
-				c := want.Cost.(relopt.Cost)
-				fresh[[2]uint64{math.Float64bits(c.IO), math.Float64bits(c.CPU)}] = true
+				fresh[want.Cost.(relopt.Cost)] = true
 			}
 			res, err := relopt.OptimizeDynamicCtx(context.Background(), relopt.New(cat, cfg), st.Tree, st.Required, buckets)
 			if err != nil {
@@ -323,8 +315,7 @@ func TestRederiveMatchesFreshBuckets(t *testing.T) {
 				alts = res.Plan.Inputs
 			}
 			for _, p := range alts {
-				c := p.Cost.(relopt.Cost)
-				if !fresh[[2]uint64{math.Float64bits(c.IO), math.Float64bits(c.CPU)}] {
+				if c := p.Cost.(relopt.Cost); !fresh[c] {
 					t.Errorf("%s: dynamic alternative costs %s, no fresh bucket does", sql, c)
 				}
 			}

@@ -67,7 +67,7 @@ func (m *Model) exchangeEnforcer() *core.Enforcer {
 		Cost: func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.Cost {
 			p := lp.(*rel.Props)
 			// Every row is hashed, sent, and received once.
-			return Cost{CPU: p.Rows * m.Cfg.Params.CPUTuple * 2}
+			return NewCost(0, p.Rows*m.Cfg.Params.CPUTuple*2)
 		},
 		Build: func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.PhysicalOp {
 			return &Exchange{Part: reqProps(required).Part}

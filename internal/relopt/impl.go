@@ -71,7 +71,7 @@ func (m *Model) fileScanRule() *core.ImplRule {
 			return []core.InputReq{{}}, true
 		},
 		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
-			return m.scanCost(props(ctx, b.Group))
+			return m.scanCost(props(ctx, b.Group)).cost()
 		},
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			return storedOrder(b.Expr.Op.(*rel.Get).Tab)
@@ -247,13 +247,13 @@ func (m *Model) hashJoinCost(ctx *core.RuleContext, out, left, right core.GroupI
 }
 
 // scaled divides CPU work across partitions when the result is produced
-// partition-parallel.
-func (m *Model) scaled(required core.PhysProps, c Cost) Cost {
+// partition-parallel, and rounds the terms.
+func (m *Model) scaled(required core.PhysProps, t terms) Cost {
 	rp := reqProps(required)
 	if rp.Part.Kind == PartHash && rp.Part.Degree > 1 {
-		c.CPU /= float64(rp.Part.Degree)
+		t.cpu /= float64(rp.Part.Degree)
 	}
-	return c
+	return t.cost()
 }
 
 // boundSides resolves the sides of a bound join that Applicability has
@@ -370,8 +370,8 @@ func (m *Model) nlJoinRule() *core.ImplRule {
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
-			return Cost{CPU: lp.Rows*rp.Rows*m.Cfg.Params.CPUPred +
-				op.Rows*m.Cfg.Params.CPUTuple}
+			return NewCost(0, lp.Rows*rp.Rows*m.Cfg.Params.CPUPred+
+				op.Rows*m.Cfg.Params.CPUTuple)
 		},
 		Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 			j := b.Expr.Op.(*rel.Join)
@@ -487,7 +487,7 @@ func (m *Model) mergeIntersectRule() *core.ImplRule {
 			op := props(ctx, b.Group)
 			rows := lp.Rows + rp.Rows
 			cols := float64(len(op.Cols))
-			return Cost{CPU: rows*m.Cfg.Params.CPUCompare*cols + op.Rows*m.Cfg.Params.CPUTuple}
+			return NewCost(0, rows*m.Cfg.Params.CPUCompare*cols+op.Rows*m.Cfg.Params.CPUTuple)
 		},
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			return alt.Required[0]
@@ -515,10 +515,8 @@ func (m *Model) hashIntersectRule() *core.ImplRule {
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
-			return Cost{
-				IO:  HashSpillIO(m.Cfg.Params, lp.Pages(m.Cfg.Params.PageBytes), rp.Pages(m.Cfg.Params.PageBytes)),
-				CPU: (lp.Rows+rp.Rows)*m.Cfg.Params.CPUHash + op.Rows*m.Cfg.Params.CPUTuple,
-			}
+			return NewCost(HashSpillIO(m.Cfg.Params, lp.Pages(m.Cfg.Params.PageBytes), rp.Pages(m.Cfg.Params.PageBytes)),
+				(lp.Rows+rp.Rows)*m.Cfg.Params.CPUHash+op.Rows*m.Cfg.Params.CPUTuple)
 		},
 		Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 			return &HashIntersect{}
@@ -555,7 +553,7 @@ func (m *Model) sortGroupByRule() *core.ImplRule {
 		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
 			in := props(ctx, b.Children[0].Group)
 			out := props(ctx, b.Group)
-			return Cost{CPU: in.Rows*m.Cfg.Params.CPUCompare + out.Rows*m.Cfg.Params.CPUTuple}
+			return NewCost(0, in.Rows*m.Cfg.Params.CPUCompare+out.Rows*m.Cfg.Params.CPUTuple)
 		},
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			return &PhysProps{Sort: groupOrder(b.Expr.Op.(*rel.GroupBy))}
@@ -583,7 +581,7 @@ func (m *Model) hashGroupByRule() *core.ImplRule {
 		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
 			in := props(ctx, b.Children[0].Group)
 			out := props(ctx, b.Group)
-			return Cost{CPU: in.Rows*m.Cfg.Params.CPUHash + out.Rows*m.Cfg.Params.CPUTuple}
+			return NewCost(0, in.Rows*m.Cfg.Params.CPUHash+out.Rows*m.Cfg.Params.CPUTuple)
 		},
 		Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 			g := b.Expr.Op.(*rel.GroupBy)
@@ -611,7 +609,7 @@ func (m *Model) mergeUnionRule() *core.ImplRule {
 			op := props(ctx, b.Group)
 			rows := lp.Rows + rp.Rows
 			cols := float64(len(op.Cols))
-			return Cost{CPU: rows*m.Cfg.Params.CPUCompare*cols + op.Rows*m.Cfg.Params.CPUTuple}
+			return NewCost(0, rows*m.Cfg.Params.CPUCompare*cols+op.Rows*m.Cfg.Params.CPUTuple)
 		},
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			return alt.Required[0]
@@ -639,10 +637,8 @@ func (m *Model) hashUnionRule() *core.ImplRule {
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
-			return Cost{
-				IO:  HashSpillIO(m.Cfg.Params, lp.Pages(m.Cfg.Params.PageBytes), rp.Pages(m.Cfg.Params.PageBytes)),
-				CPU: (lp.Rows+rp.Rows)*m.Cfg.Params.CPUHash + op.Rows*m.Cfg.Params.CPUTuple,
-			}
+			return NewCost(HashSpillIO(m.Cfg.Params, lp.Pages(m.Cfg.Params.PageBytes), rp.Pages(m.Cfg.Params.PageBytes)),
+				(lp.Rows+rp.Rows)*m.Cfg.Params.CPUHash+op.Rows*m.Cfg.Params.CPUTuple)
 		},
 		Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 			return &HashUnion{}

@@ -3,7 +3,6 @@ package relopt_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -90,13 +89,6 @@ type oracleInput struct {
 	name     string
 	tree     *core.ExprTree
 	required core.PhysProps
-	// tol is the relative cost difference allowed between the two
-	// optimal plans; zero demands equal bits. A class's properties are
-	// derived from the expression that founds it. On a left-deep input
-	// both rule sets found every class through the same spelling; on a
-	// bushy or hoisted one they can found a class through different
-	// spellings, whose estimates may then differ in the last bit.
-	tol float64
 }
 
 // oracleFamily is a set of inputs whose rule firings are summed.
@@ -126,9 +118,9 @@ func oracleFamilies(seed int64) (*rel.Catalog, []oracleFamily) {
 			}
 			name := fmt.Sprintf("seed %d, %d relations, query %d", seed, n, i)
 			fams[0].inputs = append(fams[0].inputs, oracleInput{name: name, tree: q.Root, required: req})
-			fams[1].inputs = append(fams[1].inputs, oracleInput{name: name, tree: rotate(cat, rng, q.Root, 3*n), required: req, tol: 1e-12})
+			fams[1].inputs = append(fams[1].inputs, oracleInput{name: name, tree: rotate(cat, rng, q.Root, 3*n), required: req})
 			if n <= 5 {
-				fams[2].inputs = append(fams[2].inputs, oracleInput{name: name, tree: hoist(rotate(cat, rng, q.Root, 3*n)), required: req, tol: 1e-12})
+				fams[2].inputs = append(fams[2].inputs, oracleInput{name: name, tree: hoist(rotate(cat, rng, q.Root, 3*n)), required: req})
 			}
 		}
 	}
@@ -363,9 +355,9 @@ func spell(e *core.Expr, identity func(core.GroupID) string) string {
 // everything the query references, and optimizes it again under
 // NoPruning. It returns the explored memo's space, both optimal costs
 // and the first search's rule firings.
-func oracleRun(t *testing.T, model core.Model, in oracleInput, fixpoint bool) (map[string][]string, [2]float64, int) {
+func oracleRun(t *testing.T, model core.Model, in oracleInput, fixpoint bool) (map[string][]string, [2]relopt.Cost, int) {
 	t.Helper()
-	var costs [2]float64
+	var costs [2]relopt.Cost
 	var fired int
 	var sp map[string][]string
 	for i, opts := range []*core.Options{nil, {Search: core.SearchOptions{NoPruning: true}}} {
@@ -375,7 +367,7 @@ func oracleRun(t *testing.T, model core.Model, in oracleInput, fixpoint bool) (m
 		if err != nil || plan == nil {
 			t.Fatalf("%s under %T: no plan (%v)", in.name, model, err)
 		}
-		costs[i] = plan.Cost.(relopt.Cost).Total()
+		costs[i] = plan.Cost.(relopt.Cost)
 		if i > 0 {
 			continue
 		}
@@ -414,7 +406,7 @@ func TestJoinRulesSpanReferenceSpace(t *testing.T) {
 				fired += n
 				refFired += refN
 				for i, mode := range []string{"pruned", "NoPruning"} {
-					if c, r := costs[i], refCosts[i]; c != r && (in.tol == 0 || math.Abs(c-r) > in.tol*r) {
+					if c, r := costs[i], refCosts[i]; c != r {
 						t.Errorf("%s %s: %s cost %v, reference %v", fam.name, in.name, mode, c, r)
 					}
 				}

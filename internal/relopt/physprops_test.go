@@ -126,23 +126,44 @@ func TestQuickCoverLaws(t *testing.T) {
 	}
 }
 
+// TestCostArithmetic: costs are exact integers of Unit, so sums and
+// differences do not depend on order, and saturation keeps every finite
+// sum strictly below Infinite.
 func TestCostArithmetic(t *testing.T) {
-	a := Cost{IO: 2, CPU: 1}
-	b := Cost{IO: 1, CPU: 0.5}
-	if got := a.Add(b); got.IO != 3 || got.CPU != 1.5 {
-		t.Fatalf("Add = %+v", got)
+	a := NewCost(2, 1)
+	b := NewCost(1, 0.5)
+	if got := a.Add(b); got != NewCost(3, 1.5) {
+		t.Fatalf("Add = %v", got)
 	}
-	if got := a.Sub(b); got.IO != 1 || got.CPU != 0.5 {
-		t.Fatalf("Sub = %+v", got)
+	if got := a.Sub(b); got != b {
+		t.Fatalf("Sub = %v", got)
 	}
-	if !b.Less(a) || a.Less(b) {
+	if !b.Less(a) || a.Less(b) || a.Less(a) {
 		t.Fatal("Less broken")
 	}
-	if !math.IsInf(Infinite.Sub(a).IO, 1) {
-		t.Fatal("infinite minus finite must stay infinite")
+	// 0.1 + 0.2 is not 0.3 in float64; in Units it is.
+	x, y, z := NewCost(0, 0.1), NewCost(0, 0.2), NewCost(0, 0.3)
+	if x.Add(y) != z || z.Sub(y) != x || x.Add(y).Add(z) != x.Add(y.Add(z)) {
+		t.Fatal("arithmetic in Units is not exact")
 	}
-	if a.String() == "" || Infinite.String() != "inf" {
-		t.Fatal("cost rendering broken")
+	if NewCost(0, 0.4*Unit) != (Cost{}) || NewCost(0, 0.6*Unit).Units() != 1 {
+		t.Fatal("terms must round to the nearest Unit")
+	}
+	if Infinite.Sub(a) != Infinite || a.Add(Infinite) != Infinite {
+		t.Fatal("infinite stays infinite")
+	}
+	if !a.Sub(Infinite).Less(Cost{}) {
+		t.Fatal("finite minus infinite must be below zero")
+	}
+	huge := NewCost(math.MaxFloat64, math.Inf(1))
+	if sum := huge.Add(huge); !sum.Less(Infinite) || sum != huge || !a.Less(huge) {
+		t.Fatalf("saturated sum %v must stay finite and ordered", sum)
+	}
+	if a.Total() != 3 || !math.IsInf(Infinite.Total(), 1) {
+		t.Fatal("Total broken")
+	}
+	if a.String() != "3.00(io=2.0,cpu=1.00)" || Infinite.String() != "inf" {
+		t.Fatalf("cost rendering broken: %s", a)
 	}
 }
 

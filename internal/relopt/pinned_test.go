@@ -2,7 +2,7 @@ package relopt_test
 
 import (
 	"errors"
-	"math"
+
 	"testing"
 
 	"repro/internal/core"
@@ -48,7 +48,7 @@ func pinnedWorkload() (*rel.Catalog, []pinnedQuery) {
 // pinnedCounters is what one configuration sums over the workload.
 type pinnedCounters struct {
 	Exprs, RulesFired, Bindings, Groups, Merges, Steps int
-	CostBits                                           uint64
+	CostUnits                                          int64
 }
 
 // guidedOptimizer is a cold optimizer as a caller without a plan cache
@@ -66,7 +66,7 @@ func guidedOptimizer(cat *rel.Catalog, configure func(*core.Options)) *core.Opti
 func runPinned(t *testing.T, cat *rel.Catalog, qs []pinnedQuery, configure func(*core.Options)) pinnedCounters {
 	t.Helper()
 	var sum pinnedCounters
-	var total float64
+	var total relopt.Cost
 	for i, pq := range qs {
 		opt := guidedOptimizer(cat, configure)
 		plan, err := opt.Optimize(opt.InsertQuery(pq.q.Root), pq.required)
@@ -87,16 +87,16 @@ func runPinned(t *testing.T, cat *rel.Catalog, qs []pinnedQuery, configure func(
 		sum.Groups += s.Groups
 		sum.Merges += s.Merges
 		sum.Steps += s.Steps()
-		total += plan.Cost.(relopt.Cost).Total()
+		total = total.Add(plan.Cost.(relopt.Cost))
 	}
-	sum.CostBits = math.Float64bits(total)
+	sum.CostUnits = total.Units()
 	return sum
 }
 
 // TestExplorationCountersPinned holds the search's observable behaviour
 // fixed across changes to how exploration is carried out: the number of
 // expressions, classes, merges, rule firings, bindings and steps, and the
-// exact bits of the summed plan cost, for exhaustive guided search and
+// exact summed plan cost in relopt.Unit, for exhaustive guided search and
 // for each policy under a 200-step budget; every search that completes
 // must also have reached transformation fixpoint (Memo.CheckFixpoint).
 // The exhaustive cost bits were recorded at commit 0395947, before the
@@ -130,7 +130,16 @@ func runPinned(t *testing.T, cat *rel.Catalog, qs []pinnedQuery, configure func(
 // its implementation rules once for all its requirements rather than once
 // per requirement: exhaustive search from 15160 to 11534, guided from
 // 7261 to 6292, MCTS from 8193 to 7307 and widening from 8870 to 7986,
-// every other counter and the cost bits unchanged.
+// every other counter and the cost bits unchanged. The cost was re-pinned
+// when relopt.Cost became integers of relopt.Unit, so the float64 bits
+// of a summed total became the exact sum in Units, every plan and every
+// other counter unchanged: exhaustive 109565242.99133047 I/O units (bits
+// 4727125208475311958) to 109565242991335 Units, guided 514424548.8834356
+// (4737410220511340758) to 514424548883442, MCTS 109576712.57544729
+// (4727125978186072590) to 109576712575446 and widening
+// 109676690.40433015 (4727132687584594105) to 109676690404333; each moves
+// by less than 1e-13 relative: the old float sums rounded as they went,
+// and each formula now rounds its terms to a Unit once.
 func TestExplorationCountersPinned(t *testing.T) {
 	cat, qs := pinnedWorkload()
 	budgeted := func(p core.SearchPolicy) func(*core.Options) {
@@ -145,10 +154,10 @@ func TestExplorationCountersPinned(t *testing.T) {
 		configure func(*core.Options)
 		want      pinnedCounters
 	}{
-		{"exhaustive", func(*core.Options) {}, pinnedCounters{Exprs: 3871, RulesFired: 2799, Bindings: 11534, Groups: 1072, Merges: 0, Steps: 8058, CostBits: 4727125208475311958}},
-		{"budgeted-guided", budgeted(core.PolicyExhaustive), pinnedCounters{Exprs: 2483, RulesFired: 1599, Bindings: 6292, Groups: 884, Merges: 0, Steps: 2391, CostBits: 4737410220511340758}},
-		{"budgeted-mcts", budgeted(core.PolicyMCTS), pinnedCounters{Exprs: 2994, RulesFired: 2009, Bindings: 7307, Groups: 985, Merges: 0, Steps: 2904, CostBits: 4727125978186072590}},
-		{"budgeted-widening", budgeted(core.PolicyWidening), pinnedCounters{Exprs: 3123, RulesFired: 2123, Bindings: 7986, Groups: 1000, Merges: 0, Steps: 2762, CostBits: 4727132687584594105}},
+		{"exhaustive", func(*core.Options) {}, pinnedCounters{Exprs: 3871, RulesFired: 2799, Bindings: 11534, Groups: 1072, Merges: 0, Steps: 8058, CostUnits: 109565242991335}},
+		{"budgeted-guided", budgeted(core.PolicyExhaustive), pinnedCounters{Exprs: 2483, RulesFired: 1599, Bindings: 6292, Groups: 884, Merges: 0, Steps: 2391, CostUnits: 514424548883442}},
+		{"budgeted-mcts", budgeted(core.PolicyMCTS), pinnedCounters{Exprs: 2994, RulesFired: 2009, Bindings: 7307, Groups: 985, Merges: 0, Steps: 2904, CostUnits: 109576712575446}},
+		{"budgeted-widening", budgeted(core.PolicyWidening), pinnedCounters{Exprs: 3123, RulesFired: 2123, Bindings: 7986, Groups: 1000, Merges: 0, Steps: 2762, CostUnits: 109676690404333}},
 	}
 	for _, c := range cases {
 		if got := runPinned(t, cat, qs, c.configure); got != c.want {

@@ -11,37 +11,46 @@ import (
 // one complete plan per query without any search: join the
 // cheapest-cardinality pair first, then attach the remaining relations
 // by estimated output size, implement every join by hybrid hash join,
-// and sort the result if the goal requires an order. Its cost is
-// computed with the same formulas the implementation rules charge (the
-// *CostProps helpers below are shared with impl.go and enforcers.go), so
-// the seed's cost is exactly that of a plan the exhaustive search can
-// reach — an upper bound on the optimum, which makes the inclusive
-// seeded stage of core's guided search succeed on the first attempt.
+// and sort the result if the goal requires an order. Its cost sums the
+// same once-rounded terms the implementation rules charge (the
+// *CostProps helpers below are shared with impl.go and enforcers.go), in
+// exact arithmetic, and its last join and final sort are priced with the
+// goal class's own cardinality estimate, as the search prices them. The
+// seed's cost is then an upper bound on the optimum, which makes the
+// inclusive seeded stage of core's guided search succeed on the first
+// attempt; TestLimitEqualToOptimumReturnsIt holds every guided run of
+// the Figure 4 generator to that one stage.
+
+// terms are a cost formula's I/O and CPU terms, in page I/Os, before
+// rounding; cost rounds them into a Cost, the formula's one rounding.
+type terms struct{ io, cpu float64 }
+
+func (t terms) cost() Cost { return NewCost(t.io, t.cpu) }
 
 // scanCost prices a file scan of a stored relation: one read of its
 // pages plus per-tuple output construction.
-func (m *Model) scanCost(p *rel.Props) Cost {
-	return Cost{
-		IO:  p.Pages(m.Cfg.Params.PageBytes),
-		CPU: p.Rows * m.Cfg.Params.CPUTuple,
+func (m *Model) scanCost(p *rel.Props) terms {
+	return terms{
+		io:  p.Pages(m.Cfg.Params.PageBytes),
+		cpu: p.Rows * m.Cfg.Params.CPUTuple,
 	}
 }
 
 // filterCost prices a filter over an input with the given properties:
 // one predicate evaluation per input row.
-func (m *Model) filterCost(in *rel.Props) Cost {
-	return Cost{CPU: in.Rows * m.Cfg.Params.CPUPred}
+func (m *Model) filterCost(in *rel.Props) terms {
+	return terms{cpu: in.Rows * m.Cfg.Params.CPUPred}
 }
 
 // projectCost prices a standalone projection: one tuple copy per row.
-func (m *Model) projectCost(in *rel.Props) Cost {
-	return Cost{CPU: in.Rows * m.Cfg.Params.CPUTuple}
+func (m *Model) projectCost(in *rel.Props) terms {
+	return terms{cpu: in.Rows * m.Cfg.Params.CPUTuple}
 }
 
 // mergeJoinCostProps prices a merge-join over sorted inputs: one pass
 // over both inputs plus output construction.
-func (m *Model) mergeJoinCostProps(lp, rp, op *rel.Props) Cost {
-	return Cost{CPU: (lp.Rows+rp.Rows)*m.Cfg.Params.CPUCompare +
+func (m *Model) mergeJoinCostProps(lp, rp, op *rel.Props) terms {
+	return terms{cpu: (lp.Rows+rp.Rows)*m.Cfg.Params.CPUCompare +
 		op.Rows*m.Cfg.Params.CPUTuple}
 }
 
@@ -49,10 +58,10 @@ func (m *Model) mergeJoinCostProps(lp, rp, op *rel.Props) Cost {
 // input: hashing both inputs, output construction, and partition-file
 // I/O for the overflow fraction when the build side exceeds the work
 // space.
-func (m *Model) hashJoinCostProps(lp, rp, op *rel.Props) Cost {
-	return Cost{
-		IO: HashSpillIO(m.Cfg.Params, lp.Pages(m.Cfg.Params.PageBytes), rp.Pages(m.Cfg.Params.PageBytes)),
-		CPU: (lp.Rows+rp.Rows)*m.Cfg.Params.CPUHash +
+func (m *Model) hashJoinCostProps(lp, rp, op *rel.Props) terms {
+	return terms{
+		io: HashSpillIO(m.Cfg.Params, lp.Pages(m.Cfg.Params.PageBytes), rp.Pages(m.Cfg.Params.PageBytes)),
+		cpu: (lp.Rows+rp.Rows)*m.Cfg.Params.CPUHash +
 			op.Rows*m.Cfg.Params.CPUTuple,
 	}
 }
@@ -61,14 +70,9 @@ func (m *Model) hashJoinCostProps(lp, rp, op *rel.Props) Cost {
 // once and read once, with rows (possibly a per-partition fraction)
 // compared log(rows) times each.
 func (m *Model) sortCost(p *rel.Props, rows float64) Cost {
-	return Cost{
-		IO:  2 * p.Pages(m.Cfg.Params.PageBytes) * m.Cfg.Params.SpillIO,
-		CPU: rows * log2(rows) * m.Cfg.Params.CPUCompare,
-	}
+	return NewCost(2*p.Pages(m.Cfg.Params.PageBytes)*m.Cfg.Params.SpillIO,
+		rows*log2(rows)*m.Cfg.Params.CPUCompare)
 }
-
-// add is componentwise cost accumulation for the seeder.
-func add(a, b Cost) Cost { return Cost{IO: a.IO + b.IO, CPU: a.CPU + b.CPU} }
 
 // LowerBound implements core.LowerBounder: every physical plan for a
 // class reads each of its base relations exactly once through the
@@ -88,7 +92,7 @@ func (m *Model) LowerBound(lp core.LogicalProps) core.Cost {
 		if p.Tables&(1<<uint(t.Index)) == 0 {
 			continue
 		}
-		c = add(c, m.scanCost(&rel.Props{Rows: float64(t.Rows), RowBytes: t.RowBytes}))
+		c = c.Add(m.scanCost(&rel.Props{Rows: float64(t.Rows), RowBytes: t.RowBytes}).cost())
 	}
 	return c
 }
@@ -185,6 +189,12 @@ func (m *Model) greedySeed(o *core.Optimizer, root core.GroupID, required core.P
 			// out of scope.
 			return nil
 		}
+		if len(comps) == 2 {
+			// The last join produces the goal's class, which the search
+			// prices with the class's own estimate; the greedy order's
+			// estimate can fall below it.
+			bout = memo.Group(memo.Find(root)).LogicalProps().(*rel.Props)
+		}
 		l, r := comps[bi], comps[bj]
 		if m.Cfg.NoCompositeInner && !r.base {
 			// The restricted join algorithms accept composite inputs
@@ -193,7 +203,7 @@ func (m *Model) greedySeed(o *core.Optimizer, root core.GroupID, required core.P
 		}
 		merged := seedComp{
 			props: bout,
-			cost:  add(add(l.cost, r.cost), m.hashJoinCostProps(l.props, r.props, bout)),
+			cost:  l.cost.Add(r.cost).Add(m.hashJoinCostProps(l.props, r.props, bout).cost()),
 		}
 		comps[bi] = merged
 		comps = append(comps[:bj], comps[bj+1:]...)
@@ -202,7 +212,7 @@ func (m *Model) greedySeed(o *core.Optimizer, root core.GroupID, required core.P
 
 	c := comps[0].cost
 	if len(rp.Sort) > 0 {
-		c = add(c, m.sortCost(comps[0].props, comps[0].props.Rows))
+		c = c.Add(m.sortCost(comps[0].props, comps[0].props.Rows))
 	}
 	return &core.SeedPlan{
 		Cost: c,
@@ -277,7 +287,7 @@ func (m *Model) factorCost(memo *core.Memo, gid core.GroupID, onPath map[core.Gr
 	e := g.Exprs()[0]
 	switch e.Op.(type) {
 	case *rel.Get:
-		return m.scanCost(g.LogicalProps().(*rel.Props)), true
+		return m.scanCost(g.LogicalProps().(*rel.Props)).cost(), true
 	case *rel.Select, *rel.Project:
 		onPath[gid] = true
 		defer delete(onPath, gid)
@@ -288,9 +298,9 @@ func (m *Model) factorCost(memo *core.Memo, gid core.GroupID, onPath map[core.Gr
 			return Cost{}, false
 		}
 		if _, isSel := e.Op.(*rel.Select); isSel {
-			return add(c, m.filterCost(inProps)), true
+			return c.Add(m.filterCost(inProps).cost()), true
 		}
-		return add(c, m.projectCost(inProps)), true
+		return c.Add(m.projectCost(inProps).cost()), true
 	}
 	return Cost{}, false
 }

@@ -57,10 +57,7 @@ var (
 // whole recomputation.
 func (m *Model) spoolCost(lp core.LogicalProps) core.Cost {
 	p := lp.(*rel.Props)
-	return Cost{
-		IO:  m.Cfg.Params.SpillIO * p.Pages(m.Cfg.Params.PageBytes),
-		CPU: m.Cfg.Params.CPUTuple * p.Rows,
-	}
+	return NewCost(m.Cfg.Params.SpillIO*p.Pages(m.Cfg.Params.PageBytes), m.Cfg.Params.CPUTuple*p.Rows)
 }
 
 // MaterializeCost prices spooling the class's result once.
