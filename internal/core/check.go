@@ -25,8 +25,7 @@ import (
 //     members among the expressions they cover, within its list;
 //   - winners: no entry is left in progress; a recorded plan delivers
 //     properties covering the entry's goal and none covering its
-//     excluded vector, costs exactly the entry's recorded cost, and
-//     belongs to the entry's class.
+//     excluded vector, and belongs to the entry's class.
 func (m *Memo) Check() error {
 	for i, g := range m.groups {
 		id := GroupID(i + 1)
@@ -140,9 +139,6 @@ func (m *Memo) checkWinner(g *Group, w *winner) error {
 	}
 	if w.excluded != nil && p.Delivered.Covers(w.excluded) {
 		return fail("plan delivers %s, covering the excluded vector %s", p.Delivered, w.excluded)
-	}
-	if m.costs.Less(p.Cost, w.cost) || m.costs.Less(w.cost, p.Cost) {
-		return fail("recorded cost %s but the plan costs %s", w.cost, p.Cost)
 	}
 	if p.Group < 1 || int(p.Group) > len(m.groups) || m.Find(p.Group) != g.id {
 		return fail("plan was built for class %d", p.Group)

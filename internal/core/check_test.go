@@ -35,10 +35,6 @@ func TestMemoCheckDetectsCorruption(t *testing.T) {
 		{"in-progress", func(o *Optimizer, g *Group) {
 			g.lookupWinner(required, nil).inProgress = true
 		}, "left in progress"},
-		{"winner cost", func(o *Optimizer, g *Group) {
-			w := g.lookupWinner(required, nil)
-			w.cost = w.cost.(hpCost).Add(w.cost.(hpCost))
-		}, "recorded cost"},
 		{"winner props", func(o *Optimizer, g *Group) {
 			w := g.lookupWinner(required, nil)
 			cp := *w.plan

@@ -54,11 +54,12 @@ type CostADT[C any] interface {
 
 // Cost is the stored form of a cost: a value of the model's cost type
 // recorded where the engine keeps it beyond one search step — plan
-// costs, winner and failure-memo entries, class floors, Stats and
-// trace events — and what the model's cost functions and
-// LowerBound return. The dynamic type is the model's concrete cost type,
-// so a caller that knows the model may assert it (p.Cost.(relopt.Cost)).
-// A value is boxed once, when it is recorded, never per arithmetic step.
+// costs, failure-memo entries, class floors, seeds, Stats and trace
+// events. The model's cost functions (AlgCost, EnfCost) and LowerBound
+// return the concrete type itself, by value. The dynamic type is the
+// model's concrete cost type, so a caller that knows the model may
+// assert it (p.Cost.(relopt.Cost)). A value is boxed once, when it is
+// recorded, never per cost call or arithmetic step.
 type Cost interface {
 	String() string
 }
@@ -105,6 +106,8 @@ type CostSpace interface {
 
 	// add sums two stored costs.
 	add(a, b Cost) Cost
+	// sub returns stored cost a minus b.
+	sub(a, b Cost) Cost
 	// engine instantiates the search for the declared cost type.
 	engine(o *Optimizer) engine
 }
@@ -126,8 +129,9 @@ type costSpace[C CostADT[C]] struct {
 func (cs *costSpace[C]) Infinite() Cost      { return cs.infBox }
 func (cs *costSpace[C]) Less(a, b Cost) bool { return a.(C).Less(b.(C)) }
 func (cs *costSpace[C]) add(a, b Cost) Cost  { return a.(C).Add(b.(C)) }
+func (cs *costSpace[C]) sub(a, b Cost) Cost  { return a.(C).Sub(b.(C)) }
 
-func (cs *costSpace[C]) engine(o *Optimizer) engine { return &search[C]{Optimizer: o, cs: cs} }
+func (cs *costSpace[C]) engine(o *Optimizer) engine { return newSearch(o, cs) }
 
 // le reports c <= d under the ADT's ordering.
 func le[C CostADT[C]](c, d C) bool { return !d.Less(c) }

@@ -34,7 +34,7 @@ func (m *Memo) Format() string {
 			switch {
 			case w.plan != nil:
 				winners = append(winners, entry{props + suffix,
-					fmt.Sprintf("  winner %s%s: cost=%s %s\n", props, suffix, w.cost, w.plan)})
+					fmt.Sprintf("  winner %s%s: cost=%s %s\n", props, suffix, w.plan.Cost, w.plan)})
 			case w.failedLimit != nil:
 				winners = append(winners, entry{props + suffix,
 					fmt.Sprintf("  winner %s%s: failed under limit %s\n", props, suffix, w.failedLimit)})

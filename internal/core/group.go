@@ -78,11 +78,10 @@ type winner struct {
 	key      physKey
 	props    PhysProps
 	excluded PhysProps
-	// plan and cost hold the best complete plan found, when found.
-	// A recorded plan is globally optimal for its property pair:
-	// branch-and-bound never prunes a plan cheaper than the winner.
+	// plan is the best complete plan found, when found; its Cost is the
+	// entry's cost. A recorded plan is globally optimal for its property
+	// pair: branch-and-bound never prunes a plan cheaper than the winner.
 	plan *Plan
-	cost Cost
 	// failedLimit is set when optimization failed; it records the
 	// highest cost limit under which failure was established. A later
 	// request with a limit not exceeding failedLimit can fail

@@ -56,12 +56,14 @@ type SeedPlanner func(o *Optimizer, root GroupID, required PhysProps) *SeedPlan
 // every plan must at least scan its base relations once). The engine
 // uses floors to refute goals whose limit falls below the floor without
 // exploring the class, and to charge an algorithm's not-yet-optimized
-// inputs in advance when pruning. Returning nil declines for a class.
-// An inadmissible floor (one exceeding some real plan) makes the search
-// incorrectly discard plans — floors must be provable under the model's
-// own cost functions.
-type LowerBounder interface {
-	LowerBound(lp LogicalProps) Cost
+// inputs in advance when pruning. The floor is a value of the model's
+// cost type C; returning ok false declines for a class. A model whose
+// LowerBound returns another type than its Costs declares provides no
+// floor. An inadmissible floor (one exceeding some real plan) makes the
+// search incorrectly discard plans — floors must be provable under the
+// model's own cost functions.
+type LowerBounder[C CostADT[C]] interface {
+	LowerBound(lp LogicalProps) (C, bool)
 }
 
 // guidedOptimize runs OptimizeWithLimit when a SeedPlanner is
@@ -72,23 +74,10 @@ type LowerBounder interface {
 // limit F certifies that no plan costs less than F, so both are sound to
 // reuse at a higher limit.
 func (o *search[C]) guidedOptimize(root GroupID, required PhysProps, limit C) *Plan {
-	var seedCost Cost
-	if seed := o.opts.Guidance.SeedPlanner(o.Optimizer, root, required); seed != nil {
-		seedCost = seed.Cost
-		o.stats.SeedCost = seedCost
-		if seed.Plan != nil {
-			// Keep the materialized seed as the anytime degradation
-			// floor; OptimizeWithLimitCtx vets its properties and cost
-			// before ever returning it.
-			o.seedFallback = seed.Plan
-			o.stats.SeedFloorCost = seed.Plan.Cost
-		}
-	}
-	// With no usable seed, pruning disabled, or a caller's limit already
-	// at least as tight as the seed, the one stage is the caller's.
-	if seedCost != nil && !o.opts.Search.NoPruning && seedCost.(C).Less(limit) {
-		o.stageTrace(root, required, seedCost.(C))
-		if p, _ := o.findBestPlan(root, required, nil, seedCost.(C), true); p != nil || o.memo.err != nil {
+	// Without a usable seed tighter than limit, one stage is the caller's.
+	if seedLimit, ok := o.seedLimit(o.opts.Guidance.SeedPlanner(o.Optimizer, root, required), limit); ok {
+		o.stageTrace(root, required, seedLimit)
+		if p, _ := o.findBestPlan(root, required, nil, seedLimit, true); p != nil || o.memo.err != nil {
 			return p
 		}
 		// The seed lied low, or a cycle kept the stage from being
@@ -97,6 +86,25 @@ func (o *search[C]) guidedOptimize(root GroupID, required PhysProps, limit C) *P
 	o.stageTrace(root, required, limit)
 	p, _ := o.findBestPlan(root, required, nil, limit, true)
 	return p
+}
+
+// seedLimit records a seed planner's result: its cost in Stats and its
+// plan, if any, as the anytime floor (OptimizeWithLimitCtx vets it). It
+// returns the seed's cost and true when pruning is on and the seed is
+// tighter than limit, else limit and false.
+func (o *search[C]) seedLimit(seed *SeedPlan, limit C) (C, bool) {
+	if seed == nil || seed.Cost == nil {
+		return limit, false
+	}
+	o.stats.SeedCost = seed.Cost
+	if seed.Plan != nil {
+		o.seedFallback = seed.Plan
+		o.stats.SeedFloorCost = seed.Plan.Cost
+	}
+	if c := seed.Cost.(C); !o.opts.Search.NoPruning && c.Less(limit) {
+		return c, true
+	}
+	return limit, false
 }
 
 // stageTrace counts a guided-search limit stage and reports it to the

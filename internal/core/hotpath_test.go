@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -125,9 +126,9 @@ func (*hpModel) ImplementationRules() []*ImplRule {
 			Applicability: func(ctx *RuleContext, b *Binding, required PhysProps) ([]InputReq, bool) {
 				return []InputReq{{}}, required.(hpTint) == 0
 			},
-			Cost: func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) Cost {
-				return hpCost(1)
-			},
+			Cost: AlgCost(func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) hpCost {
+				return 1
+			}),
 			Build: func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) PhysicalOp {
 				return &hpPhys{name: "hp-scan"}
 			},
@@ -142,9 +143,9 @@ func (*hpModel) ImplementationRules() []*ImplRule {
 				}
 				return anyIn, true
 			},
-			Cost: func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) Cost {
-				return hpCost(2)
-			},
+			Cost: AlgCost(func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) hpCost {
+				return 2
+			}),
 			Build: func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) PhysicalOp {
 				return &hpPhys{name: "hp-join"}
 			},
@@ -162,9 +163,9 @@ func (*hpModel) Enforcers() []*Enforcer {
 			}
 			return hpTint(0), required, true
 		},
-		Cost: func(ctx *RuleContext, lp LogicalProps, required PhysProps) Cost {
-			return hpCost(4)
-		},
+		Cost: EnfCost(func(ctx *RuleContext, lp LogicalProps, required PhysProps) hpCost {
+			return 4
+		}),
 		Build: func(ctx *RuleContext, lp LogicalProps, required PhysProps) PhysicalOp {
 			return &hpPhys{name: "hp-tinter"}
 		},
@@ -178,7 +179,7 @@ func (*hpModel) Costs() CostSpace    { return hpCosts }
 // operators costs at least n.
 type hpFloorModel struct{ hpModel }
 
-func (*hpFloorModel) LowerBound(lp LogicalProps) Cost { return hpCost(lp.(*hpProps).n) }
+func (*hpFloorModel) LowerBound(lp LogicalProps) (hpCost, bool) { return hpCost(lp.(*hpProps).n), true }
 
 // hpChain builds HPNODE(...HPNODE(HPNODE(l0,l1),l2)...,ln).
 func hpChain(n int) *ExprTree {
@@ -273,7 +274,6 @@ func TestMergeCarriesWinnerState(t *testing.T) {
 	wFail.failedLimit = hpCost(3)
 	wPlan := loser.ensureWinnerKeyed(winnerKey(hpTint(3), hpTint(1)), hpTint(3), hpTint(1))
 	wPlan.plan = &Plan{Cost: hpCost(5)}
-	wPlan.cost = hpCost(5)
 	ms := loser.ensureMoveSet(keyOf(hpTint(0)), hpTint(0))
 	ms.moves = append(ms.moves, Move{Kind: MoveEnforcer})
 	epochBefore := m.mergeEpoch
@@ -293,7 +293,7 @@ func TestMergeCarriesWinnerState(t *testing.T) {
 		t.Fatalf("failure entry lost: %+v", w)
 	}
 	if w := surv.lookupWinner(hpTint(3), hpTint(1)); w == nil || w.plan == nil ||
-		w.cost.(hpCost) != 5 {
+		w.plan.Cost.(hpCost) != 5 {
 		t.Fatalf("winner plan lost: %+v", w)
 	}
 	if loser.moveSets != nil {
@@ -434,10 +434,21 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 
 	// An algorithm pursuit that its floor check refutes before optimizing
-	// any input allocates nothing: the input floors are summed as values,
-	// and the input plan slices are made only for an input that survives
-	// its check.
-	fo := NewOptimizer(&hpFloorModel{}, nil)
+	// any input allocates nothing: the rule's cost and the input floors
+	// come back and are summed as values, and the input plan vector is
+	// made only for a plan that is offered. That holds also for a cost
+	// type of 16 bytes, which boxing would put on the heap.
+	refutedPursuitAllocs(t, &hpFloorModel{}, hpCost(8))
+	refutedPursuitAllocs(t, &hpRecModel{}, hpRec{io: 8})
+}
+
+// refutedPursuitAllocs checks that pursuing the join move of a 4-leaf
+// chain's root under limit, which the join's cost of 2 and its inputs'
+// floors of 6 exceed, is refuted at the floor check without allocating.
+func refutedPursuitAllocs[C CostADT[C]](t *testing.T, model Model, limit C) {
+	t.Helper()
+	required := model.AnyProps()
+	fo := NewOptimizer(model, nil)
 	root := fo.InsertQuery(hpChain(4))
 	if err := fo.ExploreCtx(context.Background(), root); err != nil {
 		t.Fatal(err)
@@ -456,17 +467,103 @@ func TestHotPathAllocs(t *testing.T) {
 	if mv == nil {
 		t.Fatal("no algorithm move collected")
 	}
-	// The join costs 2 and its inputs at least 6 together: a limit of 8
-	// refutes it at the floor check.
-	s := &goal[hpCost]{required: required, limit: hpCost(8)}
+	s := &goal[C]{required: required, limit: limit}
 	skipped := fo.stats.MovesSkipped
-	eng := fo.eng.(*search[hpCost])
+	eng := fo.eng.(*search[C])
 	if n := testing.AllocsPerRun(100, func() { eng.pursueAlgorithm(s, fg, mv) }); n != 0 {
-		t.Errorf("a refuted pursuit allocates %.1f times per run, want 0", n)
+		t.Errorf("%s: a refuted pursuit allocates %.1f times per run, want 0", model.Name(), n)
 	}
 	if fo.stats.MovesSkipped == skipped || s.best != nil || fo.stats.GoalsOptimized != 0 {
-		t.Fatalf("the pursuit was not refuted at its floor check: %+v", fo.stats)
+		t.Fatalf("%s: the pursuit was not refuted at its floor check: %+v", model.Name(), fo.stats)
 	}
+}
+
+// hpRec is hpCost widened to a 16-byte record of two components.
+type hpRec struct{ io, cpu int64 }
+
+var hpRecInfinite = hpRec{io: 1 << 40}
+
+func (c hpRec) Add(o hpRec) hpRec { return hpRec{c.io + o.io, c.cpu + o.cpu} }
+
+func (c hpRec) Sub(o hpRec) hpRec {
+	if c == hpRecInfinite {
+		return c
+	}
+	return hpRec{c.io - o.io, c.cpu - o.cpu}
+}
+
+func (c hpRec) Less(o hpRec) bool { return c.io+c.cpu < o.io+o.cpu }
+func (c hpRec) String() string    { return fmt.Sprintf("%d", c.io+c.cpu) }
+
+var hpRecCosts = CostsOf(hpRec{}, hpRecInfinite)
+
+// hpRecModel is hpFloorModel with every cost and floor an hpRec.
+type hpRecModel struct{ hpFloorModel }
+
+func (*hpRecModel) Name() string     { return "hotpath-rec" }
+func (*hpRecModel) Costs() CostSpace { return hpRecCosts }
+
+func (*hpRecModel) LowerBound(lp LogicalProps) (hpRec, bool) {
+	return hpRec{io: int64(lp.(*hpProps).n)}, true
+}
+
+func (m *hpRecModel) ImplementationRules() []*ImplRule {
+	var out []*ImplRule
+	for _, r := range m.hpFloorModel.ImplementationRules() {
+		rr, f := *r, r.Cost.(AlgCostFunc[hpCost])
+		rr.Cost = AlgCost(func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) hpRec {
+			return hpRec{io: int64(f(ctx, b, required, alt))}
+		})
+		out = append(out, &rr)
+	}
+	return out
+}
+
+func (m *hpRecModel) Enforcers() []*Enforcer {
+	var out []*Enforcer
+	for _, e := range m.hpFloorModel.Enforcers() {
+		ee, f := *e, e.Cost.(EnfCostFunc[hpCost])
+		ee.Cost = EnfCost(func(ctx *RuleContext, lp LogicalProps, required PhysProps) hpRec {
+			return hpRec{io: int64(f(ctx, lp, required))}
+		})
+		out = append(out, &ee)
+	}
+	return out
+}
+
+// hpRecRules declares hpCost, but its rules' cost functions return hpRec.
+type hpRecRules struct{ hpRecModel }
+
+func (*hpRecRules) Costs() CostSpace { return hpCosts }
+
+// hpRecEnforcer declares hpCost, but its enforcer's cost function
+// returns hpRec.
+type hpRecEnforcer struct{ hpModel }
+
+func (*hpRecEnforcer) Enforcers() []*Enforcer { return (&hpRecModel{}).Enforcers() }
+
+// TestCostTypeMismatchPanics: a cost function registered for another
+// cost type than the model declares is rejected when the optimizer is
+// built or rebound, naming the rule, not in the middle of a search.
+func TestCostTypeMismatchPanics(t *testing.T) {
+	panicsWith := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, want) || !strings.Contains(msg, "hpRec") {
+				t.Errorf("%s: panic %q, want one naming %q and its cost type", name, msg, want)
+			}
+		}()
+		f()
+	}
+	panicsWith("NewOptimizer", "implementation rule hpleaf->scan", func() { NewOptimizer(&hpRecRules{}, nil) })
+	panicsWith("NewOptimizer", "enforcer hp-tinter", func() { NewOptimizer(&hpRecEnforcer{}, nil) })
+	panicsWith("Rederive", "enforcer hp-tinter", func() {
+		o := NewOptimizer(&hpModel{}, nil)
+		o.InsertQuery(hpChain(3))
+		o.Rederive(&hpRecEnforcer{})
+	})
 }
 
 // TestSubstituteScratchOverrun: a firing that builds more nodes than the

@@ -344,8 +344,8 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 	gb.exprs, gb.retired = nil, 0
 	for _, w := range gb.winners {
 		dst := ga.ensureWinnerKeyed(w.key, w.props, w.excluded)
-		if dst.plan == nil || (w.plan != nil && m.costs.Less(w.cost, dst.cost)) {
-			dst.plan, dst.cost = w.plan, w.cost
+		if dst.plan == nil || (w.plan != nil && m.costs.Less(w.plan.Cost, dst.plan.Cost)) {
+			dst.plan = w.plan
 		}
 		// A goal on the merged-away class that is still on the call
 		// stack must stay visible as in-progress through the

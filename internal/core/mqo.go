@@ -318,28 +318,7 @@ func MaterializeSharedPlans(model Model, plans []*Plan) ([]*Plan, int) {
 		if d != nil && d.matNode != nil {
 			return d.reuseN
 		}
-		out := p
-		changed := false
-		inputs := p.Inputs
-		for i, in := range p.Inputs {
-			r := rewrite(in)
-			if r != in && !changed {
-				changed = true
-				inputs = append([]*Plan(nil), p.Inputs...)
-			}
-			if changed {
-				inputs[i] = r
-			}
-		}
-		if changed {
-			cp := *p
-			cp.Inputs = inputs
-			cp.Cost = cp.LocalCost
-			for _, in := range inputs {
-				cp.Cost = cs.add(cp.Cost, in.Cost)
-			}
-			out = &cp
-		}
+		out := withInputs(cs, p, rewrite)
 		if d == nil {
 			return out
 		}
@@ -348,7 +327,6 @@ func MaterializeSharedPlans(model Model, plans []*Plan) ([]*Plan, int) {
 			Inputs:    []*Plan{out},
 			Delivered: p.Delivered, // the spool preserves its input's order
 			Cost:      cs.add(out.Cost, d.mat),
-			LocalCost: d.mat,
 			Group:     p.Group,
 			LogProps:  p.LogProps,
 		}
@@ -356,7 +334,6 @@ func MaterializeSharedPlans(model Model, plans []*Plan) ([]*Plan, int) {
 			Op:        sh.BuildReuse(d.id, p.LogProps),
 			Delivered: p.Delivered,
 			Cost:      d.reuse,
-			LocalCost: d.reuse,
 			Group:     p.Group,
 			LogProps:  p.LogProps,
 		}
@@ -413,28 +390,7 @@ func MaterializeSharedPlans(model Model, plans []*Plan) ([]*Plan, int) {
 				memoized[p] = r
 				return r
 			}
-			res := p
-			changed := false
-			inputs := p.Inputs
-			for i, in := range p.Inputs {
-				r := fix(in)
-				if r != in && !changed {
-					changed = true
-					inputs = append([]*Plan(nil), p.Inputs...)
-				}
-				if changed {
-					inputs[i] = r
-				}
-			}
-			if changed {
-				cp := *p
-				cp.Inputs = inputs
-				cp.Cost = cp.LocalCost
-				for _, in := range inputs {
-					cp.Cost = cs.add(cp.Cost, in.Cost)
-				}
-				res = &cp
-			}
+			res := withInputs(cs, p, fix)
 			memoized[p] = res
 			return res
 		}
@@ -445,4 +401,32 @@ func MaterializeSharedPlans(model Model, plans []*Plan) ([]*Plan, int) {
 		}
 	}
 	return out, spools
+}
+
+// withInputs returns p with each input replaced by f's rewrite of it:
+// p itself when f changes none, else a copy over the new inputs, costing
+// p.Cost minus the old inputs' costs (exact costs leave p's own cost)
+// plus the new inputs'. No choose-plan, whose cost is one alternative's
+// rather than a sum, reaches the pass: batches reject parameterized
+// statements.
+func withInputs(cs CostSpace, p *Plan, f func(*Plan) *Plan) *Plan {
+	var inputs []*Plan
+	for i, in := range p.Inputs {
+		r := f(in)
+		if r != in && inputs == nil {
+			inputs = append([]*Plan(nil), p.Inputs...)
+		}
+		if inputs != nil {
+			inputs[i] = r
+		}
+	}
+	if inputs == nil {
+		return p
+	}
+	cp := *p
+	cp.Inputs = inputs
+	for i, in := range inputs {
+		cp.Cost = cs.add(cs.sub(cp.Cost, p.Inputs[i].Cost), in.Cost)
+	}
+	return &cp
 }

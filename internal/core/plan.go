@@ -20,10 +20,9 @@ type Plan struct {
 	// that was requested.
 	Delivered PhysProps
 	// Cost is the total estimated cost of the plan subtree, including
-	// all inputs.
+	// all inputs. Costs are exact (CostADT), so the root algorithm's own
+	// cost is Cost minus its inputs' costs.
 	Cost Cost
-	// LocalCost is the cost of the root algorithm alone.
-	LocalCost Cost
 	// Group is the equivalence class this plan implements.
 	Group GroupID
 	// LogProps are the logical properties of the result, copied from

@@ -134,8 +134,9 @@ func (o *search[C]) primeArms(node *policyNode, g *Group, ms *moveSet, from int)
 		switch mv.Kind {
 		case MoveAlgorithm:
 			floorSum := o.matchFloor(mv.match)
+			cost := mv.Rule.Cost.(AlgCostFunc[C])
 			for _, alt := range mv.Alts {
-				local := mv.Rule.Cost(o.ctx, mv.match.b, node.required, alt).(C)
+				local := cost(o.ctx, mv.match.b, node.required, alt)
 				if m, ok := costMetric(local.Add(floorSum)); ok {
 					if math.IsNaN(a.prior) || m < a.prior {
 						a.prior = m
@@ -147,10 +148,10 @@ func (o *search[C]) primeArms(node *policyNode, g *Group, ms *moveSet, from int)
 				a.prior = math.Inf(1)
 				continue
 			}
-			charged := mv.Enforcer.Cost(o.ctx, g.logProps, node.required)
+			charged := mv.Enforcer.Cost.(EnfCostFunc[C])(o.ctx, g.logProps, node.required)
 			if o.lower != nil {
 				if lb, ok := o.floor(g); ok {
-					charged = charged.(C).Add(lb)
+					charged = charged.Add(lb)
 				}
 			}
 			if m, ok := costMetric(charged); ok {
@@ -261,7 +262,7 @@ func (o *search[C]) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 	if node.onPath {
 		// A cyclic descent answers from the winner table or declines
 		// transiently, like the exhaustive engine's in-progress check.
-		if w := g.lookupWinnerKeyed(wk, required, excluded); w != nil && w.plan != nil && le(w.cost.(C), limit) {
+		if w := g.lookupWinnerKeyed(wk, required, excluded); w != nil && w.plan != nil && le(w.plan.Cost.(C), limit) {
 			return w.plan, false
 		}
 		return nil, true
@@ -294,9 +295,9 @@ func (o *search[C]) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 	// strictly improve on it, so branch-and-bound refutes worse arms
 	// cheaply.
 	s := &goal[C]{required: required, excluded: excluded, limit: limit, inclusive: inclusive, policy: true}
-	if w := g.lookupWinnerKeyed(wk, required, excluded); w != nil && w.plan != nil && le(w.cost.(C), limit) {
+	if w := g.lookupWinnerKeyed(wk, required, excluded); w != nil && w.plan != nil && le(w.plan.Cost.(C), limit) {
 		o.stats.WinnerHits++
-		s.best, s.bestCost = w.plan, w.cost.(C)
+		s.best, s.bestCost = w.plan, w.plan.Cost.(C)
 		if !o.opts.Search.NoPruning {
 			s.limit = s.bestCost
 			s.inclusive = false
@@ -365,22 +366,22 @@ func (o *search[C]) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 		gid = ng
 	}
 	fw := o.memo.groups[gid-1].ensureWinnerKeyed(wk, required, excluded)
-	if s.best != nil && (fw.plan == nil || s.bestCost.Less(fw.cost.(C))) {
-		fw.plan, fw.cost = s.best, s.best.Cost
+	if s.best != nil && (fw.plan == nil || s.bestCost.Less(fw.plan.Cost.(C))) {
+		fw.plan = s.best
 		o.stats.RolloutCommits++
 		if o.tracer != nil {
 			o.tracer.Trace(TraceEvent{Kind: TraceWinner, Group: gid,
-				Required: required, Cost: fw.cost, Plan: fw.plan})
+				Required: required, Cost: fw.plan.Cost, Plan: fw.plan})
 		}
 	}
 	if o.tracer != nil {
 		ev := TraceEvent{Kind: TraceGoalEnd, Group: gid, Required: required}
 		if fw.plan != nil {
-			ev.Cost = fw.cost
+			ev.Cost = fw.plan.Cost
 		}
 		o.tracer.Trace(ev)
 	}
-	if fw.plan != nil && le(fw.cost.(C), limit) {
+	if fw.plan != nil && le(fw.plan.Cost.(C), limit) {
 		return fw.plan, false
 	}
 	return nil, true
@@ -396,28 +397,15 @@ func (o *search[C]) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 // winner and the vetted fallback ladder, never a bare nil unless no
 // fallback exists: a stochastic policy proves nothing by failing.
 func (o *search[C]) policyOptimize(root GroupID, required PhysProps, limit C) *Plan {
-	var seedCost Cost
 	var seed *SeedPlan
 	if o.opts.Guidance.SeedPlanner != nil {
 		seed = o.opts.Guidance.SeedPlanner(o.Optimizer, root, required)
 	} else {
 		seed = o.SyntacticSeed(root, required)
 	}
-	if seed != nil {
-		seedCost = seed.Cost
-		o.stats.SeedCost = seedCost
-		if seed.Plan != nil {
-			o.seedFallback = seed.Plan
-			o.stats.SeedFloorCost = seed.Plan.Cost
-		}
-	}
-	rootLimit := limit
-	inclusive := true
-	if seedCost != nil && !o.opts.Search.NoPruning && seedCost.(C).Less(limit) {
-		// The seed is achievable, so the optimum costs at most the
-		// seed; the inclusive bound admits a plan costing exactly it.
-		rootLimit = seedCost.(C)
-	}
+	// The seed is achievable, so the optimum costs at most the seed; the
+	// inclusive bound admits a plan costing exactly it.
+	rootLimit, _ := o.seedLimit(seed, limit)
 
 	episodes := o.opts.Search.Episodes
 	if episodes < 1 {
@@ -431,7 +419,7 @@ func (o *search[C]) policyOptimize(root GroupID, required PhysProps, limit C) *P
 	var best *Plan
 	for ep := 0; ep < episodes && o.memo.err == nil; ep++ {
 		o.pol.episode = ep
-		p, _ := o.rolloutGoal(root, required, nil, rootLimit, inclusive)
+		p, _ := o.rolloutGoal(root, required, nil, rootLimit, true)
 		if p != nil && (best == nil || p.Cost.(C).Less(best.Cost.(C))) {
 			best = p
 		}

@@ -186,10 +186,10 @@ func (m *noMetricModel) ImplementationRules() []*core.ImplRule {
 	out := make([]*core.ImplRule, len(rules))
 	for i, r := range rules {
 		rr := *r
-		orig := r.Cost
-		rr.Cost = func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
-			return plainCost(orig(ctx, b, required, alt).(toyCost))
-		}
+		orig := r.Cost.(core.AlgCostFunc[toyCost])
+		rr.Cost = core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) plainCost {
+			return plainCost(orig(ctx, b, required, alt))
+		})
 		out[i] = &rr
 	}
 	return out
@@ -200,10 +200,10 @@ func (m *noMetricModel) Enforcers() []*core.Enforcer {
 	out := make([]*core.Enforcer, len(enfs))
 	for i, e := range enfs {
 		ee := *e
-		orig := e.Cost
-		ee.Cost = func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.Cost {
-			return plainCost(orig(ctx, lp, required).(toyCost))
-		}
+		orig := e.Cost.(core.EnfCostFunc[toyCost])
+		ee.Cost = core.EnfCost(func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) plainCost {
+			return plainCost(orig(ctx, lp, required))
+		})
 		out[i] = &ee
 	}
 	return out

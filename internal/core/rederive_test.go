@@ -46,9 +46,9 @@ func (m *rdModel) DeriveLogicalProps(op core.LogicalOp, inputs []core.LogicalPro
 func (m *rdModel) ImplementationRules() []*core.ImplRule {
 	rules := m.toyModel.ImplementationRules()
 	scan := *rules[0]
-	scan.Cost = func(ctx *core.RuleContext, b *core.Binding, _ core.PhysProps, _ core.InputReq) core.Cost {
+	scan.Cost = core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, _ core.PhysProps, _ core.InputReq) toyCost {
 		return toyCost(ctx.LogProps(b.Group).(*rdProps).scan)
-	}
+	})
 	rules[0] = &scan
 	return rules
 }

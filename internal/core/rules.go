@@ -247,12 +247,14 @@ type ImplRule struct {
 	// qualifies with the requirement that its inputs be sorted.
 	Applicability func(ctx *RuleContext, b *Binding, required PhysProps) ([]InputReq, bool)
 	// Cost estimates the cost of the algorithm itself, excluding its
-	// inputs, for the given binding and chosen input alternative.
-	Cost func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) Cost
+	// inputs, for the given binding and chosen input alternative: an
+	// AlgCostFunc of the model's cost type, registered through AlgCost.
+	Cost RuleCost
 	// Delivered computes the physical property vector the algorithm's
 	// output actually has, given the vectors delivered by the chosen
 	// input plans. If nil, the algorithm is assumed to deliver exactly
-	// the required vector.
+	// the required vector. The inputs slice is valid only during the
+	// call: the engine reuses it, so the function must not retain it.
 	Delivered func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq, inputs []PhysProps) PhysProps
 	// Build constructs the physical operator for the plan node.
 	Build func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) PhysicalOp
@@ -277,8 +279,9 @@ type Enforcer struct {
 	// considered as input to a sort on the join attribute). ok is
 	// false when the enforcer cannot contribute to required.
 	Relax func(ctx *RuleContext, lp LogicalProps, required PhysProps) (relaxed, excluded PhysProps, ok bool)
-	// Cost estimates the enforcer's own cost.
-	Cost func(ctx *RuleContext, lp LogicalProps, required PhysProps) Cost
+	// Cost estimates the enforcer's own cost: an EnfCostFunc of the
+	// model's cost type, registered through EnfCost.
+	Cost EnforcerCost
 	// Delivered computes the output vector given the input plan's
 	// delivered vector. If nil, the enforcer delivers exactly the
 	// required vector.
@@ -287,6 +290,38 @@ type Enforcer struct {
 	Build func(ctx *RuleContext, lp LogicalProps, required PhysProps) PhysicalOp
 	// Promise orders enforcer moves; higher fires first.
 	Promise int
+}
+
+// AlgCostFunc is an implementation rule's cost function for cost type
+// C: the cost of the algorithm itself, excluding its inputs.
+type AlgCostFunc[C CostADT[C]] func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) C
+
+// EnfCostFunc is an enforcer's cost function for cost type C.
+type EnfCostFunc[C CostADT[C]] func(ctx *RuleContext, lp LogicalProps, required PhysProps) C
+
+// RuleCost and EnforcerCost hold an AlgCostFunc and an EnfCostFunc, as
+// AlgCost and EnfCost make them. The engine instantiated for C calls the
+// function as its typed form, so the cost comes back by value and
+// nothing is boxed per call; NewOptimizer rejects a function declared
+// for another cost type than the model's Costs.
+type (
+	RuleCost     interface{ ruleCost() }
+	EnforcerCost interface{ enforcerCost() }
+)
+
+func (AlgCostFunc[C]) ruleCost()     {}
+func (EnfCostFunc[C]) enforcerCost() {}
+
+// AlgCost registers f as an implementation rule's cost function for the
+// model's cost type C.
+func AlgCost[C CostADT[C]](f func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) C) RuleCost {
+	return AlgCostFunc[C](f)
+}
+
+// EnfCost registers f as an enforcer's cost function for the model's
+// cost type C.
+func EnfCost[C CostADT[C]](f func(ctx *RuleContext, lp LogicalProps, required PhysProps) C) EnforcerCost {
+	return EnfCostFunc[C](f)
 }
 
 // Model is everything the optimizer implementor provides: the paper's

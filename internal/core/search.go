@@ -22,9 +22,6 @@ type Optimizer struct {
 	opts  Options
 	stats Stats
 	ctx   *RuleContext
-	// lower is the model's admissible cost floor, when it provides one
-	// (see LowerBounder); nil otherwise.
-	lower LowerBounder
 	// tracer receives structured search-trace events; nil when tracing
 	// is off.
 	tracer Tracer
@@ -59,11 +56,39 @@ type engine interface {
 type search[C CostADT[C]] struct {
 	*Optimizer
 	cs *costSpace[C]
+	// lower is the model's admissible cost floor, when it provides one
+	// (see LowerBounder); nil otherwise.
+	lower LowerBounder[C]
+	// inProps is pursueAlgorithm's scratch for the delivered vectors it
+	// hands a rule's Delivered function.
+	inProps []PhysProps
+}
+
+// newSearch instantiates the engine for cost type C over o's model. It
+// panics, naming the rule, when a rule's or enforcer's cost function was
+// registered for another cost type.
+func newSearch[C CostADT[C]](o *Optimizer, cs *costSpace[C]) *search[C] {
+	m := o.model
+	for _, r := range m.ImplementationRules() {
+		if _, ok := r.Cost.(AlgCostFunc[C]); !ok {
+			panic(fmt.Sprintf("core: model %s: implementation rule %s has cost function %T; the model's cost type is %T",
+				m.Name(), r.Name, r.Cost, cs.zero))
+		}
+	}
+	for _, e := range m.Enforcers() {
+		if _, ok := e.Cost.(EnfCostFunc[C]); !ok {
+			panic(fmt.Sprintf("core: model %s: enforcer %s has cost function %T; the model's cost type is %T",
+				m.Name(), e.Name, e.Cost, cs.zero))
+		}
+	}
+	lower, _ := m.(LowerBounder[C])
+	return &search[C]{Optimizer: o, cs: cs, lower: lower}
 }
 
 // NewOptimizer creates an optimizer for the model. opts may be nil for
-// the default (exhaustive, pruned, memoizing) configuration; a non-nil
-// opts must satisfy Options.Validate, or NewOptimizer panics.
+// the default (exhaustive, pruned, memoizing) configuration. NewOptimizer
+// panics unless a non-nil opts satisfies Options.Validate and every rule
+// and enforcer cost function returns the cost type Costs declares.
 func NewOptimizer(model Model, opts *Options) *Optimizer {
 	if n := len(model.TransformationRules()); n > MaxTransformRules {
 		panic(fmt.Sprintf("core: model %s declares %d transformation rules; max is %d",
@@ -73,7 +98,6 @@ func NewOptimizer(model Model, opts *Options) *Optimizer {
 		panic(err)
 	}
 	o := &Optimizer{model: model}
-	o.lower, _ = model.(LowerBounder)
 	if opts != nil {
 		o.opts = *opts
 	}
@@ -108,7 +132,8 @@ func (o *Optimizer) InsertQuery(t *ExprTree) GroupID {
 // member consumes a stale class. Changed classes take the new property
 // objects — the old ones stay intact for plans already built — and every
 // stale class drops its winners, failures, matches, move sets and floor.
-// Rederive returns the number of live classes kept.
+// Rederive returns the number of live classes kept. Like NewOptimizer, it
+// panics when a cost function does not return the model's cost type.
 func (o *Optimizer) Rederive(model Model) int {
 	m := o.memo
 	if len(model.TransformationRules()) != len(m.model.TransformationRules()) {
@@ -117,7 +142,6 @@ func (o *Optimizer) Rederive(model Model) int {
 	o.model, m.model, o.ctx.Model, m.ctx.Model = model, model, model, model
 	m.costs = model.Costs()
 	o.eng = m.costs.engine(o)
-	o.lower, _ = model.(LowerBounder)
 	o.seedFallback = nil
 
 	stale := make([]bool, len(m.groups))
@@ -368,22 +392,18 @@ func (o *Optimizer) anytimeFallback(root GroupID, required PhysProps, limit Cost
 // greedy pass declines only then.
 func (o *Optimizer) Budgeted() bool { return o.bud != nil }
 
-// classFloor returns the memoized admissible cost floor for a class, or
-// nil when the model declines. Only called when o.lower is non-nil.
-func (o *Optimizer) classFloor(g *Group) Cost {
+// floor returns the memoized admissible cost floor for a class; ok is
+// false when the model declines. The floor is boxed once, when the class
+// stores it. Only called when o.lower is non-nil.
+func (o *search[C]) floor(g *Group) (lb C, ok bool) {
 	if !g.floorSet {
-		g.floor = o.lower.LowerBound(g.logProps)
+		if lb, ok := o.lower.LowerBound(g.logProps); ok {
+			g.floor = lb
+		}
 		g.floorSet = true
 	}
-	return g.floor
-}
-
-// floor is classFloor as a value; ok is false when the model declines.
-func (o *search[C]) floor(g *Group) (lb C, ok bool) {
-	if f := o.classFloor(g); f != nil {
-		return f.(C), true
-	}
-	return lb, false
+	lb, ok = g.floor.(C)
+	return lb, ok
 }
 
 // goal carries the mutable state of one FindBestPlan activation.
@@ -446,7 +466,7 @@ func (o *search[C]) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 		}
 		if w.plan != nil {
 			o.stats.WinnerHits++
-			if le(w.cost.(C), limit) {
+			if le(w.plan.Cost.(C), limit) {
 				return w.plan, false
 			}
 			// The recorded plan is optimal; a tighter limit cannot
@@ -606,16 +626,16 @@ func (o *search[C]) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 	gid = o.memo.Find(gid)
 	fw := o.memo.groups[gid-1].ensureWinnerKeyed(wk, required, excluded)
 	if s.best != nil {
-		if fw.plan == nil || s.bestCost.Less(fw.cost.(C)) {
-			fw.plan, fw.cost = s.best, s.best.Cost
+		if fw.plan == nil || s.bestCost.Less(fw.plan.Cost.(C)) {
+			fw.plan = s.best
 		}
 		if o.tracer != nil {
 			o.tracer.Trace(TraceEvent{Kind: TraceWinner, Group: gid,
-				Required: required, Cost: fw.cost, Plan: fw.plan})
+				Required: required, Cost: fw.plan.Cost, Plan: fw.plan})
 			o.tracer.Trace(TraceEvent{Kind: TraceGoalEnd, Group: gid,
-				Required: required, Cost: fw.cost})
+				Required: required, Cost: fw.plan.Cost})
 		}
-		if le(fw.cost.(C), limit) {
+		if le(fw.plan.Cost.(C), limit) {
 			return fw.plan, false
 		}
 		return nil, false
@@ -795,24 +815,26 @@ func (o *search[C]) offer(s *goal[C], p *Plan, cost C) {
 
 // pursueAlgorithm explores one algorithm move: for each acceptable input
 // property combination, cost the algorithm, optimize each input under
-// the remaining budget, and offer the completed plan.
+// the remaining budget, and offer the completed plan. The input plans
+// are collected on the stack; only an offered plan gets a vector of its
+// own.
 func (o *search[C]) pursueAlgorithm(s *goal[C], g *Group, mv *Move) {
 	o.stats.AlgorithmMoves++
 	rule, b := mv.Rule, mv.match.b
+	cost := rule.Cost.(AlgCostFunc[C])
 	var buf [4]GroupID
 	leaves := b.Leaves(buf[:0])
 	// Admissible input floors sharpen the bound: every input will cost
 	// at least its floor, so inputs not yet optimized are charged their
 	// floors both when pruning and when budgeting a sibling's limit.
 	floored := o.lower != nil && !o.opts.Search.NoPruning
+	var inBuf [4]*Plan
 	for _, alt := range mv.Alts {
 		if len(alt.Required) != len(leaves) {
 			panic(fmt.Sprintf("core: rule %s returned %d input requirements for %d inputs",
 				rule.Name, len(alt.Required), len(leaves)))
 		}
-		localCost := rule.Cost(o.ctx, b, s.required, alt)
-		local := localCost.(C)
-		total := local
+		total := cost(o.ctx, b, s.required, alt)
 		// rest is the floor mass of the inputs still to be optimized; it
 		// shrinks as each input's actual cost is folded into total.
 		var rest C
@@ -829,7 +851,7 @@ func (o *search[C]) pursueAlgorithm(s *goal[C], g *Group, mv *Move) {
 			}
 			continue
 		}
-		var inPlans []*Plan
+		in := inBuf[:0]
 		ok := true
 		for i, leaf := range leaves {
 			childReq := alt.Required[i]
@@ -868,21 +890,19 @@ func (o *search[C]) pursueAlgorithm(s *goal[C], g *Group, mv *Move) {
 				ok = false
 				break
 			}
-			if inPlans == nil {
-				inPlans = make([]*Plan, len(leaves))
-			}
-			inPlans[i] = p
+			in = append(in, p)
 		}
 		if !ok {
 			continue
 		}
 		delivered := s.required
 		if rule.Delivered != nil {
-			inProps := make([]PhysProps, len(leaves))
-			for i, p := range inPlans {
-				inProps[i] = p.Delivered
+			props := o.inProps[:0]
+			for _, p := range in {
+				props = append(props, p.Delivered)
 			}
-			delivered = rule.Delivered(o.ctx, b, s.required, alt, inProps)
+			o.inProps = props
+			delivered = rule.Delivered(o.ctx, b, s.required, alt, props)
 		}
 		if !delivered.Covers(s.required) {
 			// The paper's consistency check: the physical properties
@@ -908,10 +928,9 @@ func (o *search[C]) pursueAlgorithm(s *goal[C], g *Group, mv *Move) {
 		}
 		o.offer(s, &Plan{
 			Op:        rule.Build(o.ctx, b, s.required, alt),
-			Inputs:    inPlans,
+			Inputs:    append([]*Plan(nil), in...),
 			Delivered: delivered,
 			Cost:      total,
-			LocalCost: localCost,
 			Group:     g.id,
 			LogProps:  g.logProps,
 		}, total)
@@ -957,8 +976,7 @@ func (o *search[C]) pursueEnforcer(s *goal[C], g *Group, enf *Enforcer) {
 		return
 	}
 	o.stats.EnforcerMoves++
-	localCost := enf.Cost(o.ctx, g.logProps, s.required)
-	total := localCost.(C)
+	total := enf.Cost.(EnfCostFunc[C])(o.ctx, g.logProps, s.required)
 	charged := total
 	if o.lower != nil && !o.opts.Search.NoPruning {
 		// The enforcer's input is this same class, so the class floor is
@@ -1010,7 +1028,6 @@ func (o *search[C]) pursueEnforcer(s *goal[C], g *Group, enf *Enforcer) {
 		Inputs:    []*Plan{in},
 		Delivered: delivered,
 		Cost:      total,
-		LocalCost: localCost,
 		Group:     g.id,
 		LogProps:  g.logProps,
 	}, total)
@@ -1039,7 +1056,7 @@ func (o *search[C]) glueOptimize(root GroupID, required PhysProps, limit C) *Pla
 // wrapWithEnforcers stacks enforcers on a finished plan until it covers
 // required. Depth is bounded: each enforcer establishes at least one
 // property, and property vectors are finite.
-func (o *Optimizer) wrapWithEnforcers(p *Plan, required PhysProps, depth int) (*Plan, bool) {
+func (o *search[C]) wrapWithEnforcers(p *Plan, required PhysProps, depth int) (*Plan, bool) {
 	if p.Delivered.Covers(required) {
 		return p, true
 	}
@@ -1064,13 +1081,12 @@ func (o *Optimizer) wrapWithEnforcers(p *Plan, required PhysProps, depth int) (*
 		if !delivered.Covers(required) {
 			continue
 		}
-		local := enf.Cost(o.ctx, lp, required)
+		local := enf.Cost.(EnfCostFunc[C])(o.ctx, lp, required)
 		return &Plan{
 			Op:        enf.Build(o.ctx, lp, required),
 			Inputs:    []*Plan{in},
 			Delivered: delivered,
-			Cost:      o.memo.costs.add(in.Cost, local),
-			LocalCost: local,
+			Cost:      in.Cost.(C).Add(local),
 			Group:     p.Group,
 			LogProps:  lp,
 		}, true

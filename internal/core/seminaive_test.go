@@ -89,7 +89,7 @@ func (m *deepModel) ImplementationRules() []*core.ImplRule {
 			Applicability: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
 				return []core.InputReq{req}, required.(toyColor) == 0
 			},
-			Cost: func(*core.RuleContext, *core.Binding, core.PhysProps, core.InputReq) core.Cost { return cost },
+			Cost: core.AlgCost(func(*core.RuleContext, *core.Binding, core.PhysProps, core.InputReq) toyCost { return cost }),
 			Build: func(*core.RuleContext, *core.Binding, core.PhysProps, core.InputReq) core.PhysicalOp {
 				return &toyPhys{name: name}
 			},

@@ -32,8 +32,8 @@ var ioCPUCosts = core.CostsOf(ioCPU{}, ioCPU{math.Inf(1), math.Inf(1)})
 // split turns a toy cost into three quarters I/O and one quarter CPU;
 // both parts and their sums are exact in binary for the toy's small
 // integer costs, so a plan's total equals its scalar cost.
-func split(c core.Cost) core.Cost {
-	f := float64(c.(toyCost))
+func split(c toyCost) ioCPU {
+	f := float64(c)
 	return ioCPU{IO: 0.75 * f, CPU: 0.25 * f}
 }
 
@@ -46,10 +46,10 @@ func (m splitModel) Costs() core.CostSpace { return ioCPUCosts }
 func (m splitModel) ImplementationRules() []*core.ImplRule {
 	var out []*core.ImplRule
 	for _, r := range m.Model.ImplementationRules() {
-		rr, orig := *r, r.Cost
-		rr.Cost = func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		rr, orig := *r, r.Cost.(core.AlgCostFunc[toyCost])
+		rr.Cost = core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) ioCPU {
 			return split(orig(ctx, b, required, alt))
-		}
+		})
 		out = append(out, &rr)
 	}
 	return out
@@ -58,10 +58,10 @@ func (m splitModel) ImplementationRules() []*core.ImplRule {
 func (m splitModel) Enforcers() []*core.Enforcer {
 	var out []*core.Enforcer
 	for _, e := range m.Model.Enforcers() {
-		ee, orig := *e, e.Cost
-		ee.Cost = func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.Cost {
+		ee, orig := *e, e.Cost.(core.EnfCostFunc[toyCost])
+		ee.Cost = core.EnfCost(func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) ioCPU {
 			return split(orig(ctx, lp, required))
-		}
+		})
 		out = append(out, &ee)
 	}
 	return out
@@ -72,15 +72,16 @@ func (m splitModel) Enforcers() []*core.Enforcer {
 // (w+1)/2 leaves).
 type flooredToy struct{ toyModel }
 
-func (*flooredToy) LowerBound(lp core.LogicalProps) core.Cost {
-	return toyCost((lp.(*toyProps).weight + 1) / 2)
+func (*flooredToy) LowerBound(lp core.LogicalProps) (toyCost, bool) {
+	return toyCost((lp.(*toyProps).weight + 1) / 2), true
 }
 
 // flooredSplit is flooredToy with split costs and floors.
 type flooredSplit struct{ splitModel }
 
-func (flooredSplit) LowerBound(lp core.LogicalProps) core.Cost {
-	return split((&flooredToy{}).LowerBound(lp))
+func (flooredSplit) LowerBound(lp core.LogicalProps) (ioCPU, bool) {
+	lb, ok := (&flooredToy{}).LowerBound(lp)
+	return split(lb), ok
 }
 
 // TestStructCostMatchesScalar: the engine instantiated for the two-float

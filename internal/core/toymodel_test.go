@@ -165,9 +165,9 @@ func (m *toyModel) ImplementationRules() []*core.ImplRule {
 			Applicability: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
 				return passthrough(required)
 			},
-			Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+			Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) toyCost {
 				return toyCost(1)
-			},
+			}),
 			Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 				return &toyPhys{name: "toy-scan"}
 			},
@@ -182,9 +182,9 @@ func (m *toyModel) ImplementationRules() []*core.ImplRule {
 				}
 				return []core.InputReq{{Required: []core.PhysProps{toyColor(0), toyColor(0)}}}, true
 			},
-			Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+			Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) toyCost {
 				return toyCost(2)
-			},
+			}),
 			Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 				return &toyPhys{name: "plain-pair"}
 			},
@@ -199,9 +199,9 @@ func (m *toyModel) ImplementationRules() []*core.ImplRule {
 				}
 				return []core.InputReq{{Required: []core.PhysProps{toyColor(0), toyColor(0)}}}, true
 			},
-			Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+			Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) toyCost {
 				return toyCost(10)
-			},
+			}),
 			Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 				return &toyPhys{name: "colored-pair"}
 			},
@@ -219,9 +219,9 @@ func (m *toyModel) Enforcers() []*core.Enforcer {
 			}
 			return toyColor(0), required, true
 		},
-		Cost: func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.Cost {
+		Cost: core.EnfCost(func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) toyCost {
 			return toyCost(4)
-		},
+		}),
 		Build: func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.PhysicalOp {
 			return &toyPhys{name: "paint"}
 		},

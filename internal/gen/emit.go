@@ -26,12 +26,12 @@ const (
 
 var roleSignatures = map[funcRole]string{
 	roleCondition:     "(ctx *core.RuleContext, b *core.Binding) bool",
-	roleAlgCost:       "(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost",
+	roleAlgCost:       "(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) C",
 	roleApplicability: "(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool)",
 	roleAlgBuild:      "(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp",
 	roleAlgDelivered:  "(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps",
 	roleEnfRelax:      "(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) (relaxed, excluded core.PhysProps, ok bool)",
-	roleEnfCost:       "(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.Cost",
+	roleEnfCost:       "(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) C",
 	roleEnfBuild:      "(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.PhysicalOp",
 	roleEnfDelivered:  "(ctx *core.RuleContext, required core.PhysProps, input core.PhysProps) core.PhysProps",
 }
@@ -180,8 +180,9 @@ func (e *emitter) emit() string {
 	e.p("// Support is the data-model-specific code the optimizer implementor")
 	e.p("// supplies before optimizer generation: property and cost functions,")
 	e.p("// applicability functions, and condition code, plus the cost and")
-	e.p("// physical-property abstract data types.")
-	e.p("type Support interface {")
+	e.p("// physical-property abstract data types. C is the cost type: the")
+	e.p("// type Costs declares and every cost function returns by value.")
+	e.p("type Support[C core.CostADT[C]] interface {")
 	e.p("core.CostModel")
 	e.p("")
 	e.p("// DeriveLogicalProps computes the logical properties of an")
@@ -218,19 +219,17 @@ func (e *emitter) emit() string {
 
 	// Model type.
 	e.p("// Model is the generated optimizer model: the core.Model the search")
-	e.p("// engine is linked with.")
-	e.p("type Model struct {")
-	e.p("s Support")
+	e.p("// engine is linked with, for cost type C.")
+	e.p("type Model[C core.CostADT[C]] struct {")
+	e.p("s Support[C]")
 	e.p("transforms []*core.TransformRule")
 	e.p("impls []*core.ImplRule")
 	e.p("enforcers []*core.Enforcer")
 	e.p("}")
 	e.p("")
-	e.p("var _ core.Model = (*Model)(nil)")
-	e.p("")
 	e.p("// New binds the generated rule set to the implementor's support code.")
-	e.p("func New(s Support) *Model {")
-	e.p("m := &Model{s: s}")
+	e.p("func New[C core.CostADT[C]](s Support[C]) *Model[C] {")
+	e.p("m := &Model[C]{s: s}")
 
 	e.p("m.transforms = []*core.TransformRule{")
 	for _, tr := range s.Transforms {
@@ -254,56 +253,60 @@ func (e *emitter) emit() string {
 	e.p("")
 
 	e.p("// Name returns the model name.")
-	e.p("func (m *Model) Name() string { return %q }", s.Model)
+	e.p("func (m *Model[C]) Name() string { return %q }", s.Model)
 	e.p("")
 	e.p("// DeriveLogicalProps delegates to the support code.")
-	e.p("func (m *Model) DeriveLogicalProps(op core.LogicalOp, inputs []core.LogicalProps) core.LogicalProps {")
+	e.p("func (m *Model[C]) DeriveLogicalProps(op core.LogicalOp, inputs []core.LogicalProps) core.LogicalProps {")
 	e.p("return m.s.DeriveLogicalProps(op, inputs)")
 	e.p("}")
 	e.p("")
 	e.p("// TransformationRules returns the generated transformation rules.")
-	e.p("func (m *Model) TransformationRules() []*core.TransformRule { return m.transforms }")
+	e.p("func (m *Model[C]) TransformationRules() []*core.TransformRule { return m.transforms }")
 	e.p("")
 	e.p("// ImplementationRules returns the generated implementation rules.")
-	e.p("func (m *Model) ImplementationRules() []*core.ImplRule { return m.impls }")
+	e.p("func (m *Model[C]) ImplementationRules() []*core.ImplRule { return m.impls }")
 	e.p("")
 	e.p("// Enforcers returns the generated enforcers.")
-	e.p("func (m *Model) Enforcers() []*core.Enforcer { return m.enforcers }")
+	e.p("func (m *Model[C]) Enforcers() []*core.Enforcer { return m.enforcers }")
 	e.p("")
 	e.p("// AnyProps delegates to the support code.")
-	e.p("func (m *Model) AnyProps() core.PhysProps { return m.s.AnyProps() }")
+	e.p("func (m *Model[C]) AnyProps() core.PhysProps { return m.s.AnyProps() }")
 	e.p("")
 	e.p("// Costs delegates to the support code's cost declaration")
 	e.p("// (core.CostsOf), the cost type the search engine is instantiated for.")
-	e.p("func (m *Model) Costs() core.CostSpace { return m.s.Costs() }")
+	e.p("func (m *Model[C]) Costs() core.CostSpace { return m.s.Costs() }")
 	e.p("")
 	// The spec hash covers everything emitted so far — operator kinds,
 	// rule wiring, and support signatures — so any regeneration that
 	// changes the optimizer's behavior also changes the version token.
 	specHash := fnv1a(e.b.String())
-	e.p("var _ core.Versioned = (*Model)(nil)")
-	e.p("")
 	e.p("// Version returns the model's version token: a fingerprint of the")
 	e.p("// generated rule set, mixed with the support code's own token when")
 	e.p("// the Support implementation also implements core.Versioned (e.g. to")
 	e.p("// reflect catalog or statistics changes). Plan caches key entries by")
 	e.p("// this token, so regenerating the optimizer orphans cached plans.")
-	e.p("func (m *Model) Version() uint64 {")
+	e.p("func (m *Model[C]) Version() uint64 {")
 	e.p("const specHash = 0x%016x", specHash)
 	e.p("if v, ok := m.s.(core.Versioned); ok {")
 	e.p("return specHash ^ (v.Version() * 0x9E3779B185EBCA87)")
 	e.p("}")
 	e.p("return specHash")
 	e.p("}")
-	e.p("")
-	e.p("// anyInputs builds one vacuous property requirement per input; it is")
-	e.p("// the default applicability result for algorithms whose specification")
-	e.p("// names no applicability function.")
-	e.p("func anyInputs(s Support, n int) []core.InputReq {")
-	e.p("req := make([]core.PhysProps, n)")
-	e.p("for i := range req { req[i] = s.AnyProps() }")
-	e.p("return []core.InputReq{{Required: req}}")
-	e.p("}")
+	for _, alg := range s.Algorithms {
+		if alg.Applicability != "" {
+			continue
+		}
+		e.p("")
+		e.p("// anyInputs builds one vacuous property requirement per input; it is")
+		e.p("// the default applicability result for algorithms whose specification")
+		e.p("// names no applicability function.")
+		e.p("func anyInputs[C core.CostADT[C]](s Support[C], n int) []core.InputReq {")
+		e.p("req := make([]core.PhysProps, n)")
+		e.p("for i := range req { req[i] = s.AnyProps() }")
+		e.p("return []core.InputReq{{Required: req}}")
+		e.p("}")
+		break
+	}
 	return e.b.String()
 }
 
@@ -454,7 +457,7 @@ func (e *emitter) emitAlgorithm(alg Algorithm) {
 		e.p("return anyInputs(s, %d), true", leafCount(alg.Pattern))
 		e.p("},")
 	}
-	e.p("Cost: s.%s,", methodName(alg.Cost))
+	e.p("Cost: core.AlgCost(s.%s),", methodName(alg.Cost))
 	if alg.Delivered != "" {
 		e.p("Delivered: s.%s,", methodName(alg.Delivered))
 	}
@@ -473,7 +476,7 @@ func (e *emitter) emitEnforcer(enf EnforcerDecl) {
 	e.p("{")
 	e.p("Name: %q,", enf.Name)
 	e.p("Relax: s.%s,", methodName(enf.Relax))
-	e.p("Cost: s.%s,", methodName(enf.Cost))
+	e.p("Cost: core.EnfCost(s.%s),", methodName(enf.Cost))
 	if enf.Delivered != "" {
 		e.p("Delivered: s.%s,", methodName(enf.Delivered))
 	}

@@ -8,29 +8,39 @@ import (
 	"repro/internal/gen"
 )
 
-// TestGoldenMinirel regenerates the checked-in minirel optimizer from
-// its specification and requires byte equality: the generated package
-// in internal/gen/minirel is exactly what volcano-gen emits.
+// TestGoldenMinirel regenerates every checked-in generated optimizer
+// from its specification and requires byte equality: each generated
+// package under internal/gen is exactly what volcano-gen emits.
 func TestGoldenMinirel(t *testing.T) {
-	specSrc, err := os.ReadFile("testdata/minirel.model")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := gen.Parse(string(specSrc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := gen.Generate(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("minirel/minirel.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatal("generated output differs from checked-in minirel/minirel.go; " +
-			"run: go run ./cmd/volcano-gen -spec internal/gen/testdata/minirel.model -o internal/gen/minirel/minirel.go")
+	for _, model := range []string{"minirel", "minipath", "pairs"} {
+		t.Run(model, func(t *testing.T) {
+			specPath, outPath := "testdata/"+model+".model", model+"/"+model+".go"
+			specSrc, err := os.ReadFile(specPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := gen.Parse(string(specSrc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := gen.Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(outPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("generated output differs from checked-in %s; run: go run ./cmd/volcano-gen -spec internal/gen/%s -o internal/gen/%s",
+					outPath, specPath, outPath)
+			}
+			// Generated kinds start at 1, as the hand-assigned kinds of
+			// the operator types the minipath wiring shares with oodb do.
+			if !strings.Contains(string(got), "core.OpKind = iota + 1") {
+				t.Fatal("generated kinds do not start at 1")
+			}
+		})
 	}
 }
 

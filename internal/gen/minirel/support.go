@@ -73,7 +73,7 @@ func (s *DefaultSupport) ScanApplic(ctx *core.RuleContext, b *core.Binding, requ
 	return []core.InputReq{{}}, true
 }
 
-func (s *DefaultSupport) ScanCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+func (s *DefaultSupport) ScanCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) relopt.Cost {
 	p := props(ctx, b.Group)
 	return relopt.NewCost(p.Pages(s.params.PageBytes), p.Rows*s.params.CPUTuple)
 }
@@ -86,7 +86,7 @@ func (s *DefaultSupport) FilterApplic(ctx *core.RuleContext, b *core.Binding, re
 	return []core.InputReq{{Required: []core.PhysProps{required}}}, true
 }
 
-func (s *DefaultSupport) FilterCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+func (s *DefaultSupport) FilterCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) relopt.Cost {
 	in := props(ctx, b.Children[0].Group)
 	return relopt.NewCost(0, in.Rows*s.params.CPUPred)
 }
@@ -109,7 +109,7 @@ func (s *DefaultSupport) HashJoinApplic(ctx *core.RuleContext, b *core.Binding, 
 	return []core.InputReq{{Required: []core.PhysProps{relopt.Any, relopt.Any}}}, true
 }
 
-func (s *DefaultSupport) HashJoinCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+func (s *DefaultSupport) HashJoinCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) relopt.Cost {
 	lp := props(ctx, b.Children[0].Group)
 	rp := props(ctx, b.Children[1].Group)
 	out := props(ctx, b.Group)
@@ -141,7 +141,7 @@ func (s *DefaultSupport) MergeJoinApplic(ctx *core.RuleContext, b *core.Binding,
 	}}}, true
 }
 
-func (s *DefaultSupport) MergeJoinCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+func (s *DefaultSupport) MergeJoinCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) relopt.Cost {
 	lp := props(ctx, b.Children[0].Group)
 	rp := props(ctx, b.Children[1].Group)
 	out := props(ctx, b.Group)
@@ -170,7 +170,7 @@ func (s *DefaultSupport) SortRelax(ctx *core.RuleContext, lp core.LogicalProps, 
 	return rp.WithoutSort(), required, true
 }
 
-func (s *DefaultSupport) SortEnfCost(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.Cost {
+func (s *DefaultSupport) SortEnfCost(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) relopt.Cost {
 	p := lp.(*rel.Props)
 	rows := p.Rows
 	lg := 1.0

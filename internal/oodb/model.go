@@ -305,7 +305,7 @@ func (m *Model) ScanApplic(ctx *core.RuleContext, b *core.Binding, required core
 }
 
 // ScanCost prices a sequential extent read.
-func (m *Model) ScanCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+func (m *Model) ScanCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 	cls := b.Expr.Op.(*GetSet).Cls
 	pages := float64(cls.Objects*int64(cls.ObjBytes)) / float64(m.P.PageBytes)
 	if pages < 1 {
@@ -335,7 +335,7 @@ func (m *Model) FilterApplic(ctx *core.RuleContext, b *core.Binding, required co
 }
 
 // FilterCost prices one predicate evaluation per input object.
-func (m *Model) FilterCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+func (m *Model) FilterCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 	return costOf(oprops(ctx, b.Children[0].Group).Objects * m.P.CPUPred)
 }
 
@@ -360,7 +360,7 @@ func (m *Model) ChaseApplic(ctx *core.RuleContext, b *core.Binding, required cor
 }
 
 // ChaseCost prices one random I/O per input object.
-func (m *Model) ChaseCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+func (m *Model) ChaseCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 	return costOf(oprops(ctx, b.Children[0].Group).Objects * m.P.RandomIO)
 }
 
@@ -376,7 +376,7 @@ func (m *Model) TraverseApplic(ctx *core.RuleContext, b *core.Binding, required 
 }
 
 // TraverseCost prices an in-memory pointer step per object.
-func (m *Model) TraverseCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+func (m *Model) TraverseCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 	return costOf(oprops(ctx, b.Children[0].Group).Objects * m.P.CPUStep)
 }
 
@@ -403,7 +403,7 @@ func (m *Model) AssemblyRelax(ctx *core.RuleContext, lp core.LogicalProps, requi
 
 // AssemblyCost prices batched window reads of each object's component
 // closure.
-func (m *Model) AssemblyCost(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.Cost {
+func (m *Model) AssemblyCost(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) Cost {
 	p := lp.(*Props)
 	levels := p.Head.Depth() + 1
 	return costOf(p.Objects * float64(levels) * m.P.AssemblyIO)
@@ -422,7 +422,7 @@ func (m *Model) ImplementationRules() []*core.ImplRule {
 			Name:          "getset->extent-scan",
 			Pattern:       core.P(KindGetSet),
 			Applicability: m.ScanApplic,
-			Cost:          m.ScanCost,
+			Cost:          core.AlgCost(m.ScanCost),
 			Build:         m.BuildScan,
 			Promise:       2,
 		},
@@ -431,7 +431,7 @@ func (m *Model) ImplementationRules() []*core.ImplRule {
 			Pattern:       core.P(KindSelect, core.Leaf()),
 			Condition:     m.FilterTypeOK,
 			Applicability: m.FilterApplic,
-			Cost:          m.FilterCost,
+			Cost:          core.AlgCost(m.FilterCost),
 			Delivered:     m.FilterDelivered,
 			Build:         m.BuildFilter,
 			Promise:       2,
@@ -440,7 +440,7 @@ func (m *Model) ImplementationRules() []*core.ImplRule {
 			Name:          "materialize->pointer-chase",
 			Pattern:       core.P(KindMaterialize, core.Leaf()),
 			Applicability: m.ChaseApplic,
-			Cost:          m.ChaseCost,
+			Cost:          core.AlgCost(m.ChaseCost),
 			Build:         m.BuildChase,
 			Promise:       2,
 		},
@@ -448,7 +448,7 @@ func (m *Model) ImplementationRules() []*core.ImplRule {
 			Name:          "materialize->assembled-traverse",
 			Pattern:       core.P(KindMaterialize, core.Leaf()),
 			Applicability: m.TraverseApplic,
-			Cost:          m.TraverseCost,
+			Cost:          core.AlgCost(m.TraverseCost),
 			Delivered:     m.TraverseDelivered,
 			Build:         m.BuildTraverse,
 			Promise:       2,
@@ -462,7 +462,7 @@ func (m *Model) Enforcers() []*core.Enforcer {
 	return []*core.Enforcer{{
 		Name:    "assembly",
 		Relax:   m.AssemblyRelax,
-		Cost:    m.AssemblyCost,
+		Cost:    core.EnfCost(m.AssemblyCost),
 		Build:   m.BuildAssembly,
 		Promise: 1,
 	}}

@@ -151,7 +151,6 @@ func OptimizeDynamicCtx(ctx context.Context, m *Model, query *core.ExprTree, req
 		Inputs:    plans,
 		Delivered: first.Delivered,
 		Cost:      first.Cost, // representative; the true cost is parameter-dependent
-		LocalCost: Cost{},
 		Group:     first.Group,
 		LogProps:  first.LogProps,
 	}

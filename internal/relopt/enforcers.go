@@ -24,7 +24,7 @@ func (m *Model) sortEnforcer() *core.Enforcer {
 			}
 			return rp.WithoutSort(), required, true
 		},
-		Cost: func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.Cost {
+		Cost: core.EnfCost(func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) Cost {
 			p := lp.(*rel.Props)
 			rows := p.Rows
 			rp := reqProps(required)
@@ -33,7 +33,7 @@ func (m *Model) sortEnforcer() *core.Enforcer {
 				rows /= float64(rp.Part.Degree)
 			}
 			return m.sortCost(p, rows)
-		},
+		}),
 		Delivered: func(ctx *core.RuleContext, required core.PhysProps, input core.PhysProps) core.PhysProps {
 			rp := reqProps(required)
 			in := input.(*PhysProps)
@@ -64,11 +64,11 @@ func (m *Model) exchangeEnforcer() *core.Enforcer {
 			}
 			return rp.WithoutPart(), required, true
 		},
-		Cost: func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.Cost {
+		Cost: core.EnfCost(func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) Cost {
 			p := lp.(*rel.Props)
 			// Every row is hashed, sent, and received once.
 			return NewCost(0, p.Rows*m.Cfg.Params.CPUTuple*2)
-		},
+		}),
 		Build: func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.PhysicalOp {
 			return &Exchange{Part: reqProps(required).Part}
 		},

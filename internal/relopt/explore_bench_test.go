@@ -89,18 +89,23 @@ func BenchmarkExploreBudgeted(b *testing.B) {
 }
 
 // TestColdOptimizeAllocs caps the allocations of one cold 8-relation
-// optimization about 10% above the 1926 and 137472 bytes it measures with
-// the search instantiated for the cost type, so that limits, partial sums
-// and floors are values (3044 and 157568 before, when every Add and Sub
-// boxed its result through the cost interface; 4811 and 249114 before
-// each class matched its implementation rules once for all requirements
-// and the memo kept its expressions, bindings and matches in slabs; the
-// closure-based binder over map-backed properties took 49118 allocations,
-// and 7966 before duplicate spellings were retired), so that gain cannot
-// silently rot. A 3-relation chain — a point-churn statement's shape — is
-// capped the same way (557 allocations and 31248 bytes; 710 and 34112
-// with boxed costs, 861 and 47024 before that), so memo storage sized for
-// large searches cannot inflate small ones.
+// optimization about 10% above the 1618 and 130528 bytes it measures
+// with typed cost callbacks, which return the cost type by value, and
+// input plan vectors made only for offered plans (ceilings 2120 and
+// 151200 before, over 1926 and 137472 bytes measured when rule costs
+// came back boxed; 3044 and 157568 before the search was instantiated
+// for the cost type, when every Add and Sub boxed its result through the
+// cost interface; 4811 and 249114 before each class matched its
+// implementation rules once for all requirements and the memo kept its
+// expressions, bindings and matches in slabs; the closure-based binder
+// over map-backed properties took 49118 allocations, and 7966 before
+// duplicate spellings were retired), so that gain cannot silently rot. A
+// 3-relation chain — a point-churn statement's shape — is capped the
+// same way (511 allocations and 29856 bytes; ceilings 615 and 34400
+// before, over 557 and 31248 with boxed rule costs; 710 and 34112 with
+// boxed arithmetic, 861 and 47024 before that), so memo storage sized
+// for large searches cannot inflate small ones. Run with -v to read the
+// measurements.
 func TestColdOptimizeAllocs(t *testing.T) {
 	cat, qs := pinnedWorkload()
 	src := datagen.New(1993)
@@ -115,15 +120,72 @@ func TestColdOptimizeAllocs(t *testing.T) {
 		pq                 pinnedQuery
 		ceiling, byteLimit float64
 	}{
-		{"8-relation random", cat, qs[3], 2120, 151200}, // the first random 8-relation query
-		{"3-relation chain", cat3, chain, 615, 34400},
+		{"8-relation random", cat, qs[3], 1780, 143600}, // the first random 8-relation query
+		{"3-relation chain", cat3, chain, 562, 32900},
 	} {
-		if n := testing.AllocsPerRun(5, func() { optimizeCold(t, c.cat, c.pq) }); n > c.ceiling {
+		n := testing.AllocsPerRun(5, func() { optimizeCold(t, c.cat, c.pq) })
+		bytes := bytesPerRun(5, func() { optimizeCold(t, c.cat, c.pq) })
+		t.Logf("cold %s optimization: %.0f allocations, %.0f bytes", c.name, n, bytes)
+		if n > c.ceiling {
 			t.Errorf("cold %s optimization allocates %.0f times, ceiling %.0f", c.name, n, c.ceiling)
 		}
-		if n := bytesPerRun(5, func() { optimizeCold(t, c.cat, c.pq) }); n > c.byteLimit {
-			t.Errorf("cold %s optimization allocates %.0f bytes, ceiling %.0f", c.name, n, c.byteLimit)
+		if bytes > c.byteLimit {
+			t.Errorf("cold %s optimization allocates %.0f bytes, ceiling %.0f", c.name, bytes, c.byteLimit)
 		}
+	}
+}
+
+// TestCostCallbacksAllocateNothing: the join rules' and the sort
+// enforcer's cost functions return relopt.Cost by value, so the search
+// prices a move without allocating.
+func TestCostCallbacksAllocateNothing(t *testing.T) {
+	src := datagen.New(1993)
+	cat := src.Catalog(2)
+	m := relopt.New(cat, relopt.DefaultConfig())
+	opt := core.NewOptimizer(m, nil)
+	opt.InsertQuery(src.SelectJoinQuery(cat, 2, datagen.ShapeChain).Root)
+	ctx := &core.RuleContext{Memo: opt.Memo(), Model: m}
+	var join *core.Binding
+	var col rel.ColID
+	opt.Memo().Groups(func(g *core.Group) {
+		for _, e := range g.Exprs() {
+			if j, ok := e.Op.(*rel.Join); ok && join == nil {
+				join = &core.Binding{Expr: e, Group: g.ID(),
+					Children: []*core.Binding{{Group: e.Inputs[0]}, {Group: e.Inputs[1]}}}
+				col = j.A
+			}
+		}
+	})
+	if join == nil {
+		t.Fatal("the query has no join")
+	}
+	priced := 0
+	for _, r := range m.ImplementationRules() {
+		if r.Name != "join->merge-join" && r.Name != "join->hybrid-hash-join" {
+			continue
+		}
+		alts, ok := r.Applicability(ctx, join, relopt.Any)
+		if !ok || len(alts) == 0 {
+			t.Fatalf("%s does not apply to the join", r.Name)
+		}
+		cost := r.Cost.(core.AlgCostFunc[relopt.Cost])
+		if n := testing.AllocsPerRun(100, func() { cost(ctx, join, relopt.Any, alts[0]) }); n != 0 {
+			t.Errorf("%s's cost function allocates %.1f times per call, want 0", r.Name, n)
+		}
+		priced++
+	}
+	for _, e := range m.Enforcers() {
+		if e.Name != "sort" {
+			continue
+		}
+		cost, lp, sorted := e.Cost.(core.EnfCostFunc[relopt.Cost]), opt.Memo().Group(join.Group).LogicalProps(), relopt.SortedOn(col)
+		if n := testing.AllocsPerRun(100, func() { cost(ctx, lp, sorted) }); n != 0 {
+			t.Errorf("the sort enforcer's cost function allocates %.1f times per call, want 0", n)
+		}
+		priced++
+	}
+	if priced != 3 {
+		t.Fatalf("priced %d cost functions, want the two joins and the sort", priced)
 	}
 }
 

@@ -70,9 +70,9 @@ func (m *Model) fileScanRule() *core.ImplRule {
 			}
 			return []core.InputReq{{}}, true
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			return m.scanCost(props(ctx, b.Group)).cost()
-		},
+		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			return storedOrder(b.Expr.Op.(*rel.Get).Tab)
 		},
@@ -93,9 +93,9 @@ func (m *Model) filterRule() *core.ImplRule {
 		Applicability: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
 			return []core.InputReq{{Required: []core.PhysProps{required}}}, true
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			return m.scaled(required, m.filterCost(props(ctx, b.Children[0].Group)))
-		},
+		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			return inputs[0]
 		},
@@ -115,9 +115,9 @@ func (m *Model) projectRule() *core.ImplRule {
 		Applicability: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
 			return []core.InputReq{{Required: []core.PhysProps{required}}}, true
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			return m.scaled(required, m.projectCost(props(ctx, b.Children[0].Group)))
-		},
+		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			return trimToCols(inputs[0].(*PhysProps), b.Expr.Op.(*rel.Project).Cols)
 		},
@@ -233,7 +233,7 @@ func colInList(c rel.ColID, cols []rel.ColID) bool {
 
 // mergeJoinCost charges one pass over both sorted inputs plus output
 // construction.
-func (m *Model) mergeJoinCost(ctx *core.RuleContext, out, left, right core.GroupID, required core.PhysProps) core.Cost {
+func (m *Model) mergeJoinCost(ctx *core.RuleContext, out, left, right core.GroupID, required core.PhysProps) Cost {
 	return m.scaled(required, m.mergeJoinCostProps(props(ctx, left), props(ctx, right), props(ctx, out)))
 }
 
@@ -242,7 +242,7 @@ func (m *Model) mergeJoinCost(ctx *core.RuleContext, out, left, right core.Group
 // fits and hybrid hash join proceeds without partition files, as in the
 // paper's experimental setup; under memory pressure the overflow
 // fraction of both inputs is partitioned to disk.
-func (m *Model) hashJoinCost(ctx *core.RuleContext, out, left, right core.GroupID, required core.PhysProps) core.Cost {
+func (m *Model) hashJoinCost(ctx *core.RuleContext, out, left, right core.GroupID, required core.PhysProps) Cost {
 	return m.scaled(required, m.hashJoinCostProps(props(ctx, left), props(ctx, right), props(ctx, out)))
 }
 
@@ -284,9 +284,9 @@ func (m *Model) mergeJoinRule() *core.ImplRule {
 			return m.mergeJoinApplicability(ctx, b.Children[0].Group, b.Children[1].Group,
 				b.Expr.Op.(*rel.Join), reqProps(required), nil)
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			return m.mergeJoinCost(ctx, b.Group, b.Children[0].Group, b.Children[1].Group, required)
-		},
+		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			lc, _ := boundSides(ctx, b)
 			return m.mergeJoinDelivered(reqProps(required), lc)
@@ -335,9 +335,9 @@ func (m *Model) hashJoinRule() *core.ImplRule {
 			return m.hashJoinApplicability(ctx, b.Children[0].Group, b.Children[1].Group,
 				b.Expr.Op.(*rel.Join), reqProps(required))
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			return m.hashJoinCost(ctx, b.Group, b.Children[0].Group, b.Children[1].Group, required)
-		},
+		}),
 		Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 			lc, rc := boundSides(ctx, b)
 			return &HashJoin{LeftCol: lc, RightCol: rc}
@@ -366,13 +366,13 @@ func (m *Model) nlJoinRule() *core.ImplRule {
 			}
 			return []core.InputReq{{Required: []core.PhysProps{Any, Any}}}, true
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
 			return NewCost(0, lp.Rows*rp.Rows*m.Cfg.Params.CPUPred+
 				op.Rows*m.Cfg.Params.CPUTuple)
-		},
+		}),
 		Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 			j := b.Expr.Op.(*rel.Join)
 			lc, rc, _ := joinSides(ctx, b.Children[0].Group, b.Children[1].Group, j)
@@ -395,10 +395,10 @@ func (m *Model) fusedMergeJoinRule() *core.ImplRule {
 			return m.mergeJoinApplicability(ctx, join.Children[0].Group, join.Children[1].Group,
 				join.Expr.Op.(*rel.Join), reqProps(required), b.Expr.Op.(*rel.Project).Cols)
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			join := b.Children[0]
 			return m.mergeJoinCost(ctx, b.Group, join.Children[0].Group, join.Children[1].Group, required)
-		},
+		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			lc, _ := boundSides(ctx, b.Children[0])
 			return m.mergeJoinDelivered(reqProps(required), lc)
@@ -423,10 +423,10 @@ func (m *Model) fusedHashJoinRule() *core.ImplRule {
 			return m.hashJoinApplicability(ctx, join.Children[0].Group, join.Children[1].Group,
 				join.Expr.Op.(*rel.Join), reqProps(required))
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			join := b.Children[0]
 			return m.hashJoinCost(ctx, b.Group, join.Children[0].Group, join.Children[1].Group, required)
-		},
+		}),
 		Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 			lc, rc := boundSides(ctx, b.Children[0])
 			return &HashJoin{LeftCol: lc, RightCol: rc, Proj: b.Expr.Op.(*rel.Project).Cols}
@@ -481,14 +481,14 @@ func (m *Model) mergeIntersectRule() *core.ImplRule {
 			alts := intersectAlternatives(schema, reqProps(required), m.Cfg.SingleIntersectOrder)
 			return alts, len(alts) > 0
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
 			rows := lp.Rows + rp.Rows
 			cols := float64(len(op.Cols))
 			return NewCost(0, rows*m.Cfg.Params.CPUCompare*cols+op.Rows*m.Cfg.Params.CPUTuple)
-		},
+		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			return alt.Required[0]
 		},
@@ -511,13 +511,13 @@ func (m *Model) hashIntersectRule() *core.ImplRule {
 			}
 			return []core.InputReq{{Required: []core.PhysProps{Any, Any}}}, true
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
 			return NewCost(HashSpillIO(m.Cfg.Params, lp.Pages(m.Cfg.Params.PageBytes), rp.Pages(m.Cfg.Params.PageBytes)),
 				(lp.Rows+rp.Rows)*m.Cfg.Params.CPUHash+op.Rows*m.Cfg.Params.CPUTuple)
-		},
+		}),
 		Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 			return &HashIntersect{}
 		},
@@ -550,11 +550,11 @@ func (m *Model) sortGroupByRule() *core.ImplRule {
 			}
 			return []core.InputReq{{Required: []core.PhysProps{delivered}}}, true
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			in := props(ctx, b.Children[0].Group)
 			out := props(ctx, b.Group)
 			return NewCost(0, in.Rows*m.Cfg.Params.CPUCompare+out.Rows*m.Cfg.Params.CPUTuple)
-		},
+		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			return &PhysProps{Sort: groupOrder(b.Expr.Op.(*rel.GroupBy))}
 		},
@@ -578,11 +578,11 @@ func (m *Model) hashGroupByRule() *core.ImplRule {
 			}
 			return []core.InputReq{{Required: []core.PhysProps{Any}}}, true
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			in := props(ctx, b.Children[0].Group)
 			out := props(ctx, b.Group)
 			return NewCost(0, in.Rows*m.Cfg.Params.CPUHash+out.Rows*m.Cfg.Params.CPUTuple)
-		},
+		}),
 		Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 			g := b.Expr.Op.(*rel.GroupBy)
 			return &HashGroupBy{GroupCols: g.GroupCols, Aggs: g.Aggs}
@@ -603,14 +603,14 @@ func (m *Model) mergeUnionRule() *core.ImplRule {
 			alts := intersectAlternatives(schema, reqProps(required), m.Cfg.SingleIntersectOrder)
 			return alts, len(alts) > 0
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
 			rows := lp.Rows + rp.Rows
 			cols := float64(len(op.Cols))
 			return NewCost(0, rows*m.Cfg.Params.CPUCompare*cols+op.Rows*m.Cfg.Params.CPUTuple)
-		},
+		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 			return alt.Required[0]
 		},
@@ -633,13 +633,13 @@ func (m *Model) hashUnionRule() *core.ImplRule {
 			}
 			return []core.InputReq{{Required: []core.PhysProps{Any, Any}}}, true
 		},
-		Cost: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.Cost {
+		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
 			return NewCost(HashSpillIO(m.Cfg.Params, lp.Pages(m.Cfg.Params.PageBytes), rp.Pages(m.Cfg.Params.PageBytes)),
 				(lp.Rows+rp.Rows)*m.Cfg.Params.CPUHash+op.Rows*m.Cfg.Params.CPUTuple)
-		},
+		}),
 		Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 			return &HashUnion{}
 		},

@@ -74,17 +74,17 @@ func (m *Model) sortCost(p *rel.Props, rows float64) Cost {
 		rows*log2(rows)*m.Cfg.Params.CPUCompare)
 }
 
-// LowerBound implements core.LowerBounder: every physical plan for a
+// LowerBound implements core.LowerBounder[Cost]: every physical plan for a
 // class reads each of its base relations exactly once through the
 // (serial, never cost-scaled) file scan — GET's only implementation —
 // so the sum of those scan costs is an admissible floor for any plan of
 // the class under any property requirement. Self-overlapping set
 // operations scan shared tables more than once, which only widens the
 // gap above the floor.
-func (m *Model) LowerBound(lp core.LogicalProps) core.Cost {
+func (m *Model) LowerBound(lp core.LogicalProps) (Cost, bool) {
 	p, ok := lp.(*rel.Props)
 	if !ok || p.Tables == 0 {
-		return nil
+		return Cost{}, false
 	}
 	var c Cost
 	for _, name := range m.Cat.Tables() {
@@ -94,10 +94,10 @@ func (m *Model) LowerBound(lp core.LogicalProps) core.Cost {
 		}
 		c = c.Add(m.scanCost(&rel.Props{Rows: float64(t.Rows), RowBytes: t.RowBytes}).cost())
 	}
-	return c
+	return c, true
 }
 
-var _ core.LowerBounder = (*Model)(nil)
+var _ core.LowerBounder[Cost] = (*Model)(nil)
 
 // SeedPlanner returns the model's seed planner for core's guided search:
 // the greedy join-ordering seeder. Query shapes the greedy pass does not
