@@ -38,15 +38,19 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); d = n == 2 ? "." : n == 3 ? p[2] : p[2] "/" p[3]; s[d] += $$1; t += $$1 } END { for (d in s) printf "%7d %s\n", s[d], d; printf "%7d total\n", t }' | sort -k2
 
 # The headline numbers: Figure-4 optimization time, the search-engine
-# micro-benchmarks, and a served plan-cache miss (vdb's cold PrepareCtx
-# over the point-churn statement shapes).
+# micro-benchmarks, cold guided optimizations with a model built per
+# query as opt-fig4 builds them (BenchmarkFig4Volcano builds its model
+# outside the timed loop, so it does not see relopt.New), and a served
+# plan-cache miss (vdb's cold PrepareCtx over the point-churn statement
+# shapes).
 bench:
 	$(GO) test -run NONE -bench 'BenchmarkFig4Volcano' -benchmem .
 	$(GO) test -run NONE -bench 'BenchmarkCollectMoves|BenchmarkWinnerLookup' -benchmem ./internal/core/
+	$(GO) test -run NONE -bench 'BenchmarkExploreFig4' -benchmem ./internal/relopt/
 	$(GO) test -run NONE -bench 'BenchmarkServedMiss' -benchmem ./internal/vdb/
 
 # Transformation-rule exploration inside cold optimizations: exploreGroup
-# is 31% of OptimizeWithLimitCtx in a CPU profile of these benchmarks.
+# is about 30% of the CPU time in a profile of BenchmarkExploreFig4.
 # (Traced core.explore_share can exceed 1, on opt-budgeted especially,
 # because its probe explores every class a query references and a search
 # explores only those its goals reach.) Measures

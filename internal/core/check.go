@@ -15,7 +15,7 @@ import (
 //   - union-find: every class resolves through Find to a live
 //     representative (merges point younger classes at older ones, so
 //     parent links only ever decrease), and a merged-away class holds no
-//     expressions, winners, parents, matches, or move sets;
+//     expressions, winners, parents, or matches;
 //   - congruence: every live expression sits in the expression list of
 //     the class it names, its inputs name live classes, and no two live
 //     expressions, in one class or in two, share (operator, inputs);
@@ -25,8 +25,13 @@ import (
 //     members among the expressions they cover, within its list;
 //   - winners: no entry is left in progress; a recorded plan delivers
 //     properties covering the entry's goal and none covering its
-//     excluded vector, and belongs to the entry's class.
+//     excluded vector, and belongs to the entry's class;
+//   - the move stack is empty: every FindBestPlan activation popped the
+//     moves it pushed.
 func (m *Memo) Check() error {
+	if n := len(m.moves); n != 0 {
+		return fmt.Errorf("core: memo check: %d moves are left on the move stack", n)
+	}
 	for i, g := range m.groups {
 		id := GroupID(i + 1)
 		if g.exploring {
@@ -35,8 +40,8 @@ func (m *Memo) Check() error {
 		if p := m.parent[i]; p < 1 || p > id {
 			return fmt.Errorf("core: memo check: class %d has parent %d; merges must point at older classes", id, p)
 		}
-		if m.parent[i] != id && (g.exprs != nil || g.winners != nil || g.parents != nil || g.moveSets != nil || g.matches != nil) {
-			return fmt.Errorf("core: memo check: merged-away class %d still holds expressions, winners, parents, matches, or move sets", id)
+		if m.parent[i] != id && (g.exprs != nil || g.winners != nil || g.parents != nil || g.matches != nil) {
+			return fmt.Errorf("core: memo check: merged-away class %d still holds expressions, winners, parents, or matches", id)
 		}
 	}
 

@@ -57,15 +57,18 @@ func TestMemoCheckDetectsCorruption(t *testing.T) {
 			leaf := o.memo.Group(g.exprs[0].Inputs[1])
 			o.memo.parent[g.id-1] = leaf.id
 		}, "merged-away class"},
-		{"dead move set", func(o *Optimizer, g *Group) {
+		{"dead matches", func(o *Optimizer, g *Group) {
 			for i, d := range o.memo.groups {
 				if o.memo.parent[i] != d.id {
-					d.ensureMoveSet(keyOf(required), required)
+					d.matches = append(d.matches, g.matches[0])
 					return
 				}
 			}
 			t.Fatal("no merged-away class to corrupt")
 		}, "merged-away class"},
+		{"moves left on the stack", func(o *Optimizer, g *Group) {
+			o.memo.moves = append(o.memo.moves, Move{Kind: MoveEnforcer})
+		}, "move stack"},
 		{"stray match", func(o *Optimizer, g *Group) {
 			im := *g.matches[0]
 			im.b = &Binding{Expr: o.memo.Group(g.exprs[0].Inputs[0]).exprs[0]}

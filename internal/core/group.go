@@ -37,19 +37,11 @@ type Group struct {
 	// searched by key and then by Equal.
 	winners []*winner
 
-	// moveSets caches, per required physical property vector, the
-	// implementation-rule and enforcer moves collected for this class,
-	// with a watermark of the class's matches already turned into moves.
-	// FindBestPlan extends a cached set incrementally instead of
-	// re-collecting on each fixpoint iteration and goal re-activation.
-	// Entries are invalidated lazily when the memo's merge epoch has
-	// advanced past the set's epoch.
-	moveSets []*moveSet
-
 	// matches holds every implementation-rule binding of exprs[:matched]
 	// (matched is the last field), made at merge epoch matchEpoch.
 	// Neither a pattern match nor a rule's condition reads the required
-	// physical properties, so every move set of the class shares one list.
+	// physical properties, so every goal on the class collects its moves
+	// from one list.
 	matches    []*implMatch
 	matchEpoch uint64
 
@@ -92,28 +84,6 @@ type winner struct {
 	inProgress bool
 }
 
-// moveSet is the cached move collection for one (class, required
-// physical property vector) pair.
-type moveSet struct {
-	key physKey
-	// props is the required vector the moves were collected for.
-	props PhysProps
-	// moves holds enforcer moves plus one algorithm move per class match
-	// in matches[:matched] that the requirement admits. Within each
-	// collection batch the moves are promise-ordered; batch boundaries
-	// are preserved so an in-flight pursuit index stays valid.
-	moves []Move
-	// epoch is the memo merge epoch at collection time. Any later merge
-	// may create new bindings for already-matched expressions (through
-	// enlarged input classes), so a stale epoch voids the whole set.
-	epoch uint64
-	// matched is the watermark into the class's match list.
-	matched int32
-	// gen increments on every reset so active pursuits detect that
-	// their move indexes no longer refer to this set's contents.
-	gen uint32
-}
-
 // implMatch is a binding of the implementation rule at index rule in the
 // model's list, at a class member.
 type implMatch struct {
@@ -121,33 +91,11 @@ type implMatch struct {
 	b    *Binding
 }
 
-// reset voids the set for re-collection from scratch. The moves slice is
-// dropped (not truncated) so pursuits still iterating over the old
-// backing array are unaffected.
-func (ms *moveSet) reset(epoch uint64) {
-	ms.moves = nil
-	ms.matched = 0
-	ms.epoch = epoch
-	ms.gen++
-}
-
-// resetMatches voids the class's match list, dropping the slice as
-// moveSet.reset does.
+// resetMatches voids the class's match list. The slice is dropped, not
+// truncated, so a walk still iterating over the old backing array is
+// unaffected.
 func (g *Group) resetMatches(epoch uint64) {
 	g.matches, g.matched, g.matchEpoch = nil, 0, epoch
-}
-
-// ensureMoveSet returns the move cache for the required vector, creating
-// an empty one if none exists. k must be keyOf(props).
-func (g *Group) ensureMoveSet(k physKey, props PhysProps) *moveSet {
-	for _, ms := range g.moveSets {
-		if ms.key == k && ms.props.Equal(props) {
-			return ms
-		}
-	}
-	ms := &moveSet{key: k, props: props}
-	g.moveSets = append(g.moveSets, ms)
-	return ms
 }
 
 // ID returns the group's identifier.

@@ -153,6 +153,10 @@ func (o *Optimizer) syntacticPlan(root GroupID, required PhysProps) *Plan {
 		return nil
 	}
 	scratch := NewOptimizer(seedModel{o.model}, &Options{Budget: Budget{MaxExprs: o.opts.Budget.MaxExprs}})
+	// The wrapper changes only which rules the search fires: rule
+	// callbacks, which may read the model they run for through the rule
+	// context, see the model itself.
+	scratch.ctx.Model, scratch.memo.ctx.Model = o.model, o.model
 	g := scratch.InsertQuery(tree)
 	if g == InvalidGroup {
 		return nil

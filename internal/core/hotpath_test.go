@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -117,60 +118,64 @@ var hpTransformRules = []*TransformRule{
 	},
 }
 
-func (*hpModel) ImplementationRules() []*ImplRule {
-	anyIn := []InputReq{{Required: []PhysProps{hpTint(0), hpTint(0)}}}
-	return []*ImplRule{
-		{
-			Name:    "hpleaf->scan",
-			Pattern: P(hpKindLeaf),
-			Applicability: func(ctx *RuleContext, b *Binding, required PhysProps) ([]InputReq, bool) {
-				return []InputReq{{}}, required.(hpTint) == 0
-			},
-			Cost: AlgCost(func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) hpCost {
-				return 1
-			}),
-			Build: func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) PhysicalOp {
-				return &hpPhys{name: "hp-scan"}
-			},
-			Promise: 2,
+func (*hpModel) ImplementationRules() []*ImplRule { return hpImplRules }
+
+// hpAnyIn is hpnode->join's input requirement, shared by every binding.
+var hpAnyIn = []InputReq{{Required: []PhysProps{hpTint(0), hpTint(0)}}}
+
+// Built once, as the transformation rules are: every move collection
+// asks the model for its implementation rules and enforcers.
+var hpImplRules = []*ImplRule{
+	{
+		Name:    "hpleaf->scan",
+		Pattern: P(hpKindLeaf),
+		Applicability: func(ctx *RuleContext, b *Binding, required PhysProps) ([]InputReq, bool) {
+			return []InputReq{{}}, required.(hpTint) == 0
 		},
-		{
-			Name:    "hpnode->join",
-			Pattern: P(hpKindNode, Leaf(), Leaf()),
-			Applicability: func(ctx *RuleContext, b *Binding, required PhysProps) ([]InputReq, bool) {
-				if required.(hpTint) != 0 {
-					return nil, false
-				}
-				return anyIn, true
-			},
-			Cost: AlgCost(func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) hpCost {
-				return 2
-			}),
-			Build: func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) PhysicalOp {
-				return &hpPhys{name: "hp-join"}
-			},
-			Promise: 2,
+		Cost: AlgCost(func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) hpCost {
+			return 1
+		}),
+		Build: func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) PhysicalOp {
+			return &hpPhys{name: "hp-scan"}
 		},
-	}
+		Promise: 2,
+	},
+	{
+		Name:    "hpnode->join",
+		Pattern: P(hpKindNode, Leaf(), Leaf()),
+		Applicability: func(ctx *RuleContext, b *Binding, required PhysProps) ([]InputReq, bool) {
+			if required.(hpTint) != 0 {
+				return nil, false
+			}
+			return hpAnyIn, true
+		},
+		Cost: AlgCost(func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) hpCost {
+			return 2
+		}),
+		Build: func(ctx *RuleContext, b *Binding, required PhysProps, alt InputReq) PhysicalOp {
+			return &hpPhys{name: "hp-join"}
+		},
+		Promise: 2,
+	},
 }
 
-func (*hpModel) Enforcers() []*Enforcer {
-	return []*Enforcer{{
-		Name: "hp-tinter",
-		Relax: func(ctx *RuleContext, lp LogicalProps, required PhysProps) (PhysProps, PhysProps, bool) {
-			if required.(hpTint) == 0 {
-				return nil, nil, false
-			}
-			return hpTint(0), required, true
-		},
-		Cost: EnfCost(func(ctx *RuleContext, lp LogicalProps, required PhysProps) hpCost {
-			return 4
-		}),
-		Build: func(ctx *RuleContext, lp LogicalProps, required PhysProps) PhysicalOp {
-			return &hpPhys{name: "hp-tinter"}
-		},
-	}}
-}
+func (*hpModel) Enforcers() []*Enforcer { return hpEnforcers }
+
+var hpEnforcers = []*Enforcer{{
+	Name: "hp-tinter",
+	Relax: func(ctx *RuleContext, lp LogicalProps, required PhysProps) (PhysProps, PhysProps, bool) {
+		if required.(hpTint) == 0 {
+			return nil, nil, false
+		}
+		return hpTint(0), required, true
+	},
+	Cost: EnfCost(func(ctx *RuleContext, lp LogicalProps, required PhysProps) hpCost {
+		return 4
+	}),
+	Build: func(ctx *RuleContext, lp LogicalProps, required PhysProps) PhysicalOp {
+		return &hpPhys{name: "hp-tinter"}
+	},
+}}
 
 func (*hpModel) AnyProps() PhysProps { return hpTint(0) }
 func (*hpModel) Costs() CostSpace    { return hpCosts }
@@ -203,36 +208,34 @@ func hpExplored(tb testing.TB, n int) (*Optimizer, *Group) {
 	return o, o.memo.Group(root)
 }
 
-// BenchmarkCollectMoves compares from-scratch move collection (what
-// every fixpoint iteration used to pay) against extending an up-to-date
-// cached move set (the incremental steady state).
+// BenchmarkCollectMoves compares a goal's move collection from scratch —
+// the class's implementation rules matched again, what every fixpoint
+// iteration pays under NoIncremental — against a collection from the
+// class's existing matches onto a warm move stack, what a goal
+// re-activation or a second requirement on the class pays.
 func BenchmarkCollectMoves(b *testing.B) {
 	b.Run("scratch", func(b *testing.B) {
 		o, g := hpExplored(b, 6)
 		required := o.model.AnyProps()
-		ms := g.ensureMoveSet(keyOf(required), required)
+		var stack []Move
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			g.resetMatches(o.memo.mergeEpoch)
-			ms.reset(o.memo.mergeEpoch)
-			o.collectMoves(ms, g, required)
-			if len(ms.moves) == 0 {
+			if stack = o.collectMoves(stack[:0], g, required, 0, true); len(stack) == 0 {
 				b.Fatal("no moves")
 			}
 		}
 	})
-	b.Run("cached", func(b *testing.B) {
+	b.Run("warm", func(b *testing.B) {
 		o, g := hpExplored(b, 6)
 		required := o.model.AnyProps()
-		ms := g.ensureMoveSet(keyOf(required), required)
-		ms.epoch = o.memo.mergeEpoch
-		o.collectMoves(ms, g, required)
-		if len(ms.moves) == 0 {
+		stack := o.collectMoves(nil, g, required, 0, true)
+		if len(stack) == 0 {
 			b.Fatal("no moves")
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			o.collectMoves(ms, g, required)
+			stack = o.collectMoves(stack[:0], g, required, 0, true)
 		}
 	})
 }
@@ -258,8 +261,7 @@ func BenchmarkWinnerLookup(b *testing.B) {
 // piece of winner-table state — plans, failure limits, and the
 // in-progress flag guarding cyclic derivations — survives a class
 // unification into the surviving class's hashed index, and that the
-// merged-away class's move caches die while the epoch bump voids all
-// others.
+// merge bumps the epoch that voids every class's matches.
 func TestMergeCarriesWinnerState(t *testing.T) {
 	o := NewOptimizer(&hpModel{}, nil)
 	m := o.memo
@@ -274,8 +276,6 @@ func TestMergeCarriesWinnerState(t *testing.T) {
 	wFail.failedLimit = hpCost(3)
 	wPlan := loser.ensureWinnerKeyed(winnerKey(hpTint(3), hpTint(1)), hpTint(3), hpTint(1))
 	wPlan.plan = &Plan{Cost: hpCost(5)}
-	ms := loser.ensureMoveSet(keyOf(hpTint(0)), hpTint(0))
-	ms.moves = append(ms.moves, Move{Kind: MoveEnforcer})
 	epochBefore := m.mergeEpoch
 
 	if got := m.merge(ga, gb); got != m.Find(ga) {
@@ -296,9 +296,6 @@ func TestMergeCarriesWinnerState(t *testing.T) {
 		w.plan.Cost.(hpCost) != 5 {
 		t.Fatalf("winner plan lost: %+v", w)
 	}
-	if loser.moveSets != nil {
-		t.Fatal("merged-away class kept its move caches")
-	}
 	if m.mergeEpoch != epochBefore+1 {
 		t.Fatalf("merge epoch %d, want %d", m.mergeEpoch, epochBefore+1)
 	}
@@ -309,34 +306,35 @@ func TestMergeCarriesWinnerState(t *testing.T) {
 func TestHotPathAllocs(t *testing.T) {
 	o, g := hpExplored(t, 6)
 	required := o.model.AnyProps()
-	ms := g.ensureMoveSet(keyOf(required), required)
-	ms.epoch = o.memo.mergeEpoch
-	o.collectMoves(ms, g, required)
-	if len(ms.moves) == 0 {
+	stack := o.collectMoves(nil, g, required, 0, true)
+	if len(stack) == 0 {
 		t.Fatal("no moves collected")
 	}
 
-	// Extending an up-to-date move set is a watermark comparison and
-	// must not allocate.
+	// A goal's full collection onto a warm stack — every class match
+	// turned into a move, the enforcers added — matches no rule again and
+	// allocates nothing.
+	calls, matches := o.stats.MatchCalls, len(g.matches)
 	if n := testing.AllocsPerRun(100, func() {
-		o.collectMoves(ms, g, required)
+		stack = o.collectMoves(stack[:0], g, required, 0, true)
 	}); n != 0 {
-		t.Errorf("warm collectMoves allocates %.1f times per run, want 0", n)
+		t.Errorf("a full collection onto a warm stack allocates %.1f times per run, want 0", n)
+	}
+	if o.stats.MatchCalls != calls || len(g.matches) != matches {
+		t.Errorf("a collection from the class's matches made %d match calls and %d matches, want none",
+			o.stats.MatchCalls-calls, len(g.matches)-matches)
 	}
 
 	// A second requirement on a class whose matches are collected runs
 	// Applicability over them and matches no implementation rule again.
-	calls, matches := o.stats.MatchCalls, len(g.matches)
 	tinted := PhysProps(hpTint(1))
-	tms := g.ensureMoveSet(keyOf(tinted), tinted)
-	tms.epoch = o.memo.mergeEpoch
-	o.collectMoves(tms, g, tinted)
+	tmoves := o.collectMoves(nil, g, tinted, 0, true)
 	if o.stats.MatchCalls != calls || len(g.matches) != matches {
 		t.Errorf("a second requirement made %d match calls and %d matches, want none",
 			o.stats.MatchCalls-calls, len(g.matches)-matches)
 	}
-	if len(tms.moves) != 1 || tms.moves[0].Kind != MoveEnforcer {
-		t.Errorf("tinted moves %+v, want the tinter alone", tms.moves)
+	if len(tmoves) != 1 || tmoves[0].Kind != MoveEnforcer {
+		t.Errorf("tinted moves %+v, want the tinter alone", tmoves)
 	}
 
 	// A warm winner-table hit may box at most a couple of interface
@@ -454,13 +452,11 @@ func refutedPursuitAllocs[C CostADT[C]](t *testing.T, model Model, limit C) {
 		t.Fatal(err)
 	}
 	fg := fo.memo.Group(root)
-	fms := fg.ensureMoveSet(keyOf(required), required)
-	fms.epoch = fo.memo.mergeEpoch
-	fo.collectMoves(fms, fg, required)
+	moves := fo.collectMoves(nil, fg, required, 0, true)
 	var mv *Move
-	for i := range fms.moves {
-		if fms.moves[i].Kind == MoveAlgorithm {
-			mv = &fms.moves[i]
+	for i := range moves {
+		if moves[i].Kind == MoveAlgorithm {
+			mv = &moves[i]
 			break
 		}
 	}
@@ -614,4 +610,80 @@ func (m *hpWideModel) TransformationRules() []*TransformRule {
 			return ctx.Substitutes(t)
 		},
 	}}
+}
+
+// TestMoveStackBalanced: every entry point leaves the move stack empty —
+// each FindBestPlan activation pops the moves it pushed, also when a
+// budget stop or a cancellation unwinds it — and the exhaustive engine
+// does collect onto it. Memo.Check, which every search test runs through
+// checkMemo or coretest.CheckMemo, asserts the same.
+func TestMoveStackBalanced(t *testing.T) {
+	required := PhysProps(hpTint(1))
+	guided := func(o *Options) { o.Guidance.SeedPlanner = SyntacticSeedPlanner() }
+	optimize := func(o *Optimizer, root GroupID) error {
+		_, err := o.OptimizeCtx(context.Background(), root, required)
+		return err
+	}
+	withLimit := func(o *Optimizer, root GroupID) error {
+		_, err := o.OptimizeWithLimitCtx(context.Background(), root, required, hpCost(9))
+		return err
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	stopped := func(ctx context.Context) func(o *Optimizer, root GroupID) error {
+		return func(o *Optimizer, root GroupID) error {
+			if _, err := o.OptimizeCtx(ctx, root, required); !errors.Is(err, ErrBudget) {
+				return fmt.Errorf("want a budget stop, got %v", err)
+			}
+			return nil
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		configure func(*Options)
+		run       func(o *Optimizer, root GroupID) error
+		collects  bool
+	}{
+		{"OptimizeCtx", nil, optimize, true},
+		{"OptimizeCtx guided", guided, optimize, true},
+		{"OptimizeWithLimitCtx", nil, withLimit, true},
+		{"OptimizeWithLimitCtx guided", guided, withLimit, true},
+		{"budget stop", func(o *Options) { o.Budget.MaxSteps = 3 }, stopped(context.Background()), true},
+		{"canceled context", nil, stopped(canceled), false},
+		{"MCTS episodes", func(o *Options) { o.Search.Policy = PolicyMCTS }, optimize, false},
+		{"widening episodes", func(o *Options) { o.Search.Policy = PolicyWidening }, optimize, false},
+		{"OptimizeBatchCtx", nil, func(o *Optimizer, root GroupID) error {
+			other := o.InsertQuery(hpChain(3))
+			_, err := o.OptimizeBatchCtx(context.Background(), []GroupID{root, other}, []PhysProps{required, nil})
+			return err
+		}, true},
+		{"Rederive and re-optimize", nil, func(o *Optimizer, root GroupID) error {
+			if err := optimize(o, root); err != nil {
+				return err
+			}
+			if len(o.memo.moves) != 0 {
+				return fmt.Errorf("%d moves left before Rederive", len(o.memo.moves))
+			}
+			o.Rederive(&hpModel{})
+			return optimize(o, root)
+		}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var opts Options
+			if c.configure != nil {
+				c.configure(&opts)
+			}
+			o := NewOptimizer(&hpModel{}, &opts)
+			if err := c.run(o, o.InsertQuery(hpChain(5))); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(o.memo.moves); n != 0 {
+				t.Errorf("%d moves left on the move stack", n)
+			}
+			if c.collects && cap(o.memo.moves) == 0 {
+				t.Error("the search collected no move onto the stack")
+			}
+			checkMemo(t, o)
+		})
+	}
 }

@@ -40,11 +40,12 @@ type Memo struct {
 
 	// mergeEpoch counts class unifications. A merge can create new rule
 	// bindings for expressions matched earlier (their input classes gain
-	// members), so cached move sets record the epoch they were built at
-	// and are voided when it has advanced. Between merges — in
-	// particular through the whole cost-analysis phase of a typical
-	// search, where transformations have already reached fixpoint —
-	// caches stay valid and incremental collection does no rework.
+	// members), so class match lists and collected moves record the
+	// epoch they were made at and are voided when it has advanced.
+	// Between merges — in particular through the whole cost-analysis
+	// phase of a typical search, where transformations have already
+	// reached fixpoint — they stay valid and incremental collection does
+	// no rework.
 	mergeEpoch uint64
 	// Semi-naive exploration (exploreGroup). deltaPos classifies the
 	// transformation rules by index: the input position of a delta rule's
@@ -79,6 +80,11 @@ type Memo struct {
 	// flat is collectMoves' scratch for sharing leaf-only bindings
 	// (newMatch).
 	flat []*implMatch
+	// moves is the search's move stack: each FindBestPlan activation
+	// collects its goal's moves into a segment above those of the goals
+	// below it on the call stack, and truncates the stack back on
+	// return, so it is empty between optimization calls.
+	moves []Move
 	// Slabs for what the memo stores: expressions, their input lists,
 	// and the class matches with their bindings.
 	exprs    slab[Expr]
@@ -363,11 +369,11 @@ func (m *Memo) merge(a, b GroupID) GroupID {
 		}
 	}
 	gb.winners = nil
-	// Cached matches and move sets of the merged-away class die with it;
-	// those of every other class (including ga's) are voided lazily
-	// through the epoch bump, since any of them may bind new expressions
-	// through the enlarged class.
-	gb.moveSets, gb.matches = nil, nil
+	// The matches of the merged-away class die with it; those of every
+	// other class (including ga's) are voided lazily through the epoch
+	// bump, since any of them may bind new expressions through the
+	// enlarged class.
+	gb.matches = nil
 	m.mergeEpoch++
 	// The merged class must be (re-)explored: rules may now fire on the
 	// union of expressions. Every expression that consumes either side,
@@ -496,15 +502,12 @@ func (m *Memo) MemoryBytes() int {
 		cap(m.parent)*int(unsafe.Sizeof(GroupID(0))) + cap(m.marks)*int(unsafe.Sizeof(ruleMark{}))
 	for _, g := range m.groups {
 		bytes += int(unsafe.Sizeof(*g)) +
-			(cap(g.exprs)+cap(g.parents)+cap(g.winners)+cap(g.moveSets)+cap(g.matches))*ptr
+			(cap(g.exprs)+cap(g.parents)+cap(g.winners)+cap(g.matches))*ptr
 		for _, w := range g.winners {
 			bytes += int(unsafe.Sizeof(*w))
 			if w.plan != nil {
 				bytes += int(unsafe.Sizeof(*w.plan)) + cap(w.plan.Inputs)*ptr
 			}
-		}
-		for _, ms := range g.moveSets {
-			bytes += int(unsafe.Sizeof(*ms)) + cap(ms.moves)*int(unsafe.Sizeof(Move{}))
 		}
 	}
 	return bytes

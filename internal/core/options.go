@@ -52,20 +52,21 @@ type SearchOptions struct {
 	// without property requirements, and enforcers are glued on top of
 	// the winning plan afterwards.
 	GlueMode bool
-	// NoIncremental disables the incremental move-collection cache:
-	// every fixpoint iteration of FindBestPlan re-matches all
-	// implementation rules against all of a class's expressions, as the
-	// engine originally did. It exists for A/B testing the incremental
-	// scheme (the results must be identical) and as a safety valve.
+	// NoIncremental disables incremental move collection: every fixpoint
+	// iteration of FindBestPlan re-matches all implementation rules
+	// against all of a class's expressions and pursues every move again,
+	// as the engine originally did. It exists for A/B testing the
+	// incremental scheme (the results must be identical) and as a safety
+	// valve.
 	NoIncremental bool
 	// MoveFilter, if non-nil, selects and orders the moves pursued for
 	// each optimization goal. It receives a copy of the promise-ordered
 	// move list and returns the (possibly trimmed, reordered) list to
 	// pursue. Returning a subset makes the search heuristic rather
 	// than exhaustive. MoveFilter requires NoIncremental — heuristics
-	// must see the complete move list of every iteration, which the
-	// incremental cache does not replay — and Validate rejects the
-	// combination otherwise.
+	// must see the complete move list of every iteration, where
+	// incremental collection hands over only the moves an iteration
+	// adds — and Validate rejects the combination otherwise.
 	MoveFilter func(moves []Move) []Move
 	// Policy selects the search policy. The zero value is the paper's
 	// exhaustive directed dynamic programming; PolicyMCTS and
@@ -77,8 +78,8 @@ type SearchOptions struct {
 	// exists: where the exhaustive engine returns (nil, nil) as proof
 	// of absence, a policy run returns the best vetted fallback plan
 	// instead, and returns nil only when not even a fallback exists.
-	// Policies require the incremental move cache; Validate rejects other
-	// combinations.
+	// Policies require incremental move collection; Validate rejects
+	// other combinations.
 	Policy SearchPolicy
 	// RandSeed seeds the stochastic policy's random stream. Runs with
 	// equal seeds (and no wall-clock budget) are deterministic:
@@ -178,7 +179,7 @@ func (o *Options) Validate() error {
 		return nil
 	}
 	if o.Search.MoveFilter != nil && !o.Search.NoIncremental {
-		return errors.New("core: Search.MoveFilter requires Search.NoIncremental — heuristics must see the complete move list of every iteration, which the incremental move cache does not replay")
+		return errors.New("core: Search.MoveFilter requires Search.NoIncremental — heuristics must see the complete move list of every iteration, where incremental collection hands over only the moves an iteration adds")
 	}
 	if o.Search.GlueMode && o.Guidance.SeedPlanner != nil {
 		return errors.New("core: Search.GlueMode and Guidance.SeedPlanner are mutually exclusive — glue mode optimizes without property-directed limits to guide")
@@ -190,7 +191,7 @@ func (o *Options) Validate() error {
 			return errors.New("core: Search.GlueMode and a stochastic Search.Policy are mutually exclusive")
 		}
 		if o.Search.NoIncremental || o.Search.MoveFilter != nil {
-			return errors.New("core: stochastic search policies index the incremental move cache; Search.NoIncremental and Search.MoveFilter are incompatible with them")
+			return errors.New("core: stochastic search policies index incrementally collected move lists; Search.NoIncremental and Search.MoveFilter are incompatible with them")
 		}
 	default:
 		return fmt.Errorf("core: unknown Search.Policy %d", int(o.Search.Policy))
@@ -293,13 +294,14 @@ type Stats struct {
 	FailureHits int
 	// MatchCalls counts (expression, implementation-rule) match
 	// attempts during move collection. With incremental move collection
-	// each pair is matched once per (class, requirement) between
-	// merges; the from-scratch engine re-matches every pair on every
+	// each pair is matched once per class between merges, for every
+	// requirement; the from-scratch engine re-matches every pair on every
 	// fixpoint iteration and goal re-activation.
 	MatchCalls int
-	// MovesReused counts moves replayed from a class's move cache —
-	// collected by an earlier activation of the same (class,
-	// requirement) goal and pursued again without any rule re-matching.
+	// MovesReused counts algorithm moves built from class matches that an
+	// earlier move collection made — by another goal on the class, or an
+	// earlier activation of the same goal — so that building them matched
+	// no rule again.
 	MovesReused int
 	// GoalsOptimized counts goals actually searched.
 	GoalsOptimized int

@@ -45,6 +45,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
 const (
@@ -63,6 +64,10 @@ const (
 // policyState is the per-optimizer state of a stochastic policy run.
 type policyState struct {
 	nodes map[polKey]*policyNode
+	// lists holds the move lists of the (class, required) pairs the run
+	// has visited, keyed without an excluded vector: every excluded
+	// variant of a goal shares its requirement's list.
+	lists map[polKey][]*moveList
 	rng   *rand.Rand
 	// episode is the 0-based index of the running episode; widening
 	// derives its move-prefix width from it.
@@ -77,16 +82,54 @@ type polKey struct {
 	wk  physKey
 }
 
+// moveList is the promise-ordered move list of one (class, required)
+// pair in a policy run. Unlike the exhaustive engine's moves, which live
+// on the move stack for one activation, it persists across episodes,
+// since the selection tree's arms index into it.
+type moveList struct {
+	required PhysProps
+	// moves grows by appending each extension, promise-ordered, so an
+	// in-flight pursuit's move stays put.
+	moves []Move
+	// epoch is the memo merge epoch at collection time; a later merge
+	// may bind already-matched expressions anew, voiding the list.
+	epoch uint64
+	// matched is the watermark into the class's match list.
+	matched int
+}
+
+// policyMoves returns the move list for the class and requirement,
+// extended to cover the class's current matches. A list a merge has
+// voided is replaced by a fresh one, so arms indexing the old list see
+// that it is not theirs, and a pursuit holding one of its moves keeps it.
+func (o *Optimizer) policyMoves(g *Group, required PhysProps) *moveList {
+	k := polKey{gid: g.id, wk: winnerKey(required, nil)}
+	lists := o.pol.lists[k]
+	i := slices.IndexFunc(lists, func(ml *moveList) bool { return ml.required.Equal(required) })
+	if i < 0 {
+		i, lists = len(lists), append(lists, nil)
+		o.pol.lists[k] = lists
+	}
+	ml := lists[i]
+	fresh := ml == nil || ml.epoch != o.memo.mergeEpoch
+	if fresh {
+		ml = &moveList{required: required, epoch: o.memo.mergeEpoch}
+		lists[i] = ml
+	}
+	ml.moves = o.collectMoves(ml.moves, g, required, ml.matched, fresh)
+	ml.matched = len(g.matches)
+	return ml
+}
+
 // policyNode is one goal's node in the selection tree.
 type policyNode struct {
 	required PhysProps
 	excluded PhysProps
 	visits   int
-	// arms parallels the goal's cached move set; ms/gen detect a voided
-	// cache (merge) so stale arm statistics are dropped with it.
+	// arms parallels the goal's move list; a list a merge voided is
+	// replaced, and stale arm statistics are dropped with it.
 	arms []policyArm
-	ms   *moveSet
-	gen  uint32
+	list *moveList
 	// best is the scalar metric of the cheapest complete plan achieved
 	// at this node, the reference for rewards; +Inf until one exists.
 	best float64
@@ -126,11 +169,11 @@ func (o *Optimizer) policyNode(gid GroupID, wk physKey, required, excluded PhysP
 // of local cost plus the admissible floors of its input classes — the
 // same advance charge branch-and-bound uses — so the greedy first
 // descent follows exactly the bound the exhaustive engine prunes with.
-func (o *search[C]) primeArms(node *policyNode, g *Group, ms *moveSet, from int) {
-	for i := from; i < len(ms.moves); i++ {
+func (o *search[C]) primeArms(node *policyNode, g *Group, ml *moveList, from int) {
+	for i := from; i < len(ml.moves); i++ {
 		a := &node.arms[i]
 		a.prior = math.NaN()
-		mv := &ms.moves[i]
+		mv := &ml.moves[i]
 		switch mv.Kind {
 		case MoveAlgorithm:
 			floorSum := o.matchFloor(mv.match)
@@ -268,22 +311,17 @@ func (o *search[C]) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 		return nil, true
 	}
 
-	mk := keyOf(required)
-	ms := g.ensureMoveSet(mk, required)
-	if ms.epoch != o.memo.mergeEpoch {
-		ms.reset(o.memo.mergeEpoch)
-	}
-	o.collectMoves(ms, g, required)
-	if node.ms != ms || node.gen != ms.gen {
-		// First visit, or a merge voided the cached moves the arms
-		// indexed: (re)build the arm list, dropping stale statistics.
-		node.ms, node.gen = ms, ms.gen
-		node.arms = make([]policyArm, len(ms.moves))
-		o.primeArms(node, g, ms, 0)
-	} else if len(node.arms) < len(ms.moves) {
+	ml := o.policyMoves(g, required)
+	if node.list != ml {
+		// First visit, or a merge voided the moves the arms indexed:
+		// (re)build the arm list, dropping stale statistics.
+		node.list = ml
+		node.arms = make([]policyArm, len(ml.moves))
+		o.primeArms(node, g, ml, 0)
+	} else if len(node.arms) < len(ml.moves) {
 		from := len(node.arms)
-		node.arms = append(node.arms, make([]policyArm, len(ms.moves)-from)...)
-		o.primeArms(node, g, ms, from)
+		node.arms = append(node.arms, make([]policyArm, len(ml.moves)-from)...)
+		o.primeArms(node, g, ml, from)
 	}
 	if len(node.arms) == 0 {
 		// No algorithm applies and no enforcer helps: definitive, the
@@ -312,7 +350,7 @@ func (o *search[C]) rolloutGoal(gid GroupID, required, excluded PhysProps, limit
 	}
 
 	arm := o.selectArm(node)
-	mv := &ms.moves[arm]
+	mv := &ml.moves[arm]
 
 	// The budget checkpoint charges the pursued move, exactly as the
 	// exhaustive engine does; on exhaustion the sticky memo error
@@ -413,6 +451,7 @@ func (o *search[C]) policyOptimize(root GroupID, required PhysProps, limit C) *P
 	}
 	o.pol = &policyState{
 		nodes: make(map[polKey]*policyNode),
+		lists: make(map[polKey][]*moveList),
 		rng:   rand.New(rand.NewSource(o.opts.Search.RandSeed)),
 	}
 

@@ -34,8 +34,6 @@ type Optimizer struct {
 	// pol is the state of a stochastic search policy run (selection
 	// tree and random stream); nil for exhaustive runs. See policy.go.
 	pol *policyState
-	// batch is collectMoves' scratch for the moves of one extension.
-	batch []Move
 	// eng is the branch-and-bound search instantiated for the model's
 	// cost type (CostSpace.engine).
 	eng engine
@@ -131,7 +129,7 @@ func (o *Optimizer) InsertQuery(t *ExprTree) GroupID {
 // differ (by PropsEqualer; without it every class is) or when a live
 // member consumes a stale class. Changed classes take the new property
 // objects — the old ones stay intact for plans already built — and every
-// stale class drops its winners, failures, matches, move sets and floor.
+// stale class drops its winners, failures, matches and floor.
 // Rederive returns the number of live classes kept. Like NewOptimizer, it
 // panics when a cost function does not return the model's cost type.
 func (o *Optimizer) Rederive(model Model) int {
@@ -169,7 +167,7 @@ func (o *Optimizer) Rederive(model Model) int {
 	for len(work) > 0 {
 		g := work[len(work)-1]
 		work = work[:len(work)-1]
-		g.winners, g.moveSets, g.floor, g.floorSet = nil, nil, nil, false
+		g.winners, g.floor, g.floorSet = nil, nil, false
 		g.resetMatches(m.mergeEpoch)
 		for _, p := range g.parents {
 			if pg := m.Find(p.group); !p.dead && !stale[pg-1] {
@@ -500,11 +498,14 @@ func (o *search[C]) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 		}
 	}
 
-	// Else: optimization required.
+	// Else: optimization required. The activation's moves are the move
+	// stack's segment moves[lo:], popped on return.
 	w := g.ensureWinnerKeyed(wk, required, excluded)
 	w.inProgress = true
+	lo := len(o.memo.moves)
 	defer func() {
 		w.inProgress = false
+		o.memo.moves = o.memo.moves[:lo]
 		// The class may have merged away mid-search, carrying the
 		// in-progress mark onto the representative's entry; release that
 		// surviving entry too. The comparison must be against the entry
@@ -523,26 +524,20 @@ func (o *search[C]) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 			Required: required, Excluded: excluded, Limit: limit})
 	}
 
-	// Incremental move collection: moves are cached per (class,
-	// requirement) with a watermark, so each fixpoint iteration turns only
-	// the class matches added since the last pass into moves, and a goal
-	// re-activation replays the cached moves. A merge anywhere in the memo
-	// voids the cache: through the enlarged class, already-matched
-	// expressions may bind anew. NoIncremental voids the class's matches
-	// and the set on every iteration, which MoveFilter heuristics need
-	// (Options.Validate enforces the pairing).
+	// Incremental move collection: each fixpoint iteration turns only the
+	// class matches added since the last pass (past watermark) into moves,
+	// and pursues only those (moves[done:]). A merge anywhere in the memo
+	// voids the segment: through the enlarged class, already-matched
+	// expressions may bind anew, so the moves are collected and pursued
+	// afresh. NoIncremental voids the class's matches and the segment on
+	// every iteration, which MoveFilter heuristics need (Options.Validate
+	// enforces the pairing).
 	incremental := !o.opts.Search.NoIncremental
-	mk := keyOf(required)
-
 	s := &goal[C]{required: required, excluded: excluded, limit: limit, inclusive: inclusive}
-	// done is this activation's pursuit frontier into the cached move
-	// set: moves[:done] have been pursued. It resets when the cache is
-	// voided or the class merges onto another (curMS/curGen detect
-	// both), re-pursuing the fresh collection.
 	var (
-		done   int
-		curMS  *moveSet
-		curGen uint32
+		watermark int    // g.matches[:watermark] are collected
+		epoch     uint64 // the merge epoch they were collected at
+		done      = -1   // moves[lo:done] are pursued; -1 before any
 	)
 	for {
 		o.memo.exploreGroup(o.memo.groups[o.memo.Find(gid)-1])
@@ -551,33 +546,34 @@ func (o *search[C]) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 			break
 		}
 		// Resolved after exploring, so a class that merged away during
-		// its own exploration never opens a move set.
+		// its own exploration never collects moves.
 		gid = o.memo.Find(gid)
 		g = o.memo.groups[gid-1]
 		nExprs := len(g.exprs)
 
-		ms := g.ensureMoveSet(mk, required)
-		if ms != curMS || ms.gen != curGen {
-			done = 0
-		}
 		if !incremental {
 			g.resetMatches(o.memo.mergeEpoch)
 		}
-		if ms.epoch != o.memo.mergeEpoch || !incremental {
-			ms.reset(o.memo.mergeEpoch)
-			done = 0
+		first := done < 0 || epoch != o.memo.mergeEpoch || !incremental
+		if first {
+			o.memo.moves = o.memo.moves[:lo]
+			watermark, epoch, done = 0, o.memo.mergeEpoch, lo
 		}
-		if done == 0 && len(ms.moves) > 0 {
-			o.stats.MovesReused += len(ms.moves)
-		}
-		o.collectMoves(ms, g, required)
-		curMS, curGen = ms, ms.gen
-		moves := ms.moves[done:]
-		done = len(ms.moves)
+		o.memo.moves = o.collectMoves(o.memo.moves, g, required, watermark, first)
+		watermark = len(g.matches)
+		from, to := done, len(o.memo.moves)
+		done = to
 		if f := o.opts.Search.MoveFilter; f != nil {
-			moves = f(slices.Clone(moves))
+			// The heuristic's selection goes on the stack above the
+			// collection it was made from.
+			o.memo.moves = append(o.memo.moves, f(slices.Clone(o.memo.moves[from:to]))...)
+			from, to = to, len(o.memo.moves)
 		}
-		for i := range moves {
+		// Goals optimized below push above to and may move the stack to a
+		// larger array, but none writes below its own segment: a move of
+		// moves[from:to] keeps its contents in either array, so a pointer
+		// to it stays good through the pursuit.
+		for i := from; i < to; i++ {
 			// The budget checkpoint charges each pursued move; on
 			// exhaustion the sticky memo error unwinds every active
 			// goal transiently, keeping partial results unmemoized.
@@ -588,15 +584,16 @@ func (o *search[C]) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 					break
 				}
 			}
+			mv := &o.memo.moves[i]
 			if o.tracer != nil {
 				o.tracer.Trace(TraceEvent{Kind: TraceMovePursued, Group: gid,
-					Required: required, Move: moves[i].Name(), MoveKind: moves[i].Kind})
+					Required: required, Move: mv.Name(), MoveKind: mv.Kind})
 			}
-			switch moves[i].Kind {
+			switch mv.Kind {
 			case MoveAlgorithm:
-				o.pursueAlgorithm(s, g, &moves[i])
+				o.pursueAlgorithm(s, g, mv)
 			case MoveEnforcer:
-				o.pursueEnforcer(s, g, moves[i].Enforcer)
+				o.pursueEnforcer(s, g, mv.Enforcer)
 			}
 			if o.memo.err != nil {
 				s.transient = true
@@ -606,14 +603,13 @@ func (o *search[C]) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 
 		// Child optimizations can enlarge or merge this class (new
 		// equivalent expressions discovered through other classes);
-		// re-collect moves until the class is stable so the search
-		// stays exhaustive. The incremental cache must also be drained:
-		// a nested goal sharing it may have appended moves this
-		// activation has not pursued yet.
+		// collect again until the class is stable so the search stays
+		// exhaustive. A nested goal on this class may also have matched
+		// expressions this activation has not turned into moves yet.
 		cur := o.memo.Find(gid)
 		cg := o.memo.groups[cur-1]
 		if cur == gid && cg.explored && len(cg.exprs) == nExprs &&
-			(!incremental || curMS.gen == curGen && done == len(curMS.moves)) {
+			(!incremental || epoch == o.memo.mergeEpoch && watermark == len(cg.matches)) {
 			break
 		}
 	}
@@ -658,27 +654,23 @@ func (o *search[C]) findBestPlan(gid GroupID, required, excluded PhysProps, limi
 	return nil, s.transient
 }
 
-// collectMoves extends a move set — the possible moves for one goal:
-// algorithms that can deliver the required properties and enforcers for
-// them — to cover the class's current expression list. (Transformations,
-// the third move kind of Figure 2, are applied to fixpoint by
-// exploreGroup, which is equivalent under exhaustive search.) The class's
-// implementation rules are matched only against expressions past the
-// class's watermark, once for every requirement; the set then runs
-// Applicability over the class matches past its own watermark, rule by
-// rule in expression order, and adds the enforcer moves, which depend
-// only on the requirement, exactly once. Each extension batch is
-// promise-ordered; earlier batches are left untouched so pursuit indexes
-// into them stay valid.
-func (o *Optimizer) collectMoves(ms *moveSet, g *Group, required PhysProps) {
+// collectMoves appends the possible moves for one goal — algorithms that
+// can deliver the required properties and, when enforcers is set, the
+// enforcers for them — to dst and returns it: one algorithm move per
+// class match in g.matches[from:] that the requirement admits.
+// (Transformations, the third move kind of Figure 2, are applied to
+// fixpoint by exploreGroup, which is equivalent under exhaustive search.)
+// The class's implementation rules are first matched against the
+// expressions past the class's watermark, once for every requirement;
+// Applicability then runs over the matches in list order. The appended
+// moves are ordered in place (byPromise); dst's earlier moves are left
+// untouched.
+func (o *Optimizer) collectMoves(dst []Move, g *Group, required PhysProps, from int, enforcers bool) []Move {
 	m := o.memo
 	if g.matchEpoch != m.mergeEpoch {
 		g.resetMatches(m.mergeEpoch)
 	}
-	first := ms.matched == 0 && len(ms.moves) == 0
-	if !first && int(g.matched) == len(g.exprs) && int(ms.matched) == len(g.matches) {
-		return
-	}
+	made := len(g.matches) // a move built from an earlier match is reused
 	rules := o.model.ImplementationRules()
 	if base := int(g.matched); base < len(g.exprs) {
 		// m.flat[i-base] is the first match of exprs[i] in this extension.
@@ -703,28 +695,24 @@ func (o *Optimizer) collectMoves(ms *moveSet, g *Group, required PhysProps) {
 		}
 		g.matched = int32(len(g.exprs))
 	}
-	batch := o.batch[:0]
-	for ri, rule := range rules {
-		for _, im := range g.matches[ms.matched:] {
-			if im.rule != ri {
-				continue
-			}
-			if alts, ok := rule.Applicability(o.ctx, im.b, required); ok && len(alts) > 0 {
-				batch = append(batch, Move{Kind: MoveAlgorithm, Rule: rule, Alts: alts, match: im})
+	start := len(dst)
+	for j := from; j < len(g.matches); j++ {
+		im := g.matches[j]
+		rule := rules[im.rule]
+		if alts, ok := rule.Applicability(o.ctx, im.b, required); ok && len(alts) > 0 {
+			dst = append(dst, Move{Kind: MoveAlgorithm, Rule: rule, Alts: alts, match: im})
+			if j < made {
+				o.stats.MovesReused++
 			}
 		}
 	}
-	ms.matched = int32(len(g.matches))
-	if first {
+	if enforcers {
 		for _, enf := range o.model.Enforcers() {
-			batch = append(batch, Move{Kind: MoveEnforcer, Enforcer: enf})
+			dst = append(dst, Move{Kind: MoveEnforcer, Enforcer: enf})
 		}
 	}
-	o.batch = batch
-	if len(batch) > 0 {
-		slices.SortStableFunc(batch, byPromise)
-		ms.moves = append(append(make([]Move, 0, len(ms.moves)+len(batch)), ms.moves...), batch...)
-	}
+	slices.SortStableFunc(dst[start:], byPromise)
+	return dst
 }
 
 // newMatch records binding b of implementation rule ri, rooted at the
@@ -761,9 +749,15 @@ func sameLeafBinding(a, b *Binding) bool {
 	return true
 }
 
-// byPromise orders moves by descending promise; sorted stably, moves of
-// equal promise keep their collection order.
-func byPromise(a, b Move) int { return cmp.Compare(b.Promise(), a.Promise()) }
+// byPromise orders moves by descending promise, and moves of equal
+// promise algorithms first, by rule index. Sorted stably, the moves of
+// one rule keep their match order and enforcers the model's order.
+func byPromise(a, b Move) int {
+	if c := cmp.Or(cmp.Compare(b.Promise(), a.Promise()), cmp.Compare(a.Kind, b.Kind)); c != 0 || a.Kind == MoveEnforcer {
+		return c
+	}
+	return cmp.Compare(a.match.rule, b.match.rule)
+}
 
 // prune reports whether a partial cost already reaches the bound; such
 // moves cannot lead to a better plan and are abandoned. An inclusive

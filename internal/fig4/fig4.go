@@ -88,7 +88,8 @@ type Point struct {
 	VolcanoStdDevMS, ExodusStdDevMS float64
 	// VolcanoGoals, VolcanoMatchCalls, and VolcanoMovesReused are mean
 	// search-effort counters: goals optimized, implementation-rule match
-	// attempts, and moves replayed from the move cache per query. The
+	// attempts, and moves built from earlier-made class matches per query
+	// (Stats.MovesReused). The
 	// match-call mean quantifies the rule-matching work the incremental
 	// move collection avoids.
 	VolcanoGoals, VolcanoMatchCalls, VolcanoMovesReused float64

@@ -214,6 +214,11 @@ type Model struct {
 	Cat *Catalog
 	// P are the cost weights.
 	P Params
+
+	// irules and enfs wire the exported support methods, built once by
+	// New: the search asks for them on every move collection.
+	irules []*core.ImplRule
+	enfs   []*core.Enforcer
 }
 
 var _ core.Model = (*Model)(nil)
@@ -223,7 +228,52 @@ func New(cat *Catalog, p Params) *Model {
 	if p.PageBytes == 0 {
 		p = DefaultParams()
 	}
-	return &Model{Cat: cat, P: p}
+	m := &Model{Cat: cat, P: p}
+	m.irules = []*core.ImplRule{
+		{
+			Name:          "getset->extent-scan",
+			Pattern:       core.P(KindGetSet),
+			Applicability: m.ScanApplic,
+			Cost:          core.AlgCost(m.ScanCost),
+			Build:         m.BuildScan,
+			Promise:       2,
+		},
+		{
+			Name:          "select->filter",
+			Pattern:       core.P(KindSelect, core.Leaf()),
+			Condition:     m.FilterTypeOK,
+			Applicability: m.FilterApplic,
+			Cost:          core.AlgCost(m.FilterCost),
+			Delivered:     m.FilterDelivered,
+			Build:         m.BuildFilter,
+			Promise:       2,
+		},
+		{
+			Name:          "materialize->pointer-chase",
+			Pattern:       core.P(KindMaterialize, core.Leaf()),
+			Applicability: m.ChaseApplic,
+			Cost:          core.AlgCost(m.ChaseCost),
+			Build:         m.BuildChase,
+			Promise:       2,
+		},
+		{
+			Name:          "materialize->assembled-traverse",
+			Pattern:       core.P(KindMaterialize, core.Leaf()),
+			Applicability: m.TraverseApplic,
+			Cost:          core.AlgCost(m.TraverseCost),
+			Delivered:     m.TraverseDelivered,
+			Build:         m.BuildTraverse,
+			Promise:       2,
+		},
+	}
+	m.enfs = []*core.Enforcer{{
+		Name:    "assembly",
+		Relax:   m.AssemblyRelax,
+		Cost:    core.EnfCost(m.AssemblyCost),
+		Build:   m.BuildAssembly,
+		Promise: 1,
+	}}
+	return m
 }
 
 // Name returns "oodb".
@@ -416,54 +466,8 @@ func (m *Model) BuildAssembly(ctx *core.RuleContext, lp core.LogicalProps, requi
 
 // ImplementationRules maps the object operators to algorithms, wiring
 // the exported support methods.
-func (m *Model) ImplementationRules() []*core.ImplRule {
-	return []*core.ImplRule{
-		{
-			Name:          "getset->extent-scan",
-			Pattern:       core.P(KindGetSet),
-			Applicability: m.ScanApplic,
-			Cost:          core.AlgCost(m.ScanCost),
-			Build:         m.BuildScan,
-			Promise:       2,
-		},
-		{
-			Name:          "select->filter",
-			Pattern:       core.P(KindSelect, core.Leaf()),
-			Condition:     m.FilterTypeOK,
-			Applicability: m.FilterApplic,
-			Cost:          core.AlgCost(m.FilterCost),
-			Delivered:     m.FilterDelivered,
-			Build:         m.BuildFilter,
-			Promise:       2,
-		},
-		{
-			Name:          "materialize->pointer-chase",
-			Pattern:       core.P(KindMaterialize, core.Leaf()),
-			Applicability: m.ChaseApplic,
-			Cost:          core.AlgCost(m.ChaseCost),
-			Build:         m.BuildChase,
-			Promise:       2,
-		},
-		{
-			Name:          "materialize->assembled-traverse",
-			Pattern:       core.P(KindMaterialize, core.Leaf()),
-			Applicability: m.TraverseApplic,
-			Cost:          core.AlgCost(m.TraverseCost),
-			Delivered:     m.TraverseDelivered,
-			Build:         m.BuildTraverse,
-			Promise:       2,
-		},
-	}
-}
+func (m *Model) ImplementationRules() []*core.ImplRule { return m.irules }
 
 // Enforcers returns the assembly operator as the enforcer of
 // assembledness.
-func (m *Model) Enforcers() []*core.Enforcer {
-	return []*core.Enforcer{{
-		Name:    "assembly",
-		Relax:   m.AssemblyRelax,
-		Cost:    core.EnfCost(m.AssemblyCost),
-		Build:   m.BuildAssembly,
-		Promise: 1,
-	}}
-}
+func (m *Model) Enforcers() []*core.Enforcer { return m.enfs }

@@ -207,3 +207,18 @@ func TestLimitEqualToOptimumReturnsIt(t *testing.T) {
 		}
 	}
 }
+
+// TestImplementationRulesAllocateNothing: the rules and the enforcer are
+// built once, by New; the search asks for them on every move collection.
+func TestImplementationRulesAllocateNothing(t *testing.T) {
+	m := oodb.New(schema(t), oodb.DefaultParams())
+	if n := testing.AllocsPerRun(100, func() { m.ImplementationRules() }); n != 0 {
+		t.Errorf("ImplementationRules allocates %.0f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.Enforcers() }); n != 0 {
+		t.Errorf("Enforcers allocates %.0f times per call, want 0", n)
+	}
+	if len(m.ImplementationRules()) != 4 || len(m.Enforcers()) != 1 {
+		t.Fatalf("%d rules and %d enforcers, want 4 and 1", len(m.ImplementationRules()), len(m.Enforcers()))
+	}
+}

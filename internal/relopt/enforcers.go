@@ -11,7 +11,7 @@ import (
 // that already qualified for it (merge-join delivering the very order
 // being enforced) are not considered for the sort input — the paper's
 // merge-join-under-sort example.
-func (m *Model) sortEnforcer() *core.Enforcer {
+func sortEnforcer() *core.Enforcer {
 	return &core.Enforcer{
 		Name: "sort",
 		Relax: func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) (relaxed, excluded core.PhysProps, ok bool) {
@@ -25,6 +25,7 @@ func (m *Model) sortEnforcer() *core.Enforcer {
 			return rp.WithoutSort(), required, true
 		},
 		Cost: core.EnfCost(func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) Cost {
+			m := modelOf(ctx)
 			p := lp.(*rel.Props)
 			rows := p.Rows
 			rp := reqProps(required)
@@ -54,7 +55,7 @@ func (m *Model) sortEnforcer() *core.Enforcer {
 // partitioning. Exchange destroys sort order — an enforcer may ensure
 // one property but destroy another — so it only applies when no order is
 // required on top of it; an order must be enforced above the exchange.
-func (m *Model) exchangeEnforcer() *core.Enforcer {
+func exchangeEnforcer() *core.Enforcer {
 	return &core.Enforcer{
 		Name: "exchange",
 		Relax: func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) (relaxed, excluded core.PhysProps, ok bool) {
@@ -65,6 +66,7 @@ func (m *Model) exchangeEnforcer() *core.Enforcer {
 			return rp.WithoutPart(), required, true
 		},
 		Cost: core.EnfCost(func(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) Cost {
+			m := modelOf(ctx)
 			p := lp.(*rel.Props)
 			// Every row is hashed, sent, and received once.
 			return NewCost(0, p.Rows*m.Cfg.Params.CPUTuple*2)

@@ -28,8 +28,9 @@ var benchPlan *core.Plan
 // BenchmarkExploreFig4 is the package-level handle on what the
 // repository benchmark's opt-fig4 workload times: cold guided
 // optimization of random select-join queries at 6, 8 and 10 relations,
-// where transformation-rule exploration is about two thirds of the work
-// (the traced core.explore_share of that workload reads 0.68). One
+// each with a model of its own (relopt.New per query, as opt-fig4
+// builds it), where transformation-rule exploration (exploreGroup) is
+// about 30% of the CPU time in a profile of this benchmark. One
 // operation optimizes the level's three pinned queries (seed 1993), so
 // ns/op, B/op and allocs/op do not depend on the iteration count.
 func BenchmarkExploreFig4(b *testing.B) {
@@ -89,23 +90,28 @@ func BenchmarkExploreBudgeted(b *testing.B) {
 }
 
 // TestColdOptimizeAllocs caps the allocations of one cold 8-relation
-// optimization about 10% above the 1618 and 130528 bytes it measures
-// with typed cost callbacks, which return the cost type by value, and
-// input plan vectors made only for offered plans (ceilings 2120 and
-// 151200 before, over 1926 and 137472 bytes measured when rule costs
-// came back boxed; 3044 and 157568 before the search was instantiated
-// for the cost type, when every Add and Sub boxed its result through the
-// cost interface; 4811 and 249114 before each class matched its
-// implementation rules once for all requirements and the memo kept its
-// expressions, bindings and matches in slabs; the closure-based binder
-// over map-backed properties took 49118 allocations, and 7966 before
-// duplicate spellings were retired), so that gain cannot silently rot. A
+// optimization about 10% above the 1291 and 112912 bytes it measures
+// with each goal's moves collected onto the memo's move stack and the
+// model's rule tables shared by its structural configuration (ceilings
+// 1780 and 143600 before, over 1618 and 130528 bytes measured with a
+// move set cached per class and requirement and rules built per model;
+// 2120 and 151200 before typed cost callbacks, which return the cost
+// type by value, and input plan vectors made only for offered plans,
+// over 1926 and 137472 bytes measured when rule costs came back boxed;
+// 3044 and 157568 before the search was instantiated for the cost type,
+// when every Add and Sub boxed its result through the cost interface;
+// 4811 and 249114 before each class matched its implementation rules
+// once for all requirements and the memo kept its expressions, bindings
+// and matches in slabs; the closure-based binder over map-backed
+// properties took 49118 allocations, and 7966 before duplicate
+// spellings were retired), so that gain cannot silently rot. A
 // 3-relation chain — a point-churn statement's shape — is capped the
-// same way (511 allocations and 29856 bytes; ceilings 615 and 34400
-// before, over 557 and 31248 with boxed rule costs; 710 and 34112 with
-// boxed arithmetic, 861 and 47024 before that), so memo storage sized
-// for large searches cannot inflate small ones. Run with -v to read the
-// measurements.
+// same way (317 allocations and 22768 bytes; ceilings 562 and 32900
+// before, over 511 and 29856 with move sets and rules per model; 615
+// and 34400 before that, over 557 and 31248 with boxed rule costs; 710
+// and 34112 with boxed arithmetic, 861 and 47024 before that), so memo
+// storage sized for large searches cannot inflate small ones. Run with
+// -v to read the measurements.
 func TestColdOptimizeAllocs(t *testing.T) {
 	cat, qs := pinnedWorkload()
 	src := datagen.New(1993)
@@ -120,8 +126,8 @@ func TestColdOptimizeAllocs(t *testing.T) {
 		pq                 pinnedQuery
 		ceiling, byteLimit float64
 	}{
-		{"8-relation random", cat, qs[3], 1780, 143600}, // the first random 8-relation query
-		{"3-relation chain", cat3, chain, 562, 32900},
+		{"8-relation random", cat, qs[3], 1420, 124200}, // the first random 8-relation query
+		{"3-relation chain", cat3, chain, 349, 25050},
 	} {
 		n := testing.AllocsPerRun(5, func() { optimizeCold(t, c.cat, c.pq) })
 		bytes := bytesPerRun(5, func() { optimizeCold(t, c.cat, c.pq) })
@@ -132,6 +138,19 @@ func TestColdOptimizeAllocs(t *testing.T) {
 		if bytes > c.byteLimit {
 			t.Errorf("cold %s optimization allocates %.0f bytes, ceiling %.0f", c.name, bytes, c.byteLimit)
 		}
+	}
+}
+
+// TestModelNewAllocs caps relopt.New at the model and its three slices
+// of sorted vectors: rules, patterns and enforcers are built once per
+// structural configuration and shared, so a model of a configuration
+// already seen allocates 4 times over the 10-table benchmark catalog
+// (161 allocations and 8 144 bytes when every New built its own rules).
+func TestModelNewAllocs(t *testing.T) {
+	cat := datagen.New(1993).Catalog(10)
+	relopt.New(cat, relopt.DefaultConfig())
+	if n := testing.AllocsPerRun(100, func() { relopt.New(cat, relopt.DefaultConfig()) }); n > 4 {
+		t.Errorf("relopt.New allocates %.0f times, ceiling 4", n)
 	}
 }
 

@@ -37,8 +37,9 @@ func log2(n float64) float64 {
 	return math.Log2(n)
 }
 
-// model method receivers below build each implementation rule. The rule
-// set is the paper's: file scan for GET, filter for SELECT, merge-join
+// The functions below build each implementation rule, once per
+// structural configuration (ruleTables); a callback reads the model it
+// runs for through modelOf. The rule set is the paper's: file scan for GET, filter for SELECT, merge-join
 // and hybrid hash join for JOIN — plus projection (separate and fused
 // into join procedures), intersection, grouping, and optional
 // nested-loops join for the extended examples.
@@ -59,7 +60,7 @@ func storedOrder(t *rel.Table) *PhysProps {
 // fileScanRule implements GET by filescan. The scan delivers the
 // relation's stored sort order (none for heaps) and is always serial,
 // so it qualifies for any requirement that order covers.
-func (m *Model) fileScanRule() *core.ImplRule {
+func fileScanRule() *core.ImplRule {
 	return &core.ImplRule{
 		Name:    "get->filescan",
 		Pattern: core.P(rel.KindGet),
@@ -71,6 +72,7 @@ func (m *Model) fileScanRule() *core.ImplRule {
 			return []core.InputReq{{}}, true
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			return m.scanCost(props(ctx, b.Group)).cost()
 		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
@@ -86,7 +88,7 @@ func (m *Model) fileScanRule() *core.ImplRule {
 // filterRule implements SELECT by filter. Filtering preserves every
 // physical property, so the requirement passes through to the input and
 // whatever the input delivers is delivered.
-func (m *Model) filterRule() *core.ImplRule {
+func filterRule() *core.ImplRule {
 	return &core.ImplRule{
 		Name:    "select->filter",
 		Pattern: core.P(rel.KindSelect, core.Leaf()),
@@ -94,6 +96,7 @@ func (m *Model) filterRule() *core.ImplRule {
 			return []core.InputReq{{Required: []core.PhysProps{required}}}, true
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			return m.scaled(required, m.filterCost(props(ctx, b.Children[0].Group)))
 		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
@@ -108,7 +111,7 @@ func (m *Model) filterRule() *core.ImplRule {
 
 // projectRule implements PROJECT by a standalone projection operator.
 // The projection preserves order on the columns it keeps.
-func (m *Model) projectRule() *core.ImplRule {
+func projectRule() *core.ImplRule {
 	return &core.ImplRule{
 		Name:    "project->project",
 		Pattern: core.P(rel.KindProject, core.Leaf()),
@@ -116,6 +119,7 @@ func (m *Model) projectRule() *core.ImplRule {
 			return []core.InputReq{{Required: []core.PhysProps{required}}}, true
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			return m.scaled(required, m.projectCost(props(ctx, b.Children[0].Group)))
 		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
@@ -276,18 +280,21 @@ func (m *Model) mergeJoinDelivered(required *PhysProps, lc rel.ColID) core.PhysP
 }
 
 // mergeJoinRule implements JOIN by merge-join.
-func (m *Model) mergeJoinRule() *core.ImplRule {
+func mergeJoinRule() *core.ImplRule {
 	return &core.ImplRule{
 		Name:    "join->merge-join",
 		Pattern: core.P(rel.KindJoin, core.Leaf(), core.Leaf()),
 		Applicability: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
+			m := modelOf(ctx)
 			return m.mergeJoinApplicability(ctx, b.Children[0].Group, b.Children[1].Group,
 				b.Expr.Op.(*rel.Join), reqProps(required), nil)
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			return m.mergeJoinCost(ctx, b.Group, b.Children[0].Group, b.Children[1].Group, required)
 		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
+			m := modelOf(ctx)
 			lc, _ := boundSides(ctx, b)
 			return m.mergeJoinDelivered(reqProps(required), lc)
 		},
@@ -327,15 +334,17 @@ func (m *Model) hashJoinApplicability(ctx *core.RuleContext, left, right core.Gr
 var serialInputs = []core.InputReq{{Required: []core.PhysProps{Any, Any}}}
 
 // hashJoinRule implements JOIN by hybrid hash join.
-func (m *Model) hashJoinRule() *core.ImplRule {
+func hashJoinRule() *core.ImplRule {
 	return &core.ImplRule{
 		Name:    "join->hybrid-hash-join",
 		Pattern: core.P(rel.KindJoin, core.Leaf(), core.Leaf()),
 		Applicability: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
+			m := modelOf(ctx)
 			return m.hashJoinApplicability(ctx, b.Children[0].Group, b.Children[1].Group,
 				b.Expr.Op.(*rel.Join), reqProps(required))
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			return m.hashJoinCost(ctx, b.Group, b.Children[0].Group, b.Children[1].Group, required)
 		}),
 		Build: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
@@ -348,11 +357,12 @@ func (m *Model) hashJoinRule() *core.ImplRule {
 
 // nlJoinRule implements JOIN by block nested loops. It is excluded from
 // the Figure-4 configuration to match the paper's algorithm set.
-func (m *Model) nlJoinRule() *core.ImplRule {
+func nlJoinRule() *core.ImplRule {
 	return &core.ImplRule{
 		Name:    "join->nl-join",
 		Pattern: core.P(rel.KindJoin, core.Leaf(), core.Leaf()),
 		Applicability: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
+			m := modelOf(ctx)
 			rp := reqProps(required)
 			if len(rp.Sort) > 0 || rp.Part.Kind != PartNone {
 				return nil, false
@@ -367,6 +377,7 @@ func (m *Model) nlJoinRule() *core.ImplRule {
 			return []core.InputReq{{Required: []core.PhysProps{Any, Any}}}, true
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
@@ -385,21 +396,24 @@ func (m *Model) nlJoinRule() *core.ImplRule {
 // fusedMergeJoinRule maps PROJECT(JOIN(A,B)) to a single merge-join
 // procedure that applies the projection for free: the paper's example of
 // an implementation rule spanning multiple logical operators.
-func (m *Model) fusedMergeJoinRule() *core.ImplRule {
+func fusedMergeJoinRule() *core.ImplRule {
 	pattern := core.P(rel.KindProject, core.P(rel.KindJoin, core.Leaf(), core.Leaf()))
 	return &core.ImplRule{
 		Name:    "project+join->merge-join",
 		Pattern: pattern,
 		Applicability: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
+			m := modelOf(ctx)
 			join := b.Children[0]
 			return m.mergeJoinApplicability(ctx, join.Children[0].Group, join.Children[1].Group,
 				join.Expr.Op.(*rel.Join), reqProps(required), b.Expr.Op.(*rel.Project).Cols)
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			join := b.Children[0]
 			return m.mergeJoinCost(ctx, b.Group, join.Children[0].Group, join.Children[1].Group, required)
 		}),
 		Delivered: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
+			m := modelOf(ctx)
 			lc, _ := boundSides(ctx, b.Children[0])
 			return m.mergeJoinDelivered(reqProps(required), lc)
 		},
@@ -413,17 +427,19 @@ func (m *Model) fusedMergeJoinRule() *core.ImplRule {
 
 // fusedHashJoinRule maps PROJECT(JOIN(A,B)) to a single hybrid hash join
 // procedure with a fused projection.
-func (m *Model) fusedHashJoinRule() *core.ImplRule {
+func fusedHashJoinRule() *core.ImplRule {
 	pattern := core.P(rel.KindProject, core.P(rel.KindJoin, core.Leaf(), core.Leaf()))
 	return &core.ImplRule{
 		Name:    "project+join->hybrid-hash-join",
 		Pattern: pattern,
 		Applicability: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
+			m := modelOf(ctx)
 			join := b.Children[0]
 			return m.hashJoinApplicability(ctx, join.Children[0].Group, join.Children[1].Group,
 				join.Expr.Op.(*rel.Join), reqProps(required))
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			join := b.Children[0]
 			return m.hashJoinCost(ctx, b.Group, join.Children[0].Group, join.Children[1].Group, required)
 		}),
@@ -472,16 +488,18 @@ func intersectAlternatives(schema []rel.ColID, required *PhysProps, single bool)
 // accepting any shared input order: multiple alternative input property
 // combinations, tried by the generated optimizer while other orders are
 // ignored.
-func (m *Model) mergeIntersectRule() *core.ImplRule {
+func mergeIntersectRule() *core.ImplRule {
 	return &core.ImplRule{
 		Name:    "intersect->merge-intersect",
 		Pattern: core.P(rel.KindIntersect, core.Leaf(), core.Leaf()),
 		Applicability: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
+			m := modelOf(ctx)
 			schema := props(ctx, b.Group).Cols
 			alts := intersectAlternatives(schema, reqProps(required), m.Cfg.SingleIntersectOrder)
 			return alts, len(alts) > 0
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
@@ -501,7 +519,7 @@ func (m *Model) mergeIntersectRule() *core.ImplRule {
 
 // hashIntersectRule implements INTERSECT by hashing; no order required
 // or delivered.
-func (m *Model) hashIntersectRule() *core.ImplRule {
+func hashIntersectRule() *core.ImplRule {
 	return &core.ImplRule{
 		Name:    "intersect->hash-intersect",
 		Pattern: core.P(rel.KindIntersect, core.Leaf(), core.Leaf()),
@@ -512,6 +530,7 @@ func (m *Model) hashIntersectRule() *core.ImplRule {
 			return []core.InputReq{{Required: []core.PhysProps{Any, Any}}}, true
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
@@ -527,7 +546,7 @@ func (m *Model) hashIntersectRule() *core.ImplRule {
 
 // sortGroupByRule implements GROUPBY over input sorted on the grouping
 // columns; the output inherits that order.
-func (m *Model) sortGroupByRule() *core.ImplRule {
+func sortGroupByRule() *core.ImplRule {
 	groupOrder := func(g *rel.GroupBy) []OrderCol {
 		order := make([]OrderCol, len(g.GroupCols))
 		for i, c := range g.GroupCols {
@@ -551,6 +570,7 @@ func (m *Model) sortGroupByRule() *core.ImplRule {
 			return []core.InputReq{{Required: []core.PhysProps{delivered}}}, true
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			in := props(ctx, b.Children[0].Group)
 			out := props(ctx, b.Group)
 			return NewCost(0, in.Rows*m.Cfg.Params.CPUCompare+out.Rows*m.Cfg.Params.CPUTuple)
@@ -568,7 +588,7 @@ func (m *Model) sortGroupByRule() *core.ImplRule {
 
 // hashGroupByRule implements GROUPBY by hashing; no order required or
 // delivered.
-func (m *Model) hashGroupByRule() *core.ImplRule {
+func hashGroupByRule() *core.ImplRule {
 	return &core.ImplRule{
 		Name:    "groupby->hash-groupby",
 		Pattern: core.P(rel.KindGroupBy, core.Leaf()),
@@ -579,6 +599,7 @@ func (m *Model) hashGroupByRule() *core.ImplRule {
 			return []core.InputReq{{Required: []core.PhysProps{Any}}}, true
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			in := props(ctx, b.Children[0].Group)
 			out := props(ctx, b.Group)
 			return NewCost(0, in.Rows*m.Cfg.Params.CPUHash+out.Rows*m.Cfg.Params.CPUTuple)
@@ -594,16 +615,18 @@ func (m *Model) hashGroupByRule() *core.ImplRule {
 // mergeUnionRule implements UNION by a merge-based algorithm accepting
 // any shared input order, which it preserves — set operations get the
 // same order-aware, alternative-rich treatment as joins.
-func (m *Model) mergeUnionRule() *core.ImplRule {
+func mergeUnionRule() *core.ImplRule {
 	return &core.ImplRule{
 		Name:    "union->merge-union",
 		Pattern: core.P(rel.KindUnion, core.Leaf(), core.Leaf()),
 		Applicability: func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
+			m := modelOf(ctx)
 			schema := props(ctx, b.Group).Cols
 			alts := intersectAlternatives(schema, reqProps(required), m.Cfg.SingleIntersectOrder)
 			return alts, len(alts) > 0
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)
@@ -623,7 +646,7 @@ func (m *Model) mergeUnionRule() *core.ImplRule {
 
 // hashUnionRule implements UNION by hashing; no order required or
 // delivered.
-func (m *Model) hashUnionRule() *core.ImplRule {
+func hashUnionRule() *core.ImplRule {
 	return &core.ImplRule{
 		Name:    "union->hash-union",
 		Pattern: core.P(rel.KindUnion, core.Leaf(), core.Leaf()),
@@ -634,6 +657,7 @@ func (m *Model) hashUnionRule() *core.ImplRule {
 			return []core.InputReq{{Required: []core.PhysProps{Any, Any}}}, true
 		},
 		Cost: core.AlgCost(func(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+			m := modelOf(ctx)
 			lp := props(ctx, b.Children[0].Group)
 			rp := props(ctx, b.Children[1].Group)
 			op := props(ctx, b.Group)

@@ -3,6 +3,7 @@ package relopt
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/rel"
@@ -67,9 +68,9 @@ type Model struct {
 	// assumption.
 	paramSel float64
 
-	trules []*core.TransformRule
-	irules []*core.ImplRule
-	enfs   []*core.Enforcer
+	// rules are the rule and enforcer tables of the configuration's
+	// structure, shared with every model of that structure.
+	rules *ruleTables
 	// sorted[c] is the serial vector "sorted on c" for every catalog
 	// column c, built by New and then only read: vdb shares one model
 	// across concurrent optimizers.
@@ -86,11 +87,65 @@ func New(cat *rel.Catalog, cfg Config) *Model {
 	if cfg.Parallel && cfg.Degree < 2 {
 		cfg.Degree = 4
 	}
-	m := &Model{Cat: cat, Cfg: cfg}
+	m := &Model{Cat: cat, Cfg: cfg, rules: rulesOf(cfg)}
 
+	n := 0
+	for _, name := range cat.Tables() {
+		n += len(cat.Table(name).Columns)
+	}
+	props, order := make([]PhysProps, n), make([]OrderCol, n)
+	m.sorted = make([]*PhysProps, n+1)
+	i := 0
+	for _, name := range cat.Tables() {
+		for _, c := range cat.Table(name).Columns {
+			order[i] = OrderCol{Col: c}
+			props[i] = PhysProps{Sort: order[i : i+1 : i+1]}
+			if int(c) < len(m.sorted) {
+				m.sorted[c] = &props[i]
+			}
+			i++
+		}
+	}
+	return m
+}
+
+// ruleTables are the transformation rules, implementation rules and
+// enforcers of one structural configuration: a Config without its
+// Params. Their callbacks read the cost weights, the catalog's sorted
+// vectors and the parameter selectivity through the model they run for
+// (modelOf), so every model of the structure shares one set, built by
+// the first New that needs it. A set holds nothing of any model and is
+// never written after it is built, so sharing it couples no two models.
+type ruleTables struct {
+	trules []*core.TransformRule
+	irules []*core.ImplRule
+	enfs   []*core.Enforcer
+}
+
+var (
+	rulesMu sync.Mutex
+	rulesBy = map[Config]*ruleTables{}
+)
+
+// rulesOf returns the shared rule tables of cfg's structure.
+func rulesOf(cfg Config) *ruleTables {
+	cfg.Params = Params{}
+	rulesMu.Lock()
+	defer rulesMu.Unlock()
+	r := rulesBy[cfg]
+	if r == nil {
+		r = newRuleTables(cfg)
+		rulesBy[cfg] = r
+	}
+	return r
+}
+
+// newRuleTables builds the rule tables of a structural configuration.
+func newRuleTables(cfg Config) *ruleTables {
+	r := &ruleTables{}
 	// In rule-index order: the birth masks of transform.go name the
 	// first five by position.
-	m.trules = []*core.TransformRule{
+	r.trules = []*core.TransformRule{
 		ruleJoinCommute:    joinCommute(),
 		ruleJoinRightAssoc: joinRightAssoc(),
 		ruleJoinLeftAssoc:  joinLeftAssoc(),
@@ -98,7 +153,7 @@ func New(cat *rel.Catalog, cfg Config) *Model {
 		ruleSelectCommute:  selectCommute(),
 	}
 	if !cfg.NoSetReorder {
-		m.trules = append(m.trules,
+		r.trules = append(r.trules,
 			setCommute("intersect-commute", rel.KindIntersect),
 			setAssoc("intersect-assoc", rel.KindIntersect),
 			setCommute("union-commute", rel.KindUnion),
@@ -106,45 +161,46 @@ func New(cat *rel.Catalog, cfg Config) *Model {
 		)
 	}
 
-	m.irules = []*core.ImplRule{
-		m.fileScanRule(),
-		m.filterRule(),
-		m.projectRule(),
-		m.hashJoinRule(),
-		m.mergeJoinRule(),
-		m.mergeIntersectRule(),
-		m.hashIntersectRule(),
-		m.mergeUnionRule(),
-		m.hashUnionRule(),
-		m.sortGroupByRule(),
-		m.hashGroupByRule(),
+	r.irules = []*core.ImplRule{
+		fileScanRule(),
+		filterRule(),
+		projectRule(),
+		hashJoinRule(),
+		mergeJoinRule(),
+		mergeIntersectRule(),
+		hashIntersectRule(),
+		mergeUnionRule(),
+		hashUnionRule(),
+		sortGroupByRule(),
+		hashGroupByRule(),
 	}
 	if !cfg.DisableFusedProject {
-		m.irules = append(m.irules, m.fusedMergeJoinRule(), m.fusedHashJoinRule())
+		r.irules = append(r.irules, fusedMergeJoinRule(), fusedHashJoinRule())
 	}
 	if cfg.EnableNLJoin {
-		m.irules = append(m.irules, m.nlJoinRule())
+		r.irules = append(r.irules, nlJoinRule())
 	}
 
-	var cols []rel.ColID
-	for _, name := range cat.Tables() {
-		cols = append(cols, cat.Table(name).Columns...)
-	}
-	props, order := make([]PhysProps, len(cols)), make([]OrderCol, len(cols))
-	m.sorted = make([]*PhysProps, len(cols)+1)
-	for i, c := range cols {
-		order[i] = OrderCol{Col: c}
-		props[i] = PhysProps{Sort: order[i : i+1 : i+1]}
-		if int(c) < len(m.sorted) {
-			m.sorted[c] = &props[i]
-		}
-	}
-
-	m.enfs = []*core.Enforcer{m.sortEnforcer()}
+	r.enfs = []*core.Enforcer{sortEnforcer()}
 	if cfg.Parallel {
-		m.enfs = append(m.enfs, m.exchangeEnforcer())
+		r.enfs = append(r.enfs, exchangeEnforcer())
 	}
-	return m
+	return r
+}
+
+// relational is implemented by *Model and by every type that embeds
+// one, such as a wrapper declaring other transformation rules: the
+// relational model behind a rule context.
+type relational interface{ relational() *Model }
+
+func (m *Model) relational() *Model { return m }
+
+// modelOf returns the relational model a rule callback runs for.
+func modelOf(ctx *core.RuleContext) *Model {
+	if m, ok := ctx.Model.(*Model); ok {
+		return m
+	}
+	return ctx.Model.(relational).relational()
 }
 
 // withParamSel returns a copy of the model that assumes selectivity sel
@@ -168,13 +224,13 @@ func (m *Model) DeriveLogicalProps(op core.LogicalOp, inputs []core.LogicalProps
 }
 
 // TransformationRules returns the logical-algebra equivalences.
-func (m *Model) TransformationRules() []*core.TransformRule { return m.trules }
+func (m *Model) TransformationRules() []*core.TransformRule { return m.rules.trules }
 
 // ImplementationRules returns the operator-to-algorithm mappings.
-func (m *Model) ImplementationRules() []*core.ImplRule { return m.irules }
+func (m *Model) ImplementationRules() []*core.ImplRule { return m.rules.irules }
 
 // Enforcers returns the property enforcers.
-func (m *Model) Enforcers() []*core.Enforcer { return m.enfs }
+func (m *Model) Enforcers() []*core.Enforcer { return m.rules.enfs }
 
 // AnyProps returns the vacuous physical property vector.
 func (m *Model) AnyProps() core.PhysProps { return Any }

@@ -3,6 +3,7 @@ package relopt
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -280,4 +281,66 @@ func TestMergeUnionRidesStoredOrder(t *testing.T) {
 			t.Fatalf("sort in a plan that should ride the clustering:\n%s", plan.Format())
 		}
 	})
+}
+
+// TestModelsShareRuleTables: models of one structural configuration
+// share their rule tables whatever their cost weights, a model of
+// another structure gets its own, and each model prices plans with its
+// own weights — a model built after one with other weights prices the
+// query exactly as the model built before it.
+func TestModelsShareRuleTables(t *testing.T) {
+	cat, cols := ruleCatalog()
+	base, heavy, nl := DefaultConfig(), DefaultConfig(), DefaultConfig()
+	heavy.Params.CPUTuple *= 10
+	heavy.Params.MemoryPages = 1
+	nl.EnableNLJoin = true
+	if New(cat, heavy).rules != New(cat, base).rules {
+		t.Error("models differing only in cost weights do not share their rule tables")
+	}
+	if New(cat, nl).rules == New(cat, base).rules {
+		t.Error("models of different structures share their rule tables")
+	}
+	before := optimizePlan(t, cat, base, joinTree(cat, cols), SortedOn(cols["emp.dept"]))
+	weighted := optimizePlan(t, cat, heavy, joinTree(cat, cols), SortedOn(cols["emp.dept"]))
+	after := optimizePlan(t, cat, base, joinTree(cat, cols), SortedOn(cols["emp.dept"]))
+	if before.Cost != after.Cost || before.Format() != after.Format() {
+		t.Errorf("the same configuration priced the query %v, then %v", before.Cost, after.Cost)
+	}
+	if !before.Cost.(Cost).Less(weighted.Cost.(Cost)) {
+		t.Errorf("heavier weights priced the query %v, not above %v", weighted.Cost, before.Cost)
+	}
+}
+
+// TestModelsBuiltConcurrently: models of several structures, their
+// rule tables built on first use from concurrent goroutines, price the
+// query as models built one at a time do. Run it under -race.
+func TestModelsBuiltConcurrently(t *testing.T) {
+	cat, cols := ruleCatalog()
+	configs := make([]Config, 4)
+	for i := range configs {
+		configs[i] = DefaultConfig()
+		// Degrees no other test uses: each structure is new here.
+		configs[i].Parallel, configs[i].Degree = true, 17+i%2
+		configs[i].Params.CPUTuple *= float64(1 + i)
+	}
+	got := make([]core.Cost, len(configs))
+	var wg sync.WaitGroup
+	for i, cfg := range configs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			opt := core.NewOptimizer(New(cat, cfg), nil)
+			if plan, err := opt.Optimize(opt.InsertQuery(joinTree(cat, cols)), Any); err != nil || plan == nil {
+				t.Errorf("config %d: plan %v, err %v", i, plan, err)
+			} else {
+				got[i] = plan.Cost
+			}
+		}()
+	}
+	wg.Wait()
+	for i, cfg := range configs {
+		if want := optimizePlan(t, cat, cfg, joinTree(cat, cols), Any).Cost; got[i] != want {
+			t.Errorf("config %d: cost %v built concurrently, %v alone", i, got[i], want)
+		}
+	}
 }
