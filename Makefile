@@ -11,12 +11,14 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The executor and vdb under the volcano_debug tag: the scratch pools
-# poison what they hand out and take back, and keep none of it, so a read
-# of a vector or a batch's headers after Close meets the poison instead
-# of another operator's data.
+# The executor, vdb and the daemon under the volcano_debug tag: the
+# scratch pools poison what they hand out and take back, and keep none of
+# it, so a read of a vector or a batch's headers after Close meets the
+# poison instead of another operator's data; every Run checks the stored
+# tables against their checksums; and operators that rely on a sort
+# order check it where they read it.
 test-debug:
-	$(GO) test -tags volcano_debug -race ./internal/exec/ ./internal/vdb/
+	$(GO) test -tags volcano_debug -race ./internal/exec/ ./internal/vdb/ ./internal/serve/
 
 # bench/ is a module of its own, which the root `go vet ./...` does not
 # reach.

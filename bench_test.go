@@ -326,7 +326,7 @@ func BenchmarkExecExternalSort(b *testing.B) {
 	table := exec.NewTable("t", exec.NewSchema(tab.Columns), rows)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := exec.NewSort(exec.NewTableScan(table), table.Schema, []relopt.OrderCol{{Col: c1}})
+		s := exec.NewSort(exec.NewColScan(table), table.Schema, []relopt.OrderCol{{Col: c1}})
 		out, err := exec.Collect(s)
 		if err != nil || len(out) != len(rows) {
 			b.Fatalf("sort: %v (%d rows)", err, len(out))

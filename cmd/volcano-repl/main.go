@@ -58,7 +58,7 @@ func main() {
 	searchPolicy := flag.String("search-policy", "exhaustive", "search policy: exhaustive, mcts, or widening")
 	randSeed := flag.Int64("rand-seed", 0, "stochastic policy RNG seed (0 = fixed default; runs are deterministic either way)")
 	episodes := flag.Int("episodes", 0, "stochastic policy episode count (0 = default)")
-	batchSize := flag.Int("batch-size", 0, "executor rows per batch (0 = default, 1 = row-at-a-time)")
+	batchSize := flag.Int("batch-size", 0, "executor rows per batch (0 = default)")
 	execWorkers := flag.Int("exec-workers", 0, "exchange producer goroutines (0 = one per partition)")
 	flag.Parse()
 

@@ -58,26 +58,21 @@ func analyticPlan(tb testing.TB, cat *rel.Catalog, sql string) *core.Plan {
 }
 
 // BenchmarkAnalyticPlans runs exec-analytic's four plans at its table
-// size, under the default build and under the NoFusion row kernels.
+// size.
 func BenchmarkAnalyticPlans(b *testing.B) {
 	cat, db := analyticDB(b, 3, 200000)
 	for _, q := range analyticQueries {
 		plan := analyticPlan(b, cat, q.sql)
-		for _, cfg := range []struct {
-			name string
-			opts exec.Options
-		}{{"default", exec.Options{}}, {"rowkernels", exec.Options{NoFusion: true}}} {
-			b.Run(q.name+"/"+cfg.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					rows, _, err := exec.RunOpts(context.Background(), db, plan, nil, cfg.opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sinkRows = len(rows)
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, _, err := exec.RunOpts(context.Background(), db, plan, nil, exec.Options{})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				sinkRows = len(rows)
+			}
+		})
 	}
 }
 

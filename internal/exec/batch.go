@@ -8,9 +8,7 @@ import "math/bits"
 // open/next/close loop are amortized across a whole batch. The
 // row-at-a-time Iterator interface remains fully supported — each
 // operator's Next method is a thin adapter draining its current batch —
-// so existing callers and a batch-size-1 configuration (which reproduces
-// the seed interpreter's one-call-one-row cost shape exactly) keep
-// working.
+// so existing callers, and a batch size of 1, keep working.
 //
 // Lifetime contract: the *Batch returned by NextBatch, and its Rows
 // header slice, are valid only until the next NextBatch or Close call on
@@ -241,11 +239,17 @@ type cursor struct {
 	b    *Batch
 	i    int
 	done bool
+	// order is the sort order the consumer relies on, nil for none; debug
+	// builds check each row against the last one (checkOrder).
+	order []sortKey
+	last  Row
 }
 
 func newCursor(src BatchIterator) cursor { return cursor{src: src} }
 
-func (c *cursor) reset(src BatchIterator) { *c = cursor{src: src} }
+// reset starts the cursor over src, whose rows the consumer expects in
+// order (nil: in any order).
+func (c *cursor) reset(src BatchIterator, order []sortKey) { *c = cursor{src: src, order: order} }
 
 // next returns the next row; ok is false at end of stream.
 func (c *cursor) next() (Row, bool, error) {
@@ -253,6 +257,10 @@ func (c *cursor) next() (Row, bool, error) {
 		if c.b != nil && c.i < len(c.b.Rows) {
 			row := c.b.Rows[c.i]
 			c.i++
+			if debugBuild && c.order != nil {
+				checkOrder("merge input", c.last, row, c.order)
+				c.last = row
+			}
 			return row, true, nil
 		}
 		if c.done {

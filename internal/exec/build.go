@@ -13,22 +13,15 @@ import (
 // Options configures plan execution.
 type Options struct {
 	// BatchSize is the rows moved per operator call; zero means
-	// DefaultBatchSize. Size 1 with NoFusion reproduces the
-	// row-at-a-time engine's cost shape exactly.
+	// DefaultBatchSize.
 	BatchSize int
 	// ExchangeWorkers is the number of producer goroutines per exchange
 	// operator; zero means the exchange's partitioning degree. Multiple
 	// producers require a stripe-safe input subplan (scan, filter,
 	// project, sort chains); other inputs fall back to one producer.
 	ExchangeWorkers int
-	// NoFusion selects the row kernels with scan-filter fusion off, so
-	// every operator boundary stays a data transfer: the row-engine A/B
-	// baseline. Without it the builder uses the columnar kernels wherever
-	// a plan node is column-capable (see builder.colCapable) and the row
-	// kernels, fused, everywhere else.
-	NoFusion bool
-	// Columnar no longer selects anything: the columnar kernels are the
-	// default.
+	// Columnar no longer selects anything: scans, filters, projections,
+	// hash joins and groupings always run their columnar kernels.
 	//
 	// Deprecated: the builder ignores it.
 	Columnar bool
@@ -57,7 +50,8 @@ func BuildPlanParams(db *DB, plan *core.Plan, params []int64) (Iterator, *Schema
 }
 
 // BuildPlanOpts is the fully general entry point: a nil ctx means no
-// cancellation; opts tunes batch size, exchange parallelism, and fusion.
+// cancellation; opts tunes batch size, exchange parallelism and the
+// spool store.
 func BuildPlanOpts(ctx context.Context, db *DB, plan *core.Plan, params []int64, opts Options) (Iterator, *Schema, error) {
 	b := &builder{db: db, ctx: ctx, opts: opts, exch: make(map[*core.Plan]exchEntry), params: params}
 	if part := deliveredPart(plan); part.Kind == relopt.PartHash {
@@ -95,6 +89,8 @@ func RunParams(db *DB, plan *core.Plan, params []int64) ([]Row, *Schema, error) 
 }
 
 // RunOpts builds and drains a plan under a context and execution options.
+// Debug builds then verify the stored tables and check the result
+// against the plan's delivered sort order.
 func RunOpts(ctx context.Context, db *DB, plan *core.Plan, params []int64, opts Options) ([]Row, *Schema, error) {
 	it, schema, err := BuildPlanOpts(ctx, db, plan, params, opts)
 	if err != nil {
@@ -105,6 +101,10 @@ func RunOpts(ctx context.Context, db *DB, plan *core.Plan, params []int64, opts 
 	db.countRun(len(rows), err)
 	if debugBuild {
 		db.verifyTables()
+		keys := sortKeysFor(plan, schema)
+		for i := 1; i < len(rows) && keys != nil; i++ {
+			checkOrder("result", rows[i-1], rows[i], keys)
+		}
 	}
 	return rows, schema, err
 }
@@ -301,41 +301,10 @@ func (b *builder) build(plan *core.Plan, part int, need colSet) (Iterator, *Sche
 			bs.SetBatchSize(b.opts.BatchSize)
 		}
 	}
-	if f, ok := it.(*Filter); ok && b.opts.NoFusion {
-		f.SetFusion(false)
-	}
-	if b.ctx != nil {
-		switch scan := it.(type) {
-		case *TableScan:
-			scan.SetContext(b.ctx)
-		case *ColScan:
-			scan.SetContext(b.ctx)
-		}
+	if scan, ok := it.(*ColScan); ok && b.ctx != nil {
+		scan.SetContext(b.ctx)
 	}
 	return it, s, nil
-}
-
-// colCapable reports whether a plan node exposes the columnar batch
-// protocol without a per-batch transpose: scans over tables with a
-// column-major projection, filter/project chains above them, and hash
-// joins with at least one such side (whose output vectors are produced
-// by gathers either way). It is the construction rule: the builder
-// creates the columnar variant of a node exactly when its relevant
-// inputs are column-capable, so transposing adapters only ever appear
-// where a row-structured operator (sort, merge, set, exchange, spool)
-// genuinely sits below a columnar one. Under NoFusion nothing is
-// column-capable, which leaves the row kernels.
-func (b *builder) colCapable(plan *core.Plan) bool {
-	switch op := plan.Op.(type) {
-	case *relopt.FileScan:
-		t := b.db.Table(op.Tab.Name)
-		return !b.opts.NoFusion && t != nil
-	case *relopt.Filter, *relopt.ProjectOp:
-		return b.colCapable(plan.Inputs[0])
-	case *relopt.HashJoin:
-		return b.colCapable(plan.Inputs[0]) || b.colCapable(plan.Inputs[1])
-	}
-	return false
 }
 
 // buildNode constructs the iterator for one plan node. part is the
@@ -349,14 +318,7 @@ func (b *builder) buildNode(plan *core.Plan, part int, need colSet) (Iterator, *
 		if t == nil {
 			return nil, nil, fmt.Errorf("exec: table %q not loaded", op.Tab.Name)
 		}
-		if b.colCapable(plan) {
-			scan := NewColScan(t)
-			if b.stripes > 1 {
-				scan.SetStripe(b.stripe, b.stripes)
-			}
-			return scan, t.Schema, nil
-		}
-		scan := NewTableScan(t)
+		scan := NewColScan(t)
 		if b.stripes > 1 {
 			scan.SetStripe(b.stripe, b.stripes)
 		}
@@ -364,9 +326,9 @@ func (b *builder) buildNode(plan *core.Plan, part int, need colSet) (Iterator, *
 
 	case *relopt.Filter:
 		// Stacked filters (sqlish lowers a two-sided range to two) fold
-		// into one operator, conjuncts in evaluation order, so the fused
-		// scan-filter and the zero-copy header gather see the whole
-		// predicate.
+		// into one operator, conjuncts in evaluation order, so a filter
+		// over a scan selects on the stored vectors in one pass and its
+		// row consumers get the stored rows' headers.
 		child, conj := plan.Inputs[0], op.Preds
 		for {
 			inner, ok := child.Op.(*relopt.Filter)
@@ -379,7 +341,6 @@ func (b *builder) buildNode(plan *core.Plan, part int, need colSet) (Iterator, *
 		for _, p := range conj {
 			need = need.with(p.Col, p.OtherCol)
 		}
-		columnar := b.colCapable(child)
 		in, ins, err := b.build(child, part, need)
 		if err != nil {
 			return nil, nil, err
@@ -388,21 +349,14 @@ func (b *builder) buildNode(plan *core.Plan, part int, need colSet) (Iterator, *
 		if err != nil {
 			return nil, nil, err
 		}
-		if columnar {
-			return NewColFilter(in, ins, preds), ins, nil
-		}
-		return NewFilter(in, ins, preds), ins, nil
+		return NewColFilter(in, ins, preds), ins, nil
 
 	case *relopt.ProjectOp:
-		columnar := b.colCapable(plan.Inputs[0])
 		in, ins, err := b.build(plan.Inputs[0], part, only(op.Cols))
 		if err != nil {
 			return nil, nil, err
 		}
-		if columnar {
-			return NewColProject(in, ins, op.Cols), schema, nil
-		}
-		return NewProject(in, ins, op.Cols), schema, nil
+		return NewColProject(in, ins, op.Cols), schema, nil
 
 	case *relopt.Sort:
 		for _, oc := range op.Order {
@@ -488,28 +442,18 @@ func (b *builder) buildNode(plan *core.Plan, part int, need colSet) (Iterator, *
 		return x, ls, nil
 
 	case *relopt.SortGroupBy:
-		columnar := b.colCapable(plan.Inputs[0])
 		in, ins, err := b.build(plan.Inputs[0], part, groupReads(op.GroupCols, op.Aggs))
 		if err != nil {
 			return nil, nil, err
 		}
-		if columnar {
-			return NewColSortGroupBy(in, ins, op.GroupCols, op.Aggs), schema, nil
-		}
-		return NewSortGroupBy(in, ins, op.GroupCols, op.Aggs), schema, nil
+		return NewColSortGroupBy(in, ins, op.GroupCols, op.Aggs), schema, nil
 
 	case *relopt.HashGroupBy:
-		columnar := b.colCapable(plan.Inputs[0])
 		in, ins, err := b.build(plan.Inputs[0], part, groupReads(op.GroupCols, op.Aggs))
 		if err != nil {
 			return nil, nil, err
 		}
-		if columnar {
-			g := NewColHashGroupBy(in, ins, op.GroupCols, op.Aggs)
-			g.SizeHint = rowsHint(plan)
-			return g, schema, nil
-		}
-		g := NewHashGroupBy(in, ins, op.GroupCols, op.Aggs)
+		g := NewColHashGroupBy(in, ins, op.GroupCols, op.Aggs)
 		g.SizeHint = rowsHint(plan)
 		return g, schema, nil
 
@@ -627,13 +571,7 @@ func (b *builder) buildJoin(plan *core.Plan, part int, need colSet, lcol, rcol r
 	if merge {
 		return NewMergeJoin(l, r, ls, rs, lp, rp, proj), out, nil
 	}
-	if b.colCapable(plan) {
-		cj := NewColHashJoin(l, r, ls, rs, lp, rp, proj)
-		cj.BuildHint = rowsHint(plan.Inputs[0])
-		cj.KeyHint = distinctHint(plan.Inputs[0], lcol)
-		return cj, out, nil
-	}
-	hj := NewHashJoin(l, r, ls, rs, lp, rp, proj)
+	hj := NewColHashJoin(l, r, ls, rs, lp, rp, proj)
 	hj.BuildHint = rowsHint(plan.Inputs[0])
 	hj.KeyHint = distinctHint(plan.Inputs[0], lcol)
 	return hj, out, nil

@@ -5,8 +5,8 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rel"
-	"repro/internal/relopt"
 )
 
 // randTable builds a table with the given column IDs, rows drawn from a
@@ -22,6 +22,10 @@ func randTable(rng *rand.Rand, cols []rel.ColID, n int) *Table {
 	}
 	return NewTable("t", NewSchema(cols), rows)
 }
+
+// named is a copy of a table under another name, for the reference
+// evaluator, which finds tables by name.
+func named(t *Table, name string) *Table { return NewTable(name, t.Schema, storedRows(t)) }
 
 // storedRows returns a table's stored rows (Table.Row), in scan order.
 func storedRows(t *Table) []Row {
@@ -53,6 +57,35 @@ func randPreds(rng *rand.Rand, cols []rel.ColID) []rel.Pred {
 	return preds
 }
 
+// rowFilter is the row-at-a-time oracle of the columnar filter: the
+// stored rows that satisfy every conjunct, in scan order.
+func rowFilter(tab *Table, preds []rel.Pred) []Row {
+	var out []Row
+rows:
+	for _, r := range storedRows(tab) {
+		for _, p := range preds {
+			if !compilePred(p, tab.Schema).eval(r) {
+				continue rows
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// refOver evaluates a logical operator over one stored table by
+// definition (Reference).
+func refOver(t *testing.T, tab *Table, op core.LogicalOp) []Row {
+	t.Helper()
+	db := NewDB()
+	db.Add(tab)
+	rows, _, err := Reference(db, exprTree(op, getTree(tab.Name)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func collectAll(t *testing.T, it Iterator) []Row {
 	t.Helper()
 	rows, err := Collect(it)
@@ -63,10 +96,10 @@ func collectAll(t *testing.T, it Iterator) []Row {
 }
 
 // TestColFilterMatchesRowFilterRandom is the fuzz-style cross-check of
-// the columnar fused scan-filter against the unfused row filter (the
-// NoFusion baseline): random tables,
-// random conjuncts (all six comparison operators, constant and
-// column-column), random batch sizes. Filters preserve input order, so
+// the columnar filter over a scan against a row-at-a-time filter over
+// the stored rows (rowFilter): random tables, random conjuncts (all six
+// comparison operators, constant and column-column), random batch
+// sizes. Filters preserve input order, so
 // the comparison is exact row-for-row, not just multiset. Runs under
 // -race via the standard test suite.
 func TestColFilterMatchesRowFilterRandom(t *testing.T) {
@@ -81,10 +114,7 @@ func TestColFilterMatchesRowFilterRandom(t *testing.T) {
 		preds := randPreds(rng, cols)
 		size := []int{1, 7, 64, DefaultBatchSize}[rng.Intn(4)]
 
-		rf := NewFilter(NewTableScan(tab), tab.Schema, preds)
-		rf.SetFusion(false)
-		rf.SetBatchSize(size)
-		want := collectAll(t, rf)
+		want := rowFilter(tab, preds)
 
 		scan := NewColScan(tab)
 		scan.SetBatchSize(size)
@@ -106,18 +136,16 @@ func TestColFilterMatchesRowFilterRandom(t *testing.T) {
 }
 
 // TestColFilterOverRowInput checks the transposing adapter path: a
-// columnar filter over a row-producing input (a TableScan) must agree
-// with the row filter.
+// columnar filter over a row-producing input (a foreign row iterator)
+// must agree with the row-at-a-time filter.
 func TestColFilterOverRowInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	cols := []rel.ColID{1, 2}
 	tab := randTable(rng, cols, 500)
 	preds := []rel.Pred{{Col: 1, Op: rel.CmpGE, Val: 0}, {Col: 2, Op: rel.CmpLT, OtherCol: 1}}
 
-	rf := NewFilter(NewTableScan(tab), tab.Schema, preds)
-	rf.SetFusion(false)
-	want := collectAll(t, rf)
-	got := collectAll(t, NewColFilter(NewTableScan(tab), tab.Schema, preds))
+	want := rowFilter(tab, preds)
+	got := collectAll(t, NewColFilter(iterOf(storedRows(tab)...), tab.Schema, preds))
 	if len(got) != len(want) {
 		t.Fatalf("got %d rows, want %d", len(got), len(want))
 	}
@@ -128,19 +156,22 @@ func TestColFilterOverRowInput(t *testing.T) {
 	}
 }
 
-// TestColHashJoinMatchesHashJoin cross-checks the columnar hash join
-// against the row hash join on random tables, with and without a fused
-// projection, at awkward batch sizes. The build side is a columnar scan
-// or a filter fused on one (indexed in place: nothing is copied), or a
-// projection (copied into scratch vectors); a filter that rejects every
-// row makes it empty.
-func TestColHashJoinMatchesHashJoin(t *testing.T) {
+// TestColHashJoinMatchesReference cross-checks the columnar hash join
+// against the reference evaluator on random tables, with and without a
+// fused projection, at awkward batch sizes. The build side is a columnar
+// scan or a filter fused on one (indexed in place: nothing is copied),
+// or a projection (copied into scratch vectors); a filter that rejects
+// every row makes it empty.
+func TestColHashJoinMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	for trial := 0; trial < 60; trial++ {
 		lcols := []rel.ColID{1, 2}
 		rcols := []rel.ColID{3, 4, 5}
-		lt := randTable(rng, lcols, rng.Intn(400))
-		rt := randTable(rng, rcols, rng.Intn(400))
+		db := NewDB()
+		lt := named(randTable(rng, lcols, rng.Intn(400)), "L")
+		rt := named(randTable(rng, rcols, rng.Intn(400)), "R")
+		db.Add(lt)
+		db.Add(rt)
 		size := []int{1, 7, 64}[rng.Intn(3)]
 		var proj []int
 		if rng.Intn(2) == 0 {
@@ -152,13 +183,19 @@ func TestColHashJoinMatchesHashJoin(t *testing.T) {
 		}
 		build := trial % 3
 
-		rl := Iterator(NewTableScan(lt))
+		ltree := getTree("L")
 		if build == 1 {
-			rl = NewFilter(rl, lt.Schema, preds)
+			ltree = exprTree(&rel.Select{Pred: preds[0]}, ltree)
 		}
-		rj := NewHashJoin(rl, NewTableScan(rt), lt.Schema, rt.Schema, 0, 1, proj)
-		rj.SetBatchSize(size)
-		want := collectAll(t, rj)
+		tree, out := exprTree(rel.NewJoin(1, 4), ltree, getTree("R")), joined(lt.Schema, rt.Schema)
+		if proj != nil {
+			out = NewSchema([]rel.ColID{1, 4, 5})
+			tree = exprTree(&rel.Project{Cols: out.Cols}, tree)
+		}
+		want, wantSchema, err := Reference(db, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		var cl Iterator = NewColScan(lt)
 		switch build {
@@ -174,7 +211,7 @@ func TestColHashJoinMatchesHashJoin(t *testing.T) {
 		cj.SetBatchSize(size)
 		got := collectAll(t, cj)
 
-		if Fingerprint(got) != Fingerprint(want) {
+		if Fingerprint(Canonical(got, out)) != Fingerprint(Canonical(want, wantSchema)) {
 			t.Fatalf("trial %d (size %d, proj %v, build %d): columnar join multiset differs (%d vs %d rows)",
 				trial, size, proj, build, len(got), len(want))
 		}
@@ -211,8 +248,9 @@ func TestColHashJoinInPlaceBuildKeepsTableVectors(t *testing.T) {
 }
 
 // TestColGroupByMatchesRowGroupBy cross-checks columnar hash and sorted
-// grouping against their row counterparts: single and multi grouping
-// columns, every aggregate function.
+// grouping against the reference evaluator's row-at-a-time grouping
+// (aggState): single and multi grouping columns, every aggregate
+// function.
 func TestColGroupByMatchesRowGroupBy(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	aggs := []rel.Agg{
@@ -227,9 +265,7 @@ func TestColGroupByMatchesRowGroupBy(t *testing.T) {
 		groupCols := [][]rel.ColID{{1}, {1, 3}}[rng.Intn(2)]
 		size := []int{1, 7, DefaultBatchSize}[rng.Intn(3)]
 
-		rg := NewHashGroupBy(NewTableScan(tab), tab.Schema, groupCols, aggs)
-		rg.SetBatchSize(size)
-		want := collectAll(t, rg)
+		want := refOver(t, tab, &rel.GroupBy{GroupCols: groupCols, Aggs: aggs})
 
 		cg := NewColHashGroupBy(NewColScan(tab), tab.Schema, groupCols, aggs)
 		cg.SetBatchSize(size)
@@ -238,14 +274,8 @@ func TestColGroupByMatchesRowGroupBy(t *testing.T) {
 			t.Fatalf("trial %d: columnar hash group-by differs (%d vs %d groups)", trial, len(got), len(want))
 		}
 
-		// Sorted grouping needs sorted input: run both over a sort.
-		sortOrder := make([]relopt.OrderCol, len(groupCols))
-		for i, c := range groupCols {
-			sortOrder[i] = relopt.OrderCol{Col: c}
-		}
-		sg := NewSortGroupBy(NewSort(NewTableScan(tab), tab.Schema, sortOrder), tab.Schema, groupCols, aggs)
-		sg.SetBatchSize(size)
-		want = collectAll(t, sg)
+		// Sorted grouping needs sorted input: run it over a sort.
+		sortOrder := ascOn(groupCols...)
 		csg := NewColSortGroupBy(NewSort(NewColScan(tab), tab.Schema, sortOrder), tab.Schema, groupCols, aggs)
 		csg.SetBatchSize(size)
 		got = collectAll(t, csg)
@@ -269,9 +299,8 @@ func TestColSortGroupByOverColFilter(t *testing.T) {
 	preds := []rel.Pred{{Col: 2, Op: rel.CmpLT, Val: 10}}
 	aggs := []rel.Agg{{Fn: rel.AggCount}, {Fn: rel.AggSum, Col: 2}}
 
-	rf := NewFilter(NewTableScan(tab), tab.Schema, preds)
-	rf.SetFusion(false)
-	want := collectAll(t, NewSortGroupBy(rf, tab.Schema, []rel.ColID{1}, aggs))
+	filtered := NewTable("t", tab.Schema, rowFilter(tab, preds))
+	want := refOver(t, filtered, &rel.GroupBy{GroupCols: []rel.ColID{1}, Aggs: aggs})
 	got := collectAll(t, NewColSortGroupBy(NewColFilter(NewColScan(tab), tab.Schema, preds), tab.Schema, []rel.ColID{1}, aggs))
 	if Fingerprint(got) != Fingerprint(want) {
 		t.Fatalf("columnar sort group-by over filter differs: %d vs %d groups", len(got), len(want))
@@ -382,7 +411,7 @@ func TestCarveBlocks(t *testing.T) {
 }
 
 // TestColScanStripes checks that striped columnar scans cover the table
-// exactly once, matching the row scan's striping.
+// exactly once.
 func TestColScanStripes(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	tab := randTable(rng, []rel.ColID{1, 2}, 1000)
@@ -403,7 +432,7 @@ func TestColScanStripes(t *testing.T) {
 	}
 }
 
-// --- benchmarks: the row/batch/columnar kernel comparison at 10⁵ rows.
+// --- benchmarks: the columnar kernels at 10⁵ rows.
 
 func benchTable(n int) *Table {
 	rng := rand.New(rand.NewSource(1))
@@ -422,32 +451,12 @@ func drain(b *testing.B, it Iterator) int {
 	return len(rows)
 }
 
-func BenchmarkScanFilterRow(b *testing.B) {
-	tab := benchTable(100000)
-	preds := []rel.Pred{{Col: 4, Op: rel.CmpLT, Val: 500}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drain(b, NewFilter(NewTableScan(tab), tab.Schema, preds))
-	}
-}
-
 func BenchmarkScanFilterColumnar(b *testing.B) {
 	tab := benchTable(100000)
 	preds := []rel.Pred{{Col: 4, Op: rel.CmpLT, Val: 500}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		drain(b, NewColFilter(NewColScan(tab), tab.Schema, preds))
-	}
-}
-
-func BenchmarkHashAggRow(b *testing.B) {
-	tab := benchTable(100000)
-	aggs := []rel.Agg{{Fn: rel.AggCount}, {Fn: rel.AggSum, Col: 4}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := NewHashGroupBy(NewTableScan(tab), tab.Schema, []rel.ColID{2}, aggs)
-		g.SizeHint = 100000 / 6
-		drain(b, g)
 	}
 }
 
@@ -459,16 +468,6 @@ func BenchmarkHashAggColumnar(b *testing.B) {
 		g := NewColHashGroupBy(NewColScan(tab), tab.Schema, []rel.ColID{2}, aggs)
 		g.SizeHint = 100000 / 6
 		drain(b, g)
-	}
-}
-
-func BenchmarkHashJoinRow(b *testing.B) {
-	tab := benchTable(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := NewHashJoin(NewTableScan(tab), NewTableScan(tab), tab.Schema, tab.Schema, 1, 1, []int{0, 4})
-		j.BuildHint = 100000
-		drain(b, j)
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/rel"
@@ -10,14 +11,14 @@ import (
 // grouping column case keys an open-addressed int64 table (the same
 // joinTable the hash join uses) instead of a Go map, resolves each
 // input batch to a group-index vector, and then runs one flat
-// accumulator loop per aggregate over dense typed slices — the
-// per-column counterpart of HashGroupBy's per-row aggState updates.
-// Groups are emitted in the same deterministic sorted order as
-// HashGroupBy.
+// accumulator loop per aggregate over dense typed slices instead of a
+// per-row update per aggregate. Groups are emitted once the input is
+// drained, in a deterministic order: ascending on the group values.
 type ColHashGroupBy struct {
 	// In is the input stream.
 	In Iterator
-	// SizeHint pre-sizes the group table, as in HashGroupBy.
+	// SizeHint pre-sizes the group table; the plan builder sets it from
+	// the optimizer's output-cardinality estimate.
 	SizeHint int
 
 	groupPos []int
@@ -233,7 +234,7 @@ func (g *ColHashGroupBy) Open() error {
 
 	// Materialize the groups: key values then aggregate values, carved
 	// from one slab, their headers in a pooled vector sorted in place
-	// into the order HashGroupBy emits.
+	// into group order.
 	gw := len(g.groupPos)
 	w := gw + len(g.aggs)
 	slab := make([]int64, ngroups*w)
@@ -332,8 +333,20 @@ func (g *ColSortGroupBy) Open() error {
 	return g.In.Open()
 }
 
-// start begins a new group keyed by row r of the batch.
+// start begins a new group keyed by row r of the batch. Debug builds
+// check that its key follows the last group's: the runs rely on input
+// sorted ascending on the grouping columns.
 func (g *ColSortGroupBy) start(cb *ColBatch, r int) {
+	if debugBuild && g.started {
+		for j, p := range g.groupPos {
+			if v := cb.Cols[p][r]; v != g.key[j] {
+				if v < g.key[j] {
+					panic(fmt.Sprintf("exec: sorted grouping input out of order: key %d at %d after group %v", v, j, g.key))
+				}
+				break
+			}
+		}
+	}
 	for j, p := range g.groupPos {
 		g.key[j] = cb.Cols[p][r]
 	}

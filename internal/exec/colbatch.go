@@ -1,10 +1,10 @@
 package exec
 
 // The columnar batch protocol. The row batches of batch.go amortize
-// iterator dispatch, but their kernels still walk []Row slices of
-// pointers: every predicate, aggregate, and join-probe loop is bound by
-// header loads rather than by the ALU. ColBatch is the columnar
-// complement: one dense []int64 vector per column plus an optional
+// iterator dispatch, but a kernel over them walks []Row slices of
+// pointers: every predicate, aggregate, and join-probe loop would be
+// bound by header loads rather than by the ALU. So scans, filters,
+// projections, hash joins and groupings run on ColBatch instead: one dense []int64 vector per column plus an optional
 // []int32 selection vector, so filters mark survivors instead of copying
 // rows and downstream kernels iterate typed slices the compiler can
 // bounds-check-eliminate.

@@ -1,18 +1,22 @@
 package exec
 
-// ColHashJoin is the columnar hash join: the left input is drained into
-// column-major build vectors — or, when it serves stored rows, only
-// indexed where it lies — and its key vector indexed once; the right
-// input probes batch by batch with the whole probe-key vector looked up
-// front (the independent lookups overlap their cache misses) and only
-// its hits walked afterwards, and output batches are produced by
-// per-column gather loops instead of per-row header-and-copy work.
+// ColHashJoin is hybrid hash join without partition files, columnar:
+// the left input is drained into column-major build vectors — or, when
+// it serves stored rows, only indexed where it lies — and its key vector
+// indexed once; the right input probes batch by batch with the whole
+// probe-key vector looked up front and only its hits walked afterwards,
+// and output batches are produced by per-column gather loops instead of
+// per-row header-and-copy work.
 type ColHashJoin struct {
 	// Left and Right are the input streams; Left builds.
 	Left, Right Iterator
-	// BuildHint pre-sizes the build storage, as in HashJoin.
+	// BuildHint pre-sizes the build storage; the plan builder sets it
+	// from the optimizer's cardinality estimate so the storage is
+	// allocated once instead of grown from empty.
 	BuildHint int
-	// KeyHint estimates the distinct build keys, as in HashJoin.
+	// KeyHint estimates the distinct join keys on the build side. The
+	// key index needs entries per key, not per row, so a duplicate-heavy
+	// build gets an index sized (and cache-footprinted) by its key count.
 	KeyHint int
 
 	lpos, rpos     int32
@@ -203,7 +207,9 @@ func (h *ColHashJoin) nextMatches() (int, error) {
 		if err != nil || !ok {
 			return 0, err
 		}
-		// Probe the whole batch up front, as in HashJoin.
+		// Probe the whole batch up front: the lookups are independent,
+		// so a tight loop lets the out-of-order core overlap their cache
+		// misses instead of serializing one miss per emitted row.
 		h.prow = growScratch(&int32Scratch, h.prow, cb.Len())
 		h.phead = growScratch(&int32Scratch, h.phead, cb.Len())
 		h.pb, h.pi = cb, 0

@@ -9,9 +9,8 @@ import (
 // ColScan reads a stored relation's column-major slab front to back,
 // one columnar batch per call. The returned batches are zero-copy
 // windows of the table's column vectors. Its row-protocol side
-// (NextBatch) serves the stored rows themselves, exactly like TableScan,
-// so row consumers above a ColScan pay nothing for the columnar
-// capability below them.
+// (NextBatch) serves the stored rows themselves, so row consumers above
+// a ColScan pay nothing for the columnar capability below them.
 type ColScan struct {
 	// Tab is the relation scanned.
 	Tab *Table
@@ -40,7 +39,8 @@ func (s *ColScan) SetBatchSize(n int) { s.size = sizeOrDefault(n) }
 func (s *ColScan) SetContext(ctx context.Context) { s.ctx = ctx }
 
 // SetStripe restricts the scan to stripe i of n contiguous equal-width
-// stripes of the table, as in TableScan.SetStripe.
+// stripes of the table; the n producer instances of a parallel exchange
+// each scan one stripe so together they cover the table exactly once.
 func (s *ColScan) SetStripe(i, n int) { s.stripe, s.stripes = i, n }
 
 // Open resets the scan to the first row of its stripe.
@@ -109,6 +109,30 @@ func (s *ColScan) Close() error {
 	s.view.Cols = nil
 	s.out.release()
 	return nil
+}
+
+// compiledPred is a predicate with schema positions resolved.
+type compiledPred struct {
+	op       rel.CmpOp
+	pos      int
+	otherPos int // -1 for constant comparisons
+	val      int64
+}
+
+func compilePred(p rel.Pred, s *Schema) compiledPred {
+	c := compiledPred{op: p.Op, pos: s.Pos(p.Col), otherPos: -1, val: p.Val}
+	if p.IsColCol() {
+		c.otherPos = s.Pos(p.OtherCol)
+	}
+	return c
+}
+
+func (c compiledPred) eval(r Row) bool {
+	rhs := c.val
+	if c.otherPos >= 0 {
+		rhs = r[c.otherPos]
+	}
+	return c.op.Eval(r[c.pos], rhs)
 }
 
 // ColFilter drops rows failing any conjunct, columnar-style: instead of
@@ -196,10 +220,9 @@ func (f *ColFilter) NextColBatch() (*ColBatch, bool, error) {
 
 // NextBatch serves the surviving rows on the row protocol. Over a
 // columnar scan the survivors are the stored rows themselves, so the
-// batch gathers zero-copy row headers through the selection vector — the
-// columnar counterpart of the row engine's fused scan-filter, with the
-// branchless selection kernels replacing its per-row predicate branch.
-// Other inputs materialize through the arena.
+// batch gathers zero-copy row headers through the selection vector, and
+// a row consumer above a scan-filter pays no value copy. Other inputs
+// materialize through the arena.
 func (f *ColFilter) NextBatch() (*Batch, bool, error) {
 	cb, ok, err := f.NextColBatch()
 	if err != nil || !ok {

@@ -366,6 +366,7 @@ type exchangePortOrdered struct {
 	bufs  [][]Row
 	idx   []int
 	pdone []bool
+	last  []Row // each producer's last merged row, kept by debug builds
 	out   Batch
 	ra    rowAdapter
 }
@@ -375,6 +376,9 @@ func (p *exchangePortOrdered) Open() error {
 	p.bufs = make([][]Row, len(p.st.producers))
 	p.idx = make([]int, len(p.st.producers))
 	p.pdone = make([]bool, len(p.st.producers))
+	if debugBuild {
+		p.last = make([]Row, len(p.st.producers))
+	}
 	p.ra.reset()
 	p.st.start()
 	return nil
@@ -424,6 +428,10 @@ func (p *exchangePortOrdered) NextBatch() (*Batch, bool, error) {
 		}
 		if best < 0 {
 			break
+		}
+		if debugBuild {
+			checkOrder("exchanged producer", p.last[best], bestRow, p.st.keys)
+			p.last[best] = bestRow
 		}
 		p.idx[best]++
 		p.out.add(bestRow)

@@ -120,17 +120,17 @@ func TestJoinAlgorithmsAgree(t *testing.T) {
 	ls, rs := db.Table(a.Name), db.Table(b.Name)
 	lp, rp := ls.Schema.Pos(la), rs.Schema.Pos(rb)
 
-	sortedL := exec.NewSort(exec.NewTableScan(ls), ls.Schema, []relopt.OrderCol{{Col: la}})
-	sortedR := exec.NewSort(exec.NewTableScan(rs), rs.Schema, []relopt.OrderCol{{Col: rb}})
+	sortedL := exec.NewSort(exec.NewColScan(ls), ls.Schema, []relopt.OrderCol{{Col: la}})
+	sortedR := exec.NewSort(exec.NewColScan(rs), rs.Schema, []relopt.OrderCol{{Col: rb}})
 	merge, err := exec.Collect(exec.NewMergeJoin(sortedL, sortedR, ls.Schema, rs.Schema, lp, rp, nil))
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
-	hash, err := exec.Collect(exec.NewHashJoin(exec.NewTableScan(ls), exec.NewTableScan(rs), ls.Schema, rs.Schema, lp, rp, nil))
+	hash, err := exec.Collect(exec.NewColHashJoin(exec.NewColScan(ls), exec.NewColScan(rs), ls.Schema, rs.Schema, lp, rp, nil))
 	if err != nil {
 		t.Fatalf("hash: %v", err)
 	}
-	nl, err := exec.Collect(exec.NewNLJoin(exec.NewTableScan(ls), exec.NewTableScan(rs), ls.Schema, rs.Schema, lp, rp))
+	nl, err := exec.Collect(exec.NewNLJoin(exec.NewColScan(ls), exec.NewColScan(rs), ls.Schema, rs.Schema, lp, rp))
 	if err != nil {
 		t.Fatalf("nl: %v", err)
 	}

@@ -14,27 +14,33 @@ import (
 	"repro/internal/relopt"
 )
 
-// engineConfigs are the executor configurations the golden tests compare:
-// the row-at-a-time baseline, the NoFusion row kernels at the default and
-// at an awkward odd batch size, and the default build — columnar kernels
-// wherever the plan is column-capable — at the default, an odd, and a
-// single-row batch size.
+// engineConfigs are the executor configurations the golden tests
+// compare with the reference evaluator: the one build at a single-row,
+// the default and an awkward odd batch size.
 var engineConfigs = []struct {
 	name string
 	opts exec.Options
 }{
-	{"row", exec.Options{BatchSize: 1, NoFusion: true}},
-	{"rowbatch", exec.Options{NoFusion: true}},
-	{"rowbatch7", exec.Options{NoFusion: true, BatchSize: 7}},
+	{"batch1", exec.Options{BatchSize: 1}},
 	{"default", exec.Options{}},
-	{"default7", exec.Options{BatchSize: 7}},
-	{"default1", exec.Options{BatchSize: 1}},
+	{"batch7", exec.Options{BatchSize: 7}},
+}
+
+// reference evaluates a query by definition and returns its result's
+// fingerprint and row count.
+func reference(t *testing.T, db *exec.DB, q *core.ExprTree) (string, int) {
+	t.Helper()
+	rows, schema, err := exec.Reference(db, q)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	return exec.Fingerprint(exec.Canonical(rows, schema)), len(rows)
 }
 
 // TestEnginesAgreeRandomQueries runs randomized select-join queries
 // through every engine configuration — and, for partitionable queries,
-// through exchange plans at degrees 1, 2, and 4 — and requires identical
-// result multisets.
+// through exchange plans at degrees 1, 2, and 4 — and requires the
+// reference evaluator's result multiset from each.
 func TestEnginesAgreeRandomQueries(t *testing.T) {
 	cat, db, s := smallData(t, 46, 5)
 	for trial := 0; trial < 12; trial++ {
@@ -42,20 +48,14 @@ func TestEnginesAgreeRandomQueries(t *testing.T) {
 		q := s.SelectJoinQuery(cat, n, datagen.ShapeRandom)
 		plan := optimize(t, cat, q.Root, nil, relopt.DefaultConfig())
 
-		var golden string
-		var goldenRows int
+		golden, goldenRows := reference(t, db, q.Root)
 		for _, ec := range engineConfigs {
 			got, schema, err := exec.RunOpts(nil, db, plan, nil, ec.opts)
 			if err != nil {
 				t.Fatalf("trial %d %s: %v\nplan:\n%s", trial, ec.name, err, plan.Format())
 			}
-			fp := exec.Fingerprint(exec.Canonical(got, schema))
-			if ec.name == "row" {
-				golden, goldenRows = fp, len(got)
-				continue
-			}
-			if fp != golden {
-				t.Fatalf("trial %d: %s result differs from row engine (%d vs %d rows)\nplan:\n%s",
+			if exec.Fingerprint(exec.Canonical(got, schema)) != golden {
+				t.Fatalf("trial %d: %s result differs from the reference (%d vs %d rows)\nplan:\n%s",
 					trial, ec.name, len(got), goldenRows, plan.Format())
 			}
 		}
@@ -70,17 +70,14 @@ func TestEnginesAgreeRandomQueries(t *testing.T) {
 				continue // no parallel plan at this degree for this query
 			}
 			for _, workers := range []int{0, 2} {
-				for _, noFusion := range []bool{false, true} {
-					got, schema, err := exec.RunOpts(nil, db, parPlan,
-						nil, exec.Options{ExchangeWorkers: workers, NoFusion: noFusion})
-					if err != nil {
-						t.Fatalf("trial %d degree %d workers %d NoFusion %v: %v\nplan:\n%s",
-							trial, degree, workers, noFusion, err, parPlan.Format())
-					}
-					if fp := exec.Fingerprint(exec.Canonical(got, schema)); fp != golden {
-						t.Fatalf("trial %d: exchange degree %d workers %d NoFusion %v differs from row engine (%d vs %d rows)\nplan:\n%s",
-							trial, degree, workers, noFusion, len(got), goldenRows, parPlan.Format())
-					}
+				got, schema, err := exec.RunOpts(nil, db, parPlan, nil, exec.Options{ExchangeWorkers: workers})
+				if err != nil {
+					t.Fatalf("trial %d degree %d workers %d: %v\nplan:\n%s",
+						trial, degree, workers, err, parPlan.Format())
+				}
+				if fp := exec.Fingerprint(exec.Canonical(got, schema)); fp != golden {
+					t.Fatalf("trial %d: exchange degree %d workers %d differs from the reference (%d vs %d rows)\nplan:\n%s",
+						trial, degree, workers, len(got), goldenRows, parPlan.Format())
 				}
 			}
 		}
@@ -103,8 +100,7 @@ func optimizeParallel(cat *rel.Catalog, q datagen.Query, required core.PhysProps
 }
 
 // TestEnginesAgreeOrderBy checks that a sort-requiring plan delivers the
-// same ordered rows under every engine configuration, including through
-// an ordered exchange merge.
+// reference's rows in order under every engine configuration.
 func TestEnginesAgreeOrderBy(t *testing.T) {
 	cat, db, s := smallData(t, 47, 4)
 	for trial := 0; trial < 8; trial++ {
@@ -112,7 +108,7 @@ func TestEnginesAgreeOrderBy(t *testing.T) {
 		sortCol := q.Joins[0][0]
 		plan := optimize(t, cat, q.Root, relopt.SortedOn(sortCol), relopt.DefaultConfig())
 
-		var golden string
+		golden, _ := reference(t, db, q.Root)
 		for _, ec := range engineConfigs {
 			got, schema, err := exec.RunOpts(nil, db, plan, nil, ec.opts)
 			if err != nil {
@@ -122,11 +118,8 @@ func TestEnginesAgreeOrderBy(t *testing.T) {
 				t.Fatalf("trial %d: %s output not sorted on c%d\nplan:\n%s",
 					trial, ec.name, sortCol, plan.Format())
 			}
-			fp := exec.Fingerprint(exec.Canonical(got, schema))
-			if ec.name == "row" {
-				golden = fp
-			} else if fp != golden {
-				t.Fatalf("trial %d: %s result differs from row engine", trial, ec.name)
+			if exec.Fingerprint(exec.Canonical(got, schema)) != golden {
+				t.Fatalf("trial %d: %s result differs from the reference", trial, ec.name)
 			}
 		}
 	}

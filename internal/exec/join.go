@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -40,10 +41,11 @@ type mergeSide struct {
 	rows  []Row    // any other input's window: its batch
 	i     int      // the position in the window
 	done  bool
+	last  int64 // the last key read, checked by debug builds
 }
 
 func (s *mergeSide) reset(in Iterator, pos, size int) {
-	*s = mergeSide{src: asBatch(in), pos: pos, keys: int64Scratch.get(size)}
+	*s = mergeSide{src: asBatch(in), pos: pos, keys: int64Scratch.get(size), last: math.MinInt64}
 	if sort, ok := in.(*Sort); ok && len(sort.runs) == 1 && len(sort.keys) > 0 && sort.keys[0] == (sortKey{pos: pos}) {
 		s.run, s.store = &sort.runs[0], &sort.rows
 	}
@@ -62,21 +64,35 @@ func (s *mergeSide) more() (bool, error) {
 				s.keys[i] = r.key(lo + i)
 			}
 			s.done = lo == r.next
-			continue
-		}
-		b, ok, err := s.src.NextBatch()
-		if err != nil {
-			return false, err
-		}
-		s.done, s.keys = !ok, s.keys[:0]
-		if ok {
-			for _, row := range b.Rows {
-				s.keys = append(s.keys, row[s.pos])
+		} else {
+			b, ok, err := s.src.NextBatch()
+			if err != nil {
+				return false, err
 			}
-			s.rows = b.Rows
+			s.done, s.keys = !ok, s.keys[:0]
+			if ok {
+				for _, row := range b.Rows {
+					s.keys = append(s.keys, row[s.pos])
+				}
+				s.rows = b.Rows
+			}
+		}
+		if debugBuild {
+			s.checkKeys()
 		}
 	}
 	return !s.done, nil
+}
+
+// checkKeys panics when the window's keys descend, within it or from the
+// previous window's last key: the merge relies on ascending keys.
+func (s *mergeSide) checkKeys() {
+	for _, k := range s.keys {
+		if k < s.last {
+			panic(fmt.Sprintf("exec: merge join input out of order: key %d after %d", k, s.last))
+		}
+		s.last = k
+	}
 }
 
 // skipBelow moves past the window's keys below k.
@@ -226,45 +242,6 @@ func (m *MergeJoin) Close() error {
 	return err
 }
 
-// HashJoin is hybrid hash join without partition files: the left input
-// builds an in-memory table, the right input probes batch by batch.
-type HashJoin struct {
-	// Left and Right are the input streams; Left builds.
-	Left, Right Iterator
-	// BuildHint pre-sizes the build row storage; the plan builder sets
-	// it from the optimizer's cardinality estimate so the storage is
-	// allocated once instead of grown from empty.
-	BuildHint int
-	// KeyHint estimates the distinct join keys on the build side. The
-	// key index needs entries per key, not per row, so a duplicate-heavy
-	// build gets an index sized (and cache-footprinted) by its key count.
-	KeyHint int
-
-	lpos, rpos int
-	proj       []int
-	lwidth     int
-	size       int
-
-	// The build side is an array-chained hash table: rows holds every
-	// build row, head indexes each key's newest row (see joinTable), and
-	// chain links rows sharing a key (-1 ends a chain). Flat slices
-	// instead of a map[int64][]Row keep the build to three allocations
-	// and make probes a couple of array reads.
-	right BatchIterator
-	rows  []Row
-	head  joinTable
-	chain []int32
-	pb    *Batch // current probe batch
-	// keys gathers the probe batch's keys; prow, phead are its hits.
-	keys        []int64
-	prow, phead []int32
-	pi, pn      int
-	hit         int32 // current chain position; -1 = exhausted
-	probe       Row
-	out         Batch
-	ra          rowAdapter
-}
-
 // joinTable is a key index from int64 keys to row indices, in one of two
 // layouts. The hash joins build it once over a drained build side
 // (buildJoinTable), which picks the layout from the keys' observed range:
@@ -323,20 +300,15 @@ const (
 
 // joinKeys names a drained build side's n join keys where they already
 // lie, without copying them: key i is col[i], or col[sel[i]] when sel is
-// set, or rows[i][pos] when rows is set.
+// set.
 type joinKeys struct {
-	col  []int64
-	sel  []int32
-	rows []Row
-	pos  int
-	n    int
+	col []int64
+	sel []int32
+	n   int
 }
 
 func (ks *joinKeys) at(i int) int64 {
-	switch {
-	case ks.rows != nil:
-		return ks.rows[i][ks.pos]
-	case ks.sel != nil:
+	if ks.sel != nil {
 		return ks.col[ks.sel[i]]
 	}
 	return ks.col[i]
@@ -530,112 +502,6 @@ func (t *joinTable) grow(entries int) {
 	old.release()
 }
 
-// NewHashJoin resolves join columns (and an optional fused projection)
-// against the input schemas.
-func NewHashJoin(left, right Iterator, lschema, rschema *Schema, lcol, rcol int, proj []int) *HashJoin {
-	return &HashJoin{
-		Left: left, Right: right,
-		lpos: lcol, rpos: rcol,
-		proj:   proj,
-		lwidth: lschema.Width(),
-		size:   DefaultBatchSize,
-	}
-}
-
-// SetBatchSize sets the rows per batch.
-func (h *HashJoin) SetBatchSize(n int) { h.size = sizeOrDefault(n) }
-
-// Open builds the hash table from the left input.
-func (h *HashJoin) Open() error {
-	if err := h.Left.Open(); err != nil {
-		return err
-	}
-	if err := h.Right.Open(); err != nil {
-		return err
-	}
-	h.right = asBatch(h.Right)
-	h.rows = rowScratch.get(h.BuildHint)
-	h.pb, h.pi, h.pn, h.hit, h.probe = nil, 0, 0, -1, nil
-	h.ra.reset()
-	build := asBatch(h.Left)
-	for {
-		b, ok, err := build.NextBatch()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		h.rows = append(reserveScratch(&rowScratch, h.rows, len(b.Rows)), b.Rows...)
-	}
-	h.chain = int32Scratch.get(len(h.rows))[:len(h.rows)]
-	h.head = buildJoinTable(joinKeys{rows: h.rows, pos: h.lpos, n: len(h.rows)}, h.chain, h.KeyHint)
-	return nil
-}
-
-// NextBatch returns the next batch of joined rows.
-func (h *HashJoin) NextBatch() (*Batch, bool, error) {
-	h.out.reset(h.size)
-	for len(h.out.Rows) < h.size {
-		if h.hit >= 0 {
-			combineInto(&h.out, h.rows[h.hit], h.probe, h.proj, h.size)
-			h.hit = h.chain[h.hit]
-			continue
-		}
-		if h.pi >= h.pn {
-			b, ok, err := h.right.NextBatch()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				if len(h.out.Rows) == 0 {
-					return nil, false, nil
-				}
-				return &h.out, true, nil
-			}
-			// Probe the whole batch up front: the lookups are
-			// independent, so a tight loop lets the out-of-order core
-			// overlap their cache misses instead of serializing one
-			// miss per emitted row.
-			h.keys = growScratch(&int64Scratch, h.keys, len(b.Rows))
-			h.prow = growScratch(&int32Scratch, h.prow, len(b.Rows))
-			h.phead = growScratch(&int32Scratch, h.phead, len(b.Rows))
-			for i, row := range b.Rows {
-				h.keys[i] = row[h.rpos]
-			}
-			h.pb, h.pi = b, 0
-			h.pn = h.head.probeHits(h.keys, nil, h.prow, h.phead)
-			continue
-		}
-		h.probe = h.pb.Rows[h.prow[h.pi]]
-		h.hit = h.phead[h.pi]
-		h.pi++
-	}
-	return &h.out, true, nil
-}
-
-// Next returns the next joined row.
-func (h *HashJoin) Next() (Row, bool, error) { return h.ra.next(h) }
-
-// Close releases the hash table and the probe scratch and closes both
-// inputs.
-func (h *HashJoin) Close() error {
-	h.out.release()
-	h.head.release()
-	rowScratch.put(h.rows)
-	int32Scratch.put(h.chain)
-	int64Scratch.put(h.keys)
-	int32Scratch.put(h.prow)
-	int32Scratch.put(h.phead)
-	h.rows, h.chain, h.keys, h.prow, h.phead = nil, nil, nil, nil, nil
-	h.pb = nil
-	err := h.Left.Close()
-	if err2 := h.Right.Close(); err == nil {
-		err = err2
-	}
-	return err
-}
-
 // NLJoin is block nested-loops join on an equality predicate; it
 // materializes the right input and scans it per left row.
 type NLJoin struct {
@@ -672,7 +538,7 @@ func (n *NLJoin) Open() error {
 	if err := n.Right.Open(); err != nil {
 		return err
 	}
-	n.lc.reset(asBatch(n.Left))
+	n.lc.reset(asBatch(n.Left), nil)
 	n.inner = n.inner[:0]
 	n.lrow, n.ri, n.ldone = nil, 0, false
 	n.ra.reset()

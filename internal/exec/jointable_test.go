@@ -11,24 +11,21 @@ import (
 	"repro/internal/rel"
 )
 
-// keyForms returns the three ways a build side names its keys — a plain
-// vector, a vector read through row indexes, and rows — over the same
-// key sequence.
+// keyForms returns the two ways a build side names its keys — a plain
+// vector and a vector read through row indexes — over the same key
+// sequence.
 func keyForms(keys []int64) map[string]joinKeys {
 	n := len(keys)
 	// The indirect form reads keys from a shuffled column.
 	perm := rand.New(rand.NewSource(int64(n))).Perm(n)
 	col := make([]int64, n)
 	sel := make([]int32, n)
-	rows := make([]Row, n)
 	for i, k := range keys {
 		col[perm[i]], sel[i] = k, int32(perm[i])
-		rows[i] = Row{int64(i), k}
 	}
 	return map[string]joinKeys{
 		"vector":   {col: keys, n: n},
 		"indirect": {col: col, sel: sel, n: n},
-		"rows":     {rows: rows, pos: 1, n: n},
 	}
 }
 
@@ -195,7 +192,7 @@ func sparseJoinDB(t *testing.T) (*DB, *core.ExprTree) {
 }
 
 // TestSparseKeyJoinsMatchReference is the hashed layout's end-to-end
-// coverage: both hash joins over a sparse join column take it and agree
+// coverage: the hash join over a sparse join column takes it and agrees
 // with the reference evaluator.
 func TestSparseKeyJoinsMatchReference(t *testing.T) {
 	db, tree := sparseJoinDB(t)
@@ -205,13 +202,14 @@ func TestSparseKeyJoinsMatchReference(t *testing.T) {
 	}
 	s, tt := db.Table("S"), db.Table("T")
 	out := joined(s.Schema, tt.Schema)
-	cj := NewColHashJoin(NewColScan(s), NewColScan(tt), s.Schema, tt.Schema, 0, 0, nil)
-	hj := NewHashJoin(NewTableScan(s), NewTableScan(tt), s.Schema, tt.Schema, 0, 0, nil)
+	// Built in place from a scan, and copied from a row iterator.
+	scans := NewColHashJoin(NewColScan(s), NewColScan(tt), s.Schema, tt.Schema, 0, 0, nil)
+	rows := NewColHashJoin(iterOf(storedRows(s)...), iterOf(storedRows(tt)...), s.Schema, tt.Schema, 0, 0, nil)
 	for _, tc := range []struct {
 		name string
 		join Iterator
 		head *joinTable
-	}{{"ColHashJoin", cj, &cj.head}, {"HashJoin", hj, &hj.head}} {
+	}{{"scans", scans, &scans.head}, {"rows", rows, &rows.head}} {
 		if err := tc.join.Open(); err != nil {
 			t.Fatal(err)
 		}

@@ -85,12 +85,12 @@ func drainRows(t *testing.T, it Iterator) []Row {
 	return out
 }
 
-// TestCompactedProbeMatchesReference runs both hash joins, build side L
+// TestCompactedProbeMatchesReference runs the hash join, build side L
 // and probe side R, over builds that take either key layout, with and
-// without a probe-side filter (a selection vector on the columnar
-// path), at a batch size of 8 and the default. The output must be the
-// reference's rows in the hash joins' order: probe rows ascending, and
-// for each the build rows holding its key newest first.
+// without a probe-side filter (a selection vector), at a batch size of
+// 8 and the default. The output must be the reference's rows in the
+// hash join's order: probe rows ascending, and for each the build rows
+// holding its key newest first.
 func TestCompactedProbeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	draw := func(n int, f func(i int) int64) []int64 {
@@ -132,37 +132,29 @@ func TestCompactedProbeMatchesReference(t *testing.T) {
 		k := newKernelDB(tc.build, tc.probe)
 		for _, filtered := range []bool{false, true} {
 			want := k.reference(t, filtered)
-			// The hash joins' order: R.ord ascending, then L.ord descending.
+			// The hash join's order: R.ord ascending, then L.ord descending.
 			slices.SortStableFunc(want, func(a, b Row) int {
 				return cmp.Or(cmp.Compare(a[3], b[3]), cmp.Compare(b[0], a[0]))
 			})
 			for _, size := range []int{8, DefaultBatchSize} {
-				var cprobe, rprobe Iterator = NewColScan(k.r), NewTableScan(k.r)
+				var probe Iterator = NewColScan(k.r)
 				if filtered {
-					preds := []rel.Pred{k.rFilter()}
-					cprobe, rprobe = NewColFilter(cprobe, k.r.Schema, preds), NewFilter(rprobe, k.r.Schema, preds)
+					probe = NewColFilter(probe, k.r.Schema, []rel.Pred{k.rFilter()})
 				}
-				cj := NewColHashJoin(NewColScan(k.l), cprobe, k.l.Schema, k.r.Schema, 1, 1, nil)
-				hj := NewHashJoin(NewTableScan(k.l), rprobe, k.l.Schema, k.r.Schema, 1, 1, nil)
-				for _, j := range []struct {
-					name string
-					op   Iterator
-					head *joinTable
-				}{{"ColHashJoin", cj, &cj.head}, {"HashJoin", hj, &hj.head}} {
-					what := fmt.Sprintf("%s/filtered=%v/size=%d/%s", tc.name, filtered, size, j.name)
-					setBatchSize(j.op, size)
-					if err := j.op.Open(); err != nil {
-						t.Fatal(err)
-					}
-					if hashed := j.head.slots != nil; hashed != tc.hashed {
-						t.Fatalf("%s: hashed layout %v, want %v", what, hashed, tc.hashed)
-					}
-					if err := j.op.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if err := sameRows(drainRows(t, j.op), want); err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
+				j := NewColHashJoin(NewColScan(k.l), probe, k.l.Schema, k.r.Schema, 1, 1, nil)
+				what := fmt.Sprintf("%s/filtered=%v/size=%d", tc.name, filtered, size)
+				setBatchSize(j, size)
+				if err := j.Open(); err != nil {
+					t.Fatal(err)
+				}
+				if hashed := j.head.slots != nil; hashed != tc.hashed {
+					t.Fatalf("%s: hashed layout %v, want %v", what, hashed, tc.hashed)
+				}
+				if err := j.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := sameRows(drainRows(t, j), want); err != nil {
+					t.Fatalf("%s: %v", what, err)
 				}
 			}
 		}
@@ -178,17 +170,12 @@ func setBatchSize(it Iterator, size int) {
 	case *ColHashJoin:
 		setBatchSize(op.Left, size)
 		setBatchSize(op.Right, size)
-	case *HashJoin:
-		setBatchSize(op.Left, size)
-		setBatchSize(op.Right, size)
 	case *MergeJoin:
 		setBatchSize(op.Left, size)
 		setBatchSize(op.Right, size)
 	case *Sort:
 		setBatchSize(op.In, size)
 	case *ColFilter:
-		setBatchSize(op.In, size)
-	case *Filter:
 		setBatchSize(op.In, size)
 	}
 }
@@ -236,13 +223,13 @@ func TestKeyedMergeJoinMatchesReference(t *testing.T) {
 				if form == "scan" && tc.name != "stored-order" {
 					continue
 				}
-				ls, rs := NewSort(NewTableScan(k.l), k.l.Schema, lorder), NewSort(NewTableScan(k.r), k.r.Schema, rorder)
+				ls, rs := NewSort(NewColScan(k.l), k.l.Schema, lorder), NewSort(NewColScan(k.r), k.r.Schema, rorder)
 				if form == "runs" {
 					ls.RunRows, rs.RunRows = 7, 11
 				}
 				var left Iterator = ls
 				if form == "scan" {
-					left = NewTableScan(k.l)
+					left = NewColScan(k.l)
 				}
 				m := NewMergeJoin(left, rs, k.l.Schema, k.r.Schema, 1, 1, nil)
 				setBatchSize(m, size)

@@ -40,7 +40,7 @@ func schema2() *Schema { return NewSchema([]rel.ColID{1, 2}) }
 
 func TestFilterConjuncts(t *testing.T) {
 	in := iterOf(Row{1, 10}, Row{2, 20}, Row{3, 30}, Row{4, 20})
-	f := NewFilter(in, schema2(), []rel.Pred{
+	f := NewColFilter(in, schema2(), []rel.Pred{
 		{Col: 2, Op: rel.CmpEQ, Val: 20},
 		{Col: 1, Op: rel.CmpGT, Val: 2},
 	})
@@ -55,7 +55,7 @@ func TestFilterConjuncts(t *testing.T) {
 
 func TestFilterColumnColumn(t *testing.T) {
 	in := iterOf(Row{1, 1}, Row{2, 3}, Row{5, 5})
-	f := NewFilter(in, schema2(), []rel.Pred{{Col: 1, Op: rel.CmpEQ, OtherCol: 2}})
+	f := NewColFilter(in, schema2(), []rel.Pred{{Col: 1, Op: rel.CmpEQ, OtherCol: 2}})
 	out, err := Collect(f)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestFilterColumnColumn(t *testing.T) {
 
 func TestProjectReorders(t *testing.T) {
 	in := iterOf(Row{1, 10}, Row{2, 20})
-	p := NewProject(in, schema2(), []rel.ColID{2, 1})
+	p := NewColProject(in, schema2(), []rel.ColID{2, 1})
 	out, err := Collect(p)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestMergeJoinEmptySides(t *testing.T) {
 func TestHashJoinMatchesMergeJoin(t *testing.T) {
 	left := []Row{{1, 0}, {2, 0}, {2, 1}, {5, 2}}
 	right := []Row{{2, 7}, {2, 8}, {5, 9}, {6, 1}}
-	h := NewHashJoin(iterOf(left...), iterOf(right...), schema2(), schema2(), 0, 0, nil)
+	h := NewColHashJoin(iterOf(left...), iterOf(right...), schema2(), schema2(), 0, 0, nil)
 	hout, err := Collect(h)
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestJoinFusedProjection(t *testing.T) {
 	left := iterOf(Row{1, 10})
 	right := iterOf(Row{1, 20})
 	// proj picks positions 3 (right col 2) and 0 (left col 1).
-	h := NewHashJoin(left, right, schema2(), schema2(), 0, 0, []int{3, 0})
+	h := NewColHashJoin(left, right, schema2(), schema2(), 0, 0, []int{3, 0})
 	out, err := Collect(h)
 	if err != nil {
 		t.Fatal(err)
@@ -200,12 +200,12 @@ func TestHashIntersectMatchesMerge(t *testing.T) {
 func TestGroupByOperatorsAgree(t *testing.T) {
 	rows := []Row{{1, 10}, {1, 20}, {2, 5}, {2, 5}, {3, 0}}
 	aggs := []rel.Agg{{Fn: rel.AggCount}, {Fn: rel.AggSum, Col: 2}, {Fn: rel.AggMin, Col: 2}, {Fn: rel.AggMax, Col: 2}}
-	s := NewSortGroupBy(iterOf(rows...), schema2(), []rel.ColID{1}, aggs)
+	s := NewColSortGroupBy(iterOf(rows...), schema2(), []rel.ColID{1}, aggs)
 	sout, err := Collect(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHashGroupBy(iterOf(rows...), schema2(), []rel.ColID{1}, aggs)
+	h := NewColHashGroupBy(iterOf(rows...), schema2(), []rel.ColID{1}, aggs)
 	hout, err := Collect(h)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,7 @@ func TestGroupByOperatorsAgree(t *testing.T) {
 
 func TestGlobalGroup(t *testing.T) {
 	rows := []Row{{1, 10}, {2, 20}}
-	h := NewHashGroupBy(iterOf(rows...), schema2(), nil, []rel.Agg{{Fn: rel.AggCount}})
+	h := NewColHashGroupBy(iterOf(rows...), schema2(), nil, []rel.Agg{{Fn: rel.AggCount}})
 	out, err := Collect(h)
 	if err != nil {
 		t.Fatal(err)
@@ -588,10 +588,10 @@ func TestQuickGroupByConservation(t *testing.T) {
 		for _, mk := range []func() Iterator{
 			func() Iterator {
 				sorted := NewSort(iterOf(rows...), schema2(), []relopt.OrderCol{{Col: 1}})
-				return NewSortGroupBy(sorted, schema2(), []rel.ColID{1}, aggs)
+				return NewColSortGroupBy(sorted, schema2(), []rel.ColID{1}, aggs)
 			},
 			func() Iterator {
-				return NewHashGroupBy(iterOf(rows...), schema2(), []rel.ColID{1}, aggs)
+				return NewColHashGroupBy(iterOf(rows...), schema2(), []rel.ColID{1}, aggs)
 			},
 		} {
 			out, err := Collect(mk())

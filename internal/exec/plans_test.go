@@ -34,18 +34,9 @@ func TestStackedFiltersFoldIntoOneOperator(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f, ok := it.(*exec.ColFilter); !ok {
-		t.Fatalf("default build: root operator %T, want *exec.ColFilter", it)
+		t.Fatalf("root operator %T, want *exec.ColFilter", it)
 	} else if _, ok := f.In.(*exec.ColScan); !ok {
-		t.Fatalf("default build: filter input %T, want *exec.ColScan (filters not folded)", f.In)
-	}
-	it, _, err = exec.BuildPlanOpts(context.Background(), db, plan, nil, exec.Options{NoFusion: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f, ok := it.(*exec.Filter); !ok {
-		t.Fatalf("NoFusion build: root operator %T, want *exec.Filter", it)
-	} else if _, ok := f.In.(*exec.TableScan); !ok {
-		t.Fatalf("NoFusion build: filter input %T, want *exec.TableScan (filters not folded)", f.In)
+		t.Fatalf("filter input %T, want *exec.ColScan (filters not folded)", f.In)
 	}
 
 	// A stored row is a window of the table's row slab: the address of
@@ -101,27 +92,17 @@ func TestStackedFiltersFoldIntoOneOperator(t *testing.T) {
 // the joins below it.
 func joinIterators(it exec.Iterator) []exec.Iterator {
 	switch op := it.(type) {
-	case *exec.HashJoin:
-		return append(append(joinIterators(op.Left), joinIterators(op.Right)...), it)
 	case *exec.ColHashJoin:
 		return append(append(joinIterators(op.Left), joinIterators(op.Right)...), it)
 	case *exec.MergeJoin:
 		return append(append(joinIterators(op.Left), joinIterators(op.Right)...), it)
 	case *exec.Sort:
 		return joinIterators(op.In)
-	case *exec.Filter:
-		return joinIterators(op.In)
 	case *exec.ColFilter:
-		return joinIterators(op.In)
-	case *exec.Project:
 		return joinIterators(op.In)
 	case *exec.ColProject:
 		return joinIterators(op.In)
-	case *exec.HashGroupBy:
-		return joinIterators(op.In)
 	case *exec.ColHashGroupBy:
-		return joinIterators(op.In)
-	case *exec.SortGroupBy:
 		return joinIterators(op.In)
 	case *exec.ColSortGroupBy:
 		return joinIterators(op.In)
@@ -150,27 +131,24 @@ func TestJoinsEmitOnlyReadColumns(t *testing.T) {
 		{"SELECT COUNT(*)" + chain, []int{1, 1, 1}},
 	} {
 		plan := analyticPlan(t, cat, tc.sql)
-		for _, opts := range []exec.Options{{}, {NoFusion: true}} {
-			var got []int
-			for k := 0; ; k++ {
-				it, _, err := exec.BuildPlanOpts(context.Background(), db, plan, nil, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				joins := joinIterators(it)
-				if k == len(joins) {
-					break
-				}
-				rows, err := exec.Collect(joins[k])
-				if err != nil || len(rows) == 0 {
-					t.Fatalf("%q join %d: %d rows, %v\n%s", tc.sql, k, len(rows), err, plan.Format())
-				}
-				got = append(got, len(rows[0]))
+		var got []int
+		for k := 0; ; k++ {
+			it, _, err := exec.BuildPlanOpts(context.Background(), db, plan, nil, exec.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-				t.Errorf("%q NoFusion=%v: joins emit %v columns, want %v\n%s",
-					tc.sql, opts.NoFusion, got, tc.want, plan.Format())
+			joins := joinIterators(it)
+			if k == len(joins) {
+				break
 			}
+			rows, err := exec.Collect(joins[k])
+			if err != nil || len(rows) == 0 {
+				t.Fatalf("%q join %d: %d rows, %v\n%s", tc.sql, k, len(rows), err, plan.Format())
+			}
+			got = append(got, len(rows[0]))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%q: joins emit %v columns, want %v\n%s", tc.sql, got, tc.want, plan.Format())
 		}
 	}
 }
@@ -236,11 +214,11 @@ func genStatement(rng *rand.Rand, tables int) (sql string, orderBy []string, des
 }
 
 // TestGeneratedPlansThreeWays runs generated statements three ways —
-// the default build, the NoFusion row kernels, and the by-definition
-// reference evaluator — over the loaded tables and over copies rebuilt
-// by NewTable from the rows Table.Row reads out of them, and requires
-// equal multisets everywhere and, for ORDER BY, the same key sequence
-// in the requested order from both builds.
+// the plan's build at the default batch size and at 7, and the
+// by-definition reference evaluator — over the loaded tables and over
+// copies rebuilt by NewTable from the rows Table.Row reads out of them,
+// and requires equal multisets everywhere and, for ORDER BY, the same
+// key sequence in the requested order at both batch sizes.
 func TestGeneratedPlansThreeWays(t *testing.T) {
 	cat, loaded, _ := smallData(t, 51, 4)
 	rebuilt := exec.NewDB()
@@ -278,7 +256,6 @@ func TestGeneratedPlansThreeWays(t *testing.T) {
 			}{
 				{"default", exec.Options{}},
 				{"default7", exec.Options{BatchSize: 7}},
-				{"nofusion", exec.Options{NoFusion: true}},
 			} {
 				got, schema, err := exec.RunOpts(context.Background(), db, plan, nil, cfg.opts)
 				if err != nil {
@@ -316,7 +293,7 @@ func TestGeneratedPlansThreeWays(t *testing.T) {
 				if keySeq == "" {
 					keySeq = seq.String()
 				} else if keySeq != seq.String() {
-					t.Fatalf("%q %s/%s: sort-key sequence differs from the default build's", sql, dbName, cfg.name)
+					t.Fatalf("%q %s/%s: sort-key sequence differs from the default batch size's", sql, dbName, cfg.name)
 				}
 			}
 		}

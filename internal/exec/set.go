@@ -39,8 +39,8 @@ func (m *MergeIntersect) Open() error {
 	if err := m.Right.Open(); err != nil {
 		return err
 	}
-	m.lc.reset(asBatch(m.Left))
-	m.rc.reset(asBatch(m.Right))
+	m.lc.reset(asBatch(m.Left), m.order)
+	m.rc.reset(asBatch(m.Right), m.order)
 	m.lrow, m.rrow, m.last = nil, nil, nil
 	m.ldone, m.rdone = false, false
 	m.ra.reset()
@@ -148,7 +148,7 @@ func (h *HashIntersect) Open() error {
 	if err := h.Right.Open(); err != nil {
 		return err
 	}
-	h.rc.reset(asBatch(h.Right))
+	h.rc.reset(asBatch(h.Right), nil)
 	h.ra.reset()
 	h.set = make(map[string]Row, h.SizeHint)
 	build := newCursor(asBatch(h.Left))
@@ -244,8 +244,8 @@ func (m *MergeUnion) Open() error {
 	if err := m.Right.Open(); err != nil {
 		return err
 	}
-	m.lc.reset(asBatch(m.Left))
-	m.rc.reset(asBatch(m.Right))
+	m.lc.reset(asBatch(m.Left), m.order)
+	m.rc.reset(asBatch(m.Right), m.order)
 	m.lrow, m.rrow, m.last = nil, nil, nil
 	m.ldone, m.rdone = false, false
 	m.ra.reset()
@@ -336,8 +336,8 @@ func (h *HashUnion) Open() error {
 	if err := h.Right.Open(); err != nil {
 		return err
 	}
-	h.lc.reset(asBatch(h.Left))
-	h.rc.reset(asBatch(h.Right))
+	h.lc.reset(asBatch(h.Left), nil)
+	h.rc.reset(asBatch(h.Right), nil)
 	h.seen = make(map[string]bool, h.SizeHint)
 	h.onRight = false
 	h.ra.reset()
@@ -527,6 +527,7 @@ type GatherOrdered struct {
 	bufs  [][]Row
 	idx   []int
 	done  []bool
+	last  []Row // each partition's last merged row, kept by debug builds
 	stop  chan struct{}
 	open  bool
 	out   Batch
@@ -550,6 +551,9 @@ func (g *GatherOrdered) Open() error {
 	g.bufs = make([][]Row, len(g.Parts))
 	g.idx = make([]int, len(g.Parts))
 	g.done = make([]bool, len(g.Parts))
+	if debugBuild {
+		g.last = make([]Row, len(g.Parts))
+	}
 	g.ra.reset()
 	for i, p := range g.Parts {
 		ch := make(chan gatherBatchMsg, gatherQueueBatches)
@@ -610,6 +614,10 @@ func (g *GatherOrdered) NextBatch() (*Batch, bool, error) {
 		}
 		if best < 0 {
 			break
+		}
+		if debugBuild {
+			checkOrder("gathered partition", g.last[best], bestRow, g.keys)
+			g.last[best] = bestRow
 		}
 		g.idx[best]++
 		g.out.add(bestRow)

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/bits"
 	"slices"
@@ -41,6 +42,17 @@ func cmpKeys(a, b Row, keys []sortKey) int {
 		return 1
 	}
 	return 0
+}
+
+// checkOrder panics when row b sorts before row a on keys; a nil a
+// passes. Debug builds call it where an operator reads an order it
+// relies on (merge inputs, sorted grouping runs, an ordered gather's
+// partitions) and on a run's result (RunOpts), so a kernel that breaks
+// an order the plan promised fails where the order is consumed.
+func checkOrder(what string, a, b Row, keys []sortKey) {
+	if a != nil && cmpKeys(a, b, keys) > 0 {
+		panic(fmt.Sprintf("exec: %s out of order on %v: %v before %v", what, keys, a, b))
+	}
 }
 
 // The sort kernel. Sorting []Row directly moves 24-byte headers and

@@ -109,9 +109,9 @@ func sameRows(a, b []Row) error {
 // TestSortMatchesStableOracle runs the sort kernel against
 // sort.SliceStable over generated inputs — duplicates, negative, multi-pass
 // and wide-span keys, several keys, DESC, empty and tiny inputs, one run
-// and explicit runs of 1..32 rows, fed by a row iterator, a row scan, a
-// columnar scan and a fused columnar filter — and requires the identical
-// order, ties included.
+// and explicit runs of 1..32 rows, fed by a row iterator, a columnar
+// scan and a fused columnar filter — and requires the identical order,
+// ties included.
 func TestSortMatchesStableOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, c := range genSortCases(rng) {
@@ -119,7 +119,6 @@ func TestSortMatchesStableOracle(t *testing.T) {
 		tab := NewTable("t", sortSchema, c.rows)
 		inputs := map[string]func() Iterator{
 			"iter":    func() Iterator { return iterOf(c.rows...) },
-			"rowscan": func() Iterator { return NewTableScan(tab) },
 			"colscan": func() Iterator { return NewColScan(tab) },
 			"colfilter": func() Iterator {
 				// Always true: every row survives, through a selection vector.
@@ -202,24 +201,14 @@ func runSort(tb testing.TB, in Iterator) {
 	}
 }
 
-// BenchmarkSort sorts 60 000 four-column rows on one key, from a row
-// scan and from a columnar scan. The result's header slice (24 B a row)
-// is part of the figures.
+// BenchmarkSort sorts 60 000 four-column rows on one key from a
+// columnar scan. The result's header slice (24 B a row) is part of the
+// figures.
 func BenchmarkSort(b *testing.B) {
 	tab := sortBenchTable()
-	for _, in := range []struct {
-		name string
-		mk   func() Iterator
-	}{
-		{"row", func() Iterator { return NewTableScan(tab) }},
-		{"columnar", func() Iterator { return NewColScan(tab) }},
-	} {
-		b.Run(in.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runSort(b, in.mk())
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runSort(b, NewColScan(tab))
 	}
 }
 

@@ -50,9 +50,8 @@ type Options struct {
 	// queries coalesce into one optimization. Parameterized statements
 	// are cached by shape. Budget-degraded plans are never cached.
 	CacheBytes int64
-	// Exec tunes the execution engine: batch size, exchange producer
-	// parallelism, and the NoFusion row-kernel baseline. The zero value
-	// is what ships: columnar kernels wherever the plan allows.
+	// Exec tunes the execution engine: batch size and exchange producer
+	// parallelism. The zero value is what ships.
 	Exec exec.Options
 }
 
