@@ -42,14 +42,17 @@ loc:
 # The headline numbers: Figure-4 optimization time, the search-engine
 # micro-benchmarks, cold guided optimizations with a model built per
 # query as opt-fig4 builds them (BenchmarkFig4Volcano builds its model
-# outside the timed loop, so it does not see relopt.New), and a served
+# outside the timed loop, so it does not see relopt.New), a served
 # plan-cache miss (vdb's cold PrepareCtx over the point-churn statement
-# shapes).
+# shapes), and the daemon's /query handler over point-hot's weighted
+# statements (parse, execute and encode; B/op and response bytes per
+# request).
 bench:
 	$(GO) test -run NONE -bench 'BenchmarkFig4Volcano' -benchmem .
 	$(GO) test -run NONE -bench 'BenchmarkCollectMoves|BenchmarkWinnerLookup' -benchmem ./internal/core/
 	$(GO) test -run NONE -bench 'BenchmarkExploreFig4' -benchmem ./internal/relopt/
 	$(GO) test -run NONE -bench 'BenchmarkServedMiss' -benchmem ./internal/vdb/
+	$(GO) test -run NONE -bench 'BenchmarkServeQuery' -benchmem ./internal/serve/
 
 # Transformation-rule exploration inside cold optimizations: exploreGroup
 # is about 30% of the CPU time in a profile of BenchmarkExploreFig4.

@@ -285,6 +285,40 @@ func TestColGroupByMatchesRowGroupBy(t *testing.T) {
 	}
 }
 
+// TestColHashGroupByMultiKeyAllocs: grouping on two columns looks each
+// row's key up over one reused buffer, so allocations grow with the
+// groups, not with the rows.
+func TestColHashGroupByMultiKeyAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	rows := make([]Row, 10000)
+	for i := range rows {
+		rows[i] = Row{int64(i), int64(rng.Intn(10)), int64(rng.Intn(10)), int64(rng.Intn(1000))}
+	}
+	tab := NewTable("t", NewSchema([]rel.ColID{1, 2, 3, 4}), rows)
+	groupCols := []rel.ColID{2, 3}
+	aggs := []rel.Agg{{Fn: rel.AggCount}, {Fn: rel.AggSum, Col: 4}}
+
+	want := refOver(t, tab, &rel.GroupBy{GroupCols: groupCols, Aggs: aggs})
+	got := collectAll(t, NewColHashGroupBy(NewColScan(tab), tab.Schema, groupCols, aggs))
+	if Fingerprint(got) != Fingerprint(want) {
+		t.Fatalf("two-column hash group-by differs: %d vs %d groups", len(got), len(want))
+	}
+	if PoolsDrop {
+		t.Skip("sync.Pool does not keep what it is given")
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		g := NewColHashGroupBy(NewColScan(tab), tab.Schema, groupCols, aggs)
+		if err := g.Open(); err != nil {
+			t.Fatal(err)
+		}
+		g.Close()
+	})
+	t.Logf("%.0f allocations, %d groups", allocs, len(want))
+	if limit := float64(3*len(want) + 64); allocs > limit {
+		t.Fatalf("%.0f allocations grouping %d rows into %d groups, want <= %.0f", allocs, len(rows), len(want), limit)
+	}
+}
+
 // TestColSortGroupByOverColFilter exercises the selection-vector path of
 // the streaming aggregate: a columnar filter feeds the sorted grouping
 // directly, so runs are detected through the selection vector.

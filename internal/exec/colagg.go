@@ -68,8 +68,8 @@ func (g *ColHashGroupBy) Open() error {
 	// Per-group state, struct-of-arrays: group keys, row counts, and one
 	// accumulator vector per aggregate. All of it is scratch, dead once
 	// the groups are materialized below.
-	var keys []int64  // single grouping column: the key values
-	var keyRows []Row // multiple grouping columns: cloned key rows
+	gw := len(g.groupPos)
+	keys := int64Scratch.get(g.SizeHint * gw) // gw key values per group
 	counts := int64Scratch.get(g.SizeHint)
 	accs := make([][]int64, len(g.aggs))
 	for i := range accs {
@@ -77,16 +77,16 @@ func (g *ColHashGroupBy) Open() error {
 	}
 	ngroups := 0
 
-	single := len(g.groupPos) == 1
+	single := gw == 1
 	var table joinTable
 	var idx map[string]int32
 	var keybuf Row
+	var kb []byte // keybuf's map key, reused: a lookup allocates nothing
 	if single {
-		keys = int64Scratch.get(g.SizeHint)
 		table = newJoinTable(g.SizeHint)
 	} else {
 		idx = make(map[string]int32, g.SizeHint)
-		keybuf = make(Row, len(g.groupPos))
+		keybuf = make(Row, gw)
 	}
 
 	var gidx []int32
@@ -152,12 +152,12 @@ func (g *ColHashGroupBy) Open() error {
 				for j, p := range g.groupPos {
 					keybuf[j] = cb.Cols[p][r]
 				}
-				ks := rowKey(keybuf)
-				id, ok := idx[ks]
+				kb = appendRowKey(kb[:0], keybuf)
+				id, ok := idx[string(kb)]
 				if !ok {
 					id = int32(ngroups)
-					keyRows = append(keyRows, keybuf.Clone())
-					idx[ks] = id
+					keys = append(keys, keybuf...)
+					idx[string(kb)] = id
 					ngroups++
 				}
 				gidx[i] = id
@@ -235,17 +235,12 @@ func (g *ColHashGroupBy) Open() error {
 	// Materialize the groups: key values then aggregate values, carved
 	// from one slab, their headers in a pooled vector sorted in place
 	// into group order.
-	gw := len(g.groupPos)
 	w := gw + len(g.aggs)
 	slab := make([]int64, ngroups*w)
 	out := rowScratch.get(ngroups)[:ngroups]
 	for gi := 0; gi < ngroups; gi++ {
 		row := Row(slab[gi*w : (gi+1)*w : (gi+1)*w])
-		if single {
-			row[0] = keys[gi]
-		} else {
-			copy(row, keyRows[gi])
-		}
+		copy(row, keys[gi*gw:(gi+1)*gw])
 		for a := range g.aggs {
 			if g.aggs[a].Fn == rel.AggCount {
 				row[gw+a] = counts[gi]

@@ -242,3 +242,8 @@ func SortedBy(rows []Row, positions []int) bool {
 	}
 	return true
 }
+
+// rowKey serializes a whole row as a set-membership key.
+func rowKey(r Row) string {
+	return string(appendRowKey(make([]byte, 0, len(r)*9), r))
+}

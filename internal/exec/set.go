@@ -127,6 +127,7 @@ type HashIntersect struct {
 	size int
 
 	set map[string]Row
+	kb  []byte // the probed row's key, reused
 	rc  cursor
 	out Batch
 	ra  rowAdapter
@@ -160,18 +161,20 @@ func (h *HashIntersect) Open() error {
 		if !ok {
 			return nil
 		}
-		h.set[rowKey(row)] = row
+		h.kb = appendRowKey(h.kb[:0], row)
+		h.set[string(h.kb)] = row
 	}
 }
 
-// rowKey serializes a whole row as a set-membership key.
-func rowKey(r Row) string {
-	b := make([]byte, 0, len(r)*9)
+// appendRowKey appends a whole row's set-membership key to dst. Probes
+// index their maps with string(key) over one reused buffer, which Go
+// does not allocate for; only an insert copies the key into a string.
+func appendRowKey(dst []byte, r Row) []byte {
 	for _, v := range r {
-		b = append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
+		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 			byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56), ';')
 	}
-	return string(b)
+	return dst
 }
 
 // NextBatch returns the next batch of distinct rows found in both inputs.
@@ -185,9 +188,9 @@ func (h *HashIntersect) NextBatch() (*Batch, bool, error) {
 		if !ok {
 			break
 		}
-		k := rowKey(row)
-		if _, hit := h.set[k]; hit {
-			delete(h.set, k) // emit each set element once
+		h.kb = appendRowKey(h.kb[:0], row)
+		if _, hit := h.set[string(h.kb)]; hit {
+			delete(h.set, string(h.kb)) // emit each set element once
 			h.out.add(row)
 		}
 	}
@@ -314,6 +317,7 @@ type HashUnion struct {
 	size int
 
 	seen    map[string]bool
+	kb      []byte // the probed row's key, reused
 	lc, rc  cursor
 	onRight bool
 	out     Batch
@@ -364,11 +368,11 @@ func (h *HashUnion) NextBatch() (*Batch, bool, error) {
 			h.onRight = true
 			continue
 		}
-		k := rowKey(row)
-		if h.seen[k] {
+		h.kb = appendRowKey(h.kb[:0], row)
+		if h.seen[string(h.kb)] {
 			continue
 		}
-		h.seen[k] = true
+		h.seen[string(h.kb)] = true
 		h.out.add(row)
 	}
 	if len(h.out.Rows) == 0 {

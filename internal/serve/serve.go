@@ -9,6 +9,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,6 +17,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -299,8 +301,12 @@ func (s *Server) endpoint(path string, fn handlerFn) {
 			return
 		}
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSON(w, status, errorBody{Error: "bad request body: " + err.Error()})
 			return
 		}
 
@@ -376,7 +382,10 @@ func (s *Server) endpoint(path string, fn handlerFn) {
 				ep.cacheHits.Add(1)
 			}
 		}
-		writeJSON(w, http.StatusOK, body)
+		if writeJSON(w, http.StatusOK, body) != http.StatusOK {
+			ep.errors.Add(1)
+			s.errors.Add(1)
+		}
 	})
 }
 
@@ -513,9 +522,89 @@ func (s *Server) metricsHandler(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+// A request body over maxRequestBytes is refused with 413; a response
+// buffer grown past maxPooledBuf is dropped instead of pooled.
+const maxRequestBytes, maxPooledBuf = 1 << 20, 1 << 20
+
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeJSON is the only way a response is written. The whole body is
+// encoded into one pooled buffer first, so the response goes out as one
+// length-framed write, complete or not at all; a body that cannot be
+// encoded becomes a 500 error body. It returns the status sent.
+func writeJSON(w http.ResponseWriter, status int, body any) int {
+	bp := bufPool.Get().(*[]byte)
+	buf, err := appendBody((*bp)[:0], body)
+	if err != nil {
+		status = http.StatusInternalServerError
+		buf, _ = appendBody(buf[:0], errorBody{Error: "encode response: " + err.Error()})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(buf)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(body)
+	_, _ = w.Write(buf)
+	if cap(buf) <= maxPooledBuf {
+		*bp = buf
+		bufPool.Put(bp)
+	}
+	return status
+}
+
+// appendBody appends body as json.NewEncoder(w).Encode writes it. Result
+// rows are appended by hand; everything else goes through encoding/json.
+func appendBody(dst []byte, body any) ([]byte, error) {
+	var err error
+	switch b := body.(type) {
+	case *Result:
+		dst, err = appendResult(dst, b)
+	case *BatchResult:
+		dst = append(dst, `{"results":[`...)
+		for i, r := range b.Results {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendResult(dst, r); err != nil {
+				return dst, err
+			}
+		}
+		dst = append(dst, `],"spools":`...)
+		dst = append(strconv.AppendInt(dst, int64(b.Spools), 10), '}')
+	default:
+		out := bytes.NewBuffer(dst)
+		err = json.NewEncoder(out).Encode(body)
+		return out.Bytes(), err
+	}
+	return append(dst, '\n'), err
+}
+
+// appendResult appends r as encoding/json marshals it: the rows as
+// integer arrays, then the other fields marshaled from a copy without
+// rows (Rows is the first field and omitempty, so a result without rows
+// is just the copy). The daemon builds no nil result or row.
+func appendResult(dst []byte, r *Result) ([]byte, error) {
+	rest := *r
+	rest.Rows = nil
+	tail, err := json.Marshal(&rest)
+	if err != nil || len(r.Rows) == 0 {
+		return append(dst, tail...), err
+	}
+	// One grow for up to seven digits a value, not a doubling chain.
+	dst = slices.Grow(dst, len(tail)+len(r.Rows)*(2+8*len(r.Rows[0])))
+	dst = append(dst, `{"rows":[`...)
+	for i, row := range r.Rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, '[')
+		for j, v := range row {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(dst, v, 10)
+		}
+		dst = append(dst, ']')
+	}
+	dst = append(dst, "],"...)
+	return append(dst, tail[1:]...), nil
 }
