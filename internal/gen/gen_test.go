@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/rel"
 )
 
 // TestGoldenMinirel regenerates every checked-in generated optimizer
@@ -36,7 +38,7 @@ func TestGoldenMinirel(t *testing.T) {
 					outPath, specPath, outPath)
 			}
 			// Generated kinds start at 1, as the hand-assigned kinds of
-			// the operator types the minipath wiring shares with oodb do.
+			// rel's operators do.
 			if !strings.Contains(string(got), "core.OpKind = iota + 1") {
 				t.Fatal("generated kinds do not start at 1")
 			}
@@ -121,6 +123,19 @@ func TestRelationalSpecParsesAndGenerates(t *testing.T) {
 		len(spec.Algorithms) != 14 || len(spec.Enforcers) != 2 {
 		t.Fatalf("counts: ops=%d transforms=%d algs=%d enfs=%d",
 			len(spec.Operators), len(spec.Transforms), len(spec.Algorithms), len(spec.Enforcers))
+	}
+	// The generator numbers kinds in declaration order from 1; each must
+	// be the kind of the rel operator of the same name, or a generated
+	// relational optimizer would misclassify the operators it is given.
+	kinds := map[string]core.OpKind{}
+	for _, op := range []core.LogicalOp{&rel.Get{}, &rel.Select{}, &rel.Join{}, &rel.Project{},
+		&rel.Intersect{}, &rel.Union{}, &rel.GroupBy{}} {
+		kinds[op.Name()] = op.Kind()
+	}
+	for i, op := range spec.Operators {
+		if want, ok := kinds[op.Name]; !ok || core.OpKind(i+1) != want {
+			t.Errorf("operator %s is declared as kind %d; rel's %s is kind %d", op.Name, i+1, op.Name, want)
+		}
 	}
 	out, err := gen.Generate(spec)
 	if err != nil {

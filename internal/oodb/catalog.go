@@ -6,7 +6,9 @@
 // assembled traversal), and a different physical property —
 // "assembledness" of complex objects in memory, enforced by the assembly
 // operator of Keller, Graefe & Maier (SIGMOD 1991) — all running on the
-// unchanged search engine in internal/core.
+// unchanged search engine in internal/core. Its optimizer is generated:
+// internal/gen/minipath, from internal/gen/testdata/minipath.model,
+// wired to the support functions this package supplies.
 package oodb
 
 import "fmt"

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/gen/minipath"
 )
 
 // PhysProps is the object model's physical property vector: whether the
@@ -207,91 +208,39 @@ func (a *Assembly) Name() string { return "assembly" }
 // String renders the operator.
 func (a *Assembly) String() string { return fmt.Sprintf("assembly(levels=%d)", a.Levels) }
 
-// Model is the object data model description for the optimizer
-// generator framework.
-type Model struct {
+// Support is the object data model's support code: the catalog, cost
+// weights, and the property, cost, applicability, build and condition
+// functions that internal/gen/minipath, generated from
+// internal/gen/testdata/minipath.model, wires to the search engine.
+type Support struct {
 	// Cat is the class catalog.
 	Cat *Catalog
 	// P are the cost weights.
 	P Params
-
-	// irules and enfs wire the exported support methods, built once by
-	// New: the search asks for them on every move collection.
-	irules []*core.ImplRule
-	enfs   []*core.Enforcer
 }
 
-var _ core.Model = (*Model)(nil)
-
-// New builds the model.
-func New(cat *Catalog, p Params) *Model {
+// New builds the object model's optimizer: the generated minipath
+// rules over this package's support code.
+func New(cat *Catalog, p Params) *minipath.Model[Cost] {
 	if p.PageBytes == 0 {
 		p = DefaultParams()
 	}
-	m := &Model{Cat: cat, P: p}
-	m.irules = []*core.ImplRule{
-		{
-			Name:          "getset->extent-scan",
-			Pattern:       core.P(KindGetSet),
-			Applicability: m.ScanApplic,
-			Cost:          core.AlgCost(m.ScanCost),
-			Build:         m.BuildScan,
-			Promise:       2,
-		},
-		{
-			Name:          "select->filter",
-			Pattern:       core.P(KindSelect, core.Leaf()),
-			Condition:     m.FilterTypeOK,
-			Applicability: m.FilterApplic,
-			Cost:          core.AlgCost(m.FilterCost),
-			Delivered:     m.FilterDelivered,
-			Build:         m.BuildFilter,
-			Promise:       2,
-		},
-		{
-			Name:          "materialize->pointer-chase",
-			Pattern:       core.P(KindMaterialize, core.Leaf()),
-			Applicability: m.ChaseApplic,
-			Cost:          core.AlgCost(m.ChaseCost),
-			Build:         m.BuildChase,
-			Promise:       2,
-		},
-		{
-			Name:          "materialize->assembled-traverse",
-			Pattern:       core.P(KindMaterialize, core.Leaf()),
-			Applicability: m.TraverseApplic,
-			Cost:          core.AlgCost(m.TraverseCost),
-			Delivered:     m.TraverseDelivered,
-			Build:         m.BuildTraverse,
-			Promise:       2,
-		},
-	}
-	m.enfs = []*core.Enforcer{{
-		Name:    "assembly",
-		Relax:   m.AssemblyRelax,
-		Cost:    core.EnfCost(m.AssemblyCost),
-		Build:   m.BuildAssembly,
-		Promise: 1,
-	}}
-	return m
+	return minipath.New[Cost](&Support{Cat: cat, P: p})
 }
-
-// Name returns "oodb".
-func (m *Model) Name() string { return "oodb" }
 
 // costs declares Cost as the model's cost ADT: 0 and Infinite.
 var costs = core.CostsOf(Cost(0), Infinite)
 
 // Costs returns the cost declaration.
-func (m *Model) Costs() core.CostSpace { return costs }
+func (s *Support) Costs() core.CostSpace { return costs }
 
 // AnyProps returns the vacuous vector.
-func (m *Model) AnyProps() core.PhysProps { return Any }
+func (s *Support) AnyProps() core.PhysProps { return Any }
 
 // DeriveLogicalProps tracks the scope's head class and cardinality; the
 // head class is the "type" of the intermediate result in this
 // many-sorted algebra, which rule condition code inspects.
-func (m *Model) DeriveLogicalProps(op core.LogicalOp, inputs []core.LogicalProps) core.LogicalProps {
+func (s *Support) DeriveLogicalProps(op core.LogicalOp, inputs []core.LogicalProps) core.LogicalProps {
 	switch o := op.(type) {
 	case *GetSet:
 		return &Props{Head: o.Cls, Objects: float64(o.Cls.Objects)}
@@ -313,41 +262,18 @@ func (m *Model) DeriveLogicalProps(op core.LogicalOp, inputs []core.LogicalProps
 	panic(fmt.Sprintf("oodb: unknown operator %T", op))
 }
 
-// TransformationRules: selections over the same head commute; that is
-// the only logical equivalence of this small path algebra — the
-// interesting choices here are physical, which is precisely why
-// assembledness is modeled as a physical property.
-func (m *Model) TransformationRules() []*core.TransformRule {
-	return []*core.TransformRule{{
-		Name: "select-commute",
-		Pattern: core.P(KindSelect,
-			core.P(KindSelect, core.Leaf())),
-		Apply: func(ctx *core.RuleContext, b *core.Binding) []*core.ExprTree {
-			outer := b.Expr.Op
-			inner := b.Children[0].Expr.Op
-			in := b.Children[0].Children[0].Group
-			return ctx.Substitutes(
-				ctx.Node(inner, ctx.Node(outer, ctx.ClassRef(in))))
-		},
-		Promise: 1,
-	}}
-}
-
 func reqOf(p core.PhysProps) *PhysProps { return p.(*PhysProps) }
 
 func oprops(ctx *core.RuleContext, g core.GroupID) *Props {
 	return ctx.LogProps(g).(*Props)
 }
 
-// The exported methods below are the model's support functions in the
-// exact shapes the optimizer generator expects: *Model implements the
-// Support interface of the generated package internal/gen/minipath, so
-// the hand-maintained wiring here and the generated wiring share one
-// implementation.
+// The exported methods below are the support functions minipath.model
+// names, in the exact shapes the optimizer generator expects.
 
 // ScanApplic: a stored extent is never assembled, so extent-scan
 // qualifies only for the vacuous requirement.
-func (m *Model) ScanApplic(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
+func (s *Support) ScanApplic(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
 	if reqOf(required).Assembled {
 		return nil, false
 	}
@@ -355,9 +281,9 @@ func (m *Model) ScanApplic(ctx *core.RuleContext, b *core.Binding, required core
 }
 
 // ScanCost prices a sequential extent read.
-func (m *Model) ScanCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+func (s *Support) ScanCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
 	cls := b.Expr.Op.(*GetSet).Cls
-	pages := float64(cls.Objects*int64(cls.ObjBytes)) / float64(m.P.PageBytes)
+	pages := float64(cls.Objects*int64(cls.ObjBytes)) / float64(s.P.PageBytes)
 	if pages < 1 {
 		pages = 1
 	}
@@ -365,14 +291,14 @@ func (m *Model) ScanCost(ctx *core.RuleContext, b *core.Binding, required core.P
 }
 
 // BuildScan constructs the extent-scan operator.
-func (m *Model) BuildScan(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
+func (s *Support) BuildScan(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 	return &ExtentScan{Cls: b.Expr.Op.(*GetSet).Cls}
 }
 
 // FilterTypeOK is the condition code of the filter rule: the tested
 // attribute must be a scalar of the head class — the type check of this
 // many-sorted algebra.
-func (m *Model) FilterTypeOK(ctx *core.RuleContext, b *core.Binding) bool {
+func (s *Support) FilterTypeOK(ctx *core.RuleContext, b *core.Binding) bool {
 	sel := b.Expr.Op.(*Select)
 	_, ok := oprops(ctx, b.Group).Head.Scalars[sel.Attr]
 	return ok
@@ -380,29 +306,29 @@ func (m *Model) FilterTypeOK(ctx *core.RuleContext, b *core.Binding) bool {
 
 // FilterApplic passes the requirement through: filtering preserves
 // physical properties.
-func (m *Model) FilterApplic(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
+func (s *Support) FilterApplic(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
 	return []core.InputReq{{Required: []core.PhysProps{required}}}, true
 }
 
 // FilterCost prices one predicate evaluation per input object.
-func (m *Model) FilterCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
-	return costOf(oprops(ctx, b.Children[0].Group).Objects * m.P.CPUPred)
+func (s *Support) FilterCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+	return costOf(oprops(ctx, b.Children[0].Group).Objects * s.P.CPUPred)
 }
 
 // FilterDelivered reports the input's actual properties.
-func (m *Model) FilterDelivered(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
+func (s *Support) FilterDelivered(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 	return inputs[0]
 }
 
 // BuildFilter constructs the filter operator.
-func (m *Model) BuildFilter(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
+func (s *Support) BuildFilter(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 	sel := b.Expr.Op.(*Select)
 	return &FilterObjects{Pred: fmt.Sprintf("%s %s %d", sel.Attr, sel.Op, sel.Val), Sel: sel}
 }
 
 // ChaseApplic: pointer chasing delivers unassembled objects, so it
 // qualifies only when assembledness is not required.
-func (m *Model) ChaseApplic(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
+func (s *Support) ChaseApplic(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
 	if reqOf(required).Assembled {
 		return nil, false
 	}
@@ -410,41 +336,41 @@ func (m *Model) ChaseApplic(ctx *core.RuleContext, b *core.Binding, required cor
 }
 
 // ChaseCost prices one random I/O per input object.
-func (m *Model) ChaseCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
-	return costOf(oprops(ctx, b.Children[0].Group).Objects * m.P.RandomIO)
+func (s *Support) ChaseCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+	return costOf(oprops(ctx, b.Children[0].Group).Objects * s.P.RandomIO)
 }
 
 // BuildChase constructs the pointer-chase operator.
-func (m *Model) BuildChase(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
+func (s *Support) BuildChase(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 	return &PointerChase{Attr: b.Expr.Op.(*Materialize).Attr}
 }
 
 // TraverseApplic: the assembled traversal needs an assembled input and
 // can serve any requirement (assembled covers unassembled).
-func (m *Model) TraverseApplic(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
+func (s *Support) TraverseApplic(ctx *core.RuleContext, b *core.Binding, required core.PhysProps) ([]core.InputReq, bool) {
 	return []core.InputReq{{Required: []core.PhysProps{Assembled}}}, true
 }
 
 // TraverseCost prices an in-memory pointer step per object.
-func (m *Model) TraverseCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
-	return costOf(oprops(ctx, b.Children[0].Group).Objects * m.P.CPUStep)
+func (s *Support) TraverseCost(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) Cost {
+	return costOf(oprops(ctx, b.Children[0].Group).Objects * s.P.CPUStep)
 }
 
 // TraverseDelivered: components of assembled objects are themselves
 // assembled.
-func (m *Model) TraverseDelivered(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
+func (s *Support) TraverseDelivered(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq, inputs []core.PhysProps) core.PhysProps {
 	return Assembled
 }
 
 // BuildTraverse constructs the assembled-traverse operator.
-func (m *Model) BuildTraverse(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
+func (s *Support) BuildTraverse(ctx *core.RuleContext, b *core.Binding, required core.PhysProps, alt core.InputReq) core.PhysicalOp {
 	return &AssembledTraverse{Attr: b.Expr.Op.(*Materialize).Attr}
 }
 
 // AssemblyRelax: the assembly enforcer establishes assembledness over an
 // unassembled input; the original requirement is excluded for the input
 // search.
-func (m *Model) AssemblyRelax(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) (core.PhysProps, core.PhysProps, bool) {
+func (s *Support) AssemblyRelax(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) (core.PhysProps, core.PhysProps, bool) {
 	if !reqOf(required).Assembled {
 		return nil, nil, false
 	}
@@ -453,21 +379,13 @@ func (m *Model) AssemblyRelax(ctx *core.RuleContext, lp core.LogicalProps, requi
 
 // AssemblyCost prices batched window reads of each object's component
 // closure.
-func (m *Model) AssemblyCost(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) Cost {
+func (s *Support) AssemblyCost(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) Cost {
 	p := lp.(*Props)
 	levels := p.Head.Depth() + 1
-	return costOf(p.Objects * float64(levels) * m.P.AssemblyIO)
+	return costOf(p.Objects * float64(levels) * s.P.AssemblyIO)
 }
 
 // BuildAssembly constructs the assembly operator.
-func (m *Model) BuildAssembly(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.PhysicalOp {
+func (s *Support) BuildAssembly(ctx *core.RuleContext, lp core.LogicalProps, required core.PhysProps) core.PhysicalOp {
 	return &Assembly{Levels: lp.(*Props).Head.Depth() + 1}
 }
-
-// ImplementationRules maps the object operators to algorithms, wiring
-// the exported support methods.
-func (m *Model) ImplementationRules() []*core.ImplRule { return m.irules }
-
-// Enforcers returns the assembly operator as the enforcer of
-// assembledness.
-func (m *Model) Enforcers() []*core.Enforcer { return m.enfs }

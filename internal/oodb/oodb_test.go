@@ -2,6 +2,7 @@ package oodb_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -220,5 +221,73 @@ func TestImplementationRulesAllocateNothing(t *testing.T) {
 	}
 	if len(m.ImplementationRules()) != 4 || len(m.Enforcers()) != 1 {
 		t.Fatalf("%d rules and %d enforcers, want 4 and 1", len(m.ImplementationRules()), len(m.Enforcers()))
+	}
+}
+
+// TestPathPlansPinned records the exact cost and plan of every path
+// query shape: 0–3 materialize steps, with and without a selection,
+// with no requirement and with assembledness required, plus stacked
+// selections in both spellings, whose optimum is reachable from the
+// second only through the rule select_commute. The pins were recorded
+// with the rules wired by hand, before the generated minipath
+// optimizer replaced them.
+func TestPathPlansPinned(t *testing.T) {
+	type pin struct {
+		cost oodb.Cost
+		plan string
+	}
+	want := map[string]pin{
+		"k=0/select=false/assembled=false": {366210938, "extent-scan(Emp)  (cost=366.21)\n"},
+		"k=0/select=false/assembled=true":  {18366210938, "assembly(levels=4)  (cost=18366.21, props=assembled)\n  extent-scan(Emp)  (cost=366.21)\n"},
+		"k=0/select=true/assembled=false":  {371210938, "filter(age > 40)  (cost=371.21)\n  extent-scan(Emp)  (cost=366.21)\n"},
+		"k=0/select=true/assembled=true":   {6371210938, "assembly(levels=4)  (cost=6371.21, props=assembled)\n  filter(age > 40)  (cost=371.21)\n    extent-scan(Emp)  (cost=366.21)\n"},
+		"k=1/select=false/assembled=false": {10366210938, "pointer-chase(dept)  (cost=10366.21)\n  extent-scan(Emp)  (cost=366.21)\n"},
+		"k=1/select=false/assembled=true":  {18376210938, "assembled-traverse(dept)  (cost=18376.21, props=assembled)\n  assembly(levels=4)  (cost=18366.21, props=assembled)\n    extent-scan(Emp)  (cost=366.21)\n"},
+		"k=1/select=true/assembled=false":  {3704544271, "pointer-chase(dept)  (cost=3704.54)\n  filter(age > 40)  (cost=371.21)\n    extent-scan(Emp)  (cost=366.21)\n"},
+		"k=1/select=true/assembled=true":   {6374544271, "assembled-traverse(dept)  (cost=6374.54, props=assembled)\n  assembly(levels=4)  (cost=6371.21, props=assembled)\n    filter(age > 40)  (cost=371.21)\n      extent-scan(Emp)  (cost=366.21)\n"},
+		"k=2/select=false/assembled=false": {18386210938, "assembled-traverse(division)  (cost=18386.21, props=assembled)\n  assembled-traverse(dept)  (cost=18376.21, props=assembled)\n    assembly(levels=4)  (cost=18366.21, props=assembled)\n      extent-scan(Emp)  (cost=366.21)\n"},
+		"k=2/select=false/assembled=true":  {18386210938, "assembled-traverse(division)  (cost=18386.21, props=assembled)\n  assembled-traverse(dept)  (cost=18376.21, props=assembled)\n    assembly(levels=4)  (cost=18366.21, props=assembled)\n      extent-scan(Emp)  (cost=366.21)\n"},
+		"k=2/select=true/assembled=false":  {6377877604, "assembled-traverse(division)  (cost=6377.88, props=assembled)\n  assembled-traverse(dept)  (cost=6374.54, props=assembled)\n    assembly(levels=4)  (cost=6371.21, props=assembled)\n      filter(age > 40)  (cost=371.21)\n        extent-scan(Emp)  (cost=366.21)\n"},
+		"k=2/select=true/assembled=true":   {6377877604, "assembled-traverse(division)  (cost=6377.88, props=assembled)\n  assembled-traverse(dept)  (cost=6374.54, props=assembled)\n    assembly(levels=4)  (cost=6371.21, props=assembled)\n      filter(age > 40)  (cost=371.21)\n        extent-scan(Emp)  (cost=366.21)\n"},
+		"k=3/select=false/assembled=false": {18396210938, "assembled-traverse(company)  (cost=18396.21, props=assembled)\n  assembled-traverse(division)  (cost=18386.21, props=assembled)\n    assembled-traverse(dept)  (cost=18376.21, props=assembled)\n      assembly(levels=4)  (cost=18366.21, props=assembled)\n        extent-scan(Emp)  (cost=366.21)\n"},
+		"k=3/select=false/assembled=true":  {18396210938, "assembled-traverse(company)  (cost=18396.21, props=assembled)\n  assembled-traverse(division)  (cost=18386.21, props=assembled)\n    assembled-traverse(dept)  (cost=18376.21, props=assembled)\n      assembly(levels=4)  (cost=18366.21, props=assembled)\n        extent-scan(Emp)  (cost=366.21)\n"},
+		"k=3/select=true/assembled=false":  {6381210937, "assembled-traverse(company)  (cost=6381.21, props=assembled)\n  assembled-traverse(division)  (cost=6377.88, props=assembled)\n    assembled-traverse(dept)  (cost=6374.54, props=assembled)\n      assembly(levels=4)  (cost=6371.21, props=assembled)\n        filter(age > 40)  (cost=371.21)\n          extent-scan(Emp)  (cost=366.21)\n"},
+		"k=3/select=true/assembled=true":   {6381210937, "assembled-traverse(company)  (cost=6381.21, props=assembled)\n  assembled-traverse(division)  (cost=6377.88, props=assembled)\n    assembled-traverse(dept)  (cost=6374.54, props=assembled)\n      assembly(levels=4)  (cost=6371.21, props=assembled)\n        filter(age > 40)  (cost=371.21)\n          extent-scan(Emp)  (cost=366.21)\n"},
+		"select_commute/salary-inner":      {371215938, "filter(age > 30)  (cost=371.22)\n  filter(salary = 50)  (cost=371.21)\n    extent-scan(Emp)  (cost=366.21)\n"},
+		"select_commute/salary-outer":      {371215938, "filter(age > 30)  (cost=371.22)\n  filter(salary = 50)  (cost=371.21)\n    extent-scan(Emp)  (cost=366.21)\n"},
+	}
+	cat := schema(t)
+	check := func(name string, q *core.ExprTree, required core.PhysProps) {
+		t.Helper()
+		w, ok := want[name]
+		if !ok {
+			t.Fatalf("%s: no pin", name)
+		}
+		delete(want, name)
+		opt := core.NewOptimizer(oodb.New(cat, oodb.DefaultParams()), nil)
+		plan, err := opt.Optimize(opt.InsertQuery(q), required)
+		if err != nil || plan == nil {
+			t.Fatalf("%s: plan %v, err %v", name, plan, err)
+		}
+		if got := plan.Cost.(oodb.Cost); got != w.cost || plan.Format() != w.plan {
+			t.Errorf("%s: cost %d, plan\n%s\nwant cost %d, plan\n%s", name, got, plan.Format(), w.cost, w.plan)
+		}
+	}
+	steps := []string{"dept", "division", "company"}
+	for k := 0; k <= len(steps); k++ {
+		for _, sel := range []bool{false, true} {
+			for _, required := range []core.PhysProps{nil, oodb.Assembled} {
+				name := fmt.Sprintf("k=%d/select=%v/assembled=%v", k, sel, required != nil)
+				check(name, pathQuery(cat, sel, steps[:k]...), required)
+			}
+		}
+	}
+	age := &oodb.Select{Attr: "age", Op: oodb.CmpGT, Val: 30}
+	salary := &oodb.Select{Attr: "salary", Op: oodb.CmpEQ, Val: 50}
+	emp := &oodb.GetSet{Cls: cat.Class("Emp")}
+	check("select_commute/salary-inner", core.Node(age, core.Node(salary, core.Node(emp))), nil)
+	check("select_commute/salary-outer", core.Node(salary, core.Node(age, core.Node(emp))), nil)
+	if len(want) != 0 {
+		t.Errorf("pins never checked: %v", want)
 	}
 }

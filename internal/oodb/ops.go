@@ -4,22 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-)
-
-// Operator kinds of the object algebra. Kinds are per-model (each
-// optimizer is generated for exactly one model), assigned in declaration
-// order exactly as the optimizer generator assigns them for the
-// equivalent specification in internal/gen/testdata/minipath.model.
-const (
-	// KindGetSet scans a class extent. Arity 0.
-	KindGetSet core.OpKind = iota + 1
-	// KindMaterialize is the scope operator of the Open OODB project:
-	// it captures the semantics of a path expression step, bringing
-	// the objects referenced by an attribute into scope. Arity 1.
-	KindMaterialize
-	// KindSelect filters objects by a scalar attribute of the scope's
-	// head class. Arity 1.
-	KindSelect
+	"repro/internal/gen/minipath"
 )
 
 // GetSet scans a class extent.
@@ -28,8 +13,8 @@ type GetSet struct {
 	Cls *Class
 }
 
-// Kind returns KindGetSet.
-func (g *GetSet) Kind() core.OpKind { return KindGetSet }
+// Kind returns minipath.KindGETSET.
+func (g *GetSet) Kind() core.OpKind { return minipath.KindGETSET }
 
 // Arity returns 0.
 func (g *GetSet) Arity() int { return 0 }
@@ -46,15 +31,16 @@ func (g *GetSet) Name() string { return "GETSET" }
 // String renders the operator.
 func (g *GetSet) String() string { return "GETSET(" + g.Cls.Name + ")" }
 
-// Materialize navigates a reference attribute of the scope's head
-// class, making the referenced objects the new head.
+// Materialize is the scope operator of the Open OODB project, one
+// path expression step: it navigates a reference attribute of the
+// scope's head class, making the referenced objects the new head.
 type Materialize struct {
 	// Attr is the reference attribute navigated.
 	Attr string
 }
 
-// Kind returns KindMaterialize.
-func (m *Materialize) Kind() core.OpKind { return KindMaterialize }
+// Kind returns minipath.KindMATERIALIZE.
+func (m *Materialize) Kind() core.OpKind { return minipath.KindMATERIALIZE }
 
 // Arity returns 1.
 func (m *Materialize) Arity() int { return 1 }
@@ -104,8 +90,8 @@ type Select struct {
 	Val int64
 }
 
-// Kind returns KindSelect.
-func (s *Select) Kind() core.OpKind { return KindSelect }
+// Kind returns minipath.KindSELECT.
+func (s *Select) Kind() core.OpKind { return minipath.KindSELECT }
 
 // Arity returns 1.
 func (s *Select) Arity() int { return 1 }
