@@ -11,14 +11,15 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# The executor, vdb and the daemon under the volcano_debug tag: the
-# scratch pools poison what they hand out and take back, and keep none of
-# it, so a read of a vector or a batch's headers after Close meets the
-# poison instead of another operator's data; every Run checks the stored
-# tables against their checksums; and operators that rely on a sort
-# order check it where they read it.
+# The executor and every package whose tests execute plans through it
+# (vdb, the daemon, relopt, sqlish and the root package) under the
+# volcano_debug tag: the scratch pools poison what they hand out and
+# take back, and keep none of it, so a read of a vector or a batch's
+# headers after Close meets the poison instead of another operator's
+# data; every Run checks the stored tables against their checksums; and
+# operators that rely on a sort order check it where they read it.
 test-debug:
-	$(GO) test -tags volcano_debug -race ./internal/exec/ ./internal/vdb/ ./internal/serve/
+	$(GO) test -tags volcano_debug -race . ./internal/exec/ ./internal/relopt/ ./internal/sqlish/ ./internal/vdb/ ./internal/serve/
 
 # bench/ is a module of its own, which the root `go vet ./...` does not
 # reach.

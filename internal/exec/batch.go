@@ -2,13 +2,12 @@ package exec
 
 import "math/bits"
 
-// The batch protocol. Every operator in this package is batch-native:
-// its NextBatch method moves up to BatchSize rows per call, so the
-// per-row interface-dispatch and allocation costs of the classic
-// open/next/close loop are amortized across a whole batch. The
-// row-at-a-time Iterator interface remains fully supported — each
-// operator's Next method is a thin adapter draining its current batch —
-// so existing callers, and a batch size of 1, keep working.
+// The batch protocol. Every operator in this package is a batch
+// iterator (Iterator): its NextBatch method moves up to BatchSize rows
+// per call, so the per-row interface-dispatch and allocation costs of
+// the classic open/next/close loop are amortized across a whole batch.
+// A batch size of 1 is the row-at-a-time loop. Row-structured consumers
+// read their inputs a row at a time through a cursor.
 //
 // Lifetime contract: the *Batch returned by NextBatch, and its Rows
 // header slice, are valid only until the next NextBatch or Close call on
@@ -16,7 +15,9 @@ import "math/bits"
 // reused: it lives in stored tables, materialized operator state, or
 // append-only arenas. A consumer that retains rows across batch
 // boundaries therefore only needs to copy the Row headers (cheap slice
-// headers), never the values.
+// headers), never the values. A batch's size is its producer's: a
+// consumer takes batches of any non-zero size, whatever its own
+// BatchSize.
 
 // DefaultBatchSize is the target rows per batch.
 const DefaultBatchSize = 1024
@@ -144,98 +145,14 @@ func (b *Batch) carve(n, width, chunk int) []int64 {
 	return block
 }
 
-// BatchIterator is the batched Volcano iterator interface: open once,
-// pull batches until ok is false, close. See the package-level lifetime
-// contract for how long a returned batch stays valid.
-type BatchIterator interface {
-	// Open prepares the iterator for producing batches.
-	Open() error
-	// NextBatch returns the next batch of rows; ok is false at end of
-	// stream. The returned batch is valid until the next call.
-	NextBatch() (b *Batch, ok bool, err error)
-	// Close releases resources. Close is idempotent.
-	Close() error
-}
-
-// asBatch promotes any Iterator to the batch protocol: operators from
-// this package are returned as themselves, foreign row-at-a-time
-// iterators are wrapped in a batching adapter.
-func asBatch(it Iterator) BatchIterator {
-	if bi, ok := it.(BatchIterator); ok {
-		return bi
-	}
-	return &iterBatch{it: it, size: DefaultBatchSize}
-}
-
-// iterBatch adapts a row-at-a-time Iterator into a BatchIterator by
-// buffering rows into a reusable batch.
-type iterBatch struct {
-	it   Iterator
-	size int
-	out  Batch
-}
-
-func (a *iterBatch) Open() error { return a.it.Open() }
-
-func (a *iterBatch) NextBatch() (*Batch, bool, error) {
-	a.out.reset(a.size)
-	for len(a.out.Rows) < a.size {
-		row, ok, err := a.it.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		a.out.add(row)
-	}
-	if len(a.out.Rows) == 0 {
-		return nil, false, nil
-	}
-	return &a.out, true, nil
-}
-
-func (a *iterBatch) Close() error {
-	a.out.release()
-	return a.it.Close()
-}
-
-// rowAdapter implements an operator's row-at-a-time Next on top of its
-// own NextBatch: it drains the current batch one row per call and pulls
-// the next batch when exhausted. Operators embed one and reset it in
-// Open. Mixing Next and NextBatch calls on the same operator is not
-// supported.
-type rowAdapter struct {
-	b *Batch
-	i int
-}
-
-func (r *rowAdapter) reset() { r.b, r.i = nil, 0 }
-
-func (r *rowAdapter) next(bi BatchIterator) (Row, bool, error) {
-	for {
-		if r.b != nil && r.i < len(r.b.Rows) {
-			row := r.b.Rows[r.i]
-			r.i++
-			return row, true, nil
-		}
-		b, ok, err := bi.NextBatch()
-		if err != nil || !ok {
-			r.b = nil
-			return nil, false, err
-		}
-		r.b, r.i = b, 0
-	}
-}
-
 // cursor is the inlined consumption side of the batch protocol: a
-// row-level view over a BatchIterator whose per-row advance is a
+// row-level view over an Iterator whose per-row advance is a
 // concrete-type method (no interface dispatch) indexing the current
 // batch. Operators with inherently row-structured logic (merge join,
 // merge set operations, sorted grouping) consume their inputs through
 // cursors, paying one interface call per batch instead of per row.
 type cursor struct {
-	src  BatchIterator
+	src  Iterator
 	b    *Batch
 	i    int
 	done bool
@@ -245,11 +162,11 @@ type cursor struct {
 	last  Row
 }
 
-func newCursor(src BatchIterator) cursor { return cursor{src: src} }
+func newCursor(src Iterator) cursor { return cursor{src: src} }
 
 // reset starts the cursor over src, whose rows the consumer expects in
 // order (nil: in any order).
-func (c *cursor) reset(src BatchIterator, order []sortKey) { *c = cursor{src: src, order: order} }
+func (c *cursor) reset(src Iterator, order []sortKey) { *c = cursor{src: src, order: order} }
 
 // next returns the next row; ok is false at end of stream.
 func (c *cursor) next() (Row, bool, error) {

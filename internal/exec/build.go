@@ -33,23 +33,13 @@ type Options struct {
 	Spools *SpoolStore
 }
 
-// BuildPlan translates an optimizer plan into an iterator tree over the
-// database. Partitioned plans (delivered partitioning from the parallel
-// model) are instantiated once per partition and merged by a Gather
-// operator running the partitions in parallel goroutines.
-func BuildPlan(db *DB, plan *core.Plan) (Iterator, *Schema, error) {
-	return BuildPlanOpts(nil, db, plan, nil, Options{})
-}
-
-// BuildPlanParams is BuildPlan for incompletely specified queries:
-// params supplies the runtime values of parameterized predicates
-// (1-based indexes), and choose-plan nodes select their alternative
-// using the bound values before any iterator is constructed.
-func BuildPlanParams(db *DB, plan *core.Plan, params []int64) (Iterator, *Schema, error) {
-	return BuildPlanOpts(nil, db, plan, params, Options{})
-}
-
-// BuildPlanOpts is the fully general entry point: a nil ctx means no
+// BuildPlanOpts translates an optimizer plan into an iterator tree over
+// the database. Partitioned plans (delivered partitioning from the
+// parallel model) are instantiated once per partition and merged by a
+// Gather operator running the partitions in parallel goroutines. params
+// supplies the runtime values of parameterized predicates (1-based
+// indexes), and choose-plan nodes select their alternative using the
+// bound values before any iterator is constructed. A nil ctx means no
 // cancellation; opts tunes batch size, exchange parallelism and the
 // spool store.
 func BuildPlanOpts(ctx context.Context, db *DB, plan *core.Plan, params []int64, opts Options) (Iterator, *Schema, error) {

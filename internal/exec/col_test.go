@@ -136,7 +136,7 @@ func TestColFilterMatchesRowFilterRandom(t *testing.T) {
 }
 
 // TestColFilterOverRowInput checks the transposing adapter path: a
-// columnar filter over a row-producing input (a foreign row iterator)
+// columnar filter over a row-producing input (a test row-batch producer)
 // must agree with the row-at-a-time filter.
 func TestColFilterOverRowInput(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))

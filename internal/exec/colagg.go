@@ -30,7 +30,6 @@ type ColHashGroupBy struct {
 	out  []Row
 	next int
 	view Batch
-	ra   rowAdapter
 }
 
 // NewColHashGroupBy resolves grouping columns and aggregate arguments
@@ -253,7 +252,6 @@ func (g *ColHashGroupBy) Open() error {
 	sortRows(out, groupOrder(gw))
 	g.out = out
 	g.next = 0
-	g.ra.reset()
 	return nil
 }
 
@@ -271,9 +269,6 @@ func (g *ColHashGroupBy) NextBatch() (*Batch, bool, error) {
 	g.next = end
 	return &g.view, true, nil
 }
-
-// Next returns the next group.
-func (g *ColHashGroupBy) Next() (Row, bool, error) { return g.ra.next(g) }
 
 // Close gives the groups' header vector back and closes the input
 // through its columnar adapter.
@@ -303,7 +298,6 @@ type ColSortGroupBy struct {
 	count   int64
 	accs    []int64 // current group's accumulators, one per aggregate
 	out     Batch
-	ra      rowAdapter
 }
 
 // NewColSortGroupBy resolves grouping columns and aggregate arguments
@@ -324,7 +318,6 @@ func (g *ColSortGroupBy) SetBatchSize(n int) { g.size = sizeOrDefault(n) }
 // Open opens the input.
 func (g *ColSortGroupBy) Open() error {
 	g.started, g.done, g.count = false, false, 0
-	g.ra.reset()
 	return g.In.Open()
 }
 
@@ -525,9 +518,6 @@ func (g *ColSortGroupBy) NextBatch() (*Batch, bool, error) {
 	}
 	return &g.out, true, nil
 }
-
-// Next returns the next completed group.
-func (g *ColSortGroupBy) Next() (Row, bool, error) { return g.ra.next(g) }
 
 // Close gives the batch's headers back and closes the input through its
 // columnar adapter.

@@ -20,13 +20,12 @@ package exec
 // views of stored tables happen to stay valid forever, but no operator
 // may rely on that.
 //
-// Adapter boundaries: every columnar operator also implements the row
-// Batch protocol (NextBatch materializes the current columnar batch
-// through materializeInto) and the row Iterator, so storage load,
-// Exchange routing, sorts, sets, spooling, and Collect keep consuming
-// rows unchanged. Conversely asCols promotes any row operator to the
-// columnar protocol through a transposing adapter, so columnar
-// operators accept arbitrary inputs.
+// Adapter boundaries: every columnar operator is also an Iterator
+// (NextBatch materializes the current columnar batch through
+// materializeInto), so storage load, Exchange routing, sorts, sets,
+// spooling, and Collect keep consuming rows unchanged. Conversely asCols
+// promotes any row-batch operator to the columnar protocol through a
+// transposing adapter, so columnar operators accept arbitrary inputs.
 
 // ColBatch is one columnar unit of data flow: a set of equal-length
 // column vectors and an optional selection vector naming the live rows.
@@ -62,15 +61,15 @@ type ColBatchIterator interface {
 
 // asCols promotes any Iterator to the columnar protocol: columnar
 // operators are returned as themselves, row-producing iterators are
-// wrapped in a transposing adapter. As with asBatch, the adapter
-// delegates Open to the wrapped iterator; its Close gives its vectors
+// wrapped in a transposing adapter. The adapter delegates Open and
+// NextBatch to the wrapped iterator; its Close gives its vectors
 // back and closes the wrapped iterator, so an operator that promotes an
 // input closes it through what asCols returned.
 func asCols(it Iterator) ColBatchIterator {
 	if ci, ok := it.(ColBatchIterator); ok {
 		return ci
 	}
-	return &rowCols{it: it, in: asBatch(it)}
+	return &rowCols{it: it}
 }
 
 // closeCols closes an input through the columnar adapter asCols made
@@ -86,7 +85,6 @@ func closeCols(in ColBatchIterator, it Iterator) error {
 // each batch into vectors taken from the scratch pools.
 type rowCols struct {
 	it   Iterator
-	in   BatchIterator
 	vecs [][]int64
 	view ColBatch
 }
@@ -104,12 +102,10 @@ func (r *rowCols) Close() error {
 	return r.it.Close()
 }
 
-func (r *rowCols) Next() (Row, bool, error) {
-	return r.it.Next()
-}
+func (r *rowCols) NextBatch() (*Batch, bool, error) { return r.it.NextBatch() }
 
 func (r *rowCols) NextColBatch() (*ColBatch, bool, error) {
-	b, ok, err := r.in.NextBatch()
+	b, ok, err := r.it.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}

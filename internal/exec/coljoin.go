@@ -54,7 +54,6 @@ type ColHashJoin struct {
 	vecs        [][]int64
 	view        ColBatch
 	out         Batch
-	ra          rowAdapter
 }
 
 // NewColHashJoin resolves join columns (and an optional fused
@@ -96,7 +95,6 @@ func (h *ColHashJoin) Open() error {
 	h.pb, h.pi, h.pn, h.hit, h.probeRow = nil, 0, 0, -1, 0
 	h.lidx = int32Scratch.get(h.size)[:h.size]
 	h.ridx = int32Scratch.get(h.size)[:h.size]
-	h.ra.reset()
 
 	build := h.left
 	scan := storedSource(h.Left)
@@ -279,9 +277,6 @@ func (h *ColHashJoin) NextBatch() (*Batch, bool, error) {
 	}
 	return &h.out, true, nil
 }
-
-// Next returns the next joined row.
-func (h *ColHashJoin) Next() (Row, bool, error) { return h.ra.next(h) }
 
 // Close gives the build storage and the probe scratch back and closes
 // both inputs through their columnar adapters.

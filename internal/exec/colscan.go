@@ -23,7 +23,6 @@ type ColScan struct {
 	next    int
 	view    ColBatch
 	out     Batch
-	ra      rowAdapter
 }
 
 // NewColScan creates a columnar scan over a table.
@@ -52,7 +51,6 @@ func (s *ColScan) Open() error {
 		s.hi = (s.stripe + 1) * total / s.stripes
 	}
 	s.next = s.lo
-	s.ra.reset()
 	return nil
 }
 
@@ -99,9 +97,6 @@ func (s *ColScan) NextBatch() (*Batch, bool, error) {
 	s.next = end
 	return &s.out, true, nil
 }
-
-// Next returns the next stored row.
-func (s *ColScan) Next() (Row, bool, error) { return s.ra.next(s) }
 
 // Close gives the column-window vector and the batch's headers back.
 func (s *ColScan) Close() error {
@@ -157,7 +152,6 @@ type ColFilter struct {
 	selbuf []int32
 	view   ColBatch
 	out    Batch
-	ra     rowAdapter
 }
 
 // NewColFilter compiles the conjuncts against the input schema.
@@ -177,7 +171,6 @@ func (f *ColFilter) SetBatchSize(n int) { f.size = sizeOrDefault(n) }
 
 // Open opens the input.
 func (f *ColFilter) Open() error {
-	f.ra.reset()
 	return f.In.Open()
 }
 
@@ -239,9 +232,6 @@ func (f *ColFilter) NextBatch() (*Batch, bool, error) {
 	materializeInto(&f.out, cb, len(cb.Cols)*f.size)
 	return &f.out, true, nil
 }
-
-// Next returns the next row satisfying every conjunct.
-func (f *ColFilter) Next() (Row, bool, error) { return f.ra.next(f) }
 
 // Close gives the selection vector and the batch's headers back and
 // closes the input through its columnar adapter.
@@ -471,7 +461,6 @@ type ColProject struct {
 	size int
 	view ColBatch
 	out  Batch
-	ra   rowAdapter
 }
 
 // NewColProject resolves the output columns against the input schema.
@@ -488,7 +477,6 @@ func (p *ColProject) SetBatchSize(n int) { p.size = sizeOrDefault(n) }
 
 // Open opens the input.
 func (p *ColProject) Open() error {
-	p.ra.reset()
 	return p.In.Open()
 }
 
@@ -519,9 +507,6 @@ func (p *ColProject) NextBatch() (*Batch, bool, error) {
 	materializeInto(&p.out, cb, len(cb.Cols)*p.size)
 	return &p.out, true, nil
 }
-
-// Next returns the next projected row.
-func (p *ColProject) Next() (Row, bool, error) { return p.ra.next(p) }
 
 // Close gives the column-window vector and the batch's headers back and
 // closes the input through its columnar adapter.

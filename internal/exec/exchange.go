@@ -204,7 +204,6 @@ func (st *exchangeState) runProducer(p int) {
 		return
 	}
 	defer it.Close()
-	bi := asBatch(it)
 	stage := make([][]Row, st.degree)
 	skip := make([]bool, st.degree)
 	for {
@@ -218,7 +217,7 @@ func (st *exchangeState) runProducer(p int) {
 			return
 		default:
 		}
-		b, ok, err := bi.NextBatch()
+		b, ok, err := it.NextBatch()
 		if err != nil {
 			st.fail(err)
 			return
@@ -319,12 +318,10 @@ type exchangePort struct {
 	part      int
 	closeOnce sync.Once
 	view      Batch
-	ra        rowAdapter
 }
 
 // Open starts the shared producers on first use.
 func (p *exchangePort) Open() error {
-	p.ra.reset()
 	p.st.start()
 	return nil
 }
@@ -344,9 +341,6 @@ func (p *exchangePort) NextBatch() (*Batch, bool, error) {
 	p.view.Rows = msg.rows
 	return &p.view, true, nil
 }
-
-// Next returns the next row routed to this partition.
-func (p *exchangePort) Next() (Row, bool, error) { return p.ra.next(p) }
 
 // Close releases this partition; producers stop routing to it.
 func (p *exchangePort) Close() error {
@@ -368,7 +362,6 @@ type exchangePortOrdered struct {
 	pdone []bool
 	last  []Row // each producer's last merged row, kept by debug builds
 	out   Batch
-	ra    rowAdapter
 }
 
 // Open starts the shared producers on first use.
@@ -379,7 +372,6 @@ func (p *exchangePortOrdered) Open() error {
 	if debugBuild {
 		p.last = make([]Row, len(p.st.producers))
 	}
-	p.ra.reset()
 	p.st.start()
 	return nil
 }
@@ -441,9 +433,6 @@ func (p *exchangePortOrdered) NextBatch() (*Batch, bool, error) {
 	}
 	return &p.out, true, nil
 }
-
-// Next returns the next row of the partition's k-way merge.
-func (p *exchangePortOrdered) Next() (Row, bool, error) { return p.ra.next(p) }
 
 // Close releases this partition; producers stop routing to it.
 func (p *exchangePortOrdered) Close() error {

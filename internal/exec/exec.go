@@ -1,10 +1,10 @@
 // Package exec is a Volcano-style query execution engine: algorithms
 // consuming and producing streams of tuples through the iterator
-// interface (open/next/close), as in the Volcano query processor the
-// optimizer generator was built for. It executes the physical plans
-// produced by optimizers generated from the relational model
-// (internal/relopt), including the exchange operator for partitioned
-// parallelism.
+// interface (open/next/close, with next moving a batch of rows), as in
+// the Volcano query processor the optimizer generator was built for. It
+// executes the physical plans produced by optimizers generated from the
+// relational model (internal/relopt), including the exchange operator
+// for partitioned parallelism.
 package exec
 
 import (
@@ -16,9 +16,6 @@ import (
 
 // Row is one tuple: values aligned with a Schema's column list.
 type Row []int64
-
-// Clone copies a row.
-func (r Row) Clone() Row { return append(Row(nil), r...) }
 
 // Schema maps the columns of a stream to row positions. Aggregate
 // outputs occupy positions with column ID 0 (they are not catalog
@@ -187,7 +184,7 @@ type DB struct {
 // every Run/RunOpts drain over the instance counts one query and its
 // result rows, or one error when the drain (or the plan build) failed —
 // including cancellation. Callers driving iterators directly through
-// BuildPlan/Collect are not counted.
+// BuildPlanOpts/Collect are not counted.
 type Counters struct {
 	// Queries is the number of plans drained to completion.
 	Queries int64 `json:"queries"`
@@ -262,16 +259,17 @@ func FromData(cat *rel.Catalog, data map[string][][]int64) *DB {
 	return db
 }
 
-// Iterator is the Volcano iterator interface: every query processing
-// algorithm consumes zero or more input iterators and produces a stream
-// of rows. Every operator in this package is batch-native (see
-// BatchIterator); this row-at-a-time view is a thin adapter over the
-// operator's current batch.
+// Iterator is the Volcano iterator interface, batched: every query
+// processing algorithm consumes zero or more input iterators and
+// produces a stream of row batches. Open once, pull batches until ok is
+// false, close. See batch.go for how long a returned batch stays valid.
 type Iterator interface {
-	// Open prepares the iterator for producing rows.
+	// Open prepares the iterator for producing batches.
 	Open() error
-	// Next returns the next row; ok is false at end of stream.
-	Next() (row Row, ok bool, err error)
+	// NextBatch returns the next batch of rows; ok is false at end of
+	// stream. The returned batch is valid until the next call. Batches
+	// are never empty: Len() >= 1 when ok.
+	NextBatch() (b *Batch, ok bool, err error)
 	// Close releases resources. Close is idempotent.
 	Close() error
 }
@@ -292,9 +290,8 @@ func Collect(it Iterator) (out []Row, err error) {
 	}()
 	st := newRowStore()
 	defer st.release()
-	in := asBatch(it)
 	for {
-		b, ok, err := in.NextBatch()
+		b, ok, err := it.NextBatch()
 		if err != nil {
 			return nil, err
 		}

@@ -126,7 +126,7 @@ func TestEnginesAgreeOrderBy(t *testing.T) {
 }
 
 // TestPlanEarlyCloseLeaksNoGoroutines builds parallel exchange plans,
-// reads a handful of rows, abandons the iterator, and checks every
+// reads the first batch, abandons the iterator, and checks every
 // exchange producer goroutine exits.
 func TestPlanEarlyCloseLeaksNoGoroutines(t *testing.T) {
 	cat, db, s := smallData(t, 48, 4)
@@ -146,7 +146,7 @@ func TestPlanEarlyCloseLeaksNoGoroutines(t *testing.T) {
 		if err := it.Open(); err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		if _, ok, err := it.Next(); err != nil || !ok {
+		if _, ok, err := it.NextBatch(); err != nil || !ok {
 			t.Fatalf("next: ok=%v err=%v", ok, err)
 		}
 		if err := it.Close(); err != nil {
@@ -182,11 +182,11 @@ func TestPlanContextCancelStopsWorkers(t *testing.T) {
 		}
 		cancel()
 		// Drain until the cancellation surfaces; the producers check the
-		// context once per batch, so a bounded number of buffered rows
-		// may still arrive first.
+		// context once per batch, so a bounded number of buffered
+		// batches may still arrive first.
 		var sawErr error
 		for {
-			_, ok, err := it.Next()
+			_, ok, err := it.NextBatch()
 			if err != nil {
 				sawErr = err
 				break
@@ -196,7 +196,7 @@ func TestPlanContextCancelStopsWorkers(t *testing.T) {
 			}
 		}
 		if cerr := it.Close(); sawErr == nil && cerr == nil {
-			t.Fatal("neither Next nor Close reported the cancellation")
+			t.Fatal("neither NextBatch nor Close reported the cancellation")
 		}
 	}
 	waitForGoroutines(t, before)

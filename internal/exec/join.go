@@ -24,7 +24,6 @@ type MergeJoin struct {
 	rgroup []Row
 	li, ri int
 	out    Batch
-	ra     rowAdapter
 }
 
 // mergeSide is one input of a merge join, read a window of join keys at
@@ -32,7 +31,7 @@ type MergeJoin struct {
 // hands over its sorted keys (sortRun.key), and a row is read only when
 // its key matches; any other input's keys are taken from its batches.
 type mergeSide struct {
-	src   BatchIterator
+	src   Iterator
 	run   *sortRun  // a keyed sort's run, else nil
 	store *rowStore // the rows run names
 	pos   int
@@ -45,7 +44,7 @@ type mergeSide struct {
 }
 
 func (s *mergeSide) reset(in Iterator, pos, size int) {
-	*s = mergeSide{src: asBatch(in), pos: pos, keys: int64Scratch.get(size), last: math.MinInt64}
+	*s = mergeSide{src: in, pos: pos, keys: int64Scratch.get(size), last: math.MinInt64}
 	if sort, ok := in.(*Sort); ok && len(sort.runs) == 1 && len(sort.keys) > 0 && sort.keys[0] == (sortKey{pos: pos}) {
 		s.run, s.store = &sort.runs[0], &sort.rows
 	}
@@ -145,7 +144,6 @@ func (m *MergeJoin) Open() error {
 	m.r.reset(m.Right, m.rpos, m.size)
 	m.lgroup, m.rgroup = nil, nil
 	m.li, m.ri = 0, 0
-	m.ra.reset()
 	return nil
 }
 
@@ -225,9 +223,6 @@ func combineInto(out *Batch, l, r Row, proj []int, size int) {
 		}
 	}
 }
-
-// Next returns the next joined row.
-func (m *MergeJoin) Next() (Row, bool, error) { return m.ra.next(m) }
 
 // Close gives the key windows back and closes both inputs.
 func (m *MergeJoin) Close() error {
@@ -518,7 +513,6 @@ type NLJoin struct {
 	ri    int
 	ldone bool
 	out   Batch
-	ra    rowAdapter
 }
 
 // NewNLJoin resolves join columns against the input schemas.
@@ -538,13 +532,11 @@ func (n *NLJoin) Open() error {
 	if err := n.Right.Open(); err != nil {
 		return err
 	}
-	n.lc.reset(asBatch(n.Left), nil)
+	n.lc.reset(n.Left, nil)
 	n.inner = n.inner[:0]
 	n.lrow, n.ri, n.ldone = nil, 0, false
-	n.ra.reset()
-	inner := asBatch(n.Right)
 	for {
-		b, ok, err := inner.NextBatch()
+		b, ok, err := n.Right.NextBatch()
 		if err != nil {
 			return err
 		}
@@ -589,9 +581,6 @@ func (n *NLJoin) NextBatch() (*Batch, bool, error) {
 	}
 	return &n.out, true, nil
 }
-
-// Next returns the next joined row.
-func (n *NLJoin) Next() (Row, bool, error) { return n.ra.next(n) }
 
 // Close releases the inner buffer and closes both inputs.
 func (n *NLJoin) Close() error {

@@ -218,14 +218,16 @@ func TestSparseKeyJoinsMatchReference(t *testing.T) {
 		}
 		var got []Row
 		for {
-			row, ok, err := tc.join.Next()
+			b, ok, err := tc.join.NextBatch()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				break
 			}
-			got = append(got, slices.Clone(row))
+			for _, row := range b.Rows {
+				got = append(got, slices.Clone(row))
+			}
 		}
 		if err := tc.join.Close(); err != nil {
 			t.Fatal(err)

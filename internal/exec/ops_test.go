@@ -13,26 +13,29 @@ import (
 	"repro/internal/relopt"
 )
 
-// rows builds an iterator over literal rows.
+// sliceIter is a batch producer over literal rows, DefaultBatchSize
+// rows a batch.
 type sliceIter struct {
 	rows []Row
 	next int
 	err  error
+	out  Batch
 }
 
 func iterOf(rows ...Row) *sliceIter { return &sliceIter{rows: rows} }
 
 func (s *sliceIter) Open() error { s.next = 0; return s.err }
-func (s *sliceIter) Next() (Row, bool, error) {
+func (s *sliceIter) NextBatch() (*Batch, bool, error) {
 	if s.err != nil {
 		return nil, false, s.err
 	}
 	if s.next >= len(s.rows) {
 		return nil, false, nil
 	}
-	r := s.rows[s.next]
-	s.next++
-	return r, true, nil
+	end := min(s.next+DefaultBatchSize, len(s.rows))
+	s.out.Rows = s.rows[s.next:end]
+	s.next = end
+	return &s.out, true, nil
 }
 func (s *sliceIter) Close() error { return nil }
 
@@ -437,7 +440,7 @@ func TestExchangeEarlyClose(t *testing.T) {
 	if err := abandoned.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := abandoned.Next(); err != nil {
+	if _, _, err := abandoned.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 	abandoned.Close() // stop consuming partition 0
@@ -463,20 +466,25 @@ func TestExchangeErrorPropagates(t *testing.T) {
 	}
 }
 
-// trackIter counts how many rows were pulled from it and signals Close.
+// trackIter counts how many rows were pulled from it, DefaultBatchSize
+// rows a batch, and signals Close.
 type trackIter struct {
 	n      int64
 	next   int64
 	closed chan struct{}
+	out    Batch
 }
 
 func (c *trackIter) Open() error { c.next = 0; return nil }
-func (c *trackIter) Next() (Row, bool, error) {
+func (c *trackIter) NextBatch() (*Batch, bool, error) {
 	if c.next >= c.n {
 		return nil, false, nil
 	}
-	c.next++
-	return Row{c.next - 1}, true, nil
+	c.out.Rows = make([]Row, 0, DefaultBatchSize)
+	for ; c.next < c.n && len(c.out.Rows) < DefaultBatchSize; c.next++ {
+		c.out.Rows = append(c.out.Rows, Row{c.next})
+	}
+	return &c.out, true, nil
 }
 func (c *trackIter) Close() error { close(c.closed); return nil }
 
@@ -493,7 +501,7 @@ func TestExchangeProducerExitsWhenAllAbandoned(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := ports[0].Next(); err != nil {
+	if _, _, err := ports[0].NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range ports {
@@ -522,7 +530,7 @@ func TestExchangeContextCancel(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := ports[0].Next(); err != nil {
+	if _, _, err := ports[0].NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
@@ -530,7 +538,7 @@ func TestExchangeContextCancel(t *testing.T) {
 	// block forever; the producer must exit.
 	for i, p := range ports {
 		for {
-			_, ok, err := p.Next()
+			_, ok, err := p.NextBatch()
 			if err != nil || !ok {
 				break
 			}

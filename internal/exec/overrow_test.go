@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -13,6 +14,36 @@ import (
 func sized[T batchSized](it T, size int) T {
 	it.SetBatchSize(size)
 	return it
+}
+
+// ragged is a test producer whose batches cycle through 1, 3 and
+// DefaultBatchSize+1 rows whatever its consumer's batch size; it never
+// emits an empty batch. Its header vector is reused from batch to batch.
+type ragged struct {
+	rows       []Row
+	next, turn int
+	out        Batch
+}
+
+var raggedSizes = [...]int{1, 3, DefaultBatchSize + 1}
+
+func (r *ragged) Open() error { r.next, r.turn = 0, 0; return nil }
+func (r *ragged) NextBatch() (*Batch, bool, error) {
+	if r.next >= len(r.rows) {
+		return nil, false, nil
+	}
+	end := min(r.next+raggedSizes[r.turn%len(raggedSizes)], len(r.rows))
+	r.out.Rows = append(r.out.Rows[:0], r.rows[r.next:end]...)
+	r.next, r.turn = end, r.turn+1
+	return &r.out, true, nil
+}
+func (r *ragged) Close() error { return nil }
+
+// sortedRows returns a copy of rows sorted ascending on the positions.
+func sortedRows(rows []Row, pos ...int) []Row {
+	rows = slices.Clone(rows)
+	sortRows(rows, ascKeys(pos))
+	return rows
 }
 
 func getTree(name string) *core.ExprTree {
@@ -40,6 +71,10 @@ func ascOn(cols ...rel.ColID) []relopt.OrderCol {
 // adapter (asCols), and compares each result with the reference
 // evaluator's at batch sizes 1, 7 and the default. Tables A, B and C
 // have columns 1-3, 4-6 and 7-9; every producer's output holds A's.
+// The ragged producers put the ragged test producer under every
+// columnar operator and under each row-structured consumer; table D has
+// A's columns and enough rows for a DefaultBatchSize+1 batch, in each
+// range of the set operations too, and joins E, a small table with B's.
 func TestColumnarOverRowInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	db := NewDB()
@@ -50,6 +85,10 @@ func TestColumnarOverRowInputs(t *testing.T) {
 		db.Add(tabs[name])
 	}
 	a, b, c := tabs["A"], tabs["B"], tabs["C"]
+	d := named(randTable(rng, a.Schema.Cols, 1700), "D")
+	e := named(randTable(rng, b.Schema.Cols, 30), "E")
+	db.Add(d)
+	db.Add(e)
 	ab := joined(a.Schema, b.Schema)
 	lo := rel.Pred{Col: 3, Op: rel.CmpGE, Val: -3}
 	hi := rel.Pred{Col: 3, Op: rel.CmpLT, Val: 4}
@@ -63,6 +102,22 @@ func TestColumnarOverRowInputs(t *testing.T) {
 	}
 	rangeTrees := []*core.ExprTree{exprTree(&rel.Select{Pred: lo}, getTree("A")), exprTree(&rel.Select{Pred: hi}, getTree("A"))}
 	joinAB := exprTree(rel.NewJoin(2, 5), getTree("A"), getTree("B"))
+	dRows, eRows := storedRows(d), storedRows(e)
+	var dLo, dHi []Row
+	for _, r := range dRows {
+		if r[2] >= lo.Val {
+			dLo = append(dLo, r)
+		}
+		if r[2] < hi.Val {
+			dHi = append(dHi, r)
+		}
+	}
+	if cycle := raggedSizes[0] + raggedSizes[1] + raggedSizes[2]; min(len(dLo), len(dHi)) < cycle {
+		t.Fatalf("D's ranges hold %d and %d rows, fewer than a ragged cycle's %d", len(dLo), len(dHi), cycle)
+	}
+	rag := func(rows []Row) Iterator { return &ragged{rows: rows} }
+	dRangeTrees := []*core.ExprTree{exprTree(&rel.Select{Pred: lo}, getTree("D")), exprTree(&rel.Select{Pred: hi}, getTree("D"))}
+	joinDE := exprTree(rel.NewJoin(2, 5), getTree("D"), getTree("E"))
 
 	producers := []struct {
 		name   string
@@ -110,6 +165,40 @@ func TestColumnarOverRowInputs(t *testing.T) {
 			st := newExchangeState(nil, 2, 0, size, nil, []Iterator{sized(NewColScan(a), size)})
 			return NewGather([]Iterator{st.port(0), st.port(1)}), a.Schema
 		}, getTree("A"), rel.InvalidCol},
+		{"ragged", func(int) (Iterator, *Schema) {
+			return rag(dRows), d.Schema
+		}, getTree("D"), rel.InvalidCol},
+		{"ragged/sort", func(size int) (Iterator, *Schema) {
+			return sized(NewSort(rag(dRows), d.Schema, ascOn(2)), size), d.Schema
+		}, getTree("D"), 2},
+		{"ragged/mergejoin", func(size int) (Iterator, *Schema) {
+			l, r := rag(sortedRows(dRows, 1)), rag(sortedRows(eRows, 1))
+			return sized(NewMergeJoin(l, r, d.Schema, e.Schema, 1, 1, nil), size), joined(d.Schema, e.Schema)
+		}, joinDE, 2},
+		{"ragged/nljoin", func(size int) (Iterator, *Schema) {
+			return sized(NewNLJoin(rag(dRows), rag(eRows), d.Schema, e.Schema, 1, 1), size), joined(d.Schema, e.Schema)
+		}, joinDE, rel.InvalidCol},
+		{"ragged/mergeunion", func(size int) (Iterator, *Schema) {
+			l, r := rag(sortedRows(dLo, 0, 1, 2)), rag(sortedRows(dHi, 0, 1, 2))
+			return sized(NewMergeUnion(l, r, []int{0, 1, 2}), size), d.Schema
+		}, exprTree(&rel.Union{}, dRangeTrees...), 1},
+		{"ragged/mergeintersect", func(size int) (Iterator, *Schema) {
+			l, r := rag(sortedRows(dLo, 0, 1, 2)), rag(sortedRows(dHi, 0, 1, 2))
+			return sized(NewMergeIntersect(l, r, []int{0, 1, 2}), size), d.Schema
+		}, exprTree(&rel.Intersect{}, dRangeTrees...), 1},
+		{"ragged/hashunion", func(size int) (Iterator, *Schema) {
+			return sized(NewHashUnion(rag(dLo), rag(dHi)), size), d.Schema
+		}, exprTree(&rel.Union{}, dRangeTrees...), rel.InvalidCol},
+		{"ragged/hashintersect", func(size int) (Iterator, *Schema) {
+			return sized(NewHashIntersect(rag(dLo), rag(dHi)), size), d.Schema
+		}, exprTree(&rel.Intersect{}, dRangeTrees...), rel.InvalidCol},
+		{"ragged/gather", func(int) (Iterator, *Schema) {
+			return NewGather([]Iterator{rag(dRows[:1100]), rag(dRows[1100:])}), d.Schema
+		}, getTree("D"), rel.InvalidCol},
+		{"ragged/exchange", func(size int) (Iterator, *Schema) {
+			st := newExchangeState(nil, 2, 0, size, nil, []Iterator{rag(dRows)})
+			return NewGather([]Iterator{st.port(0), st.port(1)}), d.Schema
+		}, getTree("D"), rel.InvalidCol},
 	}
 
 	preds := []rel.Pred{{Col: 3, Op: rel.CmpGT, Val: -5}, {Col: 1, Op: rel.CmpLE, OtherCol: 2}}

@@ -20,7 +20,6 @@ type MergeIntersect struct {
 	ldone, rdone bool
 	last         Row
 	out          Batch
-	ra           rowAdapter
 }
 
 // NewMergeIntersect takes the shared sort order as row positions.
@@ -39,11 +38,10 @@ func (m *MergeIntersect) Open() error {
 	if err := m.Right.Open(); err != nil {
 		return err
 	}
-	m.lc.reset(asBatch(m.Left), m.order)
-	m.rc.reset(asBatch(m.Right), m.order)
+	m.lc.reset(m.Left, m.order)
+	m.rc.reset(m.Right, m.order)
 	m.lrow, m.rrow, m.last = nil, nil, nil
 	m.ldone, m.rdone = false, false
-	m.ra.reset()
 	var err error
 	if m.lrow, err = advance(&m.lc, &m.ldone); err != nil {
 		return err
@@ -102,9 +100,6 @@ func (m *MergeIntersect) NextBatch() (*Batch, bool, error) {
 	return &m.out, true, nil
 }
 
-// Next returns the next row present in both inputs.
-func (m *MergeIntersect) Next() (Row, bool, error) { return m.ra.next(m) }
-
 // Close gives the batch's headers back and closes both inputs.
 func (m *MergeIntersect) Close() error {
 	m.out.release()
@@ -130,7 +125,6 @@ type HashIntersect struct {
 	kb  []byte // the probed row's key, reused
 	rc  cursor
 	out Batch
-	ra  rowAdapter
 }
 
 // NewHashIntersect creates the operator.
@@ -149,10 +143,9 @@ func (h *HashIntersect) Open() error {
 	if err := h.Right.Open(); err != nil {
 		return err
 	}
-	h.rc.reset(asBatch(h.Right), nil)
-	h.ra.reset()
+	h.rc.reset(h.Right, nil)
 	h.set = make(map[string]Row, h.SizeHint)
-	build := newCursor(asBatch(h.Left))
+	build := newCursor(h.Left)
 	for {
 		row, ok, err := build.next()
 		if err != nil {
@@ -200,9 +193,6 @@ func (h *HashIntersect) NextBatch() (*Batch, bool, error) {
 	return &h.out, true, nil
 }
 
-// Next returns the next distinct row found in both inputs.
-func (h *HashIntersect) Next() (Row, bool, error) { return h.ra.next(h) }
-
 // Close releases the set and closes both inputs.
 func (h *HashIntersect) Close() error {
 	h.out.release()
@@ -228,7 +218,6 @@ type MergeUnion struct {
 	ldone, rdone bool
 	last         Row
 	out          Batch
-	ra           rowAdapter
 }
 
 // NewMergeUnion takes the shared sort order as row positions.
@@ -247,11 +236,10 @@ func (m *MergeUnion) Open() error {
 	if err := m.Right.Open(); err != nil {
 		return err
 	}
-	m.lc.reset(asBatch(m.Left), m.order)
-	m.rc.reset(asBatch(m.Right), m.order)
+	m.lc.reset(m.Left, m.order)
+	m.rc.reset(m.Right, m.order)
 	m.lrow, m.rrow, m.last = nil, nil, nil
 	m.ldone, m.rdone = false, false
-	m.ra.reset()
 	var err error
 	if m.lrow, err = advance(&m.lc, &m.ldone); err != nil {
 		return err
@@ -293,9 +281,6 @@ func (m *MergeUnion) NextBatch() (*Batch, bool, error) {
 	return &m.out, true, nil
 }
 
-// Next returns the next distinct row from either input, in order.
-func (m *MergeUnion) Next() (Row, bool, error) { return m.ra.next(m) }
-
 // Close gives the batch's headers back and closes both inputs.
 func (m *MergeUnion) Close() error {
 	m.out.release()
@@ -321,7 +306,6 @@ type HashUnion struct {
 	lc, rc  cursor
 	onRight bool
 	out     Batch
-	ra      rowAdapter
 }
 
 // NewHashUnion creates the operator.
@@ -340,11 +324,10 @@ func (h *HashUnion) Open() error {
 	if err := h.Right.Open(); err != nil {
 		return err
 	}
-	h.lc.reset(asBatch(h.Left), nil)
-	h.rc.reset(asBatch(h.Right), nil)
+	h.lc.reset(h.Left, nil)
+	h.rc.reset(h.Right, nil)
 	h.seen = make(map[string]bool, h.SizeHint)
 	h.onRight = false
-	h.ra.reset()
 	return nil
 }
 
@@ -381,9 +364,6 @@ func (h *HashUnion) NextBatch() (*Batch, bool, error) {
 	return &h.out, true, nil
 }
 
-// Next returns the next row not seen before, draining left then right.
-func (h *HashUnion) Next() (Row, bool, error) { return h.ra.next(h) }
-
 // Close releases the set and closes both inputs.
 func (h *HashUnion) Close() error {
 	h.out.release()
@@ -415,9 +395,8 @@ func gatherProduce(it Iterator, out chan<- gatherBatchMsg, stop <-chan struct{})
 		return
 	}
 	defer it.Close()
-	bi := asBatch(it)
 	for {
-		b, ok, err := bi.NextBatch()
+		b, ok, err := it.NextBatch()
 		if err != nil {
 			select {
 			case out <- gatherBatchMsg{err: err}:
@@ -457,7 +436,6 @@ type Gather struct {
 	stop    chan struct{}
 	open    bool
 	view    Batch
-	ra      rowAdapter
 }
 
 // NewGather creates the operator.
@@ -468,7 +446,6 @@ func (g *Gather) Open() error {
 	g.batches = make(chan gatherBatchMsg, gatherQueueBatches*len(g.Parts))
 	g.stop = make(chan struct{})
 	g.open = true
-	g.ra.reset()
 	done := make(chan struct{}, len(g.Parts))
 	for _, p := range g.Parts {
 		go func(it Iterator) {
@@ -503,9 +480,6 @@ func (g *Gather) NextBatch() (*Batch, bool, error) {
 	return &g.view, true, nil
 }
 
-// Next returns the next row from any partition.
-func (g *Gather) Next() (Row, bool, error) { return g.ra.next(g) }
-
 // Close stops the producers.
 func (g *Gather) Close() error {
 	if g.open {
@@ -535,7 +509,6 @@ type GatherOrdered struct {
 	stop  chan struct{}
 	open  bool
 	out   Batch
-	ra    rowAdapter
 }
 
 // NewGatherOrdered takes the shared sort order as (position, desc)
@@ -558,7 +531,6 @@ func (g *GatherOrdered) Open() error {
 	if debugBuild {
 		g.last = make([]Row, len(g.Parts))
 	}
-	g.ra.reset()
 	for i, p := range g.Parts {
 		ch := make(chan gatherBatchMsg, gatherQueueBatches)
 		g.chans[i] = ch
@@ -631,9 +603,6 @@ func (g *GatherOrdered) NextBatch() (*Batch, bool, error) {
 	}
 	return &g.out, true, nil
 }
-
-// Next returns the next row of the k-way merge.
-func (g *GatherOrdered) Next() (Row, bool, error) { return g.ra.next(g) }
 
 // Close stops the producers.
 func (g *GatherOrdered) Close() error {

@@ -235,7 +235,6 @@ type Sort struct {
 	runs []sortRun
 	heap []int // run indexes, a min-heap on (head row, run index)
 	out  Batch
-	ra   rowAdapter
 }
 
 // sortRun is one sorted run: the sort permutation of a window of the
@@ -272,11 +271,9 @@ func (s *Sort) Open() error {
 	if err := s.In.Open(); err != nil {
 		return err
 	}
-	s.ra.reset()
 	s.rows = newRowStore()
-	in := asBatch(s.In)
 	for {
-		b, ok, err := in.NextBatch()
+		b, ok, err := s.In.NextBatch()
 		if err != nil {
 			return err
 		}
@@ -364,9 +361,6 @@ func (s *Sort) NextBatch() (*Batch, bool, error) {
 	}
 	return &s.out, true, nil
 }
-
-// Next returns the next row in sort order.
-func (s *Sort) Next() (Row, bool, error) { return s.ra.next(s) }
 
 // Close gives the drained headers and the permutations back and closes
 // the input.

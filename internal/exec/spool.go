@@ -85,7 +85,6 @@ type spoolScan struct {
 	pos  int
 	size int
 	out  Batch
-	ra   rowAdapter
 }
 
 // SetBatchSize sets the rows per output batch.
@@ -94,7 +93,6 @@ func (s *spoolScan) SetBatchSize(n int) { s.size = sizeOrDefault(n) }
 // Open fills the spool if no consumer has yet.
 func (s *spoolScan) Open() error {
 	s.pos = 0
-	s.ra.reset()
 	return s.e.fill()
 }
 
@@ -111,9 +109,6 @@ func (s *spoolScan) NextBatch() (*Batch, bool, error) {
 	s.pos = end
 	return &s.out, true, nil
 }
-
-// Next returns the next row.
-func (s *spoolScan) Next() (Row, bool, error) { return s.ra.next(s) }
 
 // Close releases nothing: the buffered rows belong to the store, and
 // the producer was already closed by its fill.
@@ -145,8 +140,3 @@ func NewReuse(st *SpoolStore, id int) (*Reuse, *Schema, error) {
 	}
 	return &Reuse{spoolScan{e: e, size: DefaultBatchSize}}, e.schema, nil
 }
-
-var (
-	_ BatchIterator = (*Materialize)(nil)
-	_ BatchIterator = (*Reuse)(nil)
-)
